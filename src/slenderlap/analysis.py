@@ -26,46 +26,72 @@ per study and encode quadrature noise plus the grid-Hoelder estimator bias.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry as geo
 from .grid import holder_norm, make_grid
-from .kernels import basic_integral
-from .operators import (DiscreteOperator, assemble_RD_pieces,
-                        assemble_RS_pieces, apply_m_S_inv_P0,
-                        dense_single_layer_direct, dense_spectral, dense_tail,
+from .kernels import FOURPI, PairGeometry, basic_integral
+from .operators import (DiscreteOperator, assemble_RS_pieces,
+                        apply_m_S_inv_P0, _check_dense_cap, dense_tail,
                         dense_RS_kernel, dense_RD_kernel, extend_s_profile,
-                        mean_in_s_split, theta_integral, _right_mul_p0,
-                        _right_mul_smean)
+                        mean_in_s_split, spectral_template, straight_template,
+                        theta_integral)
 from .solver import SlenderBodySolver
-from .spectral import FourierSymbol, GridFunction
+from .spectral import FourierSymbol, GridFunction, circulant_from_template
 
 
 def decomposition_operators(grid):
-    """(S_h, D_h) in the decomposition-exact split form.
+    """(S_h, D_h) in the decomposition-exact split form, from one pair sweep.
 
-    Accumulates in place; at most three dense matrices are alive at a time
-    (the assembly has to fit beside the solver's LU in a few GB).
+    With G_J and K_J the punctured curved kernels G and K_D times the source
+    weight J w (J = eps (1 - eps khat)), T_S and T_D the straight templates
+    (tail images plus the punctured central G-bar, K_D-bar; weight eps) and
+    m_S, m_D the symbol templates, every matrix is a curved term plus one
+    circulant gather:
+
+        R_S = G_J - T_S          S_h = G_J + (m_S - T_S) P0
+        R_D = K_J - T_D          D_h = K_J + m_D - T_D
+
+    R_S is R_S1 + R_S2 + R_S3 minus the straight tail: R_S1 + R_S2 telescopes
+    to G - G-bar, and R_S3 folds into the source weight eps (1 - eps khat);
+    likewise R_D1 + R_D2.  In S_h = (m_S + R_S) P0 + G_J P_mean the curved
+    term passes whole, and P0 acts on the straight template alone.
+
+    Each row chunk evaluates |R| and R . n_src once.  There are four N x N
+    outputs and no N x N temporaries; parts also holds S_mean = mean_s(G_J),
+    the N x n_theta block that routes s-means through the curved kernel.
     """
-    n_s, n_t = grid.n_s, grid.n_theta
-    rs_sum = -dense_tail(grid, "S")
-    for which in (1, 2, 3):
-        rs_sum += dense_RS_kernel(grid, which)
-    s_mat = dense_spectral(grid, "m_S")
-    s_mat += rs_sum
-    s_mat -= _right_mul_smean(s_mat, n_s, n_t)
-    s_mat += _right_mul_smean(dense_single_layer_direct(grid), n_s, n_t)
-    rd_sum = -dense_tail(grid, "D")
-    for which in (1, 2):
-        rd_sum += dense_RD_kernel(grid, which)
-    d_mat = dense_spectral(grid, "m_D")
-    d_mat += rd_sum
+    _check_dense_cap(grid)
+    n, n_s, n_t = grid.n_nodes, grid.n_s, grid.n_theta
+    t_s = straight_template(grid, "S", central=True)
+    t_d = straight_template(grid, "D", central=True)
+    u_s = spectral_template(grid, "m_S") - t_s
+    u_s -= u_s.mean(axis=0)
+    u_d = spectral_template(grid, "m_D") - t_d
+    templates = (-t_s, u_s, -t_d, u_d)      # R_S, S_h, R_D, D_h
+    mats = [np.empty((n, n)) for _ in templates]
+    s_mean = np.empty((n, n_t))
+    w_src = grid.flat_jacobian() * (grid.node_weight / FOURPI)
+    # chunks of whole s-rows, as the circulant row blocks require
+    pg = PairGeometry(grid, chunk_rows=n_t * max(1, 256 // n_t))
+    for lo, hi in pg.chunks():
+        f = pg.fields(lo, hi, need=("Rn",))
+        with np.errstate(divide="ignore"):
+            inv_r = 1.0 / f["absR"]
+        inv_r[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        g_j = inv_r * w_src
+        k_j = f["Rn"] * (inv_r * inv_r * inv_r) * w_src
+        s_mean[lo:hi] = g_j.reshape(-1, n_s, n_t).mean(axis=1)
+        for mat, curved, tpl in zip(mats, (g_j, g_j, k_j, k_j), templates):
+            np.add(curved, circulant_from_template(tpl, lo, hi),
+                   out=mat[lo:hi])
+    rs_mat, s_mat, rd_mat, d_mat = mats
     s_op = DiscreteOperator("S", "split-decomp", grid, s_mat,
-                            parts={"R_S": rs_sum})
+                            parts={"R_S": rs_mat, "S_mean": s_mean})
     d_op = DiscreteOperator("D", "split-decomp", grid, d_mat,
-                            parts={"R_D": rd_sum})
+                            parts={"R_D": rd_mat})
     return s_op, d_op
 
 
@@ -84,7 +110,6 @@ def decompose_dtn(grid, v, alpha=0.25, gamma=0.5, solver=None):
     rd_mat = solver.D_op.parts["R_D"]
     ev = extend_s_profile(grid, vv)
     w_p0 = w.project_zero_s_mean()
-    w_mean_surface = GridFunction(np.tile(w.s_mean(), (grid.n_s, 1)))
 
     tab = FourierSymbol("m_eps_inv", grid.epsilon).table(grid.n_s)
     term_main = np.real(np.fft.ifft(tab * np.fft.fft(vv)))
@@ -97,9 +122,10 @@ def decompose_dtn(grid, v, alpha=0.25, gamma=0.5, solver=None):
         (rd_mat @ ev.values.reshape(-1)).reshape(ev.values.shape)))
     term_rs = -s_inv_theta_int(GridFunction(
         (rs_mat @ w_p0.values.reshape(-1)).reshape(w.values.shape)))
-    s_dir = dense_single_layer_direct(grid)
+    # S_direct P_mean w = n_s mean_s(G_J) applied to the s-mean profile
+    s_mean = solver.S_op.parts["S_mean"]
     term_mean = -s_inv_theta_int(GridFunction(
-        (s_dir @ w_mean_surface.values.reshape(-1)).reshape(w.values.shape)))
+        grid.n_s * (s_mean @ w.s_mean()).reshape(w.values.shape)))
     term_flux = float(np.mean(np.sum(w.values, axis=1))
                       * grid.epsilon * 2.0 * math.pi / grid.n_theta)
     term_curv = -(grid.epsilon ** 2) * np.sum(

@@ -71,16 +71,6 @@ def _dry_run_report(args, n_s, n_theta, n_systems=1):
     return 0
 
 
-def _apply_threads(args):
-    threads = os.environ.get("SLENDERLAP_THREADS", None)
-    if getattr(args, "threads", None):
-        threads = str(args.threads)
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = threads
-
-
 # subcommand implementations -------------------------------------------------
 
 def cmd_check_bessel(args):
@@ -308,8 +298,6 @@ def _add_common(p, epsilon=True, grid=False):
                    help="print the JSON summary to stdout")
     p.add_argument("--dry-run", action="store_true",
                    help="validate config, print planned sizes, do not compute")
-    p.add_argument("--threads", type=int, default=None,
-                   help="BLAS thread count (or SLENDERLAP_THREADS)")
     if epsilon:
         p.add_argument("--epsilon", type=float, default=1.0 / 64.0)
     if grid:
@@ -399,7 +387,6 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    _apply_threads(args)
     try:
         return args.fn(args)
     except (ValueError, RuntimeError, OSError) as exc:

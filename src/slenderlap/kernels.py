@@ -128,16 +128,26 @@ class PairGeometry:
             yield lo, min(lo + self.chunk_rows, n)
 
     def fields(self, lo, hi, need=("R",)):
-        """Compute requested pair fields for target rows [lo, hi)."""
+        """Compute requested pair fields for target rows [lo, hi).
+
+        "R" gives the (chunk, N, 3) displacement and |R|; "Rn" gives |R| and
+        R . n_src component by component, without the (chunk, N, 3) array.
+        """
         g = self.grid
         rows = np.arange(lo, hi)
         out = {}
-        d_s_idx = (self.i_s[rows][:, None] - self.i_s[None, :]) % g.n_s
-        d_t_idx = (self.i_t[rows][:, None] - self.i_t[None, :]) % g.n_theta
-        shat = self.ds_template[d_s_idx]
-        that = self.dt_template[d_t_idx]
+        # offsets vary along one source axis each: gather per axis, then
+        # broadcast to (chunk, n_s, n_theta)
+        shape = (hi - lo, g.n_s, g.n_theta)
+        d_s_idx = (self.i_s[rows][:, None] - np.arange(g.n_s)) % g.n_s
+        d_t_idx = (self.i_t[rows][:, None] - np.arange(g.n_theta)) % g.n_theta
+        shat = np.broadcast_to(self.ds_template[d_s_idx][:, :, None],
+                               shape).reshape(hi - lo, -1)
+        that = np.broadcast_to(self.dt_template[d_t_idx][:, None, :],
+                               shape).reshape(hi - lo, -1)
         out["shat"], out["that"] = shat, that
-        out["diag"] = (d_s_idx == 0) & (d_t_idx == 0)
+        out["diag"] = np.zeros(shat.shape, dtype=bool)
+        out["diag"][rows - lo, rows] = True
         if "absRbar" in need or "Rt" in need or "Reven" in need:
             out["absRbar"] = np.sqrt(
                 shat ** 2 + (2.0 * self.eps * np.sin(0.5 * that)) ** 2)
@@ -145,6 +155,14 @@ class PairGeometry:
             diff = self.P[rows][:, None, :] - self.P[None, :, :]
             out["R"] = diff
             out["absR"] = np.sqrt(np.sum(diff * diff, axis=2))
+        if "Rn" in need:
+            r2 = rn = 0.0
+            for p, nrm in zip(self.P.T, self.NRM.T):
+                d = p[lo:hi, None] - p[None, :]
+                rn = rn + d * nrm
+                r2 = r2 + d * d
+            out["absR"] = np.sqrt(r2)
+            out["Rn"] = rn
         if "Rt" in need:
             e_t = g.e_t[self.i_s[rows]]
             e_r_t = g.normals.reshape(-1, 3)[rows]

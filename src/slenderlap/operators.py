@@ -62,7 +62,9 @@ from scipy.special import k0, k1
 from .grid import SurfaceGrid
 from .kernels import FOURPI, PairGeometry
 from .specfun import EULER_GAMMA
-from .spectral import FourierSymbol, GridFunction, symbol_dense_matrix
+from .spectral import (FourierSymbol, GridFunction, symbol_dense_matrix,
+                       symbol_template)
+from .spectral import circulant_from_template as _circulant_from_template
 
 TAIL_IMAGES = 20
 # dense matrices capped at DENSE_NODE_CAP^2 entries; split assembly holds a
@@ -120,15 +122,6 @@ def _check_dense_cap(grid):
         raise AssemblyError(
             f"dense assembly capped at {DENSE_NODE_CAP} nodes, "
             f"got {grid.n_nodes}")
-
-
-def _circulant_from_template(t):
-    """Dense matrix of a discrete convolution with template t(ds, dt)."""
-    n_s, n_t = t.shape
-    ids = (np.arange(n_s)[:, None] - np.arange(n_s)[None, :]) % n_s
-    idt = (np.arange(n_t)[:, None] - np.arange(n_t)[None, :]) % n_t
-    return t[ids[:, None, :, None], idt[None, :, None, :]].reshape(
-        n_s * n_t, n_s * n_t)
 
 
 def projector_s_mean(grid):
@@ -193,37 +186,50 @@ def dense_double_layer_direct(grid, weight="jacobian"):
     return _dense_from_pairs(grid, entry, weight=w, need=("R",))
 
 
-def dense_straight_central(grid, kind):
-    """Punctured trapezoid of the straight kernel over one s-period, weight eps."""
-    _check_dense_cap(grid)
+def straight_template(grid, kind, n_images=TAIL_IMAGES, central=False):
+    """(s-hat, theta-hat) template of the straight kernel, weight eps.
+
+    Sums the images at s-hat + m for 1 <= |m| <= n_images; with central it
+    also holds the punctured one-period term (zero weight at zero offset).
+    kind "S" is G-bar, kind "D" is K_D-bar.
+    """
     ds, dt = grid.offset_templates()
     SH, TH = np.meshgrid(ds, dt, indexing="ij")
     c2 = (2.0 * grid.epsilon * np.sin(0.5 * TH)) ** 2
-    r = np.sqrt(SH ** 2 + c2)
-    with np.errstate(divide="ignore", invalid="ignore"):
+
+    def kernel(r):
         if kind == "S":
-            t = 1.0 / (FOURPI * r)
-        else:
-            t = (-2.0 * grid.epsilon * np.sin(0.5 * TH) ** 2) / (FOURPI * r ** 3)
-    t[0, 0] = 0.0
-    return _circulant_from_template(t * grid.epsilon * grid.node_weight)
+            return 1.0 / (FOURPI * r)
+        return (-2.0 * grid.epsilon * np.sin(0.5 * TH) ** 2) / (FOURPI * r ** 3)
+
+    t = np.zeros_like(SH)
+    if central:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = kernel(np.sqrt(SH ** 2 + c2))
+        t[0, 0] = 0.0
+    for m in range(1, n_images + 1):
+        for sgn in (1.0, -1.0):
+            t += kernel(np.sqrt((SH + sgn * m) ** 2 + c2))
+    return t * grid.epsilon * grid.node_weight
+
+
+def dense_straight_central(grid, kind):
+    """Punctured trapezoid of the straight kernel over one s-period, weight eps."""
+    _check_dense_cap(grid)
+    return _circulant_from_template(
+        straight_template(grid, kind, n_images=0, central=True))
 
 
 def dense_tail(grid, kind, n_images=TAIL_IMAGES):
     """Straight-kernel image sum over 1/2 < |s-hat| <= M + 1/2, weight eps."""
     _check_dense_cap(grid)
-    ds, dt = grid.offset_templates()
-    SH, TH = np.meshgrid(ds, dt, indexing="ij")
-    c2 = (2.0 * grid.epsilon * np.sin(0.5 * TH)) ** 2
-    t = np.zeros_like(SH)
-    for m in range(1, n_images + 1):
-        for sgn in (1.0, -1.0):
-            r = np.sqrt((SH + sgn * m) ** 2 + c2)
-            if kind == "S":
-                t += 1.0 / (FOURPI * r)
-            else:
-                t += (-2.0 * grid.epsilon * np.sin(0.5 * TH) ** 2) / (FOURPI * r ** 3)
-    return _circulant_from_template(t * grid.epsilon * grid.node_weight)
+    return _circulant_from_template(straight_template(grid, kind, n_images))
+
+
+def spectral_template(grid, symbol_name):
+    """Convolution template of a straight symbol on the grid's modes."""
+    return symbol_template(FourierSymbol(symbol_name, grid.epsilon)
+                           .table(grid.n_s, grid.n_theta))
 
 
 def dense_spectral(grid, symbol_name):
@@ -442,14 +448,6 @@ def assemble_RS_pieces(grid):
     r2 = DiscreteOperator("R_S2", "split", grid, dense_RS_kernel(grid, 2))
     r3 = DiscreteOperator("R_S3", "split", grid, dense_RS_kernel(grid, 3))
     return r0, r1, r2, r3
-
-
-def assemble_RD_pieces(grid):
-    """(R_D0, R_D1, R_D2): D - Dbar piece by piece (weight eps)."""
-    r0 = DiscreteOperator("R_D0", "split", grid, -dense_tail(grid, "D"))
-    r1 = DiscreteOperator("R_D1", "split", grid, dense_RD_kernel(grid, 1))
-    r2 = DiscreteOperator("R_D2", "split", grid, dense_RD_kernel(grid, 2))
-    return r0, r1, r2
 
 
 def assemble_Dprime(grid, backend="direct"):

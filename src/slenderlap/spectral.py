@@ -252,6 +252,39 @@ def apply_straight_operator(symbol, f, project_zero_s_mean=False):
     return out
 
 
+def circulant_from_template(t, lo=0, hi=None):
+    """Rows [lo, hi) of the dense matrix of a discrete convolution.
+
+    The template t(ds) or t(ds, dt) is indexed by the periodic node-index
+    offset between target and source; the matrix acts on row-major
+    flattened samples.  lo and hi default to all rows and must hold whole
+    s-rows (multiples of n_theta), so a row chunk is built without the full
+    matrix.  Every row is a contiguous window of a doubled, s-reversed
+    template stack, so the build is a strided copy and not an index gather.
+    """
+    t2 = t[:, None] if t.ndim == 1 else t
+    n_s, n_t = t2.shape
+    hi = n_s * n_t if hi is None else hi
+    if lo % n_t or hi % n_t:
+        raise ValueError("row range must hold whole s-rows")
+    s_lo, s_hi = lo // n_t, hi // n_t
+    # stack[i_t, q, j_t] = t((-q) mod n_s, (i_t - j_t) mod n_t), q < 2 n_s:
+    # row (i_s, i_t) is stack[i_t, n_s - i_s : 2 n_s - i_s] flattened
+    idt = (np.arange(n_t)[:, None] - np.arange(n_t)[None, :]) % n_t
+    stack = t2[(-np.arange(2 * n_s)) % n_s][:, idt].transpose(1, 0, 2)
+    win = np.lib.stride_tricks.sliding_window_view(
+        np.ascontiguousarray(stack), n_s, axis=1)
+    block = win[:, n_s - s_lo:n_s - s_hi:-1].transpose(1, 0, 3, 2)
+    out = np.empty((hi - lo, n_s * n_t))
+    out.reshape(block.shape)[...] = block
+    return out
+
+
+def symbol_template(table):
+    """Convolution template of a diagonal symbol: its inverse DFT (real)."""
+    return np.real(np.fft.ifftn(table))
+
+
 def symbol_dense_matrix(table):
     """Dense matrix of the diagonal-symbol operator on the tensor grid.
 
@@ -259,17 +292,7 @@ def symbol_dense_matrix(table):
     inverse transform of the symbol table.  Returns an (N, N) matrix acting
     on row-major flattened (n_s, n_theta) samples, or (n_s, n_s) for 1D.
     """
-    if table.ndim == 1:
-        t = np.real(np.fft.ifft(table))
-        n = table.size
-        idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-        return t[idx]
-    t = np.real(np.fft.ifft2(table))
-    n_s, n_t = table.shape
-    ids = (np.arange(n_s)[:, None] - np.arange(n_s)[None, :]) % n_s
-    idt = (np.arange(n_t)[:, None] - np.arange(n_t)[None, :]) % n_t
-    m = t[ids[:, None, :, None], idt[None, :, None, :]]
-    return m.reshape(n_s * n_t, n_s * n_t)
+    return circulant_from_template(symbol_template(table))
 
 
 # symbol derivative envelopes checked by finite differences ----------------

@@ -219,6 +219,26 @@ def test_symbol_dense_matrix_matches_fft(rng):
     assert np.max(np.abs(via_mat - via_fft)) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(8,), (8, 4), (4, 1), (1, 4), (16, 8)])
+def test_circulant_rows_match_index_gather(shape, rng):
+    t = rng.standard_normal(shape)
+    t2 = t[:, None] if t.ndim == 1 else t
+    n_s, n_t = t2.shape
+    ids = (np.arange(n_s)[:, None] - np.arange(n_s)[None, :]) % n_s
+    idt = (np.arange(n_t)[:, None] - np.arange(n_t)[None, :]) % n_t
+    ref = t2[ids[:, None, :, None], idt[None, :, None, :]].reshape(
+        n_s * n_t, n_s * n_t)
+    assert np.array_equal(sp.circulant_from_template(t), ref)
+    for lo in range(0, n_s * n_t, n_t):
+        for hi in range(lo + n_t, n_s * n_t + 1, n_t):
+            rows = sp.circulant_from_template(t, lo, hi)
+            assert np.array_equal(rows, ref[lo:hi])
+            rows[0, 0] = 0.0  # a fresh array, not a view of the template
+    if n_t > 1:
+        with pytest.raises(ValueError):
+            sp.circulant_from_template(t, 1, n_t)
+
+
 def test_finite_diff_symbol_bounds():
     for name in ("m_S_inv", "m_eps_inv", "m_eps"):
         rep = sp.finite_diff_symbol_bounds(name, 1e-2)
