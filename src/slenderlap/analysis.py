@@ -39,7 +39,7 @@ from .operators import (DiscreteOperator, assemble_RS_pieces,
                         mean_in_s_split, spectral_template, straight_template,
                         theta_integral)
 from .solver import SlenderBodySolver
-from .spectral import FourierSymbol, GridFunction, circulant_from_template
+from .spectral import GridFunction, circulant_from_template
 
 
 def decomposition_operators(grid):
@@ -111,8 +111,7 @@ def decompose_dtn(grid, v, alpha=0.25, gamma=0.5, solver=None):
     ev = extend_s_profile(grid, vv)
     w_p0 = w.project_zero_s_mean()
 
-    tab = FourierSymbol("m_eps_inv", grid.epsilon).table(grid.n_s)
-    term_main = np.real(np.fft.ifft(tab * np.fft.fft(vv)))
+    term_main = solver.straight_dtn(vv).values
 
     def s_inv_theta_int(surface_vals):
         integ = theta_integral(grid, surface_vals, weight="eps")
@@ -178,8 +177,13 @@ class ScalingStudy:
     notes: str = ""
 
     def grid_ns(self, eps):
-        want = max(128.0, self.resolution_factor * 4.0 / eps)
-        return 1 << max(7, math.ceil(math.log2(want)))
+        return _grid_ns(eps, self.resolution_factor)
+
+
+def _grid_ns(eps, resolution_factor):
+    """n_s for eps: the power of two >= max(128, resolution_factor 4/eps)."""
+    want = max(128.0, resolution_factor * 4.0 / eps)
+    return 1 << max(7, math.ceil(math.log2(want)))
 
 
 def fit_slope(epsilons, values):
@@ -355,9 +359,7 @@ def measure_total_remainder(curve_config, epsilons, alpha=0.25, n_theta=16,
     rows = []
     for eps in epsilons:
         spec = geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=eps)
-        want = max(128.0, resolution_factor * 4.0 / eps)
-        n_s = 1 << max(7, math.ceil(math.log2(want)))
-        grid = make_grid(spec, n_s, n_theta)
+        grid = make_grid(spec, _grid_ns(eps, resolution_factor), n_theta)
         v = GridFunction(np.cos(2.0 * np.pi * grid.s_nodes))
         s_op, d_op = decomposition_operators(grid)
         solver = SlenderBodySolver(grid, "split-decomp", (s_op, d_op))

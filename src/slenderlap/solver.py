@@ -6,10 +6,16 @@ operators with the theta-independence constraint:
     (1/2 I - D_h) E v = S_h w          (Green identity on the surface)
     Q w = f,   (Q w)(s_i) = sum_j w(s_i, theta_j) J(s_i, theta_j) (2 pi/n_th)
 
-DtN direction (v given): dense LU solve of the first-kind system for w,
-then f = Q w.  NtD direction (f given): one square augmented solve in
-(w, v).  First-kind conditioning of S_h is monitored through a LAPACK
-1-norm condition estimate and reported, never silently ignored.
+E extends s-circle values constant in theta.  One dense LU of S_h per
+geometry gives the N x n_s density block W = S_h^-1 (1/2 I - D_h) E and
+with it the n_s x n_s discrete DtN matrix Lambda = Q W:
+
+    DtN (v given):  w = W v,  f = Q w
+    NtD (f given):  Lambda v = f (LU of Lambda),  w = W v
+
+Each solve reports its residuals against S_h.  The 1-norm condition
+estimates of S_h (LAPACK gecon) and of Lambda are reported and hard-fail
+beyond COND_LIMIT, never silently ignored.
 
 The exterior Dirichlet problem is solved through the modified double layer:
 (1/2 I + D'_h) phi = v, then u(y) = D'[phi](y) off the surface.
@@ -18,15 +24,14 @@ The exterior Dirichlet problem is solved through the modified double layer:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve, get_lapack_funcs
 
 from .grid import SurfaceGrid
 from .kernels import FOURPI
-from .operators import (DiscreteOperator, assemble_D, assemble_Dprime,
-                        assemble_S, extend_s_profile, theta_integral)
+from .operators import assemble_D, assemble_Dprime, assemble_S
 from .spectral import FourierSymbol, GridFunction
 
 COND_LIMIT = 1e12
@@ -57,26 +62,8 @@ def _cond_estimate(mat, lu=None):
     return 1.0 / rcond
 
 
-def constraint_matrix(grid):
-    """Q: surface values -> theta-integrated Neumann data per s-node."""
-    n_s, n_t = grid.n_s, grid.n_theta
-    q = np.zeros((n_s, n_s * n_t))
-    dtheta = 2.0 * math.pi / n_t
-    for i in range(n_s):
-        q[i, i * n_t:(i + 1) * n_t] = grid.jacobian[i] * dtheta
-    return q
-
-
-def extension_matrix(grid):
-    """E: s-circle values -> theta-independent surface values."""
-    e = np.zeros((grid.n_nodes, grid.n_s))
-    for i in range(grid.n_s):
-        e[i * grid.n_theta:(i + 1) * grid.n_theta, i] = 1.0
-    return e
-
-
 class SlenderBodySolver:
-    """Caches the assembled operators and factorizations for one grid."""
+    """Caches the operators, lu_S and the discrete DtN matrix for one grid."""
 
     def __init__(self, grid: SurfaceGrid, backend="direct", operators=None):
         self.grid = grid
@@ -86,11 +73,11 @@ class SlenderBodySolver:
         else:
             self.S_op = assemble_S(grid, backend)
             self.D_op = assemble_D(grid, backend)
-        self.E = extension_matrix(grid)
-        self.Q = constraint_matrix(grid)
         self._lu_S = None
-        self._lu_aug = None
         self._cond_S = None
+        self._B = self._W = None
+        self._dtn_matrix = self._lu_dtn = self._cond_dtn = None
+        self._tables = {}
 
     @property
     def lu_S(self):
@@ -111,15 +98,53 @@ class SlenderBodySolver:
                 f"(n_s={self.grid.n_s}, n_theta={self.grid.n_theta}, "
                 f"eps={self.grid.epsilon})")
 
+    def _flux(self, x):
+        """Q x for x with N rows: the J-weighted theta integral per s-node."""
+        g = self.grid
+        q = np.einsum("itk,it->ik", x.reshape(g.n_s, g.n_theta, -1),
+                      g.jacobian) * (2.0 * math.pi / g.n_theta)
+        return q.reshape((g.n_s,) + x.shape[1:])
+
+    def _densities(self):
+        """B = (1/2 I - D_h) E and W = S_h^-1 B, both N x n_s.
+
+        Column j of D_h E is the sum of the theta-block j of D_h's columns.
+        """
+        if self._W is None:
+            self._check_cond()
+            n_s, n_t = self.grid.n_s, self.grid.n_theta
+            b = -self.D_op.matrix.reshape(-1, n_s, n_t).sum(axis=2)
+            diag = np.arange(n_s)
+            b.reshape(n_s, n_t, n_s)[diag, :, diag] += 0.5
+            self._B = b
+            self._W = lu_solve(self.lu_S, b)
+        return self._B, self._W
+
+    @property
+    def dtn_matrix(self):
+        """Lambda = Q W: the n_s x n_s discrete DtN map, f = Lambda v."""
+        if self._dtn_matrix is None:
+            self._dtn_matrix = self._flux(self._densities()[1])
+        return self._dtn_matrix
+
+    def _dtn_factor(self):
+        """LU of Lambda and its cond estimate, guarded by COND_LIMIT."""
+        if self._lu_dtn is None:
+            self._lu_dtn = lu_factor(self.dtn_matrix)
+            self._cond_dtn = _cond_estimate(self.dtn_matrix, self._lu_dtn)
+        if self._cond_dtn > COND_LIMIT:
+            raise SolveError(
+                f"DtN matrix too ill-conditioned for the NtD solve: "
+                f"cond ~ {self._cond_dtn:.3e}")
+        return self._lu_dtn
+
     def dtn(self, v):
-        """v(s) -> (w, f): solve S w = (1/2 I - D) E v, then f = Q w."""
+        """v(s) -> (w, f): w = W v solves S w = (1/2 I - D) E v; f = Q w."""
         vv = v.values if isinstance(v, GridFunction) else np.asarray(v, float)
-        self._check_cond()
-        ev = self.E @ vv
-        rhs = 0.5 * ev - self.D_op.matrix @ ev
-        w = lu_solve(self.lu_S, rhs)
-        f = self.Q @ w
-        resid = float(np.max(np.abs(self.S_op.matrix @ w - rhs)))
+        b, W = self._densities()
+        w = W @ vv
+        f = self._flux(w)
+        resid = float(np.max(np.abs(self.S_op.matrix @ w - b @ vv)))
         shape = (self.grid.n_s, self.grid.n_theta)
         return SlenderSolveResult(
             v=GridFunction(vv), w=GridFunction(w.reshape(shape)),
@@ -128,50 +153,43 @@ class SlenderBodySolver:
             conditioning={"cond_S": self.cond_S})
 
     def ntd(self, f):
-        """f(s) -> (w, v): square augmented solve in (w, v)."""
+        """f(s) -> (w, v): solve (Q W) v = f, then w = W v."""
         ff = f.values if isinstance(f, GridFunction) else np.asarray(f, float)
-        n = self.grid.n_nodes
-        n_s = self.grid.n_s
-        if self._lu_aug is None:
-            a = np.zeros((n + n_s, n + n_s))
-            a[:n, :n] = self.S_op.matrix
-            a[:n, n:] = -(0.5 * self.E - self.D_op.matrix @ self.E)
-            a[n:, :n] = self.Q
-            self._aug = a
-            self._lu_aug = lu_factor(a)
-            self._cond_aug = _cond_estimate(a, self._lu_aug)
-        if self._cond_aug > COND_LIMIT:
-            raise SolveError(
-                f"augmented NtD system too ill-conditioned: {self._cond_aug:.3e}")
-        rhs = np.concatenate([np.zeros(n), ff])
-        sol = lu_solve(self._lu_aug, rhs)
-        w, v = sol[:n], sol[n:]
+        b, W = self._densities()
+        v = lu_solve(self._dtn_factor(), ff)
+        w = W @ v
+        res1 = float(np.max(np.abs(self.S_op.matrix @ w - b @ v)))
+        res2 = float(np.max(np.abs(self._flux(w) - ff)))
         shape = (self.grid.n_s, self.grid.n_theta)
-        res1 = float(np.max(np.abs(
-            self.S_op.matrix @ w - (0.5 * self.E - self.D_op.matrix @ self.E) @ v)))
-        res2 = float(np.max(np.abs(self.Q @ w - ff)))
         return SlenderSolveResult(
             v=GridFunction(v), w=GridFunction(w.reshape(shape)),
             f=GridFunction(ff),
             residuals={"first_kind_inf": res1, "constraint_inf": res2},
-            conditioning={"cond_S": self.cond_S, "cond_aug": self._cond_aug})
+            conditioning={"cond_S": self.cond_S, "cond_dtn": self._cond_dtn})
+
+    def _straight(self, name, data):
+        """Apply the 1-D symbol `name`, its table built once per solver."""
+        dd = data.values if isinstance(data, GridFunction) \
+            else np.asarray(data, float)
+        tab = self._tables.get(name)
+        if tab is None:
+            tab = FourierSymbol(name, self.grid.epsilon).table(self.grid.n_s)
+            self._tables[name] = tab
+        return GridFunction(np.real(np.fft.ifft(tab * np.fft.fft(dd))))
 
     def straight_dtn(self, v):
         """L-bar_eps^{-1} v by the Fourier multiplier (zero mode annihilated)."""
-        vv = v.values if isinstance(v, GridFunction) else np.asarray(v, float)
-        tab = FourierSymbol("m_eps_inv", self.grid.epsilon).table(self.grid.n_s)
-        return GridFunction(np.real(np.fft.ifft(tab * np.fft.fft(vv))))
+        return self._straight("m_eps_inv", v)
 
     def straight_ntd(self, f):
-        ff = f.values if isinstance(f, GridFunction) else np.asarray(f, float)
-        tab = FourierSymbol("m_eps", self.grid.epsilon).table(self.grid.n_s)
-        return GridFunction(np.real(np.fft.ifft(tab * np.fft.fft(ff))))
+        return self._straight("m_eps", f)
 
     def neumann_series_ntd(self, f, max_iter=40, tol=1e-12):
         """NtD by the straight-map iteration v <- Lbar[f] - Lbar P0 R_d[v].
 
-        R_d v = L^{-1} v - Lbar^{-1} v uses the cached LU, so each sweep
-        costs one dense solve.  Returns (v, history of increments).
+        R_d v = L^{-1} v - Lbar^{-1} v goes through dtn and the cached W, so
+        a sweep is matrix-vector products only.  Returns (v, history of
+        increments).
         """
         ff = f.values if isinstance(f, GridFunction) else np.asarray(f, float)
         if abs(np.mean(ff)) > 1e-10 * (np.max(np.abs(ff)) or 1.0):

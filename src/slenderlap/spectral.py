@@ -182,36 +182,27 @@ class FourierSymbol:
     def evaluate(self, k, ell=0):
         return self._FUNCS[self.name](self.epsilon, k, ell)
 
-    def is_defined(self, k, ell=0):
-        try:
-            self.evaluate(k, ell)
-            return True
-        except UndefinedModeError:
-            return False
-
     def table(self, n_s, n_theta=None):
         """Symbol values on the discrete mode grid; undefined modes get 0.
 
-        A zero at an undefined mode is only safe under a prior P0 projection;
-        apply_straight_operator enforces that.
+        Each |mode| is evaluated once.  A zero at an undefined mode is only
+        safe under a prior P0 projection; apply_straight_operator enforces
+        that.
         """
         ks = s_modes(n_s)
-        if n_theta is None:
-            out = np.empty(n_s)
-            for i, k in enumerate(ks):
-                out[i] = self.evaluate(k) if self.is_defined(k) else 0.0
-            return out
-        ells = theta_modes(n_theta)
-        out = np.empty((n_s, n_theta))
+        ells = [0] if n_theta is None else theta_modes(n_theta)
+        out = np.empty((n_s, len(ells)))
         cache = {}
         for i, k in enumerate(ks):
             for j, ell in enumerate(ells):
                 key = (abs(k), abs(ell))
                 if key not in cache:
-                    cache[key] = (self.evaluate(k, ell)
-                                  if self.is_defined(k, ell) else 0.0)
+                    try:
+                        cache[key] = self.evaluate(k, ell)
+                    except UndefinedModeError:
+                        cache[key] = 0.0
                 out[i, j] = cache[key]
-        return out
+        return out.reshape(n_s) if n_theta is None else out
 
 
 def apply_straight_operator(symbol, f, project_zero_s_mean=False):

@@ -70,6 +70,18 @@ def test_ntd_json_array_input(tmp_path):
     assert rc == 0
 
 
+def test_ntd_json_reports_cond_dtn(tmp_path, capsys):
+    rc = main(["ntd", "--curve", "circle", "--epsilon", "0.015625",
+               "--ns", "64", "--ntheta", "8", "--neumann", "cos:1",
+               "--out", str(tmp_path / "ntd.csv"), "--json"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("{"):])
+    cond = payload["conditioning"]
+    assert set(cond) == {"cond_S", "cond_dtn"}
+    assert all(1.0 <= c < 1e12 for c in cond.values())
+
+
 def test_scaling_study(tmp_path, capsys):
     rc = main(["scaling", "--study", "RS2-sup", "--eps", "1/16,1/64",
                "--out", str(tmp_path)])

@@ -1,6 +1,8 @@
 """DtN/NtD solves, Green's identity, exterior Dirichlet cross-checks."""
 
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from slenderlap import solver as sv
 from slenderlap.analysis import decomposition_operators
 from slenderlap.grid import make_grid
 from slenderlap.operators import extend_s_profile
-from slenderlap.spectral import GridFunction, symbol_m_eps
+from slenderlap.spectral import FourierSymbol, GridFunction, symbol_m_eps
+
+from test_decomposition_fused import TREFOIL
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +211,96 @@ def test_exterior_point_too_close(circle_grid):
 def test_solvability_and_conditioning(circle_solver):
     assert np.isfinite(circle_solver.cond_S)
     assert circle_solver.cond_S < 1e10
+
+
+# the DtN-matrix solves against the augmented system -------------------------
+
+def _fresh_solver(grid):
+    return sv.SlenderBodySolver(grid, "split-decomp",
+                                decomposition_operators(grid))
+
+
+@pytest.fixture(scope="module")
+def oracle_grids(perturbed_spec64):
+    cl = geo.build_centerline(TREFOIL)
+    fr = geo.build_frame(cl, 128)
+    trefoil = geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=1.0 / 64.0)
+    return {"perturbed_circle": make_grid(perturbed_spec64, 64, 8),
+            "trefoil": make_grid(trefoil, 64, 8)}
+
+
+def _augmented_solve(solver, f):
+    """(w, v) from [[S, -(1/2 E - D E)], [Q, 0]] (w, v) = (0, f), built whole."""
+    grid = solver.grid
+    n, n_s, n_t = grid.n_nodes, grid.n_s, grid.n_theta
+    e = np.kron(np.eye(n_s), np.ones((n_t, 1)))
+    q = (np.kron(np.eye(n_s), np.ones((1, n_t)))
+         * grid.jacobian.reshape(-1) * (2.0 * math.pi / n_t))
+    a = np.zeros((n + n_s, n + n_s))
+    a[:n, :n] = solver.S_op.matrix
+    a[:n, n:] = -(0.5 * e - solver.D_op.matrix @ e)
+    a[n:, :n] = q
+    sol = np.linalg.solve(a, np.concatenate([np.zeros(n), f]))
+    return sol[:n], sol[n:]
+
+
+def _rel(a, ref):
+    return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["perturbed_circle", "trefoil"])
+def test_dtn_matrix_solves_match_augmented_system(name, oracle_grids):
+    grid = oracle_grids[name]
+    solver = _fresh_solver(grid)
+    s = grid.s_nodes
+    f = np.cos(2 * np.pi * s) + 0.3 * np.sin(6 * np.pi * s) + 0.2
+    w_ref, v_ref = _augmented_solve(solver, f)
+    res = solver.ntd(GridFunction(f))
+    assert _rel(res.v.values, v_ref) <= 1e-12
+    assert _rel(res.w.values.reshape(-1), w_ref) <= 1e-12
+    # dtn inverts it: the augmented (w, v) pair maps v back to f
+    back = solver.dtn(GridFunction(v_ref))
+    assert _rel(back.f.values, f) <= 1e-12
+    assert _rel(back.w.values.reshape(-1), w_ref) <= 1e-12
+
+
+def test_dtn_matrix_maps_ntd_back(oracle_grids):
+    solver = _fresh_solver(oracle_grids["perturbed_circle"])
+    f = np.cos(2 * np.pi * solver.grid.s_nodes) + 0.5
+    res = solver.ntd(GridFunction(f))
+    assert solver.dtn_matrix.shape == (solver.grid.n_s,) * 2
+    assert _rel(solver.dtn_matrix @ res.v.values, f) <= 1e-12
+    assert set(res.conditioning) == {"cond_S", "cond_dtn"}
+    assert 1.0 <= res.conditioning["cond_dtn"] < sv.COND_LIMIT
+
+
+def test_ntd_refuses_ill_conditioned_dtn_matrix(oracle_grids, monkeypatch):
+    grid = oracle_grids["perturbed_circle"]
+    solver = _fresh_solver(grid)
+    estimate = sv._cond_estimate
+
+    def huge_for_dtn(mat, lu=None):
+        return math.inf if mat.shape[0] == grid.n_s else estimate(mat, lu)
+
+    monkeypatch.setattr(sv, "_cond_estimate", huge_for_dtn)
+    v = GridFunction(np.cos(2 * np.pi * grid.s_nodes))
+    f = solver.dtn(v).f      # the first-kind guard alone still passes
+    with pytest.raises(sv.SolveError, match="DtN matrix"):
+        solver.ntd(f)
+
+
+def test_neumann_series_builds_straight_tables_once(oracle_grids,
+                                                     monkeypatch):
+    solver = _fresh_solver(oracle_grids["perturbed_circle"])
+    built = []
+    table = FourierSymbol.table
+
+    def counted(self, *args, **kwargs):
+        built.append(self.name)
+        return table(self, *args, **kwargs)
+
+    monkeypatch.setattr(FourierSymbol, "table", counted)
+    f = GridFunction(np.cos(2 * np.pi * solver.grid.s_nodes))
+    solver.neumann_series_ntd(f)
+    solver.neumann_series_ntd(f)
+    assert sorted(built) == ["m_eps", "m_eps_inv"]
