@@ -4,7 +4,7 @@ from .geometry import SurfaceSpec, build_centerline, build_frame, surface_point
 from .grid import SurfaceGrid, make_grid
 from .spectral import FourierSymbol, GridFunction, apply_straight_operator
 from .operators import assemble_D, assemble_Dprime, assemble_RS_pieces, assemble_S
-from .solver import SlenderBodySolver, solve_dtn, solve_exterior_dirichlet, solve_ntd
+from .solver import SlenderBodySolver, solve_exterior_dirichlet
 from .analysis import decompose_dtn, make_study, run_scaling_study
 
 __version__ = "0.1.0"
@@ -14,6 +14,6 @@ __all__ = [
     "SurfaceGrid", "make_grid",
     "FourierSymbol", "GridFunction", "apply_straight_operator",
     "assemble_S", "assemble_D", "assemble_Dprime", "assemble_RS_pieces",
-    "SlenderBodySolver", "solve_dtn", "solve_ntd", "solve_exterior_dirichlet",
+    "SlenderBodySolver", "solve_exterior_dirichlet",
     "decompose_dtn", "make_study", "run_scaling_study",
 ]

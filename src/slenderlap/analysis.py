@@ -10,13 +10,13 @@ DtN map as a perturbation of the straight operator:
         + intint w eps ds dtheta
         - eps^2 int w khat dtheta
 
-where w solves the surface system for the given v.  The discrete operators
-are organized so the identity holds at the matrix level: the solve uses
-S_h = Sbar_spec P0 + R_S,h P0 + S_direct P_mean and D_h = Dbar_spec + R_D,h,
-and the terms above rearrange exactly those matrices, so the two routes to
-f(s) agree to factorization roundoff.  Sbar^{-1} is applied after removing
-the k = 0 mode; the zero-mode budget is carried exactly by the last two
-terms.
+where w solves the surface system S_h w = (1/2 I - D_h) E v of the split
+backend.  The remainders are what the straight symbols leave of the solved
+operators, R_S = S_h - m_S and R_D = D_h - m_D with m_S and m_D applied by
+FFT, and S[mean_s w] is S_h applied to the s-mean of w.  The terms above then
+rearrange exactly the matrices of the solve, so the two routes to f(s) agree
+to factorization roundoff.  Sbar^{-1} is applied after removing the k = 0
+mode; the zero-mode budget is carried exactly by the last two terms.
 
 Scaling studies run a measurement over a geometric epsilon ladder and fit
 log(value) against log(eps) by least squares.  Pass/fail margins are stated
@@ -32,99 +32,55 @@ import numpy as np
 
 from . import geometry as geo
 from .grid import holder_norm, make_grid
-from .kernels import FOURPI, PairGeometry, basic_integral
-from .operators import (DiscreteOperator, assemble_RS_pieces,
-                        apply_m_S_inv_P0, _check_dense_cap, dense_tail,
-                        dense_RS_kernel, dense_RD_kernel, extend_s_profile,
-                        mean_in_s_split, spectral_template, straight_template,
-                        theta_integral)
+from .kernels import basic_integral
+from .operators import (assemble_RS_pieces, assemble_split, apply_m_S_inv_P0,
+                        dense_tail, dense_RS_kernel, dense_RD_kernel,
+                        mean_in_s_split, theta_integral)
 from .solver import SlenderBodySolver
-from .spectral import GridFunction, circulant_from_template
+from .spectral import FourierSymbol, GridFunction
 
 
 def decomposition_operators(grid):
-    """(S_h, D_h) in the decomposition-exact split form, from one pair sweep.
-
-    With G_J and K_J the punctured curved kernels G and K_D times the source
-    weight J w (J = eps (1 - eps khat)), T_S and T_D the straight templates
-    (tail images plus the punctured central G-bar, K_D-bar; weight eps) and
-    m_S, m_D the symbol templates, every matrix is a curved term plus one
-    circulant gather:
-
-        R_S = G_J - T_S          S_h = G_J + (m_S - T_S) P0
-        R_D = K_J - T_D          D_h = K_J + m_D - T_D
-
-    R_S is R_S1 + R_S2 + R_S3 minus the straight tail: R_S1 + R_S2 telescopes
-    to G - G-bar, and R_S3 folds into the source weight eps (1 - eps khat);
-    likewise R_D1 + R_D2.  In S_h = (m_S + R_S) P0 + G_J P_mean the curved
-    term passes whole, and P0 acts on the straight template alone.
-
-    Each row chunk evaluates |R| and R . n_src once.  There are four N x N
-    outputs and no N x N temporaries; parts also holds S_mean = mean_s(G_J),
-    the N x n_theta block that routes s-means through the curved kernel.
-    """
-    _check_dense_cap(grid)
-    n, n_s, n_t = grid.n_nodes, grid.n_s, grid.n_theta
-    t_s = straight_template(grid, "S", central=True)
-    t_d = straight_template(grid, "D", central=True)
-    u_s = spectral_template(grid, "m_S") - t_s
-    u_s -= u_s.mean(axis=0)
-    u_d = spectral_template(grid, "m_D") - t_d
-    templates = (-t_s, u_s, -t_d, u_d)      # R_S, S_h, R_D, D_h
-    mats = [np.empty((n, n)) for _ in templates]
-    s_mean = np.empty((n, n_t))
-    w_src = grid.flat_jacobian() * (grid.node_weight / FOURPI)
-    # chunks of whole s-rows, as the circulant row blocks require
-    pg = PairGeometry(grid, chunk_rows=n_t * max(1, 256 // n_t))
-    for lo, hi in pg.chunks():
-        f = pg.fields(lo, hi, need=("Rn",))
-        with np.errstate(divide="ignore"):
-            inv_r = 1.0 / f["absR"]
-        inv_r[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
-        g_j = inv_r * w_src
-        k_j = f["Rn"] * (inv_r * inv_r * inv_r) * w_src
-        s_mean[lo:hi] = g_j.reshape(-1, n_s, n_t).mean(axis=1)
-        for mat, curved, tpl in zip(mats, (g_j, g_j, k_j, k_j), templates):
-            np.add(curved, circulant_from_template(tpl, lo, hi),
-                   out=mat[lo:hi])
-    rs_mat, s_mat, rd_mat, d_mat = mats
-    s_op = DiscreteOperator("S", "split-decomp", grid, s_mat,
-                            parts={"R_S": rs_mat, "S_mean": s_mean})
-    d_op = DiscreteOperator("D", "split-decomp", grid, d_mat,
-                            parts={"R_D": rd_mat})
-    return s_op, d_op
+    """(S_h, D_h) of the split backend, from one pair sweep."""
+    return assemble_split(grid)
 
 
 def decompose_dtn(grid, v, alpha=0.25, gamma=0.5, solver=None):
-    """Term-by-term decomposition report for Dirichlet data v(s)."""
+    """Term-by-term decomposition report for Dirichlet data v(s).
+
+    solver, if given, must hold split-backend operators: their parts carry
+    the m_S and m_D tables the remainders are taken against.
+    """
     vv = v.values if isinstance(v, GridFunction) else np.asarray(v, float)
     if solver is None:
-        s_op, d_op = decomposition_operators(grid)
-        solver = SlenderBodySolver(grid, backend="split-decomp",
-                                   operators=(s_op, d_op))
+        solver = SlenderBodySolver(grid, "split")
+    try:
+        tab_s, tab_d = solver.S_op.parts["m_S"], solver.D_op.parts["m_D"]
+    except KeyError:
+        raise ValueError("decompose_dtn needs split-backend operators") from None
     res = solver.dtn(GridFunction(vv))
     w = res.w
     f_direct = res.f.values
+    shape = w.values.shape
+    s_mat, d_mat = solver.S_op.matrix, solver.D_op.matrix
+    m_s_inv = FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s)
 
-    rs_mat = solver.S_op.parts["R_S"]
-    rd_mat = solver.D_op.parts["R_D"]
-    ev = extend_s_profile(grid, vv)
-    w_p0 = w.project_zero_s_mean()
+    def s_inv_theta_int(x):
+        """Sbar^{-1} P0 int x eps dtheta (the m_S_inv table is 0 at k = 0)."""
+        integ = theta_integral(grid, x.reshape(shape), weight="eps").values
+        return np.real(np.fft.ifft(m_s_inv * np.fft.fft(integ)))
+
+    def straight(tab, x):
+        return np.real(np.fft.ifft2(tab * np.fft.fft2(x))).reshape(-1)
+
+    ev = np.repeat(vv, grid.n_theta)
+    w_p0 = w.project_zero_s_mean().values
+    w_mean = np.tile(w.s_mean(), grid.n_s)
 
     term_main = solver.straight_dtn(vv).values
-
-    def s_inv_theta_int(surface_vals):
-        integ = theta_integral(grid, surface_vals, weight="eps")
-        return apply_m_S_inv_P0(grid, integ).values
-
-    term_rd = -s_inv_theta_int(GridFunction(
-        (rd_mat @ ev.values.reshape(-1)).reshape(ev.values.shape)))
-    term_rs = -s_inv_theta_int(GridFunction(
-        (rs_mat @ w_p0.values.reshape(-1)).reshape(w.values.shape)))
-    # S_direct P_mean w = n_s mean_s(G_J) applied to the s-mean profile
-    s_mean = solver.S_op.parts["S_mean"]
-    term_mean = -s_inv_theta_int(GridFunction(
-        grid.n_s * (s_mean @ w.s_mean()).reshape(w.values.shape)))
+    term_rd = -s_inv_theta_int(d_mat @ ev - straight(tab_d, ev.reshape(shape)))
+    term_rs = -s_inv_theta_int(s_mat @ w_p0.reshape(-1) - straight(tab_s, w_p0))
+    term_mean = -s_inv_theta_int(s_mat @ w_mean)
     term_flux = float(np.mean(np.sum(w.values, axis=1))
                       * grid.epsilon * 2.0 * math.pi / grid.n_theta)
     term_curv = -(grid.epsilon ** 2) * np.sum(
@@ -242,9 +198,7 @@ def _measure(study, spec, eps):
                 / holder_norm(phi, study.alpha, grid.epsilon))
     if sid == "Rd-eps-group":
         v = np.cos(2 * np.pi * grid.s_nodes)
-        s_op, d_op = decomposition_operators(grid)
-        solver = SlenderBodySolver(grid, "split-decomp", (s_op, d_op))
-        res = solver.dtn(GridFunction(v))
+        res = SlenderBodySolver(grid, "split").dtn(GridFunction(v))
         w = res.w
         w_p0 = w.project_zero_s_mean()
         mat23 = dense_RS_kernel(grid, 2) + dense_RS_kernel(grid, 3)
@@ -361,8 +315,7 @@ def measure_total_remainder(curve_config, epsilons, alpha=0.25, n_theta=16,
         spec = geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=eps)
         grid = make_grid(spec, _grid_ns(eps, resolution_factor), n_theta)
         v = GridFunction(np.cos(2.0 * np.pi * grid.s_nodes))
-        s_op, d_op = decomposition_operators(grid)
-        solver = SlenderBodySolver(grid, "split-decomp", (s_op, d_op))
+        solver = SlenderBodySolver(grid, "split")
         f_curved = solver.dtn(v).f.values
         f_straight = solver.straight_dtn(v).values
         rem = holder_norm(GridFunction(f_curved - f_straight), alpha, eps)

@@ -174,7 +174,6 @@ def _parse_data_spec(text, n_s):
 
 
 def _solve_common(args, direction):
-    from .analysis import decomposition_operators
     from .grid import make_grid
     from .solver import SlenderBodySolver
     from .spectral import GridFunction
@@ -182,8 +181,7 @@ def _solve_common(args, direction):
         return _dry_run_report(args, args.ns, args.ntheta, 1)
     spec = _build_spec(args)
     grid = make_grid(spec, args.ns, args.ntheta)
-    solver = SlenderBodySolver(grid, "split-decomp",
-                               decomposition_operators(grid))
+    solver = SlenderBodySolver(grid, "split")
     if direction == "dtn":
         data = _parse_data_spec(args.dirichlet, args.ns)
         res = solver.dtn(GridFunction(data))

@@ -184,39 +184,6 @@ def holder_norm(f, alpha, epsilon):
     return float(np.max(np.abs(vals))) + holder_seminorm(f, alpha, epsilon)
 
 
-@dataclass(frozen=True)
-class HolderNorm:
-    """A configured discrete Hoelder norm evaluator.
-
-    mode: "seminorm" or "full-norm"; domain: "surface" (metric
-    sqrt(shat^2 + eps^2 thetahat^2)) or "centerline" (periodic |shat|).
-    """
-
-    alpha: float
-    epsilon: float
-    mode: str = "full-norm"
-    domain: str = "surface"
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-        if self.mode not in ("seminorm", "full-norm"):
-            raise ValueError(f"unknown mode '{self.mode}'")
-        if self.domain not in ("surface", "centerline"):
-            raise ValueError(f"unknown domain '{self.domain}'")
-
-    def __call__(self, f):
-        vals = f.values if isinstance(f, GridFunction) else np.asarray(f)
-        if self.domain == "centerline" and vals.ndim != 1:
-            raise ValueError("centerline norm expects s-circle samples")
-        if self.domain == "surface" and vals.ndim != 2:
-            raise ValueError("surface norm expects (n_s, n_theta) samples")
-        sem = holder_seminorm(GridFunction(vals), self.alpha, self.epsilon)
-        if self.mode == "seminorm":
-            return sem
-        return float(np.max(np.abs(vals))) + sem
-
-
 def spectral_s_derivative(values):
     """d/ds by the FFT, for samples on the s-circle (1D) or surface (axis 0)."""
     vals = np.asarray(values, float)

@@ -21,20 +21,20 @@ Every operator is a DiscreteOperator with a dense matrix acting on flattened
 
            The oracle for the split backend.
 
-  split:   the curved operator as straight-spectral part plus curvature
-           remainders.  For the single layer, with psi = phi J_eps / eps:
+  split:   the curved kernel plus a straight correction that acts on
+           densities scaled by J/eps:
 
-             S[phi] = Sbar_spec[P0 psi] - Tail[P0 psi] + C_rem[P0 psi]
-                      + S_mean[psi_bar]
+             S_h = G_J + C_S P0 diag(J/eps),     D_h = K_J + C_D diag(J/eps)
 
-           where Sbar_spec applies m_S(k, l) in Fourier space (exact on grid
-           modes), Tail is the |s-hat| > 1/2 straight-kernel image sum
-           (2 M images, M = 20; the neglected far field is annihilated to
-           O(M^-2) by zero-s-mean densities), C_rem is the punctured
-           trapezoid of (G - G-bar) eps over one period, and S_mean routes
-           the s-mean through the curved kernel.  The double layer uses m_D
-           spectrally on psi plus the (K_D - K_D-bar) J quadrature and the
-           D tail.
+           G_J and K_J are the punctured trapezoids of the curved G and K_D
+           times J.  C_S and C_D are the circulants of the templates
+           m_S - T_S and m_D - T_D: the straight symbol applied exactly on
+           the grid modes, minus T, the punctured one-period straight kernel
+           plus the |s-hat| > 1/2 images (2 M images, M = 20; the neglected
+           far field is annihilated to O(M^-2) by zero-s-mean densities).
+           With psi = phi J/eps, S_h phi = (m_S + (G - G-bar) - Tail) P0 psi
+           + G P_mean psi: the s-mean goes through the curved kernel alone.
+           Both come from one pair sweep (assemble_split).
 
 The remainder pieces of the curved-minus-straight operators are also exposed
 individually (R_S0..R_S3, R_D0..R_D2) with plain eps weight, matching the
@@ -67,8 +67,9 @@ from .spectral import (FourierSymbol, GridFunction, symbol_dense_matrix,
 from .spectral import circulant_from_template as _circulant_from_template
 
 TAIL_IMAGES = 20
-# dense matrices capped at DENSE_NODE_CAP^2 entries; split assembly holds a
-# few of them alive at once and has to fit in a small-memory environment
+# dense matrices capped at DENSE_NODE_CAP^2 entries; the split pair holds two
+# of them (plus one row chunk of temporaries) and has to fit in a small-memory
+# environment
 DENSE_NODE_CAP = 4096
 # lattice-sum terms in K_nu(x) are dropped once x exceeds this (K_nu < 1e-18)
 BESSEL_CUTOFF = 40.0
@@ -104,44 +105,12 @@ class DiscreteOperator:
         out = self.matrix @ vals.reshape(-1)
         return GridFunction(out.reshape(vals.shape))
 
-    def materialize(self):
-        return self.matrix
-
-    def __add__(self, other):
-        if self.grid is not other.grid:
-            raise ValueError("operator grids differ")
-        return DiscreteOperator(
-            name=f"{self.name}+{other.name}", backend=self.backend,
-            grid=self.grid, matrix=self.matrix + other.matrix,
-            requires_zero_s_mean=self.requires_zero_s_mean
-            or other.requires_zero_s_mean)
-
 
 def _check_dense_cap(grid):
     if grid.n_nodes > DENSE_NODE_CAP:
         raise AssemblyError(
             f"dense assembly capped at {DENSE_NODE_CAP} nodes, "
             f"got {grid.n_nodes}")
-
-
-def projector_s_mean(grid):
-    """Dense P_mean: replace f(s, theta) by its s-average (theta profile)."""
-    block = np.full((grid.n_s, grid.n_s), 1.0 / grid.n_s)
-    return np.kron(block, np.eye(grid.n_theta))
-
-
-def projector_zero_s_mean(grid):
-    return np.eye(grid.n_nodes) - projector_s_mean(grid)
-
-
-def _right_mul_smean(mat, n_s, n_t):
-    """mat @ P_mean without the N^3 matmul (column s-averaging)."""
-    avg = mat.reshape(-1, n_s, n_t).mean(axis=1)
-    return np.repeat(avg[:, None, :], n_s, axis=1).reshape(mat.shape)
-
-
-def _right_mul_p0(mat, n_s, n_t):
-    return mat - _right_mul_smean(mat, n_s, n_t)
 
 
 # kernel matrices -------------------------------------------------------------
@@ -224,12 +193,6 @@ def dense_tail(grid, kind, n_images=TAIL_IMAGES):
     """Straight-kernel image sum over 1/2 < |s-hat| <= M + 1/2, weight eps."""
     _check_dense_cap(grid)
     return _circulant_from_template(straight_template(grid, kind, n_images))
-
-
-def spectral_template(grid, symbol_name):
-    """Convolution template of a straight symbol on the grid's modes."""
-    return symbol_template(FourierSymbol(symbol_name, grid.epsilon)
-                           .table(grid.n_s, grid.n_theta))
 
 
 def dense_spectral(grid, symbol_name):
@@ -395,6 +358,49 @@ def _correct_double_layer(grid, mat):
 
 # assembled operators ---------------------------------------------------------
 
+def assemble_split(grid):
+    """(S_h, D_h) of the split backend, from one pair sweep.
+
+    With G_J and K_J the punctured curved kernels times the source weight
+    J w, and C_S, C_D the circulants of the templates m_S - T_S and
+    m_D - T_D (see the module docstring):
+
+        S_h = G_J + C_S P0 diag(J/eps),     D_h = K_J + C_D diag(J/eps)
+
+    P0 acts on the S template alone (its s-mean is removed).  Each row chunk
+    evaluates |R| and R . n_src once and fills its rows of both outputs, so
+    the pair holds two N x N matrices and no N x N temporary.  parts holds
+    each operator's (n_s, n_theta) symbol table, "m_S" or "m_D".
+    """
+    _check_dense_cap(grid)
+    n, n_t = grid.n_nodes, grid.n_theta
+    col = grid.flat_jacobian() / grid.epsilon
+    w_src = grid.flat_jacobian() * (grid.node_weight / FOURPI)
+    tabs = {k: FourierSymbol(k, grid.epsilon).table(grid.n_s, n_t)
+            for k in ("m_S", "m_D")}
+    t_s = symbol_template(tabs["m_S"]) - straight_template(grid, "S", central=True)
+    t_s -= t_s.mean(axis=0)
+    t_d = symbol_template(tabs["m_D"]) - straight_template(grid, "D", central=True)
+    s_mat, d_mat = np.empty((n, n)), np.empty((n, n))
+    # chunks of whole s-rows, as the circulant row blocks require
+    pg = PairGeometry(grid, chunk_rows=n_t * max(1, 256 // n_t))
+    for lo, hi in pg.chunks():
+        f = pg.fields(lo, hi, need=("Rn",))
+        with np.errstate(divide="ignore"):
+            inv_r = 1.0 / f["absR"]
+        inv_r[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        g_j = inv_r * w_src
+        k_j = f["Rn"] * (inv_r * inv_r) * g_j
+        for mat, tpl, curved in ((s_mat, t_s, g_j), (d_mat, t_d, k_j)):
+            blk = mat[lo:hi]
+            np.multiply(_circulant_from_template(tpl, lo, hi), col, out=blk)
+            blk += curved
+    return (DiscreteOperator("S", "split", grid, s_mat,
+                             parts={"m_S": tabs["m_S"]}),
+            DiscreteOperator("D", "split", grid, d_mat,
+                             parts={"m_D": tabs["m_D"]}))
+
+
 def assemble_S(grid, backend="direct"):
     """Single layer S[phi] = int G phi dS as a DiscreteOperator."""
     if backend == "direct":
@@ -403,19 +409,7 @@ def assemble_S(grid, backend="direct"):
         return DiscreteOperator("S", backend, grid, mat)
     if backend != "split":
         raise ValueError(f"unknown backend '{backend}'")
-    n_s, n_t = grid.n_s, grid.n_theta
-    d_psi = grid.flat_jacobian() / grid.epsilon
-    spec_part = dense_spectral(grid, "m_S")
-    mat = spec_part.copy()
-    mat -= dense_tail(grid, "S")
-    mat += dense_RS_kernel(grid, 1)
-    mat += dense_RS_kernel(grid, 2)
-    mat -= _right_mul_smean(mat, n_s, n_t)
-    mat += _right_mul_smean(dense_single_layer_direct(grid, weight="eps"),
-                            n_s, n_t)
-    mat *= d_psi[None, :]
-    return DiscreteOperator("S", backend, grid, mat,
-                            parts={"spectral": spec_part})
+    return assemble_split(grid)[0]
 
 
 def assemble_D(grid, backend="direct"):
@@ -426,18 +420,7 @@ def assemble_D(grid, backend="direct"):
         return DiscreteOperator("D", backend, grid, mat)
     if backend != "split":
         raise ValueError(f"unknown backend '{backend}'")
-    d_psi = grid.flat_jacobian() / grid.epsilon
-    spec_part = dense_spectral(grid, "m_D")
-    mat = spec_part.copy()
-    mat -= dense_tail(grid, "D")
-    mat *= d_psi[None, :]
-    # (K_D - K_D-bar) J quadrature
-    kd_diff = dense_RD_kernel(grid, 1)
-    kd_diff *= d_psi[None, :]
-    mat += kd_diff
-    del kd_diff
-    return DiscreteOperator("D", backend, grid, mat,
-                            parts={"spectral": spec_part})
+    return assemble_split(grid)[1]
 
 
 def assemble_RS_pieces(grid):

@@ -13,9 +13,12 @@ with it the n_s x n_s discrete DtN matrix Lambda = Q W:
     DtN (v given):  w = W v,  f = Q w
     NtD (f given):  Lambda v = f (LU of Lambda),  w = W v
 
-Each solve reports its residuals against S_h.  The 1-norm condition
-estimates of S_h (LAPACK gecon) and of Lambda are reported and hard-fail
-beyond COND_LIMIT, never silently ignored.
+S_h and D_h come from operators.assemble_S/assemble_D, except that the
+split pair is filled by one pair sweep (operators.assemble_split); the
+Green's identity harness gets its pair the same way.  Each solve reports
+its residuals against S_h.  The 1-norm condition estimates of S_h (LAPACK
+gecon) and of Lambda are reported and hard-fail beyond COND_LIMIT, never
+silently ignored.
 
 The exterior Dirichlet problem is solved through the modified double layer:
 (1/2 I + D'_h) phi = v, then u(y) = D'[phi](y) off the surface.
@@ -31,7 +34,7 @@ from scipy.linalg import lu_factor, lu_solve, get_lapack_funcs
 
 from .grid import SurfaceGrid
 from .kernels import FOURPI
-from .operators import assemble_D, assemble_Dprime, assemble_S
+from .operators import assemble_D, assemble_Dprime, assemble_S, assemble_split
 from .spectral import FourierSymbol, GridFunction
 
 COND_LIMIT = 1e12
@@ -50,6 +53,13 @@ class SlenderSolveResult:
     conditioning: dict
 
 
+def _assemble_pair(grid, backend):
+    """(S_h, D_h) for backend; the split pair comes from one pair sweep."""
+    if backend == "split":
+        return assemble_split(grid)
+    return assemble_S(grid, backend), assemble_D(grid, backend)
+
+
 def _cond_estimate(mat, lu=None):
     """1-norm condition estimate via LAPACK gecon (cheap after LU)."""
     anorm = np.linalg.norm(mat, 1)
@@ -63,16 +73,17 @@ def _cond_estimate(mat, lu=None):
 
 
 class SlenderBodySolver:
-    """Caches the operators, lu_S and the discrete DtN matrix for one grid."""
+    """Caches the operators, lu_S and the discrete DtN matrix for one grid.
+
+    operators, when given, is an (S_h, D_h) pair used as is; backend is then
+    only a label.
+    """
 
     def __init__(self, grid: SurfaceGrid, backend="direct", operators=None):
         self.grid = grid
         self.backend = backend
-        if operators is not None:
-            self.S_op, self.D_op = operators
-        else:
-            self.S_op = assemble_S(grid, backend)
-            self.D_op = assemble_D(grid, backend)
+        self.S_op, self.D_op = (operators if operators is not None
+                                else _assemble_pair(grid, backend))
         self._lu_S = None
         self._cond_S = None
         self._B = self._W = None
@@ -210,14 +221,6 @@ class SlenderBodySolver:
         return GridFunction(v), history
 
 
-def solve_dtn(grid, v, backend="direct", operators=None):
-    return SlenderBodySolver(grid, backend, operators).dtn(v)
-
-
-def solve_ntd(grid, f, backend="direct", operators=None):
-    return SlenderBodySolver(grid, backend, operators).ntd(f)
-
-
 # exterior Dirichlet through the modified double layer -------------------------
 
 def _offsurface_eval(grid, points, density, kind):
@@ -320,11 +323,8 @@ def exact_point_charge_potential(grid, points, charges):
 def greens_identity_residual(grid, charges, backend="direct", operators=None):
     """sup |(1/2 I - D_h) v - S_h w| for exact point-charge data."""
     v, w = point_charge_data(grid, charges)
-    if operators is not None:
-        s_op, d_op = operators
-    else:
-        s_op = assemble_S(grid, backend)
-        d_op = assemble_D(grid, backend)
+    s_op, d_op = (operators if operators is not None
+                  else _assemble_pair(grid, backend))
     lhs = 0.5 * v.values.reshape(-1) - d_op.matrix @ v.values.reshape(-1)
     rhs = s_op.matrix @ w.values.reshape(-1)
     scale = float(np.max(np.abs(lhs))) or 1.0

@@ -25,7 +25,6 @@ error, never a silently inaccurate value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,22 +47,6 @@ class BesselOverflowError(OverflowError):
         self.order = order
         self.z = z
         super().__init__(f"K/I overflow at order={order}, z={z}: {detail}")
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """One (order, z) evaluation pair, mainly for reporting."""
-
-    order: int
-    argument: float
-    value_I: float
-    value_K: float
-
-
-def bessel_eval(order, z):
-    """Evaluate the (I, K) pair at one point as a BesselEval record."""
-    return BesselEval(order=order, argument=z, value_I=bessel_I(order, z),
-                      value_K=bessel_K(order, z))
 
 
 def _check_order_arg(order, z, fn):

@@ -155,8 +155,7 @@ def test_criterion_5_round_trip():
     fr = geo.build_frame(cl, 128)
     spec = geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=1.0 / 64.0)
     grid = make_grid(spec, 128, 16)
-    solver = sv.SlenderBodySolver(grid, "split-decomp",
-                                  an.decomposition_operators(grid))
+    solver = sv.SlenderBodySolver(grid, "split")
     v = GridFunction(np.cos(2 * np.pi * grid.s_nodes))
     back = solver.ntd(solver.dtn(v).f).v
     rel = float(np.max(np.abs(back.values - v.values))

@@ -1,8 +1,9 @@
-"""The one-sweep decomposition operators against the piecewise build.
+"""The one-sweep split operators and the decomposition that reads them.
 
-The piecewise side is assembled here from the individual remainder
-kernels, one pair sweep each, with the s-mean routed through the dense
-curved single layer; the fused sweep must reproduce it to roundoff.
+The oracle for the sweep is the piecewise split assembly, built here from
+the individual remainder kernels (one pair sweep each) with the s-mean
+routed through the dense eps-weighted curved single layer; the fused sweep
+must reproduce it to roundoff.
 """
 
 import numpy as np
@@ -12,25 +13,32 @@ from slenderlap import analysis as an
 from slenderlap import geometry as geo
 from slenderlap import operators as op
 from slenderlap.grid import make_grid
-from slenderlap.spectral import GridFunction
+from slenderlap.spectral import FourierSymbol, GridFunction
 
 TREFOIL = {"cos": [[0, 0, 0], [0, 1, 0], [0, -2, 0], [0, 0, 0]],
            "sin": [[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 0, -1]]}
 
 
+def _right_mul_smean(mat, n_s, n_t):
+    """mat @ P_mean (column s-averaging)."""
+    avg = mat.reshape(-1, n_s, n_t).mean(axis=1)
+    return np.repeat(avg[:, None, :], n_s, axis=1).reshape(mat.shape)
+
+
 def _piecewise(grid):
+    """The split S_h and D_h, one dense piece at a time, scaled by J/eps."""
     n_s, n_t = grid.n_s, grid.n_theta
-    rs = -op.dense_tail(grid, "S")
-    for which in (1, 2, 3):
-        rs += op.dense_RS_kernel(grid, which)
-    s_mat = op.dense_spectral(grid, "m_S") + rs
-    s_mat -= op._right_mul_smean(s_mat, n_s, n_t)
-    s_mat += op._right_mul_smean(op.dense_single_layer_direct(grid), n_s, n_t)
-    rd = -op.dense_tail(grid, "D")
-    for which in (1, 2):
-        rd += op.dense_RD_kernel(grid, which)
-    d_mat = op.dense_spectral(grid, "m_D") + rd
-    return {"S": s_mat, "D": d_mat, "R_S": rs, "R_D": rd}
+    d_psi = grid.flat_jacobian() / grid.epsilon
+    s_mat = op.dense_spectral(grid, "m_S") - op.dense_tail(grid, "S")
+    s_mat += op.dense_RS_kernel(grid, 1) + op.dense_RS_kernel(grid, 2)
+    s_mat -= _right_mul_smean(s_mat, n_s, n_t)
+    s_mat += _right_mul_smean(op.dense_single_layer_direct(grid, weight="eps"),
+                              n_s, n_t)
+    s_mat *= d_psi[None, :]
+    d_mat = op.dense_spectral(grid, "m_D") - op.dense_tail(grid, "D")
+    d_mat += op.dense_RD_kernel(grid, 1)
+    d_mat *= d_psi[None, :]
+    return {"S": s_mat, "D": d_mat}
 
 
 @pytest.fixture(scope="module")
@@ -50,38 +58,64 @@ def perturbed_grid_small(perturbed_spec64):
 @pytest.mark.parametrize("grid_name", ["perturbed_grid_small", "trefoil_grid"])
 def test_fused_matches_piecewise(grid_name, request):
     grid = request.getfixturevalue(grid_name)
-    s_op, d_op = an.decomposition_operators(grid)
-    fused = {"S": s_op.matrix, "D": d_op.matrix,
-             "R_S": s_op.parts["R_S"], "R_D": d_op.parts["R_D"]}
+    fused = {"S": op.assemble_S(grid, "split"), "D": op.assemble_D(grid, "split")}
+    pair = an.decomposition_operators(grid)
     for name, ref in _piecewise(grid).items():
-        rel = np.max(np.abs(fused[name] - ref)) / np.max(np.abs(ref))
+        rel = np.max(np.abs(fused[name].matrix - ref)) / np.max(np.abs(ref))
         assert rel <= 1e-13, (name, rel)
+    for got, one in zip(pair, (fused["S"], fused["D"])):
+        assert got.backend == "split"
+        assert np.array_equal(got.matrix, one.matrix)
+        assert list(got.parts) == [f"m_{got.name}"]
+        assert got.parts[f"m_{got.name}"].shape == (grid.n_s, grid.n_theta)
 
 
 @pytest.mark.parametrize("grid_name", ["perturbed_grid_small", "trefoil_grid"])
-def test_s_mean_part_is_mean_of_curved_single_layer(grid_name, request):
+def test_decomposition_identity(grid_name, request):
     grid = request.getfixturevalue(grid_name)
-    s_op, _ = an.decomposition_operators(grid)
-    g_j = op.dense_single_layer_direct(grid)
-    ref = g_j.reshape(-1, grid.n_s, grid.n_theta).mean(axis=1)
-    rel = np.max(np.abs(s_op.parts["S_mean"] - ref)) / np.max(np.abs(ref))
-    assert rel <= 1e-13
+    s = grid.s_nodes
+    v = GridFunction(np.cos(2 * np.pi * s) + 0.2 * np.sin(4 * np.pi * s))
+    rep = an.decompose_dtn(grid, v)
+    assert rep["relative_mismatch"] <= 1e-12
 
 
 def test_mean_in_s_term_matches_dense_route(perturbed_grid_small):
     grid = perturbed_grid_small
-    s_op, d_op = an.decomposition_operators(grid)
-    solver = an.SlenderBodySolver(grid, "split-decomp", (s_op, d_op))
+    solver = an.SlenderBodySolver(grid, "split")
     # data with an s-mean, so that the routed density has one too
     v = GridFunction(1.0 + np.cos(2 * np.pi * grid.s_nodes)
                      + 0.3 * np.sin(6 * np.pi * grid.s_nodes))
     rep = an.decompose_dtn(grid, v, solver=solver)
     w = solver.dtn(v).w
     w_mean_surface = np.tile(w.s_mean(), (grid.n_s, 1))
-    dense = op.dense_single_layer_direct(grid) @ w_mean_surface.reshape(-1)
+    dense = solver.S_op.matrix @ w_mean_surface.reshape(-1)
     integ = op.theta_integral(grid, dense.reshape(w.values.shape), "eps")
     ref = -op.apply_m_S_inv_P0(grid, integ).values
     term = rep["terms"]["mean_in_s"]
     assert np.max(np.abs(ref)) > 1e-8
     assert np.max(np.abs(term - ref)) <= 1e-10 * np.max(np.abs(ref))
     assert rep["relative_mismatch"] <= 1e-12
+
+
+def test_decompose_builds_each_table_once(perturbed_grid_small, monkeypatch):
+    solver = an.SlenderBodySolver(perturbed_grid_small, "split")
+    built = []
+    table = FourierSymbol.table
+
+    def counted(self, *args, **kwargs):
+        built.append(self.name)
+        return table(self, *args, **kwargs)
+
+    monkeypatch.setattr(FourierSymbol, "table", counted)
+    v = GridFunction(np.cos(2 * np.pi * perturbed_grid_small.s_nodes))
+    an.decompose_dtn(perturbed_grid_small, v, solver=solver)
+    # m_S and m_D come from the operators' parts
+    assert sorted(built) == ["m_S_inv", "m_eps_inv"]
+
+
+def test_decompose_refuses_direct_operators(perturbed_grid_small):
+    solver = an.SlenderBodySolver(perturbed_grid_small, "direct")
+    with pytest.raises(ValueError, match="split"):
+        an.decompose_dtn(perturbed_grid_small,
+                         np.cos(2 * np.pi * perturbed_grid_small.s_nodes),
+                         solver=solver)

@@ -144,18 +144,3 @@ def test_grid_invariants(circle_grid):
     tot = np.sum(g.jacobian, axis=1) * dtheta
     assert np.max(np.abs(tot - 2 * math.pi * g.epsilon)) < 1e-14
 
-
-def test_holder_norm_type(rng):
-    n = gr.HolderNorm(alpha=0.5, epsilon=0.01, mode="seminorm",
-                      domain="centerline")
-    assert n(GridFunction(np.ones(32))) == 0.0
-    full = gr.HolderNorm(alpha=0.5, epsilon=0.01, domain="surface")
-    vals = GridFunction(rng.standard_normal((32, 8)))
-    sem = gr.HolderNorm(alpha=0.5, epsilon=0.01, mode="seminorm")(vals)
-    assert full(vals) == pytest.approx(np.max(np.abs(vals.values)) + sem)
-    with pytest.raises(ValueError):
-        gr.HolderNorm(alpha=1.5, epsilon=0.01)
-    with pytest.raises(ValueError):
-        gr.HolderNorm(alpha=0.5, epsilon=0.01, mode="bogus")
-    with pytest.raises(ValueError):
-        n(vals)  # surface samples against a centerline norm

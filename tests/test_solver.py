@@ -8,7 +8,7 @@ import pytest
 
 from slenderlap import geometry as geo
 from slenderlap import solver as sv
-from slenderlap.analysis import decomposition_operators
+from slenderlap.kernels import PairGeometry
 from slenderlap.grid import make_grid
 from slenderlap.operators import extend_s_profile
 from slenderlap.spectral import FourierSymbol, GridFunction, symbol_m_eps
@@ -18,8 +18,7 @@ from test_decomposition_fused import TREFOIL
 
 @pytest.fixture(scope="module")
 def circle_solver(circle_grid):
-    return sv.SlenderBodySolver(circle_grid, "split-decomp",
-                                decomposition_operators(circle_grid))
+    return sv.SlenderBodySolver(circle_grid, "split")
 
 
 def exterior_points(spec, count=8, seed=3):
@@ -94,8 +93,7 @@ def test_dtn_near_straight_decreasing(circle_cl, circle_frame):
         spec = geo.SurfaceSpec(centerline=circle_cl, frame=circle_frame,
                                epsilon=eps)
         g = make_grid(spec, 128, 16)
-        solver = sv.SlenderBodySolver(g, "split-decomp",
-                                      decomposition_operators(g))
+        solver = sv.SlenderBodySolver(g, "split")
         v = GridFunction(np.cos(2 * np.pi * g.s_nodes))
         gap = np.max(np.abs(solver.dtn(v).f.values
                             - solver.straight_dtn(v).values))
@@ -107,8 +105,7 @@ def test_neumann_series_agrees(circle_cl, circle_frame):
     spec = geo.SurfaceSpec(centerline=circle_cl, frame=circle_frame,
                            epsilon=1.0 / 128.0)
     g = make_grid(spec, 128, 16)
-    solver = sv.SlenderBodySolver(g, "split-decomp",
-                                  decomposition_operators(g))
+    solver = sv.SlenderBodySolver(g, "split")
     f = GridFunction(np.cos(2 * np.pi * g.s_nodes))
     v_direct = solver.ntd(f).v.values
     v_iter, history = solver.neumann_series_ntd(f)
@@ -175,7 +172,7 @@ def test_exterior_manufactured_improves(circle_cl, circle_frame):
 
 
 def test_exterior_two_routes_solved_w(circle_grid, circle_solver):
-    """Green representation with w from solve_dtn vs the D'-route.
+    """Green representation with w from the solver's dtn vs the D'-route.
 
     The solved w carries the theta-resolution error of the first-kind
     system (~2 percent at n_theta = 16), so the routes agree at that level,
@@ -216,8 +213,7 @@ def test_solvability_and_conditioning(circle_solver):
 # the DtN-matrix solves against the augmented system -------------------------
 
 def _fresh_solver(grid):
-    return sv.SlenderBodySolver(grid, "split-decomp",
-                                decomposition_operators(grid))
+    return sv.SlenderBodySolver(grid, "split")
 
 
 @pytest.fixture(scope="module")
@@ -304,3 +300,22 @@ def test_neumann_series_builds_straight_tables_once(oracle_grids,
     solver.neumann_series_ntd(f)
     solver.neumann_series_ntd(f)
     assert sorted(built) == ["m_eps", "m_eps_inv"]
+
+
+def test_split_pair_takes_one_pair_sweep(circle_grid_small, monkeypatch):
+    """S_h and D_h of the split backend share one pass over the N rows."""
+    rows = []
+    fields = PairGeometry.fields
+
+    def counted(self, lo, hi, *args, **kwargs):
+        rows.append(hi - lo)
+        return fields(self, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(PairGeometry, "fields", counted)
+    n = circle_grid_small.n_nodes
+    solver = sv.SlenderBodySolver(circle_grid_small, "split")
+    assert sum(rows) == n
+    assert solver.S_op.backend == solver.D_op.backend == "split"
+    rows.clear()
+    sv.greens_identity_residual(circle_grid_small, [(1.0, 0.0)], "split")
+    assert sum(rows) == n

@@ -213,10 +213,3 @@ def test_check_suite_runs_and_is_finite():
     assert rep["recurrence_sup"] < 1e-10
     for key, val in rep.items():
         assert np.isfinite(val), key
-
-
-def test_bessel_eval_record():
-    rec = sf.bessel_eval(1, 10.0)
-    assert rec.order == 1 and rec.argument == 10.0
-    assert rec.value_I > 0 and rec.value_K > 0
-    assert abs(rec.value_K / K1_AT_10 - 1.0) < 1e-12
