@@ -33,19 +33,19 @@ import numpy as np
 from . import geometry as geo
 from .grid import holder_norm, make_grid
 from .kernels import basic_integral
-from .operators import (assemble_RS_pieces, assemble_split, apply_m_S_inv_P0,
-                        dense_tail, dense_RS_kernel, dense_RD_kernel,
-                        mean_in_s_split, theta_integral)
+from .operators import (apply_m_S_inv_P0, assemble_pair, dense_tail,
+                        dense_RS_kernel, dense_RD_kernel, mean_in_s_split,
+                        theta_integral)
 from .solver import SlenderBodySolver
 from .spectral import FourierSymbol, GridFunction
 
 
 def decomposition_operators(grid):
     """(S_h, D_h) of the split backend, from one pair sweep."""
-    return assemble_split(grid)
+    return assemble_pair(grid, "split")
 
 
-def decompose_dtn(grid, v, alpha=0.25, gamma=0.5, solver=None):
+def decompose_dtn(grid, v, alpha=0.25, solver=None):
     """Term-by-term decomposition report for Dirichlet data v(s).
 
     solver, if given, must hold split-backend operators: their parts carry
@@ -108,7 +108,6 @@ def decompose_dtn(grid, v, alpha=0.25, gamma=0.5, solver=None):
         "term_norms": {k: t[1] for k, t in terms.items()},
         "terms": {k: t[0] for k, t in terms.items()},
         "alpha": alpha,
-        "gamma": gamma,
         "conditioning": res.conditioning,
     }
 
@@ -168,23 +167,15 @@ def _study_grid(study, spec, eps):
 def _measure(study, spec, eps):
     sid = study.study_id
     grid = _study_grid(study, spec, eps)
-    if sid in ("RS0-sup", "RS1-sup", "RS2-sup", "RS3-sup"):
-        which = int(sid[2])
-        phi = _bandlimited_density(grid)
-        if which == 0:
-            op = assemble_RS_pieces(grid)[0]
-            phi = phi.project_zero_s_mean()
-            out = op.apply(phi)
-        else:
-            mat = dense_RS_kernel(grid, which)
-            out = GridFunction((mat @ phi.values.reshape(-1))
-                               .reshape(phi.values.shape))
-        return float(np.max(np.abs(out.values)))
+    if sid in ("RS1-sup", "RS2-sup", "RS3-sup"):
+        phi = _bandlimited_density(grid).values
+        out = dense_RS_kernel(grid, int(sid[2])) @ phi.reshape(-1)
+        return float(np.max(np.abs(out)))
     if sid.startswith("basic-int"):
         return basic_integral(grid, study.k_pow, study.alpha_int)
     if sid == "Heps" or sid == "Hplus":
         h = 1.0 + np.cos(grid.theta_nodes)
-        h_eps, h_plus = mean_in_s_split(grid, h, study.alpha, study.gamma)
+        h_eps, h_plus = mean_in_s_split(grid, h)
         if sid == "Heps":
             return holder_norm(h_eps, study.alpha, grid.epsilon)
         return holder_norm(h_plus, study.gamma, grid.epsilon)
@@ -205,7 +196,7 @@ def _measure(study, spec, eps):
         out23 = (mat23 @ w_p0.values.reshape(-1)).reshape(w.values.shape)
         t_rs = -apply_m_S_inv_P0(
             grid, theta_integral(grid, GridFunction(out23), "eps")).values
-        h_eps, _ = mean_in_s_split(grid, w.s_mean(), study.alpha, study.gamma)
+        h_eps, _ = mean_in_s_split(grid, w.s_mean())
         t_curv = -(grid.epsilon ** 2) * np.sum(
             w.values * grid.khat, axis=1) * (2.0 * math.pi / grid.n_theta)
         total = t_rs - h_eps.values + t_curv

@@ -117,8 +117,7 @@ def cmd_geometry(args):
         return _dry_run_report(args, args.ns, 1)
     spec = _build_spec(args, n_frame=args.ns)
     rep = geo.geometry_report(spec)
-    if args.report or args.json:
-        _emit_json(args, rep)
+    _emit_json(args, rep)
     if not args.json:
         for k, v in rep.items():
             print(f"{k}: {v}")
@@ -258,7 +257,7 @@ def cmd_decompose(args):
     spec = _build_spec(args)
     grid = make_grid(spec, args.ns, args.ntheta)
     v = GridFunction(np.cos(2 * np.pi * grid.s_nodes))
-    rep = decompose_dtn(grid, v, alpha=args.alpha, gamma=args.gamma)
+    rep = decompose_dtn(grid, v, alpha=args.alpha)
     ok = rep["relative_mismatch"] <= 1e-5
     print(f"term-sum vs direct mismatch: {rep['relative_mismatch']:.3e} "
           f"({'PASS' if ok else 'FAIL'})")
@@ -325,7 +324,6 @@ def build_parser():
     _add_common(p)
     p.add_argument("--curve", default="circle")
     p.add_argument("--ns", type=int, default=128)
-    p.add_argument("--report", action="store_true")
     p.set_defaults(fn=cmd_geometry)
 
     p = sub.add_parser("check-geometry", help="displacement inequality sweep")
@@ -364,7 +362,6 @@ def build_parser():
     _add_common(p, grid=True)
     p.add_argument("--curve", default="circle")
     p.add_argument("--alpha", type=float, default=0.25)
-    p.add_argument("--gamma", type=float, default=0.5)
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("scaling", help="epsilon-scaling slope study")

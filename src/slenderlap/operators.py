@@ -1,14 +1,15 @@
 r"""Discrete layer operators on the tube surface.
 
 Every operator is a DiscreteOperator with a dense matrix acting on flattened
-(n_s, n_theta) samples, assembled from one of two backends:
+(n_s, n_theta) samples.  Both backends start from the same curved blocks,
+G_J and K_J: the punctured trapezoids of the curved G and K_D times J, which
+assemble_pair fills in one pair sweep.  They differ only in what is added:
 
-  direct:  locally corrected trapezoid of the exact curved kernel times the
-           surface Jacobian: the punctured trapezoid (dense_*_direct) plus
-           weights at each target that restore the dropped singular
-           self-contribution (Marin, Runborg & Tornberg, IMA J. Numer. Anal.
-           34 (2014); Wu & Martinsson, Adv. Comput. Math. 47 (2021)).  With
-           the target's local lattice spacings a = (1 - eps khat)/n_s and
+  direct:  local weights at each target that restore the dropped singular
+           self-contribution, making a locally corrected trapezoid rule
+           (Marin, Runborg & Tornberg, IMA J. Numer. Anal. 34 (2014); Wu &
+           Martinsson, Adv. Comput. Math. 47 (2021)).  With the target's
+           local lattice spacings a = (1 - eps khat)/n_s and
            b = 2 pi eps/n_theta (so J * node weight = a b):
 
              S: diagonal weight -a b Z(a, b)/4pi, Z the analytically
@@ -21,24 +22,22 @@ Every operator is a DiscreteOperator with a dense matrix acting on flattened
 
            The oracle for the split backend.
 
-  split:   the curved kernel plus a straight correction that acts on
-           densities scaled by J/eps:
+  split:   a straight correction that acts on densities scaled by J/eps:
 
              S_h = G_J + C_S P0 diag(J/eps),     D_h = K_J + C_D diag(J/eps)
 
-           G_J and K_J are the punctured trapezoids of the curved G and K_D
-           times J.  C_S and C_D are the circulants of the templates
-           m_S - T_S and m_D - T_D: the straight symbol applied exactly on
-           the grid modes, minus T, the punctured one-period straight kernel
-           plus the |s-hat| > 1/2 images (2 M images, M = 20; the neglected
-           far field is annihilated to O(M^-2) by zero-s-mean densities).
-           With psi = phi J/eps, S_h phi = (m_S + (G - G-bar) - Tail) P0 psi
+           C_S and C_D are the circulants of the templates m_S - T_S and
+           m_D - T_D: the straight symbol applied exactly on the grid modes,
+           minus T, the punctured one-period straight kernel plus the
+           |s-hat| > 1/2 images (2 M images, M = 20; the neglected far field
+           is annihilated to O(M^-2) by zero-s-mean densities).  With
+           psi = phi J/eps, S_h phi = (m_S + (G - G-bar) - Tail) P0 psi
            + G P_mean psi: the s-mean goes through the curved kernel alone.
-           Both come from one pair sweep (assemble_split).
 
-The remainder pieces of the curved-minus-straight operators are also exposed
-individually (R_S0..R_S3, R_D0..R_D2) with plain eps weight, matching the
-operator identity R_S = S - Sbar piece by piece:
+The remainder pieces of the curved-minus-straight operators are also built
+one dense matrix at a time (dense_tail, dense_RS_kernel, dense_RD_kernel),
+with plain eps weight, matching the operator identity R_S = S - Sbar piece
+by piece:
 
     R_S0 = -(straight tail),            zero-s-mean densities only
     R_S1 = (1/4pi) (1/|R| - 1/|R_t|) eps
@@ -49,6 +48,8 @@ operator identity R_S = S - Sbar piece by piece:
     R_D2 = -K_D eps^2 khat(source)
 
 so that S = Sbar + sum R_Sj on zero-s-mean densities and D = Dbar + sum R_Dj.
+dense_single_layer_direct and dense_double_layer_direct build G_J and K_J
+one matrix at a time, the oracle of the pair sweep.
 """
 
 from __future__ import annotations
@@ -79,10 +80,6 @@ class AssemblyError(RuntimeError):
     pass
 
 
-class ZeroMeanViolation(ValueError):
-    """Operator defined only on zero-s-mean densities got mean-carrying data."""
-
-
 @dataclass
 class DiscreteOperator:
     """Dense linear map on surface GridFunctions with a uniform interface."""
@@ -91,17 +88,10 @@ class DiscreteOperator:
     backend: str
     grid: SurfaceGrid
     matrix: np.ndarray
-    requires_zero_s_mean: bool = False
     parts: dict = field(default_factory=dict)
 
     def apply(self, f):
         vals = f.values if isinstance(f, GridFunction) else np.asarray(f)
-        if self.requires_zero_s_mean:
-            mean = np.mean(vals, axis=0)
-            scale = np.max(np.abs(vals)) or 1.0
-            if np.max(np.abs(mean)) > 1e-10 * scale:
-                raise ZeroMeanViolation(
-                    f"{self.name} is defined on zero-s-mean densities only")
         out = self.matrix @ vals.reshape(-1)
         return GridFunction(out.reshape(vals.shape))
 
@@ -115,14 +105,13 @@ def _check_dense_cap(grid):
 
 # kernel matrices -------------------------------------------------------------
 
-def _dense_from_pairs(grid, entry_fn, weight=None, need=("R",)):
+def _dense_from_pairs(grid, entry_fn, weight, need=("R",)):
     """Assemble sum_a ker[i,a] * weight[a] * node_weight, punctured diagonal."""
     _check_dense_cap(grid)
     pg = PairGeometry(grid)
     n = grid.n_nodes
     out = np.empty((n, n))
-    w_src = np.full(n, grid.node_weight) if weight is None \
-        else weight.reshape(-1) * grid.node_weight
+    w_src = weight.reshape(-1) * grid.node_weight
     for lo, hi in pg.chunks():
         f = pg.fields(lo, hi, need=need)
         ker = entry_fn(f, pg, lo, hi)
@@ -131,6 +120,7 @@ def _dense_from_pairs(grid, entry_fn, weight=None, need=("R",)):
     return out
 
 
+# the one-matrix punctured trapezoids; perfbench/tracer.py also wraps them
 def dense_single_layer_direct(grid, weight="jacobian"):
     """Punctured trapezoid of G times J (or times eps for weight='eps')."""
     w = grid.jacobian if weight == "jacobian" else np.full(
@@ -358,29 +348,32 @@ def _correct_double_layer(grid, mat):
 
 # assembled operators ---------------------------------------------------------
 
-def assemble_split(grid):
-    """(S_h, D_h) of the split backend, from one pair sweep.
+def assemble_pair(grid, backend="direct"):
+    """(S_h, D_h) of either backend, from one pair sweep.
 
-    With G_J and K_J the punctured curved kernels times the source weight
-    J w, and C_S, C_D the circulants of the templates m_S - T_S and
-    m_D - T_D (see the module docstring):
+    Each row chunk evaluates |R| and R . n_src once and fills its rows of
+    G_J and K_J, the punctured curved kernels times the source weight J w;
+    the pair holds two N x N matrices and no N x N temporary.  On those
+    rows split adds its straight correction (see the module docstring),
 
-        S_h = G_J + C_S P0 diag(J/eps),     D_h = K_J + C_D diag(J/eps)
+        S_h = G_J + C_S P0 diag(J/eps),     D_h = K_J + C_D diag(J/eps),
 
-    P0 acts on the S template alone (its s-mean is removed).  Each row chunk
-    evaluates |R| and R . n_src once and fills its rows of both outputs, so
-    the pair holds two N x N matrices and no N x N temporary.  parts holds
-    each operator's (n_s, n_theta) symbol table, "m_S" or "m_D".
+    and its parts hold each operator's (n_s, n_theta) symbol table, "m_S" or
+    "m_D".  direct adds its local singular weights to the finished matrices.
     """
+    if backend not in ("direct", "split"):
+        raise ValueError(f"unknown backend '{backend}'")
     _check_dense_cap(grid)
     n, n_t = grid.n_nodes, grid.n_theta
-    col = grid.flat_jacobian() / grid.epsilon
     w_src = grid.flat_jacobian() * (grid.node_weight / FOURPI)
-    tabs = {k: FourierSymbol(k, grid.epsilon).table(grid.n_s, n_t)
-            for k in ("m_S", "m_D")}
-    t_s = symbol_template(tabs["m_S"]) - straight_template(grid, "S", central=True)
-    t_s -= t_s.mean(axis=0)
-    t_d = symbol_template(tabs["m_D"]) - straight_template(grid, "D", central=True)
+    split = backend == "split"
+    if split:
+        tabs = {k: FourierSymbol(k, grid.epsilon).table(grid.n_s, n_t)
+                for k in ("m_S", "m_D")}
+        t_s = symbol_template(tabs["m_S"]) - straight_template(grid, "S", central=True)
+        t_s -= t_s.mean(axis=0)  # P0 on the S template
+        t_d = symbol_template(tabs["m_D"]) - straight_template(grid, "D", central=True)
+        col = grid.flat_jacobian() / grid.epsilon
     s_mat, d_mat = np.empty((n, n)), np.empty((n, n))
     # chunks of whole s-rows, as the circulant row blocks require
     pg = PairGeometry(grid, chunk_rows=n_t * max(1, 256 // n_t))
@@ -389,48 +382,30 @@ def assemble_split(grid):
         with np.errstate(divide="ignore"):
             inv_r = 1.0 / f["absR"]
         inv_r[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
-        g_j = inv_r * w_src
-        k_j = f["Rn"] * (inv_r * inv_r) * g_j
-        for mat, tpl, curved in ((s_mat, t_s, g_j), (d_mat, t_d, k_j)):
-            blk = mat[lo:hi]
-            np.multiply(_circulant_from_template(tpl, lo, hi), col, out=blk)
-            blk += curved
-    return (DiscreteOperator("S", "split", grid, s_mat,
-                             parts={"m_S": tabs["m_S"]}),
-            DiscreteOperator("D", "split", grid, d_mat,
-                             parts={"m_D": tabs["m_D"]}))
+        g_j = np.multiply(inv_r, w_src, out=s_mat[lo:hi])
+        k_j = np.multiply(f["Rn"] * (inv_r * inv_r), g_j, out=d_mat[lo:hi])
+        if split:
+            g_j += _circulant_from_template(t_s, lo, hi) * col
+            k_j += _circulant_from_template(t_d, lo, hi) * col
+    if split:
+        parts = [{k: tabs[k]} for k in ("m_S", "m_D")]
+    else:
+        parts = [{}, {}]
+        _correct_single_layer(grid, s_mat)
+        _correct_double_layer(grid, d_mat)
+    return (DiscreteOperator("S", backend, grid, s_mat, parts=parts[0]),
+            DiscreteOperator("D", backend, grid, d_mat, parts=parts[1]))
 
 
+# assemble_S and assemble_D build the whole pair; perfbench/tracer.py wraps them
 def assemble_S(grid, backend="direct"):
-    """Single layer S[phi] = int G phi dS as a DiscreteOperator."""
-    if backend == "direct":
-        mat = dense_single_layer_direct(grid)
-        _correct_single_layer(grid, mat)
-        return DiscreteOperator("S", backend, grid, mat)
-    if backend != "split":
-        raise ValueError(f"unknown backend '{backend}'")
-    return assemble_split(grid)[0]
+    """Single layer S[phi] = int G phi dS: S_h of assemble_pair."""
+    return assemble_pair(grid, backend)[0]
 
 
 def assemble_D(grid, backend="direct"):
-    """Double layer D[psi] = int K_D psi dS as a DiscreteOperator."""
-    if backend == "direct":
-        mat = dense_double_layer_direct(grid)
-        _correct_double_layer(grid, mat)
-        return DiscreteOperator("D", backend, grid, mat)
-    if backend != "split":
-        raise ValueError(f"unknown backend '{backend}'")
-    return assemble_split(grid)[1]
-
-
-def assemble_RS_pieces(grid):
-    """(R_S0, R_S1, R_S2, R_S3) with R_S0 the zero-mean-only straight tail."""
-    r0 = DiscreteOperator("R_S0", "split", grid, -dense_tail(grid, "S"),
-                          requires_zero_s_mean=True)
-    r1 = DiscreteOperator("R_S1", "split", grid, dense_RS_kernel(grid, 1))
-    r2 = DiscreteOperator("R_S2", "split", grid, dense_RS_kernel(grid, 2))
-    r3 = DiscreteOperator("R_S3", "split", grid, dense_RS_kernel(grid, 3))
-    return r0, r1, r2, r3
+    """Double layer D[psi] = int K_D psi dS: D_h of assemble_pair."""
+    return assemble_pair(grid, backend)[1]
 
 
 def assemble_Dprime(grid, backend="direct"):
@@ -439,7 +414,7 @@ def assemble_Dprime(grid, backend="direct"):
     The correction kernel 1/|x - X(s')| is bounded by 1/eps on the surface
     and removes the constant null space of 1/2 I + D.
     """
-    d_op = assemble_D(grid, backend)
+    d_op = assemble_pair(grid, backend)[1]
     corr = dense_centerline_correction(grid)
     return DiscreteOperator("Dprime", backend, grid, d_op.matrix + corr,
                             parts={"D": d_op.matrix, "correction": corr})
@@ -477,7 +452,7 @@ def apply_m_S_inv_P0(grid, s_values):
     return GridFunction(np.real(np.fft.ifft(tab * vhat)))
 
 
-def mean_in_s_split(grid, h_profile, alpha=0.25, gamma=0.5):
+def mean_in_s_split(grid, h_profile):
     """Split Sbar^{-1} int_0^{2pi} S[h(theta)] eps dtheta at |k| = 1/(2 pi eps).
 
     Returns (H_eps, H_plus) as s-circle GridFunctions: the high-pass part

@@ -13,12 +13,11 @@ with it the n_s x n_s discrete DtN matrix Lambda = Q W:
     DtN (v given):  w = W v,  f = Q w
     NtD (f given):  Lambda v = f (LU of Lambda),  w = W v
 
-S_h and D_h come from operators.assemble_S/assemble_D, except that the
-split pair is filled by one pair sweep (operators.assemble_split); the
-Green's identity harness gets its pair the same way.  Each solve reports
-its residuals against S_h.  The 1-norm condition estimates of S_h (LAPACK
-gecon) and of Lambda are reported and hard-fail beyond COND_LIMIT, never
-silently ignored.
+S_h and D_h of either backend come from one pair sweep
+(operators.assemble_pair), as does the Green's identity harness's pair.
+Each solve reports its residuals against S_h.  The 1-norm condition
+estimates of S_h (LAPACK gecon) and of Lambda are reported and hard-fail
+beyond COND_LIMIT, never silently ignored.
 
 The exterior Dirichlet problem is solved through the modified double layer:
 (1/2 I + D'_h) phi = v, then u(y) = D'[phi](y) off the surface.
@@ -34,7 +33,9 @@ from scipy.linalg import lu_factor, lu_solve, get_lapack_funcs
 
 from .grid import SurfaceGrid
 from .kernels import FOURPI
-from .operators import assemble_D, assemble_Dprime, assemble_S, assemble_split
+from .operators import assemble_Dprime, assemble_pair
+# not called here: perfbench/tracer.py wraps them where solver binds them
+from .operators import assemble_D, assemble_S  # noqa: F401
 from .spectral import FourierSymbol, GridFunction
 
 COND_LIMIT = 1e12
@@ -51,13 +52,6 @@ class SlenderSolveResult:
     f: GridFunction            # theta-integrated Neumann data, s-circle
     residuals: dict
     conditioning: dict
-
-
-def _assemble_pair(grid, backend):
-    """(S_h, D_h) for backend; the split pair comes from one pair sweep."""
-    if backend == "split":
-        return assemble_split(grid)
-    return assemble_S(grid, backend), assemble_D(grid, backend)
 
 
 def _cond_estimate(mat, lu=None):
@@ -83,7 +77,7 @@ class SlenderBodySolver:
         self.grid = grid
         self.backend = backend
         self.S_op, self.D_op = (operators if operators is not None
-                                else _assemble_pair(grid, backend))
+                                else assemble_pair(grid, backend))
         self._lu_S = None
         self._cond_S = None
         self._B = self._W = None
@@ -324,7 +318,7 @@ def greens_identity_residual(grid, charges, backend="direct", operators=None):
     """sup |(1/2 I - D_h) v - S_h w| for exact point-charge data."""
     v, w = point_charge_data(grid, charges)
     s_op, d_op = (operators if operators is not None
-                  else _assemble_pair(grid, backend))
+                  else assemble_pair(grid, backend))
     lhs = 0.5 * v.values.reshape(-1) - d_op.matrix @ v.values.reshape(-1)
     rhs = s_op.matrix @ w.values.reshape(-1)
     scale = float(np.max(np.abs(lhs))) or 1.0

@@ -125,7 +125,7 @@ def test_criterion_4_greens_ladder():
         grid = make_grid(spec, n_s, 16)
         ops = {}
         for be in ("direct", "split"):
-            ops[be] = (op.assemble_S(grid, be), op.assemble_D(grid, be))
+            ops[be] = op.assemble_pair(grid, be)
             r, _ = sv.greens_identity_residual(grid, [(1.0, 0.0)],
                                                operators=ops[be])
             resids.setdefault(be, []).append(r)

@@ -36,7 +36,7 @@ def test_symbols_deterministic(tmp_path):
 
 def test_geometry_report_json(capsys):
     rc = main(["geometry", "--curve", "circle", "--ns", "64",
-               "--epsilon", "0.015625", "--report", "--json"])
+               "--epsilon", "0.015625", "--json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     for key in ("c_gamma", "kappa_star", "kappa3", "r_star"):

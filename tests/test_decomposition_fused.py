@@ -1,9 +1,10 @@
-"""The one-sweep split operators and the decomposition that reads them.
+"""The one-sweep operator pair and the decomposition that reads it.
 
-The oracle for the sweep is the piecewise split assembly, built here from
-the individual remainder kernels (one pair sweep each) with the s-mean
-routed through the dense eps-weighted curved single layer; the fused sweep
-must reproduce it to roundoff.
+The oracle for the split pair is the piecewise split assembly, built here
+from the individual remainder kernels (one pair sweep each) with the s-mean
+routed through the dense eps-weighted curved single layer; the oracle for
+the direct pair is the one-matrix punctured trapezoids plus the same local
+corrections.  The fused sweep must reproduce both to roundoff.
 """
 
 import numpy as np
@@ -58,7 +59,7 @@ def perturbed_grid_small(perturbed_spec64):
 @pytest.mark.parametrize("grid_name", ["perturbed_grid_small", "trefoil_grid"])
 def test_fused_matches_piecewise(grid_name, request):
     grid = request.getfixturevalue(grid_name)
-    fused = {"S": op.assemble_S(grid, "split"), "D": op.assemble_D(grid, "split")}
+    fused = dict(zip("SD", op.assemble_pair(grid, "split")))
     pair = an.decomposition_operators(grid)
     for name, ref in _piecewise(grid).items():
         rel = np.max(np.abs(fused[name].matrix - ref)) / np.max(np.abs(ref))
@@ -68,6 +69,19 @@ def test_fused_matches_piecewise(grid_name, request):
         assert np.array_equal(got.matrix, one.matrix)
         assert list(got.parts) == [f"m_{got.name}"]
         assert got.parts[f"m_{got.name}"].shape == (grid.n_s, grid.n_theta)
+
+
+@pytest.mark.parametrize("grid_name", ["perturbed_grid_small", "trefoil_grid"])
+def test_direct_pair_matches_one_matrix_sweeps(grid_name, request):
+    grid = request.getfixturevalue(grid_name)
+    s_ref = op.dense_single_layer_direct(grid)
+    op._correct_single_layer(grid, s_ref)
+    d_ref = op.dense_double_layer_direct(grid)
+    op._correct_double_layer(grid, d_ref)
+    for got, ref in zip(op.assemble_pair(grid, "direct"), (s_ref, d_ref)):
+        assert got.backend == "direct" and not got.parts
+        rel = np.max(np.abs(got.matrix - ref)) / np.max(np.abs(ref))
+        assert rel <= 1e-13, (got.name, rel)
 
 
 @pytest.mark.parametrize("grid_name", ["perturbed_grid_small", "trefoil_grid"])

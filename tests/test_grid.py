@@ -80,6 +80,49 @@ def test_holder_seminorm_triangle(rng):
     assert sab <= sa + sb + 1e-12
 
 
+def _holder_all_pairs(vals, alpha, epsilon):
+    """Brute-force maximum over every node pair."""
+    vals = vals.reshape(vals.shape[0], -1)
+    n_s, n_t = vals.shape
+    i_s, i_t = np.divmod(np.arange(vals.size), n_t)
+    ds = gr.periodic_rep_s((i_s[:, None] - i_s[None, :]) / n_s)
+    dt = gr.periodic_rep_theta(2 * math.pi * (i_t[:, None] - i_t[None, :]) / n_t)
+    dist = np.sqrt(ds ** 2 + (epsilon * dt) ** 2)
+    dv = np.abs(vals.reshape(-1)[:, None] - vals.reshape(-1)[None, :])
+    mask = dist > 0
+    return float(np.max(dv[mask] / dist[mask] ** alpha))
+
+
+@pytest.mark.parametrize("shape,epsilon,kind", [
+    ((512,), 0.0, "noise"), ((1024,), 0.0, "smooth"),
+    ((64, 16), 1.0 / 64, "noise"), ((128, 16), 1.0 / 64, "smooth"),
+    ((256, 8), 1.0 / 128, "smooth"), ((64, 16), 0.0, "smooth")])
+@pytest.mark.parametrize("alpha", [0.25, 1.0])
+def test_holder_seminorm_matches_all_pairs(shape, epsilon, kind, alpha, rng):
+    if kind == "noise":
+        vals = rng.standard_normal(shape)
+    else:
+        s = np.arange(shape[0]) / shape[0]
+        vals = np.cos(2 * np.pi * s) + 0.3 * np.sin(6 * np.pi * s)
+        if len(shape) == 2:
+            th = 2 * math.pi * np.arange(shape[1]) / shape[1]
+            vals = vals[:, None] * (1.0 + 0.5 * np.cos(th))[None, :]
+    want = _holder_all_pairs(vals, alpha, epsilon)
+    got = gr.holder_seminorm(GridFunction(vals), alpha, epsilon)
+    assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("shape,epsilon", [((16384,), 0.0),
+                                           ((1024, 16), 1.0 / 256)])
+def test_holder_seminorm_sees_a_spike_on_large_grids(shape, epsilon):
+    """A unit spike's seminorm is h_s^-alpha, past any pair-count cap."""
+    vals = np.zeros(shape)
+    vals[(0,) * len(shape)] = 1.0
+    want = shape[0] ** 0.25  # nearest neighbour along s, h_s < eps h_theta
+    got = gr.holder_seminorm(GridFunction(vals), 0.25, epsilon)
+    assert abs(got - want) <= 1e-14 * want
+
+
 def test_holder_seminorm_monotone_in_alpha(rng):
     # oscillation <= 1, distances <= 1/2 < 1: seminorm nondecreasing in alpha
     n = 64

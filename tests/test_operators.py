@@ -107,16 +107,6 @@ def test_straight_symbol_recovery(circle_spec64):
         assert abs(coeff - symbol_m_S(eps, k, ell)) < 1e-4, (k, ell)
 
 
-def test_RS_pieces_zero_mean_guard(circle_grid_small, rng):
-    r0, r1, r2, r3 = op.assemble_RS_pieces(circle_grid_small)
-    f = GridFunction(1.0 + 0.1 * rng.standard_normal(
-        (circle_grid_small.n_s, circle_grid_small.n_theta)))
-    with pytest.raises(op.ZeroMeanViolation):
-        r0.apply(f)
-    r0.apply(f.project_zero_s_mean())  # fine
-    r1.apply(f)  # no constraint on the other pieces
-
-
 def test_RS_identity_sum(circle_grid_small):
     """Discrete kernel identity: punctured trapezoid of G J over one period
     equals the central straight part plus R_S1 + R_S2 + R_S3."""

@@ -302,8 +302,10 @@ def test_neumann_series_builds_straight_tables_once(oracle_grids,
     assert sorted(built) == ["m_eps", "m_eps_inv"]
 
 
-def test_split_pair_takes_one_pair_sweep(circle_grid_small, monkeypatch):
-    """S_h and D_h of the split backend share one pass over the N rows."""
+@pytest.mark.parametrize("backend", ["direct", "split"])
+def test_split_pair_takes_one_pair_sweep(backend, circle_grid_small,
+                                         monkeypatch):
+    """S_h and D_h of either backend share one pass over the N rows."""
     rows = []
     fields = PairGeometry.fields
 
@@ -313,9 +315,9 @@ def test_split_pair_takes_one_pair_sweep(circle_grid_small, monkeypatch):
 
     monkeypatch.setattr(PairGeometry, "fields", counted)
     n = circle_grid_small.n_nodes
-    solver = sv.SlenderBodySolver(circle_grid_small, "split")
+    solver = sv.SlenderBodySolver(circle_grid_small, backend)
     assert sum(rows) == n
-    assert solver.S_op.backend == solver.D_op.backend == "split"
+    assert solver.S_op.backend == solver.D_op.backend == backend
     rows.clear()
-    sv.greens_identity_residual(circle_grid_small, [(1.0, 0.0)], "split")
+    sv.greens_identity_residual(circle_grid_small, [(1.0, 0.0)], backend)
     assert sum(rows) == n
