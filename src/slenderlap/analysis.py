@@ -31,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .grid import holder_norm, make_grid
+from .grid import holder_norm, make_grid, spectral_s_derivative
 from .kernels import basic_integral
-from .operators import (apply_m_S_inv_P0, assemble_pair, dense_tail,
-                        dense_RS_kernel, dense_RD_kernel, mean_in_s_split,
+from .operators import (DENSE_NODE_CAP, AssemblyError, apply_m_S_inv_P0,
+                        apply_pairs, assemble_pair, mean_in_s_split,
                         theta_integral)
 from .solver import SlenderBodySolver
 from .spectral import FourierSymbol, GridFunction
@@ -134,6 +134,11 @@ class ScalingStudy:
     def grid_ns(self, eps):
         return _grid_ns(eps, self.resolution_factor)
 
+    @property
+    def solves(self):
+        """True if a measurement solves with the dense split pair."""
+        return self.study_id in SOLVE_STUDIES
+
 
 def _grid_ns(eps, resolution_factor):
     """n_s for eps: the power of two >= max(128, resolution_factor 4/eps)."""
@@ -168,8 +173,7 @@ def _measure(study, spec, eps):
     sid = study.study_id
     grid = _study_grid(study, spec, eps)
     if sid in ("RS1-sup", "RS2-sup", "RS3-sup"):
-        phi = _bandlimited_density(grid).values
-        out = dense_RS_kernel(grid, int(sid[2])) @ phi.reshape(-1)
+        out = apply_pairs(grid, sid[:3], _bandlimited_density(grid).values)
         return float(np.max(np.abs(out)))
     if sid.startswith("basic-int"):
         return basic_integral(grid, study.k_pow, study.alpha_int)
@@ -182,9 +186,7 @@ def _measure(study, spec, eps):
     if sid == "RS-holder-group":
         # C^{0,alpha} size of (R_S2 + R_S3) on a unit-C^{0,alpha} density
         phi = _bandlimited_density(grid)
-        mat = dense_RS_kernel(grid, 2) + dense_RS_kernel(grid, 3)
-        out = GridFunction((mat @ phi.values.reshape(-1))
-                           .reshape(phi.values.shape))
+        out = GridFunction(apply_pairs(grid, "RS2+RS3", phi.values))
         return (holder_norm(out, study.alpha, grid.epsilon)
                 / holder_norm(phi, study.alpha, grid.epsilon))
     if sid == "Rd-eps-group":
@@ -192,8 +194,7 @@ def _measure(study, spec, eps):
         res = SlenderBodySolver(grid, "split").dtn(GridFunction(v))
         w = res.w
         w_p0 = w.project_zero_s_mean()
-        mat23 = dense_RS_kernel(grid, 2) + dense_RS_kernel(grid, 3)
-        out23 = (mat23 @ w_p0.values.reshape(-1)).reshape(w.values.shape)
+        out23 = apply_pairs(grid, "RS2+RS3", w_p0.values)
         t_rs = -apply_m_S_inv_P0(
             grid, theta_integral(grid, GridFunction(out23), "eps")).values
         h_eps, _ = mean_in_s_split(grid, w.s_mean())
@@ -203,11 +204,7 @@ def _measure(study, spec, eps):
         return holder_norm(GridFunction(total), study.alpha, grid.epsilon)
     if sid == "RD-deriv":
         # sup |d_s (R_D psi)| across eps; target slope >= -gamma+ (report)
-        phi = _bandlimited_density(grid)
-        rd = (-dense_tail(grid, "D") + dense_RD_kernel(grid, 1)
-              + dense_RD_kernel(grid, 2))
-        out = (rd @ phi.values.reshape(-1)).reshape(phi.values.shape)
-        from .grid import spectral_s_derivative
+        out = apply_pairs(grid, "RD", _bandlimited_density(grid).values)
         return float(np.max(np.abs(spectral_s_derivative(out))))
     raise ValueError(f"unknown study '{sid}'")
 
@@ -237,6 +234,9 @@ STUDY_PRESETS = {
 # circle (S[h(theta)] has no s-dependence there), so they default to the
 # perturbed circle; same for the solver-based remainder group
 _NEEDS_ASYMMETRY = {"Heps", "Hplus", "Rd-eps-group", "RD-deriv"}
+# studies that solve with the dense split pair, so stay under DENSE_NODE_CAP;
+# the others apply their kernels matrix-free (basic-int sums one row of pairs)
+SOLVE_STUDIES = {"Rd-eps-group"}
 
 
 def make_study(study_id, curve_config=None, epsilons=None, **overrides):
@@ -262,6 +262,18 @@ def make_study(study_id, curve_config=None, epsilons=None, **overrides):
         **cfg)
     if study_id == "basic-int-k2-a05":
         st.k_pow, st.alpha_int = 2, 0.5
+    if not all(math.isfinite(e) and e > 0.0 for e in st.epsilons):
+        raise ValueError(f"eps must be positive and finite, got {st.epsilons}")
+    if len(set(st.epsilons)) < 2:
+        raise ValueError(f"a slope needs at least 2 distinct eps, got "
+                         f"{st.epsilons}")
+    if st.solves:
+        n_nodes = max(st.grid_ns(e) for e in st.epsilons) * st.n_theta
+        if n_nodes > DENSE_NODE_CAP:
+            raise AssemblyError(
+                f"{study_id} solves with dense operators, capped at "
+                f"{DENSE_NODE_CAP} nodes; eps {min(st.epsilons):g} needs "
+                f"{n_nodes} nodes")
     return st
 
 

@@ -43,6 +43,8 @@ def _parse_eps_list(text):
         tok = tok.strip()
         if "/" in tok:
             num, den = tok.split("/")
+            if float(den) == 0.0:
+                raise ValueError(f"eps '{tok}' divides by zero")
             out.append(float(num) / float(den))
         else:
             out.append(float(tok))
@@ -63,11 +65,17 @@ def _build_spec(args, n_frame=128):
     return geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=args.epsilon)
 
 
-def _dry_run_report(args, n_s, n_theta, n_systems=1):
+def _dry_run_report(args, n_s, n_theta, n_systems=1, dense=True):
     n = n_s * n_theta
-    mem = n * n * 8 / 1e9
-    print(f"dry run: grid {n_s} x {n_theta} ({n} nodes), "
-          f"~{mem:.2f} GB per dense operator, {n_systems} system(s)")
+    if dense:
+        size = f"~{n * n * 8 / 1e9:.2f} GB per dense operator"
+    else:
+        from .kernels import default_chunk_rows
+        rows = default_chunk_rows(n)
+        size = (f"matrix-free, ~{rows * n * 8 / 1e6:.2f} MB per row-chunk "
+                f"field ({rows} x {n} pairs)")
+    print(f"dry run: grid {n_s} x {n_theta} ({n} nodes), {size}, "
+          f"{n_systems} system(s)")
     return 0
 
 
@@ -275,7 +283,8 @@ def cmd_scaling(args):
                        curve_config=_curve_config(args) if args.curve else None)
     if args.dry_run:
         ns = max(study.grid_ns(e) for e in study.epsilons)
-        return _dry_run_report(args, ns, study.n_theta, len(study.epsilons))
+        return _dry_run_report(args, ns, study.n_theta, len(study.epsilons),
+                               dense=study.solves)
     rep = run_scaling_study(study)
     outdir = Path(args.out or ".")
     _write_csv(outdir / f"{args.study}.csv", ("epsilon", "value", "norm"),

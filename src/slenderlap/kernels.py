@@ -29,8 +29,18 @@ import numpy as np
 
 from .geometry import surface_point
 from .grid import SurfaceGrid, periodic_rep_s, periodic_rep_theta
+from .spectral import offset_windows
 
 FOURPI = 4.0 * math.pi
+# pair sweeps go in row chunks of about this many pairs: one float field of a
+# chunk (512 KB) then stays in a core's L2 cache, and the transients of a
+# sweep add little to the peak RSS of the dense solves that follow it
+CHUNK_PAIRS = 1 << 16
+
+
+def default_chunk_rows(n_nodes):
+    """Target rows per pair-sweep chunk: about CHUNK_PAIRS pairs."""
+    return max(1, CHUNK_PAIRS // n_nodes)
 
 
 class SingularPointError(ValueError):
@@ -102,17 +112,17 @@ def kernel_Rt_pieces(p):
 class PairGeometry:
     """Row-chunked pairwise geometry over all (target, source) node pairs.
 
-    Chunks iterate over flattened target indices; every chunk exposes arrays
-    of shape (chunk, N) or (chunk, N, 3) against all N sources.
+    Chunks iterate over flattened target indices, chunk_rows at a time
+    (default_chunk_rows by default); every field of a chunk is an array of
+    shape (chunk, N) against all N sources.
     """
 
-    def __init__(self, grid: SurfaceGrid, chunk_rows=256):
+    def __init__(self, grid: SurfaceGrid, chunk_rows=None, templates=None):
         self.grid = grid
-        self.chunk_rows = chunk_rows
+        self.chunk_rows = chunk_rows or default_chunk_rows(grid.n_nodes)
         g = grid
         self.P = g.flat_positions()
         self.NRM = g.flat_normals()
-        self.J = g.flat_jacobian()
         self.KH = g.khat.reshape(-1)
         n = g.n_nodes
         self.i_s = np.arange(n) // g.n_theta
@@ -121,58 +131,80 @@ class PairGeometry:
         self.ds_template = ds
         self.dt_template = dt
         self.eps = g.epsilon
+        # positions and normals one component per row, and eps n_src as
+        # (3, n_s, n_theta) for R_t
+        self._pt = np.ascontiguousarray(self.P.T)
+        self._nt = np.ascontiguousarray(self.NRM.T)
+        self._eps_n = (self.eps * self._nt).reshape(3, g.n_s, g.n_theta)
+        sh, th = np.meshgrid(ds, dt, indexing="ij")
+        self._templates = {
+            "shat": sh, "that": th,
+            "absRbar": np.sqrt(sh ** 2
+                               + (2.0 * self.eps * np.sin(0.5 * th)) ** 2),
+            **(templates or {})}
+        self._tables = {}
 
     def chunks(self):
         n = self.grid.n_nodes
         for lo in range(0, n, self.chunk_rows):
             yield lo, min(lo + self.chunk_rows, n)
 
-    def fields(self, lo, hi, need=("R",)):
-        """Compute requested pair fields for target rows [lo, hi).
+    def gather(self, name, lo, hi):
+        """Offset template `name` at the pairs of rows [lo, hi), a copy."""
+        g = self.grid
+        if name not in self._tables:
+            self._tables[name] = offset_windows(self._templates[name])
+        start = (g.n_s - self.i_s[lo:hi]) * g.n_theta
+        return self._tables[name][self.i_t[lo:hi], start]
 
-        "R" gives the (chunk, N, 3) displacement and |R|; "Rn" gives |R| and
-        R . n_src component by component, without the (chunk, N, 3) array.
+    def fields(self, lo, hi, need=("absR",)):
+        """Compute the requested pair fields for target rows [lo, hi).
+
+        "shat", "that": periodic offsets; "absRbar": |R-bar|; these three,
+        and any name in the templates given at construction, are gathered
+        from (n_s, n_theta) offset templates.  "diag": the target's column.
+        "absR": |R|; "Rn": R . n_src (with |R|); "absRt": |R_t|;
+        "absReven": |R_even|.  Only the requested fields are built, and |R|,
+        R . n_src and |R_t| go component by component, with no (chunk, N, 3)
+        temporary.
         """
         g = self.grid
-        rows = np.arange(lo, hi)
         out = {}
-        # offsets vary along one source axis each: gather per axis, then
-        # broadcast to (chunk, n_s, n_theta)
-        shape = (hi - lo, g.n_s, g.n_theta)
-        d_s_idx = (self.i_s[rows][:, None] - np.arange(g.n_s)) % g.n_s
-        d_t_idx = (self.i_t[rows][:, None] - np.arange(g.n_theta)) % g.n_theta
-        shat = np.broadcast_to(self.ds_template[d_s_idx][:, :, None],
-                               shape).reshape(hi - lo, -1)
-        that = np.broadcast_to(self.dt_template[d_t_idx][:, None, :],
-                               shape).reshape(hi - lo, -1)
-        out["shat"], out["that"] = shat, that
-        out["diag"] = np.zeros(shat.shape, dtype=bool)
-        out["diag"][rows - lo, rows] = True
-        if "absRbar" in need or "Rt" in need or "Reven" in need:
-            out["absRbar"] = np.sqrt(
-                shat ** 2 + (2.0 * self.eps * np.sin(0.5 * that)) ** 2)
-        if "R" in need or "Rt" in need:
-            diff = self.P[rows][:, None, :] - self.P[None, :, :]
-            out["R"] = diff
-            out["absR"] = np.sqrt(np.sum(diff * diff, axis=2))
-        if "Rn" in need:
+        for name in need:
+            if name in self._templates:
+                out[name] = self.gather(name, lo, hi)
+        if "diag" in need:
+            out["diag"] = np.zeros((hi - lo, g.n_nodes), dtype=bool)
+            out["diag"][np.arange(hi - lo), np.arange(lo, hi)] = True
+        if "absR" in need or "Rn" in need:
             r2 = rn = 0.0
-            for p, nrm in zip(self.P.T, self.NRM.T):
-                d = p[lo:hi, None] - p[None, :]
-                rn = rn + d * nrm
-                r2 = r2 + d * d
-            out["absR"] = np.sqrt(r2)
-            out["Rn"] = rn
-        if "Rt" in need:
-            e_t = g.e_t[self.i_s[rows]]
-            e_r_t = g.normals.reshape(-1, 3)[rows]
-            rt = (shat[:, :, None] * e_t[:, None, :]
-                  + self.eps * (e_r_t[:, None, :] - self.NRM[None, :, :]))
-            out["absRt"] = np.sqrt(np.sum(rt * rt, axis=2))
-        if "Reven" in need:
-            q0 = (-2.0 * self.KH[rows] + self.eps * self.KH[rows] ** 2
+            for p, nrm in zip(self._pt, self._nt):
+                d = p[lo:hi, None] - p
+                if "Rn" in need:
+                    rn += d * nrm
+                r2 += np.square(d, out=d)
+            out["absR"] = np.sqrt(r2, out=r2)
+            if "Rn" in need:
+                out["Rn"] = rn
+        if "absRt" in need:
+            # R_t = (s-hat e_t(s) + eps e_r(s, theta)) - eps n_src
+            shat = self.ds_template[(self.i_s[lo:hi, None]
+                                     - np.arange(g.n_s)) % g.n_s]
+            e_t = g.e_t[self.i_s[lo:hi]]
+            rt2 = 0.0
+            for k in range(3):
+                near = (shat * e_t[:, k, None]
+                        + self.eps * self.NRM[lo:hi, k, None])
+                c = near[:, :, None] - self._eps_n[k]
+                rt2 += np.square(c, out=c)
+            out["absRt"] = np.sqrt(rt2, out=rt2).reshape(hi - lo, -1)
+        if "absReven" in need:
+            shat = self.gather("shat", lo, hi)
+            that = self.gather("that", lo, hi)
+            absrbar = self.gather("absRbar", lo, hi)
+            q0 = (-2.0 * self.KH[lo:hi] + self.eps * self.KH[lo:hi] ** 2
                   + self.eps * g.kappa3 ** 2)
-            r2 = (out["absRbar"] ** 2 + self.eps * shat ** 2 * q0[:, None]
+            r2 = (absrbar ** 2 + self.eps * shat ** 2 * q0[:, None]
                   + g.kappa3 * self.eps ** 2 * shat * np.sin(that))
             out["absReven"] = np.sqrt(np.maximum(r2, 0.0))
         return out
@@ -198,7 +230,7 @@ def check_geometric_inequalities(grid: SurfaceGrid):
     viol_iii = 0
     worst_iii = None
     for lo, hi in pg.chunks():
-        f = pg.fields(lo, hi, need=("R", "absRbar"))
+        f = pg.fields(lo, hi, need=("absR", "absRbar", "shat", "that", "diag"))
         mask = ~f["diag"]
         absR, absRbar = f["absR"], f["absRbar"]
         shat, that = f["shat"], f["that"]
@@ -241,7 +273,7 @@ def oddness_residual(grid: SurfaceGrid, n_pow, m_pow, target=(0, 0)):
     pg = PairGeometry(grid)
     i_s, i_t = target
     lo = i_s * grid.n_theta + i_t
-    f = pg.fields(lo, lo + 1, need=("Reven", "absRbar"))
+    f = pg.fields(lo, lo + 1, need=("absReven", "shat", "that", "diag"))
     shat, that = f["shat"][0], f["that"][0]
     reven = f["absReven"][0]
     mask = ~f["diag"][0]
@@ -256,8 +288,8 @@ def basic_integral(grid: SurfaceGrid, k_pow, alpha, target=(0, 0), use_straight=
     pg = PairGeometry(grid)
     i_s, i_t = target
     lo = i_s * grid.n_theta + i_t
-    need = ("absRbar",) if use_straight else ("R",)
-    f = pg.fields(lo, lo + 1, need=need)
+    need = ("absRbar",) if use_straight else ("absR",)
+    f = pg.fields(lo, lo + 1, need=need + ("diag",))
     r = f["absRbar"][0] if use_straight else f["absR"][0]
     mask = ~f["diag"][0]
     with np.errstate(divide="ignore"):

@@ -34,10 +34,9 @@ assemble_pair fills in one pair sweep.  They differ only in what is added:
            psi = phi J/eps, S_h phi = (m_S + (G - G-bar) - Tail) P0 psi
            + G P_mean psi: the s-mean goes through the curved kernel alone.
 
-The remainder pieces of the curved-minus-straight operators are also built
-one dense matrix at a time (dense_tail, dense_RS_kernel, dense_RD_kernel),
-with plain eps weight, matching the operator identity R_S = S - Sbar piece
-by piece:
+The remainder pieces of the curved-minus-straight operators are pair
+kernels with plain eps weight, matching the operator identity R_S = S - Sbar
+piece by piece:
 
     R_S0 = -(straight tail),            zero-s-mean densities only
     R_S1 = (1/4pi) (1/|R| - 1/|R_t|) eps
@@ -48,8 +47,14 @@ by piece:
     R_D2 = -K_D eps^2 khat(source)
 
 so that S = Sbar + sum R_Sj on zero-s-mean densities and D = Dbar + sum R_Dj.
-dense_single_layer_direct and dense_double_layer_direct build G_J and K_J
-one matrix at a time, the oracle of the pair sweep.
+The scaling studies apply them matrix-free: apply_pairs sums a kernel (or a
+fused sum of pieces, one evaluation per pair) against one or more densities
+row chunk by row chunk, and is bound by memory per chunk, not by
+DENSE_NODE_CAP.  Only the dense operators, which the solves need, are
+capped.  dense_RS_kernel, dense_RD_kernel and dense_tail build the same
+pieces one dense matrix each, and dense_single_layer_direct and
+dense_double_layer_direct build G_J and K_J: the oracles of apply_pairs and
+of the pair sweep.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ from .spectral import circulant_from_template as _circulant_from_template
 TAIL_IMAGES = 20
 # dense matrices capped at DENSE_NODE_CAP^2 entries; the split pair holds two
 # of them (plus one row chunk of temporaries) and has to fit in a small-memory
-# environment
+# environment.  Matrix-free applies (apply_pairs) are not capped.
 DENSE_NODE_CAP = 4096
 # lattice-sum terms in K_nu(x) are dropped once x exceeds this (K_nu < 1e-18)
 BESSEL_CUTOFF = 40.0
@@ -103,46 +108,100 @@ def _check_dense_cap(grid):
             f"got {grid.n_nodes}")
 
 
-# kernel matrices -------------------------------------------------------------
+# pair kernels ----------------------------------------------------------------
 
-def _dense_from_pairs(grid, entry_fn, weight, need=("R",)):
-    """Assemble sum_a ker[i,a] * weight[a] * node_weight, punctured diagonal."""
+def _pair_kernel(grid, name):
+    """(fn, need, templates) of a named punctured pair kernel, 1/4pi included.
+
+    fn maps the pair fields of one row chunk (the names in need, plus the
+    (n_s, n_theta) offset templates, gathered) to the kernel values; the
+    caller zeroes the diagonal and applies the source weight.  "G" is 1/|R|
+    and "KD" is R . n_src/|R|^3; "RS1".."RS3", "RD1" and "RD2" are the
+    remainder pieces of the module docstring without their weight eps;
+    "RS2+RS3" is the sum of two of them in one kernel, and "RD" is
+    K_D J/eps - K_D-bar - tail = R_D0 + R_D1 + R_D2, its straight part
+    gathered from one straight_template.
+    """
+    eps = grid.epsilon
+    eps_kh = eps * grid.khat.reshape(-1) / FOURPI  # R_S3's source factor
+    kernels = {
+        "G": (lambda f: 1.0 / (FOURPI * f["absR"]), ("absR",)),
+        "KD": (lambda f: f["Rn"] / (FOURPI * f["absR"] ** 3), ("Rn",)),
+        "RS1": (lambda f: (1.0 / f["absR"] - 1.0 / f["absRt"]) / FOURPI,
+                ("absR", "absRt")),
+        "RS2": (lambda f: (1.0 / f["absRt"] - 1.0 / f["absRbar"]) / FOURPI,
+                ("absRt", "absRbar")),
+        "RS3": (lambda f: -eps_kh / f["absR"], ("absR",)),
+        "RS2+RS3": (lambda f: ((1.0 / f["absRt"] - 1.0 / f["absRbar"]) / FOURPI
+                               - eps_kh / f["absR"]),
+                    ("absR", "absRt", "absRbar")),
+        "RD1": (lambda f: (f["Rn"] / f["absR"] ** 3 + 2.0 * eps
+                           * np.sin(0.5 * f["that"]) ** 2 / f["absRbar"] ** 3)
+                / FOURPI, ("Rn", "that", "absRbar")),
+        "RD2": (lambda f: -f["Rn"] / f["absR"] ** 3 * eps_kh, ("Rn",)),
+    }
+    if name == "RD":
+        j_eps = grid.flat_jacobian() / (FOURPI * eps)
+        straight = straight_template(grid, "D", central=True) / (
+            eps * grid.node_weight)
+        return (lambda f: f["Rn"] / f["absR"] ** 3 * j_eps - f["straight_D"],
+                ("Rn", "straight_D"), {"straight_D": straight})
+    if name not in kernels:
+        raise ValueError(f"unknown pair kernel '{name}'")
+    return kernels[name] + ({},)
+
+
+def _pair_rows(grid, name):
+    """Yield (lo, hi, kernel rows) of a pair kernel, diagonal zeroed."""
+    fn, need, templates = _pair_kernel(grid, name)
+    pg = PairGeometry(grid, templates=templates)
+    for lo, hi in pg.chunks():
+        f = pg.fields(lo, hi, need)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ker = fn(f)
+        ker[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        yield lo, hi, ker
+
+
+def apply_pairs(grid, name, x):
+    """sum_a ker[i, a] eps w x[a] of a pair kernel, matrix-free.
+
+    x holds one density, (n_s, n_theta), or k of them, (n_s, n_theta, k),
+    and w is the node weight.  The sweep evaluates the kernel once per pair
+    for all k columns, one row chunk at a time, and never stores an N x N
+    array, so it is not bound by DENSE_NODE_CAP.
+    """
+    n = grid.n_nodes
+    x = np.asarray(x, float)
+    xw = x.reshape(n, -1) * (grid.epsilon * grid.node_weight)
+    out = np.empty_like(xw)
+    for lo, hi, ker in _pair_rows(grid, name):
+        np.matmul(ker, xw, out=out[lo:hi])
+    return out.reshape(x.shape)
+
+
+def _dense_from_pairs(grid, name, weight):
+    """Dense ker[i, a] weight[a] w of a pair kernel: apply_pairs' oracle."""
     _check_dense_cap(grid)
-    pg = PairGeometry(grid)
     n = grid.n_nodes
     out = np.empty((n, n))
-    w_src = weight.reshape(-1) * grid.node_weight
-    for lo, hi in pg.chunks():
-        f = pg.fields(lo, hi, need=need)
-        ker = entry_fn(f, pg, lo, hi)
-        ker[f["diag"]] = 0.0
-        out[lo:hi] = ker * w_src[None, :]
+    w_src = np.reshape(weight, -1) * grid.node_weight
+    for lo, hi, ker in _pair_rows(grid, name):
+        np.multiply(ker, w_src, out=out[lo:hi])
     return out
 
 
-# the one-matrix punctured trapezoids; perfbench/tracer.py also wraps them
+# the one-matrix punctured trapezoids and remainder pieces: oracles of
+# assemble_pair and apply_pairs in tests/; perfbench/tracer.py wraps them
 def dense_single_layer_direct(grid, weight="jacobian"):
     """Punctured trapezoid of G times J (or times eps for weight='eps')."""
-    w = grid.jacobian if weight == "jacobian" else np.full(
-        (grid.n_s, grid.n_theta), grid.epsilon)
-
-    def entry(f, pg, lo, hi):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(f["diag"], 0.0, 1.0 / (FOURPI * f["absR"]))
-
-    return _dense_from_pairs(grid, entry, weight=w, need=("R",))
+    return _dense_from_pairs(grid, "G", grid.jacobian if weight == "jacobian"
+                             else grid.epsilon)
 
 
 def dense_double_layer_direct(grid, weight="jacobian"):
-    w = grid.jacobian if weight == "jacobian" else np.full(
-        (grid.n_s, grid.n_theta), grid.epsilon)
-
-    def entry(f, pg, lo, hi):
-        rn = np.einsum("ijk,jk->ij", f["R"], pg.NRM)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(f["diag"], 0.0, rn / (FOURPI * f["absR"] ** 3))
-
-    return _dense_from_pairs(grid, entry, weight=w, need=("R",))
+    return _dense_from_pairs(grid, "KD", grid.jacobian if weight == "jacobian"
+                             else grid.epsilon)
 
 
 def straight_template(grid, kind, n_images=TAIL_IMAGES, central=False):
@@ -192,52 +251,16 @@ def dense_spectral(grid, symbol_name):
 
 def dense_RS_kernel(grid, which):
     """Single-layer remainder pieces R_S1, R_S2, R_S3 (weight eps)."""
-    if which == 1:
-        def entry(f, pg, lo, hi):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(f["diag"], 0.0,
-                                (1.0 / f["absR"] - 1.0 / f["absRt"]) / FOURPI)
-        need = ("R", "Rt")
-    elif which == 2:
-        def entry(f, pg, lo, hi):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(f["diag"], 0.0,
-                                (1.0 / f["absRt"] - 1.0 / f["absRbar"]) / FOURPI)
-        need = ("R", "Rt", "absRbar")
-    elif which == 3:
-        def entry(f, pg, lo, hi):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ker = np.where(f["diag"], 0.0, 1.0 / (FOURPI * f["absR"]))
-            return -ker * (grid.epsilon * pg.KH)[None, :]
-        need = ("R",)
-    else:
+    if which not in (1, 2, 3):
         raise ValueError(which)
-    eps_w = np.full((grid.n_s, grid.n_theta), grid.epsilon)
-    return _dense_from_pairs(grid, entry, weight=eps_w, need=need)
+    return _dense_from_pairs(grid, f"RS{which}", grid.epsilon)
 
 
 def dense_RD_kernel(grid, which):
-    """Double-layer remainder pieces R_D1 (weight eps), R_D2."""
-    if which == 1:
-        def entry(f, pg, lo, hi):
-            rn = np.einsum("ijk,jk->ij", f["R"], pg.NRM)
-            kd_bar = (-2.0 * grid.epsilon * np.sin(0.5 * f["that"]) ** 2
-                      / (FOURPI * np.where(f["diag"], np.inf, f["absRbar"]) ** 3))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                kd = np.where(f["diag"], 0.0, rn / (FOURPI * f["absR"] ** 3))
-            return kd - kd_bar
-        need = ("R", "absRbar")
-    elif which == 2:
-        def entry(f, pg, lo, hi):
-            rn = np.einsum("ijk,jk->ij", f["R"], pg.NRM)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                kd = np.where(f["diag"], 0.0, rn / (FOURPI * f["absR"] ** 3))
-            return -kd * (grid.epsilon * pg.KH)[None, :]
-        need = ("R",)
-    else:
+    """Double-layer remainder pieces R_D1, R_D2 (weight eps)."""
+    if which not in (1, 2):
         raise ValueError(which)
-    eps_w = np.full((grid.n_s, grid.n_theta), grid.epsilon)
-    return _dense_from_pairs(grid, entry, weight=eps_w, need=need)
+    return _dense_from_pairs(grid, f"RD{which}", grid.epsilon)
 
 
 def dense_centerline_correction(grid):
@@ -367,26 +390,27 @@ def assemble_pair(grid, backend="direct"):
     n, n_t = grid.n_nodes, grid.n_theta
     w_src = grid.flat_jacobian() * (grid.node_weight / FOURPI)
     split = backend == "split"
+    templates = {}
     if split:
         tabs = {k: FourierSymbol(k, grid.epsilon).table(grid.n_s, n_t)
                 for k in ("m_S", "m_D")}
         t_s = symbol_template(tabs["m_S"]) - straight_template(grid, "S", central=True)
         t_s -= t_s.mean(axis=0)  # P0 on the S template
         t_d = symbol_template(tabs["m_D"]) - straight_template(grid, "D", central=True)
+        templates = {"C_S": t_s, "C_D": t_d}  # rows of C_S, C_D are gathered
         col = grid.flat_jacobian() / grid.epsilon
     s_mat, d_mat = np.empty((n, n)), np.empty((n, n))
-    # chunks of whole s-rows, as the circulant row blocks require
-    pg = PairGeometry(grid, chunk_rows=n_t * max(1, 256 // n_t))
+    pg = PairGeometry(grid, templates=templates)
     for lo, hi in pg.chunks():
-        f = pg.fields(lo, hi, need=("Rn",))
+        f = pg.fields(lo, hi, need=("Rn",) + tuple(templates))
         with np.errstate(divide="ignore"):
             inv_r = 1.0 / f["absR"]
         inv_r[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
         g_j = np.multiply(inv_r, w_src, out=s_mat[lo:hi])
         k_j = np.multiply(f["Rn"] * (inv_r * inv_r), g_j, out=d_mat[lo:hi])
         if split:
-            g_j += _circulant_from_template(t_s, lo, hi) * col
-            k_j += _circulant_from_template(t_d, lo, hi) * col
+            g_j += f["C_S"] * col
+            k_j += f["C_D"] * col
     if split:
         parts = [{k: tabs[k]} for k in ("m_S", "m_D")]
     else:
@@ -461,13 +485,12 @@ def mean_in_s_split(grid, h_profile):
     frequency.  The k = 0 mode carries no information here (Sbar^{-1} is
     undefined there) and is projected out.
     """
-    ext = extend_theta_profile(grid, h_profile)
-    g_eps = dense_single_layer_direct(grid, weight="eps")
-    a1 = GridFunction((g_eps @ ext.values.reshape(-1)).reshape(ext.values.shape))
-    h1 = theta_integral(grid, a1, weight="eps")
-    rs3 = dense_RS_kernel(grid, 3)
-    a2 = GridFunction((rs3 @ ext.values.reshape(-1)).reshape(ext.values.shape))
-    h2 = theta_integral(grid, a2, weight="eps")
+    ext = extend_theta_profile(grid, h_profile).values
+    # G at weight eps on ext, and R_S3 on ext as G on -eps khat ext: one sweep
+    a = apply_pairs(grid, "G", np.stack([ext, -grid.epsilon * grid.khat * ext],
+                                        axis=-1))
+    h1 = theta_integral(grid, a[..., 0], weight="eps")
+    h2 = theta_integral(grid, a[..., 1], weight="eps")
 
     k = np.fft.fftfreq(grid.n_s, d=1.0 / grid.n_s)
     kc = 1.0 / (2.0 * math.pi * grid.epsilon)

@@ -243,32 +243,38 @@ def apply_straight_operator(symbol, f, project_zero_s_mean=False):
     return out
 
 
-def circulant_from_template(t, lo=0, hi=None):
-    """Rows [lo, hi) of the dense matrix of a discrete convolution.
+def offset_windows(t):
+    """Window table of an offset template: one row of its circulant per window.
 
     The template t(ds) or t(ds, dt) is indexed by the periodic node-index
-    offset between target and source; the matrix acts on row-major
-    flattened samples.  lo and hi default to all rows and must hold whole
-    s-rows (multiples of n_theta), so a row chunk is built without the full
-    matrix.  Every row is a contiguous window of a doubled, s-reversed
-    template stack, so the build is a strided copy and not an index gather.
+    offset between target and source, on row-major flattened samples.  The
+    table holds t((-q) mod n_s, (i_t - j_t) mod n_t) at [i_t, q n_t + j_t],
+    q < 2 n_s, so the circulant row of target (i_s, i_t) is the contiguous
+    window [i_t, (n_s - i_s) n_t]: a row is a copy, not an index gather.
     """
     t2 = t[:, None] if t.ndim == 1 else t
     n_s, n_t = t2.shape
+    q = (-np.arange(2 * n_s)) % n_s
+    j = np.arange(n_t)
+    stack = t2[q[None, :, None], (j[:, None, None] - j) % n_t]
+    return np.lib.stride_tricks.sliding_window_view(
+        stack.reshape(n_t, -1), n_s * n_t, axis=1)
+
+
+def circulant_from_template(t, lo=0, hi=None):
+    """Rows [lo, hi) of the dense matrix of a discrete convolution.
+
+    The template is as in offset_windows.  lo and hi default to all rows and
+    must hold whole s-rows (multiples of n_theta), so a row chunk is built
+    without the full matrix.
+    """
+    n_s = t.shape[0]
+    n_t = 1 if t.ndim == 1 else t.shape[1]
     hi = n_s * n_t if hi is None else hi
     if lo % n_t or hi % n_t:
         raise ValueError("row range must hold whole s-rows")
-    s_lo, s_hi = lo // n_t, hi // n_t
-    # stack[i_t, q, j_t] = t((-q) mod n_s, (i_t - j_t) mod n_t), q < 2 n_s:
-    # row (i_s, i_t) is stack[i_t, n_s - i_s : 2 n_s - i_s] flattened
-    idt = (np.arange(n_t)[:, None] - np.arange(n_t)[None, :]) % n_t
-    stack = t2[(-np.arange(2 * n_s)) % n_s][:, idt].transpose(1, 0, 2)
-    win = np.lib.stride_tricks.sliding_window_view(
-        np.ascontiguousarray(stack), n_s, axis=1)
-    block = win[:, n_s - s_lo:n_s - s_hi:-1].transpose(1, 0, 3, 2)
-    out = np.empty((hi - lo, n_s * n_t))
-    out.reshape(block.shape)[...] = block
-    return out
+    i_s, i_t = np.divmod(np.arange(lo, hi), n_t)
+    return offset_windows(t)[i_t, (n_s - i_s) * n_t]
 
 
 def symbol_template(table):

@@ -91,3 +91,22 @@ def test_rs_holder_group_short_ladder():
     rep = an.run_scaling_study(st)
     assert rep["pass"]
     assert rep["slope"] >= 1.45  # target 2 - alpha with alpha = 0.25
+
+
+def test_make_study_needs_a_ladder():
+    with pytest.raises(ValueError):
+        an.make_study("RS2-sup", epsilons=[1.0 / 32.0])
+    with pytest.raises(ValueError):
+        an.make_study("RS2-sup", epsilons=[1.0 / 32.0, 1.0 / 32.0])
+    with pytest.raises(ValueError):
+        an.make_study("RS2-sup", epsilons=[0.0, 1.0 / 32.0])
+
+
+def test_solve_study_over_the_cap_fails_before_its_first_eps():
+    from slenderlap.operators import AssemblyError
+    with pytest.raises(AssemblyError):
+        an.make_study("Rd-eps-group", epsilons=[2.0 ** -5, 2.0 ** -9])
+    # apply-only studies are not capped
+    st = an.make_study("RS-holder-group", epsilons=[2.0 ** -7, 2.0 ** -10])
+    assert not st.solves
+    assert an.make_study("Rd-eps-group").solves

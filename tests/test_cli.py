@@ -132,3 +132,25 @@ def test_scaling_csv_reproducible(tmp_path):
                    "--out", str(d)])
         assert rc == 0
     assert (d1 / "RS3-sup.csv").read_bytes() == (d2 / "RS3-sup.csv").read_bytes()
+
+
+def test_scaling_eps_errors(tmp_path, capsys):
+    for eps in ("1/0", "1/32", "0,1/32"):
+        rc = main(["scaling", "--study", "RS2-sup", "--eps", eps,
+                   "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1, eps
+        assert err.startswith("error:") and "Traceback" not in err, eps
+    assert not list(tmp_path.iterdir())
+
+
+def test_scaling_dry_run_sizes(capsys):
+    assert main(["scaling", "--study", "RS-holder-group", "--eps",
+                 "1/512,1/1024", "--dry-run"]) == 0
+    out = capsys.readouterr().out
+    assert "16384 nodes" in out and "matrix-free" in out and "GB" not in out
+    assert main(["scaling", "--study", "Rd-eps-group", "--dry-run"]) == 0
+    assert "GB per dense operator" in capsys.readouterr().out
+    assert main(["scaling", "--study", "Rd-eps-group", "--eps",
+                 "1/512,1/1024", "--dry-run"]) == 1
+    assert "capped" in capsys.readouterr().err

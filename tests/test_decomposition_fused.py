@@ -11,14 +11,8 @@ import numpy as np
 import pytest
 
 from slenderlap import analysis as an
-from slenderlap import geometry as geo
 from slenderlap import operators as op
-from slenderlap.grid import make_grid
 from slenderlap.spectral import FourierSymbol, GridFunction
-
-TREFOIL = {"cos": [[0, 0, 0], [0, 1, 0], [0, -2, 0], [0, 0, 0]],
-           "sin": [[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 0, -1]]}
-
 
 def _right_mul_smean(mat, n_s, n_t):
     """mat @ P_mean (column s-averaging)."""
@@ -40,20 +34,6 @@ def _piecewise(grid):
     d_mat += op.dense_RD_kernel(grid, 1)
     d_mat *= d_psi[None, :]
     return {"S": s_mat, "D": d_mat}
-
-
-@pytest.fixture(scope="module")
-def trefoil_grid():
-    cl = geo.build_centerline(TREFOIL)
-    fr = geo.build_frame(cl, 128)
-    assert abs(fr.kappa3) > 2.0  # the twisted-frame case
-    spec = geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=1.0 / 64.0)
-    return make_grid(spec, 64, 8)
-
-
-@pytest.fixture(scope="module")
-def perturbed_grid_small(perturbed_spec64):
-    return make_grid(perturbed_spec64, 64, 8)
 
 
 @pytest.mark.parametrize("grid_name", ["perturbed_grid_small", "trefoil_grid"])

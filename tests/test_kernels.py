@@ -53,11 +53,10 @@ def test_KD_minus_straight_bounded(circle_grid):
     pg = kn.PairGeometry(circle_grid)
     worst = 0.0
     for lo, hi in pg.chunks():
-        f = pg.fields(lo, hi, need=("R", "absRbar"))
+        f = pg.fields(lo, hi, need=("Rn", "absRbar", "that", "diag"))
         mask = ~f["diag"]
-        rn = np.einsum("ijk,jk->ij", f["R"], pg.NRM)
         with np.errstate(divide="ignore", invalid="ignore"):
-            kd = rn / (kn.FOURPI * f["absR"] ** 3)
+            kd = f["Rn"] / (kn.FOURPI * f["absR"] ** 3)
             kd_bar = (-2.0 * circle_grid.epsilon * np.sin(0.5 * f["that"]) ** 2
                       / (kn.FOURPI * f["absRbar"] ** 3))
             ratio = np.abs(kd - kd_bar) * f["absR"]
@@ -71,7 +70,7 @@ def test_G_minus_straight_bounded(perturbed_grid):
     pg = kn.PairGeometry(perturbed_grid)
     sups = {1: 0.0, 4: 0.0}
     for lo, hi in pg.chunks():
-        f = pg.fields(lo, hi, need=("R", "absRbar"))
+        f = pg.fields(lo, hi, need=("absR", "absRbar", "shat", "that"))
         dist = np.sqrt(f["shat"] ** 2
                        + (perturbed_grid.epsilon * f["that"]) ** 2)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -166,3 +165,37 @@ def test_geometric_inequalities_circle_eps128(circle_cl, circle_frame):
                            epsilon=1.0 / 128.0)
     rep = kn.check_geometric_inequalities(make_grid(spec, 128, 16))
     assert rep["pass"]
+
+
+def test_pair_fields_build_only_what_is_asked(trefoil_grid):
+    pg = kn.PairGeometry(trefoil_grid)
+    assert set(pg.fields(0, 8, need=("Rn",))) == {"Rn", "absR"}
+    assert set(pg.fields(0, 8, need=("absRt",))) == {"absRt"}
+
+
+def test_pair_fields_gather_offsets(trefoil_grid):
+    """Gathered offsets equal the periodic node differences, and the
+    componentwise |R|, R . n_src and |R_t| equal their vector forms."""
+    from slenderlap.grid import periodic_rep_s, periodic_rep_theta
+    g = trefoil_grid
+    pg = kn.PairGeometry(g, chunk_rows=37)  # chunks that split s-rows
+    s = np.repeat(g.s_nodes, g.n_theta)
+    th = np.tile(g.theta_nodes, g.n_s)
+    for lo, hi in pg.chunks():
+        f = pg.fields(lo, hi, need=("shat", "that", "absRbar", "Rn", "absRt"))
+        shat = periodic_rep_s(s[lo:hi, None] - s[None, :])
+        that = periodic_rep_theta(th[lo:hi, None] - th[None, :])
+        assert np.array_equal(f["shat"], shat)
+        assert np.allclose(f["that"], that, rtol=0, atol=1e-14)
+        rbar = np.sqrt(shat ** 2 + (2 * g.epsilon * np.sin(0.5 * that)) ** 2)
+        assert np.allclose(f["absRbar"], rbar, rtol=1e-14, atol=0)
+        diff = pg.P[lo:hi, None, :] - pg.P[None, :, :]
+        assert np.allclose(f["absR"], np.linalg.norm(diff, axis=2),
+                           rtol=1e-14, atol=0)
+        assert np.allclose(f["Rn"], np.einsum("ijk,jk->ij", diff, pg.NRM),
+                           rtol=0, atol=1e-16)
+        e_t = g.e_t[np.arange(lo, hi) // g.n_theta]
+        rt = (shat[:, :, None] * e_t[:, None, :] + g.epsilon
+              * (pg.NRM[lo:hi, None, :] - pg.NRM[None, :, :]))
+        assert np.allclose(f["absRt"], np.linalg.norm(rt, axis=2),
+                           rtol=1e-14, atol=0)

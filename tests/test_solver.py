@@ -13,8 +13,6 @@ from slenderlap.grid import make_grid
 from slenderlap.operators import extend_s_profile
 from slenderlap.spectral import FourierSymbol, GridFunction, symbol_m_eps
 
-from test_decomposition_fused import TREFOIL
-
 
 @pytest.fixture(scope="module")
 def circle_solver(circle_grid):
@@ -217,12 +215,8 @@ def _fresh_solver(grid):
 
 
 @pytest.fixture(scope="module")
-def oracle_grids(perturbed_spec64):
-    cl = geo.build_centerline(TREFOIL)
-    fr = geo.build_frame(cl, 128)
-    trefoil = geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=1.0 / 64.0)
-    return {"perturbed_circle": make_grid(perturbed_spec64, 64, 8),
-            "trefoil": make_grid(trefoil, 64, 8)}
+def oracle_grids(perturbed_grid_small, trefoil_grid):
+    return {"perturbed_circle": perturbed_grid_small, "trefoil": trefoil_grid}
 
 
 def _augmented_solve(solver, f):
