@@ -33,11 +33,10 @@ import numpy as np
 from . import geometry as geo
 from .grid import holder_norm, make_grid, spectral_s_derivative
 from .kernels import basic_integral
-from .operators import (DENSE_NODE_CAP, AssemblyError, apply_m_S_inv_P0,
-                        apply_pairs, assemble_pair, mean_in_s_split,
-                        theta_integral)
+from .operators import (DENSE_NODE_CAP, AssemblyError, apply_pairs,
+                        assemble_pair, mean_in_s_split, theta_integral)
 from .solver import SlenderBodySolver
-from .spectral import FourierSymbol, GridFunction
+from .spectral import FourierSymbol, GridFunction, apply_symbol
 
 
 def decomposition_operators(grid):
@@ -68,18 +67,17 @@ def decompose_dtn(grid, v, alpha=0.25, solver=None):
     def s_inv_theta_int(x):
         """Sbar^{-1} P0 int x eps dtheta (the m_S_inv table is 0 at k = 0)."""
         integ = theta_integral(grid, x.reshape(shape), weight="eps").values
-        return np.real(np.fft.ifft(m_s_inv * np.fft.fft(integ)))
-
-    def straight(tab, x):
-        return np.real(np.fft.ifft2(tab * np.fft.fft2(x))).reshape(-1)
+        return apply_symbol(m_s_inv, integ)
 
     ev = np.repeat(vv, grid.n_theta)
     w_p0 = w.project_zero_s_mean().values
     w_mean = np.tile(w.s_mean(), grid.n_s)
 
     term_main = solver.straight_dtn(vv).values
-    term_rd = -s_inv_theta_int(d_mat @ ev - straight(tab_d, ev.reshape(shape)))
-    term_rs = -s_inv_theta_int(s_mat @ w_p0.reshape(-1) - straight(tab_s, w_p0))
+    term_rd = -s_inv_theta_int(
+        d_mat @ ev - apply_symbol(tab_d, ev.reshape(shape)).ravel())
+    term_rs = -s_inv_theta_int(
+        s_mat @ w_p0.ravel() - apply_symbol(tab_s, w_p0).ravel())
     term_mean = -s_inv_theta_int(s_mat @ w_mean)
     term_flux = float(np.mean(np.sum(w.values, axis=1))
                       * grid.epsilon * 2.0 * math.pi / grid.n_theta)
@@ -195,8 +193,8 @@ def _measure(study, spec, eps):
         w = res.w
         w_p0 = w.project_zero_s_mean()
         out23 = apply_pairs(grid, "RS2+RS3", w_p0.values)
-        t_rs = -apply_m_S_inv_P0(
-            grid, theta_integral(grid, GridFunction(out23), "eps")).values
+        t_rs = -apply_symbol(FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s),
+                             theta_integral(grid, out23, "eps").values)
         h_eps, _ = mean_in_s_split(grid, w.s_mean())
         t_curv = -(grid.epsilon ** 2) * np.sum(
             w.values * grid.khat, axis=1) * (2.0 * math.pi / grid.n_theta)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -35,6 +36,14 @@ def _write_csv(path, header, rows):
         for row in rows:
             fh.write(",".join(_fmt(x) if isinstance(x, float) else str(x)
                              for x in row) + "\n")
+
+
+def _epsilon(text):
+    """argparse type of --epsilon: a positive finite float."""
+    eps = float(text)
+    if not math.isfinite(eps) or eps <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return eps
 
 
 def _parse_eps_list(text):
@@ -305,7 +314,7 @@ def _add_common(p, epsilon=True, grid=False):
     p.add_argument("--dry-run", action="store_true",
                    help="validate config, print planned sizes, do not compute")
     if epsilon:
-        p.add_argument("--epsilon", type=float, default=1.0 / 64.0)
+        p.add_argument("--epsilon", type=_epsilon, default=1.0 / 64.0)
     if grid:
         p.add_argument("--ns", type=int, default=128)
         p.add_argument("--ntheta", type=int, default=16)

@@ -218,17 +218,6 @@ class FrameField:
     def kappa_star(self):
         return float(np.max(self.kappa))
 
-    def kappa_star_holder(self, beta):
-        """Discrete beta-Hoelder seminorm of kappa(s); a lower bound of the
-        continuum seminorm (finite grid)."""
-        k = self.kappa
-        s = self.s_nodes
-        dk = np.abs(k[:, None] - k[None, :])
-        ds = np.abs(s[:, None] - s[None, :])
-        ds = np.minimum(ds, 1.0 - ds)
-        mask = ds > 0
-        return float(np.max(dk[mask] / ds[mask] ** beta))
-
 
 def build_centerline(curve_config, n_fine=4096):
     cos_c, sin_c = curve_from_config(curve_config)
@@ -331,8 +320,9 @@ class SurfaceSpec:
 
     def __post_init__(self):
         ks = self.frame.kappa_star
-        if self.epsilon <= 0:
-            raise GeometryError("epsilon must be positive")
+        if not math.isfinite(self.epsilon) or self.epsilon <= 0:
+            raise GeometryError(
+                f"epsilon must be positive and finite, got {self.epsilon}")
         if self.epsilon * ks >= 0.5:
             raise GeometryError(
                 f"epsilon too large: eps*kappa_* = {self.epsilon * ks:.3f} >= 1/2")

@@ -64,7 +64,6 @@ class SurfaceGrid:
         ct = np.cos(self.theta_nodes)[None, :, None]
         st = np.sin(self.theta_nodes)[None, :, None]
         self.e_r = ct * e_n1[:, None, :] + st * e_n2[:, None, :]
-        self.e_theta = -st * e_n1[:, None, :] + ct * e_n2[:, None, :]
         self.positions = self.X[:, None, :] + spec.epsilon * self.e_r
         self.normals = self.e_r
         self.khat = (k1[:, None] * np.cos(self.theta_nodes)[None, :]
@@ -91,14 +90,6 @@ class SurfaceGrid:
 
     def flat_jacobian(self):
         return self.jacobian.reshape(-1)
-
-    def surface_function(self, fn):
-        """Sample fn(s, theta) (broadcasting) on the grid."""
-        S, T = np.meshgrid(self.s_nodes, self.theta_nodes, indexing="ij")
-        return GridFunction(np.asarray(fn(S, T), float))
-
-    def s_function(self, fn):
-        return GridFunction(np.asarray(fn(self.s_nodes), float))
 
     def offset_templates(self):
         """(s-hat, theta-hat) periodic offsets indexed by node-index difference."""

@@ -68,8 +68,8 @@ from scipy.special import k0, k1
 from .grid import SurfaceGrid
 from .kernels import FOURPI, PairGeometry
 from .specfun import EULER_GAMMA
-from .spectral import (FourierSymbol, GridFunction, symbol_dense_matrix,
-                       symbol_template)
+from .spectral import (FourierSymbol, GridFunction, apply_symbol, s_modes,
+                       symbol_dense_matrix, symbol_template)
 from .spectral import circulant_from_template as _circulant_from_template
 
 TAIL_IMAGES = 20
@@ -466,16 +466,6 @@ def extend_s_profile(grid, profile):
     return GridFunction(np.tile(v[:, None], (1, grid.n_theta)))
 
 
-def apply_m_S_inv_P0(grid, s_values):
-    """m_S^{-1}(k) after removing the k = 0 mode, on the s-circle."""
-    vals = s_values.values if isinstance(s_values, GridFunction) \
-        else np.asarray(s_values)
-    tab = FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s)
-    vhat = np.fft.fft(vals)
-    vhat[0] = 0.0
-    return GridFunction(np.real(np.fft.ifft(tab * vhat)))
-
-
 def mean_in_s_split(grid, h_profile):
     """Split Sbar^{-1} int_0^{2pi} S[h(theta)] eps dtheta at |k| = 1/(2 pi eps).
 
@@ -492,13 +482,8 @@ def mean_in_s_split(grid, h_profile):
     h1 = theta_integral(grid, a[..., 0], weight="eps")
     h2 = theta_integral(grid, a[..., 1], weight="eps")
 
-    k = np.fft.fftfreq(grid.n_s, d=1.0 / grid.n_s)
-    kc = 1.0 / (2.0 * math.pi * grid.epsilon)
-    h1_hat = np.fft.fft(h1.values)
-    h2_hat = np.fft.fft(h2.values)
-    high = (np.abs(k) >= kc) & (k != 0)
-    low = (np.abs(k) < kc) & (k != 0)
-    tab = FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s)
-    h_eps = np.real(np.fft.ifft(tab * (h1_hat * high + h2_hat * (k != 0))))
-    h_plus = np.real(np.fft.ifft(tab * (h1_hat * low)))
+    high = np.abs(s_modes(grid.n_s)) >= 1.0 / (2.0 * math.pi * grid.epsilon)
+    tab = FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s)  # 0 at k = 0
+    h_eps = apply_symbol(tab * high, h1.values) + apply_symbol(tab, h2.values)
+    h_plus = apply_symbol(tab * ~high, h1.values)
     return GridFunction(h_eps), GridFunction(h_plus)

@@ -36,7 +36,7 @@ from .kernels import FOURPI
 from .operators import assemble_Dprime, assemble_pair
 # not called here: perfbench/tracer.py wraps them where solver binds them
 from .operators import assemble_D, assemble_S  # noqa: F401
-from .spectral import FourierSymbol, GridFunction
+from .spectral import FourierSymbol, GridFunction, apply_symbol
 
 COND_LIMIT = 1e12
 
@@ -180,7 +180,7 @@ class SlenderBodySolver:
         if tab is None:
             tab = FourierSymbol(name, self.grid.epsilon).table(self.grid.n_s)
             self._tables[name] = tab
-        return GridFunction(np.real(np.fft.ifft(tab * np.fft.fft(dd))))
+        return GridFunction(apply_symbol(tab, dd))
 
     def straight_dtn(self, v):
         """L-bar_eps^{-1} v by the Fourier multiplier (zero mode annihilated)."""

@@ -19,6 +19,9 @@ Symbols on the straight periodic cylinder of radius eps (w = 2 pi eps |k|):
 All kernels are even in both offsets, so every symbol is real and even and
 acts diagonally on complex exponentials; real input gives real output.
 
+Each formula lives in _symbol_row (one |k|, all l <= lmax); FourierSymbol
+builds its tables from one row per |k|, and apply_symbol applies them.
+
 The l != 0 double-layer coefficient here is half the printed source value:
 the printed ell != 0 branch is inconsistent with its own ell = 0 branch
 under K_{-1} = K_1 and with direct quadrature of the kernel, both of which
@@ -70,17 +73,6 @@ class GridFunction:
     def n_theta(self):
         return self.values.shape[1] if self.on_surface else None
 
-    def hat(self):
-        if self.on_surface:
-            return np.fft.fft2(self.values) / self.values.size
-        return np.fft.fft(self.values) / self.values.size
-
-    @classmethod
-    def from_hat(cls, fhat):
-        if fhat.ndim == 2:
-            return cls(np.fft.ifft2(fhat * fhat.size))
-        return cls(np.fft.ifft(fhat * fhat.size))
-
     def s_mean(self):
         """Mean over s (a theta-profile for surface functions)."""
         return np.mean(self.values, axis=0)
@@ -100,64 +92,61 @@ def theta_modes(n_theta):
 
 # symbol evaluation ---------------------------------------------------------
 
-def _ik_products(epsilon, k, lmax):
-    """I_l K_l and I_l (K_{l-1} + K_{l+1}) at w = 2 pi eps |k| for l <= lmax."""
-    w = 2.0 * math.pi * epsilon * abs(k)
-    iv = sf.bessel_I_seq(lmax + 1, w) * math.exp(-w)
-    kv = sf.bessel_K_seq_scaled(lmax + 1, w)
-    prod_ikk = iv[: lmax + 1] * kv[: lmax + 1]
-    sum_kk = np.empty(lmax + 1)
-    sum_kk[0] = 2.0 * kv[1] * iv[0]  # K_{-1} = K_1
-    for ell in range(1, lmax + 1):
-        sum_kk[ell] = iv[ell] * (kv[ell - 1] + kv[ell + 1])
-    return w, prod_ikk, sum_kk
+SYMBOLS = ("m_S", "m_D", "m_S_inv", "m_eps_inv", "m_eps")
+
+
+def _symbol_row(name, epsilon, xi, lmax=0):
+    """Symbol `name` at frequency |xi| for l = 0, ..., lmax; NaN where undefined.
+
+    m_S and m_D take one I/K sequence pair per |xi|.  The l = 0 symbols
+    (m_S_inv, m_eps_inv, m_eps) repeat one value for every l and use scaled
+    Bessel values with no argument cap, so any real xi works.  xi = 0 gets
+    the direct kernel integrals; m_S(0, 0) and m_S^{-1}(0) are undefined.
+    """
+    xi = abs(xi)
+    w = 2.0 * math.pi * epsilon * xi
+    if name == "m_S":
+        if xi == 0:
+            ells = np.arange(1, lmax + 1)
+            return np.concatenate(([np.nan], epsilon / (2.0 * ells)))
+        iv = sf.bessel_I_seq(lmax, w)
+        return epsilon * iv * math.exp(-w) * sf.bessel_K_seq_scaled(lmax, w)
+    if name == "m_D":
+        if xi == 0:
+            return np.concatenate(([-0.5], np.zeros(lmax)))
+        iv = sf.bessel_I_seq(lmax, w) * math.exp(-w)
+        kv = sf.bessel_K_seq_scaled(lmax + 1, w)
+        k_below = np.concatenate((kv[1:2], kv[:lmax]))  # K_{l-1}, K_{-1} = K_1
+        return 0.5 - 0.5 * w * iv * (k_below + kv[1:])
+    if xi == 0:
+        value = np.nan if name == "m_S_inv" else 0.0  # m_eps^{+-1} kill the mean
+    elif name == "m_S_inv":
+        value = 1.0 / (epsilon * sf.bessel_I_scaled(0, w) * sf.bessel_K_scaled(0, w))
+    else:
+        value = 4.0 * math.pi ** 2 * epsilon * xi * sf.bessel_ratio_K1K0(w)
+        if name == "m_eps":
+            value = 1.0 / value
+    return np.full(lmax + 1, value)
 
 
 def symbol_m_S(epsilon, k, ell):
-    ell = abs(int(ell))
-    k = abs(int(k))
-    if k == 0:
-        if ell == 0:
-            raise UndefinedModeError("m_S(0, 0) diverges; apply after P0")
-        return epsilon / (2.0 * ell)
-    w = 2.0 * math.pi * epsilon * k
-    return epsilon * sf.bessel_I(ell, w) * math.exp(-w) * sf.bessel_K_scaled(ell, w)
+    return FourierSymbol("m_S", epsilon).evaluate(k, ell)
 
 
 def symbol_m_S_inv(epsilon, k):
-    k = abs(int(k))
-    if k == 0:
-        raise UndefinedModeError("m_S^{-1}(0) is undefined; apply after P0")
-    w = 2.0 * math.pi * epsilon * k
-    return 1.0 / (epsilon * sf.bessel_I(0, w) * math.exp(-w) * sf.bessel_K_scaled(0, w))
+    return FourierSymbol("m_S_inv", epsilon).evaluate(k)
 
 
 def symbol_m_D(epsilon, k, ell):
-    ell = abs(int(ell))
-    k = abs(int(k))
-    if k == 0:
-        return -0.5 if ell == 0 else 0.0
-    w = 2.0 * math.pi * epsilon * k
-    iv = sf.bessel_I_seq(ell + 1, w) * math.exp(-w)
-    kv = sf.bessel_K_seq_scaled(ell + 1, w)
-    if ell == 0:
-        return 0.5 - w * iv[0] * kv[1]
-    return 0.5 - 0.5 * w * iv[ell] * (kv[ell - 1] + kv[ell + 1])
+    return FourierSymbol("m_D", epsilon).evaluate(k, ell)
 
 
 def symbol_m_eps_inv(epsilon, k):
-    k = abs(int(k))
-    if k == 0:
-        return 0.0
-    w = 2.0 * math.pi * epsilon * k
-    return 4.0 * math.pi ** 2 * epsilon * k * sf.bessel_ratio_K1K0(w)
+    return FourierSymbol("m_eps_inv", epsilon).evaluate(k)
 
 
 def symbol_m_eps(epsilon, k):
-    k = abs(int(k))
-    if k == 0:
-        return 0.0  # annihilates the mean; defined on zero-mean data
-    return 1.0 / symbol_m_eps_inv(epsilon, k)
+    return FourierSymbol("m_eps", epsilon).evaluate(k)
 
 
 @dataclass
@@ -167,42 +156,40 @@ class FourierSymbol:
     name: str
     epsilon: float
 
-    _FUNCS = {
-        "m_S": lambda eps, k, ell: symbol_m_S(eps, k, ell),
-        "m_D": lambda eps, k, ell: symbol_m_D(eps, k, ell),
-        "m_S_inv": lambda eps, k, ell: symbol_m_S_inv(eps, k),
-        "m_eps_inv": lambda eps, k, ell: symbol_m_eps_inv(eps, k),
-        "m_eps": lambda eps, k, ell: symbol_m_eps(eps, k),
-    }
-
     def __post_init__(self):
-        if self.name not in self._FUNCS:
+        if self.name not in SYMBOLS:
             raise ValueError(f"unknown symbol '{self.name}'")
 
     def evaluate(self, k, ell=0):
-        return self._FUNCS[self.name](self.epsilon, k, ell)
+        ell = abs(int(ell))
+        value = float(_symbol_row(self.name, self.epsilon, k, ell)[ell])
+        if math.isnan(value):
+            raise UndefinedModeError(
+                f"{self.name} is undefined at (k, l) = ({k}, {ell}); apply after P0")
+        return value
 
     def table(self, n_s, n_theta=None):
         """Symbol values on the discrete mode grid; undefined modes get 0.
 
-        Each |mode| is evaluated once.  A zero at an undefined mode is only
-        safe under a prior P0 projection; apply_straight_operator enforces
-        that.
+        One _symbol_row per |k|.  A zero at an undefined mode is only safe
+        under a prior P0 projection; apply_straight_operator enforces that.
         """
-        ks = s_modes(n_s)
-        ells = [0] if n_theta is None else theta_modes(n_theta)
-        out = np.empty((n_s, len(ells)))
-        cache = {}
-        for i, k in enumerate(ks):
-            for j, ell in enumerate(ells):
-                key = (abs(k), abs(ell))
-                if key not in cache:
-                    try:
-                        cache[key] = self.evaluate(k, ell)
-                    except UndefinedModeError:
-                        cache[key] = 0.0
-                out[i, j] = cache[key]
+        ells = np.abs(theta_modes(n_theta)) if n_theta else np.zeros(1, int)
+        rows = np.array([_symbol_row(self.name, self.epsilon, k, int(ells.max()))
+                         for k in range(n_s // 2 + 1)])
+        out = rows[np.abs(s_modes(n_s))][:, ells]
+        out[np.isnan(out)] = 0.0
         return out.reshape(n_s) if n_theta is None else out
+
+
+def apply_symbol(table, values):
+    """ifftn(table * fftn(values)): a diagonal symbol applied on the mode grid.
+
+    table has the shape of values (a FourierSymbol.table); real input gives
+    a real result.
+    """
+    out = np.fft.ifftn(table * np.fft.fftn(values))
+    return np.real(out) if np.isrealobj(values) else out
 
 
 def apply_straight_operator(symbol, f, project_zero_s_mean=False):
@@ -231,16 +218,7 @@ def apply_straight_operator(symbol, f, project_zero_s_mean=False):
                 if abs(theta_mean) > 1e-12 * scale:
                     raise UndefinedModeError(
                         "m_S applied to data with nonzero (s, theta)-mean")
-    fhat = g.hat()
-    if g.on_surface:
-        tab = symbol.table(g.n_s, g.n_theta)
-    else:
-        tab = symbol.table(g.n_s)
-    out_hat = tab * fhat
-    out = GridFunction.from_hat(out_hat)
-    if np.isrealobj(f.values):
-        out = GridFunction(np.real(out.values))
-    return out
+    return GridFunction(apply_symbol(symbol.table(g.n_s, g.n_theta), g.values))
 
 
 def offset_windows(t):
@@ -294,23 +272,6 @@ def symbol_dense_matrix(table):
 
 # symbol derivative envelopes checked by finite differences ----------------
 
-def _symbol_on_xi(name, epsilon, xi, ell=0):
-    """Continuous-xi extension: same formulas with |xi| for |k|."""
-    w = 2.0 * math.pi * epsilon * np.abs(xi)
-    out = np.empty_like(w)
-    for i, wi in enumerate(np.atleast_1d(w)):
-        if name == "m_S_inv":
-            out.flat[i] = 1.0 / (epsilon * sf.bessel_I_scaled(0, wi)
-                                 * sf.bessel_K_scaled(0, wi))
-        elif name == "m_eps_inv":
-            out.flat[i] = 2.0 * math.pi * wi * sf.bessel_ratio_K1K0(wi)
-        elif name == "m_eps":
-            out.flat[i] = 1.0 / (2.0 * math.pi * wi * sf.bessel_ratio_K1K0(wi))
-        else:
-            raise ValueError(name)
-    return out
-
-
 _ENVELOPES = {
     # name -> (regime, derivative order) -> envelope(xi, eps)
     "m_S_inv": {
@@ -352,12 +313,15 @@ def finite_diff_symbol_bounds(name, epsilon, n_xi=60):
         "high": np.geomspace(2.0 * xi_c, 1e3 * xi_c, n_xi),
         "low": np.geomspace(1.0, 0.5 * xi_c, n_xi),
     }
+    sym = FourierSymbol(name, epsilon)
+
+    def on_xi(xs):
+        return np.array([sym.evaluate(x) for x in xs])
+
     report = {}
     for regime, xi in grids.items():
         h = 1e-3 * xi
-        f0 = _symbol_on_xi(name, epsilon, xi)
-        fp = _symbol_on_xi(name, epsilon, xi + h)
-        fm = _symbol_on_xi(name, epsilon, xi - h)
+        f0, fp, fm = on_xi(xi), on_xi(xi + h), on_xi(xi - h)
         derivs = {0: f0, 1: (fp - fm) / (2 * h), 2: (fp - 2 * f0 + fm) / h ** 2}
         for order, vals in derivs.items():
             env = _ENVELOPES[name][(regime, order)](xi, epsilon)

@@ -1,10 +1,14 @@
 """CLI behavior: exit codes, outputs, determinism, dry runs."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
 
+import slenderlap
 from slenderlap.cli import main
 
 
@@ -13,6 +17,18 @@ def test_check_bessel_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "Wronskian" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["dtn", "--epsilon", "nan", "--ns", "64", "--ntheta", "8"],
+    ["symbols", "--epsilon", "0", "--kmax", "2", "--lmax", "1"],
+    ["check-bessel", "--epsilon", "-1"],
+])
+def test_bad_epsilon_is_a_usage_error(argv, capsys):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "argument --epsilon: must be positive and finite" in err
 
 
 def test_symbols_csv(tmp_path):
@@ -117,12 +133,15 @@ def test_dry_runs(capsys):
         assert "dry run" in out
 
 
-def test_console_entry_point():
+def test_console_entry_point(tmp_path):
+    # the child imports the same slenderlap as this suite, installed or not
+    src = str(Path(slenderlap.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "slenderlap.cli", "symbols", "--kmax", "2",
-         "--lmax", "1", "--out", "/tmp/_slenderlap_sym.csv"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
+         "--lmax", "1", "--out", str(tmp_path / "sym.csv")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_scaling_csv_reproducible(tmp_path):

@@ -12,7 +12,7 @@ import pytest
 
 from slenderlap import analysis as an
 from slenderlap import operators as op
-from slenderlap.spectral import FourierSymbol, GridFunction
+from slenderlap.spectral import FourierSymbol, GridFunction, apply_symbol
 
 def _right_mul_smean(mat, n_s, n_t):
     """mat @ P_mean (column s-averaging)."""
@@ -84,7 +84,8 @@ def test_mean_in_s_term_matches_dense_route(perturbed_grid_small):
     w_mean_surface = np.tile(w.s_mean(), (grid.n_s, 1))
     dense = solver.S_op.matrix @ w_mean_surface.reshape(-1)
     integ = op.theta_integral(grid, dense.reshape(w.values.shape), "eps")
-    ref = -op.apply_m_S_inv_P0(grid, integ).values
+    ref = -apply_symbol(FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s),
+                        integ.values)
     term = rep["terms"]["mean_in_s"]
     assert np.max(np.abs(ref)) > 1e-8
     assert np.max(np.abs(term - ref)) <= 1e-10 * np.max(np.abs(ref))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from slenderlap import geometry as geo
+from slenderlap.grid import holder_seminorm
 
 
 CIRCLE = {"preset": "circle"}
@@ -159,6 +160,14 @@ def test_epsilon_constraints():
     assert not spec_wide.strict_tube_margin  # allowed, but outside the margin
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.01])
+def test_epsilon_must_be_positive_and_finite(eps):
+    cl = geo.build_centerline(CIRCLE)
+    fr = geo.build_frame(cl, 64)
+    with pytest.raises(geo.GeometryError, match="positive and finite"):
+        geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=eps)
+
+
 def test_geometry_report_keys():
     spec = make_spec(CIRCLE)
     rep = geo.geometry_report(spec)
@@ -186,10 +195,10 @@ def test_perturbed_circle_nonconstant_curvature():
 def test_kappa_star_holder_estimator():
     cl = geo.build_centerline(PERTURBED)
     fr = geo.build_frame(cl, 128)
-    h_half = fr.kappa_star_holder(0.5)
-    h_quarter = fr.kappa_star_holder(0.25)
+    h_half = holder_seminorm(fr.kappa, 0.5, 0.0)
+    h_quarter = holder_seminorm(fr.kappa, 0.25, 0.0)
     assert 0.0 < h_quarter <= h_half   # distances <= 1/2, so monotone in beta
     assert np.isfinite(h_half)
     # constant-curvature circle has zero seminorm up to solver noise
     circ = geo.build_frame(geo.build_centerline(CIRCLE), 64)
-    assert circ.kappa_star_holder(0.5) < 1e-6
+    assert holder_seminorm(circ.kappa, 0.5, 0.0) < 1e-6

@@ -158,13 +158,33 @@ def test_reciprocity_and_mS_inv():
                    - 1.0) < 1e-12
 
 
-def test_transform_round_trip(rng):
-    f = GridFunction(rng.standard_normal((64, 16)))
-    back = GridFunction.from_hat(f.hat())
-    assert np.max(np.abs(back.values - f.values)) < 1e-12
-    g = GridFunction(rng.standard_normal(128))
-    assert np.max(np.abs(GridFunction.from_hat(g.hat()).values
-                         - g.values)) < 1e-12
+@pytest.mark.parametrize("name", sp.SYMBOLS)
+@pytest.mark.parametrize("n_s, n_t", [(64, 8), (128, None)])
+def test_table_matches_evaluate_at_every_mode(name, n_s, n_t):
+    sym = sp.FourierSymbol(name, 1.0 / 64.0)
+    ells = sp.theta_modes(n_t) if n_t else [0]
+    tab = sym.table(n_s, n_t).reshape(n_s, len(ells))
+    undefined = set()
+    for i, k in enumerate(sp.s_modes(n_s)):
+        for j, ell in enumerate(ells):
+            try:
+                want = sym.evaluate(k, ell)
+            except sp.UndefinedModeError:
+                assert tab[i, j] == 0.0, (k, ell)
+                undefined.add((int(k), int(ell)))
+                continue
+            assert tab[i, j] == want, (k, ell)
+    expected = {"m_S": {(0, 0)}, "m_S_inv": {(0, int(ell)) for ell in ells}}
+    assert undefined == expected.get(name, set())
+
+
+def test_m_S_inv_finite_past_arg_cap():
+    eps = 1e-2
+    xi = 2.0 * sf.ARG_CAP / (2.0 * math.pi * eps) + 0.5  # real xi, w > ARG_CAP
+    val = sp.symbol_m_S_inv(eps, xi)
+    assert np.isfinite(val)
+    # high-frequency limit 1/(eps I_0 K_0) -> 2 w/eps = 4 pi |xi|
+    assert abs(val / (4.0 * math.pi * xi) - 1.0) < 1e-5
 
 
 def test_apply_reciprocal_symbols(rng):
@@ -217,6 +237,7 @@ def test_symbol_dense_matrix_matches_fft(rng):
     via_mat = (mat @ f.reshape(-1)).reshape(32, 8)
     via_fft = np.real(np.fft.ifft2(tab * np.fft.fft2(f)))
     assert np.max(np.abs(via_mat - via_fft)) < 1e-12
+    assert np.array_equal(sp.apply_symbol(tab, f), via_fft)
 
 
 @pytest.mark.parametrize("shape", [(8,), (8, 4), (4, 1), (1, 4), (16, 8)])
