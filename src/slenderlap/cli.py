@@ -162,7 +162,8 @@ def cmd_greens_check(args):
     from . import solver as sv
     ladder = [int(x) for x in args.ladder.split(",")]
     if args.dry_run:
-        return _dry_run_report(args, max(ladder), args.ntheta, len(ladder))
+        return _dry_run_report(args, max(ladder), args.ntheta, len(ladder),
+                               dense=False)
     spec = _build_spec(args)
     out = {}
     ok = True
@@ -173,6 +174,9 @@ def cmd_greens_check(args):
         ok = ok and order >= 1.0
         print(f"{backend}: residuals " +
               " ".join(_fmt(r) for r in resids) + f"  order {order:.3f}")
+    out["rungs"] = [{"n_s": n_s, "n_nodes": n_s * args.ntheta,
+                     "aspect": args.ntheta / (2.0 * math.pi * args.epsilon * n_s)}
+                    for n_s in ladder]
     _emit_json(args, {"pass": ok, **out})
     return 0 if ok else 2
 

@@ -1,6 +1,6 @@
 r"""Discrete layer operators on the tube surface.
 
-Every operator is a DiscreteOperator with a dense matrix acting on flattened
+Every assembled operator is a DiscreteOperator: a dense matrix on flattened
 (n_s, n_theta) samples.  Both backends start from the same curved blocks,
 G_J and K_J: the punctured trapezoids of the curved G and K_D times J, which
 assemble_pair fills in one pair sweep.  They differ only in what is added:
@@ -33,6 +33,10 @@ assemble_pair fills in one pair sweep.  They differ only in what is added:
            is annihilated to O(M^-2) by zero-s-mean densities).  With
            psi = phi J/eps, S_h phi = (m_S + (G - G-bar) - Tail) P0 psi
            + G P_mean psi: the s-mean goes through the curved kernel alone.
+
+apply_pair is assemble_pair's matrix-free twin on the same helpers: one sweep
+applies G_J and K_J, direct's weights go pointwise and split's templates by
+2-D FFT, and no N x N array is stored.
 
 The remainder pieces of the curved-minus-straight operators are pair
 kernels with plain eps weight, matching the operator identity R_S = S - Sbar
@@ -75,7 +79,7 @@ from .spectral import circulant_from_template as _circulant_from_template
 TAIL_IMAGES = 20
 # dense matrices capped at DENSE_NODE_CAP^2 entries; the split pair holds two
 # of them (plus one row chunk of temporaries) and has to fit in a small-memory
-# environment.  Matrix-free applies (apply_pairs) are not capped.
+# environment.  Matrix-free applies (apply_pairs, apply_pair) are not capped.
 DENSE_NODE_CAP = 4096
 # lattice-sum terms in K_nu(x) are dropped once x exceeds this (K_nu < 1e-18)
 BESSEL_CUTOFF = 40.0
@@ -332,44 +336,51 @@ def straight_dlp_line_sum(a, theta, epsilon):
         2.0 / c ** 2 + (8.0 * math.pi / (a * c)) * alias)
 
 
-def _local_spacings(grid):
-    """Per-target lattice spacings (a along s, b along theta), a b = J w."""
-    a = (1.0 - grid.epsilon * grid.khat.reshape(-1)) / grid.n_s
-    return a, 2.0 * math.pi * grid.epsilon / grid.n_theta
+def _local_weights(grid):
+    """The direct backend's local weights: the S diagonal and the D rings.
 
-
-def _correct_single_layer(grid, mat):
-    """Add the Epstein-zeta diagonal weight -a b Z(a, b)/4pi in place."""
-    a, b = _local_spacings(grid)
-    z, _ = epstein_zeta(a, b)
-    idx = np.arange(grid.n_nodes)
-    mat[idx, idx] -= a * b * z / FOURPI
-
-
-def _correct_double_layer(grid, mat):
-    """Add the theta-ring and along-s curvature weights in place.
-
-    On the ring the weights are c = IDFT_l[W], W(l) = m_D(0, l) - L(l), with
-    m_D(0, l) = -1/2 delta_{l0} and L(l) the punctured lattice sum of the
-    straight kernel at spacings (a, b) against e^{i l theta}; this makes the
-    rule exact on the straight tube's k = 0 modes.  IDFT of the first term is
-    -1/(2 n_theta) at every ring node, and of L the lattice sum itself.
+    At local spacings (a, b) (module docstring) the S diagonal is
+    -a b Z(a, b)/4pi, and ring[i_s, i_t, j_t], the D weight of source
+    (i_s, j_t) at target (i_s, i_t), is IDFT_l[m_D(0, l) - L(l)] at theta
+    offset i_t - j_t: -1/(2 n_theta) minus the punctured lattice sum L of the
+    straight kernel, exact on the straight tube's k = 0 modes.  At offset 0
+    the along-s curvature term takes the lattice sum's place.
     """
-    a, b = _local_spacings(grid)
-    n_t = grid.n_theta
-    offs = np.arange(1, n_t)
-    ring = -0.5 / n_t - b * straight_dlp_line_sum(
-        a[:, None], 2.0 * math.pi * offs[None, :] / n_t, grid.epsilon)
-    rows = np.arange(grid.n_nodes)
-    i_s, i_t = np.divmod(rows, n_t)
-    mat[rows[:, None], i_s[:, None] * n_t + (i_t[:, None] - offs) % n_t] += ring
-    khat = grid.khat.reshape(-1)
-    kappa_a = khat / (1.0 - grid.epsilon * khat)
-    _, z_aa = epstein_zeta(a, b)
-    mat[rows, rows] += -0.5 / n_t - a * b * kappa_a * z_aa / (2.0 * FOURPI)
+    eps, n_t, khat = grid.epsilon, grid.n_theta, grid.khat.reshape(-1)
+    a, b = (1.0 - eps * khat) / grid.n_s, 2.0 * math.pi * eps / n_t
+    z, z_aa = epstein_zeta(a, b)
+    by_offset = np.empty((grid.n_nodes, n_t))
+    by_offset[:, 1:] = -0.5 / n_t - b * straight_dlp_line_sum(
+        a[:, None], 2.0 * math.pi * np.arange(1, n_t)[None, :] / n_t, eps)
+    kappa_a = khat / (1.0 - eps * khat)
+    by_offset[:, 0] = -0.5 / n_t - a * b * kappa_a * z_aa / (2.0 * FOURPI)
+    t = np.arange(n_t)[:, None]
+    ring = by_offset.reshape(grid.n_s, n_t, n_t)[:, t, (t - t.T) % n_t]
+    return -a * b * z / FOURPI, ring
 
 
 # assembled operators ---------------------------------------------------------
+
+def _split_templates(grid):
+    """m_S, m_D tables and the C_S (P0 applied), C_D offset templates."""
+    tabs = [FourierSymbol(k, grid.epsilon).table(grid.n_s, grid.n_theta)
+            for k in ("m_S", "m_D")]
+    t_s = symbol_template(tabs[0]) - straight_template(grid, "S", central=True)
+    t_s -= t_s.mean(axis=0)  # P0 on the S template
+    t_d = symbol_template(tabs[1]) - straight_template(grid, "D", central=True)
+    return tabs, t_s, t_d
+
+
+def _curved_rows(grid, templates=None):
+    """(lo, hi, 1/|R|, R . n_src/|R|^2, fields) per row chunk, diagonal zeroed."""
+    pg = PairGeometry(grid, templates=templates)
+    for lo, hi in pg.chunks():
+        f = pg.fields(lo, hi, need=("Rn",) + tuple(templates or ()))
+        with np.errstate(divide="ignore"):
+            inv_r = 1.0 / f["absR"]
+        inv_r[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        yield lo, hi, inv_r, f["Rn"] * (inv_r * inv_r), f
+
 
 def assemble_pair(grid, backend="direct"):
     """(S_h, D_h) of either backend, from one pair sweep.
@@ -387,38 +398,58 @@ def assemble_pair(grid, backend="direct"):
     if backend not in ("direct", "split"):
         raise ValueError(f"unknown backend '{backend}'")
     _check_dense_cap(grid)
-    n, n_t = grid.n_nodes, grid.n_theta
+    n, n_s, n_t = grid.n_nodes, grid.n_s, grid.n_theta
     w_src = grid.flat_jacobian() * (grid.node_weight / FOURPI)
     split = backend == "split"
     templates = {}
     if split:
-        tabs = {k: FourierSymbol(k, grid.epsilon).table(grid.n_s, n_t)
-                for k in ("m_S", "m_D")}
-        t_s = symbol_template(tabs["m_S"]) - straight_template(grid, "S", central=True)
-        t_s -= t_s.mean(axis=0)  # P0 on the S template
-        t_d = symbol_template(tabs["m_D"]) - straight_template(grid, "D", central=True)
+        tabs, t_s, t_d = _split_templates(grid)
         templates = {"C_S": t_s, "C_D": t_d}  # rows of C_S, C_D are gathered
         col = grid.flat_jacobian() / grid.epsilon
     s_mat, d_mat = np.empty((n, n)), np.empty((n, n))
-    pg = PairGeometry(grid, templates=templates)
-    for lo, hi in pg.chunks():
-        f = pg.fields(lo, hi, need=("Rn",) + tuple(templates))
-        with np.errstate(divide="ignore"):
-            inv_r = 1.0 / f["absR"]
-        inv_r[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+    for lo, hi, inv_r, rn_r2, f in _curved_rows(grid, templates):
         g_j = np.multiply(inv_r, w_src, out=s_mat[lo:hi])
-        k_j = np.multiply(f["Rn"] * (inv_r * inv_r), g_j, out=d_mat[lo:hi])
+        k_j = np.multiply(rn_r2, g_j, out=d_mat[lo:hi])
         if split:
             g_j += f["C_S"] * col
             k_j += f["C_D"] * col
     if split:
-        parts = [{k: tabs[k]} for k in ("m_S", "m_D")]
+        parts = [{"m_S": tabs[0]}, {"m_D": tabs[1]}]
     else:
         parts = [{}, {}]
-        _correct_single_layer(grid, s_mat)
-        _correct_double_layer(grid, d_mat)
+        s_diag, ring = _local_weights(grid)
+        s_mat[np.arange(n), np.arange(n)] += s_diag
+        i = np.arange(n_s)  # ring[i] is the diagonal n_theta-block of row i
+        d_mat.reshape(n_s, n_t, n_s, n_t)[i, :, i] += ring
     return (DiscreteOperator("S", backend, grid, s_mat, parts=parts[0]),
             DiscreteOperator("D", backend, grid, d_mat, parts=parts[1]))
+
+
+def apply_pair(grid, backend, phi, psi):
+    """(S_h phi, D_h psi) of either backend: assemble_pair's matrix-free twin.
+
+    One pair sweep, the source weight folded into both (n_s, n_theta)
+    densities, does two matrix-vector products per row chunk and stores no
+    N x N array, so it is not capped.
+    """
+    if backend not in ("direct", "split"):
+        raise ValueError(f"unknown backend '{backend}'")
+    w_src = grid.jacobian * (grid.node_weight / FOURPI)
+    phi_w, psi_w = (phi * w_src).reshape(-1), (psi * w_src).reshape(-1)
+    s_out, d_out = np.empty_like(w_src), np.empty_like(w_src)
+    for lo, hi, inv_r, rn_r2, _ in _curved_rows(grid):
+        np.matmul(inv_r, phi_w, out=s_out.reshape(-1)[lo:hi])
+        np.matmul(np.multiply(rn_r2, inv_r, out=rn_r2), psi_w,
+                  out=d_out.reshape(-1)[lo:hi])
+    if backend == "split":
+        _, t_s, t_d = _split_templates(grid)
+        s_out += apply_symbol(np.fft.fftn(t_s), phi * grid.jacobian / grid.epsilon)
+        d_out += apply_symbol(np.fft.fftn(t_d), psi * grid.jacobian / grid.epsilon)
+    else:
+        s_diag, ring = _local_weights(grid)
+        s_out += s_diag.reshape(phi.shape) * phi
+        d_out += np.einsum("stj,sj->st", ring, psi)
+    return s_out, d_out
 
 
 # assemble_S and assemble_D build the whole pair; perfbench/tracer.py wraps them

@@ -14,7 +14,8 @@ with it the n_s x n_s discrete DtN matrix Lambda = Q W:
     NtD (f given):  Lambda v = f (LU of Lambda),  w = W v
 
 S_h and D_h of either backend come from one pair sweep
-(operators.assemble_pair), as does the Green's identity harness's pair.
+(operators.assemble_pair); the Green's identity harness applies them
+matrix-free in one sweep (operators.apply_pair), past DENSE_NODE_CAP.
 Each solve reports its residuals against S_h.  The 1-norm condition
 estimates of S_h (LAPACK gecon) and of Lambda are reported and hard-fail
 beyond COND_LIMIT, never silently ignored.
@@ -33,7 +34,7 @@ from scipy.linalg import lu_factor, lu_solve, get_lapack_funcs
 
 from .grid import SurfaceGrid
 from .kernels import FOURPI
-from .operators import assemble_Dprime, assemble_pair
+from .operators import apply_pair, assemble_Dprime, assemble_pair
 # not called here: perfbench/tracer.py wraps them where solver binds them
 from .operators import assemble_D, assemble_S  # noqa: F401
 from .spectral import FourierSymbol, GridFunction, apply_symbol
@@ -315,12 +316,14 @@ def exact_point_charge_potential(grid, points, charges):
 
 
 def greens_identity_residual(grid, charges, backend="direct", operators=None):
-    """sup |(1/2 I - D_h) v - S_h w| for exact point-charge data."""
+    """sup |(1/2 I - D_h) v - S_h w| for exact point-charge data, matrix-free
+    unless operators holds the assembled (S_h, D_h)."""
     v, w = point_charge_data(grid, charges)
-    s_op, d_op = (operators if operators is not None
-                  else assemble_pair(grid, backend))
-    lhs = 0.5 * v.values.reshape(-1) - d_op.matrix @ v.values.reshape(-1)
-    rhs = s_op.matrix @ w.values.reshape(-1)
+    if operators is None:
+        rhs, d_v = apply_pair(grid, backend, w.values, v.values)
+    else:
+        rhs, d_v = operators[0].apply(w).values, operators[1].apply(v).values
+    lhs = 0.5 * v.values - d_v
     scale = float(np.max(np.abs(lhs))) or 1.0
     return float(np.max(np.abs(lhs - rhs))), scale
 

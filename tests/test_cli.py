@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slenderlap
@@ -131,6 +132,25 @@ def test_dry_runs(capsys):
         out = capsys.readouterr().out
         assert rc == 0, argv
         assert "dry run" in out
+
+
+def test_greens_check_dry_run_is_matrix_free(capsys):
+    assert main(["greens-check", "--ladder", "256,512,1024", "--dry-run"]) == 0
+    out = capsys.readouterr().out
+    assert "16384 nodes" in out and "matrix-free" in out and "GB" not in out
+
+
+def test_greens_check_json_reports_rungs(capsys):
+    rc = main(["greens-check", "--epsilon", "0.015625", "--ladder", "32,64",
+               "--ntheta", "8", "--json"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("{"):])
+    assert [r["n_nodes"] for r in payload["rungs"]] == [256, 512]
+    # h_s/(eps h_theta) = (1/32)/((1/64)(2 pi/8)) = 8/pi at n_s = 32
+    assert payload["rungs"][0]["aspect"] == pytest.approx(8.0 / np.pi)
+    assert payload["rungs"][1]["aspect"] == pytest.approx(4.0 / np.pi)
+    assert all(len(payload[b]["residuals"]) == 2 for b in ("direct", "split"))
 
 
 def test_console_entry_point(tmp_path):

@@ -4,7 +4,11 @@ operators.apply_pairs sums a pair kernel against densities one row chunk at
 a time; the dense remainder matrices (one pair sweep each) stay as its
 oracle.  Every fused apply the scaling studies use must reproduce them to
 roundoff, on the perturbed circle and on the twisted-frame trefoil.
+operators.apply_pair applies S_h and D_h of either backend the same way,
+with assemble_pair's matrices as its oracle.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ import pytest
 from slenderlap import analysis as an
 from slenderlap import geometry as geo
 from slenderlap import operators as op
+from slenderlap import solver as sv
+from slenderlap.grid import make_grid
 
 GRIDS = ["perturbed_grid_small", "trefoil_grid"]
 ORACLES = {
@@ -75,3 +81,63 @@ def test_apply_only_study_runs_above_the_dense_cap(circle_cl, circle_frame):
     # lower order in eps: target slope 2 - alpha, so 4x smaller eps gives
     # well over 4x smaller
     assert values[1.0 / 512.0] < values[1.0 / 128.0] / 4.0
+
+
+def _band_limited(grid):
+    s, th = grid.s_nodes[:, None], grid.theta_nodes[None, :]
+    return (np.cos(2 * np.pi * s) * (1 + 0.5 * np.cos(th))
+            + 0.3 * np.sin(4 * np.pi * s) * np.sin(th))
+
+
+@pytest.mark.parametrize("density", ["random", "band_limited"])
+@pytest.mark.parametrize("grid_name", ["circle_grid_small"] + GRIDS)
+@pytest.mark.parametrize("backend", ["direct", "split"])
+def test_pair_apply_matches_assembled_pair(backend, grid_name, density,
+                                           request):
+    grid = request.getfixturevalue(grid_name)
+    if density == "random":
+        phi = _density(grid)
+        psi = np.random.default_rng(8).standard_normal(phi.shape)
+    else:
+        phi = _band_limited(grid)
+        psi = np.roll(phi, 3, axis=0) * (1.0 + grid.khat)
+    got = op.apply_pair(grid, backend, phi, psi)
+    for op_h, x, y in zip(op.assemble_pair(grid, backend), (phi, psi), got):
+        want = op_h.apply(x).values
+        assert y.shape == x.shape
+        assert _rel(y, want) <= 1e-13, (op_h.name, _rel(y, want))
+
+
+@pytest.mark.parametrize("grid_name", ["circle_grid_small"] + GRIDS)
+@pytest.mark.parametrize("backend", ["direct", "split"])
+def test_greens_residual_matrix_free_matches_assembled(backend, grid_name,
+                                                       request):
+    grid = request.getfixturevalue(grid_name)
+    charges = [(1.0, 0.0), (-0.5, 0.3)]
+    got, scale = sv.greens_identity_residual(grid, charges, backend)
+    want, want_scale = sv.greens_identity_residual(
+        grid, charges, operators=op.assemble_pair(grid, backend))
+    assert abs(got - want) <= 1e-12 * want, (got, want)
+    assert abs(scale - want_scale) <= 1e-12 * want_scale
+
+
+def test_pair_apply_unknown_backend(perturbed_grid_small):
+    phi = _density(perturbed_grid_small)
+    with pytest.raises(ValueError):
+        op.apply_pair(perturbed_grid_small, "split-decomp", phi, phi)
+
+
+def test_greens_residual_runs_above_the_dense_cap(circle_cl, circle_frame):
+    """512 x 16 nodes: one dense operator would take 537 MB."""
+    spec = geo.SurfaceSpec(centerline=circle_cl, frame=circle_frame,
+                           epsilon=1.0 / 128.0)
+    grid = make_grid(spec, 512, 16)
+    assert grid.n_nodes == 8192 > op.DENSE_NODE_CAP
+    tracemalloc.start()
+    try:
+        resid, _ = sv.greens_identity_residual(grid, [(1.0, 0.0)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(resid) and resid > 0.0
+    assert peak < 64e6, peak
