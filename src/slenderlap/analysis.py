@@ -44,6 +44,12 @@ def decomposition_operators(grid):
     return assemble_pair(grid, "split")
 
 
+def _curvature_flux(grid, w):
+    """-eps^2 int w khat dtheta at each s, for surface values w (n_s, n_theta)."""
+    return -(grid.epsilon ** 2) * np.sum(w * grid.khat, axis=1) * (
+        2.0 * math.pi / grid.n_theta)
+
+
 def decompose_dtn(grid, v, alpha=0.25, solver=None):
     """Term-by-term decomposition report for Dirichlet data v(s).
 
@@ -81,8 +87,7 @@ def decompose_dtn(grid, v, alpha=0.25, solver=None):
     term_mean = -s_inv_theta_int(s_mat @ w_mean)
     term_flux = float(np.mean(np.sum(w.values, axis=1))
                       * grid.epsilon * 2.0 * math.pi / grid.n_theta)
-    term_curv = -(grid.epsilon ** 2) * np.sum(
-        w.values * grid.khat, axis=1) * (2.0 * math.pi / grid.n_theta)
+    term_curv = _curvature_flux(grid, w.values)
 
     total = term_main + term_rd + term_rs + term_mean + term_flux + term_curv
     scale = float(np.max(np.abs(f_direct))) or 1.0
@@ -196,9 +201,7 @@ def _measure(study, spec, eps):
         t_rs = -apply_symbol(FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s),
                              theta_integral(grid, out23, "eps").values)
         h_eps, _ = mean_in_s_split(grid, w.s_mean())
-        t_curv = -(grid.epsilon ** 2) * np.sum(
-            w.values * grid.khat, axis=1) * (2.0 * math.pi / grid.n_theta)
-        total = t_rs - h_eps.values + t_curv
+        total = t_rs - h_eps.values + _curvature_flux(grid, w.values)
         return holder_norm(GridFunction(total), study.alpha, grid.epsilon)
     if sid == "RD-deriv":
         # sup |d_s (R_D psi)| across eps; target slope >= -gamma+ (report)

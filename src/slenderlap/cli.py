@@ -74,7 +74,11 @@ def _build_spec(args, n_frame=128):
     return geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=args.epsilon)
 
 
-def _dry_run_report(args, n_s, n_theta, n_systems=1, dense=True):
+def _dry_run_report(args, n_s, n_theta, n_systems=1, dense=True, grid=True):
+    """Print the run's size; with grid, n_s x n_theta must be a valid grid."""
+    if grid:
+        from .grid import check_grid_sizes
+        check_grid_sizes(n_s, n_theta)
     n = n_s * n_theta
     if dense:
         size = f"~{n * n * 8 / 1e9:.2f} GB per dense operator"
@@ -91,20 +95,21 @@ def _dry_run_report(args, n_s, n_theta, n_systems=1, dense=True):
 # subcommand implementations -------------------------------------------------
 
 def cmd_check_bessel(args):
+    import scipy
     from . import specfun as sf
     if args.dry_run:
-        return _dry_run_report(args, 1, 1)
+        return _dry_run_report(args, 1, 1, grid=False)
     rep = sf.check_suite()
     from .spectral import finite_diff_symbol_bounds
     for name in ("m_S_inv", "m_eps_inv", "m_eps"):
         rep[f"bounds_{name}"] = finite_diff_symbol_bounds(name, args.epsilon)
-    ok = rep["wronskian_sup"] <= 1e-12 and rep["recurrence_sup"] <= 1e-10
+    ok = bool(rep["wronskian_sup"] <= 1e-12 and rep["recurrence_sup"] <= 1e-10)
     print(f"max Wronskian deviation: {rep['wronskian_sup']:.3e} "
           f"(limit 1e-12): {'PASS' if ok else 'FAIL'}")
     for k, v in rep.items():
         if isinstance(v, float):
             print(f"  {k}: {_fmt(v)}")
-    _emit_json(args, {"pass": ok, **{k: v for k, v in rep.items()}})
+    _emit_json(args, {"pass": ok, "scipy_version": scipy.__version__, **rep})
     return 0 if ok else 2
 
 
@@ -112,7 +117,7 @@ def cmd_symbols(args):
     from .spectral import (symbol_m_D, symbol_m_S, symbol_m_eps,
                            symbol_m_eps_inv)
     if args.dry_run:
-        return _dry_run_report(args, args.kmax, args.lmax)
+        return _dry_run_report(args, args.kmax, args.lmax, grid=False)
     rows = []
     for k in range(0, args.kmax + 1):
         for ell in range(0, args.lmax + 1):
@@ -131,7 +136,7 @@ def cmd_symbols(args):
 def cmd_geometry(args):
     from . import geometry as geo
     if args.dry_run:
-        return _dry_run_report(args, args.ns, 1)
+        return _dry_run_report(args, args.ns, 1, grid=False)
     spec = _build_spec(args, n_frame=args.ns)
     rep = geo.geometry_report(spec)
     _emit_json(args, rep)
@@ -162,6 +167,7 @@ def cmd_greens_check(args):
     from . import solver as sv
     ladder = [int(x) for x in args.ladder.split(",")]
     if args.dry_run:
+        sv.check_ladder(ladder, args.ntheta)
         return _dry_run_report(args, max(ladder), args.ntheta, len(ladder),
                                dense=False)
     spec = _build_spec(args)

@@ -37,6 +37,13 @@ def periodic_rep_theta(d):
     return np.where(out == -math.pi, math.pi, out)
 
 
+def check_grid_sizes(n_s, n_theta):
+    """Raise ValueError unless n_s >= 32 and n_theta >= 4 are powers of two."""
+    for n, lo in ((n_s, 32), (n_theta, 4)):
+        if n < lo or (n & (n - 1)) != 0:
+            raise ValueError(f"grid sizes must be powers of two (>= {lo})")
+
+
 @dataclass
 class SurfaceGrid:
     """Uniform (s, theta) grid on the tube surface with cached geometry."""
@@ -48,9 +55,7 @@ class SurfaceGrid:
     theta_nodes: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for n, lo in ((self.n_s, 32), (self.n_theta, 4)):
-            if n < lo or (n & (n - 1)) != 0:
-                raise ValueError(f"grid sizes must be powers of two (>= {lo})")
+        check_grid_sizes(self.n_s, self.n_theta)
         self.s_nodes = np.arange(self.n_s) / self.n_s
         self.theta_nodes = 2.0 * math.pi * np.arange(self.n_theta) / self.n_theta
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve, get_lapack_funcs
 
-from .grid import SurfaceGrid
+from .grid import SurfaceGrid, check_grid_sizes
 from .kernels import FOURPI
 from .operators import apply_pair, assemble_Dprime, assemble_pair
 # not called here: perfbench/tracer.py wraps them where solver binds them
@@ -328,9 +328,19 @@ def greens_identity_residual(grid, charges, backend="direct", operators=None):
     return float(np.max(np.abs(lhs - rhs))), scale
 
 
+def check_ladder(n_s_list, n_theta):
+    """Raise ValueError unless the ladder has 2+ distinct n_s, all valid grids."""
+    if len(set(n_s_list)) < 2:
+        raise ValueError(f"a Green ladder needs at least 2 distinct n_s, "
+                         f"got {list(n_s_list)}")
+    for n_s in n_s_list:
+        check_grid_sizes(n_s, n_theta)
+
+
 def greens_ladder(spec, charges, n_s_list, n_theta, backend="direct"):
     """Residual across an n_s ladder plus the least-squares convergence order."""
     from .grid import make_grid
+    check_ladder(n_s_list, n_theta)
     resids = []
     for n_s in n_s_list:
         g = make_grid(spec, n_s, n_theta)

@@ -140,6 +140,38 @@ def test_greens_check_dry_run_is_matrix_free(capsys):
     assert "16384 nodes" in out and "matrix-free" in out and "GB" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["dtn", "--ns", "100"],
+    ["ntd", "--ntheta", "6"],
+    ["exterior", "--ns", "16"],
+    ["decompose", "--ns", "96"],
+    ["check-geometry", "--ntheta", "2"],
+    ["greens-check", "--ladder", "100,200"],
+    ["greens-check", "--ladder", "64,100"],
+])
+def test_dry_run_rejects_bad_grid_sizes(argv, capsys):
+    # the real runs fail in make_grid; the dry run must not pass them
+    assert main(argv + ["--dry-run"]) == 1
+    err = capsys.readouterr().err
+    assert "grid sizes must be powers of two" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("ladder", ["64", "64,64"])
+def test_single_rung_ladder_is_a_usage_error(ladder, capsys):
+    for extra in ([], ["--dry-run"]):
+        assert main(["greens-check", "--ladder", ladder] + extra) == 1
+        err = capsys.readouterr().err
+        assert "at least 2 distinct n_s" in err and "Traceback" not in err
+
+
+def test_check_bessel_json_reports_scipy_version(capsys):
+    import scipy
+    assert main(["check-bessel", "--json"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out[out.index("{"):])
+    assert payload["scipy_version"] == scipy.__version__
+
+
 def test_greens_check_json_reports_rungs(capsys):
     rc = main(["greens-check", "--epsilon", "0.015625", "--ladder", "32,64",
                "--ntheta", "8", "--json"])

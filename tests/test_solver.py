@@ -127,6 +127,14 @@ def test_greens_identity_ladder_split(circle_cl, circle_frame):
     assert order >= 1.0
 
 
+@pytest.mark.parametrize("ladder", [[64], [64, 64], [64, 100]])
+def test_greens_ladder_rejects_bad_ladders(circle_spec64, ladder, monkeypatch):
+    # rejected before any rung is solved
+    monkeypatch.setattr(sv, "greens_identity_residual", None)
+    with pytest.raises(ValueError, match="2 distinct|powers of two"):
+        sv.greens_ladder(circle_spec64, [(1.0, 0.0)], ladder, 8)
+
+
 def test_greens_zero_charges(circle_grid):
     resid, scale = sv.greens_identity_residual(circle_grid, [])
     assert resid == 0.0

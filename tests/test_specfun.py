@@ -130,6 +130,19 @@ def test_recurrence_consistency():
             assert rel < 1e-10
 
 
+@pytest.mark.parametrize("z", [1e-3, 0.05, 0.7, 2.0, 2.5, 10.0, 50.0, 200.0,
+                               600.0])
+def test_sequences_against_mpmath(z):
+    # the I_l and e^z K_l sequences every m_S / m_D table row is built from
+    i_seq = sf.bessel_I_seq(16, z)
+    k_seq = sf.bessel_K_seq_scaled(16, z)
+    for nu in range(17):
+        i_ref = mp.besseli(nu, z)
+        k_ref = mp.besselk(nu, z) * mp.exp(z)
+        assert abs(i_seq[nu] / i_ref - 1) < 1e-13, (nu, z)
+        assert abs(k_seq[nu] / k_ref - 1) < 1e-13, (nu, z)
+
+
 def test_ratio_K1K0():
     assert abs(sf.bessel_ratio_K1K0(1.0) / K1_OVER_K0_AT_1 - 1.0) < 1e-12
     # consistency with the component functions

@@ -7,6 +7,7 @@ cancelled by comparing differences against the exactly known (0, 0) value.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -176,6 +177,23 @@ def test_table_matches_evaluate_at_every_mode(name, n_s, n_t):
             assert tab[i, j] == want, (k, ell)
     expected = {"m_S": {(0, 0)}, "m_S_inv": {(0, int(ell)) for ell in ells}}
     assert undefined == expected.get(name, set())
+
+
+@pytest.mark.parametrize("eps", [1.0 / 16.0, 1.0 / 128.0])
+def test_m_S_m_D_tables_against_mpmath(eps):
+    tab_s = sp.FourierSymbol("m_S", eps).table(256, 16)
+    tab_d = sp.FourierSymbol("m_D", eps).table(256, 16)
+    with mp.workdps(40):
+        for k in (1, 5, 64, 128):
+            w = 2 * mp.pi * mp.mpf(eps) * k
+            for ell in (0, 1, 3, 8):
+                i_l = mp.besseli(ell, w)
+                m_s = eps * i_l * mp.besselk(ell, w)
+                # 0.5 - (w/2) I (K + K) cancels, so m_D is held absolutely
+                m_d = 0.5 - w / 2 * i_l * (mp.besselk(ell - 1, w)
+                                           + mp.besselk(ell + 1, w))
+                assert abs(tab_s[k, ell] / m_s - 1) < 1e-13, (k, ell)
+                assert abs(tab_d[k, ell] - m_d) < 1e-14, (k, ell)
 
 
 def test_m_S_inv_finite_past_arg_cap():
