@@ -38,16 +38,13 @@ from .operators import (DENSE_NODE_CAP, AssemblyError, apply_pairs,
 from .solver import SlenderBodySolver
 from .spectral import FourierSymbol, GridFunction, apply_symbol
 
+# theta-nodes of a study grid; n_s follows eps (_grid_ns)
+N_THETA = 16
+
 
 def decomposition_operators(grid):
     """(S_h, D_h) of the split backend, from one pair sweep."""
     return assemble_pair(grid, "split")
-
-
-def _curvature_flux(grid, w):
-    """-eps^2 int w khat dtheta at each s, for surface values w (n_s, n_theta)."""
-    return -(grid.epsilon ** 2) * np.sum(w * grid.khat, axis=1) * (
-        2.0 * math.pi / grid.n_theta)
 
 
 def decompose_dtn(grid, v, alpha=0.25, solver=None):
@@ -72,8 +69,7 @@ def decompose_dtn(grid, v, alpha=0.25, solver=None):
 
     def s_inv_theta_int(x):
         """Sbar^{-1} P0 int x eps dtheta (the m_S_inv table is 0 at k = 0)."""
-        integ = theta_integral(grid, x.reshape(shape), weight="eps").values
-        return apply_symbol(m_s_inv, integ)
+        return apply_symbol(m_s_inv, theta_integral(grid, x, grid.epsilon))
 
     ev = np.repeat(vv, grid.n_theta)
     w_p0 = w.project_zero_s_mean().values
@@ -85,9 +81,8 @@ def decompose_dtn(grid, v, alpha=0.25, solver=None):
     term_rs = -s_inv_theta_int(
         s_mat @ w_p0.ravel() - apply_symbol(tab_s, w_p0).ravel())
     term_mean = -s_inv_theta_int(s_mat @ w_mean)
-    term_flux = float(np.mean(np.sum(w.values, axis=1))
-                      * grid.epsilon * 2.0 * math.pi / grid.n_theta)
-    term_curv = _curvature_flux(grid, w.values)
+    term_flux = float(np.mean(theta_integral(grid, w.values, grid.epsilon)))
+    term_curv = theta_integral(grid, w.values, -(grid.epsilon ** 2) * grid.khat)
 
     total = term_main + term_rd + term_rs + term_mean + term_flux + term_curv
     scale = float(np.max(np.abs(f_direct))) or 1.0
@@ -127,15 +122,14 @@ class ScalingStudy:
     epsilons: list
     target_slope: float
     margin: float
-    n_theta: int = 16
-    resolution_factor: float = 0.25
+    n_theta: int = N_THETA
     alpha: float = 0.25
     gamma: float = 0.5
     direction: str = "two-sided"  # or "at-least" (slope >= target - margin)
     notes: str = ""
 
     def grid_ns(self, eps):
-        return _grid_ns(eps, self.resolution_factor)
+        return _grid_ns(eps)
 
     @property
     def solves(self):
@@ -143,9 +137,9 @@ class ScalingStudy:
         return self.study_id in SOLVE_STUDIES
 
 
-def _grid_ns(eps, resolution_factor):
-    """n_s for eps: the power of two >= max(128, resolution_factor 4/eps)."""
-    want = max(128.0, resolution_factor * 4.0 / eps)
+def _grid_ns(eps):
+    """n_s for eps: the power of two >= max(128, 1/eps)."""
+    want = max(128.0, 1.0 / eps)
     return 1 << max(7, math.ceil(math.log2(want)))
 
 
@@ -158,14 +152,12 @@ def fit_slope(epsilons, values):
     return float(coef[0]), resid
 
 
-def _bandlimited_density(grid, kind="surface"):
+def _bandlimited_density(grid):
+    """A smooth surface density of sup norm 1."""
     s, th = grid.s_nodes, grid.theta_nodes
-    if kind == "surface":
-        vals = (np.cos(2 * np.pi * s)[:, None] * (1.0 + 0.5 * np.cos(th))[None, :]
-                + 0.3 * np.sin(4 * np.pi * s)[:, None] * np.sin(th)[None, :])
-        vals /= np.max(np.abs(vals))
-        return GridFunction(vals)
-    raise ValueError(kind)
+    vals = (np.cos(2 * np.pi * s)[:, None] * (1.0 + 0.5 * np.cos(th))[None, :]
+            + 0.3 * np.sin(4 * np.pi * s)[:, None] * np.sin(th)[None, :])
+    return GridFunction(vals / np.max(np.abs(vals)))
 
 
 def _study_grid(study, spec, eps):
@@ -199,9 +191,10 @@ def _measure(study, spec, eps):
         w_p0 = w.project_zero_s_mean()
         out23 = apply_pairs(grid, "RS2+RS3", w_p0.values)
         t_rs = -apply_symbol(FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s),
-                             theta_integral(grid, out23, "eps").values)
+                             theta_integral(grid, out23, grid.epsilon))
         h_eps, _ = mean_in_s_split(grid, w.s_mean())
-        total = t_rs - h_eps.values + _curvature_flux(grid, w.values)
+        total = (t_rs - h_eps.values
+                 + theta_integral(grid, w.values, -(grid.epsilon ** 2) * grid.khat))
         return holder_norm(GridFunction(total), study.alpha, grid.epsilon)
     if sid == "RD-deriv":
         # sup |d_s (R_D psi)| across eps; target slope >= -gamma+ (report)
@@ -305,8 +298,7 @@ def run_scaling_study(study):
     }
 
 
-def measure_total_remainder(curve_config, epsilons, alpha=0.25, n_theta=16,
-                            resolution_factor=0.25):
+def measure_total_remainder(curve_config, epsilons, alpha=0.25):
     """|L^-1 v - Lbar^-1 v|_{C^0,alpha} across eps for v = cos(2 pi s).
 
     PASS is boundedness (max/min ratio <= 3, no growth trend) plus strict
@@ -317,7 +309,7 @@ def measure_total_remainder(curve_config, epsilons, alpha=0.25, n_theta=16,
     rows = []
     for eps in epsilons:
         spec = geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=eps)
-        grid = make_grid(spec, _grid_ns(eps, resolution_factor), n_theta)
+        grid = make_grid(spec, _grid_ns(eps), N_THETA)
         v = GridFunction(np.cos(2.0 * np.pi * grid.s_nodes))
         solver = SlenderBodySolver(grid, "split")
         f_curved = solver.dtn(v).f.values

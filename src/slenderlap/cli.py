@@ -116,6 +116,9 @@ def cmd_check_bessel(args):
 def cmd_symbols(args):
     from .spectral import (symbol_m_D, symbol_m_S, symbol_m_eps,
                            symbol_m_eps_inv)
+    if args.kmax < 0 or args.lmax < 0:
+        raise ValueError(f"--kmax and --lmax must be >= 0, got {args.kmax} "
+                         f"and {args.lmax}")
     if args.dry_run:
         return _dry_run_report(args, args.kmax, args.lmax, grid=False)
     rows = []
@@ -279,6 +282,8 @@ def cmd_decompose(args):
     from .analysis import decompose_dtn
     from .grid import make_grid
     from .spectral import GridFunction
+    if not 0.0 < args.alpha <= 1.0:
+        raise ValueError(f"--alpha must lie in (0, 1], got {args.alpha}")
     if args.dry_run:
         return _dry_run_report(args, args.ns, args.ntheta, 1)
     spec = _build_spec(args)
@@ -412,7 +417,7 @@ def main(argv=None):
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

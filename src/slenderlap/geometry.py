@@ -80,8 +80,9 @@ class Centerline:
     """
 
     SELF_INTERSECTION_TOL = 1e-6
+    N_FINE = 4096  # raw-parameter samples of the arclength integral
 
-    def __init__(self, cos_coeffs, sin_coeffs, n_fine=4096):
+    def __init__(self, cos_coeffs, sin_coeffs):
         self.cos_coeffs = np.asarray(cos_coeffs, float)
         self.sin_coeffs = np.asarray(sin_coeffs, float)
         if self.cos_coeffs.ndim != 2 or self.cos_coeffs.shape[1] != 3:
@@ -90,6 +91,7 @@ class Centerline:
         if amp == 0.0:
             raise GeometryError("degenerate curve: all oscillatory coefficients vanish")
 
+        n_fine = self.N_FINE
         t_fine = np.arange(n_fine) / n_fine
         speed = np.linalg.norm(self._raw_deriv(t_fine), axis=1)
         if speed.min() < 1e-10 * speed.max():
@@ -117,24 +119,15 @@ class Centerline:
             raise GeometryError(
                 f"self-intersecting curve: c_gamma estimate {self.c_gamma:.3e}")
 
-    # raw curve X~(t) and derivatives from the coefficients
-    def _raw(self, t):
-        t = np.atleast_1d(np.asarray(t, float))
-        j = np.arange(self.cos_coeffs.shape[0])
-        ang = 2.0 * np.pi * np.outer(t, j)
-        return np.cos(ang) @ self.cos_coeffs + np.sin(ang) @ self.sin_coeffs
-
     def _raw_deriv(self, t, order=1):
+        """d^order/dt^order of the raw curve X~(t); order 0 is X~ itself."""
         t = np.atleast_1d(np.asarray(t, float))
         j = np.arange(self.cos_coeffs.shape[0])
         w = (2.0 * np.pi * j) ** order
         ang = 2.0 * np.pi * np.outer(t, j)
-        if order % 4 == 1:
-            c, s = -np.sin(ang), np.cos(ang)
-        elif order % 4 == 2:
-            c, s = -np.cos(ang), -np.sin(ang)
-        else:
-            c, s = np.cos(ang), np.sin(ang)
+        c, s = np.cos(ang), np.sin(ang)
+        for _ in range(order % 4):  # d/dt: (cos, sin) -> 2 pi j (-sin, cos)
+            c, s = -s, c
         return (c * w) @ self.cos_coeffs + (s * w) @ self.sin_coeffs
 
     def t_of_s(self, s):
@@ -164,7 +157,7 @@ class Centerline:
     def position(self, s):
         """X(s) on the unit-length curve."""
         t = self.t_of_s(s)
-        return self._raw(t) / self.arclength_total
+        return self._raw_deriv(t, 0) / self.arclength_total
 
     def tangent(self, s):
         return self._tangent_at_t(self.t_of_s(s))
@@ -219,9 +212,9 @@ class FrameField:
         return float(np.max(self.kappa))
 
 
-def build_centerline(curve_config, n_fine=4096):
+def build_centerline(curve_config):
     cos_c, sin_c = curve_from_config(curve_config)
-    return Centerline(cos_c, sin_c, n_fine=n_fine)
+    return Centerline(cos_c, sin_c)
 
 
 def build_frame(centerline, n_samples):
@@ -353,16 +346,26 @@ class SurfaceSpec:
         return e_t, e_n1, e_n2, k1, k2
 
 
+def tube_surface(epsilon, x0, e_n1, e_n2, k1, k2, theta):
+    """(x, e_r, khat, J_eps) of the module docstring's tube formulas.
+
+    The centerline data x0, e_n1, e_n2 (vectors on the last axis) and k1, k2
+    broadcast against theta, so data at the s-nodes, each with a trailing
+    unit axis, give the whole (s, theta) tensor grid.
+    """
+    ct, st = np.cos(theta), np.sin(theta)
+    e_r = ct[..., None] * e_n1 + st[..., None] * e_n2
+    khat = k1 * ct + k2 * st
+    return x0 + epsilon * e_r, e_r, khat, epsilon * (1.0 - epsilon * khat)
+
+
 def surface_point(spec, s, theta):
     """(position, outward normal, jacobian) at surface coordinates (s, theta)."""
     s_arr = np.atleast_1d(np.asarray(s, float))
     th = np.atleast_1d(np.asarray(theta, float))
     _, e_n1, e_n2, k1, k2 = spec.frame_at(s_arr)
-    x0 = spec.centerline.position(s_arr)
-    e_r = np.cos(th)[:, None] * e_n1 + np.sin(th)[:, None] * e_n2
-    khat = k1 * np.cos(th) + k2 * np.sin(th)
-    pos = x0 + spec.epsilon * e_r
-    jac = spec.epsilon * (1.0 - spec.epsilon * khat)
+    pos, e_r, _, jac = tube_surface(spec.epsilon, spec.centerline.position(s_arr),
+                                    e_n1, e_n2, k1, k2, th)
     if np.isscalar(s) and np.isscalar(theta):
         return pos[0], e_r[0], float(jac[0])
     return pos, e_r, jac

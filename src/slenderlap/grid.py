@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SurfaceSpec
+from .geometry import SurfaceSpec, tube_surface
 from .spectral import GridFunction
 
 # unused by the library; perfbench/tracer.py reads it to count Hoelder pairs
@@ -44,6 +44,13 @@ def check_grid_sizes(n_s, n_theta):
             raise ValueError(f"grid sizes must be powers of two (>= {lo})")
 
 
+def offset_templates(n_s, n_theta):
+    """(s-hat, theta-hat) periodic offsets indexed by node-index difference."""
+    ds = periodic_rep_s(np.arange(n_s) / n_s)
+    dt = periodic_rep_theta(2.0 * math.pi * np.arange(n_theta) / n_theta)
+    return ds, dt
+
+
 @dataclass
 class SurfaceGrid:
     """Uniform (s, theta) grid on the tube surface with cached geometry."""
@@ -60,20 +67,13 @@ class SurfaceGrid:
         self.theta_nodes = 2.0 * math.pi * np.arange(self.n_theta) / self.n_theta
 
         spec = self.spec
-        e_t, e_n1, e_n2, k1, k2 = spec.frame_at(self.s_nodes)
-        self.e_t, self.e_n1, self.e_n2 = e_t, e_n1, e_n2
-        self.kappa1, self.kappa2 = k1, k2
+        self.e_t, e_n1, e_n2, k1, k2 = spec.frame_at(self.s_nodes)
         self.kappa3 = spec.frame.kappa3
         self.X = spec.centerline.position(self.s_nodes)
-
-        ct = np.cos(self.theta_nodes)[None, :, None]
-        st = np.sin(self.theta_nodes)[None, :, None]
-        self.e_r = ct * e_n1[:, None, :] + st * e_n2[:, None, :]
-        self.positions = self.X[:, None, :] + spec.epsilon * self.e_r
-        self.normals = self.e_r
-        self.khat = (k1[:, None] * np.cos(self.theta_nodes)[None, :]
-                     + k2[:, None] * np.sin(self.theta_nodes)[None, :])
-        self.jacobian = spec.epsilon * (1.0 - spec.epsilon * self.khat)
+        # the frame at the n_s s-nodes, broadcast over the theta-nodes
+        self.positions, self.normals, self.khat, self.jacobian = tube_surface(
+            spec.epsilon, self.X[:, None], e_n1[:, None], e_n2[:, None],
+            k1[:, None], k2[:, None], self.theta_nodes)
 
     @property
     def epsilon(self):
@@ -96,38 +96,9 @@ class SurfaceGrid:
     def flat_jacobian(self):
         return self.jacobian.reshape(-1)
 
-    def offset_templates(self):
-        """(s-hat, theta-hat) periodic offsets indexed by node-index difference."""
-        ds = periodic_rep_s(np.arange(self.n_s) / self.n_s)
-        dt = periodic_rep_theta(2.0 * math.pi * np.arange(self.n_theta) / self.n_theta)
-        return ds, dt
-
 
 def make_grid(spec, n_s, n_theta):
     return SurfaceGrid(spec=spec, n_s=n_s, n_theta=n_theta)
-
-
-def punctured_trapezoid(kernel_fn, density, target_node, grid=None,
-                        include_jacobian=False):
-    """Uniform-weight sum over all source nodes except the target itself.
-
-    kernel_fn(i_s, i_t, a_s, a_t) -> kernel values for target (i_s, i_t) and
-    source index arrays (a_s, a_t).  density is a GridFunction on the same
-    grid.  The surface measure factor (jacobian) is applied when requested;
-    otherwise the sum carries only the bare trapezoid weight.
-    """
-    vals = density.values
-    n_s, n_t = vals.shape
-    i_s, i_t = target_node
-    a_s, a_t = np.meshgrid(np.arange(n_s), np.arange(n_t), indexing="ij")
-    ker = np.asarray(kernel_fn(i_s, i_t, a_s, a_t), float)
-    ker[i_s, i_t] = 0.0
-    w = (1.0 / n_s) * (2.0 * math.pi / n_t)
-    if include_jacobian:
-        if grid is None:
-            raise ValueError("include_jacobian requires the grid")
-        return float(np.sum(ker * vals * grid.jacobian) * w)
-    return float(np.sum(ker * vals) * w)
 
 
 # Hoelder machinery ----------------------------------------------------------
@@ -146,8 +117,7 @@ def holder_seminorm(f, alpha, epsilon):
     vals = vals.reshape(vals.shape[0], -1)
     n_s, n_t = vals.shape
     v = vals.reshape(-1)
-    ds = periodic_rep_s(np.arange(n_s) / n_s)
-    dt = periodic_rep_theta(2.0 * math.pi * np.arange(n_t) / n_t)
+    ds, dt = offset_templates(n_s, n_t)
     dist = np.sqrt(ds[:, None] ** 2 + (epsilon * dt[None, :]) ** 2).reshape(-1)
     offs = np.argsort(dist, kind="stable")
     offs = offs[dist[offs] > 0]
@@ -182,21 +152,3 @@ def spectral_s_derivative(values):
         return np.real(np.fft.ifft(2j * np.pi * k * np.fft.fft(vals)))
     return np.real(np.fft.ifft(2j * np.pi * k[:, None] * np.fft.fft(vals, axis=0),
                                axis=0))
-
-
-def c1alpha_norm(f, alpha):
-    """C^{1,alpha} norm on the s-circle: sup f + sup f' + seminorm(f', alpha)."""
-    vals = f.values if isinstance(f, GridFunction) else np.asarray(f)
-    if vals.ndim != 1:
-        raise ValueError("c1alpha_norm expects an s-circle function")
-    fp = spectral_s_derivative(vals)
-    return (float(np.max(np.abs(vals))) + float(np.max(np.abs(fp)))
-            + holder_seminorm(GridFunction(fp), alpha, 0.0))
-
-
-def trapezoid_mode_integral(n_s, n_theta, k, ell):
-    """Trapezoid integral of e^{2 pi i k s} e^{i l theta} over the torus."""
-    s = np.arange(n_s) / n_s
-    t = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    vals = np.exp(2j * np.pi * k * s)[:, None] * np.exp(1j * ell * t)[None, :]
-    return complex(np.sum(vals) * (1.0 / n_s) * (2.0 * math.pi / n_theta))

@@ -23,12 +23,10 @@ appear only in tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import surface_point
-from .grid import SurfaceGrid, periodic_rep_s, periodic_rep_theta
+from .grid import SurfaceGrid, offset_templates
 from .spectral import offset_windows
 
 FOURPI = 4.0 * math.pi
@@ -41,70 +39,6 @@ CHUNK_PAIRS = 1 << 16
 def default_chunk_rows(n_nodes):
     """Target rows per pair-sweep chunk: about CHUNK_PAIRS pairs."""
     return max(1, CHUNK_PAIRS // n_nodes)
-
-
-class SingularPointError(ValueError):
-    """Kernel requested on the diagonal (zero offset)."""
-
-
-@dataclass
-class KernelPoint:
-    """One (target, offset) pair with cached geometry for scalar evaluation."""
-
-    s: float
-    theta: float
-    s_hat: float
-    theta_hat: float
-    spec: object
-
-    def __post_init__(self):
-        self.s_hat = float(periodic_rep_s(self.s_hat))
-        self.theta_hat = float(periodic_rep_theta(self.theta_hat))
-        spec = self.spec
-        self.x, self.n_x, _ = surface_point(spec, self.s, self.theta)
-        self.x_src, self.n_src, _ = surface_point(
-            spec, (self.s - self.s_hat) % 1.0, self.theta - self.theta_hat)
-        e_t, e_n1, e_n2, _, _ = spec.frame_at(np.array([self.s]))
-        self.e_t = e_t[0]
-        e_r_t = (math.cos(self.theta) * e_n1[0] + math.sin(self.theta) * e_n2[0])
-        self.R = self.x - self.x_src
-        self.R_t = self.s_hat * self.e_t + spec.epsilon * (e_r_t - self.n_src)
-        self.abs_Rbar = math.hypot(self.s_hat,
-                                   2.0 * spec.epsilon * math.sin(self.theta_hat / 2.0))
-
-    @property
-    def is_diagonal(self):
-        return self.s_hat == 0.0 and self.theta_hat == 0.0
-
-
-def kernel_G(p):
-    """(1/4pi)/|x - x'| at a KernelPoint."""
-    if p.is_diagonal:
-        raise SingularPointError("G at zero offset")
-    return 1.0 / (FOURPI * np.linalg.norm(p.R))
-
-
-def kernel_KD(p):
-    """(1/4pi)(x - x').n_{x'} / |x - x'|^3, n outward from the tube."""
-    if p.is_diagonal:
-        raise SingularPointError("K_D at zero offset")
-    r = np.linalg.norm(p.R)
-    return float(np.dot(p.R, p.n_src)) / (FOURPI * r ** 3)
-
-
-def kernel_KD_straight(p):
-    if p.is_diagonal:
-        raise SingularPointError("K_D-bar at zero offset")
-    num = -2.0 * p.spec.epsilon * math.sin(p.theta_hat / 2.0) ** 2
-    return num / (FOURPI * p.abs_Rbar ** 3)
-
-
-def kernel_Rt_pieces(p):
-    """(1/|R|, 1/|R_t|, 1/|R-bar|) for assembling the remainder kernels."""
-    if p.is_diagonal:
-        raise SingularPointError("R_t pieces at zero offset")
-    return (1.0 / np.linalg.norm(p.R), 1.0 / np.linalg.norm(p.R_t),
-            1.0 / p.abs_Rbar)
 
 
 # vectorized pair sweeps ------------------------------------------------------
@@ -127,7 +61,7 @@ class PairGeometry:
         n = g.n_nodes
         self.i_s = np.arange(n) // g.n_theta
         self.i_t = np.arange(n) % g.n_theta
-        ds, dt = g.offset_templates()
+        ds, dt = offset_templates(g.n_s, g.n_theta)
         self.ds_template = ds
         self.dt_template = dt
         self.eps = g.epsilon
@@ -263,6 +197,16 @@ def check_geometric_inequalities(grid: SurfaceGrid):
     }
 
 
+def _punctured_row_sum(grid, target, need, fn):
+    """eps w sum over sources a != target of fn(pair fields of the target row)."""
+    lo = target[0] * grid.n_theta + target[1]
+    f = {k: v[0] for k, v in PairGeometry(grid).fields(lo, lo + 1, need).items()}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = fn(f)
+    vals[lo] = 0.0
+    return float(np.sum(vals) * grid.node_weight * grid.epsilon)
+
+
 def oddness_residual(grid: SurfaceGrid, n_pow, m_pow, target=(0, 0)):
     """Punctured symmetric sum of s^n (eps sin(t/2))^m / |R_even|^{n+m+2}.
 
@@ -270,28 +214,14 @@ def oddness_residual(grid: SurfaceGrid, n_pow, m_pow, target=(0, 0)):
     picks up O(h) boundary asymmetry from the unpaired s-hat = 1/2 and
     theta-hat = pi rows.
     """
-    pg = PairGeometry(grid)
-    i_s, i_t = target
-    lo = i_s * grid.n_theta + i_t
-    f = pg.fields(lo, lo + 1, need=("absReven", "shat", "that", "diag"))
-    shat, that = f["shat"][0], f["that"][0]
-    reven = f["absReven"][0]
-    mask = ~f["diag"][0]
-    num = shat ** n_pow * (grid.epsilon * np.sin(0.5 * that)) ** m_pow
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(mask, num / reven ** (n_pow + m_pow + 2), 0.0)
-    return float(np.sum(vals) * grid.node_weight * grid.epsilon)
+    return _punctured_row_sum(
+        grid, target, ("absReven", "shat", "that"),
+        lambda f: (f["shat"] ** n_pow * (grid.epsilon * np.sin(0.5 * f["that"]))
+                   ** m_pow / f["absReven"] ** (n_pow + m_pow + 2)))
 
 
 def basic_integral(grid: SurfaceGrid, k_pow, alpha, target=(0, 0), use_straight=False):
     """Punctured trapezoid of |R|^{-(k-alpha)} eps over the offset torus."""
-    pg = PairGeometry(grid)
-    i_s, i_t = target
-    lo = i_s * grid.n_theta + i_t
-    need = ("absRbar",) if use_straight else ("absR",)
-    f = pg.fields(lo, lo + 1, need=need + ("diag",))
-    r = f["absRbar"][0] if use_straight else f["absR"][0]
-    mask = ~f["diag"][0]
-    with np.errstate(divide="ignore"):
-        vals = np.where(mask, r ** -(k_pow - alpha), 0.0)
-    return float(np.sum(vals) * grid.node_weight * grid.epsilon)
+    r = "absRbar" if use_straight else "absR"
+    return _punctured_row_sum(grid, target, (r,),
+                              lambda f: f[r] ** -(k_pow - alpha))

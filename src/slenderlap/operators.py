@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import k0, k1
 
-from .grid import SurfaceGrid
+from .grid import SurfaceGrid, offset_templates
 from .kernels import FOURPI, PairGeometry
 from .specfun import EULER_GAMMA
 from .spectral import (FourierSymbol, GridFunction, apply_symbol, s_modes,
@@ -215,7 +215,7 @@ def straight_template(grid, kind, n_images=TAIL_IMAGES, central=False):
     also holds the punctured one-period term (zero weight at zero offset).
     kind "S" is G-bar, kind "D" is K_D-bar.
     """
-    ds, dt = grid.offset_templates()
+    ds, dt = offset_templates(grid.n_s, grid.n_theta)
     SH, TH = np.meshgrid(ds, dt, indexing="ij")
     c2 = (2.0 * grid.epsilon * np.sin(0.5 * TH)) ** 2
 
@@ -475,26 +475,23 @@ def assemble_Dprime(grid, backend="direct"):
                             parts={"D": d_op.matrix, "correction": corr})
 
 
-def theta_integral(grid, surface_values, weight="eps"):
-    """int_0^{2pi} f(s, theta) w dtheta per s-node (w = eps or J)."""
-    vals = surface_values.values if isinstance(surface_values, GridFunction) \
-        else np.asarray(surface_values)
-    dtheta = 2.0 * math.pi / grid.n_theta
-    if weight == "eps":
-        return GridFunction(np.sum(vals, axis=1) * grid.epsilon * dtheta)
-    return GridFunction(np.sum(vals * grid.jacobian, axis=1) * dtheta)
+def theta_integral(grid, x, weight):
+    """int_0^{2pi} x(s, theta) weight(s, theta) dtheta per s-node.
+
+    x holds surface samples as (n_s, n_theta) or as N rows, with any
+    trailing columns, which are kept; weight is a scalar or (n_s, n_theta).
+    """
+    x = np.asarray(x)
+    cols = x.shape[1:] if x.shape[0] == grid.n_nodes else x.shape[2:]
+    w = np.broadcast_to(weight, (grid.n_s, grid.n_theta))
+    q = np.einsum("itk,it->ik", x.reshape(grid.n_s, grid.n_theta, -1), w)
+    return (q * (2.0 * math.pi / grid.n_theta)).reshape((grid.n_s,) + cols)
 
 
 def extend_theta_profile(grid, profile):
     """Extend h(theta) to the surface grid (constant in s)."""
     h = np.asarray(profile, float)
     return GridFunction(np.tile(h, (grid.n_s, 1)))
-
-
-def extend_s_profile(grid, profile):
-    """Extend v(s) to the surface grid (constant in theta)."""
-    v = profile.values if isinstance(profile, GridFunction) else np.asarray(profile)
-    return GridFunction(np.tile(v[:, None], (1, grid.n_theta)))
 
 
 def mean_in_s_split(grid, h_profile):
@@ -510,11 +507,10 @@ def mean_in_s_split(grid, h_profile):
     # G at weight eps on ext, and R_S3 on ext as G on -eps khat ext: one sweep
     a = apply_pairs(grid, "G", np.stack([ext, -grid.epsilon * grid.khat * ext],
                                         axis=-1))
-    h1 = theta_integral(grid, a[..., 0], weight="eps")
-    h2 = theta_integral(grid, a[..., 1], weight="eps")
+    h1, h2 = theta_integral(grid, a, grid.epsilon).T
 
     high = np.abs(s_modes(grid.n_s)) >= 1.0 / (2.0 * math.pi * grid.epsilon)
     tab = FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s)  # 0 at k = 0
-    h_eps = apply_symbol(tab * high, h1.values) + apply_symbol(tab, h2.values)
-    h_plus = apply_symbol(tab * ~high, h1.values)
+    h_eps = apply_symbol(tab * high, h1) + apply_symbol(tab, h2)
+    h_plus = apply_symbol(tab * ~high, h1)
     return GridFunction(h_eps), GridFunction(h_plus)

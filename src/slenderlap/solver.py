@@ -34,12 +34,16 @@ from scipy.linalg import lu_factor, lu_solve, get_lapack_funcs
 
 from .grid import SurfaceGrid, check_grid_sizes
 from .kernels import FOURPI
-from .operators import apply_pair, assemble_Dprime, assemble_pair
+from .operators import apply_pair, assemble_Dprime, assemble_pair, theta_integral
 # not called here: perfbench/tracer.py wraps them where solver binds them
 from .operators import assemble_D, assemble_S  # noqa: F401
 from .spectral import FourierSymbol, GridFunction, apply_symbol
 
 COND_LIMIT = 1e12
+# the Neumann-series NtD stops once an increment is below NEUMANN_TOL times
+# max(1, |v|) and fails if NEUMANN_MAX_ITER sweeps do not get there
+NEUMANN_MAX_ITER = 40
+NEUMANN_TOL = 1e-12
 
 
 class SolveError(RuntimeError):
@@ -104,13 +108,6 @@ class SlenderBodySolver:
                 f"(n_s={self.grid.n_s}, n_theta={self.grid.n_theta}, "
                 f"eps={self.grid.epsilon})")
 
-    def _flux(self, x):
-        """Q x for x with N rows: the J-weighted theta integral per s-node."""
-        g = self.grid
-        q = np.einsum("itk,it->ik", x.reshape(g.n_s, g.n_theta, -1),
-                      g.jacobian) * (2.0 * math.pi / g.n_theta)
-        return q.reshape((g.n_s,) + x.shape[1:])
-
     def _densities(self):
         """B = (1/2 I - D_h) E and W = S_h^-1 B, both N x n_s.
 
@@ -130,7 +127,8 @@ class SlenderBodySolver:
     def dtn_matrix(self):
         """Lambda = Q W: the n_s x n_s discrete DtN map, f = Lambda v."""
         if self._dtn_matrix is None:
-            self._dtn_matrix = self._flux(self._densities()[1])
+            self._dtn_matrix = theta_integral(self.grid, self._densities()[1],
+                                              self.grid.jacobian)
         return self._dtn_matrix
 
     def _dtn_factor(self):
@@ -149,7 +147,7 @@ class SlenderBodySolver:
         vv = v.values if isinstance(v, GridFunction) else np.asarray(v, float)
         b, W = self._densities()
         w = W @ vv
-        f = self._flux(w)
+        f = theta_integral(self.grid, w, self.grid.jacobian)
         resid = float(np.max(np.abs(self.S_op.matrix @ w - b @ vv)))
         shape = (self.grid.n_s, self.grid.n_theta)
         return SlenderSolveResult(
@@ -165,7 +163,8 @@ class SlenderBodySolver:
         v = lu_solve(self._dtn_factor(), ff)
         w = W @ v
         res1 = float(np.max(np.abs(self.S_op.matrix @ w - b @ v)))
-        res2 = float(np.max(np.abs(self._flux(w) - ff)))
+        q = theta_integral(self.grid, w, self.grid.jacobian)
+        res2 = float(np.max(np.abs(q - ff)))
         shape = (self.grid.n_s, self.grid.n_theta)
         return SlenderSolveResult(
             v=GridFunction(v), w=GridFunction(w.reshape(shape)),
@@ -190,12 +189,13 @@ class SlenderBodySolver:
     def straight_ntd(self, f):
         return self._straight("m_eps", f)
 
-    def neumann_series_ntd(self, f, max_iter=40, tol=1e-12):
+    def neumann_series_ntd(self, f):
         """NtD by the straight-map iteration v <- Lbar[f] - Lbar P0 R_d[v].
 
         R_d v = L^{-1} v - Lbar^{-1} v goes through dtn and the cached W, so
         a sweep is matrix-vector products only.  Returns (v, history of
-        increments).
+        increments); raises SolveError if the series has not converged after
+        NEUMANN_MAX_ITER sweeps.
         """
         ff = f.values if isinstance(f, GridFunction) else np.asarray(f, float)
         if abs(np.mean(ff)) > 1e-10 * (np.max(np.abs(ff)) or 1.0):
@@ -203,7 +203,7 @@ class SlenderBodySolver:
         v = self.straight_ntd(GridFunction(ff)).values
         base = v.copy()
         history = []
-        for _ in range(max_iter):
+        for _ in range(NEUMANN_MAX_ITER):
             rd = self.dtn(GridFunction(v)).f.values \
                 - self.straight_dtn(GridFunction(v)).values
             rd = rd - np.mean(rd)
@@ -211,9 +211,11 @@ class SlenderBodySolver:
             inc = float(np.max(np.abs(v_new - v)))
             history.append(inc)
             v = v_new
-            if inc < tol * max(1.0, float(np.max(np.abs(v)))):
-                break
-        return GridFunction(v), history
+            if inc < NEUMANN_TOL * max(1.0, float(np.max(np.abs(v)))):
+                return GridFunction(v), history
+        raise SolveError(
+            f"Neumann-series NtD did not converge in {NEUMANN_MAX_ITER} sweeps: "
+            f"last increment {history[-1]:.3e}")
 
 
 # exterior Dirichlet through the modified double layer -------------------------
@@ -221,27 +223,21 @@ class SlenderBodySolver:
 def _offsurface_eval(grid, points, density, kind):
     """Evaluate layer potentials at strictly exterior points (no puncture)."""
     pts = np.atleast_2d(np.asarray(points, float))
-    src = grid.flat_positions()
-    nrm = grid.flat_normals()
     jw = grid.flat_jacobian() * grid.node_weight
     dens = density.values.reshape(-1) if isinstance(density, GridFunction) \
         else np.asarray(density).reshape(-1)
-    out = np.empty(pts.shape[0])
-    xc = np.repeat(grid.X, grid.n_theta, axis=0)
-    for i, y in enumerate(pts):
-        d = y[None, :] - src
-        r = np.linalg.norm(d, axis=1)
-        if kind == "S":
-            ker = 1.0 / (FOURPI * r)
-        elif kind == "D":
-            ker = np.einsum("ij,ij->i", d, nrm) / (FOURPI * r ** 3)
-        elif kind == "Dprime":
-            rc = np.linalg.norm(y[None, :] - xc, axis=1)
-            ker = np.einsum("ij,ij->i", d, nrm) / (FOURPI * r ** 3) + 1.0 / rc
-        else:
-            raise ValueError(kind)
-        out[i] = np.sum(ker * dens * jw)
-    return out
+    d = pts[:, None, :] - grid.flat_positions()
+    r = np.linalg.norm(d, axis=2)
+    if kind == "S":
+        ker = 1.0 / (FOURPI * r)
+    elif kind in ("D", "Dprime"):
+        ker = np.einsum("mij,ij->mi", d, grid.flat_normals()) / (FOURPI * r ** 3)
+        if kind == "Dprime":
+            xc = np.repeat(grid.X, grid.n_theta, axis=0)
+            ker += 1.0 / np.linalg.norm(pts[:, None, :] - xc, axis=2)
+    else:
+        raise ValueError(kind)
+    return np.sum(ker * dens * jw, axis=1)
 
 
 def _distance_to_centerline(grid, points):

@@ -61,25 +61,12 @@ class GridFunction:
             if n & (n - 1) != 0:
                 raise ValueError("grid sizes must be powers of two")
 
-    @property
-    def on_surface(self):
-        return self.values.ndim == 2
-
-    @property
-    def n_s(self):
-        return self.values.shape[0]
-
-    @property
-    def n_theta(self):
-        return self.values.shape[1] if self.on_surface else None
-
     def s_mean(self):
         """Mean over s (a theta-profile for surface functions)."""
         return np.mean(self.values, axis=0)
 
     def project_zero_s_mean(self):
-        return GridFunction(self.values - np.mean(self.values, axis=0,
-                                                  keepdims=self.on_surface))
+        return GridFunction(self.values - self.s_mean())
 
 
 def s_modes(n_s):
@@ -133,10 +120,6 @@ def symbol_m_S(epsilon, k, ell):
     return FourierSymbol("m_S", epsilon).evaluate(k, ell)
 
 
-def symbol_m_S_inv(epsilon, k):
-    return FourierSymbol("m_S_inv", epsilon).evaluate(k)
-
-
 def symbol_m_D(epsilon, k, ell):
     return FourierSymbol("m_D", epsilon).evaluate(k, ell)
 
@@ -172,7 +155,7 @@ class FourierSymbol:
         """Symbol values on the discrete mode grid; undefined modes get 0.
 
         One _symbol_row per |k|.  A zero at an undefined mode is only safe
-        under a prior P0 projection; apply_straight_operator enforces that.
+        under a prior P0 projection of the data it is applied to.
         """
         ells = np.abs(theta_modes(n_theta)) if n_theta else np.zeros(1, int)
         rows = np.array([_symbol_row(self.name, self.epsilon, k, int(ells.max()))
@@ -190,35 +173,6 @@ def apply_symbol(table, values):
     """
     out = np.fft.ifftn(table * np.fft.fftn(values))
     return np.real(out) if np.isrealobj(values) else out
-
-
-def apply_straight_operator(symbol, f, project_zero_s_mean=False):
-    """Apply a diagonal symbol to a GridFunction through the FFT.
-
-    If the symbol is undefined at a mode carrying data, the call fails
-    unless project_zero_s_mean is set, in which case the s-mean is removed
-    first (the P0 projection).
-    """
-    needs_p0 = symbol.name in ("m_S", "m_S_inv", "m_eps", "m_eps_inv")
-    g = f
-    if project_zero_s_mean:
-        g = f.project_zero_s_mean()
-    elif needs_p0:
-        mean = np.mean(g.values, axis=0)
-        scale = np.max(np.abs(g.values)) or 1.0
-        if np.max(np.abs(np.atleast_1d(mean))) > 1e-12 * scale:
-            # m_S and m_eps families have no finite value on s-mean data
-            if symbol.name in ("m_S_inv", "m_eps", "m_eps_inv") or (
-                    symbol.name == "m_S" and g.on_surface is False):
-                raise UndefinedModeError(
-                    f"{symbol.name} applied to data with nonzero s-mean; "
-                    "set project_zero_s_mean or project beforehand")
-            if symbol.name == "m_S" and g.on_surface:
-                theta_mean = np.mean(mean)
-                if abs(theta_mean) > 1e-12 * scale:
-                    raise UndefinedModeError(
-                        "m_S applied to data with nonzero (s, theta)-mean")
-    return GridFunction(apply_symbol(symbol.table(g.n_s, g.n_theta), g.values))
 
 
 def offset_windows(t):

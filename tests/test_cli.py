@@ -225,3 +225,20 @@ def test_scaling_dry_run_sizes(capsys):
     assert main(["scaling", "--study", "Rd-eps-group", "--eps",
                  "1/512,1/1024", "--dry-run"]) == 1
     assert "capped" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["symbols", "--lmax", "100"], "order cap 64 exceeded"),
+    (["symbols", "--kmax", "-3"], "--kmax and --lmax must be >= 0"),
+    (["symbols", "--lmax", "-1"], "--kmax and --lmax must be >= 0"),
+    (["decompose", "--alpha", "-1"], "--alpha must lie in (0, 1]"),
+    (["decompose", "--alpha", "1.5", "--dry-run"], "--alpha must lie in (0, 1]"),
+], ids=["lmax-past-order-cap", "kmax-negative", "lmax-negative",
+        "alpha-negative", "alpha-above-1-dry-run"])
+def test_out_of_range_inputs_are_one_line_errors(argv, text, tmp_path,
+                                                 monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and text in err and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())  # no symbols.csv

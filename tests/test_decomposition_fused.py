@@ -86,9 +86,9 @@ def test_mean_in_s_term_matches_dense_route(perturbed_grid_small):
     w = solver.dtn(v).w
     w_mean_surface = np.tile(w.s_mean(), (grid.n_s, 1))
     dense = solver.S_op.matrix @ w_mean_surface.reshape(-1)
-    integ = op.theta_integral(grid, dense.reshape(w.values.shape), "eps")
+    integ = op.theta_integral(grid, dense, grid.epsilon)
     ref = -apply_symbol(FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s),
-                        integ.values)
+                        integ)
     term = rep["terms"]["mean_in_s"]
     assert np.max(np.abs(ref)) > 1e-8
     assert np.max(np.abs(term - ref)) <= 1e-10 * np.max(np.abs(ref))

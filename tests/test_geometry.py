@@ -30,6 +30,19 @@ def test_circle_basic_quantities():
     assert abs(cl.arclength_total - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_raw_derivatives_on_the_circle(order):
+    # X~(t) = r (cos 2 pi t, sin 2 pi t, 0): each t-derivative scales by 2 pi
+    # and turns the phase by a quarter
+    cl = geo.build_centerline(CIRCLE)
+    t = np.array([0.0, 0.1, 0.37])
+    ang = 2.0 * math.pi * t + order * math.pi / 2.0
+    want = (2.0 * math.pi) ** (order - 1) * np.stack(
+        [np.cos(ang), np.sin(ang), np.zeros_like(t)], axis=1)
+    got = cl._raw_deriv(t, order)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_unit_speed_both_presets():
     for config in (CIRCLE, PERTURBED):
         cl = geo.build_centerline(config)

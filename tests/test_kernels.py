@@ -1,41 +1,112 @@
 """Kernel evaluations, displacement-vector inequalities, integral scalings."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from slenderlap import geometry as geo
 from slenderlap import kernels as kn
-from slenderlap.grid import make_grid
+from slenderlap.geometry import surface_point
+from slenderlap.grid import make_grid, periodic_rep_s, periodic_rep_theta
+
+FOURPI = kn.FOURPI
+
+
+# scalar kernel oracles: one (target, offset) pair at a time, from the exact
+# surface points, for the vectorized pair sweeps to be checked against ------
+
+class SingularPointError(ValueError):
+    """Kernel requested on the diagonal (zero offset)."""
+
+
+@dataclass
+class KernelPoint:
+    """One (target, offset) pair with cached geometry for scalar evaluation."""
+
+    s: float
+    theta: float
+    s_hat: float
+    theta_hat: float
+    spec: object
+
+    def __post_init__(self):
+        self.s_hat = float(periodic_rep_s(self.s_hat))
+        self.theta_hat = float(periodic_rep_theta(self.theta_hat))
+        spec = self.spec
+        self.x, self.n_x, _ = surface_point(spec, self.s, self.theta)
+        self.x_src, self.n_src, _ = surface_point(
+            spec, (self.s - self.s_hat) % 1.0, self.theta - self.theta_hat)
+        e_t, e_n1, e_n2, _, _ = spec.frame_at(np.array([self.s]))
+        self.e_t = e_t[0]
+        e_r_t = (math.cos(self.theta) * e_n1[0] + math.sin(self.theta) * e_n2[0])
+        self.R = self.x - self.x_src
+        self.R_t = self.s_hat * self.e_t + spec.epsilon * (e_r_t - self.n_src)
+        self.abs_Rbar = math.hypot(self.s_hat,
+                                   2.0 * spec.epsilon * math.sin(self.theta_hat / 2.0))
+
+    @property
+    def is_diagonal(self):
+        return self.s_hat == 0.0 and self.theta_hat == 0.0
+
+
+def kernel_G(p):
+    """(1/4pi)/|x - x'| at a KernelPoint."""
+    if p.is_diagonal:
+        raise SingularPointError("G at zero offset")
+    return 1.0 / (FOURPI * np.linalg.norm(p.R))
+
+
+def kernel_KD(p):
+    """(1/4pi)(x - x').n_{x'} / |x - x'|^3, n outward from the tube."""
+    if p.is_diagonal:
+        raise SingularPointError("K_D at zero offset")
+    r = np.linalg.norm(p.R)
+    return float(np.dot(p.R, p.n_src)) / (FOURPI * r ** 3)
+
+
+def kernel_KD_straight(p):
+    if p.is_diagonal:
+        raise SingularPointError("K_D-bar at zero offset")
+    num = -2.0 * p.spec.epsilon * math.sin(p.theta_hat / 2.0) ** 2
+    return num / (FOURPI * p.abs_Rbar ** 3)
+
+
+def kernel_Rt_pieces(p):
+    """(1/|R|, 1/|R_t|, 1/|R-bar|) for assembling the remainder kernels."""
+    if p.is_diagonal:
+        raise SingularPointError("R_t pieces at zero offset")
+    return (1.0 / np.linalg.norm(p.R), 1.0 / np.linalg.norm(p.R_t),
+            1.0 / p.abs_Rbar)
 
 
 def kp(spec, s, theta, s_hat, theta_hat):
-    return kn.KernelPoint(s=s, theta=theta, s_hat=s_hat, theta_hat=theta_hat,
+    return KernelPoint(s=s, theta=theta, s_hat=s_hat, theta_hat=theta_hat,
                           spec=spec)
 
 
 def test_kernel_G_symmetry(circle_spec64):
     p = kp(circle_spec64, 0.30, 1.2, 0.17, 0.8)
     q = kp(circle_spec64, 0.30 - 0.17, 1.2 - 0.8, -0.17, -0.8)
-    assert abs(kn.kernel_G(p) - kn.kernel_G(q)) < 1e-14
+    assert abs(kernel_G(p) - kernel_G(q)) < 1e-14
 
 
 def test_kernel_G_antipodal_circle(circle_spec64):
     # antipodal centerline points on the circle: |x - x'| ~ diameter 1/pi
     p = kp(circle_spec64, 0.0, 0.0, 0.5, 0.0)
-    val = kn.kernel_G(p)
+    val = kernel_G(p)
     assert abs(val - 0.25) < 0.25 * 8 * circle_spec64.epsilon
 
 
 def test_kernel_singular_point(circle_spec64):
     p = kp(circle_spec64, 0.1, 0.3, 0.0, 0.0)
-    with pytest.raises(kn.SingularPointError):
-        kn.kernel_G(p)
-    with pytest.raises(kn.SingularPointError):
-        kn.kernel_KD(p)
-    with pytest.raises(kn.SingularPointError):
-        kn.kernel_Rt_pieces(p)
+    with pytest.raises(SingularPointError):
+        kernel_G(p)
+    with pytest.raises(SingularPointError):
+        kernel_KD(p)
+    with pytest.raises(SingularPointError):
+        kernel_Rt_pieces(p)
 
 
 def test_straight_KD_identity(circle_spec64):
@@ -44,7 +115,7 @@ def test_straight_KD_identity(circle_spec64):
     eps = circle_spec64.epsilon
     p = kp(circle_spec64, 0.2, 0.9, 0.05, 1.3)
     num = -2.0 * eps * math.sin(p.theta_hat / 2) ** 2
-    assert abs(kn.kernel_KD_straight(p) - num / (4 * math.pi * p.abs_Rbar ** 3)) \
+    assert abs(kernel_KD_straight(p) - num / (4 * math.pi * p.abs_Rbar ** 3)) \
         < 1e-16
 
 
@@ -86,7 +157,7 @@ def test_G_minus_straight_bounded(perturbed_grid):
 
 def test_Rt_pieces_ordering(perturbed_spec64):
     p = kp(perturbed_spec64, 0.37, 2.0, 0.04, 0.7)
-    inv_r, inv_rt, inv_rbar = kn.kernel_Rt_pieces(p)
+    inv_r, inv_rt, inv_rbar = kernel_Rt_pieces(p)
     assert inv_r > 0 and inv_rt > 0 and inv_rbar > 0
     vals = np.array([inv_r, inv_rt, inv_rbar])
     assert np.max(vals) / np.min(vals) < 5.0
@@ -176,7 +247,6 @@ def test_pair_fields_build_only_what_is_asked(trefoil_grid):
 def test_pair_fields_gather_offsets(trefoil_grid):
     """Gathered offsets equal the periodic node differences, and the
     componentwise |R|, R . n_src and |R_t| equal their vector forms."""
-    from slenderlap.grid import periodic_rep_s, periodic_rep_theta
     g = trefoil_grid
     pg = kn.PairGeometry(g, chunk_rows=37)  # chunks that split s-rows
     s = np.repeat(g.s_nodes, g.n_theta)

@@ -204,12 +204,15 @@ def test_theta_integral_and_extensions(circle_grid_small, rng):
     prof = rng.standard_normal(g.n_theta)
     ext = op.extend_theta_profile(g, prof)
     assert np.all(ext.values == prof[None, :])
-    v = rng.standard_normal(g.n_s)
-    ext_s = op.extend_s_profile(g, v)
-    assert np.all(ext_s.values == v[:, None])
-    integ = op.theta_integral(g, ext, weight="eps")
+    integ = op.theta_integral(g, ext.values, g.epsilon)
     want = np.sum(prof) * g.epsilon * 2 * math.pi / g.n_theta
-    assert np.max(np.abs(integ.values - want)) < 1e-14
+    assert np.max(np.abs(integ - want)) < 1e-14
+    # N rows with trailing columns, and a surface weight: the Q of the solver
+    cols = rng.standard_normal((g.n_nodes, 3))
+    q = op.theta_integral(g, cols, g.jacobian)
+    want = (cols.reshape(g.n_s, g.n_theta, 3) * g.jacobian[..., None]).sum(axis=1)
+    assert q.shape == (g.n_s, 3)
+    assert np.max(np.abs(q - want * 2 * math.pi / g.n_theta)) < 1e-14
 
 
 def test_mean_in_s_split_runs(perturbed_grid):
@@ -256,7 +259,7 @@ def test_split_D_spectral_part_theta_independent(circle_grid_small):
     g = circle_grid_small
     tab = op.assemble_D(g, "split").parts["m_D"]
     assert tab.shape == (g.n_s, g.n_theta)
-    ev = op.extend_s_profile(g, np.cos(2 * np.pi * g.s_nodes))
-    out = np.real(np.fft.ifft2(tab * np.fft.fft2(ev.values)))
+    ev = np.repeat(np.cos(2 * np.pi * g.s_nodes)[:, None], g.n_theta, axis=1)
+    out = np.real(np.fft.ifft2(tab * np.fft.fft2(ev)))
     assert np.max(np.abs(out)) > 0.1
     assert np.max(np.abs(out - out[:, :1])) < 1e-13

@@ -10,7 +10,6 @@ from slenderlap import geometry as geo
 from slenderlap import solver as sv
 from slenderlap.kernels import PairGeometry
 from slenderlap.grid import make_grid
-from slenderlap.operators import extend_s_profile
 from slenderlap.spectral import FourierSymbol, GridFunction, symbol_m_eps
 
 
@@ -188,7 +187,7 @@ def test_exterior_two_routes_solved_w(circle_grid, circle_solver):
     pts = exterior_points(circle_grid.spec)
     v_s = GridFunction(1.0 + 0.3 * np.cos(2 * np.pi * circle_grid.s_nodes))
     res = circle_solver.dtn(v_s)
-    v_surf = extend_s_profile(circle_grid, v_s)
+    v_surf = np.repeat(v_s.values[:, None], circle_grid.n_theta, axis=1)
     u_green = sv.green_representation_eval(circle_grid, pts, v_surf, res.w)
     u_dp, _ = sv.solve_exterior_dirichlet(circle_grid, v_surf, pts,
                                           backend="split")
@@ -302,6 +301,29 @@ def test_neumann_series_builds_straight_tables_once(oracle_grids,
     solver.neumann_series_ntd(f)
     solver.neumann_series_ntd(f)
     assert sorted(built) == ["m_eps", "m_eps_inv"]
+
+
+def test_round_trip_and_residuals_on_the_twisted_trefoil(trefoil_grid):
+    """The circle's round-trip and residual checks on a twisted frame (k3 ~ 2.2)."""
+    solver = _fresh_solver(trefoil_grid)
+    v = GridFunction(np.cos(2 * np.pi * trefoil_grid.s_nodes))
+    res = solver.dtn(v)
+    assert res.residuals["first_kind_inf"] < 1e-10
+    back = solver.ntd(res.f)
+    assert _rel(back.v.values, v.values) <= 1e-6
+    assert back.residuals["constraint_inf"] < 1e-10
+    assert back.residuals["first_kind_inf"] < 1e-10
+    assert np.isfinite(solver.cond_S) and solver.cond_S < 1e10
+
+
+def test_neumann_series_divergence_is_an_error(trefoil_grid):
+    # the straight-map iteration diverges on the trefoil at eps 1/64: it must
+    # say so, with its last increment, not return the diverged iterate
+    solver = _fresh_solver(trefoil_grid)
+    f = GridFunction(np.cos(2 * np.pi * trefoil_grid.s_nodes))
+    with pytest.raises(sv.SolveError, match="did not converge in 40 sweeps: "
+                                            "last increment"):
+        solver.neumann_series_ntd(f)
 
 
 @pytest.mark.parametrize("backend", ["direct", "split"])

@@ -14,7 +14,6 @@ from scipy.integrate import quad
 
 from slenderlap import specfun as sf
 from slenderlap import spectral as sp
-from slenderlap.spectral import GridFunction
 
 
 def k0_cos_quadrature(z, ell):
@@ -87,7 +86,7 @@ def test_symbol_m_S_undefined_mode():
     with pytest.raises(sp.UndefinedModeError):
         sp.symbol_m_S(0.01, 0, 0)
     with pytest.raises(sp.UndefinedModeError):
-        sp.symbol_m_S_inv(0.01, 0)
+        sp.FourierSymbol("m_S_inv", 0.01).evaluate(0)
 
 
 def test_symbol_m_D_brute_force_oracle():
@@ -155,7 +154,7 @@ def test_reciprocity_and_mS_inv():
     for k in (1, 2, 17):
         assert abs(sp.symbol_m_eps(eps, k) * sp.symbol_m_eps_inv(eps, k)
                    - 1.0) < 1e-12
-        assert abs(sp.symbol_m_S_inv(eps, k) * sp.symbol_m_S(eps, k, 0)
+        assert abs(sp.FourierSymbol("m_S_inv", eps).evaluate(k) * sp.symbol_m_S(eps, k, 0)
                    - 1.0) < 1e-12
 
 
@@ -199,7 +198,7 @@ def test_m_S_m_D_tables_against_mpmath(eps):
 def test_m_S_inv_finite_past_arg_cap():
     eps = 1e-2
     xi = 2.0 * sf.ARG_CAP / (2.0 * math.pi * eps) + 0.5  # real xi, w > ARG_CAP
-    val = sp.symbol_m_S_inv(eps, xi)
+    val = sp.FourierSymbol("m_S_inv", eps).evaluate(xi)
     assert np.isfinite(val)
     # high-frequency limit 1/(eps I_0 K_0) -> 2 w/eps = 4 pi |xi|
     assert abs(val / (4.0 * math.pi * xi) - 1.0) < 1e-5
@@ -209,11 +208,10 @@ def test_apply_reciprocal_symbols(rng):
     eps = 1.0 / 64.0
     vals = rng.standard_normal(128)
     vals -= vals.mean()
-    f = GridFunction(vals)
-    sym_inv = sp.FourierSymbol("m_eps_inv", eps)
-    sym = sp.FourierSymbol("m_eps", eps)
-    out = sp.apply_straight_operator(sym, sp.apply_straight_operator(sym_inv, f))
-    assert np.max(np.abs(out.values - f.values)) < 1e-12
+    tab_inv = sp.FourierSymbol("m_eps_inv", eps).table(128)
+    tab = sp.FourierSymbol("m_eps", eps).table(128)
+    out = sp.apply_symbol(tab, sp.apply_symbol(tab_inv, vals))
+    assert np.max(np.abs(out - vals)) < 1e-12
 
 
 def test_apply_diagonal_action():
@@ -221,30 +219,20 @@ def test_apply_diagonal_action():
     n_s, n_t = 64, 16
     s = np.arange(n_s) / n_s
     th = 2 * np.pi * np.arange(n_t) / n_t
-    f = GridFunction(np.cos(2 * np.pi * s)[:, None] * np.cos(th)[None, :])
-    out = sp.apply_straight_operator(sp.FourierSymbol("m_S", eps), f)
-    want = sp.symbol_m_S(eps, 1, 1) * f.values
-    assert np.max(np.abs(out.values - want)) < 1e-13
+    f = np.cos(2 * np.pi * s)[:, None] * np.cos(th)[None, :]
+    out = sp.apply_symbol(sp.FourierSymbol("m_S", eps).table(n_s, n_t), f)
+    want = sp.symbol_m_S(eps, 1, 1) * f
+    assert np.max(np.abs(out - want)) < 1e-13
     # eigenfunction of the 1D DtN symbol
-    g = GridFunction(np.cos(2 * np.pi * 3 * s))
-    out = sp.apply_straight_operator(sp.FourierSymbol("m_eps_inv", eps), g)
-    assert np.max(np.abs(out.values - sp.symbol_m_eps_inv(eps, 3) * g.values)) \
-        < 1e-12
+    g = np.cos(2 * np.pi * 3 * s)
+    out = sp.apply_symbol(sp.FourierSymbol("m_eps_inv", eps).table(n_s), g)
+    assert np.max(np.abs(out - sp.symbol_m_eps_inv(eps, 3) * g)) < 1e-12
 
 
 def test_apply_real_output(rng):
-    f = GridFunction(rng.standard_normal((32, 8)))
-    out = sp.apply_straight_operator(sp.FourierSymbol("m_D", 0.01), f)
-    assert np.isrealobj(out.values)
-
-
-def test_apply_mean_data_guard(rng):
-    f = GridFunction(1.0 + rng.standard_normal(64) * 0.1)
-    sym = sp.FourierSymbol("m_eps_inv", 0.01)
-    with pytest.raises(sp.UndefinedModeError):
-        sp.apply_straight_operator(sym, f)
-    out = sp.apply_straight_operator(sym, f, project_zero_s_mean=True)
-    assert abs(np.mean(out.values)) < 1e-12
+    f = rng.standard_normal((32, 8))
+    out = sp.apply_symbol(sp.FourierSymbol("m_D", 0.01).table(32, 8), f)
+    assert np.isrealobj(out)
 
 
 def test_symbol_dense_matrix_matches_fft(rng):
