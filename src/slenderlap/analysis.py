@@ -274,7 +274,7 @@ def make_study(study_id, curve_config=None, epsilons=None, **overrides):
 def run_scaling_study(study):
     """Run one ladder, fit the slope, and return the verdict report."""
     cl = geo.build_centerline(study.curve_config)
-    fr = geo.build_frame(cl, 128)
+    fr = geo.build_frame(cl, geo.FRAME_SAMPLES)
     values = []
     for eps in study.epsilons:
         spec = geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=eps)
@@ -305,7 +305,7 @@ def measure_total_remainder(curve_config, epsilons, alpha=0.25):
     dominance of the straight part at every epsilon.
     """
     cl = geo.build_centerline(curve_config)
-    fr = geo.build_frame(cl, 128)
+    fr = geo.build_frame(cl, geo.FRAME_SAMPLES)
     rows = []
     for eps in epsilons:
         spec = geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=eps)

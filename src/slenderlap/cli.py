@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import FRAME_SAMPLES
+
 
 def _fmt(x):
     return f"{x:.17g}"
@@ -67,7 +69,7 @@ def _curve_config(args):
     return {"preset": args.curve}
 
 
-def _build_spec(args, n_frame=128):
+def _build_spec(args, n_frame=FRAME_SAMPLES):
     from . import geometry as geo
     cl = geo.build_centerline(_curve_config(args))
     fr = geo.build_frame(cl, n_frame)

@@ -3,16 +3,19 @@ r"""Closed filament geometry: centerline, adapted frame, tube surface.
 The centerline is a closed curve given by vector Fourier coefficients in a
 raw parameter t in [0,1).  It is reparameterized by arclength and rescaled so
 the total length is exactly 1, i.e. s lives on the unit circle T = R/Z.
+Presets: "circle", "perturbed_circle" and the twisted-frame "trefoil".
 
 The frame (e_t, e_n1, e_n2) satisfies the ODE system
 
     d/ds [e_t; e_n1; e_n2] = [[0, k1, k2], [-k1, 0, k3], [-k2, -k3, 0]] [...]
 
-with constant k3.  It is built as a twisted parallel-transport frame: the
-parallel frame (k3 = 0) is integrated over one loop, the holonomy angle phi
-of the normal plane is measured, and the frame is twisted by the angle
--phi * s (reduced to (-pi, pi]) so it closes up periodically; |k3| <= pi by
-construction.
+with constant k3: Bishop's parallel-transport frame, twisted so it closes,
+built in closed form.  For the fixed reference direction a (of a few) that
+stays farthest from +-e_t, U = a projected on the normal plane and
+normalized, V = e_t x U.  A parallel normal is cos(psi) U + sin(psi) V with
+psi' = -omega, omega = U' . V, which needs only X~_t and X~_tt (no
+kappa > 0).  The loop total of omega, reduced to (-pi, pi], is k3; e_n1 has
+the angle psi0 - int omega + k3 s, integrated spectrally like the arclength.
 
 Tube surface of radius eps:
 
@@ -27,7 +30,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+
+
+FRAME_SAMPLES = 128  # s-nodes of the frame the CLI and the studies build
+# candidate reference directions of the frame: the axes and cube diagonals
+FRAME_REFERENCES = np.vstack([np.eye(3), np.array(
+    [[1, 1, 1], [1, 1, -1], [1, -1, 1], [-1, 1, 1]]) / math.sqrt(3.0)])
+# omega ~ 1/|a x e_t| sharpens as a nears +-e_t; with a clearance of 0.054
+# the frame still matched the transport ODE to 3e-14 on N_FINE samples
+FRAME_CLEARANCE_FLOOR = 0.1
 
 
 class GeometryError(ValueError):
@@ -37,7 +48,8 @@ class GeometryError(ValueError):
 def curve_from_config(config):
     """Build coefficient arrays from a curve config dict.
 
-    Accepts {"preset": "circle"|"perturbed_circle", "params": {...}} or
+    Accepts {"preset": "circle"|"perturbed_circle"|"trefoil", "params": {...}}
+    (params for perturbed_circle only) or
     explicit {"cos": [[x,y,z],...], "sin": [[x,y,z],...]} coefficient lists
     (index j multiplies cos/sin(2 pi j t); the j=0 sine row is ignored).
     """
@@ -57,6 +69,9 @@ def curve_from_config(config):
                 cos_c.append([0.0, 0.0, 0.0])
                 sin_c.append([0.0, 0.0, 0.0])
             cos_c[mode][2] = amp
+        elif name == "trefoil":  # twisted frame: kappa3 ~ 2.2, kappa_* ~ 22.4
+            cos_c = [[0, 0, 0], [0, 1, 0], [0, -2, 0], [0, 0, 0]]
+            sin_c = [[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 0, -1]]
         else:
             raise GeometryError(f"unknown curve preset '{name}'")
         return np.asarray(cos_c, float), np.asarray(sin_c, float)
@@ -70,6 +85,32 @@ def curve_from_config(config):
         sin_full[: sin_c.shape[0]] = sin_c
         return cos_full, sin_full
     raise GeometryError("curve config needs 'preset' or 'cos'/'sin' coefficients")
+
+
+class _PeriodicIntegral:
+    """t -> int_0^t f of a smooth 1-periodic f sampled at j/n, j < n: the
+    mean of f times t plus the spectral antiderivative of the rest, at the
+    samples (`on_grid`) by one inverse FFT, elsewhere from the coefficients
+    above roundoff (a few dozen for an analytic f).
+    """
+
+    def __init__(self, samples):
+        n = samples.shape[0]
+        f_hat = np.fft.fft(samples) / n
+        self.mean = float(f_hat[0].real)
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            int_hat = np.where(k == 0, 0.0, f_hat / (2j * np.pi * k))
+        osc = np.real(np.fft.ifft(int_hat) * n)
+        self.on_grid = self.mean * (np.arange(n) / n) + (osc - osc[0])
+        keep = np.abs(int_hat) > 1e-17 * max(1.0, abs(self.mean))
+        self._coef = int_hat[keep]
+        self._freq = k[keep]
+        self._at0 = np.real(np.sum(self._coef))
+
+    def __call__(self, t):
+        phase = np.exp(2j * np.pi * np.outer(t, self._freq))
+        return self.mean * t + np.real(phase @ self._coef) - self._at0
 
 
 class Centerline:
@@ -91,29 +132,14 @@ class Centerline:
         if amp == 0.0:
             raise GeometryError("degenerate curve: all oscillatory coefficients vanish")
 
-        n_fine = self.N_FINE
-        t_fine = np.arange(n_fine) / n_fine
+        t_fine = np.arange(self.N_FINE) / self.N_FINE
         speed = np.linalg.norm(self._raw_deriv(t_fine), axis=1)
         if speed.min() < 1e-10 * speed.max():
             raise GeometryError("degenerate curve: |X_t| vanishes")
-        # cumulative arclength by spectral integration of the speed
-        sp_hat = np.fft.fft(speed) / n_fine
-        self.arclength_total = float(sp_hat[0].real)
-        k = np.fft.fftfreq(n_fine, d=1.0 / n_fine)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            int_hat = np.where(k == 0, 0.0, sp_hat / (2j * np.pi * k))
-        osc = np.real(np.fft.ifft(int_hat) * n_fine)
-        cum = self.arclength_total * t_fine + (osc - osc[0])
+        self._arclength = _PeriodicIntegral(speed)
+        self.arclength_total = self._arclength.mean
         self._t_fine = t_fine
-        self._s_of_t_fine = cum / self.arclength_total  # normalized to [0,1)
-        kk = k[k != 0]
-        coef = sp_hat[k != 0] / (2j * np.pi * kk)
-        # speed of an analytic curve has exponentially decaying spectrum;
-        # drop coefficients at roundoff level to keep evaluation cheap
-        keep = np.abs(coef) > 1e-17 * max(1.0, self.arclength_total)
-        self._speed_osc_coef = coef[keep]
-        self._speed_osc_freq = kk[keep]
-        self._speed_osc_at0 = np.real(np.sum(self._speed_osc_coef))
+        self._s_of_t_fine = self._arclength.on_grid / self.arclength_total
         self.c_gamma = self._estimate_c_gamma()
         if self.c_gamma < self.SELF_INTERSECTION_TOL:
             raise GeometryError(
@@ -136,7 +162,7 @@ class Centerline:
         t = np.interp(s, self._s_of_t_fine, self._t_fine)
         L = self.arclength_total
         for _ in range(60):
-            ds = self._s_eval(t) - s
+            ds = self._arclength(np.mod(t, 1.0)) / L - s
             ds -= np.round(ds)  # periodic residual
             speed = np.linalg.norm(self._raw_deriv(t), axis=1) / L
             step = ds / speed
@@ -144,15 +170,6 @@ class Centerline:
             if np.max(np.abs(step)) < 1e-15:
                 break
         return np.mod(t, 1.0)
-
-    def _s_eval(self, t):
-        # normalized arclength at raw parameter t by direct spectral
-        # evaluation of the cumulative speed integral
-        tt = np.mod(np.asarray(t, float), 1.0)
-        phase = np.exp(2j * np.pi * np.outer(tt, self._speed_osc_freq))
-        osc = np.real(phase @ self._speed_osc_coef)
-        return (self.arclength_total * tt + osc - self._speed_osc_at0) \
-            / self.arclength_total
 
     def position(self, s):
         """X(s) on the unit-length curve."""
@@ -166,11 +183,8 @@ class Centerline:
         d = self._raw_deriv(t)
         return d / np.linalg.norm(d, axis=1)[:, None]
 
-    def second_deriv(self, s):
-        """X_ss(s); equals kappa(s) times the principal normal."""
-        return self._second_deriv_at_t(self.t_of_s(s))
-
     def _second_deriv_at_t(self, t):
+        """X_ss at raw parameter t; equals kappa times the principal normal."""
         d1 = self._raw_deriv(t, 1)
         d2 = self._raw_deriv(t, 2)
         L = self.arclength_total
@@ -178,9 +192,6 @@ class Centerline:
         tp = L / speed
         tpp = -(L ** 2) * np.sum(d1 * d2, axis=1) / speed ** 4
         return (d2 * (tp ** 2)[:, None] + d1 * tpp[:, None]) / L
-
-    def curvature(self, s):
-        return np.linalg.norm(self.second_deriv(s), axis=1)
 
     def _estimate_c_gamma(self, n=512):
         s = np.arange(n) / n
@@ -195,7 +206,11 @@ class Centerline:
 
 @dataclass
 class FrameField:
-    """Sampled orthonormal frame with constant-k3 twist."""
+    """Sampled orthonormal frame with constant-k3 twist.
+
+    at(s) evaluates the same frame at any s:
+    (e_t, e_n1, e_n2, kappa1, kappa2, X_ss).
+    """
 
     n_samples: int
     s_nodes: np.ndarray
@@ -206,6 +221,7 @@ class FrameField:
     kappa2: np.ndarray
     kappa3: float
     kappa: np.ndarray = field(default=None)
+    at: object = field(default=None, repr=False)
 
     @property
     def kappa_star(self):
@@ -217,82 +233,61 @@ def build_centerline(curve_config):
     return Centerline(cos_c, sin_c)
 
 
+def _normal_plane_basis(a, e_t):
+    """(U, V): a projected on each tangent's normal plane, then e_t x U."""
+    w = a - (e_t @ a)[:, None] * e_t
+    u = w / np.linalg.norm(w, axis=1)[:, None]
+    return u, np.cross(e_t, u)
+
+
 def build_frame(centerline, n_samples):
-    """Twisted parallel-transport frame at n_samples uniform s-nodes."""
+    """Twisted parallel-transport frame at n_samples uniform s-nodes, in the
+    closed form of the module docstring."""
     if n_samples < 32 or (n_samples & (n_samples - 1)) != 0:
         raise GeometryError("n_samples must be a power of two >= 32")
-    s_nodes = np.arange(n_samples) / n_samples
+    cl = centerline
+    d1 = cl._raw_deriv(cl._t_fine, 1)
+    speed = np.linalg.norm(d1, axis=1)
+    e_t_fine = d1 / speed[:, None]
+    # a is the reference direction whose clearance |a x e_t| is largest
+    clearance = np.linalg.norm(np.cross(e_t_fine[:, None], FRAME_REFERENCES), axis=2)
+    a_idx = int(np.argmax(clearance.min(axis=0)))
+    a, a_clear = FRAME_REFERENCES[a_idx], clearance[:, a_idx]
+    if a_clear.min() < FRAME_CLEARANCE_FLOOR:
+        raise GeometryError(f"no frame reference clears the tangent: min |a x e_t| "
+                            f"{a_clear.min():.3g} < {FRAME_CLEARANCE_FLOOR}")
+    u, v = _normal_plane_basis(a, e_t_fine)
+    # omega dt = U_t . V dt = -(a.e_t)(e_t,t . V)/|a x e_t| dt, where
+    # e_t,t . V = X~_tt . V / |X~_t| since V is normal to e_t
+    omega = -(e_t_fine @ a) * np.sum(cl._raw_deriv(cl._t_fine, 2) * v, axis=1) \
+        / (speed * a_clear)
+    twist = _PeriodicIntegral(omega)
+    kappa3 = math.pi - (math.pi - twist.mean) % (2.0 * math.pi)  # (-pi, pi]
 
-    def rhs(s, y):
-        n1 = y[:3]
-        n2 = y[3:]
-        t = centerline.t_of_s(np.array([s]))
-        dts = centerline._second_deriv_at_t(t)[0]  # d e_t / ds
-        e_t = centerline._tangent_at_t(t)[0]
-        return np.concatenate([-np.dot(n1, dts) * e_t, -np.dot(n2, dts) * e_t])
-
-    e_t0 = centerline.tangent(np.array([0.0]))[0]
+    e_t0 = cl.tangent(np.array([0.0]))
+    u0, v0 = _normal_plane_basis(a, e_t0)
     seed = np.array([0.0, 0.0, 1.0])
-    if abs(np.dot(seed, e_t0)) > 0.9:
+    if abs(np.dot(seed, e_t0[0])) > 0.9:
         seed = np.array([1.0, 0.0, 0.0])
-    n1_0 = seed - np.dot(seed, e_t0) * e_t0
-    n1_0 /= np.linalg.norm(n1_0)
-    n2_0 = np.cross(e_t0, n1_0)
+    psi0 = math.atan2(np.dot(seed, v0[0]), np.dot(seed, u0[0]))
 
-    s_eval = np.concatenate([s_nodes, [1.0]])
-    sol = solve_ivp(rhs, (0.0, 1.0), np.concatenate([n1_0, n2_0]),
-                    t_eval=s_eval, method="DOP853", rtol=1e-12, atol=1e-14)
-    if not sol.success:
-        raise GeometryError(f"frame ODE integration failed: {sol.message}")
+    def at(s):
+        s = np.mod(np.atleast_1d(np.asarray(s, float)), 1.0)
+        t = cl.t_of_s(s)
+        e_t = cl._tangent_at_t(t)
+        u, v = _normal_plane_basis(a, e_t)
+        ang = psi0 - twist(t) + kappa3 * s
+        c, s_ = np.cos(ang)[:, None], np.sin(ang)[:, None]
+        e_n1, e_n2 = c * u + s_ * v, -s_ * u + c * v
+        xss = cl._second_deriv_at_t(t)
+        return (e_t, e_n1, e_n2, np.sum(e_n1 * xss, axis=1),
+                np.sum(e_n2 * xss, axis=1), xss)
 
-    e_t = centerline.tangent(s_nodes)
-    n1 = sol.y[:3, :-1].T.copy()
-    n2 = sol.y[3:, :-1].T.copy()
-    # kill integrator drift: re-orthonormalize against the exact tangent
-    n1 -= np.sum(n1 * e_t, axis=1)[:, None] * e_t
-    n1 /= np.linalg.norm(n1, axis=1)[:, None]
-    n2 = np.cross(e_t, n1)
-
-    n1_end = sol.y[:3, -1]
-    phi = math.atan2(np.dot(n1_end, n2_0), np.dot(n1_end, n1_0))
-    kappa3 = -phi
-    if kappa3 <= -math.pi:
-        kappa3 += 2.0 * math.pi
-    elif kappa3 > math.pi:
-        kappa3 -= 2.0 * math.pi
-    assert abs(kappa3) <= math.pi
-
-    ang = kappa3 * s_nodes
-    c, s_ = np.cos(ang)[:, None], np.sin(ang)[:, None]
-    e_n1 = c * n1 + s_ * n2
-    e_n2 = -s_ * n1 + c * n2
-
-    xss = centerline.second_deriv(s_nodes)
-    kappa1 = np.sum(e_n1 * xss, axis=1)
-    kappa2 = np.sum(e_n2 * xss, axis=1)
-    kappa = np.linalg.norm(xss, axis=1)
+    s_nodes = np.arange(n_samples) / n_samples
+    e_t, e_n1, e_n2, kappa1, kappa2, xss = at(s_nodes)
     return FrameField(n_samples=n_samples, s_nodes=s_nodes, e_t=e_t,
                       e_n1=e_n1, e_n2=e_n2, kappa1=kappa1, kappa2=kappa2,
-                      kappa3=kappa3, kappa=kappa)
-
-
-def _trig_interp_matrix(values, s):
-    """Trigonometric interpolant of real periodic samples (n, m) at points s.
-
-    The Nyquist coefficient is evaluated as cos(pi n s) so the interpolant
-    is real and symmetric.
-    """
-    n = values.shape[0]
-    s = np.asarray(s, float)
-    vhat = np.fft.fft(values, axis=0) / n
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    body = np.abs(k) != n // 2
-    phase = np.exp(2j * np.pi * np.outer(s, k[body]))
-    out = phase @ vhat[body]
-    nyq = np.where(~body)[0]
-    if nyq.size:
-        out = out + np.cos(np.pi * n * s)[:, None] * vhat[nyq[0]]
-    return np.real(out)
+                      kappa3=kappa3, kappa=np.linalg.norm(xss, axis=1), at=at)
 
 
 @dataclass
@@ -332,18 +327,8 @@ class SurfaceSpec:
         return self.epsilon < self.r_star / 4.0
 
     def frame_at(self, s):
-        """Frame vectors at arbitrary s by trigonometric interpolation."""
-        s = np.atleast_1d(np.asarray(s, float))
-        fr = self.frame
-        e_t = self.centerline.tangent(s)
-        e_n1 = _trig_interp_matrix(fr.e_n1, s)
-        e_n1 -= np.sum(e_n1 * e_t, axis=1)[:, None] * e_t
-        e_n1 /= np.linalg.norm(e_n1, axis=1)[:, None]
-        e_n2 = np.cross(e_t, e_n1)
-        xss = self.centerline.second_deriv(s)
-        k1 = np.sum(e_n1 * xss, axis=1)
-        k2 = np.sum(e_n2 * xss, axis=1)
-        return e_t, e_n1, e_n2, k1, k2
+        """(e_t, e_n1, e_n2, kappa1, kappa2) at arbitrary s, in closed form."""
+        return self.frame.at(s)[:5]
 
 
 def tube_surface(epsilon, x0, e_n1, e_n2, k1, k2, theta):

@@ -4,10 +4,6 @@ import pytest
 from slenderlap import geometry as geo
 from slenderlap.grid import make_grid
 
-# the twisted-frame test curve (kappa_3 ~ 2.2)
-TREFOIL = {"cos": [[0, 0, 0], [0, 1, 0], [0, -2, 0], [0, 0, 0]],
-           "sin": [[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 0, -1]]}
-
 
 @pytest.fixture(scope="session")
 def circle_cl():
@@ -63,7 +59,7 @@ def perturbed_grid_small(perturbed_spec64):
 
 @pytest.fixture(scope="session")
 def trefoil_grid():
-    cl = geo.build_centerline(TREFOIL)
+    cl = geo.build_centerline({"preset": "trefoil"})
     fr = geo.build_frame(cl, 128)
     assert abs(fr.kappa3) > 2.0  # the twisted-frame case
     spec = geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=1.0 / 64.0)

@@ -67,6 +67,22 @@ def test_check_geometry(capsys):
     assert "flat2cyl1_violations: 0" in capsys.readouterr().out
 
 
+def test_check_geometry_on_the_trefoil_preset(capsys):
+    assert main(["check-geometry", "--curve", "trefoil"]) == 0
+    assert "flat2cyl1_violations: 0" in capsys.readouterr().out
+    assert main(["geometry", "--curve", "trefoil", "--epsilon", "0.015625",
+                 "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert abs(payload["kappa3"] - 2.2250406424345) < 1e-12
+    assert abs(payload["kappa_star"] - 22.39) < 0.01
+
+
+def test_trefoil_preset_rejects_a_wide_tube(capsys):
+    # kappa_* ~ 22.4, so eps 0.03 puts eps * kappa_* past 1/2
+    assert main(["dtn", "--curve", "trefoil", "--epsilon", "0.03"]) == 1
+    assert "eps*kappa_* = 0.672 >= 1/2" in capsys.readouterr().err
+
+
 def test_dtn_writes_csv(tmp_path, capsys):
     out = tmp_path / "dtn.csv"
     rc = main(["dtn", "--curve", "circle", "--epsilon", "0.015625",

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.spatial.transform import Rotation
 
 from slenderlap import geometry as geo
 from slenderlap.grid import holder_seminorm
@@ -11,6 +13,64 @@ from slenderlap.grid import holder_seminorm
 
 CIRCLE = {"preset": "circle"}
 PERTURBED = {"preset": "perturbed_circle"}
+TREFOIL = {"preset": "trefoil"}
+
+
+# a planar limacon-like curve whose signed curvature changes sign (1 + 8 b^2
+# + 6 b cos(2 pi t) < 0 near t = 1/2 for b = 0.3), turned out of every
+# coordinate plane: the Frenet frame breaks down at its two inflections
+_ROT = Rotation.from_euler("zxz", [0.7, 1.1, -0.4]).as_matrix()
+INFLECTED = {"cos": (np.array([[0, 0, 0], [1, 0, 0], [0.3, 0, 0]]) @ _ROT.T).tolist(),
+             "sin": (np.array([[0, 0, 0], [0, 1, 0], [0, 0.3, 0]]) @ _ROT.T).tolist()}
+
+
+def _second_deriv(cl, s):
+    """X_ss at arclength s."""
+    return cl._second_deriv_at_t(cl.t_of_s(s))
+
+
+def ode_frame(cl, n_samples):
+    """Oracle: the twisted parallel-transport frame by integrating the
+    transport ODE d n / ds = -(n . e_t') e_t with DOP853, then twisting by
+    the holonomy angle reduced to (-pi, pi].
+
+    Returns (e_n1, e_n2, kappa1, kappa2, kappa3) at n_samples s-nodes.
+    """
+    s_nodes = np.arange(n_samples) / n_samples
+
+    def rhs(s, y):
+        t = cl.t_of_s(np.array([s]))
+        dts = cl._second_deriv_at_t(t)[0]
+        e_t = cl._tangent_at_t(t)[0]
+        return np.concatenate([-np.dot(y[:3], dts) * e_t,
+                               -np.dot(y[3:], dts) * e_t])
+
+    e_t0 = cl.tangent(np.array([0.0]))[0]
+    seed = np.array([0.0, 0.0, 1.0])
+    if abs(np.dot(seed, e_t0)) > 0.9:
+        seed = np.array([1.0, 0.0, 0.0])
+    n1_0 = seed - np.dot(seed, e_t0) * e_t0
+    n1_0 /= np.linalg.norm(n1_0)
+    n2_0 = np.cross(e_t0, n1_0)
+    sol = solve_ivp(rhs, (0.0, 1.0), np.concatenate([n1_0, n2_0]),
+                    t_eval=np.concatenate([s_nodes, [1.0]]), method="DOP853",
+                    rtol=1e-13, atol=1e-15)
+    assert sol.success, sol.message
+    e_t = cl.tangent(s_nodes)
+    n1 = sol.y[:3, :-1].T.copy()
+    n1 -= np.sum(n1 * e_t, axis=1)[:, None] * e_t  # integrator drift
+    n1 /= np.linalg.norm(n1, axis=1)[:, None]
+    n2 = np.cross(e_t, n1)
+    n1_end = sol.y[:3, -1]
+    kappa3 = -math.atan2(np.dot(n1_end, n2_0), np.dot(n1_end, n1_0))
+    if kappa3 <= -math.pi:
+        kappa3 += 2.0 * math.pi
+    c = np.cos(kappa3 * s_nodes)[:, None]
+    s = np.sin(kappa3 * s_nodes)[:, None]
+    e_n1, e_n2 = c * n1 + s * n2, -s * n1 + c * n2
+    xss = _second_deriv(cl, s_nodes)
+    return (e_n1, e_n2, np.sum(e_n1 * xss, axis=1), np.sum(e_n2 * xss, axis=1),
+            kappa3)
 
 
 def make_spec(config, n_samples=128, epsilon=1.0 / 64.0):
@@ -22,7 +82,7 @@ def make_spec(config, n_samples=128, epsilon=1.0 / 64.0):
 def test_circle_basic_quantities():
     cl = geo.build_centerline(CIRCLE)
     s = np.arange(256) / 256.0
-    kappa = cl.curvature(s)
+    kappa = np.linalg.norm(_second_deriv(cl, s), axis=1)
     assert np.allclose(kappa, 2.0 * math.pi, rtol=1e-9)
     # c_gamma = sin(pi d)/(pi d) minimized at d = 1/2 -> 2/pi
     assert abs(cl.c_gamma - 2.0 / math.pi) < 1e-3
@@ -69,7 +129,7 @@ def test_degenerate_curve_rejected():
 
 
 def test_frame_orthonormality_and_closure():
-    for config in (CIRCLE, PERTURBED):
+    for config in (CIRCLE, PERTURBED, TREFOIL):
         fr = make_spec(config).frame
         for a, b, want in (
             (fr.e_t, fr.e_t, 1.0), (fr.e_n1, fr.e_n1, 1.0), (fr.e_n2, fr.e_n2, 1.0),
@@ -79,13 +139,14 @@ def test_frame_orthonormality_and_closure():
 
 
 def test_frame_periodicity():
-    cl = geo.build_centerline(PERTURBED)
-    fr = geo.build_frame(cl, 64)
-    spec = geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=1.0 / 64)
-    e_t0, e_n10, e_n20, _, _ = spec.frame_at(np.array([0.0]))
-    e_t1, e_n11, e_n21, _, _ = spec.frame_at(np.array([1.0 - 1e-14]))
-    assert np.max(np.abs(e_n10 - e_n11)) < 1e-8
-    assert np.max(np.abs(e_n20 - e_n21)) < 1e-8
+    for config in (PERTURBED, TREFOIL):
+        cl = geo.build_centerline(config)
+        fr = geo.build_frame(cl, 64)
+        spec = geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=1.0 / 64)
+        e_t0, e_n10, e_n20, _, _ = spec.frame_at(np.array([0.0]))
+        e_t1, e_n11, e_n21, _, _ = spec.frame_at(np.array([1.0 - 1e-14]))
+        assert np.max(np.abs(e_n10 - e_n11)) < 1e-8
+        assert np.max(np.abs(e_n20 - e_n21)) < 1e-8
 
 
 def test_circle_kappa3_zero():
@@ -107,23 +168,70 @@ def test_kappa3_bounded_and_self_convergent():
 
 
 def test_kappa_consistency():
-    fr = make_spec(PERTURBED).frame
-    assert np.max(np.abs(fr.kappa1 ** 2 + fr.kappa2 ** 2 - fr.kappa ** 2)) < 1e-8
+    for config in (PERTURBED, TREFOIL):
+        fr = geo.build_frame(geo.build_centerline(config), 128)
+        assert np.max(np.abs(fr.kappa1 ** 2 + fr.kappa2 ** 2 - fr.kappa ** 2)) < 1e-8
 
 
 def test_frame_ode_residual_order():
     """Finite-difference d/ds of the frame matches the ODE right side at
     order >= 1.8 under grid doubling."""
-    cl = geo.build_centerline(PERTURBED)
-    errs = []
-    for n in (128, 256):
-        fr = geo.build_frame(cl, n)
-        h = 1.0 / n
-        dn1 = (np.roll(fr.e_n1, -1, axis=0) - np.roll(fr.e_n1, 1, axis=0)) / (2 * h)
-        rhs = -fr.kappa1[:, None] * fr.e_t + fr.kappa3 * fr.e_n2
-        errs.append(np.max(np.abs(dn1 - rhs)))
-    order = math.log2(errs[0] / errs[1])
-    assert order >= 1.8
+    for config in (PERTURBED, TREFOIL):
+        cl = geo.build_centerline(config)
+        errs = []
+        for n in (128, 256):
+            fr = geo.build_frame(cl, n)
+            h = 1.0 / n
+            dn1 = (np.roll(fr.e_n1, -1, axis=0) - np.roll(fr.e_n1, 1, axis=0)) / (2 * h)
+            rhs = -fr.kappa1[:, None] * fr.e_t + fr.kappa3 * fr.e_n2
+            errs.append(np.max(np.abs(dn1 - rhs)))
+        order = math.log2(errs[0] / errs[1])
+        assert order >= 1.8
+
+
+@pytest.mark.parametrize("config", [CIRCLE, PERTURBED, TREFOIL, INFLECTED],
+                         ids=["circle", "perturbed_circle", "trefoil", "inflected"])
+def test_frame_matches_the_transport_ode(config):
+    cl = geo.build_centerline(config)
+    fr = geo.build_frame(cl, 128)
+    e_n1, e_n2, kappa1, kappa2, kappa3 = ode_frame(cl, 128)
+    assert np.max(np.abs(fr.e_n1 - e_n1)) <= 1e-11
+    assert np.max(np.abs(fr.e_n2 - e_n2)) <= 1e-11
+    assert np.max(np.abs(fr.kappa1 - kappa1)) <= 1e-10
+    assert np.max(np.abs(fr.kappa2 - kappa2)) <= 1e-10
+    assert abs(fr.kappa3 - kappa3) <= 1e-12
+
+
+def test_frame_between_the_samples_is_the_finer_frame():
+    # frame_at is the closed form at any s, not an interpolant of the
+    # samples: on the trefoil, 128 samples interpolated to 256 nodes were
+    # 7.5e-9 off in e_n1
+    cl = geo.build_centerline(TREFOIL)
+    spec = make_spec(TREFOIL)
+    fine = geo.build_frame(cl, 256)
+    got = spec.frame_at(fine.s_nodes)
+    want = (fine.e_t, fine.e_n1, fine.e_n2, fine.kappa1, fine.kappa2)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+
+def test_inflected_curve_is_planar_with_a_sign_change():
+    # the premise of the inflected oracle case: its curvature along the
+    # plane's normal changes sign, so kappa vanishes between the nodes
+    cl = geo.build_centerline(INFLECTED)
+    s = np.arange(1024) / 1024.0
+    signed = np.cross(cl.tangent(s), _second_deriv(cl, s)) @ _ROT[:, 2]
+    assert signed.min() < 0.0 < signed.max()
+    assert abs(geo.build_frame(cl, 64).kappa3) < 1e-14
+
+
+def test_frame_reference_clearance_floor(monkeypatch):
+    # no reference direction is farther than 1/sqrt(2) from the trefoil's
+    # tangent, so a floor above that is an error, not a fallback
+    cl = geo.build_centerline(TREFOIL)
+    monkeypatch.setattr(geo, "FRAME_CLEARANCE_FLOOR", 0.9)
+    with pytest.raises(geo.GeometryError, match="clears the tangent"):
+        geo.build_frame(cl, 64)
 
 
 def test_surface_point_jacobian():
@@ -199,7 +307,7 @@ def test_self_intersecting_curve_rejected():
 def test_perturbed_circle_nonconstant_curvature():
     cl = geo.build_centerline(PERTURBED)
     s = np.arange(128) / 128.0
-    kappa = cl.curvature(s)
+    kappa = np.linalg.norm(_second_deriv(cl, s), axis=1)
     assert np.max(kappa) - np.min(kappa) > 0.5
     fr = geo.build_frame(cl, 64)
     assert fr.kappa_star > 2 * math.pi

@@ -1,9 +1,11 @@
-"""Library-surface guard: every top-level function and class in src/ is used.
+"""Library-surface guard: every function, class and method in src/ is used.
 
 A top-level definition in src/slenderlap counts as used when another
 top-level statement of src/slenderlap or perfbench/ names it: as a name, an
 attribute, an import, or a string (perfbench/tracer.py wraps functions it
-names by strings).  Code that only tests call belongs in tests/.
+names by strings).  A method of a src/ class counts as used when a statement
+outside that method names it the same way; the language calls the dunder
+methods.  Code that only tests call belongs in tests/.
 """
 
 import ast
@@ -13,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # criterion 9's harness: the acceptance suite runs it, no CLI command does
 EXCEPTIONS = {"measure_total_remainder"}
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _names(node):
@@ -27,19 +30,39 @@ def _names(node):
             yield sub.value
 
 
-def test_every_library_definition_is_used_outside_itself():
+def _modules():
     src = sorted((ROOT / "src" / "slenderlap").glob("*.py"))
     bench = sorted((ROOT / "perfbench").glob("*.py"))
-    nodes = [(path in src, node) for path in src + bench
-             for node in ast.parse(path.read_text()).body]
-    refs = [set(_names(node)) for _, node in nodes]
-    defined, unused = set(), []
-    for i, (in_src, node) in enumerate(nodes):
-        if not (in_src and isinstance(node, DEFS)):
-            continue
-        defined.add(node.name)
-        if node.name not in EXCEPTIONS and not any(
-                node.name in r for j, r in enumerate(refs) if j != i):
-            unused.append(node.name)
+    return [(path in src, ast.parse(path.read_text())) for path in src + bench]
+
+
+def _unused(units, is_subject):
+    """Names of the subject units that no other unit names."""
+    refs = [set(_names(node)) for _, node in units]
+    return [node.name for i, (in_src, node) in enumerate(units)
+            if in_src and is_subject(node) and node.name not in EXCEPTIONS
+            and not any(node.name in r for j, r in enumerate(refs) if j != i)]
+
+
+def test_every_library_definition_is_used_outside_itself():
+    units = [(in_src, node) for in_src, tree in _modules() for node in tree.body]
+    unused = _unused(units, lambda node: isinstance(node, DEFS))
+    defined = {node.name for in_src, node in units
+               if in_src and isinstance(node, DEFS)}
     assert not unused, f"defined in src/ but used nowhere else: {unused}"
     assert EXCEPTIONS <= defined, f"stale exceptions: {EXCEPTIONS - defined}"
+
+
+def test_every_library_method_is_used_outside_itself():
+    # each statement of a class body is a unit of its own, so a method named
+    # only inside itself (recursion) does not count as used
+    units = []
+    for in_src, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                units += [(in_src, sub) for sub in node.body]
+            else:
+                units.append((False, node))
+    unused = _unused(units, lambda node: isinstance(node, FUNCS)
+                     and not node.name.startswith("__"))
+    assert not unused, f"methods defined in src/ but used nowhere else: {unused}"
