@@ -18,15 +18,17 @@ rearrange exactly the matrices of the solve, so the two routes to f(s) agree
 to factorization roundoff.  Sbar^{-1} is applied after removing the k = 0
 mode; the zero-mode budget is carried exactly by the last two terms.
 
-Scaling studies run a measurement over a geometric epsilon ladder and fit
-log(value) against log(eps) by least squares.  Pass/fail margins are stated
-per study and encode quadrature noise plus the grid-Hoelder estimator bias.
+Each scaling study is one STUDIES entry: a measurement of a grid plus its
+slope target, margin and default curve.  run_scaling_study measures it on
+every rung of a geometric epsilon ladder (_ladder builds the curve and frame
+once) and fits log(value) against log(eps) by least squares.  The margins
+encode quadrature noise plus the grid-Hoelder estimator bias.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .operators import (DENSE_NODE_CAP, AssemblyError, apply_pairs,
 from .solver import SlenderBodySolver
 from .spectral import FourierSymbol, GridFunction, apply_symbol
 
-# theta-nodes of a study grid; n_s follows eps (_grid_ns)
+# theta-nodes of a study grid; n_s follows eps (ScalingStudy.grid_ns)
 N_THETA = 16
 
 
@@ -112,35 +114,39 @@ def decompose_dtn(grid, v, alpha=0.25, solver=None):
 
 # scaling studies --------------------------------------------------------------
 
+# the Hoelder exponents of the studies: C^{0,ALPHA} sizes, and C^{0,GAMMA}
+# for the low-pass mean-in-s part
+ALPHA = 0.25
+GAMMA = 0.5
+# default eps ladder per curve preset; the perturbed circle has kappa_* ~ 11,
+# so its ladder starts lower to respect eps kappa_* < 1/2
+LADDERS = {"circle": [2.0 ** -k for k in range(4, 8)],
+           "perturbed_circle": [2.0 ** -k for k in range(5, 9)]}
 
-@dataclass
-class ScalingStudy:
-    """One epsilon-ladder measurement with a slope target and margin."""
 
-    study_id: str
-    curve_config: dict
-    epsilons: list
+class ScalingStudy(NamedTuple):
+    """A STUDIES entry: the measurement (a function of the grid), the verdict
+    (at-least: slope >= target - margin, two-sided: |slope - target| <=
+    margin), the default curve preset, which picks the default ladder, and
+    whether it solves with the dense pair (DENSE_NODE_CAP).  make_study
+    fills in the id, curve, ladder and n_theta."""
+
+    measure: Callable
     target_slope: float
     margin: float
-    n_theta: int = N_THETA
-    alpha: float = 0.25
-    gamma: float = 0.5
-    direction: str = "two-sided"  # or "at-least" (slope >= target - margin)
+    direction: str
+    preset: str
     notes: str = ""
+    solves: bool = False
+    study_id: str = ""
+    curve_config: dict | None = None
+    epsilons: list | None = None
+    n_theta: int = N_THETA
 
-    def grid_ns(self, eps):
-        return _grid_ns(eps)
-
-    @property
-    def solves(self):
-        """True if a measurement solves with the dense split pair."""
-        return self.study_id in SOLVE_STUDIES
-
-
-def _grid_ns(eps):
-    """n_s for eps: the power of two >= max(128, 1/eps)."""
-    want = max(128.0, 1.0 / eps)
-    return 1 << max(7, math.ceil(math.log2(want)))
+    @staticmethod
+    def grid_ns(eps):
+        """n_s for eps: the power of two >= max(128, 1/eps)."""
+        return 1 << math.ceil(math.log2(max(128.0, 1.0 / eps)))
 
 
 def fit_slope(epsilons, values):
@@ -160,102 +166,83 @@ def _bandlimited_density(grid):
     return GridFunction(vals / np.max(np.abs(vals)))
 
 
-def _study_grid(study, spec, eps):
-    return make_grid(spec, study.grid_ns(eps), study.n_theta)
+def _sup_of(kernel, then=np.asarray):
+    """sup |then(kernel[phi])| on the unit band-limited density phi."""
+    def measure(grid):
+        out = apply_pairs(grid, kernel, _bandlimited_density(grid).values)
+        return float(np.max(np.abs(then(out))))
+    return measure
 
 
-def _measure(study, spec, eps):
-    sid = study.study_id
-    grid = _study_grid(study, spec, eps)
-    if sid in ("RS1-sup", "RS2-sup", "RS3-sup"):
-        out = apply_pairs(grid, sid[:3], _bandlimited_density(grid).values)
-        return float(np.max(np.abs(out)))
-    if sid.startswith("basic-int"):
-        return basic_integral(grid, study.k_pow, study.alpha_int)
-    if sid == "Heps" or sid == "Hplus":
-        h = 1.0 + np.cos(grid.theta_nodes)
-        h_eps, h_plus = mean_in_s_split(grid, h)
-        if sid == "Heps":
-            return holder_norm(h_eps, study.alpha, grid.epsilon)
-        return holder_norm(h_plus, study.gamma, grid.epsilon)
-    if sid == "RS-holder-group":
-        # C^{0,alpha} size of (R_S2 + R_S3) on a unit-C^{0,alpha} density
-        phi = _bandlimited_density(grid)
-        out = GridFunction(apply_pairs(grid, "RS2+RS3", phi.values))
-        return (holder_norm(out, study.alpha, grid.epsilon)
-                / holder_norm(phi, study.alpha, grid.epsilon))
-    if sid == "Rd-eps-group":
-        v = np.cos(2 * np.pi * grid.s_nodes)
-        res = SlenderBodySolver(grid, "split").dtn(GridFunction(v))
-        w = res.w
-        w_p0 = w.project_zero_s_mean()
-        out23 = apply_pairs(grid, "RS2+RS3", w_p0.values)
-        t_rs = -apply_symbol(FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s),
-                             theta_integral(grid, out23, grid.epsilon))
-        h_eps, _ = mean_in_s_split(grid, w.s_mean())
-        total = (t_rs - h_eps.values
-                 + theta_integral(grid, w.values, -(grid.epsilon ** 2) * grid.khat))
-        return holder_norm(GridFunction(total), study.alpha, grid.epsilon)
-    if sid == "RD-deriv":
-        # sup |d_s (R_D psi)| across eps; target slope >= -gamma+ (report)
-        out = apply_pairs(grid, "RD", _bandlimited_density(grid).values)
-        return float(np.max(np.abs(spectral_s_derivative(out))))
-    raise ValueError(f"unknown study '{sid}'")
+def _mean_in_s_part(part, exponent):
+    """Hoelder size of H_eps (part 0) or H_plus (part 1) for h = 1 + cos theta."""
+    def measure(grid):
+        h = mean_in_s_split(grid, 1.0 + np.cos(grid.theta_nodes))[part]
+        return holder_norm(h, exponent, grid.epsilon)
+    return measure
 
 
-STUDY_PRESETS = {
-    "RS1-sup": dict(target_slope=1.0, margin=0.3, direction="at-least",
-                    notes="sup-norm of R_S1 on a unit band-limited density"),
-    "RS2-sup": dict(target_slope=2.0, margin=0.3, direction="at-least"),
-    "RS3-sup": dict(target_slope=2.0, margin=0.3, direction="at-least"),
-    "basic-int-k2-a05": dict(target_slope=0.5, margin=0.3,
-                             direction="two-sided"),
-    "Heps": dict(target_slope=1.75, margin=0.3, direction="at-least",
-                 notes="slope target 2 - alpha with alpha = 0.25"),
-    "Hplus": dict(target_slope=0.5, margin=0.3, direction="at-least",
-                  notes="slope target 1 - gamma with gamma = 0.5"),
-    "RS-holder-group": dict(target_slope=1.75, margin=0.3,
-                            direction="at-least",
-                            notes="C^{0,alpha} of R_S2+R_S3, target 2-alpha"),
-    "Rd-eps-group": dict(target_slope=1.75, margin=0.4, direction="at-least",
-                         notes="epsilon-tagged DtN remainder group, 2-alpha"),
-    "RD-deriv": dict(target_slope=-0.75, margin=0.5, direction="at-least",
-                     notes="report-only: d_s R_D growth no worse than -gamma+"),
+def _rs_holder_group(grid):
+    """C^{0,alpha} size of (R_S2 + R_S3) on a unit-C^{0,alpha} density."""
+    phi = _bandlimited_density(grid)
+    out = GridFunction(apply_pairs(grid, "RS2+RS3", phi.values))
+    return (holder_norm(out, ALPHA, grid.epsilon)
+            / holder_norm(phi, ALPHA, grid.epsilon))
+
+
+def _rd_eps_group(grid):
+    """C^{0,alpha} size of the eps-tagged DtN remainder group for cos(2 pi s)."""
+    v = np.cos(2 * np.pi * grid.s_nodes)
+    w = SlenderBodySolver(grid, "split").dtn(GridFunction(v)).w
+    out23 = apply_pairs(grid, "RS2+RS3", w.project_zero_s_mean().values)
+    t_rs = -apply_symbol(FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s),
+                         theta_integral(grid, out23, grid.epsilon))
+    h_eps, _ = mean_in_s_split(grid, w.s_mean())
+    total = (t_rs - h_eps.values
+             + theta_integral(grid, w.values, -(grid.epsilon ** 2) * grid.khat))
+    return holder_norm(GridFunction(total), ALPHA, grid.epsilon)
+
+
+# the mean-in-s studies vanish on the rotationally symmetric circle (S[h(theta)]
+# has no s-dependence there), so they, Rd-eps-group and RD-deriv default to
+# the perturbed circle
+STUDIES = {
+    "RS1-sup": ScalingStudy(
+        _sup_of("RS1"), 1.0, 0.3, "at-least", "circle",
+        "sup-norm of R_S1 on a unit band-limited density"),
+    "RS2-sup": ScalingStudy(_sup_of("RS2"), 2.0, 0.3, "at-least", "circle"),
+    "RS3-sup": ScalingStudy(_sup_of("RS3"), 2.0, 0.3, "at-least", "circle"),
+    "basic-int-k2-a05": ScalingStudy(
+        lambda grid: basic_integral(grid, 2, 0.5), 0.5, 0.3, "two-sided",
+        "circle"),
+    "Heps": ScalingStudy(
+        _mean_in_s_part(0, ALPHA), 1.75, 0.3, "at-least", "perturbed_circle",
+        "slope target 2 - alpha with alpha = 0.25"),
+    "Hplus": ScalingStudy(
+        _mean_in_s_part(1, GAMMA), 0.5, 0.3, "at-least", "perturbed_circle",
+        "slope target 1 - gamma with gamma = 0.5"),
+    "RS-holder-group": ScalingStudy(
+        _rs_holder_group, 1.75, 0.3, "at-least", "circle",
+        "C^{0,alpha} of R_S2+R_S3, target 2-alpha"),
+    "Rd-eps-group": ScalingStudy(
+        _rd_eps_group, 1.75, 0.4, "at-least", "perturbed_circle",
+        "epsilon-tagged DtN remainder group, 2-alpha", solves=True),
+    "RD-deriv": ScalingStudy(
+        _sup_of("RD", spectral_s_derivative), -0.75, 0.5, "at-least",
+        "perturbed_circle", "report-only: d_s R_D growth no worse than -gamma+"),
 }
 
 
-# the mean-in-s studies are identically zero on the rotationally symmetric
-# circle (S[h(theta)] has no s-dependence there), so they default to the
-# perturbed circle; same for the solver-based remainder group
-_NEEDS_ASYMMETRY = {"Heps", "Hplus", "Rd-eps-group", "RD-deriv"}
-# studies that solve with the dense split pair, so stay under DENSE_NODE_CAP;
-# the others apply their kernels matrix-free (basic-int sums one row of pairs)
-SOLVE_STUDIES = {"Rd-eps-group"}
-
-
-def make_study(study_id, curve_config=None, epsilons=None, **overrides):
-    if study_id not in STUDY_PRESETS:
-        raise ValueError(f"unknown study '{study_id}'; known: "
-                         f"{sorted(STUDY_PRESETS)}")
-    cfg = dict(STUDY_PRESETS[study_id])
-    cfg.update(overrides)
-    if curve_config is None:
-        curve_config = ({"preset": "perturbed_circle"}
-                        if study_id in _NEEDS_ASYMMETRY
-                        else {"preset": "circle"})
-    if epsilons is None:
-        # the perturbed circle has kappa_* ~ 11, so its ladder starts lower
-        # to respect eps kappa_* < 1/2
-        epsilons = ([2.0 ** -k for k in range(5, 9)]
-                    if study_id in _NEEDS_ASYMMETRY
-                    else [2.0 ** -k for k in range(4, 8)])
-    st = ScalingStudy(
-        study_id=study_id,
-        curve_config=curve_config,
-        epsilons=list(epsilons),
-        **cfg)
-    if study_id == "basic-int-k2-a05":
-        st.k_pow, st.alpha_int = 2, 0.5
+def make_study(study_id, curve_config=None, epsilons=None, n_theta=N_THETA):
+    """STUDIES[study_id] on a curve and ladder, by default its preset's."""
+    if study_id not in STUDIES:
+        raise ValueError(f"unknown study '{study_id}'; known: {sorted(STUDIES)}")
+    entry = STUDIES[study_id]
+    st = entry._replace(
+        study_id=study_id, n_theta=n_theta,
+        curve_config=({"preset": entry.preset} if curve_config is None
+                      else curve_config),
+        epsilons=list(LADDERS[entry.preset] if epsilons is None else epsilons))
     if not all(math.isfinite(e) and e > 0.0 for e in st.epsilons):
         raise ValueError(f"eps must be positive and finite, got {st.epsilons}")
     if len(set(st.epsilons)) < 2:
@@ -271,14 +258,19 @@ def make_study(study_id, curve_config=None, epsilons=None, **overrides):
     return st
 
 
+def _ladder(curve_config, epsilons, n_theta):
+    """Yield (eps, grid) per rung; the centerline and frame are built once."""
+    cl = geo.build_centerline(curve_config)
+    fr = geo.build_frame(cl, geo.FRAME_SAMPLES)
+    for eps in epsilons:
+        spec = geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=eps)
+        yield eps, make_grid(spec, ScalingStudy.grid_ns(eps), n_theta)
+
+
 def run_scaling_study(study):
     """Run one ladder, fit the slope, and return the verdict report."""
-    cl = geo.build_centerline(study.curve_config)
-    fr = geo.build_frame(cl, geo.FRAME_SAMPLES)
-    values = []
-    for eps in study.epsilons:
-        spec = geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=eps)
-        values.append(_measure(study, spec, eps))
+    values = [study.measure(grid) for _, grid in
+              _ladder(study.curve_config, study.epsilons, study.n_theta)]
     slope, resid = fit_slope(study.epsilons, values)
     if study.direction == "at-least":
         passed = slope >= study.target_slope - study.margin
@@ -298,18 +290,14 @@ def run_scaling_study(study):
     }
 
 
-def measure_total_remainder(curve_config, epsilons, alpha=0.25):
+def measure_total_remainder(curve_config, epsilons, alpha=ALPHA):
     """|L^-1 v - Lbar^-1 v|_{C^0,alpha} across eps for v = cos(2 pi s).
 
     PASS is boundedness (max/min ratio <= 3, no growth trend) plus strict
     dominance of the straight part at every epsilon.
     """
-    cl = geo.build_centerline(curve_config)
-    fr = geo.build_frame(cl, geo.FRAME_SAMPLES)
     rows = []
-    for eps in epsilons:
-        spec = geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=eps)
-        grid = make_grid(spec, _grid_ns(eps), N_THETA)
+    for eps, grid in _ladder(curve_config, epsilons, N_THETA):
         v = GridFunction(np.cos(2.0 * np.pi * grid.s_nodes))
         solver = SlenderBodySolver(grid, "split")
         f_curved = solver.dtn(v).f.values

@@ -195,9 +195,11 @@ class Centerline:
 
     def _estimate_c_gamma(self, n=512):
         s = np.arange(n) / n
-        x = self.position(s)
-        diff = x[:, None, :] - x[None, :, :]
-        chord = np.linalg.norm(diff, axis=2)
+        chord = 0.0  # |X(s_i) - X(s_j)|^2, one component at a time
+        for c in self.position(s).T:
+            d = c[:, None] - c
+            chord += np.square(d, out=d)
+        chord = np.sqrt(chord, out=chord)
         ds = np.abs(s[:, None] - s[None, :])
         ds = np.minimum(ds, 1.0 - ds)
         mask = ds > 0

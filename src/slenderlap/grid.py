@@ -124,7 +124,9 @@ def holder_seminorm(f, alpha, epsilon):
     scale = dist[offs] ** alpha
     osc = float(np.max(v) - np.min(v))
     i_s, i_t = np.arange(n_s), np.arange(n_t)
-    batch = max(1, (1 << 18) // v.size)  # about 2^18 pairs per gather
+    # about 2^16 pairs (512 KB temporaries) per gather, as in the pair sweep:
+    # 2 MB ones can go back to the OS and fault in again on every batch
+    batch = max(1, (1 << 16) // v.size)
     best = 0.0
     for lo in range(0, offs.size, batch):
         if osc / scale[lo] <= best:

@@ -278,7 +278,8 @@ def dense_centerline_correction(grid):
         hi = min(lo + 256, n)
         d = P[lo:hi, None, :] - Xc[None, :, :]
         out[lo:hi] = 1.0 / np.sqrt(np.sum(d * d, axis=2))
-    return out * (grid.flat_jacobian() * grid.node_weight)[None, :]
+    out *= (grid.flat_jacobian() * grid.node_weight)[None, :]
+    return out
 
 
 # singular corrections of the direct backend ---------------------------------
@@ -469,10 +470,9 @@ def assemble_Dprime(grid, backend="direct"):
     The correction kernel 1/|x - X(s')| is bounded by 1/eps on the surface
     and removes the constant null space of 1/2 I + D.
     """
-    d_op = assemble_pair(grid, backend)[1]
-    corr = dense_centerline_correction(grid)
-    return DiscreteOperator("Dprime", backend, grid, d_op.matrix + corr,
-                            parts={"D": d_op.matrix, "correction": corr})
+    d = assemble_pair(grid, backend)[1].matrix
+    d += dense_centerline_correction(grid)
+    return DiscreteOperator("Dprime", backend, grid, d)
 
 
 def theta_integral(grid, x, weight):

@@ -68,14 +68,10 @@ def test_unknown_pair_kernel(perturbed_grid_small):
         op.apply_pairs(perturbed_grid_small, "RS4", _density(perturbed_grid_small))
 
 
-def test_apply_only_study_runs_above_the_dense_cap(circle_cl, circle_frame):
+def test_apply_only_study_runs_above_the_dense_cap():
     """RS-holder-group at eps 1/512 is a 512 x 16 grid, N = 8,192."""
-    study = an.make_study("RS-holder-group")
-    values = {}
-    for eps in (1.0 / 128.0, 1.0 / 512.0):
-        spec = geo.SurfaceSpec(centerline=circle_cl, frame=circle_frame,
-                               epsilon=eps)
-        values[eps] = an._measure(study, spec, eps)
+    study = an.make_study("RS-holder-group", epsilons=[1.0 / 128.0, 1.0 / 512.0])
+    values = dict(zip(study.epsilons, an.run_scaling_study(study)["values"]))
     assert study.grid_ns(1.0 / 512.0) * study.n_theta > op.DENSE_NODE_CAP
     assert np.isfinite(values[1.0 / 512.0]) and values[1.0 / 512.0] > 0.0
     # lower order in eps: target slope 2 - alpha, so 4x smaller eps gives

@@ -2,6 +2,7 @@
 
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,20 @@ def test_exterior_manufactured(circle_grid):
     assert np.isfinite(info["cond_Dprime"])
 
 
+def test_exterior_solve_holds_three_dense_matrices(circle_grid):
+    # D' takes its correction and 1/2 I in place, so the solve holds at most
+    # three N x N arrays at once
+    v, _ = sv.point_charge_data(circle_grid, [(1.0, 0.0)])
+    pts = exterior_points(circle_grid.spec)
+    tracemalloc.start()
+    try:
+        sv.solve_exterior_dirichlet(circle_grid, v, pts, backend="split")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * circle_grid.n_nodes ** 2 * 8
+
+
 def test_exterior_manufactured_improves(circle_cl, circle_frame):
     spec = geo.SurfaceSpec(centerline=circle_cl, frame=circle_frame,
                            epsilon=1.0 / 64.0)
@@ -318,12 +333,34 @@ def test_round_trip_and_residuals_on_the_twisted_trefoil(trefoil_grid):
 
 def test_neumann_series_divergence_is_an_error(trefoil_grid):
     # the straight-map iteration diverges on the trefoil at eps 1/64: it must
-    # say so, with its last increment, not return the diverged iterate
+    # say so, with the growth ratio, as soon as an increment grows (sweep 2
+    # for cos data, sweep 7 for sin(6 pi s)), not return the diverged iterate
     solver = _fresh_solver(trefoil_grid)
-    f = GridFunction(np.cos(2 * np.pi * trefoil_grid.s_nodes))
-    with pytest.raises(sv.SolveError, match="did not converge in 40 sweeps: "
-                                            "last increment"):
-        solver.neumann_series_ntd(f)
+    s = trefoil_grid.s_nodes
+    for f, sweep in ((np.cos(2 * np.pi * s), 2), (np.sin(6 * np.pi * s), 7)):
+        with pytest.raises(sv.SolveError, match=rf"diverges: increment grew "
+                                                rf"by 1\.\d+ at sweep {sweep}$"):
+            solver.neumann_series_ntd(GridFunction(f))
+
+
+@pytest.mark.parametrize("eps,sweeps", [(1.0 / 128.0, 219), (1.0 / 256.0, 55)])
+def test_neumann_series_converges_slowly_on_the_trefoil(eps, sweeps):
+    """Contraction ratios 0.886 (eps 1/128) and 0.607 (1/256) on the trefoil:
+    the series runs as long as each increment shrinks."""
+    cl = geo.build_centerline({"preset": "trefoil"})
+    spec = geo.SurfaceSpec(centerline=cl, frame=geo.build_frame(cl, 128),
+                           epsilon=eps)
+    solver = _fresh_solver(make_grid(spec, 64, 8))
+    f = GridFunction(np.cos(2 * np.pi * solver.grid.s_nodes))
+    v, history = solver.neumann_series_ntd(f)
+    assert abs(len(history) - sweeps) <= 2  # past the old 40-sweep cap
+    assert all(b < a for a, b in zip(history, history[1:]))
+    # the series solves P0 L^-1 v = f for zero-mean v: ntd(f) minus the
+    # multiple of ntd(1) that makes its mean zero
+    u = solver.ntd(GridFunction(np.ones(solver.grid.n_s))).v.values
+    v_ref = solver.ntd(f).v.values
+    v_ref = v_ref - np.mean(v_ref) / np.mean(u) * u
+    assert _rel(v.values, v_ref) <= 1e-10
 
 
 @pytest.mark.parametrize("backend", ["direct", "split"])
