@@ -85,10 +85,11 @@ def _dry_run_report(args, n_s, n_theta, n_systems=1, dense=True, grid=True):
     if dense:
         size = f"~{n * n * 8 / 1e9:.2f} GB per dense operator"
     else:
-        from .kernels import default_chunk_rows
+        from .kernels import default_chunk_rows, sweep_cpus
         rows = default_chunk_rows(n)
+        in_flight = min(sweep_cpus(), -(-n // rows))
         size = (f"matrix-free, ~{rows * n * 8 / 1e6:.2f} MB per row-chunk "
-                f"field ({rows} x {n} pairs)")
+                f"field ({rows} x {n} pairs, {in_flight} chunk(s) in flight)")
     print(f"dry run: grid {n_s} x {n_theta} ({n} nodes), {size}, "
           f"{n_systems} system(s)")
     return 0

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 FRAME_SAMPLES = 128  # s-nodes of the frame the CLI and the studies build
@@ -194,16 +195,13 @@ class Centerline:
         return (d2 * (tp ** 2)[:, None] + d1 * tpp[:, None]) / L
 
     def _estimate_c_gamma(self, n=512):
-        s = np.arange(n) / n
-        chord = 0.0  # |X(s_i) - X(s_j)|^2, one component at a time
-        for c in self.position(s).T:
-            d = c[:, None] - c
+        o = np.arange(n)
+        chord = 0.0  # |X(s_i + o/n) - X(s_i)|^2 by offset o, a coordinate at a time
+        for c in self.position(o / n).T:
+            d = sliding_window_view(np.concatenate([c, c]), n)[:n] - c[:, None]
             chord += np.square(d, out=d)
-        chord = np.sqrt(chord, out=chord)
-        ds = np.abs(s[:, None] - s[None, :])
-        ds = np.minimum(ds, 1.0 - ds)
-        mask = ds > 0
-        return float(np.min(chord[mask] / ds[mask]))
+        # s_i = i/n is exact, so the periodic |s_i - s_j| is min(o, n - o)/n
+        return float(np.min(np.sqrt(chord[:, 1:]) / (np.minimum(o, n - o)[1:] / n)))
 
 
 @dataclass

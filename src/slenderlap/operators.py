@@ -36,7 +36,9 @@ assemble_pair fills in one pair sweep.  They differ only in what is added:
 
 apply_pair is assemble_pair's matrix-free twin on the same helpers: one sweep
 applies G_J and K_J, direct's weights go pointwise and split's templates by
-2-D FFT, and no N x N array is stored.
+2-D FFT, and no N x N array is stored.  Every pair sweep here runs through
+PairGeometry.sweep: row chunks on every CPU of the affinity mask, each row
+computed whole by one thread, so no output depends on the thread count.
 
 The remainder pieces of the curved-minus-straight operators are pair
 kernels with plain eps weight, matching the operator identity R_S = S - Sbar
@@ -155,16 +157,17 @@ def _pair_kernel(grid, name):
     return kernels[name] + ({},)
 
 
-def _pair_rows(grid, name):
-    """Yield (lo, hi, kernel rows) of a pair kernel, diagonal zeroed."""
+def _pair_sweep(grid, name, body):
+    """body(lo, hi, kernel rows) of a pair kernel per row chunk, diagonal zeroed."""
     fn, need, templates = _pair_kernel(grid, name)
-    pg = PairGeometry(grid, templates=templates)
-    for lo, hi in pg.chunks():
-        f = pg.fields(lo, hi, need)
+
+    def rows(lo, hi, f):
         with np.errstate(divide="ignore", invalid="ignore"):
             ker = fn(f)
         ker[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
-        yield lo, hi, ker
+        body(lo, hi, ker)
+
+    PairGeometry(grid, templates=templates).sweep(need, rows)
 
 
 def apply_pairs(grid, name, x):
@@ -179,8 +182,8 @@ def apply_pairs(grid, name, x):
     x = np.asarray(x, float)
     xw = x.reshape(n, -1) * (grid.epsilon * grid.node_weight)
     out = np.empty_like(xw)
-    for lo, hi, ker in _pair_rows(grid, name):
-        np.matmul(ker, xw, out=out[lo:hi])
+    _pair_sweep(grid, name,
+                lambda lo, hi, ker: np.matmul(ker, xw, out=out[lo:hi]))
     return out.reshape(x.shape)
 
 
@@ -190,8 +193,8 @@ def _dense_from_pairs(grid, name, weight):
     n = grid.n_nodes
     out = np.empty((n, n))
     w_src = np.reshape(weight, -1) * grid.node_weight
-    for lo, hi, ker in _pair_rows(grid, name):
-        np.multiply(ker, w_src, out=out[lo:hi])
+    _pair_sweep(grid, name,
+                lambda lo, hi, ker: np.multiply(ker, w_src, out=out[lo:hi]))
     return out
 
 
@@ -372,17 +375,6 @@ def _split_templates(grid):
     return tabs, t_s, t_d
 
 
-def _curved_rows(grid, templates=None):
-    """(lo, hi, 1/|R|, R . n_src/|R|^2, fields) per row chunk, diagonal zeroed."""
-    pg = PairGeometry(grid, templates=templates)
-    for lo, hi in pg.chunks():
-        f = pg.fields(lo, hi, need=("Rn",) + tuple(templates or ()))
-        with np.errstate(divide="ignore"):
-            inv_r = 1.0 / f["absR"]
-        inv_r[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
-        yield lo, hi, inv_r, f["Rn"] * (inv_r * inv_r), f
-
-
 def assemble_pair(grid, backend="direct"):
     """(S_h, D_h) of either backend, from one pair sweep.
 
@@ -408,12 +400,17 @@ def assemble_pair(grid, backend="direct"):
         templates = {"C_S": t_s, "C_D": t_d}  # rows of C_S, C_D are gathered
         col = grid.flat_jacobian() / grid.epsilon
     s_mat, d_mat = np.empty((n, n)), np.empty((n, n))
-    for lo, hi, inv_r, rn_r2, f in _curved_rows(grid, templates):
+
+    def rows(lo, hi, f):
+        inv_r = f["invR"]
         g_j = np.multiply(inv_r, w_src, out=s_mat[lo:hi])
-        k_j = np.multiply(rn_r2, g_j, out=d_mat[lo:hi])
+        k_j = np.multiply(f["Rn"] * (inv_r * inv_r), g_j, out=d_mat[lo:hi])
         if split:
             g_j += f["C_S"] * col
             k_j += f["C_D"] * col
+
+    PairGeometry(grid, templates=templates).sweep(("Rn", "invR", *templates),
+                                                  rows)
     if split:
         parts = [{"m_S": tabs[0]}, {"m_D": tabs[1]}]
     else:
@@ -438,10 +435,15 @@ def apply_pair(grid, backend, phi, psi):
     w_src = grid.jacobian * (grid.node_weight / FOURPI)
     phi_w, psi_w = (phi * w_src).reshape(-1), (psi * w_src).reshape(-1)
     s_out, d_out = np.empty_like(w_src), np.empty_like(w_src)
-    for lo, hi, inv_r, rn_r2, _ in _curved_rows(grid):
+
+    def rows(lo, hi, f):
+        inv_r, k_d = f["invR"], f["Rn"]
+        k_d *= inv_r * inv_r
+        k_d *= inv_r
         np.matmul(inv_r, phi_w, out=s_out.reshape(-1)[lo:hi])
-        np.matmul(np.multiply(rn_r2, inv_r, out=rn_r2), psi_w,
-                  out=d_out.reshape(-1)[lo:hi])
+        np.matmul(k_d, psi_w, out=d_out.reshape(-1)[lo:hi])
+
+    PairGeometry(grid).sweep(("Rn", "invR"), rows)
     if backend == "split":
         _, t_s, t_d = _split_templates(grid)
         s_out += apply_symbol(np.fft.fftn(t_s), phi * grid.jacobian / grid.epsilon)

@@ -62,11 +62,13 @@ class SlenderSolveResult:
 
 def _cond_estimate(mat, lu=None):
     """1-norm condition estimate via LAPACK gecon (cheap after LU)."""
-    anorm = np.linalg.norm(mat, 1)
+    col = np.zeros(mat.shape[1])  # np.linalg.norm(mat, 1), row by row as it
+    for row in mat:               # adds up, but with no N x N |mat| array
+        col += np.abs(row)
     if lu is None:
         lu = lu_factor(mat)
     gecon = get_lapack_funcs("gecon", (mat,))
-    rcond, _ = gecon(lu[0], anorm, norm="1")
+    rcond, _ = gecon(lu[0], col.max(), norm="1")
     if rcond == 0.0:
         return math.inf
     return 1.0 / rcond

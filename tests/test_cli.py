@@ -258,3 +258,21 @@ def test_out_of_range_inputs_are_one_line_errors(argv, text, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error:") and text in err and err.count("\n") == 1
     assert not list(tmp_path.iterdir())  # no symbols.csv
+
+
+@pytest.mark.parametrize("argv", [
+    ["scaling", "--study", "RS-holder-group", "--eps", "1/512,1/1024"],
+    ["greens-check", "--ladder", "256,512,1024"]])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_dry_run_states_the_sweep_chunks(argv, cpus, capsys, monkeypatch):
+    """The chunk the sweep really uses, and how many are in flight at once."""
+    from slenderlap import kernels
+    monkeypatch.setattr(kernels, "sweep_cpus", lambda: cpus)
+    assert main(argv + ["--dry-run"]) == 0
+    out = capsys.readouterr().out
+    # all chunks in flight hold about 2^16 pairs, in whole fours of rows
+    assert kernels.CHUNK_PAIRS == (1 << 16) // len(os.sched_getaffinity(0))
+    rows = kernels.default_chunk_rows(16384)
+    assert rows % 4 == 0 and rows == max(4, kernels.CHUNK_PAIRS // 16384)
+    assert (f"~{rows * 16384 * 8 / 1e6:.2f} MB per row-chunk field "
+            f"({rows} x 16384 pairs, {cpus} chunk(s) in flight)") in out

@@ -323,3 +323,23 @@ def test_kappa_star_holder_estimator():
     # constant-curvature circle has zero seminorm up to solver noise
     circ = geo.build_frame(geo.build_centerline(CIRCLE), 64)
     assert holder_seminorm(circ.kappa, 0.5, 0.0) < 1e-6
+
+
+def _c_gamma_dense(cl, n=512):
+    """The earlier estimate: full chord and |s_i - s_j| matrices, masked."""
+    s = np.arange(n) / n
+    chord = 0.0
+    for c in cl.position(s).T:
+        d = c[:, None] - c
+        chord += np.square(d, out=d)
+    chord = np.sqrt(chord, out=chord)
+    ds = np.abs(s[:, None] - s[None, :])
+    ds = np.minimum(ds, 1.0 - ds)
+    mask = ds > 0
+    return float(np.min(chord[mask] / ds[mask]))
+
+
+@pytest.mark.parametrize("preset", ["circle", "perturbed_circle", "trefoil"])
+def test_c_gamma_by_offset_is_bit_identical(preset):
+    cl = geo.build_centerline({"preset": preset})
+    assert cl.c_gamma == _c_gamma_dense(cl)

@@ -382,3 +382,33 @@ def test_split_pair_takes_one_pair_sweep(backend, circle_grid_small,
     rows.clear()
     sv.greens_identity_residual(circle_grid_small, [(1.0, 0.0)], backend)
     assert sum(rows) == n
+
+
+def test_cond_estimate_one_norm_is_exact_and_small(circle_solver, monkeypatch):
+    """gecon gets np.linalg.norm(S_h, 1) bit for bit, and the estimate on an
+    existing LU allocates far less than one N x N array."""
+    mat, lu = circle_solver.S_op.matrix, circle_solver.lu_S
+    gecon = sv.get_lapack_funcs("gecon", (mat,))
+    norms = []
+
+    def spy(name, arrays):
+        assert name == "gecon"
+
+        def call(a, anorm, **kwargs):
+            norms.append(anorm)
+            return gecon(a, anorm, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(sv, "get_lapack_funcs", spy)
+    cond = sv._cond_estimate(mat, lu)
+    assert norms == [np.linalg.norm(mat, 1)]
+    assert cond == circle_solver.cond_S
+    n = mat.shape[0]
+    tracemalloc.start()
+    try:
+        sv._cond_estimate(mat, lu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 8, peak

@@ -1,0 +1,175 @@
+"""The threaded pair-sweep driver, PairGeometry.sweep.
+
+Every pair sweep of the library runs through it: the calling thread and
+sweep_cpus() - 1 pool threads take row chunks in turn.  Its output must not
+depend on how many threads take part or on how they interleave, an error in
+any chunk must reach the caller with no thread left behind, and numpy's
+thread-local error state must be entered where the chunk runs.
+"""
+
+import subprocess
+import sys
+import threading
+import time
+import warnings
+
+import numpy as np
+import pytest
+
+from slenderlap import kernels as kn
+from slenderlap import operators as op
+
+
+def _densities(grid, k=1):
+    x = np.random.default_rng(5).standard_normal((grid.n_s, grid.n_theta, k))
+    return x[..., 0] if k == 1 else x
+
+
+def _outputs(grid):
+    """Every sweep the library runs, on one grid."""
+    phi, psi = _densities(grid), np.roll(_densities(grid), 1, axis=0)
+    out = {}
+    for backend in ("direct", "split"):
+        s_h, d_h = op.assemble_pair(grid, backend)
+        out[f"S_{backend}"], out[f"D_{backend}"] = s_h.matrix, d_h.matrix
+        out[f"apply_{backend}"] = np.stack(op.apply_pair(grid, backend, phi,
+                                                         psi))
+    for k in (1, 2):
+        for name in ("RS1", "RD", "G"):
+            out[f"{name}_{k}"] = op.apply_pairs(grid, name, _densities(grid, k))
+    rep = kn.check_geometric_inequalities(grid)
+    out["geometry"] = np.array([np.nan if v is None else float(v)
+                                for v in rep.values()])
+    return out
+
+
+def _assert_same(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.array_equal(got[key], want[key], equal_nan=True), key
+
+
+@pytest.mark.parametrize("grid_name", ["trefoil_grid", "perturbed_grid_small"])
+def test_threaded_sweep_is_bit_identical_to_one_participant(grid_name, request,
+                                                            monkeypatch):
+    grid = request.getfixturevalue(grid_name)
+    assert grid.n_nodes // kn.default_chunk_rows(grid.n_nodes) >= 4
+    monkeypatch.setattr(kn, "sweep_cpus", lambda: 1)
+    alone = _outputs(grid)
+    monkeypatch.setattr(kn, "sweep_cpus", lambda: 3)
+    _assert_same(_outputs(grid), alone)
+    # CHUNK_PAIRS follows the CPU count: the chunk size changes no bit either
+    for cpus in (1, 3):
+        monkeypatch.setattr(kn, "CHUNK_PAIRS", (1 << 16) // cpus)
+        monkeypatch.setattr(kn, "sweep_cpus", lambda: cpus)
+        _assert_same(_outputs(grid), alone)
+
+
+def test_one_cpu_starts_no_thread(perturbed_grid_small, monkeypatch):
+    monkeypatch.setattr(kn, "sweep_cpus", lambda: 1)
+    seen = set()
+    kn.PairGeometry(perturbed_grid_small, chunk_rows=7).sweep(
+        ("absR",), lambda lo, hi, f: seen.add(threading.current_thread()))
+    assert seen == {threading.main_thread()}
+
+
+def test_stress_every_row_once(perturbed_grid_small, monkeypatch):
+    """More threads than cores and a short switch interval: each row is
+    written exactly once, the results come back in chunk order, and the
+    library's outputs do not change."""
+    grid = perturbed_grid_small
+    monkeypatch.setattr(kn, "sweep_cpus", lambda: 1)
+    alone = _outputs(grid)
+    monkeypatch.setattr(kn, "sweep_cpus", lambda: 8)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        hits = np.zeros(grid.n_nodes, int)
+        threads = set()
+
+        def body(lo, hi, f):
+            threads.add(threading.current_thread())
+            hits[lo:hi] += 1
+            return lo, hi
+
+        pg = kn.PairGeometry(grid, chunk_rows=3)
+        spans = pg.sweep(("absR", "shat"), body)
+        assert spans == list(pg.chunks())
+        threaded = _outputs(grid)
+    finally:
+        sys.setswitchinterval(old)
+    assert np.all(hits == 1)
+    assert len(threads) > 1
+    _assert_same(threaded, alone)
+
+
+def _joined(threads):
+    """Join the pool threads among threads; True when none is left alive."""
+    pool = threads - {threading.main_thread()}
+    for t in pool:
+        t.join(timeout=10.0)
+    return not any(t.is_alive() for t in pool)
+
+
+def test_error_in_a_pool_thread_reaches_the_caller(perturbed_grid_small,
+                                                   monkeypatch):
+    monkeypatch.setattr(kn, "sweep_cpus", lambda: 2)
+    pool_started = threading.Event()
+    threads = set()
+
+    def body(lo, hi, f):
+        threads.add(threading.current_thread())
+        if threading.current_thread() is threading.main_thread():
+            if lo > 0:  # the caller runs chunk 0 before the pool starts
+                pool_started.wait(timeout=10.0)  # a pool thread takes one
+            return None
+        pool_started.set()
+        raise ZeroDivisionError(f"chunk {lo}:{hi}")
+
+    with pytest.raises(ZeroDivisionError, match="chunk"):
+        kn.PairGeometry(perturbed_grid_small, chunk_rows=4).sweep(("absR",),
+                                                                  body)
+    assert len(threads) == 2
+    assert _joined(threads)
+
+
+def test_error_in_any_chunk_stops_the_sweep(perturbed_grid_small, monkeypatch):
+    monkeypatch.setattr(kn, "sweep_cpus", lambda: 4)
+    threads, done = set(), []
+
+    def body(lo, hi, f):
+        threads.add(threading.current_thread())
+        if lo == 4:
+            raise ValueError("bad chunk")
+        time.sleep(0.05)
+        done.append(lo)
+
+    pg = kn.PairGeometry(perturbed_grid_small, chunk_rows=4)
+    with pytest.raises(ValueError, match="bad chunk"):
+        pg.sweep(("absR",), body)
+    assert _joined(threads)
+    # the others take no more chunks: each finishes the one it holds
+    assert len(done) <= len(threads) + 1 < len(list(pg.chunks())) // 4
+
+
+def test_no_runtime_warning_from_any_thread(perturbed_grid_small,
+                                            monkeypatch):
+    """np.errstate is thread-local, so each chunk must enter its own."""
+    monkeypatch.setattr(kn, "sweep_cpus", lambda: 3)
+    phi = _densities(perturbed_grid_small)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for backend in ("direct", "split"):
+            op.assemble_pair(perturbed_grid_small, backend)
+            op.apply_pair(perturbed_grid_small, backend, phi, phi)
+        op.apply_pairs(perturbed_grid_small, "RS1", phi)
+        op.apply_pairs(perturbed_grid_small, "RD", phi)
+
+
+def test_import_starts_no_thread():
+    code = ("import threading, slenderlap; "
+            "print(threading.active_count(), "
+            "[t.name for t in threading.enumerate()])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split()[0] == "1", proc.stdout
