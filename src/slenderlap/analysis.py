@@ -10,12 +10,12 @@ DtN map as a perturbation of the straight operator:
         + intint w eps ds dtheta
         - eps^2 int w khat dtheta
 
-where w solves the surface system S_h w = (1/2 I - D_h) E v of the split
-backend.  The remainders are what the straight symbols leave of the solved
-operators, R_S = S_h - m_S and R_D = D_h - m_D with m_S and m_D applied by
-FFT, and S[mean_s w] is S_h applied to the s-mean of w.  The terms above then
-rearrange exactly the matrices of the solve, so the two routes to f(s) agree
-to factorization roundoff.  Sbar^{-1} is applied after removing the k = 0
+where w solves the surface system S_h w = (1/2 I - D_h) E v of either
+backend (split by default).  The remainders are what the straight symbols
+leave of the solved operators, R_S = S_h - m_S and R_D = D_h - m_D with m_S
+and m_D applied by FFT, and S[mean_s w] is S_h applied to the s-mean of w.
+The terms above then rearrange exactly the matrices of the solve, so the two
+routes to f(s) agree to factorization roundoff.  Sbar^{-1} is applied after removing the k = 0
 mode; the zero-mode budget is carried exactly by the last two terms.
 
 Each scaling study is one STUDIES entry: a measurement of a grid plus its
@@ -52,21 +52,19 @@ def decomposition_operators(grid):
 def decompose_dtn(grid, v, alpha=0.25, solver=None):
     """Term-by-term decomposition report for Dirichlet data v(s).
 
-    solver, if given, must hold split-backend operators: their parts carry
-    the m_S and m_D tables the remainders are taken against.
+    solver, if given, may hold the operators of either backend; by default a
+    split-backend solver is built.
     """
     vv = v.values if isinstance(v, GridFunction) else np.asarray(v, float)
     if solver is None:
         solver = SlenderBodySolver(grid, "split")
-    try:
-        tab_s, tab_d = solver.S_op.parts["m_S"], solver.D_op.parts["m_D"]
-    except KeyError:
-        raise ValueError("decompose_dtn needs split-backend operators") from None
     res = solver.dtn(GridFunction(vv))
     w = res.w
     f_direct = res.f.values
     shape = w.values.shape
-    s_mat, d_mat = solver.S_op.matrix, solver.D_op.matrix
+    tab_s, tab_d = (FourierSymbol(name, grid.epsilon).table(*shape)
+                    for name in ("m_S", "m_D"))
+    s_mat, d_mat = solver.S_h, solver.D_h
     m_s_inv = FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s)
 
     def s_inv_theta_int(x):
@@ -260,10 +258,8 @@ def make_study(study_id, curve_config=None, epsilons=None, n_theta=N_THETA):
 
 def _ladder(curve_config, epsilons, n_theta):
     """Yield (eps, grid) per rung; the centerline and frame are built once."""
-    cl = geo.build_centerline(curve_config)
-    fr = geo.build_frame(cl, geo.FRAME_SAMPLES)
-    for eps in epsilons:
-        spec = geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=eps)
+    for spec in geo.surface_specs(curve_config, epsilons):
+        eps = spec.epsilon
         yield eps, make_grid(spec, ScalingStudy.grid_ns(eps), n_theta)
 
 

@@ -70,10 +70,8 @@ def _curve_config(args):
 
 
 def _build_spec(args, n_frame=FRAME_SAMPLES):
-    from . import geometry as geo
-    cl = geo.build_centerline(_curve_config(args))
-    fr = geo.build_frame(cl, n_frame)
-    return geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=args.epsilon)
+    from .geometry import surface_specs
+    return surface_specs(_curve_config(args), [args.epsilon], n_frame)[0]
 
 
 def _dry_run_report(args, n_s, n_theta, n_systems=1, dense=True, grid=True):
@@ -117,33 +115,29 @@ def cmd_check_bessel(args):
 
 
 def cmd_symbols(args):
-    from .spectral import (symbol_m_D, symbol_m_S, symbol_m_eps,
-                           symbol_m_eps_inv)
+    from .spectral import _symbol_row
     if args.kmax < 0 or args.lmax < 0:
         raise ValueError(f"--kmax and --lmax must be >= 0, got {args.kmax} "
                          f"and {args.lmax}")
     if args.dry_run:
         return _dry_run_report(args, args.kmax, args.lmax, grid=False)
+    names = ("m_S", "m_D", "m_eps_inv", "m_eps")
     rows = []
     for k in range(0, args.kmax + 1):
-        for ell in range(0, args.lmax + 1):
-            m_s = symbol_m_S(args.epsilon, k, ell) if (k, ell) != (0, 0) \
-                else float("nan")
-            rows.append((k, ell, m_s, symbol_m_D(args.epsilon, k, ell),
-                         symbol_m_eps_inv(args.epsilon, k),
-                         symbol_m_eps(args.epsilon, k)))
-    _write_csv(args.out, ("k", "l", "m_S", "m_D", "m_eps_inv", "m_eps"),
-               [(r[0], r[1], float(r[2]), float(r[3]), float(r[4]),
-                 float(r[5])) for r in rows])
+        # one row of l = 0..lmax per symbol; m_S(0, 0) is NaN (undefined)
+        cols = [_symbol_row(name, args.epsilon, k, args.lmax) for name in names]
+        rows += [(k, ell, *(float(c[ell]) for c in cols))
+                 for ell in range(0, args.lmax + 1)]
+    _write_csv(args.out, ("k", "l") + names, rows)
     print(f"wrote {len(rows)} symbol rows to {args.out}")
     return 0
 
 
 def cmd_geometry(args):
     from . import geometry as geo
+    spec = _build_spec(args, n_frame=args.ns)
     if args.dry_run:
         return _dry_run_report(args, args.ns, 1, grid=False)
-    spec = _build_spec(args, n_frame=args.ns)
     rep = geo.geometry_report(spec)
     _emit_json(args, rep)
     if not args.json:
@@ -155,9 +149,9 @@ def cmd_geometry(args):
 def cmd_check_geometry(args):
     from .grid import make_grid
     from .kernels import check_geometric_inequalities, oddness_residual
+    spec = _build_spec(args)
     if args.dry_run:
         return _dry_run_report(args, args.ns, args.ntheta)
-    spec = _build_spec(args)
     grid = make_grid(spec, args.ns, args.ntheta)
     rep = check_geometric_inequalities(grid)
     rep["oddness_n1_m0"] = oddness_residual(grid, 1, 0)
@@ -172,11 +166,11 @@ def cmd_check_geometry(args):
 def cmd_greens_check(args):
     from . import solver as sv
     ladder = [int(x) for x in args.ladder.split(",")]
+    spec = _build_spec(args)
     if args.dry_run:
         sv.check_ladder(ladder, args.ntheta)
         return _dry_run_report(args, max(ladder), args.ntheta, len(ladder),
                                dense=False)
-    spec = _build_spec(args)
     out = {}
     ok = True
     for backend in ("direct", "split"):
@@ -209,9 +203,9 @@ def _solve_common(args, direction):
     from .grid import make_grid
     from .solver import SlenderBodySolver
     from .spectral import GridFunction
+    spec = _build_spec(args)
     if args.dry_run:
         return _dry_run_report(args, args.ns, args.ntheta, 1)
-    spec = _build_spec(args)
     grid = make_grid(spec, args.ns, args.ntheta)
     solver = SlenderBodySolver(grid, "split")
     if direction == "dtn":
@@ -246,9 +240,9 @@ def cmd_ntd(args):
 def cmd_exterior(args):
     from .grid import make_grid
     from . import solver as sv
+    spec = _build_spec(args)
     if args.dry_run:
         return _dry_run_report(args, args.ns, args.ntheta, 1)
-    spec = _build_spec(args)
     grid = make_grid(spec, args.ns, args.ntheta)
     charges = [(1.0, 0.0)]
     v_exact, w_exact = sv.point_charge_data(grid, charges)
@@ -287,9 +281,9 @@ def cmd_decompose(args):
     from .spectral import GridFunction
     if not 0.0 < args.alpha <= 1.0:
         raise ValueError(f"--alpha must lie in (0, 1], got {args.alpha}")
+    spec = _build_spec(args)
     if args.dry_run:
         return _dry_run_report(args, args.ns, args.ntheta, 1)
-    spec = _build_spec(args)
     grid = make_grid(spec, args.ns, args.ntheta)
     v = GridFunction(np.cos(2 * np.pi * grid.s_nodes))
     rep = decompose_dtn(grid, v, alpha=args.alpha)
@@ -305,10 +299,12 @@ def cmd_decompose(args):
 
 def cmd_scaling(args):
     from .analysis import make_study, run_scaling_study
+    from .geometry import surface_specs
     eps = _parse_eps_list(args.eps) if args.eps else None
     study = make_study(args.study, epsilons=eps,
                        curve_config=_curve_config(args) if args.curve else None)
     if args.dry_run:
+        surface_specs(study.curve_config, study.epsilons)
         ns = max(study.grid_ns(e) for e in study.epsilons)
         return _dry_run_report(args, ns, study.n_theta, len(study.epsilons),
                                dense=study.solves)
@@ -330,7 +326,8 @@ def _add_common(p, epsilon=True, grid=False):
     p.add_argument("--json", action="store_true",
                    help="print the JSON summary to stdout")
     p.add_argument("--dry-run", action="store_true",
-                   help="validate config, print planned sizes, do not compute")
+                   help="validate config and geometry, print planned sizes, "
+                        "assemble and solve nothing")
     if epsilon:
         p.add_argument("--epsilon", type=_epsilon, default=1.0 / 64.0)
     if grid:

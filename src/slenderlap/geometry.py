@@ -331,6 +331,13 @@ class SurfaceSpec:
         return self.frame.at(s)[:5]
 
 
+def surface_specs(curve_config, epsilons, n_frame=FRAME_SAMPLES):
+    """One SurfaceSpec per eps on one centerline and frame; each checks eps."""
+    cl = build_centerline(curve_config)
+    fr = build_frame(cl, n_frame)
+    return [SurfaceSpec(centerline=cl, frame=fr, epsilon=e) for e in epsilons]
+
+
 def tube_surface(epsilon, x0, e_n1, e_n2, k1, k2, theta):
     """(x, e_r, khat, J_eps) of the module docstring's tube formulas.
 

@@ -76,7 +76,6 @@ class PairGeometry:
         self.i_t = np.arange(n) % g.n_theta
         ds, dt = offset_templates(g.n_s, g.n_theta)
         self.ds_template = ds
-        self.dt_template = dt
         self.eps = g.epsilon
         # positions and normals one component per row, and eps n_src as
         # (3, n_s, n_theta) for R_t

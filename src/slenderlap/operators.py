@@ -1,7 +1,7 @@
 r"""Discrete layer operators on the tube surface.
 
-Every assembled operator is a DiscreteOperator: a dense matrix on flattened
-(n_s, n_theta) samples.  Both backends start from the same curved blocks,
+Every assembled operator is a plain N x N array on flattened (n_s, n_theta)
+samples, row-major.  Both backends start from the same curved blocks,
 G_J and K_J: the punctured trapezoids of the curved G and K_D times J, which
 assemble_pair fills in one pair sweep.  They differ only in what is added:
 
@@ -66,12 +66,11 @@ of the pair sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import k0, k1
 
-from .grid import SurfaceGrid, offset_templates
+from .grid import offset_templates
 from .kernels import FOURPI, PairGeometry
 from .specfun import EULER_GAMMA
 from .spectral import (FourierSymbol, GridFunction, apply_symbol, s_modes,
@@ -89,22 +88,6 @@ BESSEL_CUTOFF = 40.0
 
 class AssemblyError(RuntimeError):
     pass
-
-
-@dataclass
-class DiscreteOperator:
-    """Dense linear map on surface GridFunctions with a uniform interface."""
-
-    name: str
-    backend: str
-    grid: SurfaceGrid
-    matrix: np.ndarray
-    parts: dict = field(default_factory=dict)
-
-    def apply(self, f):
-        vals = f.values if isinstance(f, GridFunction) else np.asarray(f)
-        out = self.matrix @ vals.reshape(-1)
-        return GridFunction(out.reshape(vals.shape))
 
 
 def _check_dense_cap(grid):
@@ -273,15 +256,18 @@ def dense_RD_kernel(grid, which):
 def dense_centerline_correction(grid):
     """Kernel 1/|x - X(s')| (no 1/4pi) times J, full trapezoid, no puncture."""
     _check_dense_cap(grid)
-    n = grid.n_nodes
-    P = grid.flat_positions()
-    Xc = np.repeat(grid.X, grid.n_theta, axis=0)
-    out = np.empty((n, n))
-    for lo in range(0, n, 256):
-        hi = min(lo + 256, n)
-        d = P[lo:hi, None, :] - Xc[None, :, :]
-        out[lo:hi] = 1.0 / np.sqrt(np.sum(d * d, axis=2))
-    out *= (grid.flat_jacobian() * grid.node_weight)[None, :]
+    p_t, x_t = grid.flat_positions().T, np.repeat(grid.X, grid.n_theta, 0).T
+    jw = grid.flat_jacobian() * grid.node_weight
+    out = np.empty((grid.n_nodes, grid.n_nodes))
+
+    def rows(lo, hi, _):
+        r2 = 0.0
+        for p, x in zip(p_t, x_t):  # one coordinate at a time
+            d = p[lo:hi, None] - x
+            r2 += np.square(d, out=d)
+        np.multiply(1.0 / np.sqrt(r2), jw, out=out[lo:hi])
+
+    PairGeometry(grid).sweep((), rows)
     return out
 
 
@@ -366,13 +352,14 @@ def _local_weights(grid):
 # assembled operators ---------------------------------------------------------
 
 def _split_templates(grid):
-    """m_S, m_D tables and the C_S (P0 applied), C_D offset templates."""
-    tabs = [FourierSymbol(k, grid.epsilon).table(grid.n_s, grid.n_theta)
-            for k in ("m_S", "m_D")]
-    t_s = symbol_template(tabs[0]) - straight_template(grid, "S", central=True)
+    """The C_S (P0 applied) and C_D offset templates."""
+    def template(name, kind):
+        tab = FourierSymbol(name, grid.epsilon).table(grid.n_s, grid.n_theta)
+        return symbol_template(tab) - straight_template(grid, kind, central=True)
+
+    t_s = template("m_S", "S")
     t_s -= t_s.mean(axis=0)  # P0 on the S template
-    t_d = symbol_template(tabs[1]) - straight_template(grid, "D", central=True)
-    return tabs, t_s, t_d
+    return t_s, template("m_D", "D")
 
 
 def assemble_pair(grid, backend="direct"):
@@ -383,10 +370,10 @@ def assemble_pair(grid, backend="direct"):
     the pair holds two N x N matrices and no N x N temporary.  On those
     rows split adds its straight correction (see the module docstring),
 
-        S_h = G_J + C_S P0 diag(J/eps),     D_h = K_J + C_D diag(J/eps),
+        S_h = G_J + C_S P0 diag(J/eps),     D_h = K_J + C_D diag(J/eps);
 
-    and its parts hold each operator's (n_s, n_theta) symbol table, "m_S" or
-    "m_D".  direct adds its local singular weights to the finished matrices.
+    direct adds its local singular weights to the finished matrices.
+    Returns the two N x N arrays.
     """
     if backend not in ("direct", "split"):
         raise ValueError(f"unknown backend '{backend}'")
@@ -396,7 +383,7 @@ def assemble_pair(grid, backend="direct"):
     split = backend == "split"
     templates = {}
     if split:
-        tabs, t_s, t_d = _split_templates(grid)
+        t_s, t_d = _split_templates(grid)
         templates = {"C_S": t_s, "C_D": t_d}  # rows of C_S, C_D are gathered
         col = grid.flat_jacobian() / grid.epsilon
     s_mat, d_mat = np.empty((n, n)), np.empty((n, n))
@@ -411,16 +398,12 @@ def assemble_pair(grid, backend="direct"):
 
     PairGeometry(grid, templates=templates).sweep(("Rn", "invR", *templates),
                                                   rows)
-    if split:
-        parts = [{"m_S": tabs[0]}, {"m_D": tabs[1]}]
-    else:
-        parts = [{}, {}]
+    if not split:
         s_diag, ring = _local_weights(grid)
         s_mat[np.arange(n), np.arange(n)] += s_diag
         i = np.arange(n_s)  # ring[i] is the diagonal n_theta-block of row i
         d_mat.reshape(n_s, n_t, n_s, n_t)[i, :, i] += ring
-    return (DiscreteOperator("S", backend, grid, s_mat, parts=parts[0]),
-            DiscreteOperator("D", backend, grid, d_mat, parts=parts[1]))
+    return s_mat, d_mat
 
 
 def apply_pair(grid, backend, phi, psi):
@@ -445,7 +428,7 @@ def apply_pair(grid, backend, phi, psi):
 
     PairGeometry(grid).sweep(("Rn", "invR"), rows)
     if backend == "split":
-        _, t_s, t_d = _split_templates(grid)
+        t_s, t_d = _split_templates(grid)
         s_out += apply_symbol(np.fft.fftn(t_s), phi * grid.jacobian / grid.epsilon)
         d_out += apply_symbol(np.fft.fftn(t_d), psi * grid.jacobian / grid.epsilon)
     else:
@@ -472,9 +455,9 @@ def assemble_Dprime(grid, backend="direct"):
     The correction kernel 1/|x - X(s')| is bounded by 1/eps on the surface
     and removes the constant null space of 1/2 I + D.
     """
-    d = assemble_pair(grid, backend)[1].matrix
+    d = assemble_pair(grid, backend)[1]
     d += dense_centerline_correction(grid)
-    return DiscreteOperator("Dprime", backend, grid, d)
+    return d
 
 
 def theta_integral(grid, x, weight):
@@ -490,12 +473,6 @@ def theta_integral(grid, x, weight):
     return (q * (2.0 * math.pi / grid.n_theta)).reshape((grid.n_s,) + cols)
 
 
-def extend_theta_profile(grid, profile):
-    """Extend h(theta) to the surface grid (constant in s)."""
-    h = np.asarray(profile, float)
-    return GridFunction(np.tile(h, (grid.n_s, 1)))
-
-
 def mean_in_s_split(grid, h_profile):
     """Split Sbar^{-1} int_0^{2pi} S[h(theta)] eps dtheta at |k| = 1/(2 pi eps).
 
@@ -505,7 +482,7 @@ def mean_in_s_split(grid, h_profile):
     frequency.  The k = 0 mode carries no information here (Sbar^{-1} is
     undefined there) and is projected out.
     """
-    ext = extend_theta_profile(grid, h_profile).values
+    ext = np.tile(np.asarray(h_profile, float), (grid.n_s, 1))  # constant in s
     # G at weight eps on ext, and R_S3 on ext as G on -eps khat ext: one sweep
     a = apply_pairs(grid, "G", np.stack([ext, -grid.epsilon * grid.khat * ext],
                                         axis=-1))

@@ -75,33 +75,32 @@ def _cond_estimate(mat, lu=None):
 
 
 class SlenderBodySolver:
-    """Caches the operators, lu_S and the discrete DtN matrix for one grid.
+    """Caches S_h, D_h, lu_S and the discrete DtN matrix for one grid.
 
-    operators, when given, is an (S_h, D_h) pair used as is; backend is then
-    only a label.
+    operators, when given, is an (S_h, D_h) pair of N x N arrays used as is;
+    backend is then only a label.
     """
 
     def __init__(self, grid: SurfaceGrid, backend="direct", operators=None):
         self.grid = grid
         self.backend = backend
-        self.S_op, self.D_op = (operators if operators is not None
-                                else assemble_pair(grid, backend))
+        self.S_h, self.D_h = (operators if operators is not None
+                              else assemble_pair(grid, backend))
         self._lu_S = None
         self._cond_S = None
         self._B = self._W = None
         self._dtn_matrix = self._lu_dtn = self._cond_dtn = None
-        self._tables = {}
 
     @property
     def lu_S(self):
         if self._lu_S is None:
-            self._lu_S = lu_factor(self.S_op.matrix)
+            self._lu_S = lu_factor(self.S_h)
         return self._lu_S
 
     @property
     def cond_S(self):
         if self._cond_S is None:
-            self._cond_S = _cond_estimate(self.S_op.matrix, self.lu_S)
+            self._cond_S = _cond_estimate(self.S_h, self.lu_S)
         return self._cond_S
 
     def _check_cond(self):
@@ -119,7 +118,7 @@ class SlenderBodySolver:
         if self._W is None:
             self._check_cond()
             n_s, n_t = self.grid.n_s, self.grid.n_theta
-            b = -self.D_op.matrix.reshape(-1, n_s, n_t).sum(axis=2)
+            b = -self.D_h.reshape(-1, n_s, n_t).sum(axis=2)
             diag = np.arange(n_s)
             b.reshape(n_s, n_t, n_s)[diag, :, diag] += 0.5
             self._B = b
@@ -151,7 +150,7 @@ class SlenderBodySolver:
         b, W = self._densities()
         w = W @ vv
         f = theta_integral(self.grid, w, self.grid.jacobian)
-        resid = float(np.max(np.abs(self.S_op.matrix @ w - b @ vv)))
+        resid = float(np.max(np.abs(self.S_h @ w - b @ vv)))
         shape = (self.grid.n_s, self.grid.n_theta)
         return SlenderSolveResult(
             v=GridFunction(vv), w=GridFunction(w.reshape(shape)),
@@ -165,7 +164,7 @@ class SlenderBodySolver:
         b, W = self._densities()
         v = lu_solve(self._dtn_factor(), ff)
         w = W @ v
-        res1 = float(np.max(np.abs(self.S_op.matrix @ w - b @ v)))
+        res1 = float(np.max(np.abs(self.S_h @ w - b @ v)))
         q = theta_integral(self.grid, w, self.grid.jacobian)
         res2 = float(np.max(np.abs(q - ff)))
         shape = (self.grid.n_s, self.grid.n_theta)
@@ -176,13 +175,10 @@ class SlenderBodySolver:
             conditioning={"cond_S": self.cond_S, "cond_dtn": self._cond_dtn})
 
     def _straight(self, name, data):
-        """Apply the 1-D symbol `name`, its table built once per solver."""
+        """Apply the 1-D symbol `name` (FourierSymbol memoises its table)."""
         dd = data.values if isinstance(data, GridFunction) \
             else np.asarray(data, float)
-        tab = self._tables.get(name)
-        if tab is None:
-            tab = FourierSymbol(name, self.grid.epsilon).table(self.grid.n_s)
-            self._tables[name] = tab
+        tab = FourierSymbol(name, self.grid.epsilon).table(self.grid.n_s)
         return GridFunction(apply_symbol(tab, dd))
 
     def straight_dtn(self, v):
@@ -266,7 +262,7 @@ def solve_exterior_dirichlet(grid, v_surface, eval_points, backend="direct"):
         raise SolveError("evaluation point not strictly exterior")
     if np.any(dist < 3.0 * grid.epsilon):  # clearance to the surface > 2 eps
         raise SolveError("evaluation point closer than 2 eps to the surface")
-    a = assemble_Dprime(grid, backend).matrix
+    a = assemble_Dprime(grid, backend)
     a.flat[::grid.n_nodes + 1] += 0.5  # 1/2 I + D', in place
     lu = lu_factor(a)
     cond = _cond_estimate(a, lu)
@@ -318,14 +314,10 @@ def exact_point_charge_potential(grid, points, charges):
     return u
 
 
-def greens_identity_residual(grid, charges, backend="direct", operators=None):
-    """sup |(1/2 I - D_h) v - S_h w| for exact point-charge data, matrix-free
-    unless operators holds the assembled (S_h, D_h)."""
+def greens_identity_residual(grid, charges, backend="direct"):
+    """sup |(1/2 I - D_h) v - S_h w| for exact point-charge data, matrix-free."""
     v, w = point_charge_data(grid, charges)
-    if operators is None:
-        rhs, d_v = apply_pair(grid, backend, w.values, v.values)
-    else:
-        rhs, d_v = operators[0].apply(w).values, operators[1].apply(v).values
+    rhs, d_v = apply_pair(grid, backend, w.values, v.values)
     lhs = 0.5 * v.values - d_v
     scale = float(np.max(np.abs(lhs))) or 1.0
     return float(np.max(np.abs(lhs - rhs))), scale

@@ -20,7 +20,9 @@ All kernels are even in both offsets, so every symbol is real and even and
 acts diagonally on complex exponentials; real input gives real output.
 
 Each formula lives in _symbol_row (one |k|, all l <= lmax); FourierSymbol
-builds its tables from one row per |k|, and apply_symbol applies them.
+builds its tables from one row per |k| and memoises them, so every module
+that applies a symbol shares one read-only table per grid, and apply_symbol
+applies them.
 
 The l != 0 double-layer coefficient here is half the printed source value:
 the printed ell != 0 branch is inconsistent with its own ell = 0 branch
@@ -31,6 +33,7 @@ integrals: m_D(0, 0) = -1/2 (exterior jump relation) and m_D(0, l != 0) = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,20 +119,21 @@ def _symbol_row(name, epsilon, xi, lmax=0):
     return np.full(lmax + 1, value)
 
 
-def symbol_m_S(epsilon, k, ell):
-    return FourierSymbol("m_S", epsilon).evaluate(k, ell)
+# symbol tables built at most once per (name, eps, n_s, n_theta) while they
+# stay among the TABLE_MEMO most recently used; one 256 x 16 table is 32 KB
+TABLE_MEMO = 32
 
 
-def symbol_m_D(epsilon, k, ell):
-    return FourierSymbol("m_D", epsilon).evaluate(k, ell)
-
-
-def symbol_m_eps_inv(epsilon, k):
-    return FourierSymbol("m_eps_inv", epsilon).evaluate(k)
-
-
-def symbol_m_eps(epsilon, k):
-    return FourierSymbol("m_eps", epsilon).evaluate(k)
+@functools.lru_cache(maxsize=TABLE_MEMO)
+def _table(name, epsilon, n_s, n_theta):
+    ells = np.abs(theta_modes(n_theta)) if n_theta else np.zeros(1, int)
+    rows = np.array([_symbol_row(name, epsilon, k, int(ells.max()))
+                     for k in range(n_s // 2 + 1)])
+    out = rows[np.abs(s_modes(n_s))][:, ells]
+    out[np.isnan(out)] = 0.0
+    out = out.reshape(n_s) if n_theta is None else out
+    out.flags.writeable = False  # shared by every caller of the memo
+    return out
 
 
 @dataclass
@@ -154,15 +158,11 @@ class FourierSymbol:
     def table(self, n_s, n_theta=None):
         """Symbol values on the discrete mode grid; undefined modes get 0.
 
-        One _symbol_row per |k|.  A zero at an undefined mode is only safe
-        under a prior P0 projection of the data it is applied to.
+        One _symbol_row per |k|, memoised (TABLE_MEMO) and read-only.  A
+        zero at an undefined mode is only safe under a prior P0 projection
+        of the data it is applied to.
         """
-        ells = np.abs(theta_modes(n_theta)) if n_theta else np.zeros(1, int)
-        rows = np.array([_symbol_row(self.name, self.epsilon, k, int(ells.max()))
-                         for k in range(n_s // 2 + 1)])
-        out = rows[np.abs(s_modes(n_s))][:, ells]
-        out[np.isnan(out)] = 0.0
-        return out.reshape(n_s) if n_theta is None else out
+        return _table(self.name, self.epsilon, n_s, n_theta)
 
 
 def apply_symbol(table, values):

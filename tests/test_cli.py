@@ -172,6 +172,27 @@ def test_dry_run_rejects_bad_grid_sizes(argv, capsys):
     assert "grid sizes must be powers of two" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["geometry", "--ns", "100"], "power of two"),
+    (["dtn", "--epsilon", "0.2"], "eps*kappa_* = 1.257 >= 1/2"),
+    (["exterior", "--curve", "nosuch"], "nosuch"),
+    (["greens-check", "--curve", "trefoil", "--epsilon", "0.03"],
+     "eps*kappa_*"),
+    (["scaling", "--study", "RS1-sup", "--curve", "trefoil"],
+     "eps*kappa_* = 1.400 >= 1/2"),
+], ids=["geometry-frame-size", "dtn-eps", "exterior-curve", "greens-eps",
+        "scaling-ladder-eps"])
+def test_dry_run_rejects_what_the_run_rejects(argv, text, capsys):
+    # a dry run builds the curve, the frame and the SurfaceSpec of every eps,
+    # so it fails with the real run's error (which comes before any solve)
+    errors = []
+    for extra in ([], ["--dry-run"]):
+        assert main(argv + extra) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error:") and text in errors[0]
+
+
 @pytest.mark.parametrize("ladder", ["64", "64,64"])
 def test_single_rung_ladder_is_a_usage_error(ladder, capsys):
     for extra in ([], ["--dry-run"]):

@@ -12,7 +12,9 @@ import pytest
 
 from slenderlap import analysis as an
 from slenderlap import operators as op
+from slenderlap import spectral
 from slenderlap.spectral import FourierSymbol, GridFunction, apply_symbol
+
 
 def _right_mul_smean(mat, n_s, n_t):
     """mat @ P_mean (column s-averaging)."""
@@ -42,13 +44,11 @@ def test_fused_matches_piecewise(grid_name, request):
     fused = dict(zip("SD", op.assemble_pair(grid, "split")))
     pair = an.decomposition_operators(grid)
     for name, ref in _piecewise(grid).items():
-        rel = np.max(np.abs(fused[name].matrix - ref)) / np.max(np.abs(ref))
+        rel = np.max(np.abs(fused[name] - ref)) / np.max(np.abs(ref))
         assert rel <= 1e-13, (name, rel)
     for got, one in zip(pair, (fused["S"], fused["D"])):
-        assert got.backend == "split"
-        assert np.array_equal(got.matrix, one.matrix)
-        assert list(got.parts) == [f"m_{got.name}"]
-        assert got.parts[f"m_{got.name}"].shape == (grid.n_s, grid.n_theta)
+        assert got.shape == (grid.n_nodes, grid.n_nodes)
+        assert np.array_equal(got, one)
 
 
 @pytest.mark.parametrize("grid_name", ["perturbed_grid_small", "trefoil_grid"])
@@ -61,10 +61,10 @@ def test_direct_pair_matches_one_matrix_sweeps(grid_name, request):
     n_s, n_t = grid.n_s, grid.n_theta
     for i in range(n_s):  # ring[i] is the (n_t, n_t) diagonal block at s_i
         d_ref[i * n_t:(i + 1) * n_t, i * n_t:(i + 1) * n_t] += ring[i]
-    for got, ref in zip(op.assemble_pair(grid, "direct"), (s_ref, d_ref)):
-        assert got.backend == "direct" and not got.parts
-        rel = np.max(np.abs(got.matrix - ref)) / np.max(np.abs(ref))
-        assert rel <= 1e-13, (got.name, rel)
+    for name, got, ref in zip("SD", op.assemble_pair(grid, "direct"),
+                              (s_ref, d_ref)):
+        rel = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+        assert rel <= 1e-13, (name, rel)
 
 
 @pytest.mark.parametrize("grid_name", ["perturbed_grid_small", "trefoil_grid"])
@@ -85,7 +85,7 @@ def test_mean_in_s_term_matches_dense_route(perturbed_grid_small):
     rep = an.decompose_dtn(grid, v, solver=solver)
     w = solver.dtn(v).w
     w_mean_surface = np.tile(w.s_mean(), (grid.n_s, 1))
-    dense = solver.S_op.matrix @ w_mean_surface.reshape(-1)
+    dense = solver.S_h @ w_mean_surface.reshape(-1)
     integ = op.theta_integral(grid, dense, grid.epsilon)
     ref = -apply_symbol(FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s),
                         integ)
@@ -95,25 +95,28 @@ def test_mean_in_s_term_matches_dense_route(perturbed_grid_small):
     assert rep["relative_mismatch"] <= 1e-12
 
 
-def test_decompose_builds_each_table_once(perturbed_grid_small, monkeypatch):
-    solver = an.SlenderBodySolver(perturbed_grid_small, "split")
-    built = []
-    table = FourierSymbol.table
+def test_decompose_builds_each_table_once(perturbed_grid_small):
+    grid = perturbed_grid_small
+    spectral._table.cache_clear()
+    solver = an.SlenderBodySolver(grid, "split")
+    assert spectral._table.cache_info().misses == 2  # m_S, m_D
+    v = GridFunction(np.cos(2 * np.pi * grid.s_nodes))
+    for _ in range(2):
+        an.decompose_dtn(grid, v, solver=solver)
+    # m_S and m_D come from the memo the assembly filled; m_S_inv and
+    # m_eps_inv are built by the first decomposition only
+    assert spectral._table.cache_info().misses == 4
+    tab = FourierSymbol("m_S", grid.epsilon).table(grid.n_s, grid.n_theta)
+    with pytest.raises(ValueError, match="read-only"):
+        tab[1, 1] = 0.0
 
-    def counted(self, *args, **kwargs):
-        built.append(self.name)
-        return table(self, *args, **kwargs)
 
-    monkeypatch.setattr(FourierSymbol, "table", counted)
-    v = GridFunction(np.cos(2 * np.pi * perturbed_grid_small.s_nodes))
-    an.decompose_dtn(perturbed_grid_small, v, solver=solver)
-    # m_S and m_D come from the operators' parts
-    assert sorted(built) == ["m_S_inv", "m_eps_inv"]
-
-
-def test_decompose_refuses_direct_operators(perturbed_grid_small):
-    solver = an.SlenderBodySolver(perturbed_grid_small, "direct")
-    with pytest.raises(ValueError, match="split"):
-        an.decompose_dtn(perturbed_grid_small,
-                         np.cos(2 * np.pi * perturbed_grid_small.s_nodes),
-                         solver=solver)
+@pytest.mark.parametrize("grid_name", ["perturbed_grid_small", "trefoil_grid"])
+def test_direct_operators_decompose(grid_name, request):
+    """The decomposition rearranges whatever S_h and D_h were solved with,
+    so it closes on the direct backend too."""
+    grid = request.getfixturevalue(grid_name)
+    solver = an.SlenderBodySolver(grid, "direct")
+    v = GridFunction(np.cos(2 * np.pi * grid.s_nodes))
+    rep = an.decompose_dtn(grid, v, solver=solver)
+    assert rep["relative_mismatch"] <= 1e-12

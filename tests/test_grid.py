@@ -36,14 +36,14 @@ def test_punctured_trapezoid_against_spectral_oracle(circle_grid):
     """Weakly singular 1/|R-bar| integrates to within O(h log h) of the
     value implied by the m_S symbol (spectral oracle)."""
     from slenderlap import operators as op
-    from slenderlap.spectral import symbol_m_S
+    from slenderlap.spectral import FourierSymbol
     g = circle_grid
     # trapezoid of the periodized straight kernel applied to a pure mode
     mat = op.dense_straight_central(g, "S") + op.dense_tail(g, "S")
     mode = (np.cos(2 * np.pi * g.s_nodes)[:, None]
             * np.cos(g.theta_nodes)[None, :]).reshape(-1)
     coeff = float(mode @ (mat @ mode) / (mode @ mode))
-    exact = symbol_m_S(g.epsilon, 1, 1)
+    exact = FourierSymbol("m_S", g.epsilon).evaluate(1, 1)
     h = 1.0 / g.n_s
     assert abs(coeff - exact) < 5.0 * h * abs(math.log(h))
 

@@ -6,6 +6,10 @@ attribute, an import, or a string (perfbench/tracer.py wraps functions it
 names by strings).  A method of a src/ class counts as used when a statement
 outside that method names it the same way; the language calls the dunder
 methods.  Code that only tests call belongs in tests/.
+
+Every module of src/slenderlap (bar __init__.py, whose imports are the
+package's exports) and of tests/ names each name it imports, unless the
+import carries "# noqa: F401".
 """
 
 import ast
@@ -66,3 +70,29 @@ def test_every_library_method_is_used_outside_itself():
     unused = _unused(units, lambda node: isinstance(node, FUNCS)
                      and not node.name.startswith("__"))
     assert not unused, f"methods defined in src/ but used nowhere else: {unused}"
+
+
+def _unused_imports(path):
+    """Names a module imports and never names again as a plain name."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                or getattr(node, "module", None) == "__future__" \
+                or any("# noqa: F401" in line
+                       for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+    used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_every_import_is_used():
+    paths = [path for path in sorted((ROOT / "src" / "slenderlap").glob("*.py"))
+             if path.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    unused = {path.name: names for path in paths
+              if (names := _unused_imports(path))}
+    assert not unused, f"imported but never used: {unused}"

@@ -16,6 +16,10 @@ from slenderlap import specfun as sf
 from slenderlap import spectral as sp
 
 
+def _value(name, eps, k, ell=0):
+    return sp.FourierSymbol(name, eps).evaluate(k, ell)
+
+
 def k0_cos_quadrature(z, ell):
     """int_0^{2pi} cos(l t) K_0(z sin(t/2)) dt by adaptive quadrature."""
 
@@ -68,13 +72,13 @@ def test_symbol_m_S_against_quadrature():
     # 2 pi eps |k| = 1 <-> z = 2 in the K_0 integral identity
     eps, k = 1.0 / (2.0 * math.pi), 1
     direct = (eps / (2.0 * math.pi)) * k0_cos_quadrature(2.0, 0)
-    assert abs(sp.symbol_m_S(eps, k, 0) - direct) <= 1e-8
+    assert abs(_value("m_S", eps, k, 0) - direct) <= 1e-8
 
 
 def test_symbol_m_S_zero_k_limit():
     eps = 0.01
     for ell in (1, 2, 5):
-        limit = sp.symbol_m_S(eps, 0, ell)
+        limit = _value("m_S", eps, 0, ell)
         assert abs(limit - eps / (2 * ell)) < 1e-15
         # small-argument product: evaluate I_l K_l at z = 1e-6
         z = 1e-6
@@ -84,7 +88,7 @@ def test_symbol_m_S_zero_k_limit():
 
 def test_symbol_m_S_undefined_mode():
     with pytest.raises(sp.UndefinedModeError):
-        sp.symbol_m_S(0.01, 0, 0)
+        _value("m_S", 0.01, 0, 0)
     with pytest.raises(sp.UndefinedModeError):
         sp.FourierSymbol("m_S_inv", 0.01).evaluate(0)
 
@@ -99,23 +103,23 @@ def test_symbol_m_D_brute_force_oracle():
     bias = brute_force_mD(eps, 0, 0) - (-0.5)
     for (k, ell) in ((1, 0), (1, 1), (2, 1), (1, 2)):
         brute = brute_force_mD(eps, k, ell) - bias
-        assert abs(brute - sp.symbol_m_D(eps, k, ell)) <= 5e-6, (k, ell)
+        assert abs(brute - _value("m_D", eps, k, ell)) <= 5e-6, (k, ell)
 
 
 def test_symbol_m_D_zero_mode_values():
     eps = 0.01
-    assert sp.symbol_m_D(eps, 0, 0) == -0.5
-    assert sp.symbol_m_D(eps, 0, 3) == 0.0
+    assert _value("m_D", eps, 0, 0) == -0.5
+    assert _value("m_D", eps, 0, 3) == 0.0
     # continuity: k -> 0 limits approach the k = 0 values
-    assert abs(sp.symbol_m_D(1e-9, 1, 0) - (-0.5)) < 1e-6
-    assert abs(sp.symbol_m_D(1e-9, 1, 1)) < 1e-6
+    assert abs(_value("m_D", 1e-9, 1, 0) - (-0.5)) < 1e-6
+    assert abs(_value("m_D", 1e-9, 1, 1)) < 1e-6
 
 
 def test_symbol_m_D_bounded():
     for eps in (1e-3, 1e-2, 1e-1):
         for k in (0, 1, 5, 50, 1000):
             for ell in (0, 1, 4, 8):
-                assert abs(sp.symbol_m_D(eps, k, ell)) <= 1.0
+                assert abs(_value("m_D", eps, k, ell)) <= 1.0
 
 
 def test_growth_sandwich():
@@ -123,7 +127,7 @@ def test_growth_sandwich():
     for eps in (1e-3, 1e-2, 1e-1):
         ks = np.unique(np.geomspace(1, 1e4, 120).astype(int))
         for k in ks:
-            val = sp.symbol_m_eps_inv(eps, int(k))
+            val = _value("m_eps_inv", eps, int(k))
             lin = 4.0 * math.pi ** 2 * eps * k
             assert lin <= val <= lin + 2.0 * math.pi
 
@@ -134,7 +138,7 @@ def test_low_k_log_growth():
     for eps in (1e-4, 1e-3):
         for k in (1, 3, 10, 30):
             if eps * k <= 0.1:
-                vals.append(sp.symbol_m_eps_inv(eps, k)
+                vals.append(_value("m_eps_inv", eps, k)
                             * abs(math.log(eps * k)))
     assert 1.0 < min(vals) and max(vals) < 50.0
 
@@ -143,18 +147,18 @@ def test_symbol_evenness():
     eps = 0.02
     for k in (1, 3):
         for ell in (0, 2):
-            assert sp.symbol_m_S(eps, k, ell) == sp.symbol_m_S(eps, -k, ell)
-            assert sp.symbol_m_S(eps, k, ell) == sp.symbol_m_S(eps, k, -ell)
-            assert sp.symbol_m_D(eps, k, ell) == sp.symbol_m_D(eps, -k, -ell)
-    assert sp.symbol_m_eps_inv(eps, 5) == sp.symbol_m_eps_inv(eps, -5)
+            assert _value("m_S", eps, k, ell) == _value("m_S", eps, -k, ell)
+            assert _value("m_S", eps, k, ell) == _value("m_S", eps, k, -ell)
+            assert _value("m_D", eps, k, ell) == _value("m_D", eps, -k, -ell)
+    assert _value("m_eps_inv", eps, 5) == _value("m_eps_inv", eps, -5)
 
 
 def test_reciprocity_and_mS_inv():
     eps = 0.015
     for k in (1, 2, 17):
-        assert abs(sp.symbol_m_eps(eps, k) * sp.symbol_m_eps_inv(eps, k)
+        assert abs(_value("m_eps", eps, k) * _value("m_eps_inv", eps, k)
                    - 1.0) < 1e-12
-        assert abs(sp.FourierSymbol("m_S_inv", eps).evaluate(k) * sp.symbol_m_S(eps, k, 0)
+        assert abs(_value("m_S_inv", eps, k) * _value("m_S", eps, k, 0)
                    - 1.0) < 1e-12
 
 
@@ -221,12 +225,12 @@ def test_apply_diagonal_action():
     th = 2 * np.pi * np.arange(n_t) / n_t
     f = np.cos(2 * np.pi * s)[:, None] * np.cos(th)[None, :]
     out = sp.apply_symbol(sp.FourierSymbol("m_S", eps).table(n_s, n_t), f)
-    want = sp.symbol_m_S(eps, 1, 1) * f
+    want = _value("m_S", eps, 1, 1) * f
     assert np.max(np.abs(out - want)) < 1e-13
     # eigenfunction of the 1D DtN symbol
     g = np.cos(2 * np.pi * 3 * s)
     out = sp.apply_symbol(sp.FourierSymbol("m_eps_inv", eps).table(n_s), g)
-    assert np.max(np.abs(out - sp.symbol_m_eps_inv(eps, 3) * g)) < 1e-12
+    assert np.max(np.abs(out - _value("m_eps_inv", eps, 3) * g)) < 1e-12
 
 
 def test_apply_real_output(rng):

@@ -31,7 +31,7 @@ def _outputs(grid):
     out = {}
     for backend in ("direct", "split"):
         s_h, d_h = op.assemble_pair(grid, backend)
-        out[f"S_{backend}"], out[f"D_{backend}"] = s_h.matrix, d_h.matrix
+        out[f"S_{backend}"], out[f"D_{backend}"] = s_h, d_h
         out[f"apply_{backend}"] = np.stack(op.apply_pair(grid, backend, phi,
                                                          psi))
     for k in (1, 2):
