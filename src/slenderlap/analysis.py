@@ -38,7 +38,7 @@ from .kernels import basic_integral
 from .operators import (DENSE_NODE_CAP, AssemblyError, apply_pairs,
                         assemble_pair, mean_in_s_split, theta_integral)
 from .solver import SlenderBodySolver
-from .spectral import FourierSymbol, GridFunction, apply_symbol
+from .spectral import FourierSymbol, apply_symbol
 
 # theta-nodes of a study grid; n_s follows eps (ScalingStudy.grid_ns)
 N_THETA = 16
@@ -49,47 +49,47 @@ def decomposition_operators(grid):
     return assemble_pair(grid, "split")
 
 
+def s_inv_theta_int(grid, x):
+    """Sbar^{-1} P0 int x eps dtheta (the m_S_inv table is 0 at k = 0)."""
+    return apply_symbol(FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s),
+                        theta_integral(grid, x, grid.epsilon))
+
+
 def decompose_dtn(grid, v, alpha=0.25, solver=None):
     """Term-by-term decomposition report for Dirichlet data v(s).
 
     solver, if given, may hold the operators of either backend; by default a
     split-backend solver is built.
     """
-    vv = v.values if isinstance(v, GridFunction) else np.asarray(v, float)
+    vv = np.asarray(v, float)
     if solver is None:
         solver = SlenderBodySolver(grid, "split")
-    res = solver.dtn(GridFunction(vv))
-    w = res.w
+    res = solver.dtn(vv)
+    w = res.w.values
     f_direct = res.f.values
-    shape = w.values.shape
-    tab_s, tab_d = (FourierSymbol(name, grid.epsilon).table(*shape)
+    tab_s, tab_d = (FourierSymbol(name, grid.epsilon).table(*w.shape)
                     for name in ("m_S", "m_D"))
     s_mat, d_mat = solver.S_h, solver.D_h
-    m_s_inv = FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s)
-
-    def s_inv_theta_int(x):
-        """Sbar^{-1} P0 int x eps dtheta (the m_S_inv table is 0 at k = 0)."""
-        return apply_symbol(m_s_inv, theta_integral(grid, x, grid.epsilon))
 
     ev = np.repeat(vv, grid.n_theta)
-    w_p0 = w.project_zero_s_mean().values
-    w_mean = np.tile(w.s_mean(), grid.n_s)
+    w_p0 = w - w.mean(axis=0)
+    w_mean = np.tile(w.mean(axis=0), grid.n_s)
 
-    term_main = solver.straight_dtn(vv).values
+    term_main = solver.straight_dtn(vv)
     term_rd = -s_inv_theta_int(
-        d_mat @ ev - apply_symbol(tab_d, ev.reshape(shape)).ravel())
+        grid, d_mat @ ev - apply_symbol(tab_d, ev.reshape(w.shape)).ravel())
     term_rs = -s_inv_theta_int(
-        s_mat @ w_p0.ravel() - apply_symbol(tab_s, w_p0).ravel())
-    term_mean = -s_inv_theta_int(s_mat @ w_mean)
-    term_flux = float(np.mean(theta_integral(grid, w.values, grid.epsilon)))
-    term_curv = theta_integral(grid, w.values, -(grid.epsilon ** 2) * grid.khat)
+        grid, s_mat @ w_p0.ravel() - apply_symbol(tab_s, w_p0).ravel())
+    term_mean = -s_inv_theta_int(grid, s_mat @ w_mean)
+    term_flux = float(np.mean(theta_integral(grid, w, grid.epsilon)))
+    term_curv = theta_integral(grid, w, -(grid.epsilon ** 2) * grid.khat)
 
     total = term_main + term_rd + term_rs + term_mean + term_flux + term_curv
     scale = float(np.max(np.abs(f_direct))) or 1.0
     mismatch = float(np.max(np.abs(total - f_direct))) / scale
 
     def norm_a(x):
-        return holder_norm(GridFunction(np.asarray(x)), alpha, grid.epsilon)
+        return holder_norm(x, alpha, grid.epsilon)
 
     terms = {
         "straight_dtn": (term_main, norm_a(term_main)),
@@ -161,13 +161,13 @@ def _bandlimited_density(grid):
     s, th = grid.s_nodes, grid.theta_nodes
     vals = (np.cos(2 * np.pi * s)[:, None] * (1.0 + 0.5 * np.cos(th))[None, :]
             + 0.3 * np.sin(4 * np.pi * s)[:, None] * np.sin(th)[None, :])
-    return GridFunction(vals / np.max(np.abs(vals)))
+    return vals / np.max(np.abs(vals))
 
 
 def _sup_of(kernel, then=np.asarray):
     """sup |then(kernel[phi])| on the unit band-limited density phi."""
     def measure(grid):
-        out = apply_pairs(grid, kernel, _bandlimited_density(grid).values)
+        out = apply_pairs(grid, kernel, _bandlimited_density(grid))
         return float(np.max(np.abs(then(out))))
     return measure
 
@@ -183,7 +183,7 @@ def _mean_in_s_part(part, exponent):
 def _rs_holder_group(grid):
     """C^{0,alpha} size of (R_S2 + R_S3) on a unit-C^{0,alpha} density."""
     phi = _bandlimited_density(grid)
-    out = GridFunction(apply_pairs(grid, "RS2+RS3", phi.values))
+    out = apply_pairs(grid, "RS2+RS3", phi)
     return (holder_norm(out, ALPHA, grid.epsilon)
             / holder_norm(phi, ALPHA, grid.epsilon))
 
@@ -191,14 +191,12 @@ def _rs_holder_group(grid):
 def _rd_eps_group(grid):
     """C^{0,alpha} size of the eps-tagged DtN remainder group for cos(2 pi s)."""
     v = np.cos(2 * np.pi * grid.s_nodes)
-    w = SlenderBodySolver(grid, "split").dtn(GridFunction(v)).w
-    out23 = apply_pairs(grid, "RS2+RS3", w.project_zero_s_mean().values)
-    t_rs = -apply_symbol(FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s),
-                         theta_integral(grid, out23, grid.epsilon))
-    h_eps, _ = mean_in_s_split(grid, w.s_mean())
-    total = (t_rs - h_eps.values
-             + theta_integral(grid, w.values, -(grid.epsilon ** 2) * grid.khat))
-    return holder_norm(GridFunction(total), ALPHA, grid.epsilon)
+    w = SlenderBodySolver(grid, "split").dtn(v).w.values
+    out23 = apply_pairs(grid, "RS2+RS3", w - w.mean(axis=0))
+    h_eps, _ = mean_in_s_split(grid, w.mean(axis=0))
+    total = (-s_inv_theta_int(grid, out23) - h_eps
+             + theta_integral(grid, w, -(grid.epsilon ** 2) * grid.khat))
+    return holder_norm(total, ALPHA, grid.epsilon)
 
 
 # the mean-in-s studies vanish on the rotationally symmetric circle (S[h(theta)]
@@ -294,12 +292,12 @@ def measure_total_remainder(curve_config, epsilons, alpha=ALPHA):
     """
     rows = []
     for eps, grid in _ladder(curve_config, epsilons, N_THETA):
-        v = GridFunction(np.cos(2.0 * np.pi * grid.s_nodes))
+        v = np.cos(2.0 * np.pi * grid.s_nodes)
         solver = SlenderBodySolver(grid, "split")
         f_curved = solver.dtn(v).f.values
-        f_straight = solver.straight_dtn(v).values
-        rem = holder_norm(GridFunction(f_curved - f_straight), alpha, eps)
-        lead = holder_norm(GridFunction(f_straight), alpha, eps)
+        f_straight = solver.straight_dtn(v)
+        rem = holder_norm(f_curved - f_straight, alpha, eps)
+        lead = holder_norm(f_straight, alpha, eps)
         rows.append({"epsilon": eps, "remainder_norm": rem,
                      "straight_norm": lead, "ratio": rem / lead})
     order = np.argsort([-r["epsilon"] for r in rows])

@@ -202,7 +202,6 @@ def _parse_data_spec(text, n_s):
 def _solve_common(args, direction):
     from .grid import make_grid
     from .solver import SlenderBodySolver
-    from .spectral import GridFunction
     spec = _build_spec(args)
     if args.dry_run:
         return _dry_run_report(args, args.ns, args.ntheta, 1)
@@ -210,12 +209,12 @@ def _solve_common(args, direction):
     solver = SlenderBodySolver(grid, "split")
     if direction == "dtn":
         data = _parse_data_spec(args.dirichlet, args.ns)
-        res = solver.dtn(GridFunction(data))
+        res = solver.dtn(data)
         primary = res.f.values
         label = "f"
     else:
         data = _parse_data_spec(args.neumann, args.ns)
-        res = solver.ntd(GridFunction(data))
+        res = solver.ntd(data)
         primary = res.v.values
         label = "v"
     rows = [(float(s), float(val))
@@ -278,14 +277,13 @@ def _exterior_points(spec, count=8, seed=3):
 def cmd_decompose(args):
     from .analysis import decompose_dtn
     from .grid import make_grid
-    from .spectral import GridFunction
     if not 0.0 < args.alpha <= 1.0:
         raise ValueError(f"--alpha must lie in (0, 1], got {args.alpha}")
     spec = _build_spec(args)
     if args.dry_run:
         return _dry_run_report(args, args.ns, args.ntheta, 1)
     grid = make_grid(spec, args.ns, args.ntheta)
-    v = GridFunction(np.cos(2 * np.pi * grid.s_nodes))
+    v = np.cos(2 * np.pi * grid.s_nodes)
     rep = decompose_dtn(grid, v, alpha=args.alpha)
     ok = rep["relative_mismatch"] <= 1e-5
     print(f"term-sum vs direct mismatch: {rep['relative_mismatch']:.3e} "

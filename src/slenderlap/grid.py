@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import SurfaceSpec, tube_surface
-from .spectral import GridFunction
 
 # unused by the library; perfbench/tracer.py reads it to count Hoelder pairs
 HOLDER_PAIR_CAP = 8192
@@ -113,7 +112,7 @@ def holder_seminorm(f, alpha, epsilon):
     batch at a time; once osc(f)/d^alpha cannot beat the best ratio so far,
     no later offset can either.
     """
-    vals = f.values if isinstance(f, GridFunction) else np.asarray(f)
+    vals = np.asarray(f, float)
     vals = vals.reshape(vals.shape[0], -1)
     n_s, n_t = vals.shape
     v = vals.reshape(-1)
@@ -140,8 +139,8 @@ def holder_seminorm(f, alpha, epsilon):
 
 
 def holder_norm(f, alpha, epsilon):
-    vals = f.values if isinstance(f, GridFunction) else np.asarray(f)
-    return float(np.max(np.abs(vals))) + holder_seminorm(f, alpha, epsilon)
+    vals = np.asarray(f, float)
+    return float(np.max(np.abs(vals))) + holder_seminorm(vals, alpha, epsilon)
 
 
 def spectral_s_derivative(values):

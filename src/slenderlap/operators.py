@@ -73,7 +73,7 @@ from scipy.special import k0, k1
 from .grid import offset_templates
 from .kernels import FOURPI, PairGeometry
 from .specfun import EULER_GAMMA
-from .spectral import (FourierSymbol, GridFunction, apply_symbol, s_modes,
+from .spectral import (FourierSymbol, apply_symbol, s_modes,
                        symbol_dense_matrix, symbol_template)
 from .spectral import circulant_from_template as _circulant_from_template
 
@@ -415,6 +415,7 @@ def apply_pair(grid, backend, phi, psi):
     """
     if backend not in ("direct", "split"):
         raise ValueError(f"unknown backend '{backend}'")
+    phi, psi = np.asarray(phi, float), np.asarray(psi, float)
     w_src = grid.jacobian * (grid.node_weight / FOURPI)
     phi_w, psi_w = (phi * w_src).reshape(-1), (psi * w_src).reshape(-1)
     s_out, d_out = np.empty_like(w_src), np.empty_like(w_src)
@@ -476,10 +477,10 @@ def theta_integral(grid, x, weight):
 def mean_in_s_split(grid, h_profile):
     """Split Sbar^{-1} int_0^{2pi} S[h(theta)] eps dtheta at |k| = 1/(2 pi eps).
 
-    Returns (H_eps, H_plus) as s-circle GridFunctions: the high-pass part
-    plus the curvature term, and the low-pass part.  The sharp Fourier
-    cutoff at 1/(2 pi eps) stands in for the dyadic projection at the same
-    frequency.  The k = 0 mode carries no information here (Sbar^{-1} is
+    Returns (H_eps, H_plus) as (n_s,) arrays (arrays out, as everywhere
+    but the solver's results): the high-pass part plus the curvature term,
+    and the low-pass part.  The sharp Fourier cutoff at 1/(2 pi eps) stands
+    in for the dyadic projection at the same frequency.  The k = 0 mode carries no information here (Sbar^{-1} is
     undefined there) and is projected out.
     """
     ext = np.tile(np.asarray(h_profile, float), (grid.n_s, 1))  # constant in s
@@ -492,4 +493,4 @@ def mean_in_s_split(grid, h_profile):
     tab = FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s)  # 0 at k = 0
     h_eps = apply_symbol(tab * high, h1) + apply_symbol(tab, h2)
     h_plus = apply_symbol(tab * ~high, h1)
-    return GridFunction(h_eps), GridFunction(h_plus)
+    return h_eps, h_plus

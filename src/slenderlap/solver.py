@@ -53,6 +53,9 @@ class SolveError(RuntimeError):
 
 @dataclass
 class SlenderSolveResult:
+    """One DtN or NtD solve.  v, w and f are the only GridFunctions the
+    library returns (arrays in, arrays out elsewhere): read .values."""
+
     v: GridFunction            # theta-independent Dirichlet data, s-circle
     w: GridFunction            # full Neumann density on the surface
     f: GridFunction            # theta-integrated Neumann data, s-circle
@@ -144,9 +147,18 @@ class SlenderBodySolver:
                 f"cond ~ {self._cond_dtn:.3e}")
         return self._lu_dtn
 
+    def _s_data(self, x):
+        """x as a finite (n_s,) float array, else a ValueError."""
+        x = np.asarray(x, float)
+        if x.shape != (self.grid.n_s,):
+            raise ValueError(f"data shape {x.shape} != (n_s,) = ({self.grid.n_s},)")
+        if not np.isfinite(x).all():
+            raise ValueError("data holds non-finite values (NaN or inf)")
+        return x
+
     def dtn(self, v):
         """v(s) -> (w, f): w = W v solves S w = (1/2 I - D) E v; f = Q w."""
-        vv = v.values if isinstance(v, GridFunction) else np.asarray(v, float)
+        vv = self._s_data(v)
         b, W = self._densities()
         w = W @ vv
         f = theta_integral(self.grid, w, self.grid.jacobian)
@@ -160,7 +172,7 @@ class SlenderBodySolver:
 
     def ntd(self, f):
         """f(s) -> (w, v): solve (Q W) v = f, then w = W v."""
-        ff = f.values if isinstance(f, GridFunction) else np.asarray(f, float)
+        ff = self._s_data(f)
         b, W = self._densities()
         v = lu_solve(self._dtn_factor(), ff)
         w = W @ v
@@ -176,10 +188,8 @@ class SlenderBodySolver:
 
     def _straight(self, name, data):
         """Apply the 1-D symbol `name` (FourierSymbol memoises its table)."""
-        dd = data.values if isinstance(data, GridFunction) \
-            else np.asarray(data, float)
         tab = FourierSymbol(name, self.grid.epsilon).table(self.grid.n_s)
-        return GridFunction(apply_symbol(tab, dd))
+        return apply_symbol(tab, np.asarray(data, float))
 
     def straight_dtn(self, v):
         """L-bar_eps^{-1} v by the Fourier multiplier (zero mode annihilated)."""
@@ -196,17 +206,16 @@ class SlenderBodySolver:
         increments); raises SolveError once an increment grows, naming the
         ratio of the last two, or after NEUMANN_MAX_ITER sweeps.
         """
-        ff = f.values if isinstance(f, GridFunction) else np.asarray(f, float)
+        ff = self._s_data(f)
         if abs(np.mean(ff)) > 1e-10 * (np.max(np.abs(ff)) or 1.0):
             raise SolveError("Neumann-series NtD needs zero-mean f")
-        v = self.straight_ntd(GridFunction(ff)).values
+        v = self.straight_ntd(ff)
         base = v.copy()
         history = []
         for _ in range(NEUMANN_MAX_ITER):
-            rd = self.dtn(GridFunction(v)).f.values \
-                - self.straight_dtn(GridFunction(v)).values
+            rd = self.dtn(v).f.values - self.straight_dtn(v)
             rd = rd - np.mean(rd)
-            v_new = base - self.straight_ntd(GridFunction(rd)).values
+            v_new = base - self.straight_ntd(rd)
             inc = float(np.max(np.abs(v_new - v)))
             if history and inc > history[-1]:
                 raise SolveError(
@@ -227,8 +236,7 @@ def _offsurface_eval(grid, points, density, kind):
     """Evaluate layer potentials at strictly exterior points (no puncture)."""
     pts = np.atleast_2d(np.asarray(points, float))
     jw = grid.flat_jacobian() * grid.node_weight
-    dens = density.values.reshape(-1) if isinstance(density, GridFunction) \
-        else np.asarray(density).reshape(-1)
+    dens = np.asarray(density, float).reshape(-1)
     d = pts[:, None, :] - grid.flat_positions()
     r = np.linalg.norm(d, axis=2)
     if kind == "S":
@@ -268,12 +276,10 @@ def solve_exterior_dirichlet(grid, v_surface, eval_points, backend="direct"):
     cond = _cond_estimate(a, lu)
     if cond > COND_LIMIT:
         raise SolveError(f"second-kind system ill-conditioned: {cond:.3e}")
-    vv = v_surface.values.reshape(-1) if isinstance(v_surface, GridFunction) \
-        else np.asarray(v_surface).reshape(-1)
-    phi = lu_solve(lu, vv)
+    phi = lu_solve(lu, np.asarray(v_surface, float).reshape(-1))
     u = _offsurface_eval(grid, pts, phi, "Dprime")
     return u, {"cond_Dprime": cond,
-               "phi": GridFunction(phi.reshape(grid.n_s, grid.n_theta))}
+               "phi": phi.reshape(grid.n_s, grid.n_theta)}
 
 
 def green_representation_eval(grid, eval_points, v_surface, w_surface):
@@ -302,7 +308,7 @@ def point_charge_data(grid, charges):
         # w = -du/dn, n outward from the tube; grad G = -(x-y)/(4 pi r^3)
         w += q * np.einsum("ij,ij->i", d, NRM) / (FOURPI * r ** 3)
     shape = (grid.n_s, grid.n_theta)
-    return GridFunction(v.reshape(shape)), GridFunction(w.reshape(shape))
+    return v.reshape(shape), w.reshape(shape)
 
 
 def exact_point_charge_potential(grid, points, charges):
@@ -317,8 +323,8 @@ def exact_point_charge_potential(grid, points, charges):
 def greens_identity_residual(grid, charges, backend="direct"):
     """sup |(1/2 I - D_h) v - S_h w| for exact point-charge data, matrix-free."""
     v, w = point_charge_data(grid, charges)
-    rhs, d_v = apply_pair(grid, backend, w.values, v.values)
-    lhs = 0.5 * v.values - d_v
+    rhs, d_v = apply_pair(grid, backend, w, v)
+    lhs = 0.5 * v - d_v
     scale = float(np.max(np.abs(lhs))) or 1.0
     return float(np.max(np.abs(lhs - rhs))), scale
 

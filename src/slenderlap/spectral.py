@@ -51,7 +51,9 @@ class GridFunction:
     """Samples on the (s, theta) tensor grid or on the s-circle alone.
 
     values has shape (n_s, n_theta) for surface functions, (n_s,) for
-    s-circle functions.
+    s-circle functions.  Only the solver's results are GridFunctions
+    (SlenderSolveResult.v/w/f, neumann_series_ntd's v); the library takes
+    and returns plain arrays, and numpy reads a GridFunction as its values.
     """
 
     values: np.ndarray
@@ -64,12 +66,8 @@ class GridFunction:
             if n & (n - 1) != 0:
                 raise ValueError("grid sizes must be powers of two")
 
-    def s_mean(self):
-        """Mean over s (a theta-profile for surface functions)."""
-        return np.mean(self.values, axis=0)
-
-    def project_zero_s_mean(self):
-        return GridFunction(self.values - self.s_mean())
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values, dtype=dtype, copy=copy)
 
 
 def s_modes(n_s):
@@ -260,7 +258,8 @@ def finite_diff_symbol_bounds(name, epsilon, n_xi=60):
 
     The regimes are separated at xi_c = 1/(2 pi eps); grids stay a factor 2
     inside each regime to avoid the crossover.  Values are finite by the
-    multiplier bounds; they are reported, not asserted, here.
+    multiplier bounds; they are reported, not asserted, here.  An eps so
+    small that an envelope overflows double precision is a ValueError.
     """
     xi_c = 1.0 / (2.0 * math.pi * epsilon)
     grids = {
@@ -273,11 +272,17 @@ def finite_diff_symbol_bounds(name, epsilon, n_xi=60):
         return np.array([sym.evaluate(x) for x in xs])
 
     report = {}
-    for regime, xi in grids.items():
-        h = 1e-3 * xi
-        f0, fp, fm = on_xi(xi), on_xi(xi + h), on_xi(xi - h)
-        derivs = {0: f0, 1: (fp - fm) / (2 * h), 2: (fp - 2 * f0 + fm) / h ** 2}
-        for order, vals in derivs.items():
-            env = _ENVELOPES[name][(regime, order)](xi, epsilon)
-            report[f"{regime}_d{order}_sup"] = float(np.max(np.abs(vals) / env))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for regime, xi in grids.items():
+            h = 1e-3 * xi
+            f0, fp, fm = on_xi(xi), on_xi(xi + h), on_xi(xi - h)
+            derivs = {0: f0, 1: (fp - fm) / (2 * h),
+                      2: (fp - 2 * f0 + fm) / h ** 2}
+            for order, vals in derivs.items():
+                env = _ENVELOPES[name][(regime, order)](xi, epsilon)
+                report[f"{regime}_d{order}_sup"] = float(np.max(np.abs(vals) / env))
+    bad = [k for k, v in report.items() if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"{name} bounds {', '.join(bad)} are not finite at "
+                         f"eps {epsilon:g}: too small for double precision")
     return report

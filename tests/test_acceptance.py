@@ -123,7 +123,7 @@ def test_criterion_4_greens_ladder():
     agree = []
     for n_s in ladder:
         grid = make_grid(spec, n_s, 16)
-        v, w = (x.values.reshape(-1)
+        v, w = (x.reshape(-1)
                 for x in sv.point_charge_data(grid, [(1.0, 0.0)]))
         ops = {}
         for be in ("direct", "split"):

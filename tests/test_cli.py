@@ -264,14 +264,27 @@ def test_scaling_dry_run_sizes(capsys):
     assert "capped" in capsys.readouterr().err
 
 
+# nodal data on a 64-node s-circle with one NaN or inf
+_NAN_64 = "[NaN" + ", 0" * 63 + "]"
+_INF_64 = "[0" + ", 1" * 62 + ", Infinity]"
+
+
 @pytest.mark.parametrize("argv, text", [
     (["symbols", "--lmax", "100"], "order cap 64 exceeded"),
     (["symbols", "--kmax", "-3"], "--kmax and --lmax must be >= 0"),
     (["symbols", "--lmax", "-1"], "--kmax and --lmax must be >= 0"),
     (["decompose", "--alpha", "-1"], "--alpha must lie in (0, 1]"),
     (["decompose", "--alpha", "1.5", "--dry-run"], "--alpha must lie in (0, 1]"),
+    (["dtn", "--ns", "64", "--ntheta", "8", "--dirichlet", _NAN_64, "--json"],
+     "non-finite"),
+    (["ntd", "--ns", "64", "--ntheta", "8", "--neumann", _NAN_64], "non-finite"),
+    (["ntd", "--ns", "64", "--ntheta", "8", "--neumann", _INF_64], "non-finite"),
+    (["check-bessel", "--epsilon", "1e-110", "--json"], "are not finite"),
+    (["check-bessel", "--epsilon", "1e-300"], "are not finite"),
 ], ids=["lmax-past-order-cap", "kmax-negative", "lmax-negative",
-        "alpha-negative", "alpha-above-1-dry-run"])
+        "alpha-negative", "alpha-above-1-dry-run", "dtn-nan-data",
+        "ntd-nan-data", "ntd-inf-data", "bessel-eps-1e-110",
+        "bessel-eps-1e-300"])
 def test_out_of_range_inputs_are_one_line_errors(argv, text, tmp_path,
                                                  monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

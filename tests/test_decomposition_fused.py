@@ -84,7 +84,7 @@ def test_mean_in_s_term_matches_dense_route(perturbed_grid_small):
                      + 0.3 * np.sin(6 * np.pi * grid.s_nodes))
     rep = an.decompose_dtn(grid, v, solver=solver)
     w = solver.dtn(v).w
-    w_mean_surface = np.tile(w.s_mean(), (grid.n_s, 1))
+    w_mean_surface = np.tile(w.values.mean(axis=0), (grid.n_s, 1))
     dense = solver.S_h @ w_mean_surface.reshape(-1)
     integ = op.theta_integral(grid, dense, grid.epsilon)
     ref = -apply_symbol(FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s),

@@ -10,6 +10,9 @@ methods.  Code that only tests call belongs in tests/.
 Every module of src/slenderlap (bar __init__.py, whose imports are the
 package's exports) and of tests/ names each name it imports, unless the
 import carries "# noqa: F401".
+
+Arrays in, arrays out: src/ never branches on isinstance(..., GridFunction),
+and only the solver's results are GridFunctions.
 """
 
 import ast
@@ -96,3 +99,25 @@ def test_every_import_is_used():
     unused = {path.name: names for path in paths
               if (names := _unused_imports(path))}
     assert not unused, f"imported but never used: {unused}"
+
+
+def _calls(node, func=None):
+    """(enclosing function name, called name, call) of every call under node."""
+    for sub in ast.iter_child_nodes(node):
+        if isinstance(sub, ast.Call):
+            f = sub.func
+            yield func, getattr(f, "id", getattr(f, "attr", "")), sub
+        yield from _calls(sub, sub.name if isinstance(sub, FUNCS) else func)
+
+
+def test_only_solver_results_are_grid_functions():
+    branches, makers = [], set()
+    for path in sorted((ROOT / "src" / "slenderlap").glob("*.py")):
+        for func, called, call in _calls(ast.parse(path.read_text())):
+            if called == "isinstance" and "GridFunction" in set(_names(call)):
+                branches.append(f"{path.name}:{call.lineno}")
+            elif called == "GridFunction":
+                makers.add((path.name, func))
+    assert not branches, f"isinstance(..., GridFunction) in src/: {branches}"
+    assert makers == {("solver.py", "dtn"), ("solver.py", "ntd"),
+                      ("solver.py", "neumann_series_ntd")}, makers

@@ -222,11 +222,11 @@ def test_theta_integral_and_extensions(circle_grid_small, rng):
 def test_mean_in_s_split_runs(perturbed_grid):
     h = 1.0 + np.cos(perturbed_grid.theta_nodes)
     h_eps, h_plus = op.mean_in_s_split(perturbed_grid, h)
-    assert h_eps.values.shape == (perturbed_grid.n_s,)
-    assert abs(np.mean(h_eps.values)) < 1e-12  # zero mode projected out
-    assert abs(np.mean(h_plus.values)) < 1e-12
-    assert np.max(np.abs(h_eps.values)) > 0
-    assert np.max(np.abs(h_plus.values)) > 0
+    assert h_eps.shape == (perturbed_grid.n_s,)
+    assert abs(np.mean(h_eps)) < 1e-12  # zero mode projected out
+    assert abs(np.mean(h_plus)) < 1e-12
+    assert np.max(np.abs(h_eps)) > 0
+    assert np.max(np.abs(h_plus)) > 0
 
 
 def test_dense_cap():

@@ -114,7 +114,7 @@ def test_greens_residual_matrix_free_matches_assembled(backend, grid_name,
     got, scale = sv.greens_identity_residual(grid, charges, backend)
     # the dense route: the same residual from the assembled pair
     s_h, d_h = op.assemble_pair(grid, backend)
-    v, w = (x.values.reshape(-1) for x in sv.point_charge_data(grid, charges))
+    v, w = (x.reshape(-1) for x in sv.point_charge_data(grid, charges))
     lhs = 0.5 * v - d_h @ v
     want = float(np.max(np.abs(lhs - s_h @ w)))
     want_scale = float(np.max(np.abs(lhs)))

@@ -7,7 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from slenderlap import analysis as an
 from slenderlap import geometry as geo
+from slenderlap import grid as gr
+from slenderlap import operators as op
 from slenderlap import solver as sv
 from slenderlap import spectral
 from slenderlap.kernels import PairGeometry
@@ -95,7 +98,7 @@ def test_dtn_near_straight_decreasing(circle_cl, circle_frame):
         solver = sv.SlenderBodySolver(g, "split")
         v = GridFunction(np.cos(2 * np.pi * g.s_nodes))
         gap = np.max(np.abs(solver.dtn(v).f.values
-                            - solver.straight_dtn(v).values))
+                            - solver.straight_dtn(v)))
         gaps.append(gap)
     assert gaps[2] < gaps[1] < gaps[0]
 
@@ -111,6 +114,54 @@ def test_neumann_series_agrees(circle_cl, circle_frame):
     assert np.max(np.abs(v_iter.values - v_direct)) <= 1e-4
     # the iteration contracts
     assert history[-1] < history[0]
+
+
+@pytest.mark.parametrize("method", ["dtn", "ntd", "neumann_series_ntd"])
+def test_bad_data_is_a_clear_error(method, circle_solver, circle_grid):
+    run = getattr(circle_solver, method)
+    for wrong in (np.ones(10), np.ones((circle_grid.n_s, 1))):
+        with pytest.raises(ValueError, match=r"!= \(n_s,\) = \(128,\)"):
+            run(wrong)
+    for bad in (np.nan, np.inf, -np.inf):
+        data = np.cos(2 * np.pi * circle_grid.s_nodes)
+        data[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            run(data)
+
+
+def test_arrays_and_grid_functions_give_identical_results(circle_grid_small):
+    """numpy reads a GridFunction as its values: every function that takes
+    data gives bit-identical results for an array and its GridFunction."""
+    g = circle_grid_small
+    slv = sv.SlenderBodySolver(g, "split")
+    v = np.cos(2 * np.pi * g.s_nodes)
+    surf = np.outer(v, 1.0 + 0.5 * np.cos(g.theta_nodes))
+    pts = exterior_points(g.spec)
+    pairs = [(v, GridFunction(v)), (surf, GridFunction(surf))]
+    for run in (slv.dtn, slv.ntd):
+        a, b = (run(x) for x in pairs[0])
+        assert all(np.array_equal(getattr(a, k).values, getattr(b, k).values)
+                   for k in "vwf") and a.residuals == b.residuals
+    (va, ha), (vb, hb) = (slv.neumann_series_ntd(x) for x in pairs[0])
+    assert np.array_equal(va.values, vb.values) and ha == hb
+    for fn in (slv.straight_dtn, slv.straight_ntd):
+        assert np.array_equal(*(fn(x) for x in pairs[0]))
+    for x, gx in pairs:
+        assert gr.holder_norm(x, 0.25, g.epsilon) \
+            == gr.holder_norm(gx, 0.25, g.epsilon)
+        assert gr.holder_seminorm(x, 0.25, g.epsilon) \
+            == gr.holder_seminorm(gx, 0.25, g.epsilon)
+    ra, rb = (an.decompose_dtn(g, x, solver=slv) for x in pairs[0])
+    assert np.array_equal(ra["f_sum"], rb["f_sum"])
+    assert ra["term_norms"] == rb["term_norms"]
+    (ua, ia), (ub, ib) = (sv.solve_exterior_dirichlet(g, x, pts, "split")
+                          for x in pairs[1])
+    assert np.array_equal(ua, ub) and np.array_equal(ia["phi"], ib["phi"])
+    assert np.array_equal(*(sv.green_representation_eval(g, pts, x, x)
+                            for x in pairs[1]))
+    assert np.array_equal(*(np.stack(op.apply_pair(g, "direct", x, x))
+                            for x in pairs[1]))
+    assert np.array_equal(*(op.apply_pairs(g, "RS1", x) for x in pairs[1]))
 
 
 def test_neumann_series_needs_zero_mean(circle_solver, circle_grid):
