@@ -41,10 +41,12 @@ def _write_csv(path, header, rows):
 
 
 def _epsilon(text):
-    """argparse type of --epsilon: a positive finite float."""
+    """argparse type of --epsilon: a positive finite float, 1/(2 pi eps) finite."""
     eps = float(text)
     if not math.isfinite(eps) or eps <= 0:
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    if not math.isfinite(1.0 / (2.0 * math.pi * eps)):
+        raise argparse.ArgumentTypeError(f"1/(2 pi eps) overflows, got {text!r}")
     return eps
 
 
@@ -196,6 +198,8 @@ def _parse_data_spec(text, n_s):
     vals = np.asarray(json.loads(text), float)
     if vals.size != n_s:
         raise ValueError(f"nodal data length {vals.size} != n_s {n_s}")
+    if not np.isfinite(vals).all():
+        raise ValueError("data holds non-finite values (NaN or inf)")
     return vals
 
 
@@ -205,18 +209,13 @@ def _solve_common(args, direction):
     spec = _build_spec(args)
     if args.dry_run:
         return _dry_run_report(args, args.ns, args.ntheta, 1)
+    data = _parse_data_spec(args.dirichlet if direction == "dtn"
+                            else args.neumann, args.ns)  # before the sweep
     grid = make_grid(spec, args.ns, args.ntheta)
     solver = SlenderBodySolver(grid, "split")
-    if direction == "dtn":
-        data = _parse_data_spec(args.dirichlet, args.ns)
-        res = solver.dtn(data)
-        primary = res.f.values
-        label = "f"
-    else:
-        data = _parse_data_spec(args.neumann, args.ns)
-        res = solver.ntd(data)
-        primary = res.v.values
-        label = "v"
+    res = solver.dtn(data) if direction == "dtn" else solver.ntd(data)
+    primary, label = ((res.f.values, "f") if direction == "dtn"
+                      else (res.v.values, "v"))
     rows = [(float(s), float(val))
             for s, val in zip(grid.s_nodes, primary)]
     out_csv = args.out or f"{direction}_result.csv"
@@ -320,19 +319,6 @@ def cmd_scaling(args):
     return 0 if rep["pass"] else 2
 
 
-def _add_common(p, epsilon=True, grid=False):
-    p.add_argument("--json", action="store_true",
-                   help="print the JSON summary to stdout")
-    p.add_argument("--dry-run", action="store_true",
-                   help="validate config and geometry, print planned sizes, "
-                        "assemble and solve nothing")
-    if epsilon:
-        p.add_argument("--epsilon", type=_epsilon, default=1.0 / 64.0)
-    if grid:
-        p.add_argument("--ns", type=int, default=128)
-        p.add_argument("--ntheta", type=int, default=16)
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="slenderlap",
@@ -340,70 +326,55 @@ def build_parser():
                     "verification harnesses")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-bessel", help="Bessel invariant suite")
-    _add_common(p)
-    p.set_defaults(fn=cmd_check_bessel)
+    def command(name, fn, help, epsilon=True, grid=False, curve="circle"):
+        """A subcommand with the common flags (no --curve for curve=False)."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        p.add_argument("--json", action="store_true",
+                       help="print the JSON summary to stdout")
+        p.add_argument("--dry-run", action="store_true",
+                       help="validate config and geometry, print planned "
+                            "sizes, assemble and solve nothing")
+        if epsilon:
+            p.add_argument("--epsilon", type=_epsilon, default=1.0 / 64.0)
+        if grid:
+            p.add_argument("--ns", type=int, default=128)
+            p.add_argument("--ntheta", type=int, default=16)
+        if curve is not False:
+            p.add_argument("--curve", default=curve)
+        return p
 
-    p = sub.add_parser("symbols", help="emit symbol table CSV")
-    _add_common(p)
+    command("check-bessel", cmd_check_bessel, "Bessel invariant suite",
+            curve=False)
+    p = command("symbols", cmd_symbols, "emit symbol table CSV", curve=False)
     p.add_argument("--kmax", type=int, default=64)
     p.add_argument("--lmax", type=int, default=8)
     p.add_argument("--out", default="symbols.csv")
-    p.set_defaults(fn=cmd_symbols)
-
-    p = sub.add_parser("geometry", help="geometry report for a curve")
-    _add_common(p)
-    p.add_argument("--curve", default="circle")
+    p = command("geometry", cmd_geometry, "geometry report for a curve")
     p.add_argument("--ns", type=int, default=128)
-    p.set_defaults(fn=cmd_geometry)
-
-    p = sub.add_parser("check-geometry", help="displacement inequality sweep")
-    _add_common(p, grid=True)
-    p.add_argument("--curve", default="circle")
-    p.set_defaults(fn=cmd_check_geometry)
-
-    p = sub.add_parser("greens-check", help="Green identity ladder")
-    _add_common(p)
-    p.add_argument("--curve", default="circle")
+    command("check-geometry", cmd_check_geometry,
+            "displacement inequality sweep", grid=True)
+    p = command("greens-check", cmd_greens_check, "Green identity ladder")
     p.add_argument("--ladder", default="64,128,256")
     p.add_argument("--ntheta", type=int, default=16)
-    p.set_defaults(fn=cmd_greens_check)
-
-    p = sub.add_parser("dtn", help="Dirichlet -> total Neumann solve")
-    _add_common(p, grid=True)
-    p.add_argument("--curve", default="circle")
+    p = command("dtn", cmd_dtn, "Dirichlet -> total Neumann solve", grid=True)
     p.add_argument("--dirichlet", default="cos:1",
                    help='"cos:k", "sin:k", or a JSON array of nodal values')
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_dtn)
-
-    p = sub.add_parser("ntd", help="total Neumann -> Dirichlet solve")
-    _add_common(p, grid=True)
-    p.add_argument("--curve", default="circle")
+    p = command("ntd", cmd_ntd, "total Neumann -> Dirichlet solve", grid=True)
     p.add_argument("--neumann", default="cos:1")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_ntd)
-
-    p = sub.add_parser("exterior", help="exterior Dirichlet cross-validation")
-    _add_common(p, grid=True)
-    p.add_argument("--curve", default="circle")
-    p.set_defaults(fn=cmd_exterior)
-
-    p = sub.add_parser("decompose", help="DtN decomposition identity")
-    _add_common(p, grid=True)
-    p.add_argument("--curve", default="circle")
+    command("exterior", cmd_exterior, "exterior Dirichlet cross-validation",
+            grid=True)
+    p = command("decompose", cmd_decompose, "DtN decomposition identity",
+                grid=True)
     p.add_argument("--alpha", type=float, default=0.25)
-    p.set_defaults(fn=cmd_decompose)
-
-    p = sub.add_parser("scaling", help="epsilon-scaling slope study")
-    _add_common(p, epsilon=False)
+    p = command("scaling", cmd_scaling, "epsilon-scaling slope study",
+                epsilon=False, curve=None)
     p.add_argument("--study", required=True)
     p.add_argument("--eps", default=None,
                    help="comma list, fractions allowed: 1/16,1/32,...")
-    p.add_argument("--curve", default=None)
     p.add_argument("--out", default=".")
-    p.set_defaults(fn=cmd_scaling)
-
     return ap
 
 

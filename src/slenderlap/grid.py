@@ -8,7 +8,8 @@ reduced to the periodic representatives s-hat in [-1/2, 1/2], theta-hat in
 
 Discrete Hoelder seminorms are exact maxima over grid pairs with the surface
 metric sqrt(s-hat^2 + eps^2 theta-hat^2), swept by index offset at any grid
-size.
+size: one offset of each pair o, -o, in decreasing order of an upper bound
+on its ratio, until the bound cannot beat the best ratio found.
 """
 
 from __future__ import annotations
@@ -108,9 +109,11 @@ def holder_seminorm(f, alpha, epsilon):
     For s-circle functions the metric is the periodic |s - s'|; for surface
     functions it is d = sqrt(s-hat^2 + eps^2 theta-hat^2).  d depends only
     on the index offset o between the nodes of a pair, and s-circle data are
-    the n_theta = 1 case.  Offsets are visited in order of increasing d, a
-    batch at a time; once osc(f)/d^alpha cannot beat the best ratio so far,
-    no later offset can either.
+    the n_theta = 1 case.  o and -o pair the same nodes: one is visited, at
+    the smaller d^alpha of the two.  Offsets go a batch at a time by the
+    bound min(osc, |o_s| M_s + |o_t| M_t)(1 + 1e-12)/d^alpha on their ratio
+    (M: largest neighbour difference, o the short way round), largest first,
+    until it cannot beat the best ratio so far.
     """
     vals = np.asarray(f, float)
     vals = vals.reshape(vals.shape[0], -1)
@@ -118,17 +121,25 @@ def holder_seminorm(f, alpha, epsilon):
     v = vals.reshape(-1)
     ds, dt = offset_templates(n_s, n_t)
     dist = np.sqrt(ds[:, None] ** 2 + (epsilon * dt[None, :]) ** 2).reshape(-1)
-    offs = np.argsort(dist, kind="stable")
-    offs = offs[dist[offs] > 0]
-    scale = dist[offs] ** alpha
-    osc = float(np.max(v) - np.min(v))
     i_s, i_t = np.arange(n_s), np.arange(n_t)
+    neg = ((-i_s[:, None]) % n_s * n_t + (-i_t) % n_t).reshape(-1)  # -o
+    scale = np.minimum(dist ** alpha, dist[neg] ** alpha)
+    osc = float(np.max(v) - np.min(v))
+    # |f(x) - f(x - o)| <= |o_s| M_s + |o_t| M_t along a lattice path; the
+    # 1e-12 covers the rounding of all three sides
+    m_s, m_t = (np.max(np.abs(vals - np.roll(vals, 1, axis=k))) for k in (0, 1))
+    path = (np.minimum(i_s, n_s - i_s)[:, None] * m_s
+            + np.minimum(i_t, n_t - i_t) * m_t).reshape(-1)
+    offs = np.flatnonzero((np.arange(v.size) <= neg) & (dist > 0))
+    bound = np.minimum(osc, path[offs]) * (1.0 + 1e-12) / scale[offs]
+    order = np.argsort(-bound, kind="stable")
+    offs, bound, scale = offs[order], bound[order], scale[offs[order]]
     # about 2^16 pairs (512 KB temporaries) per gather, as in the pair sweep:
     # 2 MB ones can go back to the OS and fault in again on every batch
     batch = max(1, (1 << 16) // v.size)
     best = 0.0
     for lo in range(0, offs.size, batch):
-        if osc / scale[lo] <= best:
+        if bound[lo] <= best:
             break
         o_s, o_t = np.divmod(offs[lo:lo + batch], n_t)
         src = (((i_s - o_s[:, None]) % n_s)[:, :, None] * n_t

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -40,18 +41,26 @@ def sweep_cpus():
     return len(os.sched_getaffinity(0))
 
 
-# pair sweeps go in row chunks of about this many pairs, one in flight per
-# CPU and 2^16 pairs in all, so a chunk's float field stays in L2.  Each
-# sweeping thread keeps a chunk of transients in its own glibc malloc arena,
-# so the peak RSS grows with the pairs in flight: on 2 CPUs the Green ladder
-# peaks at 80.5 MB with 2^16-pair chunks and at 79.1 MB with 2^15.
-CHUNK_PAIRS = (1 << 16) // sweep_cpus()
+# pair sweeps go in row chunks of about this many pairs, one chunk in flight
+# per CPU, each in its taker's scratch (PairGeometry.sweep).  Numpy releases
+# the GIL once per call, so calls must be long: on 2 CPUs the RS2+RS3 apply
+# at 128x16 took 85-94 ms with 2^15-pair chunks, 66-68 ms with 2^16 and 62-73
+# with 2^17; a 2^16-pair chunk's four buffers (2 MB) fit one core's L2.
+CHUNK_PAIRS = 1 << 16
 
 
 def default_chunk_rows(n_nodes):
     """Rows per pair-sweep chunk: about CHUNK_PAIRS pairs, a multiple of 4
     (OpenBLAS's GEMV takes rows in fours, so any such chunking rounds alike)."""
     return 4 * max(1, CHUNK_PAIRS // (4 * n_nodes))
+
+
+def _aligned_empty(shape):
+    """np.empty(shape) on a 64-byte line (outputs 16 bytes off took 1.6x)."""
+    size = math.prod(shape)
+    raw = np.empty(size + 8)
+    k = -raw.ctypes.data % 64 // 8
+    return raw[k:k + size].reshape(shape)
 
 
 # vectorized pair sweeps ------------------------------------------------------
@@ -96,45 +105,58 @@ class PairGeometry:
             yield lo, min(lo + self.chunk_rows, n)
 
     def sweep(self, need, body):
-        """body(lo, hi, fields(lo, hi, need)) per row chunk, results in order.
+        """body(lo, hi, fields(lo, hi, need, scratch)) per row chunk, in order.
 
-        The caller and sweep_cpus() - 1 pool threads take the chunks in turn;
-        body writes only rows [lo, hi).  A failed chunk stops the sweep, and
-        its exception is raised here.
+        The caller and sweep_cpus() - 1 pool threads take the chunks in turn,
+        each with its own scratch of (chunk_rows, N) buffers, carved on first
+        use from one block that the caller allocates per sweep, so no chunk
+        allocates a field (and glibc keeps the block's pages for the next
+        sweep).  A chunk's fields are views into its taker's scratch that
+        body may overwrite.  body writes only rows [lo, hi).  A failed chunk
+        stops the sweep, and its exception is raised here.
         """
         todo, lock, failed = enumerate(self.chunks()), threading.Lock(), []
+        n_pool = sweep_cpus() - 1
+        # fields writes each name in need and at most d, t and absR besides
+        block = _aligned_empty((n_pool + 1, len(need) + 3, self.chunk_rows,
+                                self.grid.n_nodes))
+        mine, *theirs = (defaultdict(iter(part).__next__) for part in block)
         _, (lo, hi) = next(todo)  # fills the lazy tables before any thread
-        out = {0: body(lo, hi, self.fields(lo, hi, need))}
+        out = {0: body(lo, hi, self.fields(lo, hi, need, mine))}
 
         def take():
             with lock:
                 return None if failed else next(todo, None)
 
-        def work():
+        def work(buffers):
             for i, (lo, hi) in iter(take, None):
                 try:
-                    out[i] = body(lo, hi, self.fields(lo, hi, need))
+                    out[i] = body(lo, hi, self.fields(lo, hi, need, buffers))
                 except BaseException:
                     failed.append(i)  # the others take no more chunks
                     raise
 
-        n_pool = sweep_cpus() - 1
         with ThreadPoolExecutor(max(1, n_pool)) as pool:  # a thread per submit
-            futures = [pool.submit(work) for _ in range(n_pool)]
-            work()
+            futures = [pool.submit(work, buffers) for buffers in theirs]
+            work(mine)
         for f in futures:
             f.result()
         return [out[i] for i in range(len(out))]
 
-    def gather(self, name, lo, hi):
-        """Offset template `name` at the pairs of rows [lo, hi), a copy."""
+    def gather(self, name, lo, hi, out):
+        """Offset template `name` at the pairs of rows [lo, hi), into out."""
         g = self.grid
         if name not in self._tables:
             self._tables[name] = offset_windows(self._templates[name])
-        start = (g.n_s - self.i_s[lo:hi]) * g.n_theta
-        return self._tables[name][self.i_t[lo:hi], start]
+        table = self._tables[name]
+        n_t = g.n_theta
+        for i_s in range(lo // n_t, (hi - 1) // n_t + 1):  # by s-row blocks
+            r0, r1 = max(lo, i_s * n_t), min(hi, (i_s + 1) * n_t)
+            out[r0 - lo:r1 - lo] = table[r0 - i_s * n_t:r1 - i_s * n_t,
+                                         (g.n_s - i_s) * n_t]
+        return out
 
-    def fields(self, lo, hi, need=("absR",)):
+    def fields(self, lo, hi, need=("absR",), scratch=None):
         """Compute the requested pair fields for target rows [lo, hi).
 
         "shat", "that": periodic offsets; "absRbar": |R-bar|; these three,
@@ -143,46 +165,60 @@ class PairGeometry:
         "absR": |R|; "Rn": R . n_src (with |R|); "invR": 1/|R| with the
         diagonal zeroed (with |R|); "absRt": |R_t|; "absReven": |R_even|.
         Only the requested fields are built, and |R|, R . n_src and |R_t| go
-        component by component, with no (chunk, N, 3) temporary.
+        component by component, with no (chunk, N, 3) temporary, into
+        scratch (see sweep) or, without it, into new arrays.
         """
-        g = self.grid
+        g, rows = self.grid, hi - lo
+
+        def buf(name):
+            return (np.empty((rows, g.n_nodes)) if scratch is None
+                    else scratch[name][:rows])
+
         out = {}
         for name in need:
             if name in self._templates:
-                out[name] = self.gather(name, lo, hi)
+                out[name] = self.gather(name, lo, hi, buf(name))
         if "diag" in need:
-            out["diag"] = np.zeros((hi - lo, g.n_nodes), dtype=bool)
-            out["diag"][np.arange(hi - lo), np.arange(lo, hi)] = True
+            out["diag"] = np.zeros((rows, g.n_nodes), dtype=bool)
+            out["diag"][np.arange(rows), np.arange(lo, hi)] = True
         if {"absR", "Rn", "invR"} & set(need):
-            r2 = rn = 0.0
-            for p, nrm in zip(self._pt, self._nt):
-                d = p[lo:hi, None] - p
-                if "Rn" in need:
-                    rn += d * nrm
-                r2 += np.square(d, out=d)
+            d, r2 = buf("d"), buf("absR")
+            t = buf("t") if {"Rn", "invR"} & set(need) else None
+            rn = buf("Rn") if "Rn" in need else None
+            for k, (p, nrm) in enumerate(zip(self._pt, self._nt)):
+                np.subtract(p[lo:hi, None], p, out=d)
+                if rn is not None:
+                    prod = np.multiply(d, nrm, out=t if k else rn)
+                sq = np.square(d, out=d if k else r2)
+                if k:  # sums start at their first term: 0.0 + it, up to -0.0
+                    r2 += sq
+                    if rn is not None:
+                        rn += prod
             out["absR"] = np.sqrt(r2, out=r2)
-            if "Rn" in need:
+            if rn is not None:
                 out["Rn"] = rn
         if "invR" in need:  # np.errstate is thread-local: entered per chunk
             with np.errstate(divide="ignore"):
-                out["invR"] = 1.0 / out["absR"]
-            out["invR"][np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+                out["invR"] = np.divide(1.0, out["absR"], out=t)
+            out["invR"][np.arange(rows), np.arange(lo, hi)] = 0.0
         if "absRt" in need:
             # R_t = (s-hat e_t(s) + eps e_r(s, theta)) - eps n_src
             shat = self.ds_template[(self.i_s[lo:hi, None]
                                      - np.arange(g.n_s)) % g.n_s]
             e_t = g.e_t[self.i_s[lo:hi]]
-            rt2 = 0.0
+            rt2, c = (buf(k).reshape(rows, g.n_s, g.n_theta)
+                      for k in ("absRt", "d"))
             for k in range(3):
                 near = (shat * e_t[:, k, None]
                         + self.eps * self.NRM[lo:hi, k, None])
-                c = near[:, :, None] - self._eps_n[k]
-                rt2 += np.square(c, out=c)
-            out["absRt"] = np.sqrt(rt2, out=rt2).reshape(hi - lo, -1)
+                np.subtract(near[:, :, None], self._eps_n[k], out=c)
+                sq = np.square(c, out=c if k else rt2)
+                if k:
+                    rt2 += sq
+            out["absRt"] = np.sqrt(rt2, out=rt2).reshape(rows, -1)
         if "absReven" in need:
-            shat = self.gather("shat", lo, hi)
-            that = self.gather("that", lo, hi)
-            absrbar = self.gather("absRbar", lo, hi)
+            shat, that, absrbar = (self.gather(k, lo, hi, buf(k))
+                                   for k in ("shat", "that", "absRbar"))
             q0 = (-2.0 * self.KH[lo:hi] + self.eps * self.KH[lo:hi] ** 2
                   + self.eps * g.kappa3 ** 2)
             r2 = (absrbar ** 2 + self.eps * shat ** 2 * q0[:, None]

@@ -113,16 +113,30 @@ def _pair_kernel(grid, name):
     """
     eps = grid.epsilon
     eps_kh = eps * grid.khat.reshape(-1) / FOURPI  # R_S3's source factor
+    # in place on the chunk's fields, in the formulas' operation order
+    div, mul, sub = np.divide, np.multiply, np.subtract
+
+    def inv(x):
+        return div(1.0, x, out=x)
+
+    def cube(x):
+        return np.power(x, 3, out=x)
+
+    def diff_inv(a, b):  # (1/a - 1/b)/4pi, in a
+        return div(sub(inv(a), inv(b), out=a), FOURPI, out=a)
+
     kernels = {
-        "G": (lambda f: 1.0 / (FOURPI * f["absR"]), ("absR",)),
-        "KD": (lambda f: f["Rn"] / (FOURPI * f["absR"] ** 3), ("Rn",)),
-        "RS1": (lambda f: (1.0 / f["absR"] - 1.0 / f["absRt"]) / FOURPI,
-                ("absR", "absRt")),
-        "RS2": (lambda f: (1.0 / f["absRt"] - 1.0 / f["absRbar"]) / FOURPI,
+        "G": (lambda f: inv(mul(FOURPI, f["absR"], out=f["absR"])), ("absR",)),
+        "KD": (lambda f: div(f["Rn"], mul(FOURPI, cube(f["absR"]),
+                                          out=f["absR"]), out=f["Rn"]),
+               ("Rn",)),
+        "RS1": (lambda f: diff_inv(f["absR"], f["absRt"]), ("absR", "absRt")),
+        "RS2": (lambda f: diff_inv(f["absRt"], f["absRbar"]),
                 ("absRt", "absRbar")),
-        "RS3": (lambda f: -eps_kh / f["absR"], ("absR",)),
-        "RS2+RS3": (lambda f: ((1.0 / f["absRt"] - 1.0 / f["absRbar"]) / FOURPI
-                               - eps_kh / f["absR"]),
+        "RS3": (lambda f: div(-eps_kh, f["absR"], out=f["absR"]), ("absR",)),
+        "RS2+RS3": (lambda f: sub(diff_inv(f["absRt"], f["absRbar"]),
+                                  div(eps_kh, f["absR"], out=f["absR"]),
+                                  out=f["absRt"]),
                     ("absR", "absRt", "absRbar")),
         "RD1": (lambda f: (f["Rn"] / f["absR"] ** 3 + 2.0 * eps
                            * np.sin(0.5 * f["that"]) ** 2 / f["absRbar"] ** 3)
@@ -133,7 +147,9 @@ def _pair_kernel(grid, name):
         j_eps = grid.flat_jacobian() / (FOURPI * eps)
         straight = straight_template(grid, "D", central=True) / (
             eps * grid.node_weight)
-        return (lambda f: f["Rn"] / f["absR"] ** 3 * j_eps - f["straight_D"],
+        return (lambda f: sub(mul(div(f["Rn"], cube(f["absR"]), out=f["Rn"]),
+                                  j_eps, out=f["Rn"]), f["straight_D"],
+                              out=f["Rn"]),
                 ("Rn", "straight_D"), {"straight_D": straight})
     if name not in kernels:
         raise ValueError(f"unknown pair kernel '{name}'")
@@ -314,14 +330,14 @@ def straight_dlp_line_sum(a, theta, epsilon):
                                    np.asarray(theta, float))
     c = 2.0 * epsilon * np.abs(np.sin(0.5 * theta))
     x = 2.0 * math.pi * c / a
-    alias = np.zeros_like(x)
-    j = 1
-    while True:
-        live = j * x < BESSEL_CUTOFF
-        if not np.any(live):
-            break
-        alias[live] += j * k1(j * x[live])
+    # k1 is the cost: one call per distinct x (x repeats wherever a does,
+    # as around a circle), on the sorted x_u whose live terms are a prefix
+    x_u, where = np.unique(x, return_inverse=True)
+    alias, j = np.zeros(x_u.size), 1
+    while live := np.count_nonzero(j * x_u < BESSEL_CUTOFF):
+        alias[:live] += j * k1(j * x_u[:live])
         j += 1
+    alias = alias[where].reshape(x.shape)
     return -(2.0 * epsilon * np.sin(0.5 * theta) ** 2 / FOURPI) * (
         2.0 / c ** 2 + (8.0 * math.pi / (a * c)) * alias)
 
@@ -388,13 +404,14 @@ def assemble_pair(grid, backend="direct"):
         col = grid.flat_jacobian() / grid.epsilon
     s_mat, d_mat = np.empty((n, n)), np.empty((n, n))
 
-    def rows(lo, hi, f):
-        inv_r = f["invR"]
+    def rows(lo, hi, f):  # in place on the fields, no (chunk, N) temporary
+        inv_r, r_n = f["invR"], f["Rn"]
         g_j = np.multiply(inv_r, w_src, out=s_mat[lo:hi])
-        k_j = np.multiply(f["Rn"] * (inv_r * inv_r), g_j, out=d_mat[lo:hi])
+        r_n *= np.multiply(inv_r, inv_r, out=f["absR"])
+        k_j = np.multiply(r_n, g_j, out=d_mat[lo:hi])
         if split:
-            g_j += f["C_S"] * col
-            k_j += f["C_D"] * col
+            g_j += np.multiply(f["C_S"], col, out=f["C_S"])
+            k_j += np.multiply(f["C_D"], col, out=f["C_D"])
 
     PairGeometry(grid, templates=templates).sweep(("Rn", "invR", *templates),
                                                   rows)
@@ -422,7 +439,7 @@ def apply_pair(grid, backend, phi, psi):
 
     def rows(lo, hi, f):
         inv_r, k_d = f["invR"], f["Rn"]
-        k_d *= inv_r * inv_r
+        k_d *= np.multiply(inv_r, inv_r, out=f["absR"])
         k_d *= inv_r
         np.matmul(inv_r, phi_w, out=s_out.reshape(-1)[lo:hi])
         np.matmul(k_d, psi_w, out=d_out.reshape(-1)[lo:hi])

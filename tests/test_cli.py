@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,31 @@ def test_out_of_range_inputs_are_one_line_errors(argv, text, tmp_path,
     assert not list(tmp_path.iterdir())  # no symbols.csv
 
 
+@pytest.mark.parametrize("eps", ["1e-320", "5e-324"])
+def test_eps_whose_cutoff_overflows_is_a_usage_error(eps, capsys):
+    """1/(2 pi eps) must be finite: the symbols split there."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check-bessel", "--epsilon", eps]) == 1
+    err = capsys.readouterr().err
+    assert f"argument --epsilon: 1/(2 pi eps) overflows, got '{eps}'" in err
+
+
+@pytest.mark.parametrize("cmd, flag", [("dtn", "--dirichlet"),
+                                       ("ntd", "--neumann")])
+def test_bad_data_fails_before_assembly(cmd, flag, monkeypatch, capsys):
+    from slenderlap import operators, solver
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("assembled before the data were checked")
+
+    for owner in (operators, solver):  # solver binds its own name
+        monkeypatch.setattr(owner, "assemble_pair", no_sweep)
+    assert main([cmd, "--ns", "64", "--ntheta", "8", flag, _NAN_64]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: data holds non-finite values (NaN or inf)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["scaling", "--study", "RS-holder-group", "--eps", "1/512,1/1024"],
     ["greens-check", "--ladder", "256,512,1024"]])
@@ -304,8 +330,8 @@ def test_dry_run_states_the_sweep_chunks(argv, cpus, capsys, monkeypatch):
     monkeypatch.setattr(kernels, "sweep_cpus", lambda: cpus)
     assert main(argv + ["--dry-run"]) == 0
     out = capsys.readouterr().out
-    # all chunks in flight hold about 2^16 pairs, in whole fours of rows
-    assert kernels.CHUNK_PAIRS == (1 << 16) // len(os.sched_getaffinity(0))
+    # each chunk in flight holds about 2^16 pairs, in whole fours of rows
+    assert kernels.CHUNK_PAIRS == 1 << 16
     rows = kernels.default_chunk_rows(16384)
     assert rows % 4 == 0 and rows == max(4, kernels.CHUNK_PAIRS // 16384)
     assert (f"~{rows * 16384 * 8 / 1e6:.2f} MB per row-chunk field "

@@ -128,6 +128,75 @@ def test_holder_seminorm_sees_a_spike_on_large_grids(shape, epsilon):
     assert abs(got - want) <= 1e-14 * want
 
 
+def _holder_by_distance(f, alpha, epsilon):
+    """The seminorm as it was first written: every offset, in order of
+    increasing distance, until osc/d^alpha cannot beat the best ratio."""
+    vals = np.asarray(f, float)
+    vals = vals.reshape(vals.shape[0], -1)
+    n_s, n_t = vals.shape
+    v = vals.reshape(-1)
+    ds, dt = gr.offset_templates(n_s, n_t)
+    dist = np.sqrt(ds[:, None] ** 2 + (epsilon * dt[None, :]) ** 2).reshape(-1)
+    offs = np.argsort(dist, kind="stable")
+    offs = offs[dist[offs] > 0]
+    scale = dist[offs] ** alpha
+    osc = float(np.max(v) - np.min(v))
+    i_s, i_t = np.arange(n_s), np.arange(n_t)
+    batch = max(1, (1 << 16) // v.size)
+    best = 0.0
+    for lo in range(0, offs.size, batch):
+        if osc / scale[lo] <= best:
+            break
+        o_s, o_t = np.divmod(offs[lo:lo + batch], n_t)
+        src = (((i_s - o_s[:, None]) % n_s)[:, :, None] * n_t
+               + ((i_t - o_t[:, None]) % n_t)[:, None, :])
+        dv = np.max(np.abs(v - v[src.reshape(src.shape[0], -1)]), axis=1)
+        best = max(best, float(np.max(dv / scale[lo:lo + batch])))
+    return best
+
+
+def _holder_data(kind, shape, rng):
+    """smooth, band-limited (modes 1-16 at 1/k^2, as the studies' density),
+    random, or a unit spike; on an s-circle or an (n_s, n_theta) surface."""
+    s = np.arange(shape[0]) / shape[0]
+    th = 2 * math.pi * np.arange(shape[-1]) / shape[-1]
+    if kind == "spike":
+        vals = np.zeros(shape)
+        vals[(shape[0] // 3,) + (5,) * (len(shape) - 1)] = 1.0
+        return vals
+    if kind == "random":
+        return rng.standard_normal(shape)
+    if kind == "smooth":
+        vals = np.cos(2 * math.pi * s) + 0.3 * np.sin(6 * math.pi * s)
+        ring = 1.0 + 0.5 * np.cos(th)
+    else:
+        k = np.arange(1, 17)
+        a, b = rng.standard_normal((2, 16)) / k ** 2
+        phase = 2 * math.pi * np.outer(s, k)
+        vals = np.cos(phase) @ a + np.sin(phase) @ b
+        ring = 1.0 + 0.2 * np.cos(th) + 0.1 * np.sin(2 * th)
+    return vals if len(shape) == 1 else vals[:, None] * ring
+
+
+_KINDS = ("smooth", "band", "random", "spike")
+_EPS = (0.0, 1 / 16, 1 / 64, 1 / 256, 1 / 1024)
+
+
+@pytest.mark.parametrize("shape,kind,epsilon", [
+    *(((128, 16), k, e) for k in _KINDS for e in _EPS),
+    *(((256, 16), k, e) for k in _KINDS for e in (1 / 16, 1 / 1024)),
+    *(((1024, 16), k, e) for k in ("random", "spike") for e in (0.0, 1 / 1024)),
+    ((1024, 16), "smooth", 0.0),
+    *(((128,), k, e) for k in _KINDS for e in (0.0, 1 / 64)),
+    *(((4096,), k, 0.0) for k in _KINDS)])
+def test_holder_seminorm_equals_the_distance_ordered_sweep(shape, kind, epsilon,
+                                                           rng):
+    """One offset of each pair o, -o, visited by bound, gives the same bits."""
+    vals = _holder_data(kind, shape, rng)
+    assert gr.holder_seminorm(vals, 0.25, epsilon) == _holder_by_distance(
+        vals, 0.25, epsilon)
+
+
 def test_holder_seminorm_monotone_in_alpha(rng):
     # oscillation <= 1, distances <= 1/2 < 1: seminorm nondecreasing in alpha
     n = 64

@@ -179,6 +179,46 @@ def test_straight_dlp_line_sum_brute_force(c_over_a):
     assert abs(got - brute) <= 1e-10 * abs(brute)
 
 
+def _line_sum_by_masks(a, theta, epsilon):
+    """straight_dlp_line_sum as it was first written: every term j over the
+    whole array, masked to the entries with j x < BESSEL_CUTOFF."""
+    from scipy.special import k1
+    a, theta = np.broadcast_arrays(np.asarray(a, float),
+                                   np.asarray(theta, float))
+    c = 2.0 * epsilon * np.abs(np.sin(0.5 * theta))
+    x = 2.0 * math.pi * c / a
+    alias = np.zeros_like(x)
+    j = 1
+    while True:
+        live = j * x < op.BESSEL_CUTOFF
+        if not np.any(live):
+            break
+        alias[live] += j * k1(j * x[live])
+        j += 1
+    return -(2.0 * epsilon * np.sin(0.5 * theta) ** 2 / (4 * math.pi)) * (
+        2.0 / c ** 2 + (8.0 * math.pi / (a * c)) * alias)
+
+
+@pytest.mark.parametrize("grid_name", ["circle_grid", "circle_grid_small",
+                                       "perturbed_grid", "trefoil_grid"])
+def test_straight_dlp_line_sum_equals_the_masked_loop(grid_name, request):
+    """One k1 call per distinct x and term gives the same bits, on the
+    (node, theta offset) arrays the direct backend's ring weights use."""
+    g = request.getfixturevalue(grid_name)
+    a = (1.0 - g.epsilon * g.khat.reshape(-1, 1)) / g.n_s
+    theta = 2.0 * math.pi * np.arange(1, g.n_theta)[None, :] / g.n_theta
+    for eps in (g.epsilon, 1.0 / 1024.0):
+        got = op.straight_dlp_line_sum(a, theta, eps)
+        assert got.shape == (g.n_nodes, g.n_theta - 1)
+        assert np.array_equal(got, _line_sum_by_masks(a, theta, eps))
+    # one value, and an x that repeats across a broadcast
+    assert op.straight_dlp_line_sum(0.01, 0.3, 0.02) == _line_sum_by_masks(
+        0.01, 0.3, 0.02)
+    a_rep = np.repeat(a[:8], 3, axis=1)
+    assert np.array_equal(op.straight_dlp_line_sum(a_rep, 1.1, 0.01),
+                          _line_sum_by_masks(a_rep, 1.1, 0.01))
+
+
 def test_Dprime_constant_injectivity(circle_grid):
     """(1/2 I + D') applied to constants is bounded away from zero."""
     dp = op.assemble_Dprime(circle_grid, "split")

@@ -65,6 +65,65 @@ def test_threaded_sweep_is_bit_identical_to_one_participant(grid_name, request,
         _assert_same(_outputs(grid), alone)
 
 
+def test_stale_scratch_changes_no_bit(perturbed_grid_small, monkeypatch):
+    """Every chunk writes each field it reads: scratch left full of NaN
+    before each chunk gives the bits of a one-participant sweep."""
+    grid = perturbed_grid_small
+    monkeypatch.setattr(kn, "sweep_cpus", lambda: 1)
+    alone = _outputs(grid)
+    fields = kn.PairGeometry.fields
+
+    def poisoned(self, lo, hi, need=("absR",), scratch=None):
+        for buf in (scratch or {}).values():
+            buf.fill(np.nan)
+        return fields(self, lo, hi, need, scratch)
+
+    monkeypatch.setattr(kn.PairGeometry, "fields", poisoned)
+    monkeypatch.setattr(kn, "sweep_cpus", lambda: 3)
+    _assert_same(_outputs(grid), alone)
+
+
+def test_pair_apply_allocates_only_its_scratch(monkeypatch):
+    """The tracemalloc peak of a 128x16 RS2+RS3 apply is its scratch block,
+    made once per sweep, plus the offset-window table and small arrays: one
+    more (chunk, N) array per participant would break the bound."""
+    import tracemalloc
+
+    from slenderlap import analysis, geometry, grid as gr
+    cl = geometry.build_centerline({"preset": "circle"})
+    spec = geometry.SurfaceSpec(centerline=cl, frame=geometry.build_frame(cl, 128),
+                                epsilon=1.0 / 64.0)
+    grid = gr.make_grid(spec, 128, 16)
+    phi = analysis._bandlimited_density(grid)
+    monkeypatch.setattr(kn, "sweep_cpus", lambda: 2)
+    op.apply_pairs(grid, "RS2+RS3", phi)  # symbol tables and imports first
+    blocks, used = {}, set()
+    fields = kn.PairGeometry.fields
+
+    def recording(self, lo, hi, need=("absR",), scratch=None):
+        out = fields(self, lo, hi, need, scratch)
+        blocks.update({id(b.base): b.base.nbytes for b in scratch.values()})
+        used.update(id(b) for b in scratch.values())
+        return out
+
+    monkeypatch.setattr(kn.PairGeometry, "fields", recording)
+    tracemalloc.start()
+    try:
+        op.apply_pairs(grid, "RS2+RS3", phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = kn.default_chunk_rows(grid.n_nodes)
+    chunk_bytes = rows * grid.n_nodes * 8
+    # one block: two participants, 3 + 3 slots each, 4 of them used
+    assert len(blocks) == 1 and len(used) == 2 * 4
+    block = blocks.popitem()[1]
+    assert block == 2 * 6 * chunk_bytes + 64
+    table = grid.n_theta * 2 * grid.n_nodes * 8  # offset_windows of |R-bar|
+    small = 1 << 20  # O(N) arrays and numpy's iterator buffers, 0.7 MB
+    assert peak <= block + table + small
+
+
 def test_one_cpu_starts_no_thread(perturbed_grid_small, monkeypatch):
     monkeypatch.setattr(kn, "sweep_cpus", lambda: 1)
     seen = set()
