@@ -76,11 +76,15 @@ def _build_spec(args, n_frame=FRAME_SAMPLES):
     return surface_specs(_curve_config(args), [args.epsilon], n_frame)[0]
 
 
-def _dry_run_report(args, n_s, n_theta, n_systems=1, dense=True, grid=True):
-    """Print the run's size; with grid, n_s x n_theta must be a valid grid."""
-    if grid:
-        from .grid import check_grid_sizes
-        check_grid_sizes(n_s, n_theta)
+def _dry_run(plan):
+    print(f"dry run: {plan}")
+    return 0
+
+
+def _dry_run_report(args, n_s, n_theta, n_systems=1, dense=True):
+    """Print the run's size on its n_s x n_theta grid, which must be valid."""
+    from .grid import check_grid_sizes
+    check_grid_sizes(n_s, n_theta)
     n = n_s * n_theta
     if dense:
         size = f"~{n * n * 8 / 1e9:.2f} GB per dense operator"
@@ -90,9 +94,8 @@ def _dry_run_report(args, n_s, n_theta, n_systems=1, dense=True, grid=True):
         in_flight = min(sweep_cpus(), -(-n // rows))
         size = (f"matrix-free, ~{rows * n * 8 / 1e6:.2f} MB per row-chunk "
                 f"field ({rows} x {n} pairs, {in_flight} chunk(s) in flight)")
-    print(f"dry run: grid {n_s} x {n_theta} ({n} nodes), {size}, "
-          f"{n_systems} system(s)")
-    return 0
+    return _dry_run(f"grid {n_s} x {n_theta} ({n} nodes), {size}, "
+                    f"{n_systems} system(s)")
 
 
 # subcommand implementations -------------------------------------------------
@@ -101,7 +104,8 @@ def cmd_check_bessel(args):
     import scipy
     from . import specfun as sf
     if args.dry_run:
-        return _dry_run_report(args, 1, 1, grid=False)
+        return _dry_run(f"Bessel invariant suite, symbol bound checks at eps "
+                        f"{args.epsilon:g}")
     rep = sf.check_suite()
     from .spectral import finite_diff_symbol_bounds
     for name in ("m_S_inv", "m_eps_inv", "m_eps"):
@@ -121,9 +125,10 @@ def cmd_symbols(args):
     if args.kmax < 0 or args.lmax < 0:
         raise ValueError(f"--kmax and --lmax must be >= 0, got {args.kmax} "
                          f"and {args.lmax}")
-    if args.dry_run:
-        return _dry_run_report(args, args.kmax, args.lmax, grid=False)
     names = ("m_S", "m_D", "m_eps_inv", "m_eps")
+    if args.dry_run:
+        return _dry_run(f"{(args.kmax + 1) * (args.lmax + 1)} symbol rows "
+                        f"of {', '.join(names)} to {args.out}")
     rows = []
     for k in range(0, args.kmax + 1):
         # one row of l = 0..lmax per symbol; m_S(0, 0) is NaN (undefined)
@@ -139,7 +144,7 @@ def cmd_geometry(args):
     from . import geometry as geo
     spec = _build_spec(args, n_frame=args.ns)
     if args.dry_run:
-        return _dry_run_report(args, args.ns, 1, grid=False)
+        return _dry_run(f"geometry report from a {args.ns}-sample frame")
     rep = geo.geometry_report(spec)
     _emit_json(args, rep)
     if not args.json:

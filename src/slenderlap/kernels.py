@@ -9,7 +9,8 @@ x(s - s-hat, theta - theta-hat):
     R_even : |R-bar|^2 + eps s-hat^2 Q_0(s,theta) + k3 eps^2 s-hat sin(theta-hat),
              Q_0 = -2 khat + eps khat^2 + eps k3^2
 
-Kernels (all with the 1/(4 pi) fundamental-solution normalization):
+Kernels (all with the 1/(4 pi) fundamental-solution normalization, which the
+pair-kernel table of operators moves into the source weight):
 
     G     = (1/4pi) / |R|
     K_D   = (1/4pi) (R . n_x') / |R|^3,   n_x' outward at the source
@@ -77,26 +78,16 @@ class PairGeometry:
         self.grid = grid
         self.chunk_rows = chunk_rows or default_chunk_rows(grid.n_nodes)
         g = grid
-        self.P = g.flat_positions()
-        self.NRM = g.flat_normals()
+        self.P, self.NRM = g.flat_positions(), g.flat_normals()
         self.KH = g.khat.reshape(-1)
-        n = g.n_nodes
-        self.i_s = np.arange(n) // g.n_theta
-        self.i_t = np.arange(n) % g.n_theta
-        ds, dt = offset_templates(g.n_s, g.n_theta)
-        self.ds_template = ds
+        self.i_s = np.arange(g.n_nodes) // g.n_theta
         self.eps = g.epsilon
         # positions and normals one component per row, and eps n_src as
         # (3, n_s, n_theta) for R_t
         self._pt = np.ascontiguousarray(self.P.T)
         self._nt = np.ascontiguousarray(self.NRM.T)
         self._eps_n = (self.eps * self._nt).reshape(3, g.n_s, g.n_theta)
-        sh, th = np.meshgrid(ds, dt, indexing="ij")
-        self._templates = {
-            "shat": sh, "that": th,
-            "absRbar": np.sqrt(sh ** 2
-                               + (2.0 * self.eps * np.sin(0.5 * th)) ** 2),
-            **(templates or {})}
+        self._templates = {**offset_fields(g), **(templates or {})}
         self._tables = {}
 
     def chunks(self):
@@ -159,32 +150,42 @@ class PairGeometry:
     def fields(self, lo, hi, need=("absR",), scratch=None):
         """Compute the requested pair fields for target rows [lo, hi).
 
-        "shat", "that": periodic offsets; "absRbar": |R-bar|; these three,
-        and any name in the templates given at construction, are gathered
-        from (n_s, n_theta) offset templates.  "diag": the target's column.
-        "absR": |R|; "Rn": R . n_src (with |R|); "invR": 1/|R| with the
-        diagonal zeroed (with |R|); "absRt": |R_t|; "absReven": |R_even|.
-        Only the requested fields are built, and |R|, R . n_src and |R_t| go
-        component by component, with no (chunk, N, 3) temporary, into
-        scratch (see sweep) or, without it, into new arrays.
+        The offset_fields and the templates given at construction are
+        gathered.  "diag": the target's column.  "absR": |R|; "Rn": R . n_src
+        (with |R|); "absRt": |R_t|; "absReven": |R_even|.  "invR" and "invRt"
+        are 1/|R| and 1/|R_t| in their place, 0 at the self-pair like
+        "invRbar": the one place a pair sweep drops it.  Only the requested
+        fields are built, and |R|, R . n_src and |R_t| go component by
+        component, with no (chunk, N, 3) temporary, into scratch (see sweep)
+        or, without it, into new arrays.
         """
-        g, rows = self.grid, hi - lo
+        g, rows, names = self.grid, hi - lo, set(need)
 
         def buf(name):
             return (np.empty((rows, g.n_nodes)) if scratch is None
                     else scratch[name][:rows])
 
         out = {}
+
+        def distance(name, sq):
+            """|.| from its square in place, or 1/|.| for an "inv" name:
+            inf at the self-pair first, so 1/inf = 0 there."""
+            r = np.sqrt(sq, out=sq).reshape(rows, -1)
+            if name.startswith("inv"):
+                r[np.arange(rows), np.arange(lo, hi)] = np.inf
+                np.divide(1.0, r, out=r)
+            out[name] = r
+
         for name in need:
             if name in self._templates:
                 out[name] = self.gather(name, lo, hi, buf(name))
-        if "diag" in need:
+        if "diag" in names:
             out["diag"] = np.zeros((rows, g.n_nodes), dtype=bool)
             out["diag"][np.arange(rows), np.arange(lo, hi)] = True
-        if {"absR", "Rn", "invR"} & set(need):
-            d, r2 = buf("d"), buf("absR")
-            t = buf("t") if {"Rn", "invR"} & set(need) else None
-            rn = buf("Rn") if "Rn" in need else None
+        if {"absR", "Rn", "invR"} & names:
+            name = "invR" if "invR" in names else "absR"
+            d, r2 = buf("d"), buf(name)
+            t, rn = (buf("t"), buf("Rn")) if "Rn" in names else (None, None)
             for k, (p, nrm) in enumerate(zip(self._pt, self._nt)):
                 np.subtract(p[lo:hi, None], p, out=d)
                 if rn is not None:
@@ -194,20 +195,17 @@ class PairGeometry:
                     r2 += sq
                     if rn is not None:
                         rn += prod
-            out["absR"] = np.sqrt(r2, out=r2)
+            distance(name, r2)
             if rn is not None:
                 out["Rn"] = rn
-        if "invR" in need:  # np.errstate is thread-local: entered per chunk
-            with np.errstate(divide="ignore"):
-                out["invR"] = np.divide(1.0, out["absR"], out=t)
-            out["invR"][np.arange(rows), np.arange(lo, hi)] = 0.0
-        if "absRt" in need:
+        if {"absRt", "invRt"} & names:
             # R_t = (s-hat e_t(s) + eps e_r(s, theta)) - eps n_src
-            shat = self.ds_template[(self.i_s[lo:hi, None]
-                                     - np.arange(g.n_s)) % g.n_s]
+            shat = self._templates["shat"][(self.i_s[lo:hi, None]
+                                            - np.arange(g.n_s)) % g.n_s, 0]
             e_t = g.e_t[self.i_s[lo:hi]]
+            name = "invRt" if "invRt" in names else "absRt"
             rt2, c = (buf(k).reshape(rows, g.n_s, g.n_theta)
-                      for k in ("absRt", "d"))
+                      for k in (name, "d"))
             for k in range(3):
                 near = (shat * e_t[:, k, None]
                         + self.eps * self.NRM[lo:hi, k, None])
@@ -215,8 +213,8 @@ class PairGeometry:
                 sq = np.square(c, out=c if k else rt2)
                 if k:
                     rt2 += sq
-            out["absRt"] = np.sqrt(rt2, out=rt2).reshape(rows, -1)
-        if "absReven" in need:
+            distance(name, rt2)
+        if "absReven" in names:
             shat, that, absrbar = (self.gather(k, lo, hi, buf(k))
                                    for k in ("shat", "that", "absRbar"))
             q0 = (-2.0 * self.KH[lo:hi] + self.eps * self.KH[lo:hi] ** 2
@@ -225,6 +223,18 @@ class PairGeometry:
                   + g.kappa3 * self.eps ** 2 * shat * np.sin(that))
             out["absReven"] = np.sqrt(np.maximum(r2, 0.0))
         return out
+
+
+def offset_fields(grid: SurfaceGrid):
+    """(n_s, n_theta) templates over (s-hat, theta-hat) of the fields that
+    depend on the offset alone: "shat", "that", "absRbar" = |R-bar| and
+    "invRbar" = 1/|R-bar|, 0 at zero offset."""
+    sh, th = np.meshgrid(*offset_templates(grid.n_s, grid.n_theta),
+                         indexing="ij")
+    absrbar = np.sqrt(sh ** 2 + (2.0 * grid.epsilon * np.sin(0.5 * th)) ** 2)
+    invrbar = np.divide(1.0, absrbar, out=np.zeros_like(absrbar),
+                        where=absrbar > 0.0)
+    return {"shat": sh, "that": th, "absRbar": absrbar, "invRbar": invrbar}
 
 
 def check_geometric_inequalities(grid: SurfaceGrid):
@@ -278,10 +288,9 @@ def check_geometric_inequalities(grid: SurfaceGrid):
 def _punctured_row_sum(grid, target, need, fn):
     """eps w sum over sources a != target of fn(pair fields of the target row)."""
     lo = target[0] * grid.n_theta + target[1]
-    f = {k: v[0] for k, v in PairGeometry(grid).fields(lo, lo + 1, need).items()}
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = fn(f)
-    vals[lo] = 0.0
+    f = PairGeometry(grid).fields(lo, lo + 1, (*need, "diag"))
+    off = ~f.pop("diag")[0]
+    vals = fn({k: v[0, off] for k, v in f.items()})  # the sources a != target
     return float(np.sum(vals) * grid.node_weight * grid.epsilon)
 
 

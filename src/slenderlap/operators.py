@@ -34,11 +34,15 @@ assemble_pair fills in one pair sweep.  They differ only in what is added:
            psi = phi J/eps, S_h phi = (m_S + (G - G-bar) - Tail) P0 psi
            + G P_mean psi: the s-mean goes through the curved kernel alone.
 
-apply_pair is assemble_pair's matrix-free twin on the same helpers: one sweep
-applies G_J and K_J, direct's weights go pointwise and split's templates by
-2-D FFT, and no N x N array is stored.  Every pair sweep here runs through
-PairGeometry.sweep: row chunks on every CPU of the affinity mask, each row
-computed whole by one thread, so no output depends on the thread count.
+Every pair kernel is written once, in _pair_kernel's table, from the inverse
+distances 1/|R|, 1/|R_t|, 1/|R-bar|, R . n_src and straight templates, and
+carries no 1/4pi: the source weight does.  PairGeometry.fields drops the
+self-pair, and nothing else does.  assemble_pair, apply_pair, apply_pairs
+and the dense oracles take a chunk's kernel rows from _pair_sweep and only
+write them into a matrix or multiply them by densities.  Every pair sweep
+runs through PairGeometry.sweep: row chunks on every CPU of the affinity
+mask, each row computed whole by one thread, so no output depends on the
+thread count.
 
 The remainder pieces of the curved-minus-straight operators are pair
 kernels with plain eps weight, matching the operator identity R_S = S - Sbar
@@ -53,14 +57,12 @@ piece by piece:
     R_D2 = -K_D eps^2 khat(source)
 
 so that S = Sbar + sum R_Sj on zero-s-mean densities and D = Dbar + sum R_Dj.
-The scaling studies apply them matrix-free: apply_pairs sums a kernel (or a
-fused sum of pieces, one evaluation per pair) against one or more densities
-row chunk by row chunk, and is bound by memory per chunk, not by
-DENSE_NODE_CAP.  Only the dense operators, which the solves need, are
-capped.  dense_RS_kernel, dense_RD_kernel and dense_tail build the same
-pieces one dense matrix each, and dense_single_layer_direct and
-dense_double_layer_direct build G_J and K_J: the oracles of apply_pairs and
-of the pair sweep.
+The scaling studies apply them matrix-free with apply_pairs, one evaluation
+per pair for one or more densities, bound by memory per chunk and not by
+DENSE_NODE_CAP; only the dense operators, which the solves need, are capped.
+dense_RS_kernel, dense_RD_kernel and dense_tail build the same pieces one
+dense matrix each, and dense_single_layer_direct and dense_double_layer_direct
+build G_J and K_J: the oracles of apply_pairs and of the pair sweep.
 """
 
 from __future__ import annotations
@@ -70,8 +72,7 @@ import math
 import numpy as np
 from scipy.special import k0, k1
 
-from .grid import offset_templates
-from .kernels import FOURPI, PairGeometry
+from .kernels import FOURPI, PairGeometry, offset_fields
 from .specfun import EULER_GAMMA
 from .spectral import (FourierSymbol, apply_symbol, s_modes,
                        symbol_dense_matrix, symbol_template)
@@ -99,101 +100,105 @@ def _check_dense_cap(grid):
 
 # pair kernels ----------------------------------------------------------------
 
+def _eps_weight(grid):
+    """Source weight of the eps-weighted kernels: eps w/4pi, w the node weight."""
+    return grid.epsilon * grid.node_weight / FOURPI
+
+
 def _pair_kernel(grid, name):
-    """(fn, need, templates) of a named punctured pair kernel, 1/4pi included.
+    """(fn, need, templates) of a named pair kernel, without its 1/4pi.
 
-    fn maps the pair fields of one row chunk (the names in need, plus the
-    (n_s, n_theta) offset templates, gathered) to the kernel values; the
-    caller zeroes the diagonal and applies the source weight.  "G" is 1/|R|
-    and "KD" is R . n_src/|R|^3; "RS1".."RS3", "RD1" and "RD2" are the
-    remainder pieces of the module docstring without their weight eps;
-    "RS2+RS3" is the sum of two of them in one kernel, and "RD" is
-    K_D J/eps - K_D-bar - tail = R_D0 + R_D1 + R_D2, its straight part
-    gathered from one straight_template.
+    fn maps one row chunk's pair fields (the names in need, templates
+    gathered) to the kernel's rows, in place on them.  Built from the
+    punctured invR, invRt and invRbar, every kernel is 0 at the self-pair.
+    "G" is 1/|R| and "KD" is R . n_src/|R|^3; "RS1".."RS3", "RD1" and "RD2"
+    are the remainder pieces of the module docstring without 1/4pi and eps;
+    "RS2+RS3" is two of them in one kernel, and "RD" is K_D J/eps - K_D-bar
+    - tail = 4pi (R_D0 + R_D1 + R_D2)/eps.
     """
-    eps = grid.epsilon
-    eps_kh = eps * grid.khat.reshape(-1) / FOURPI  # R_S3's source factor
-    # in place on the chunk's fields, in the formulas' operation order
-    div, mul, sub = np.divide, np.multiply, np.subtract
+    eps_kh = grid.epsilon * grid.khat.reshape(-1)  # R_S3's and R_D2's factor
+    j_eps = grid.flat_jacobian() / grid.epsilon    # RD's source factor
+    sub, mul = np.subtract, np.multiply
 
-    def inv(x):
-        return div(1.0, x, out=x)
-
-    def cube(x):
-        return np.power(x, 3, out=x)
-
-    def diff_inv(a, b):  # (1/a - 1/b)/4pi, in a
-        return div(sub(inv(a), inv(b), out=a), FOURPI, out=a)
+    def kd(f):  # R . n_src/|R|^3, by multiplication, in place on Rn
+        for _ in range(3):
+            f["Rn"] *= f["invR"]
+        return f["Rn"]
 
     kernels = {
-        "G": (lambda f: inv(mul(FOURPI, f["absR"], out=f["absR"])), ("absR",)),
-        "KD": (lambda f: div(f["Rn"], mul(FOURPI, cube(f["absR"]),
-                                          out=f["absR"]), out=f["Rn"]),
-               ("Rn",)),
-        "RS1": (lambda f: diff_inv(f["absR"], f["absRt"]), ("absR", "absRt")),
-        "RS2": (lambda f: diff_inv(f["absRt"], f["absRbar"]),
-                ("absRt", "absRbar")),
-        "RS3": (lambda f: div(-eps_kh, f["absR"], out=f["absR"]), ("absR",)),
-        "RS2+RS3": (lambda f: sub(diff_inv(f["absRt"], f["absRbar"]),
-                                  div(eps_kh, f["absR"], out=f["absR"]),
-                                  out=f["absRt"]),
-                    ("absR", "absRt", "absRbar")),
-        "RD1": (lambda f: (f["Rn"] / f["absR"] ** 3 + 2.0 * eps
-                           * np.sin(0.5 * f["that"]) ** 2 / f["absRbar"] ** 3)
-                / FOURPI, ("Rn", "that", "absRbar")),
-        "RD2": (lambda f: -f["Rn"] / f["absR"] ** 3 * eps_kh, ("Rn",)),
+        "G": (lambda f: f["invR"], ("invR",)),
+        "KD": (kd, ("Rn", "invR")),
+        "RS1": (lambda f: sub(f["invR"], f["invRt"], out=f["invRt"]),
+                ("invR", "invRt")),
+        "RS2": (lambda f: sub(f["invRt"], f["invRbar"], out=f["invRt"]),
+                ("invRt", "invRbar")),
+        "RS3": (lambda f: mul(f["invR"], -eps_kh, out=f["invR"]), ("invR",)),
+        "RS2+RS3": (lambda f: sub(sub(f["invRt"], f["invRbar"], out=f["invRt"]),
+                                  mul(f["invR"], eps_kh, out=f["invR"]),
+                                  out=f["invRt"]),
+                    ("invR", "invRt", "invRbar")),
+        "RD1": (lambda f: sub(kd(f), f["KDbar"], out=f["Rn"]),
+                ("Rn", "invR", "KDbar")),
+        "RD2": (lambda f: mul(kd(f), -eps_kh, out=f["Rn"]), ("Rn", "invR")),
+        "RD": (lambda f: sub(mul(kd(f), j_eps, out=f["Rn"]), f["KDbar"],
+                             out=f["Rn"]), ("Rn", "invR", "KDbar")),
     }
-    if name == "RD":
-        j_eps = grid.flat_jacobian() / (FOURPI * eps)
-        straight = straight_template(grid, "D", central=True) / (
-            eps * grid.node_weight)
-        return (lambda f: sub(mul(div(f["Rn"], cube(f["absR"]), out=f["Rn"]),
-                                  j_eps, out=f["Rn"]), f["straight_D"],
-                              out=f["Rn"]),
-                ("Rn", "straight_D"), {"straight_D": straight})
     if name not in kernels:
         raise ValueError(f"unknown pair kernel '{name}'")
-    return kernels[name] + ({},)
+    fn, need = kernels[name]
+    tail = TAIL_IMAGES if name == "RD" else 0  # RD's K_D-bar holds the tail
+    return fn, need, ({"KDbar": straight_template(grid, "D", tail, central=True)}
+                      if "KDbar" in need else {})
 
 
-def _pair_sweep(grid, name, body):
-    """body(lo, hi, kernel rows) of a pair kernel per row chunk, diagonal zeroed."""
-    fn, need, templates = _pair_kernel(grid, name)
+def _pair_sweep(grid, names, body, templates=None):
+    """body(lo, hi, k) per row chunk, k[name] the chunk's rows of each kernel.
 
-    def rows(lo, hi, f):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ker = fn(f)
-        ker[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
-        body(lo, hi, ker)
+    One pass over the pair fields evaluates the named kernels in order; each
+    works in place on its fields, so no kernel may write a field that a
+    later one reads (("G", "KD") shares invR, which only KD reads).  The
+    templates given are gathered into k too.
+    """
+    kernels = {name: _pair_kernel(grid, name) for name in names}
+    templates = dict(templates or {})
+    for _, _, kernel_templates in kernels.values():
+        templates.update(kernel_templates)
+    need = dict.fromkeys([f for _, fs, _ in kernels.values() for f in fs]
+                         + list(templates))
 
-    PairGeometry(grid, templates=templates).sweep(need, rows)
+    def rows(lo, hi, k):
+        for name, (fn, _, _) in kernels.items():
+            k[name] = fn(k)
+        body(lo, hi, k)
+
+    PairGeometry(grid, templates=templates).sweep(tuple(need), rows)
 
 
 def apply_pairs(grid, name, x):
-    """sum_a ker[i, a] eps w x[a] of a pair kernel, matrix-free.
+    """sum_a ker[i, a] (eps w/4pi) x[a] of a pair kernel, matrix-free.
 
     x holds one density, (n_s, n_theta), or k of them, (n_s, n_theta, k),
-    and w is the node weight.  The sweep evaluates the kernel once per pair
-    for all k columns, one row chunk at a time, and never stores an N x N
-    array, so it is not bound by DENSE_NODE_CAP.
+    and w is the node weight.  The kernel is evaluated once per pair for all
+    k columns, and no N x N array is stored, so DENSE_NODE_CAP does not bind.
     """
-    n = grid.n_nodes
     x = np.asarray(x, float)
-    xw = x.reshape(n, -1) * (grid.epsilon * grid.node_weight)
+    xw = x.reshape(grid.n_nodes, -1) * _eps_weight(grid)
     out = np.empty_like(xw)
-    _pair_sweep(grid, name,
-                lambda lo, hi, ker: np.matmul(ker, xw, out=out[lo:hi]))
+    _pair_sweep(grid, (name,),
+                lambda lo, hi, k: np.matmul(k[name], xw, out=out[lo:hi]))
     return out.reshape(x.shape)
 
 
-def _dense_from_pairs(grid, name, weight):
-    """Dense ker[i, a] weight[a] w of a pair kernel: apply_pairs' oracle."""
+def _dense_from_pairs(grid, name, weight="eps"):
+    """Dense ker[i, a] weight[a] w/4pi of a pair kernel: apply_pairs' oracle.
+
+    weight is eps, or J for weight="jacobian"."""
     _check_dense_cap(grid)
-    n = grid.n_nodes
-    out = np.empty((n, n))
-    w_src = np.reshape(weight, -1) * grid.node_weight
-    _pair_sweep(grid, name,
-                lambda lo, hi, ker: np.multiply(ker, w_src, out=out[lo:hi]))
+    out = np.empty((grid.n_nodes,) * 2)
+    weight = grid.jacobian if weight == "jacobian" else grid.epsilon
+    w_src = np.reshape(weight, -1) * (grid.node_weight / FOURPI)
+    _pair_sweep(grid, (name,),
+                lambda lo, hi, k: np.multiply(k[name], w_src, out=out[lo:hi]))
     return out
 
 
@@ -201,53 +206,47 @@ def _dense_from_pairs(grid, name, weight):
 # assemble_pair and apply_pairs in tests/; perfbench/tracer.py wraps them
 def dense_single_layer_direct(grid, weight="jacobian"):
     """Punctured trapezoid of G times J (or times eps for weight='eps')."""
-    return _dense_from_pairs(grid, "G", grid.jacobian if weight == "jacobian"
-                             else grid.epsilon)
+    return _dense_from_pairs(grid, "G", weight)
 
 
 def dense_double_layer_direct(grid, weight="jacobian"):
-    return _dense_from_pairs(grid, "KD", grid.jacobian if weight == "jacobian"
-                             else grid.epsilon)
+    return _dense_from_pairs(grid, "KD", weight)
 
 
 def straight_template(grid, kind, n_images=TAIL_IMAGES, central=False):
-    """(s-hat, theta-hat) template of the straight kernel, weight eps.
+    """(s-hat, theta-hat) template of the straight kernel, without its 1/4pi.
 
-    Sums the images at s-hat + m for 1 <= |m| <= n_images; with central it
-    also holds the punctured one-period term (zero weight at zero offset).
-    kind "S" is G-bar, kind "D" is K_D-bar.
+    kind "S" is G-bar = 1/|R-bar|, kind "D" is K_D-bar = R-bar . n-bar_src
+    /|R-bar|^3 with R-bar . n-bar_src = -2 eps sin^2(theta-hat/2).  Sums the
+    images at s-hat + m for 1 <= |m| <= n_images; with central it also holds
+    the punctured one-period term (0 at zero offset).
     """
-    ds, dt = offset_templates(grid.n_s, grid.n_theta)
-    SH, TH = np.meshgrid(ds, dt, indexing="ij")
-    c2 = (2.0 * grid.epsilon * np.sin(0.5 * TH)) ** 2
+    f = offset_fields(grid)
+    c2 = (2.0 * grid.epsilon * np.sin(0.5 * f["that"])) ** 2
+    rbar_n = -2.0 * grid.epsilon * np.sin(0.5 * f["that"]) ** 2
 
-    def kernel(r):
-        if kind == "S":
-            return 1.0 / (FOURPI * r)
-        return (-2.0 * grid.epsilon * np.sin(0.5 * TH) ** 2) / (FOURPI * r ** 3)
+    def kernel(inv_r):
+        return inv_r if kind == "S" else rbar_n * inv_r * inv_r * inv_r
 
-    t = np.zeros_like(SH)
-    if central:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = kernel(np.sqrt(SH ** 2 + c2))
-        t[0, 0] = 0.0
+    t = kernel(f["invRbar"]) if central else np.zeros_like(c2)
     for m in range(1, n_images + 1):
         for sgn in (1.0, -1.0):
-            t += kernel(np.sqrt((SH + sgn * m) ** 2 + c2))
-    return t * grid.epsilon * grid.node_weight
+            t = t + kernel(1.0 / np.sqrt((f["shat"] + sgn * m) ** 2 + c2))
+    return t
 
 
 def dense_straight_central(grid, kind):
     """Punctured trapezoid of the straight kernel over one s-period, weight eps."""
     _check_dense_cap(grid)
-    return _circulant_from_template(
-        straight_template(grid, kind, n_images=0, central=True))
+    t = straight_template(grid, kind, n_images=0, central=True)
+    return _circulant_from_template(t * _eps_weight(grid))
 
 
 def dense_tail(grid, kind, n_images=TAIL_IMAGES):
     """Straight-kernel image sum over 1/2 < |s-hat| <= M + 1/2, weight eps."""
     _check_dense_cap(grid)
-    return _circulant_from_template(straight_template(grid, kind, n_images))
+    return _circulant_from_template(straight_template(grid, kind, n_images)
+                                    * _eps_weight(grid))
 
 
 def dense_spectral(grid, symbol_name):
@@ -257,16 +256,12 @@ def dense_spectral(grid, symbol_name):
 
 def dense_RS_kernel(grid, which):
     """Single-layer remainder pieces R_S1, R_S2, R_S3 (weight eps)."""
-    if which not in (1, 2, 3):
-        raise ValueError(which)
-    return _dense_from_pairs(grid, f"RS{which}", grid.epsilon)
+    return _dense_from_pairs(grid, f"RS{which}")
 
 
 def dense_RD_kernel(grid, which):
     """Double-layer remainder pieces R_D1, R_D2 (weight eps)."""
-    if which not in (1, 2):
-        raise ValueError(which)
-    return _dense_from_pairs(grid, f"RD{which}", grid.epsilon)
+    return _dense_from_pairs(grid, f"RD{which}")
 
 
 def dense_centerline_correction(grid):
@@ -371,7 +366,8 @@ def _split_templates(grid):
     """The C_S (P0 applied) and C_D offset templates."""
     def template(name, kind):
         tab = FourierSymbol(name, grid.epsilon).table(grid.n_s, grid.n_theta)
-        return symbol_template(tab) - straight_template(grid, kind, central=True)
+        return symbol_template(tab) - (straight_template(grid, kind, central=True)
+                                       * _eps_weight(grid))
 
     t_s = template("m_S", "S")
     t_s -= t_s.mean(axis=0)  # P0 on the S template
@@ -381,15 +377,13 @@ def _split_templates(grid):
 def assemble_pair(grid, backend="direct"):
     """(S_h, D_h) of either backend, from one pair sweep.
 
-    Each row chunk evaluates |R| and R . n_src once and fills its rows of
-    G_J and K_J, the punctured curved kernels times the source weight J w;
-    the pair holds two N x N matrices and no N x N temporary.  On those
-    rows split adds its straight correction (see the module docstring),
+    Each row chunk fills its rows of G_J and K_J, the kernels G and K_D
+    times the source weight J w/4pi, with no N x N temporary.  On those rows
+    split adds its straight correction (see the module docstring),
 
         S_h = G_J + C_S P0 diag(J/eps),     D_h = K_J + C_D diag(J/eps);
 
     direct adds its local singular weights to the finished matrices.
-    Returns the two N x N arrays.
     """
     if backend not in ("direct", "split"):
         raise ValueError(f"unknown backend '{backend}'")
@@ -404,17 +398,14 @@ def assemble_pair(grid, backend="direct"):
         col = grid.flat_jacobian() / grid.epsilon
     s_mat, d_mat = np.empty((n, n)), np.empty((n, n))
 
-    def rows(lo, hi, f):  # in place on the fields, no (chunk, N) temporary
-        inv_r, r_n = f["invR"], f["Rn"]
-        g_j = np.multiply(inv_r, w_src, out=s_mat[lo:hi])
-        r_n *= np.multiply(inv_r, inv_r, out=f["absR"])
-        k_j = np.multiply(r_n, g_j, out=d_mat[lo:hi])
+    def rows(lo, hi, k):  # in place on the kernel rows, no (chunk, N) temporary
+        g_j = np.multiply(k["G"], w_src, out=s_mat[lo:hi])
+        k_j = np.multiply(k["KD"], w_src, out=d_mat[lo:hi])
         if split:
-            g_j += np.multiply(f["C_S"], col, out=f["C_S"])
-            k_j += np.multiply(f["C_D"], col, out=f["C_D"])
+            g_j += np.multiply(k["C_S"], col, out=k["C_S"])
+            k_j += np.multiply(k["C_D"], col, out=k["C_D"])
 
-    PairGeometry(grid, templates=templates).sweep(("Rn", "invR", *templates),
-                                                  rows)
+    _pair_sweep(grid, ("G", "KD"), rows, templates)
     if not split:
         s_diag, ring = _local_weights(grid)
         s_mat[np.arange(n), np.arange(n)] += s_diag
@@ -437,14 +428,11 @@ def apply_pair(grid, backend, phi, psi):
     phi_w, psi_w = (phi * w_src).reshape(-1), (psi * w_src).reshape(-1)
     s_out, d_out = np.empty_like(w_src), np.empty_like(w_src)
 
-    def rows(lo, hi, f):
-        inv_r, k_d = f["invR"], f["Rn"]
-        k_d *= np.multiply(inv_r, inv_r, out=f["absR"])
-        k_d *= inv_r
-        np.matmul(inv_r, phi_w, out=s_out.reshape(-1)[lo:hi])
-        np.matmul(k_d, psi_w, out=d_out.reshape(-1)[lo:hi])
+    def rows(lo, hi, k):
+        np.matmul(k["G"], phi_w, out=s_out.reshape(-1)[lo:hi])
+        np.matmul(k["KD"], psi_w, out=d_out.reshape(-1)[lo:hi])
 
-    PairGeometry(grid).sweep(("Rn", "invR"), rows)
+    _pair_sweep(grid, ("G", "KD"), rows)
     if backend == "split":
         t_s, t_d = _split_templates(grid)
         s_out += apply_symbol(np.fft.fftn(t_s), phi * grid.jacobian / grid.epsilon)

@@ -77,6 +77,16 @@ def _cond_estimate(mat, lu=None):
     return 1.0 / rcond
 
 
+def _factor(mat, system, lu=None):
+    """(LU, cond estimate) of mat, or a SolveError naming system when the
+    estimate passes COND_LIMIT; lu, when given, is the LU of mat."""
+    lu = lu_factor(mat) if lu is None else lu
+    cond = _cond_estimate(mat, lu)
+    if cond > COND_LIMIT:
+        raise SolveError(f"{system} too ill-conditioned: cond ~ {cond:.3e}")
+    return lu, cond
+
+
 class SlenderBodySolver:
     """Caches S_h, D_h, lu_S and the discrete DtN matrix for one grid.
 
@@ -102,16 +112,13 @@ class SlenderBodySolver:
 
     @property
     def cond_S(self):
+        """Cond estimate of S_h; a SolveError beyond COND_LIMIT."""
         if self._cond_S is None:
-            self._cond_S = _cond_estimate(self.S_h, self.lu_S)
+            g = self.grid
+            self._cond_S = _factor(
+                self.S_h, f"first-kind system (n_s={g.n_s}, n_theta={g.n_theta}, "
+                f"eps={g.epsilon})", self.lu_S)[1]
         return self._cond_S
-
-    def _check_cond(self):
-        if self.cond_S > COND_LIMIT:
-            raise SolveError(
-                f"first-kind system too ill-conditioned: cond ~ {self.cond_S:.3e} "
-                f"(n_s={self.grid.n_s}, n_theta={self.grid.n_theta}, "
-                f"eps={self.grid.epsilon})")
 
     def _densities(self):
         """B = (1/2 I - D_h) E and W = S_h^-1 B, both N x n_s.
@@ -119,7 +126,7 @@ class SlenderBodySolver:
         Column j of D_h E is the sum of the theta-block j of D_h's columns.
         """
         if self._W is None:
-            self._check_cond()
+            self.cond_S  # the guard: a SolveError beyond COND_LIMIT
             n_s, n_t = self.grid.n_s, self.grid.n_theta
             b = -self.D_h.reshape(-1, n_s, n_t).sum(axis=2)
             diag = np.arange(n_s)
@@ -135,17 +142,6 @@ class SlenderBodySolver:
             self._dtn_matrix = theta_integral(self.grid, self._densities()[1],
                                               self.grid.jacobian)
         return self._dtn_matrix
-
-    def _dtn_factor(self):
-        """LU of Lambda and its cond estimate, guarded by COND_LIMIT."""
-        if self._lu_dtn is None:
-            self._lu_dtn = lu_factor(self.dtn_matrix)
-            self._cond_dtn = _cond_estimate(self.dtn_matrix, self._lu_dtn)
-        if self._cond_dtn > COND_LIMIT:
-            raise SolveError(
-                f"DtN matrix too ill-conditioned for the NtD solve: "
-                f"cond ~ {self._cond_dtn:.3e}")
-        return self._lu_dtn
 
     def _s_data(self, x):
         """x as a finite (n_s,) float array, else a ValueError."""
@@ -174,7 +170,10 @@ class SlenderBodySolver:
         """f(s) -> (w, v): solve (Q W) v = f, then w = W v."""
         ff = self._s_data(f)
         b, W = self._densities()
-        v = lu_solve(self._dtn_factor(), ff)
+        if self._lu_dtn is None:  # LU of Lambda, guarded by COND_LIMIT
+            self._lu_dtn, self._cond_dtn = _factor(self.dtn_matrix,
+                                                   "DtN matrix of the NtD solve")
+        v = lu_solve(self._lu_dtn, ff)
         w = W @ v
         res1 = float(np.max(np.abs(self.S_h @ w - b @ v)))
         q = theta_integral(self.grid, w, self.grid.jacobian)
@@ -272,10 +271,7 @@ def solve_exterior_dirichlet(grid, v_surface, eval_points, backend="direct"):
         raise SolveError("evaluation point closer than 2 eps to the surface")
     a = assemble_Dprime(grid, backend)
     a.flat[::grid.n_nodes + 1] += 0.5  # 1/2 I + D', in place
-    lu = lu_factor(a)
-    cond = _cond_estimate(a, lu)
-    if cond > COND_LIMIT:
-        raise SolveError(f"second-kind system ill-conditioned: {cond:.3e}")
+    lu, cond = _factor(a, "second-kind system (1/2 I + D')")
     phi = lu_solve(lu, np.asarray(v_surface, float).reshape(-1))
     u = _offsurface_eval(grid, pts, phi, "Dprime")
     return u, {"cond_Dprime": cond,

@@ -151,6 +151,20 @@ def test_dry_runs(capsys):
         assert "dry run" in out
 
 
+@pytest.mark.parametrize("argv, plan", [
+    (["check-bessel", "--epsilon", "0.03125"],
+     "Bessel invariant suite, symbol bound checks at eps 0.03125"),
+    (["symbols"], "585 symbol rows of m_S, m_D, m_eps_inv, m_eps to symbols.csv"),
+    (["geometry"], "geometry report from a 128-sample frame"),
+])
+def test_gridless_dry_runs_state_what_they_compute(argv, plan, capsys):
+    """These runs build no surface grid, so their dry runs name none."""
+    assert main(argv + ["--dry-run"]) == 0
+    out = capsys.readouterr().out
+    assert out == f"dry run: {plan}\n"
+    assert "dense operator" not in out and "nodes" not in out
+
+
 def test_greens_check_dry_run_is_matrix_free(capsys):
     assert main(["greens-check", "--ladder", "256,512,1024", "--dry-run"]) == 0
     out = capsys.readouterr().out

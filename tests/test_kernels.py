@@ -1,6 +1,7 @@
 """Kernel evaluations, displacement-vector inequalities, integral scalings."""
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from slenderlap import geometry as geo
 from slenderlap import kernels as kn
+from slenderlap import operators as op
 from slenderlap.geometry import surface_point
 from slenderlap.grid import make_grid, periodic_rep_s, periodic_rep_theta
 
@@ -269,3 +271,72 @@ def test_pair_fields_gather_offsets(trefoil_grid):
               * (pg.NRM[lo:hi, None, :] - pg.NRM[None, :, :]))
         assert np.allclose(f["absRt"], np.linalg.norm(rt, axis=2),
                            rtol=1e-14, atol=0)
+
+
+# the pair-kernel table against the scalar oracles ----------------------------
+
+def _oracle_entries(p, khat_src):
+    """(value, scale) of each table kernel at one pair, from the oracles.
+
+    The values carry 1/4pi and no weight eps; a kernel's scale is the size of
+    the terms it combines, since differences like K_D - K_D-bar cancel."""
+    eps = p.spec.epsilon
+    inv_r, inv_rt, inv_rbar = kernel_Rt_pieces(p)
+    kd, kd_bar = kernel_KD(p), kernel_KD_straight(p)
+    g, kd_size = inv_r / FOURPI, inv_r ** 2 / FOURPI  # |R . n| <= |R|
+    return {
+        "G": (kernel_G(p), g),
+        "KD": (kd, kd_size),
+        "RS1": ((inv_r - inv_rt) / FOURPI, max(inv_r, inv_rt) / FOURPI),
+        "RS2": ((inv_rt - inv_rbar) / FOURPI, max(inv_rt, inv_rbar) / FOURPI),
+        "RS3": (-eps * khat_src * g, eps * abs(khat_src) * g),
+        "RD1": (kd - kd_bar, kd_size + abs(kd_bar)),
+        "RD2": (-eps * khat_src * kd, eps * abs(khat_src) * kd_size),
+    }
+
+
+@pytest.mark.parametrize("grid_name", ["perturbed_grid_small", "trefoil_grid"])
+def test_pair_kernels_match_scalar_oracles(grid_name, request):
+    """50 seeded off-diagonal entries of each dense pair kernel (weight eps)
+    equal the scalar oracles to 1e-12 of their terms' size, and every
+    self-pair entry is exactly 0."""
+    g = request.getfixturevalue(grid_name)
+    mats = {"G": op.dense_single_layer_direct(g, weight="eps"),
+            "KD": op.dense_double_layer_direct(g, weight="eps"),
+            **{f"RS{j}": op.dense_RS_kernel(g, j) for j in (1, 2, 3)},
+            **{f"RD{j}": op.dense_RD_kernel(g, j) for j in (1, 2)}}
+    s = np.repeat(g.s_nodes, g.n_theta)
+    th = np.tile(g.theta_nodes, g.n_s)
+    rng = np.random.default_rng(2024)
+    tgt = rng.integers(0, g.n_nodes, 50)
+    src = (tgt + rng.integers(1, g.n_nodes, 50)) % g.n_nodes
+    src[:8] = (tgt[:8] + np.array([1, -1, 2, 7, 8, -8, 9, -9])) % g.n_nodes
+    weight = g.epsilon * g.node_weight
+    for i, a in zip(tgt, src):
+        p = kp(g.spec, s[i], th[i], s[i] - s[a], th[i] - th[a])
+        for name, (want, scale) in _oracle_entries(
+                p, g.khat.reshape(-1)[a]).items():
+            got = mats[name][i, a] / weight
+            assert abs(got - want) <= 1e-12 * scale, (name, i, a, got, want)
+    for name, mat in mats.items():
+        assert np.all(np.diag(mat) == 0.0), name
+
+
+KERNEL_NAMES = ("G", "KD", "RS1", "RS2", "RS3", "RS2+RS3", "RD1", "RD2", "RD")
+
+
+@pytest.mark.parametrize("grid_name", ["perturbed_grid_small", "trefoil_grid"])
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_pair_kernel_rows_are_punctured(name, grid_name, request):
+    """A kernel's rows, evaluated outside any sweep, are finite and exactly 0
+    at the self-pair: the fields they are built from drop it."""
+    g = request.getfixturevalue(grid_name)
+    fn, need, templates = op._pair_kernel(g, name)
+    pg = kn.PairGeometry(g, chunk_rows=37, templates=templates)
+    lo, hi = 37, 74  # a chunk that splits s-rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = fn(pg.fields(lo, hi, need))
+    assert rows.shape == (hi - lo, g.n_nodes)
+    assert np.all(np.isfinite(rows)), name
+    assert np.all(rows[np.arange(hi - lo), np.arange(lo, hi)] == 0.0), name

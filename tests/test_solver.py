@@ -353,6 +353,30 @@ def test_ntd_refuses_ill_conditioned_dtn_matrix(oracle_grids, monkeypatch):
         solver.ntd(f)
 
 
+def test_dtn_refuses_ill_conditioned_first_kind_system(oracle_grids,
+                                                       monkeypatch):
+    grid = oracle_grids["perturbed_circle"]
+    solver = _fresh_solver(grid)
+    estimate = sv._cond_estimate
+
+    def huge_for_s(mat, lu=None):
+        return math.inf if mat.shape[0] == grid.n_nodes else estimate(mat, lu)
+
+    monkeypatch.setattr(sv, "_cond_estimate", huge_for_s)
+    with pytest.raises(sv.SolveError,
+                       match=r"first-kind system \(n_s=64, n_theta=8, "):
+        solver.dtn(np.cos(2 * np.pi * grid.s_nodes))
+
+
+def test_exterior_refuses_ill_conditioned_second_kind_system(
+        circle_grid_small, monkeypatch):
+    grid = circle_grid_small
+    monkeypatch.setattr(sv, "_cond_estimate", lambda mat, lu=None: math.inf)
+    v = np.ones((grid.n_s, grid.n_theta))
+    with pytest.raises(sv.SolveError, match="second-kind system"):
+        sv.solve_exterior_dirichlet(grid, v, exterior_points(grid.spec))
+
+
 def test_neumann_series_builds_straight_tables_once(oracle_grids):
     solver = _fresh_solver(oracle_grids["perturbed_circle"])
     f = GridFunction(np.cos(2 * np.pi * solver.grid.s_nodes))
