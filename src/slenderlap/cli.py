@@ -81,13 +81,21 @@ def _dry_run(plan):
     return 0
 
 
-def _dry_run_report(args, n_s, n_theta, n_systems=1, dense=True):
-    """Print the run's size on its n_s x n_theta grid, which must be valid."""
+# N x N arrays held at once (measured in tests/test_cli.py): S_h, D_h and
+# the LU of S_h in a solve; D' and its LU in the exterior solve
+SOLVE_DENSE, EXTERIOR_DENSE = 3, 2
+
+
+def _dry_run_report(args, n_s, n_theta, n_systems=1, dense=0):
+    """Print the run's size on its n_s x n_theta grid, which must be valid;
+    dense is the most N x N arrays it holds at once, 0 when matrix-free."""
     from .grid import check_grid_sizes
     check_grid_sizes(n_s, n_theta)
     n = n_s * n_theta
     if dense:
-        size = f"~{n * n * 8 / 1e9:.2f} GB per dense operator"
+        gb = n * n * 8 / 1e9
+        size = (f"{dense} dense N x N arrays at once, ~{dense * gb:.2f} GB "
+                f"(~{gb:.2f} GB per dense operator)")
     else:
         from .kernels import default_chunk_rows, sweep_cpus
         rows = default_chunk_rows(n)
@@ -176,8 +184,7 @@ def cmd_greens_check(args):
     spec = _build_spec(args)
     if args.dry_run:
         sv.check_ladder(ladder, args.ntheta)
-        return _dry_run_report(args, max(ladder), args.ntheta, len(ladder),
-                               dense=False)
+        return _dry_run_report(args, max(ladder), args.ntheta, len(ladder))
     out = {}
     ok = True
     for backend in ("direct", "split"):
@@ -213,7 +220,7 @@ def _solve_common(args, direction):
     from .solver import SlenderBodySolver
     spec = _build_spec(args)
     if args.dry_run:
-        return _dry_run_report(args, args.ns, args.ntheta, 1)
+        return _dry_run_report(args, args.ns, args.ntheta, dense=SOLVE_DENSE)
     data = _parse_data_spec(args.dirichlet if direction == "dtn"
                             else args.neumann, args.ns)  # before the sweep
     grid = make_grid(spec, args.ns, args.ntheta)
@@ -245,7 +252,7 @@ def cmd_exterior(args):
     from . import solver as sv
     spec = _build_spec(args)
     if args.dry_run:
-        return _dry_run_report(args, args.ns, args.ntheta, 1)
+        return _dry_run_report(args, args.ns, args.ntheta, dense=EXTERIOR_DENSE)
     grid = make_grid(spec, args.ns, args.ntheta)
     charges = [(1.0, 0.0)]
     v_exact, w_exact = sv.point_charge_data(grid, charges)
@@ -285,7 +292,7 @@ def cmd_decompose(args):
         raise ValueError(f"--alpha must lie in (0, 1], got {args.alpha}")
     spec = _build_spec(args)
     if args.dry_run:
-        return _dry_run_report(args, args.ns, args.ntheta, 1)
+        return _dry_run_report(args, args.ns, args.ntheta, dense=SOLVE_DENSE)
     grid = make_grid(spec, args.ns, args.ntheta)
     v = np.cos(2 * np.pi * grid.s_nodes)
     rep = decompose_dtn(grid, v, alpha=args.alpha)
@@ -309,7 +316,7 @@ def cmd_scaling(args):
         surface_specs(study.curve_config, study.epsilons)
         ns = max(study.grid_ns(e) for e in study.epsilons)
         return _dry_run_report(args, ns, study.n_theta, len(study.epsilons),
-                               dense=study.solves)
+                               dense=SOLVE_DENSE if study.solves else 0)
     rep = run_scaling_study(study)
     outdir = Path(args.out or ".")
     _write_csv(outdir / f"{args.study}.csv", ("epsilon", "value", "norm"),

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -163,6 +165,36 @@ def test_gridless_dry_runs_state_what_they_compute(argv, plan, capsys):
     out = capsys.readouterr().out
     assert out == f"dry run: {plan}\n"
     assert "dense operator" not in out and "nodes" not in out
+
+
+@pytest.mark.parametrize("cmd", ["dtn", "ntd", "decompose", "exterior"])
+def test_solve_dry_run_states_the_dense_peak(cmd, tmp_path, capsys,
+                                             monkeypatch):
+    """The dry run's count of N x N arrays held at once is the real run's
+    tracemalloc peak in whole N x N arrays, at 64x8."""
+    from slenderlap import cli, kernels
+    argv = [cmd, "--ns", "64", "--ntheta", "8"]
+    assert main(argv + ["--dry-run"]) == 0
+    out = capsys.readouterr().out
+    count = int(re.search(r"(\d+) dense N x N arrays at once", out).group(1))
+    one = 512 * 512 * 8
+    assert f"~{count * one / 1e9:.2f} GB (~{one / 1e9:.2f} GB per dense " \
+           f"operator)" in out
+    # at 64x8 two fixed costs outweigh one N x N array, so take them out:
+    # the curve's 512 x 512 chord matrix (the spec is built beforehand) and
+    # the sweep's scratch (chunks of 4 x 512 pairs)
+    spec = cli._build_spec(cli.build_parser().parse_args(argv))
+    monkeypatch.setattr(cli, "_build_spec", lambda args: spec)
+    monkeypatch.setattr(kernels, "CHUNK_PAIRS", 1 << 11)
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        # exit 2: exterior's 1e-3 accuracy check fails on a grid this coarse
+        assert main(argv) in (0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count <= peak / one < count + 0.5, peak / one
 
 
 def test_greens_check_dry_run_is_matrix_free(capsys):

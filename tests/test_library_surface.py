@@ -13,6 +13,10 @@ import carries "# noqa: F401".
 
 Arrays in, arrays out: src/ never branches on isinstance(..., GridFunction),
 and only the solver's results are GridFunctions.
+
+Dense factorizations go through solver._lu, which hands LAPACK a
+Fortran-order copy: only solver imports from scipy.linalg, and only _lu
+calls lu_factor.
 """
 
 import ast
@@ -121,3 +125,29 @@ def test_only_solver_results_are_grid_functions():
     assert not branches, f"isinstance(..., GridFunction) in src/: {branches}"
     assert makers == {("solver.py", "dtn"), ("solver.py", "ntd"),
                       ("solver.py", "neumann_series_ntd")}, makers
+
+
+def _scipy_linalg_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.startswith("scipy.linalg") or (
+                    module == "scipy"
+                    and any(a.name == "linalg" for a in node.names)):
+                yield node.lineno
+        elif isinstance(node, ast.Import):
+            if any(a.name.startswith("scipy.linalg") for a in node.names):
+                yield node.lineno
+
+
+def test_dense_systems_are_factored_only_through_solver_lu():
+    importers, callers = [], set()
+    for path in sorted((ROOT / "src" / "slenderlap").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name != "solver.py":
+            importers += [f"{path.name}:{line}"
+                          for line in _scipy_linalg_imports(tree)]
+        callers |= {(path.name, func) for func, called, _ in _calls(tree)
+                    if called == "lu_factor"}
+    assert not importers, f"scipy.linalg imported outside solver: {importers}"
+    assert callers == {("solver.py", "_lu")}, callers

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 
 from slenderlap import analysis as an
 from slenderlap import geometry as geo
@@ -490,3 +491,87 @@ def test_cond_estimate_one_norm_is_exact_and_small(circle_solver, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 8, peak
+
+
+# the factorization: a Fortran-order copy, the LU of lu_factor bit for bit ----
+
+def test_lu_is_lu_factor_bit_for_bit(perturbed_grid_small):
+    """The three systems the solver factors (split S_h, Lambda, 1/2 I + D')
+    and a seeded matrix."""
+    grid = perturbed_grid_small
+    solver = _fresh_solver(grid)
+    dprime = op.assemble_Dprime(grid, "split")
+    dprime.flat[::grid.n_nodes + 1] += 0.5
+    mats = {"S_h": solver.S_h, "Lambda": solver.dtn_matrix, "Dprime": dprime}
+    # 1000 rows are not a whole number of LU_COPY_ROWS slabs
+    assert 1000 % sv.LU_COPY_ROWS
+    mats["seeded"] = np.random.default_rng(19).standard_normal((1000, 1000))
+    for name, mat in mats.items():
+        before = mat.copy()
+        lu, piv = sv._lu(mat)
+        ref_lu, ref_piv = lu_factor(mat)
+        assert np.array_equal(lu, ref_lu), name
+        assert np.array_equal(piv, ref_piv), name
+        assert np.array_equal(mat, before), name  # the input is not overwritten
+
+
+def test_every_factorization_hands_lapack_its_own_fortran_copy(
+        perturbed_grid_small, monkeypatch):
+    """lu_S, _factor and _cond_estimate all factor through _lu: lu_factor
+    sees an F-contiguous float64 array it may overwrite, so f2py copies
+    nothing."""
+    seen = []
+
+    def spy(a, **kwargs):
+        seen.append((a.flags.f_contiguous, a.dtype, kwargs))
+        return lu_factor(a, **kwargs)
+
+    monkeypatch.setattr(sv, "lu_factor", spy)
+    solver = _fresh_solver(perturbed_grid_small)
+    solver.lu_S
+    sv._factor(solver.dtn_matrix, "DtN matrix")
+    sv._cond_estimate(solver.S_h)
+    assert seen == [(True, np.float64, {"overwrite_a": True})] * 3
+
+
+def test_lu_S_refuses_a_non_finite_first_kind_matrix(perturbed_grid_small):
+    solver = _fresh_solver(perturbed_grid_small)
+    s_h = solver.S_h.copy()
+    s_h[5, 7] = np.nan
+    bad = sv.SlenderBodySolver(perturbed_grid_small, "split",
+                               operators=(s_h, solver.D_h))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        bad.lu_S
+
+
+# structure of the discrete DtN matrix on any curve ---------------------------
+
+def _dtn_matrices(preset, backend):
+    """Lambda at eps 1/64, n_theta = 16, for n_s = 64 and 128."""
+    cl = geo.build_centerline({"preset": preset})
+    spec = geo.SurfaceSpec(centerline=cl, frame=geo.build_frame(cl, 128),
+                           epsilon=1.0 / 64.0)
+    return [sv.SlenderBodySolver(make_grid(spec, n_s, 16), backend).dtn_matrix
+            for n_s in (64, 128)]
+
+
+def _asymmetry(lam):
+    return np.linalg.norm(lam - lam.T, 2) / np.linalg.norm(lam, 2)
+
+
+@pytest.mark.parametrize("backend", ["direct", "split"])
+def test_dtn_matrix_is_positive_and_nearly_symmetric(backend):
+    """Lambda is symmetric positive definite up to discretization error: the
+    energy identity makes the continuous DtN map so.  Its symmetric part
+    stays well away from 0 (smallest eigenvalue 0.99-1.50 measured), it is
+    symmetric to roundoff on the circle, and its asymmetry falls with h_s on
+    the perturbed circle and the trefoil."""
+    for preset in ("circle", "perturbed_circle", "trefoil"):
+        mats = _dtn_matrices(preset, backend)
+        for lam in mats:
+            assert np.linalg.eigvalsh(0.5 * (lam + lam.T))[0] > 0.5, preset
+        coarse, fine = (_asymmetry(lam) for lam in mats)
+        if preset == "circle":
+            assert max(coarse, fine) <= 1e-13
+        else:
+            assert fine < coarse, (preset, coarse, fine)
