@@ -13,7 +13,8 @@ DtN map as a perturbation of the straight operator:
 where w solves the surface system S_h w = (1/2 I - D_h) E v of either
 backend (split by default).  The remainders are what the straight symbols
 leave of the solved operators, R_S = S_h - m_S and R_D = D_h - m_D with m_S
-and m_D applied by FFT, and S[mean_s w] is S_h applied to the s-mean of w.
+and m_D applied by FFT (D_h E v is v/2 - B v, B = (1/2 I - D_h) E the
+solver's), and S[mean_s w] is S_h applied to the s-mean of w.
 The terms above then rearrange exactly the matrices of the solve, so the two
 routes to f(s) agree to factorization roundoff.  Sbar^{-1} is applied after removing the k = 0
 mode; the zero-mode budget is carried exactly by the last two terms.
@@ -36,7 +37,7 @@ from . import geometry as geo
 from .grid import holder_norm, make_grid, spectral_s_derivative
 from .kernels import basic_integral
 from .operators import (DENSE_NODE_CAP, AssemblyError, apply_pairs,
-                        assemble_pair, mean_in_s_split, theta_integral)
+                        assemble_first_kind, mean_in_s_split, theta_integral)
 from .solver import SlenderBodySolver
 from .spectral import FourierSymbol, apply_symbol
 
@@ -45,8 +46,8 @@ N_THETA = 16
 
 
 def decomposition_operators(grid):
-    """(S_h, D_h) of the split backend, from one pair sweep."""
-    return assemble_pair(grid, "split")
+    """(S_h, B) of the split backend, from one pair sweep."""
+    return assemble_first_kind(grid, "split")
 
 
 def s_inv_theta_int(grid, x):
@@ -69,15 +70,14 @@ def decompose_dtn(grid, v, alpha=0.25, solver=None):
     f_direct = res.f.values
     tab_s, tab_d = (FourierSymbol(name, grid.epsilon).table(*w.shape)
                     for name in ("m_S", "m_D"))
-    s_mat, d_mat = solver.S_h, solver.D_h
-
     ev = np.repeat(vv, grid.n_theta)
+    s_mat, d_ev = solver.S_h, 0.5 * ev - solver.B @ vv  # d_ev = D_h E v
     w_p0 = w - w.mean(axis=0)
     w_mean = np.tile(w.mean(axis=0), grid.n_s)
 
     term_main = solver.straight_dtn(vv)
     term_rd = -s_inv_theta_int(
-        grid, d_mat @ ev - apply_symbol(tab_d, ev.reshape(w.shape)).ravel())
+        grid, d_ev - apply_symbol(tab_d, ev.reshape(w.shape)).ravel())
     term_rs = -s_inv_theta_int(
         grid, s_mat @ w_p0.ravel() - apply_symbol(tab_s, w_p0).ravel())
     term_mean = -s_inv_theta_int(grid, s_mat @ w_mean)

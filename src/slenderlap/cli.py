@@ -81,9 +81,9 @@ def _dry_run(plan):
     return 0
 
 
-# N x N arrays held at once (measured in tests/test_cli.py): S_h, D_h and
-# the LU of S_h in a solve; D' and its LU in the exterior solve
-SOLVE_DENSE, EXTERIOR_DENSE = 3, 2
+# N x N arrays held at once (measured in tests/test_cli.py): S_h and its LU
+# in a solve (D_h enters as the N x n_s B); D' and its LU in the exterior solve
+SOLVE_DENSE, EXTERIOR_DENSE = 2, 2
 
 
 def _dry_run_report(args, n_s, n_theta, n_systems=1, dense=0):

@@ -39,7 +39,8 @@ distances 1/|R|, 1/|R_t|, 1/|R-bar|, R . n_src and straight templates, and
 carries no 1/4pi: the source weight does.  PairGeometry.fields drops the
 self-pair, and nothing else does.  assemble_pair, apply_pair, apply_pairs
 and the dense oracles take a chunk's kernel rows from _pair_sweep and only
-write them into a matrix or multiply them by densities.  Every pair sweep
+write them into a matrix, sum them (D_h into B = (1/2 I - D_h) E,
+assemble_first_kind) or multiply them by densities.  Every pair sweep
 runs through PairGeometry.sweep: row chunks on every CPU of the affinity
 mask, each row computed whole by one thread, so no output depends on the
 thread count.
@@ -79,9 +80,9 @@ from .spectral import (FourierSymbol, apply_symbol, s_modes,
 from .spectral import circulant_from_template as _circulant_from_template
 
 TAIL_IMAGES = 20
-# dense matrices capped at DENSE_NODE_CAP^2 entries; the split pair holds two
-# of them (plus one row chunk of temporaries) and has to fit in a small-memory
-# environment.  Matrix-free applies (apply_pairs, apply_pair) are not capped.
+# dense matrices capped at DENSE_NODE_CAP^2 entries; a solve holds two of them
+# (S_h and its LU copy) and has to fit in a small-memory environment.
+# Matrix-free applies (apply_pairs, apply_pair) are not capped.
 DENSE_NODE_CAP = 4096
 # lattice-sum terms in K_nu(x) are dropped once x exceeds this (K_nu < 1e-18)
 BESSEL_CUTOFF = 40.0
@@ -374,44 +375,61 @@ def _split_templates(grid):
     return t_s, template("m_D", "D")
 
 
-def assemble_pair(grid, backend="direct"):
-    """(S_h, D_h) of either backend, from one pair sweep.
-
-    Each row chunk fills its rows of G_J and K_J, the kernels G and K_D
-    times the source weight J w/4pi, with no N x N temporary.  On those rows
-    split adds its straight correction (see the module docstring),
-
-        S_h = G_J + C_S P0 diag(J/eps),     D_h = K_J + C_D diag(J/eps);
-
-    direct adds its local singular weights to the finished matrices.
-    """
+def _assemble(grid, backend, single=True, first_kind=False):
+    """(S_h, D_h) from one pair sweep; S_h is None without single, and with
+    first_kind B = (1/2 I - D_h) E, N x n_s, takes D_h's place.  Each row
+    chunk's G and K_D rows times the source weight J w/4pi get the backend's
+    terms (module docstring): split's C_S P0 diag(J/eps) and C_D diag(J/eps),
+    direct's D ring on the row's own theta-block (its S diagonal goes on
+    after the sweep).  With first_kind the D rows stay in sweep scratch and
+    only their theta-block sums are stored."""
     if backend not in ("direct", "split"):
         raise ValueError(f"unknown backend '{backend}'")
     _check_dense_cap(grid)
     n, n_s, n_t = grid.n_nodes, grid.n_s, grid.n_theta
     w_src = grid.flat_jacobian() * (grid.node_weight / FOURPI)
     split = backend == "split"
-    templates = {}
-    if split:
+    if split:  # rows of C_S and C_D are gathered
         t_s, t_d = _split_templates(grid)
-        templates = {"C_S": t_s, "C_D": t_d}  # rows of C_S, C_D are gathered
+        templates = {"C_S": t_s, "C_D": t_d} if single else {"C_D": t_d}
         col = grid.flat_jacobian() / grid.epsilon
-    s_mat, d_mat = np.empty((n, n)), np.empty((n, n))
+    else:
+        templates, (s_diag, ring) = {}, _local_weights(grid)
+    s_mat = np.empty((n, n)) if single else None
+    d_out = np.empty((n, n_s) if first_kind else (n, n))
 
     def rows(lo, hi, k):  # in place on the kernel rows, no (chunk, N) temporary
-        g_j = np.multiply(k["G"], w_src, out=s_mat[lo:hi])
-        k_j = np.multiply(k["KD"], w_src, out=d_mat[lo:hi])
+        if single:
+            g_j = np.multiply(k["G"], w_src, out=s_mat[lo:hi])
+            if split:
+                g_j += np.multiply(k["C_S"], col, out=k["C_S"])
+        k_j = np.multiply(k["KD"], w_src,
+                          out=k["KD"] if first_kind else d_out[lo:hi])
+        own = np.arange(hi - lo), np.arange(lo, hi) // n_t  # own theta-block
+        blocks = k_j.reshape(hi - lo, n_s, n_t)
         if split:
-            g_j += np.multiply(k["C_S"], col, out=k["C_S"])
             k_j += np.multiply(k["C_D"], col, out=k["C_D"])
+        else:
+            blocks[own] += ring.reshape(n, n_t)[lo:hi]
+        if first_kind:
+            d_out[lo:hi] = -blocks.sum(axis=2)
+            d_out[lo:hi][own] += 0.5
 
-    _pair_sweep(grid, ("G", "KD"), rows, templates)
-    if not split:
-        s_diag, ring = _local_weights(grid)
+    _pair_sweep(grid, ("G", "KD") if single else ("KD",), rows, templates)
+    if single and not split:
         s_mat[np.arange(n), np.arange(n)] += s_diag
-        i = np.arange(n_s)  # ring[i] is the diagonal n_theta-block of row i
-        d_mat.reshape(n_s, n_t, n_s, n_t)[i, :, i] += ring
-    return s_mat, d_mat
+    return s_mat, d_out
+
+
+def assemble_pair(grid, backend="direct"):
+    """(S_h, D_h) of either backend, from one pair sweep."""
+    return _assemble(grid, backend)
+
+
+def assemble_first_kind(grid, backend="direct"):
+    """(S_h, B) of the solves, B = (1/2 I - D_h) E the N x n_s theta-block
+    sums of D_h, which is never stored: their data are theta-independent."""
+    return _assemble(grid, backend, first_kind=True)
 
 
 def apply_pair(grid, backend, phi, psi):
@@ -444,7 +462,7 @@ def apply_pair(grid, backend, phi, psi):
     return s_out, d_out
 
 
-# assemble_S and assemble_D build the whole pair; perfbench/tracer.py wraps them
+# assemble_S and assemble_D: perfbench/tracer.py wraps them
 def assemble_S(grid, backend="direct"):
     """Single layer S[phi] = int G phi dS: S_h of assemble_pair."""
     return assemble_pair(grid, backend)[0]
@@ -452,7 +470,7 @@ def assemble_S(grid, backend="direct"):
 
 def assemble_D(grid, backend="direct"):
     """Double layer D[psi] = int K_D psi dS: D_h of assemble_pair."""
-    return assemble_pair(grid, backend)[1]
+    return _assemble(grid, backend, single=False)[1]
 
 
 def assemble_Dprime(grid, backend="direct"):
@@ -461,7 +479,7 @@ def assemble_Dprime(grid, backend="direct"):
     The correction kernel 1/|x - X(s')| is bounded by 1/eps on the surface
     and removes the constant null space of 1/2 I + D.
     """
-    d = assemble_pair(grid, backend)[1]
+    d = _assemble(grid, backend, single=False)[1]  # K_D alone, no S_h
     d += dense_centerline_correction(grid)
     return d
 

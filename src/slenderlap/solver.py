@@ -7,15 +7,16 @@ operators with the theta-independence constraint:
     Q w = f,   (Q w)(s_i) = sum_j w(s_i, theta_j) J(s_i, theta_j) (2 pi/n_th)
 
 E extends s-circle values constant in theta.  One dense LU of S_h per
-geometry gives the N x n_s density block W = S_h^-1 (1/2 I - D_h) E and
-with it the n_s x n_s discrete DtN matrix Lambda = Q W:
+geometry gives the N x n_s density block W = S_h^-1 B, B = (1/2 I - D_h) E,
+and with it the n_s x n_s discrete DtN matrix Lambda = Q W:
 
     DtN (v given):  w = W v,  f = Q w
     NtD (f given):  Lambda v = f (LU of Lambda),  w = W v
 
-S_h and D_h of either backend come from one pair sweep
-(operators.assemble_pair); the Green's identity harness applies them
-matrix-free in one sweep (operators.apply_pair), past DENSE_NODE_CAP.
+S_h and B of either backend come from one pair sweep that stores no D_h
+(operators.assemble_first_kind): a solve holds two N x N arrays, S_h and its
+LU.  The Green's identity harness applies S_h and D_h matrix-free in one
+sweep (operators.apply_pair), past DENSE_NODE_CAP.
 Each solve reports its residuals against S_h.  The 1-norm condition
 estimates of S_h (LAPACK gecon) and of Lambda are reported and hard-fail
 beyond COND_LIMIT, never silently ignored.
@@ -39,7 +40,8 @@ from scipy.linalg import lu_factor, lu_solve, get_lapack_funcs
 
 from .grid import SurfaceGrid, check_grid_sizes
 from .kernels import FOURPI
-from .operators import apply_pair, assemble_Dprime, assemble_pair, theta_integral
+from .operators import (apply_pair, assemble_Dprime, assemble_first_kind,
+                        theta_integral)
 # not called here: perfbench/tracer.py wraps them where solver binds them
 from .operators import assemble_D, assemble_S  # noqa: F401
 from .spectral import FourierSymbol, GridFunction, apply_symbol
@@ -106,20 +108,19 @@ def _factor(mat, system, lu=None):
 
 
 class SlenderBodySolver:
-    """Caches S_h, D_h, lu_S and the discrete DtN matrix for one grid.
-
-    operators, when given, is an (S_h, D_h) pair of N x N arrays used as is;
-    backend is then only a label.
+    """Caches S_h, B = (1/2 I - D_h) E, lu_S and the discrete DtN matrix for
+    one grid; operators, when given, is an (S_h, B) pair (N x N, N x n_s)
+    used as is, and backend is then only a label.
     """
 
     def __init__(self, grid: SurfaceGrid, backend="direct", operators=None):
         self.grid = grid
         self.backend = backend
-        self.S_h, self.D_h = (operators if operators is not None
-                              else assemble_pair(grid, backend))
+        self.S_h, self.B = (operators if operators is not None
+                            else assemble_first_kind(grid, backend))
         self._lu_S = None
         self._cond_S = None
-        self._B = self._W = None
+        self._W = None
         self._dtn_matrix = self._lu_dtn = self._cond_dtn = None
 
     @property
@@ -139,25 +140,17 @@ class SlenderBodySolver:
         return self._cond_S
 
     def _densities(self):
-        """B = (1/2 I - D_h) E and W = S_h^-1 B, both N x n_s.
-
-        Column j of D_h E is the sum of the theta-block j of D_h's columns.
-        """
+        """W = S_h^-1 B, N x n_s."""
         if self._W is None:
             self.cond_S  # the guard: a SolveError beyond COND_LIMIT
-            n_s, n_t = self.grid.n_s, self.grid.n_theta
-            b = -self.D_h.reshape(-1, n_s, n_t).sum(axis=2)
-            diag = np.arange(n_s)
-            b.reshape(n_s, n_t, n_s)[diag, :, diag] += 0.5
-            self._B = b
-            self._W = lu_solve(self.lu_S, b)
-        return self._B, self._W
+            self._W = lu_solve(self.lu_S, self.B)
+        return self._W
 
     @property
     def dtn_matrix(self):
         """Lambda = Q W: the n_s x n_s discrete DtN map, f = Lambda v."""
         if self._dtn_matrix is None:
-            self._dtn_matrix = theta_integral(self.grid, self._densities()[1],
+            self._dtn_matrix = theta_integral(self.grid, self._densities(),
                                               self.grid.jacobian)
         return self._dtn_matrix
 
@@ -173,10 +166,9 @@ class SlenderBodySolver:
     def dtn(self, v):
         """v(s) -> (w, f): w = W v solves S w = (1/2 I - D) E v; f = Q w."""
         vv = self._s_data(v)
-        b, W = self._densities()
-        w = W @ vv
+        w = self._densities() @ vv
         f = theta_integral(self.grid, w, self.grid.jacobian)
-        resid = float(np.max(np.abs(self.S_h @ w - b @ vv)))
+        resid = float(np.max(np.abs(self.S_h @ w - self.B @ vv)))
         shape = (self.grid.n_s, self.grid.n_theta)
         return SlenderSolveResult(
             v=GridFunction(vv), w=GridFunction(w.reshape(shape)),
@@ -187,13 +179,13 @@ class SlenderBodySolver:
     def ntd(self, f):
         """f(s) -> (w, v): solve (Q W) v = f, then w = W v."""
         ff = self._s_data(f)
-        b, W = self._densities()
+        W = self._densities()
         if self._lu_dtn is None:  # LU of Lambda, guarded by COND_LIMIT
             self._lu_dtn, self._cond_dtn = _factor(self.dtn_matrix,
                                                    "DtN matrix of the NtD solve")
         v = lu_solve(self._lu_dtn, ff)
         w = W @ v
-        res1 = float(np.max(np.abs(self.S_h @ w - b @ v)))
+        res1 = float(np.max(np.abs(self.S_h @ w - self.B @ v)))
         q = theta_integral(self.grid, w, self.grid.jacobian)
         res2 = float(np.max(np.abs(q - ff)))
         shape = (self.grid.n_s, self.grid.n_theta)
@@ -218,10 +210,10 @@ class SlenderBodySolver:
     def neumann_series_ntd(self, f):
         """NtD by the straight-map iteration v <- Lbar[f] - Lbar P0 R_d[v].
 
-        R_d v = L^{-1} v - Lbar^{-1} v goes through dtn and the cached W, so
-        a sweep is matrix-vector products only.  Returns (v, history of
-        increments); raises SolveError once an increment grows, naming the
-        ratio of the last two, or after NEUMANN_MAX_ITER sweeps.
+        R_d v = L^{-1} v - Lbar^{-1} v comes from the cached DtN matrix, so
+        a sweep is one n_s x n_s product and two multipliers.  Returns (v,
+        history of increments); raises SolveError once an increment grows,
+        naming the ratio of the last two, or after NEUMANN_MAX_ITER sweeps.
         """
         ff = self._s_data(f)
         if abs(np.mean(ff)) > 1e-10 * (np.max(np.abs(ff)) or 1.0):
@@ -230,7 +222,7 @@ class SlenderBodySolver:
         base = v.copy()
         history = []
         for _ in range(NEUMANN_MAX_ITER):
-            rd = self.dtn(v).f.values - self.straight_dtn(v)
+            rd = self.dtn_matrix @ v - self.straight_dtn(v)
             rd = rd - np.mean(rd)
             v_new = base - self.straight_ntd(rd)
             inc = float(np.max(np.abs(v_new - v)))

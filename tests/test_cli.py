@@ -360,7 +360,7 @@ def test_bad_data_fails_before_assembly(cmd, flag, monkeypatch, capsys):
         raise AssertionError("assembled before the data were checked")
 
     for owner in (operators, solver):  # solver binds its own name
-        monkeypatch.setattr(owner, "assemble_pair", no_sweep)
+        monkeypatch.setattr(owner, "assemble_first_kind", no_sweep)
     assert main([cmd, "--ns", "64", "--ntheta", "8", flag, _NAN_64]) == 1
     err = capsys.readouterr().err
     assert err == "error: data holds non-finite values (NaN or inf)\n"

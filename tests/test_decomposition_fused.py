@@ -46,9 +46,13 @@ def test_fused_matches_piecewise(grid_name, request):
     for name, ref in _piecewise(grid).items():
         rel = np.max(np.abs(fused[name] - ref)) / np.max(np.abs(ref))
         assert rel <= 1e-13, (name, rel)
-    for got, one in zip(pair, (fused["S"], fused["D"])):
-        assert got.shape == (grid.n_nodes, grid.n_nodes)
-        assert np.array_equal(got, one)
+    # the decomposition's pair is (S_h, B), B = (1/2 I - D_h) E of the same D_h
+    e = np.kron(np.eye(grid.n_s), np.ones((grid.n_theta, 1)))
+    b_ref = 0.5 * e - fused["D"] @ e
+    assert pair[0].shape == (grid.n_nodes, grid.n_nodes)
+    assert np.array_equal(pair[0], fused["S"])
+    assert pair[1].shape == (grid.n_nodes, grid.n_s)
+    assert np.max(np.abs(pair[1] - b_ref)) <= 1e-14 * np.max(np.abs(b_ref))
 
 
 @pytest.mark.parametrize("grid_name", ["perturbed_grid_small", "trefoil_grid"])

@@ -17,10 +17,16 @@ and only the solver's results are GridFunctions.
 Dense factorizations go through solver._lu, which hands LAPACK a
 Fortran-order copy: only solver imports from scipy.linalg, and only _lu
 calls lu_factor.
+
+The slender-body solves never hold D_h: no src/ module reads a .D_h, and a
+solver that has run a DtN and an NtD map holds two N x N arrays, S_h and
+its LU.
 """
 
 import ast
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 # criterion 9's harness: the acceptance suite runs it, no CLI command does
@@ -151,3 +157,21 @@ def test_dense_systems_are_factored_only_through_solver_lu():
                     if called == "lu_factor"}
     assert not importers, f"scipy.linalg imported outside solver: {importers}"
     assert callers == {("solver.py", "_lu")}, callers
+
+
+def test_solves_hold_no_dense_double_layer(circle_grid_small):
+    from slenderlap.solver import SlenderBodySolver
+    readers = [f"{path.name}:{node.lineno}"
+               for path in sorted((ROOT / "src" / "slenderlap").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "D_h"]
+    assert not readers, f".D_h read in src/: {readers}"
+    g = circle_grid_small
+    solver = SlenderBodySolver(g, "split")
+    solver.ntd(solver.dtn(np.cos(2 * np.pi * g.s_nodes)).f)
+    assert not hasattr(solver, "D_h")
+    held = [a for x in vars(solver).values()
+            for a in (x if isinstance(x, tuple) else (x,))
+            if isinstance(a, np.ndarray) and a.shape == (g.n_nodes,) * 2]
+    assert len(held) == 2, [a.shape for a in held]
+    assert solver.B.shape == (g.n_nodes, g.n_s)

@@ -244,6 +244,48 @@ def test_Dprime_condition_finite(circle_grid_small):
     assert cond < 1e4
 
 
+# the first-kind system: D_h reduced to B inside the pair sweep -------------
+
+@pytest.fixture(scope="module")
+def trefoil_grid_128():
+    cl = geo.build_centerline({"preset": "trefoil"})
+    spec = geo.SurfaceSpec(centerline=cl, frame=geo.build_frame(cl, 128),
+                           epsilon=1.0 / 64.0)
+    return make_grid(spec, 128, 16)
+
+
+FIRST_KIND_GRIDS = ["circle_grid_small", "perturbed_grid_small", "trefoil_grid",
+                    "circle_grid", "perturbed_grid", "trefoil_grid_128"]
+
+
+@pytest.mark.parametrize("grid_name", FIRST_KIND_GRIDS)
+@pytest.mark.parametrize("backend", ["direct", "split"])
+def test_first_kind_B_is_the_reduced_dense_D(backend, grid_name, request):
+    """assemble_first_kind's (S_h, B) is assemble_pair's S_h and
+    (1/2 I - D_h) E, each theta-block of D_h's columns summed, bit for bit."""
+    grid = request.getfixturevalue(grid_name)
+    n_s, n_t = grid.n_s, grid.n_theta
+    s_h, d_h = op.assemble_pair(grid, backend)
+    b_ref = -d_h.reshape(-1, n_s, n_t).sum(axis=2)
+    diag = np.arange(n_s)
+    b_ref.reshape(n_s, n_t, n_s)[diag, :, diag] += 0.5
+    s_got, b_got = op.assemble_first_kind(grid, backend)
+    assert b_got.shape == (grid.n_nodes, n_s)
+    assert np.array_equal(s_got, s_h)
+    assert np.array_equal(b_got, b_ref)
+
+
+@pytest.mark.parametrize("grid_name", ["perturbed_grid_small", "trefoil_grid"])
+@pytest.mark.parametrize("backend", ["direct", "split"])
+def test_double_layer_alone_is_the_pair_D(backend, grid_name, request):
+    """assemble_D and D' sweep K_D alone, with the same bits as the pair's D_h."""
+    grid = request.getfixturevalue(grid_name)
+    d_h = op.assemble_pair(grid, backend)[1]
+    assert np.array_equal(op.assemble_D(grid, backend), d_h)
+    assert np.array_equal(op.assemble_Dprime(grid, backend),
+                          d_h + op.dense_centerline_correction(grid))
+
+
 def test_theta_integral_and_extensions(circle_grid_small, rng):
     g = circle_grid_small
     prof = rng.standard_normal(g.n_theta)

@@ -295,15 +295,17 @@ def oracle_grids(perturbed_grid_small, trefoil_grid):
 
 
 def _augmented_solve(solver, f):
-    """(w, v) from [[S, -(1/2 E - D E)], [Q, 0]] (w, v) = (0, f), built whole."""
+    """(w, v) from [[S, -(1/2 E - D E)], [Q, 0]] (w, v) = (0, f), built whole
+    from assemble_pair's S_h and D_h, not from the solver's B."""
     grid = solver.grid
+    s_h, d_h = op.assemble_pair(grid, solver.backend)
     n, n_s, n_t = grid.n_nodes, grid.n_s, grid.n_theta
     e = np.kron(np.eye(n_s), np.ones((n_t, 1)))
     q = (np.kron(np.eye(n_s), np.ones((1, n_t)))
          * grid.jacobian.reshape(-1) * (2.0 * math.pi / n_t))
     a = np.zeros((n + n_s, n + n_s))
-    a[:n, :n] = solver.S_h
-    a[:n, n:] = -(0.5 * e - solver.D_h @ e)
+    a[:n, :n] = s_h
+    a[:n, n:] = -(0.5 * e - d_h @ e)
     a[n:, :n] = q
     sol = np.linalg.solve(a, np.concatenate([np.zeros(n), f]))
     return sol[:n], sol[n:]
@@ -437,6 +439,38 @@ def test_neumann_series_converges_slowly_on_the_trefoil(eps, sweeps):
     assert _rel(v.values, v_ref) <= 1e-10
 
 
+def _neumann_series_by_dtn(solver, f):
+    """The series with each sweep's R_d v from a full dtn(v): the oracle of
+    neumann_series_ntd, which takes it from the cached DtN matrix."""
+    v = base = solver.straight_ntd(f)
+    history = []
+    for _ in range(sv.NEUMANN_MAX_ITER):
+        rd = solver.dtn(v).f.values - solver.straight_dtn(v)
+        v_new = base - solver.straight_ntd(rd - np.mean(rd))
+        history.append(float(np.max(np.abs(v_new - v))))
+        v = v_new
+        if history[-1] < sv.NEUMANN_TOL * max(1.0, float(np.max(np.abs(v)))):
+            return v, history
+    raise AssertionError("the dtn-route series did not converge")
+
+
+@pytest.mark.parametrize("preset,eps,n_s", [("perturbed_circle", 1.0 / 64.0, 128),
+                                            ("trefoil", 1.0 / 128.0, 64)])
+def test_neumann_series_matches_the_dtn_route(preset, eps, n_s):
+    """Same sweep count and v within 1e-14 as the series through dtn()."""
+    cl = geo.build_centerline({"preset": preset})
+    spec = geo.SurfaceSpec(centerline=cl, frame=geo.build_frame(cl, 128),
+                           epsilon=eps)
+    solver = _fresh_solver(make_grid(spec, n_s, 16 if n_s == 128 else 8))
+    s = solver.grid.s_nodes
+    f = np.cos(2 * np.pi * s) + 0.3 * np.sin(6 * np.pi * s)
+    v_ref, h_ref = _neumann_series_by_dtn(solver, f)
+    v, history = solver.neumann_series_ntd(f)
+    assert len(history) == len(h_ref)
+    assert _rel(v.values, v_ref) <= 1e-14
+    assert np.allclose(history, h_ref, rtol=1e-6, atol=1e-14)
+
+
 @pytest.mark.parametrize("backend", ["direct", "split"])
 def test_split_pair_takes_one_pair_sweep(backend, circle_grid_small,
                                          monkeypatch):
@@ -539,7 +573,7 @@ def test_lu_S_refuses_a_non_finite_first_kind_matrix(perturbed_grid_small):
     s_h = solver.S_h.copy()
     s_h[5, 7] = np.nan
     bad = sv.SlenderBodySolver(perturbed_grid_small, "split",
-                               operators=(s_h, solver.D_h))
+                               operators=(s_h, solver.B))
     with pytest.raises(ValueError, match="infs or NaNs"):
         bad.lu_S
 
