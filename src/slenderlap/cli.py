@@ -81,21 +81,25 @@ def _dry_run(plan):
     return 0
 
 
-# N x N arrays held at once (measured in tests/test_cli.py): S_h and its LU
-# in a solve (D_h enters as the N x n_s B); D' and its LU in the exterior solve
-SOLVE_DENSE, EXTERIOR_DENSE = 2, 2
+# N x N arrays held at once and what they are (measured in tests/test_cli.py):
+# S_h and its factor in a solve (D_h enters as the N x n_s B), D' and its LU
+# in the exterior solve
+SOLVE_DENSE = (2, "S_h and its factor")
+EXTERIOR_DENSE = (2, "D' and its LU")
 
 
-def _dry_run_report(args, n_s, n_theta, n_systems=1, dense=0):
+def _dry_run_report(args, n_s, n_theta, n_systems=1, dense=None):
     """Print the run's size on its n_s x n_theta grid, which must be valid;
-    dense is the most N x N arrays it holds at once, 0 when matrix-free."""
+    dense is (count, what) of the N x N arrays it holds at once, None when
+    matrix-free."""
     from .grid import check_grid_sizes
     check_grid_sizes(n_s, n_theta)
     n = n_s * n_theta
     if dense:
+        count, held = dense
         gb = n * n * 8 / 1e9
-        size = (f"{dense} dense N x N arrays at once, ~{dense * gb:.2f} GB "
-                f"(~{gb:.2f} GB per dense operator)")
+        size = (f"{count} dense N x N arrays at once ({held}), "
+                f"~{count * gb:.2f} GB (~{gb:.2f} GB per dense operator)")
     else:
         from .kernels import default_chunk_rows, sweep_cpus
         rows = default_chunk_rows(n)
@@ -233,6 +237,7 @@ def _solve_common(args, direction):
     out_csv = args.out or f"{direction}_result.csv"
     _write_csv(out_csv, ("s", label), rows)
     summary = {"residuals": res.residuals, "conditioning": res.conditioning,
+               "first_kind_factor": solver.first_kind_factor,
                "csv": str(out_csv)}
     print(f"wrote {out_csv}; cond(S) ~ {res.conditioning['cond_S']:.3e}")
     _emit_json(args, summary)
@@ -302,7 +307,8 @@ def cmd_decompose(args):
     for name, norm in rep["term_norms"].items():
         print(f"  {name}: C^(0,{args.alpha}) size {_fmt(norm)}")
     _emit_json(args, {"pass": ok, "relative_mismatch": rep["relative_mismatch"],
-                      "term_norms": rep["term_norms"]})
+                      "term_norms": rep["term_norms"],
+                      "first_kind_factor": rep["first_kind_factor"]})
     return 0 if ok else 2
 
 
@@ -316,7 +322,7 @@ def cmd_scaling(args):
         surface_specs(study.curve_config, study.epsilons)
         ns = max(study.grid_ns(e) for e in study.epsilons)
         return _dry_run_report(args, ns, study.n_theta, len(study.epsilons),
-                               dense=SOLVE_DENSE if study.solves else 0)
+                               dense=SOLVE_DENSE if study.solves else None)
     rep = run_scaling_study(study)
     outdir = Path(args.out or ".")
     _write_csv(outdir / f"{args.study}.csv", ("epsilon", "value", "norm"),

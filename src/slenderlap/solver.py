@@ -6,7 +6,7 @@ operators with the theta-independence constraint:
     (1/2 I - D_h) E v = S_h w          (Green identity on the surface)
     Q w = f,   (Q w)(s_i) = sum_j w(s_i, theta_j) J(s_i, theta_j) (2 pi/n_th)
 
-E extends s-circle values constant in theta.  One dense LU of S_h per
+E extends s-circle values constant in theta.  One dense factor of S_h per
 geometry gives the N x n_s density block W = S_h^-1 B, B = (1/2 I - D_h) E,
 and with it the n_s x n_s discrete DtN matrix Lambda = Q W:
 
@@ -15,16 +15,31 @@ and with it the n_s x n_s discrete DtN matrix Lambda = Q W:
 
 S_h and B of either backend come from one pair sweep that stores no D_h
 (operators.assemble_first_kind): a solve holds two N x N arrays, S_h and its
-LU.  The Green's identity harness applies S_h and D_h matrix-free in one
+factor.  The Green's identity harness applies S_h and D_h matrix-free in one
 sweep (operators.apply_pair), past DENSE_NODE_CAP.
 Each solve reports its residuals against S_h.  The 1-norm condition
-estimates of S_h (LAPACK gecon) and of Lambda are reported and hard-fail
-beyond COND_LIMIT, never silently ignored.
+estimates of S_h and of Lambda (LAPACK's dlacn2 estimator, driven by the
+factor's solves) are reported and hard-fail beyond COND_LIMIT, never
+silently ignored.
 
-Every dense system (S_h, Lambda, 1/2 I + D') is factored by _lu from a
-Fortran-order copy made in row blocks.  At 256x16 (2 vCPUs) a map's solve
-layer takes: assembly 0.37 s, copy 0.09 s, dgetrf 0.61 s, 1-norm and gecon
-0.16 s, W 0.12 s.
+The first-kind factor.  A = S_h diag(1/J) is symmetric to roundoff (4.5e-16
+relative on split, 9e-17 on direct), because S_h is a symmetric kernel
+matrix times the source Jacobian.  On split grids A is indefinite, but its
+negative eigenvalues lie in the space U of s-means: one direction per
+theta-node, constant in s.  On the perturbed circle at 128x16, eps 1/64,
+all 9 negative eigenvalues of A are those of the 16 x 16 block U^T A U to 3
+digits.  So a shift of rank n_theta, M = A + sigma U U^T with sigma =
+||A||_1, makes M positive definite, and dpotrf factors it in place; A^-1
+follows by Woodbury with an n_theta x n_theta capacitance matrix.  Where
+dpotrf still finds a non-positive minor (under-resolved grids, such as
+eps 1/16 on the circle or direct at eps 1/256), S_h is factored by _lu like
+every other dense system (Lambda, 1/2 I + D'), from a Fortran-order copy
+made in row blocks.
+
+At 256x16 (perturbed circle, split, 2 vCPUs, medians of 5) the solve layer
+takes: assembly 0.27 s; building M (with ||S_h||_1 and the shift) 0.15 s,
+dpotrf 0.41 s, W 0.21 s, estimate 0.09 s: 0.88 s in all, against 1.19 s
+for _lu, its W and gecon.
 
 The exterior Dirichlet problem is solved through the modified double layer:
 (1/2 I + D'_h) phi = v, then u(y) = D'[phi](y) off the surface.
@@ -34,14 +49,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve, get_lapack_funcs
 
 from .grid import SurfaceGrid, check_grid_sizes
 from .kernels import FOURPI
-from .operators import (apply_pair, assemble_Dprime, assemble_first_kind,
-                        theta_integral)
+from .operators import (_check_dense_cap, apply_pair, assemble_Dprime,
+                        assemble_first_kind, theta_integral)
 # not called here: perfbench/tracer.py wraps them where solver binds them
 from .operators import assemble_D, assemble_S  # noqa: F401
 from .spectral import FourierSymbol, GridFunction, apply_symbol
@@ -52,8 +68,9 @@ COND_LIMIT = 1e12
 # time (it takes a ratio-0.986 series from an increment of 1 to NEUMANN_TOL)
 NEUMANN_MAX_ITER = 2000
 NEUMANN_TOL = 1e-12
-# rows per slab of _lu's Fortran-order copy; at N = 4,096 (medians of 5)
-# 16 rows take 0.12 s, 64 rows 0.08-0.11 s, 128 rows 0.18-0.24 s
+# rows per slab of _lu's Fortran-order copy and of the shifted first-kind
+# matrix; at N = 4,096 (medians of 5) copies of 16 rows take 0.12 s, of 64
+# rows 0.08-0.11 s, of 128 rows 0.18-0.24 s
 LU_COPY_ROWS = 64
 
 
@@ -83,28 +100,138 @@ def _lu(mat):
     return lu_factor(a, overwrite_a=True)
 
 
-def _cond_estimate(mat, lu=None):
-    """1-norm condition estimate via LAPACK gecon (cheap after LU)."""
-    col = np.zeros(mat.shape[1])  # np.linalg.norm(mat, 1), row by row as it
-    for row in mat:               # adds up, but with no N x N |mat| array
-        col += np.abs(row)
-    if lu is None:
-        lu = _lu(mat)
-    gecon = get_lapack_funcs("gecon", (mat,))
-    rcond, _ = gecon(lu[0], col.max(), norm="1")
-    if rcond == 0.0:
-        return math.inf
-    return 1.0 / rcond
+def _s_sum(x, n_theta):
+    """U^T x for x with N rows: its theta-wise sums over s, over sqrt(n_s);
+    U (N x n_theta, orthonormal) spans the s-means."""
+    n_s = x.shape[0] // n_theta
+    # node s * n_theta + theta is (theta, s) in column-major order: a view
+    # of a Fortran-order x
+    return (x.reshape((n_theta, n_s) + x.shape[1:], order="F").sum(axis=1)
+            / math.sqrt(n_s))
 
 
-def _factor(mat, system, lu=None):
-    """(LU, cond estimate) of mat, or a SolveError naming system when the
-    estimate passes COND_LIMIT; lu, when given, is the LU of mat."""
-    lu = _lu(mat) if lu is None else lu
-    cond = _cond_estimate(mat, lu)
+class ShiftedCholesky(NamedTuple):
+    """Factor of S_h = A diag(J) through M = A + sigma U U^T.
+
+    A = S_h diag(1/J) is symmetric, but its negative eigenvalues lie in the
+    s-mean space U, so M is positive definite; m is dpotrf's factor of M in
+    place.  A^-1 = M^-1 + mu cap^-1 mu^T (Woodbury), with mu = M^-1 U and
+    the capacitance cap = I/sigma - U^T M^-1 U; anorm is ||S_h||_1.
+    """
+
+    m: np.ndarray      # upper factor, the Fortran-order view M.T
+    jac: np.ndarray    # J, flat
+    mu: np.ndarray
+    cap: np.ndarray
+    anorm: float
+
+    def solve(self, x, trans=0):
+        """S_h^-1 x = A^-1 x / J (trans 0) or S_h^-T x = A^-1 (x / J)
+        (trans 1), for an N-vector x.  Two dtrtrs take 12 ms at N = 4,096,
+        where dpotrs takes 24 ms for one column."""
+        trtrs = get_lapack_funcs("trtrs", (self.m,))
+        y, _ = trtrs(self.m, x / self.jac if trans else x, lower=False,
+                     trans=1)
+        y, _ = trtrs(self.m, y, lower=False, overwrite_b=True)
+        y += self.mu @ np.linalg.solve(self.cap, _s_sum(y, self.cap.shape[0]))
+        return y if trans else y / self.jac
+
+
+def _shifted_cholesky(s_h, jac, n_theta, b):
+    """(ShiftedCholesky of s_h, W = S_h^-1 b), or None when dpotrf finds M
+    not positive definite; M then goes as the function returns.
+
+    M is built LU_COPY_ROWS rows at a time into one new C-order N x N
+    array, whose Fortran view M.T dpotrf overwrites; no copy is made.
+    sigma = ||A||_1, from the same pass as ||S_h||_1, moves the s-mean
+    eigenvalues of A well above 0.  W comes from one dpotrs on [b | U].
+    """
+    n = s_h.shape[0]
+    n_s = n // n_theta
+    inv_j = 1.0 / jac
+    m = np.empty(s_h.shape)
+    col = np.zeros(n)
+    for i in range(0, n, LU_COPY_ROWS):
+        rows = m[i:i + LU_COPY_ROWS]
+        col += np.abs(s_h[i:i + LU_COPY_ROWS], out=rows).sum(axis=0)
+        np.multiply(s_h[i:i + LU_COPY_ROWS], inv_j, out=rows)
+    if not np.isfinite(col).all():
+        raise ValueError("array must not contain infs or NaNs")
+    sigma = float((col * inv_j).max())
+    m4 = m.reshape(n_s, n_theta, n_s, n_theta)
+    for t in range(n_theta):  # + sigma U U^T: sigma/n_s on equal theta
+        m4[:, t, :, t] += sigma / n_s
+    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (m,))
+    c, info = potrf(m.T, lower=False, clean=False, overwrite_a=True)
+    if info:
+        return None
+    rhs = np.empty((n, n_s + n_theta), order="F")  # [b | U]
+    rhs[:, :n_s] = b
+    rhs[:, n_s:] = np.tile(np.eye(n_theta) / math.sqrt(n_s), (n_s, 1))
+    sol, _ = potrs(c, rhs, lower=False, overwrite_b=True)
+    w, mu = sol[:, :n_s], sol[:, n_s:]
+    cap = np.eye(n_theta) / sigma - _s_sum(mu, n_theta)
+    z = np.linalg.solve(cap, _s_sum(w, n_theta))
+    for j in range(0, n_s, n_theta):  # A^-1 b, then / J, in place
+        cols = w[:, j:j + n_theta]  # by blocks of mu's size
+        cols += mu @ z[:, j:j + n_theta]
+        cols *= inv_j[:, None]
+    return ShiftedCholesky(c, jac, mu, cap, float(col.max())), w
+
+
+def _inverse_one_norm(solve, n):
+    """Estimate of ||X^-1||_1 from solve(x, trans) = X^-1 x (trans 0) or
+    X^-T x (trans 1): LAPACK dlacn2 (Higham, ACM TOMS 14, 1988), the
+    estimator inside gecon and pocon, at most 11 solves."""
+    x = solve(np.full(n, 1.0 / n), 0)
+    if n == 1:
+        return abs(x[0])
+    est = np.abs(x).sum()
+    sgn = np.where(x >= 0.0, 1.0, -1.0)
+    j = np.argmax(np.abs(solve(sgn, 1)))
+    for _ in range(4):  # iterations 2..ITMAX = 5
+        x = solve(np.eye(1, n, j)[0], 0)
+        est_old, est = est, np.abs(x).sum()
+        new = np.where(x >= 0.0, 1.0, -1.0)
+        if np.array_equal(new, sgn) or est <= est_old:
+            break
+        sgn = new
+        x = solve(sgn, 1)
+        j_last, j = j, np.argmax(np.abs(x))
+        if x[j_last] == abs(x[j]):
+            break
+    alt = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    return max(est, 2.0 * np.abs(solve(alt, 0)).sum() / (3 * n))
+
+
+def _cond_estimate(mat, factor=None):
+    """1-norm condition estimate ||mat||_1 ||mat^-1||_1 through the solves
+    of factor (a ShiftedCholesky, or an LU of mat, made when not given);
+    math.inf when it is not finite."""
+    if isinstance(factor, ShiftedCholesky):
+        anorm, solve = factor.anorm, factor.solve
+    else:
+        factor = _lu(mat) if factor is None else factor
+        col = np.zeros(mat.shape[1])  # np.linalg.norm(mat, 1), row by row
+        for row in mat:               # as it adds up, with no |mat| array
+            col += np.abs(row)
+        anorm = col.max()
+
+        def solve(x, trans):
+            return lu_solve(factor, x, trans=trans)
+
+    cond = float(anorm * _inverse_one_norm(solve, mat.shape[0]))
+    return cond if math.isfinite(cond) else math.inf
+
+
+def _factor(mat, system, factor=None):
+    """(factor, cond estimate) of mat, an LU unless factor is given, or a
+    SolveError naming system when the estimate passes COND_LIMIT."""
+    factor = _lu(mat) if factor is None else factor
+    cond = _cond_estimate(mat, factor)
     if cond > COND_LIMIT:
         raise SolveError(f"{system} too ill-conditioned: cond ~ {cond:.3e}")
-    return lu, cond
+    return factor, cond
 
 
 class SlenderBodySolver:
@@ -116,8 +243,17 @@ class SlenderBodySolver:
     def __init__(self, grid: SurfaceGrid, backend="direct", operators=None):
         self.grid = grid
         self.backend = backend
-        self.S_h, self.B = (operators if operators is not None
-                            else assemble_first_kind(grid, backend))
+        if operators is None:
+            operators = assemble_first_kind(grid, backend)
+        else:
+            _check_dense_cap(grid)
+            n, n_s = grid.n_nodes, grid.n_s
+            shapes = tuple(np.shape(x) for x in operators)
+            if shapes != ((n, n), (n, n_s)):
+                raise ValueError(
+                    f"operators must be (S_h, B) of shapes (N, N) = ({n}, {n}) "
+                    f"and (N, n_s) = ({n}, {n_s}), got {shapes}")
+        self.S_h, self.B = operators
         self._lu_S = None
         self._cond_S = None
         self._W = None
@@ -125,9 +261,22 @@ class SlenderBodySolver:
 
     @property
     def lu_S(self):
+        """The factor of S_h: a ShiftedCholesky (which also gives W), or the
+        LU of S_h when M is not positive definite."""
         if self._lu_S is None:
-            self._lu_S = _lu(self.S_h)
+            g = self.grid
+            chol = _shifted_cholesky(self.S_h, g.flat_jacobian(), g.n_theta,
+                                     self.B)
+            if chol is None:
+                self._lu_S = _lu(self.S_h)
+            else:
+                self._lu_S, self._W = chol
         return self._lu_S
+
+    @property
+    def first_kind_factor(self):
+        """"cholesky" or "lu": how lu_S factors S_h."""
+        return "cholesky" if isinstance(self.lu_S, ShiftedCholesky) else "lu"
 
     @property
     def cond_S(self):
@@ -140,9 +289,9 @@ class SlenderBodySolver:
         return self._cond_S
 
     def _densities(self):
-        """W = S_h^-1 B, N x n_s."""
-        if self._W is None:
-            self.cond_S  # the guard: a SolveError beyond COND_LIMIT
+        """W = S_h^-1 B, N x n_s, once S_h passes the guard."""
+        self.cond_S  # the guard: a SolveError beyond COND_LIMIT
+        if self._W is None:  # the LU route (the Cholesky one sets it)
             self._W = lu_solve(self.lu_S, self.B)
         return self._W
 

@@ -118,6 +118,22 @@ def test_ntd_json_reports_cond_dtn(tmp_path, capsys):
     assert all(1.0 <= c < 1e12 for c in cond.values())
 
 
+@pytest.mark.parametrize("cmd,extra,eps,factor", [
+    ("dtn", ["--dirichlet", "cos:1"], "0.015625", "cholesky"),
+    ("ntd", ["--neumann", "cos:1"], "0.015625", "cholesky"),
+    ("decompose", [], "0.015625", "cholesky"),
+    ("dtn", ["--dirichlet", "cos:1"], "0.0625", "lu"),
+])
+def test_json_reports_the_first_kind_factor(cmd, extra, eps, factor, tmp_path,
+                                            capsys, monkeypatch):
+    """A top-level key; at eps 1/16 the circle's shifted A is indefinite."""
+    monkeypatch.chdir(tmp_path)
+    assert main([cmd, "--curve", "circle", "--epsilon", eps, "--ns", "64",
+                 "--ntheta", "8", "--json"] + extra) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):])["first_kind_factor"] == factor
+
+
 def test_scaling_study(tmp_path, capsys):
     rc = main(["scaling", "--study", "RS2-sup", "--eps", "1/16,1/64",
                "--out", str(tmp_path)])

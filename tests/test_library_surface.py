@@ -14,13 +14,14 @@ import carries "# noqa: F401".
 Arrays in, arrays out: src/ never branches on isinstance(..., GridFunction),
 and only the solver's results are GridFunctions.
 
-Dense factorizations go through solver._lu, which hands LAPACK a
-Fortran-order copy: only solver imports from scipy.linalg, and only _lu
-calls lu_factor.
+Dense factorizations live in solver: only solver imports from
+scipy.linalg or names a LAPACK routine it looks up (get_lapack_funcs,
+potrf, potrs, trtrs), and only _lu, which hands LAPACK a Fortran-order
+copy, calls lu_factor.
 
 The slender-body solves never hold D_h: no src/ module reads a .D_h, and a
 solver that has run a DtN and an NtD map holds two N x N arrays, S_h and
-its LU.
+its factor.
 """
 
 import ast
@@ -147,15 +148,19 @@ def _scipy_linalg_imports(tree):
 
 
 def test_dense_systems_are_factored_only_through_solver_lu():
-    importers, callers = [], set()
+    importers, callers, lapack = [], set(), []
     for path in sorted((ROOT / "src" / "slenderlap").glob("*.py")):
         tree = ast.parse(path.read_text())
         if path.name != "solver.py":
             importers += [f"{path.name}:{line}"
                           for line in _scipy_linalg_imports(tree)]
+            lapack += [f"{path.name}:{name}" for name in sorted(
+                set(_names(tree)) & {"get_lapack_funcs", "potrf", "potrs",
+                                     "trtrs"})]
         callers |= {(path.name, func) for func, called, _ in _calls(tree)
                     if called == "lu_factor"}
     assert not importers, f"scipy.linalg imported outside solver: {importers}"
+    assert not lapack, f"LAPACK routines named outside solver: {lapack}"
     assert callers == {("solver.py", "_lu")}, callers
 
 
@@ -173,5 +178,5 @@ def test_solves_hold_no_dense_double_layer(circle_grid_small):
     held = [a for x in vars(solver).values()
             for a in (x if isinstance(x, tuple) else (x,))
             if isinstance(a, np.ndarray) and a.shape == (g.n_nodes,) * 2]
-    assert len(held) == 2, [a.shape for a in held]
+    assert len(held) == 2, [a.shape for a in held]  # S_h and its factor
     assert solver.B.shape == (g.n_nodes, g.n_s)

@@ -6,16 +6,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from slenderlap import analysis as an
+from slenderlap import cli
 from slenderlap import geometry as geo
 from slenderlap import grid as gr
+from slenderlap import kernels
 from slenderlap import operators as op
 from slenderlap import solver as sv
 from slenderlap import spectral
 from slenderlap.kernels import PairGeometry
 from slenderlap.grid import make_grid
+from slenderlap.operators import theta_integral
 from slenderlap.spectral import FourierSymbol, GridFunction
 
 
@@ -493,39 +496,33 @@ def test_split_pair_takes_one_pair_sweep(backend, circle_grid_small,
     assert sum(rows) == n
 
 
-def test_cond_estimate_one_norm_is_exact_and_small(circle_solver, monkeypatch):
-    """gecon gets np.linalg.norm(S_h, 1) bit for bit, the estimate is 1/rcond
-    of that same call, and the estimate on an existing LU allocates far less
-    than one N x N array."""
-    mat, lu = circle_solver.S_h, circle_solver.lu_S
-    gecon = sv.get_lapack_funcs("gecon", (mat,))
-    norms, rconds = [], []
+def _gecon_cond(mat):
+    """1/rcond of LAPACK gecon on _lu(mat): the oracle of _cond_estimate."""
+    gecon = get_lapack_funcs("gecon", (mat,))
+    rcond, _ = gecon(sv._lu(mat)[0], np.linalg.norm(mat, 1), norm="1")
+    return 1.0 / rcond
 
-    def spy(name, arrays):
-        assert name == "gecon"
 
-        def call(a, anorm, **kwargs):
-            norms.append(anorm)
-            rcond, info = gecon(a, anorm, **kwargs)
-            rconds.append(rcond)
-            return rcond, info
-
-        return call
-
-    monkeypatch.setattr(sv, "get_lapack_funcs", spy)
-    cond = sv._cond_estimate(mat, lu)
-    assert norms == [np.linalg.norm(mat, 1)]
-    # two gecon calls on one LU and one anorm can differ in the last bits
-    # (the result depends on heap alignment), so compare with this call's
-    assert cond == 1.0 / rconds[0]
+def test_cond_estimate_one_norm_is_exact_and_small(circle_solver):
+    """On an LU of S_h and on its first-kind factor, the estimate agrees with
+    gecon's on _lu(S_h), with ||S_h||_1 exact to roundoff, and on an
+    existing factor it allocates far less than one N x N array."""
+    mat = circle_solver.S_h
+    ref = _gecon_cond(mat)
+    factors = {"lu": sv._lu(mat), "cholesky": circle_solver.lu_S}
+    assert circle_solver.first_kind_factor == "cholesky"
+    norm = np.linalg.norm(mat, 1)
+    assert abs(factors["cholesky"].anorm / norm - 1.0) <= 1e-14
     n = mat.shape[0]
-    tracemalloc.start()
-    try:
-        sv._cond_estimate(mat, lu)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n * n * 8 / 8, peak
+    for name, factor in factors.items():
+        assert abs(sv._cond_estimate(mat, factor) / ref - 1.0) <= 1e-10, name
+        tracemalloc.start()
+        try:
+            sv._cond_estimate(mat, factor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 8, (name, peak)
 
 
 # the factorization: a Fortran-order copy, the LU of lu_factor bit for bit ----
@@ -552,21 +549,42 @@ def test_lu_is_lu_factor_bit_for_bit(perturbed_grid_small):
 
 def test_every_factorization_hands_lapack_its_own_fortran_copy(
         perturbed_grid_small, monkeypatch):
-    """lu_S, _factor and _cond_estimate all factor through _lu: lu_factor
-    sees an F-contiguous float64 array it may overwrite, so f2py copies
-    nothing."""
-    seen = []
+    """lu_S hands dpotrf the Fortran view M.T of its own M to overwrite, and
+    _factor and _cond_estimate factor through _lu: lu_factor sees an
+    F-contiguous float64 array it may overwrite.  So f2py copies nothing."""
+    seen, potrf_args = [], []
 
     def spy(a, **kwargs):
         seen.append((a.flags.f_contiguous, a.dtype, kwargs))
         return lu_factor(a, **kwargs)
 
+    lapack = sv.get_lapack_funcs
+
+    def lapack_spy(names, arrays):
+        funcs = lapack(names, arrays)
+        if names != ("potrf", "potrs"):
+            return funcs
+
+        def potrf(a, **kwargs):
+            potrf_args.append((a, kwargs))
+            return funcs[0](a, **kwargs)
+
+        return potrf, funcs[1]
+
     monkeypatch.setattr(sv, "lu_factor", spy)
+    monkeypatch.setattr(sv, "get_lapack_funcs", lapack_spy)
     solver = _fresh_solver(perturbed_grid_small)
-    solver.lu_S
+    factor = solver.lu_S
+    [(a, kwargs)] = potrf_args
+    n = perturbed_grid_small.n_nodes
+    assert a.flags.f_contiguous and a.dtype == np.float64
+    assert a.base is not None and a.base.shape == (n, n) \
+        and a.base.flags.c_contiguous and np.shares_memory(a, factor.m)
+    assert kwargs["overwrite_a"] and factor.m.ctypes.data == a.ctypes.data
+    assert seen == []
     sv._factor(solver.dtn_matrix, "DtN matrix")
     sv._cond_estimate(solver.S_h)
-    assert seen == [(True, np.float64, {"overwrite_a": True})] * 3
+    assert seen == [(True, np.float64, {"overwrite_a": True})] * 2
 
 
 def test_lu_S_refuses_a_non_finite_first_kind_matrix(perturbed_grid_small):
@@ -577,6 +595,126 @@ def test_lu_S_refuses_a_non_finite_first_kind_matrix(perturbed_grid_small):
                                operators=(s_h, solver.B))
     with pytest.raises(ValueError, match="infs or NaNs"):
         bad.lu_S
+
+
+# the first-kind factor: Cholesky after the s-mean shift, LU as fallback ----
+
+def _first_kind_grid(preset, eps, n_s, n_theta):
+    cl = geo.build_centerline({"preset": preset})
+    spec = geo.SurfaceSpec(centerline=cl, frame=geo.build_frame(cl, 128),
+                           epsilon=eps)
+    return make_grid(spec, n_s, n_theta)
+
+
+def _lu_route(solver, v, f):
+    """W, Lambda, dtn(v).f, ntd(f).v and the two first-kind residuals by
+    _lu and lu_solve alone: the solver's route before the Cholesky one."""
+    g = solver.grid
+    w = lu_solve(sv._lu(solver.S_h), solver.B)
+    lam = theta_integral(g, w, g.jacobian)
+    v_f = lu_solve(sv._lu(lam), f)
+    resid = [float(np.max(np.abs(solver.S_h @ (w @ x) - solver.B @ x)))
+             for x in (v, v_f)]
+    return w, lam, theta_integral(g, w @ v, g.jacobian), v_f, resid
+
+
+def _solver_route(solver):
+    """(W, Lambda, dtn(v).f, ntd(f).v, the residuals) of the solver, v, f)."""
+    s = solver.grid.s_nodes
+    v = np.cos(2 * np.pi * s) + 0.3 * np.sin(6 * np.pi * s)
+    f = np.cos(2 * np.pi * s) + 0.2
+    res, back = solver.dtn(v), solver.ntd(f)
+    return (solver._densities(), solver.dtn_matrix, res.f.values, back.v.values,
+            [res.residuals["first_kind_inf"],
+             back.residuals["first_kind_inf"]]), v, f
+
+
+@pytest.mark.parametrize("n_s,n_theta", [(64, 8), (128, 16)])
+@pytest.mark.parametrize("backend", ["direct", "split"])
+@pytest.mark.parametrize("preset", ["circle", "perturbed_circle", "trefoil"])
+def test_cholesky_route_matches_the_lu_route(preset, backend, n_s, n_theta):
+    """At eps 1/64 the shifted A factors by dpotrf: W, Lambda, dtn().f and
+    ntd().v within 1e-12 of the LU route, the first-kind residual at most
+    twice its, and cond_S within 1e-10 of gecon's.  perturbed_circle-split
+    at 128x16 is the Neumann-series bench's geometry (rhs-128)."""
+    solver = sv.SlenderBodySolver(
+        _first_kind_grid(preset, 1.0 / 64.0, n_s, n_theta), backend)
+    assert solver.first_kind_factor == "cholesky"
+    got, v, f = _solver_route(solver)
+    ref = _lu_route(solver, v, f)
+    for name, a, b in zip(("W", "Lambda", "dtn f", "ntd v"), got, ref):
+        assert _rel(a, b) <= 1e-12, name
+    # the residual of the whole solve S_h W = B: the per-call residuals
+    # first_kind_inf are 1-4 ulps of B v on both routes, too few to compare
+    r_chol, r_lu = (np.max(np.abs(solver.S_h @ w - solver.B))
+                    for w in (got[0], ref[0]))
+    assert r_chol <= 2.0 * r_lu, (r_chol, r_lu)
+    assert abs(solver.cond_S / _gecon_cond(solver.S_h) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("preset,eps,backend",
+                         [("circle", 1.0 / 16.0, "split"),
+                          ("perturbed_circle", 1.0 / 256.0, "direct")])
+def test_indefinite_shift_falls_back_to_the_lu(preset, eps, backend,
+                                               monkeypatch):
+    """dpotrf stops at minor 31 (circle, eps 1/16, split) or 2 (perturbed
+    circle, eps 1/256, direct): the solver then factors S_h by _lu, gives
+    the LU route's outputs bit for bit, and holds S_h and its LU."""
+    grid = _first_kind_grid(preset, eps, 64, 8)
+    lapack = sv.get_lapack_funcs
+    infos = []
+
+    def lapack_spy(names, arrays):
+        funcs = lapack(names, arrays)
+        if names != ("potrf", "potrs"):
+            return funcs
+
+        def potrf(a, **kwargs):
+            c, info = funcs[0](a, **kwargs)
+            infos.append(info)
+            return c, info
+
+        return potrf, funcs[1]
+
+    monkeypatch.setattr(sv, "get_lapack_funcs", lapack_spy)
+    monkeypatch.setattr(kernels, "CHUNK_PAIRS", 1 << 11)  # as the CLI test
+    tracemalloc.start()
+    try:
+        solver = sv.SlenderBodySolver(grid, backend)
+        got, v, f = _solver_route(solver)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert infos == [31 if preset == "circle" else 2]
+    assert solver.first_kind_factor == "lu"
+    assert isinstance(solver.lu_S, tuple) and len(solver.lu_S) == 2
+    for name, a, b in zip(("W", "Lambda", "dtn f", "ntd v", "residuals"),
+                          got, _lu_route(solver, v, f)):
+        assert np.array_equal(a, b), name
+    dense, _ = cli.SOLVE_DENSE
+    assert dense <= peak / (grid.n_nodes ** 2 * 8) < dense + 0.5
+
+
+def test_operators_must_fit_the_grid(perturbed_grid_small, circle_grid,
+                                     circle_spec64, monkeypatch):
+    """An (S_h, B) pair of another grid, or on a grid past DENSE_NODE_CAP,
+    is refused before any factorization."""
+    monkeypatch.setattr(sv, "_lu", None)
+    monkeypatch.setattr(sv, "_shifted_cholesky", None)
+    s_h, b = op.assemble_first_kind(perturbed_grid_small, "split")
+    for grid, pair in ((circle_grid, (s_h, b)),
+                       (perturbed_grid_small, (s_h, b.T)),
+                       (perturbed_grid_small, (s_h[:, :-1], b))):
+        n, n_s = grid.n_nodes, grid.n_s
+        with pytest.raises(ValueError, match=rf"\(N, N\) = \({n}, {n}\) and "
+                                             rf"\(N, n_s\) = \({n}, {n_s}\)"):
+            sv.SlenderBodySolver(grid, "split", operators=pair)
+    big = make_grid(circle_spec64, 512, 16)
+    n = big.n_nodes
+    assert n > op.DENSE_NODE_CAP
+    pair = (np.broadcast_to(0.0, (n, n)), np.broadcast_to(0.0, (n, big.n_s)))
+    with pytest.raises(op.AssemblyError, match="capped at 4096 nodes"):
+        sv.SlenderBodySolver(big, "split", operators=pair)
 
 
 # structure of the discrete DtN matrix on any curve ---------------------------
