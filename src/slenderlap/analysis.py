@@ -16,8 +16,9 @@ leave of the solved operators, R_S = S_h - m_S and R_D = D_h - m_D with m_S
 and m_D applied by FFT (D_h E v is v/2 - B v, B = (1/2 I - D_h) E the
 solver's), and S[mean_s w] is S_h applied to the s-mean of w.
 The terms above then rearrange exactly the matrices of the solve, so the two
-routes to f(s) agree to factorization roundoff.  Sbar^{-1} is applied after removing the k = 0
-mode; the zero-mode budget is carried exactly by the last two terms.
+routes to f(s) agree to factorization roundoff.  Sbar^{-1} is applied after
+removing the k = 0 mode; the zero-mode budget is carried exactly by the last
+two terms.
 
 Each scaling study is one STUDIES entry: a measurement of a grid plus its
 slope target, margin and default curve.  run_scaling_study measures it on

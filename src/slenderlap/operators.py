@@ -503,8 +503,9 @@ def mean_in_s_split(grid, h_profile):
     Returns (H_eps, H_plus) as (n_s,) arrays (arrays out, as everywhere
     but the solver's results): the high-pass part plus the curvature term,
     and the low-pass part.  The sharp Fourier cutoff at 1/(2 pi eps) stands
-    in for the dyadic projection at the same frequency.  The k = 0 mode carries no information here (Sbar^{-1} is
-    undefined there) and is projected out.
+    in for the dyadic projection at the same frequency.  The k = 0 mode
+    carries no information here (Sbar^{-1} is undefined there) and is
+    projected out.
     """
     ext = np.tile(np.asarray(h_profile, float), (grid.n_s, 1))  # constant in s
     # G at weight eps on ext, and R_S3 on ext as G on -eps khat ext: one sweep

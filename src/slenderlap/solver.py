@@ -6,9 +6,10 @@ operators with the theta-independence constraint:
     (1/2 I - D_h) E v = S_h w          (Green identity on the surface)
     Q w = f,   (Q w)(s_i) = sum_j w(s_i, theta_j) J(s_i, theta_j) (2 pi/n_th)
 
-E extends s-circle values constant in theta.  One dense factor of S_h per
-geometry gives the N x n_s density block W = S_h^-1 B, B = (1/2 I - D_h) E,
-and with it the n_s x n_s discrete DtN matrix Lambda = Q W:
+E extends s-circle values constant in theta.  One dense factor lu_S of S_h
+per geometry gives the N x n_s density block W = lu_S.solve(B) = S_h^-1 B,
+B = (1/2 I - D_h) E, and with it the n_s x n_s discrete DtN matrix
+Lambda = Q W:
 
     DtN (v given):  w = W v,  f = Q w
     NtD (f given):  Lambda v = f (LU of Lambda),  w = W v
@@ -17,10 +18,12 @@ S_h and B of either backend come from one pair sweep that stores no D_h
 (operators.assemble_first_kind): a solve holds two N x N arrays, S_h and its
 factor.  The Green's identity harness applies S_h and D_h matrix-free in one
 sweep (operators.apply_pair), past DENSE_NODE_CAP.
-Each solve reports its residuals against S_h.  The 1-norm condition
-estimates of S_h and of Lambda (LAPACK's dlacn2 estimator, driven by the
-factor's solves) are reported and hard-fail beyond COND_LIMIT, never
-silently ignored.
+Each solve reports its residuals against S_h.  Every dense factor (a
+ShiftedCholesky of S_h, or an LU of S_h, Lambda or 1/2 I + D') has
+solve(x, trans) for vectors and N x k blocks, and anorm = ||mat||_1: so W,
+every solve and the condition estimate anorm ||mat^-1||_1 (LAPACK's dlacn2,
+driven by factor.solve) take one route each.  The estimates of S_h and of
+Lambda are reported and hard-fail beyond COND_LIMIT, never silently ignored.
 
 The first-kind factor.  A = S_h diag(1/J) is symmetric to roundoff (4.5e-16
 relative on split, 9e-17 on direct), because S_h is a symmetric kernel
@@ -33,13 +36,11 @@ digits.  So a shift of rank n_theta, M = A + sigma U U^T with sigma =
 follows by Woodbury with an n_theta x n_theta capacitance matrix.  Where
 dpotrf still finds a non-positive minor (under-resolved grids, such as
 eps 1/16 on the circle or direct at eps 1/256), S_h is factored by _lu like
-every other dense system (Lambda, 1/2 I + D'), from a Fortran-order copy
-made in row blocks.
+every other dense system.
 
 At 256x16 (perturbed circle, split, 2 vCPUs, medians of 5) the solve layer
-takes: assembly 0.27 s; building M (with ||S_h||_1 and the shift) 0.15 s,
-dpotrf 0.41 s, W 0.21 s, estimate 0.09 s: 0.88 s in all, against 1.19 s
-for _lu, its W and gecon.
+takes: assembly 0.27 s; M, dpotrf and mu 0.62 s, estimate 0.11 s, W 0.17 s:
+0.90 s in all, against 1.19 s for _lu, its W and gecon.
 
 The exterior Dirichlet problem is solved through the modified double layer:
 (1/2 I + D'_h) phi = v, then u(y) = D'[phi](y) off the surface.
@@ -52,9 +53,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg.blas import dgemm
 
-from .grid import SurfaceGrid, check_grid_sizes
+from .grid import SurfaceGrid, check_grid_sizes, make_grid
 from .kernels import FOURPI
 from .operators import (_check_dense_cap, apply_pair, assemble_Dprime,
                         assemble_first_kind, theta_integral)
@@ -68,14 +70,26 @@ COND_LIMIT = 1e12
 # time (it takes a ratio-0.986 series from an increment of 1 to NEUMANN_TOL)
 NEUMANN_MAX_ITER = 2000
 NEUMANN_TOL = 1e-12
-# rows per slab of _lu's Fortran-order copy and of the shifted first-kind
-# matrix; at N = 4,096 (medians of 5) copies of 16 rows take 0.12 s, of 64
-# rows 0.08-0.11 s, of 128 rows 0.18-0.24 s
+# rows per slab of the copy each factor makes of its matrix (_lu's Fortran
+# order, or M), which also sums |mat| for anorm; at N = 4,096 (medians of
+# 5) copies of 16 rows take 0.12 s, of 64 0.08-0.11 s, of 128 0.18-0.24 s
 LU_COPY_ROWS = 64
 
 
 class SolveError(RuntimeError):
     pass
+
+
+def _finite(x, name, shapes):
+    """x as a finite float array of a shape in shapes (label -> shape), else
+    a ValueError naming name."""
+    x = np.asarray(x, float)
+    if x.shape not in shapes.values():
+        want = " or ".join(f"{k} = {v}" for k, v in shapes.items())
+        raise ValueError(f"{name} shape {x.shape} != {want}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} holds non-finite values (NaN or inf)")
+    return x
 
 
 @dataclass
@@ -90,14 +104,30 @@ class SlenderSolveResult:
     conditioning: dict
 
 
+class LU(NamedTuple):
+    """lu_factor's (lu, piv) of a matrix, and anorm = its 1-norm."""
+
+    lu: np.ndarray
+    piv: np.ndarray
+    anorm: float
+
+    def solve(self, x, trans=0):
+        """mat^-1 x (trans 0) or mat^-T x (trans 1), x a vector or block."""
+        return lu_solve((self.lu, self.piv), x, trans=trans)
+
+
 def _lu(mat):
-    """lu_factor(mat), bit for bit, from a Fortran-order copy of mat made
-    LU_COPY_ROWS rows at a time for dgetrf (column-major) to overwrite; f2py
-    makes the same copy by a strided transpose, 0.38 s at N = 4,096."""
+    """LU of mat, lu_factor(mat) bit for bit, from a Fortran-order copy made
+    LU_COPY_ROWS rows at a time (each slab holds |mat| first, for ||mat||_1)
+    for dgetrf to overwrite; f2py copies by a strided transpose, 0.38 s at
+    N = 4,096."""
     a = np.empty(mat.shape, order="F")
+    col = np.zeros(mat.shape[1])
     for i in range(0, mat.shape[0], LU_COPY_ROWS):
-        a[i:i + LU_COPY_ROWS] = mat[i:i + LU_COPY_ROWS]
-    return lu_factor(a, overwrite_a=True)
+        rows = a[i:i + LU_COPY_ROWS]
+        col += np.abs(mat[i:i + LU_COPY_ROWS], out=rows).sum(axis=0)
+        rows[...] = mat[i:i + LU_COPY_ROWS]
+    return LU(*lu_factor(a, overwrite_a=True), float(col.max()))
 
 
 def _s_sum(x, n_theta):
@@ -116,7 +146,8 @@ class ShiftedCholesky(NamedTuple):
     A = S_h diag(1/J) is symmetric, but its negative eigenvalues lie in the
     s-mean space U, so M is positive definite; m is dpotrf's factor of M in
     place.  A^-1 = M^-1 + mu cap^-1 mu^T (Woodbury), with mu = M^-1 U and
-    the capacitance cap = I/sigma - U^T M^-1 U; anorm is ||S_h||_1.
+    the capacitance cap = I/sigma - U^T M^-1 U.  Like LU it has solve (for
+    vectors and blocks) and anorm = ||S_h||_1, all a caller of a factor uses.
     """
 
     m: np.ndarray      # upper factor, the Fortran-order view M.T
@@ -127,24 +158,28 @@ class ShiftedCholesky(NamedTuple):
 
     def solve(self, x, trans=0):
         """S_h^-1 x = A^-1 x / J (trans 0) or S_h^-T x = A^-1 (x / J)
-        (trans 1), for an N-vector x.  Two dtrtrs take 12 ms at N = 4,096,
-        where dpotrs takes 24 ms for one column."""
+        (trans 1), for x an N-vector or an N x k block.  Two dtrtrs take
+        12 ms for one column at N = 4,096, where dpotrs takes 24 ms."""
+        x2, jac = x.reshape(len(x), -1), self.jac[:, None]  # N x 1 if 1-D
         trtrs = get_lapack_funcs("trtrs", (self.m,))
-        y, _ = trtrs(self.m, x / self.jac if trans else x, lower=False,
-                     trans=1)
+        y, _ = trtrs(self.m, x2 / jac if trans else x2, lower=False, trans=1)
         y, _ = trtrs(self.m, y, lower=False, overwrite_b=True)
-        y += self.mu @ np.linalg.solve(self.cap, _s_sum(y, self.cap.shape[0]))
-        return y if trans else y / self.jac
+        z = np.linalg.solve(self.cap, _s_sum(y, self.cap.shape[0]))
+        # y += mu z by gemm into the Fortran-order y: no N x k temporary
+        y = dgemm(1.0, self.mu, z, beta=1.0, c=y, overwrite_c=True)
+        if not trans:
+            y /= jac
+        return y.reshape(x.shape)
 
 
-def _shifted_cholesky(s_h, jac, n_theta, b):
-    """(ShiftedCholesky of s_h, W = S_h^-1 b), or None when dpotrf finds M
-    not positive definite; M then goes as the function returns.
+def _shifted_cholesky(s_h, jac, n_theta):
+    """ShiftedCholesky of s_h, or None when dpotrf finds M not positive
+    definite; M then goes as the function returns.
 
     M is built LU_COPY_ROWS rows at a time into one new C-order N x N
     array, whose Fortran view M.T dpotrf overwrites; no copy is made.
     sigma = ||A||_1, from the same pass as ||S_h||_1, moves the s-mean
-    eigenvalues of A well above 0.  W comes from one dpotrs on [b | U].
+    eigenvalues of A well above 0.  mu comes from one dpotrs on U.
     """
     n = s_h.shape[0]
     n_s = n // n_theta
@@ -165,18 +200,10 @@ def _shifted_cholesky(s_h, jac, n_theta, b):
     c, info = potrf(m.T, lower=False, clean=False, overwrite_a=True)
     if info:
         return None
-    rhs = np.empty((n, n_s + n_theta), order="F")  # [b | U]
-    rhs[:, :n_s] = b
-    rhs[:, n_s:] = np.tile(np.eye(n_theta) / math.sqrt(n_s), (n_s, 1))
-    sol, _ = potrs(c, rhs, lower=False, overwrite_b=True)
-    w, mu = sol[:, :n_s], sol[:, n_s:]
+    u = np.tile(np.eye(n_theta) / math.sqrt(n_s), (n_s, 1))
+    mu, _ = potrs(c, u, lower=False, overwrite_b=True)
     cap = np.eye(n_theta) / sigma - _s_sum(mu, n_theta)
-    z = np.linalg.solve(cap, _s_sum(w, n_theta))
-    for j in range(0, n_s, n_theta):  # A^-1 b, then / J, in place
-        cols = w[:, j:j + n_theta]  # by blocks of mu's size
-        cols += mu @ z[:, j:j + n_theta]
-        cols *= inv_j[:, None]
-    return ShiftedCholesky(c, jac, mu, cap, float(col.max())), w
+    return ShiftedCholesky(c, jac, mu, cap, float(col.max()))
 
 
 def _inverse_one_norm(solve, n):
@@ -204,23 +231,10 @@ def _inverse_one_norm(solve, n):
     return max(est, 2.0 * np.abs(solve(alt, 0)).sum() / (3 * n))
 
 
-def _cond_estimate(mat, factor=None):
-    """1-norm condition estimate ||mat||_1 ||mat^-1||_1 through the solves
-    of factor (a ShiftedCholesky, or an LU of mat, made when not given);
-    math.inf when it is not finite."""
-    if isinstance(factor, ShiftedCholesky):
-        anorm, solve = factor.anorm, factor.solve
-    else:
-        factor = _lu(mat) if factor is None else factor
-        col = np.zeros(mat.shape[1])  # np.linalg.norm(mat, 1), row by row
-        for row in mat:               # as it adds up, with no |mat| array
-            col += np.abs(row)
-        anorm = col.max()
-
-        def solve(x, trans):
-            return lu_solve(factor, x, trans=trans)
-
-    cond = float(anorm * _inverse_one_norm(solve, mat.shape[0]))
+def _cond_estimate(mat, factor):
+    """1-norm condition estimate ||mat||_1 ||mat^-1||_1 from factor, an LU
+    or a ShiftedCholesky of mat; math.inf when it is not finite."""
+    cond = float(factor.anorm * _inverse_one_norm(factor.solve, mat.shape[0]))
     return cond if math.isfinite(cond) else math.inf
 
 
@@ -254,23 +268,17 @@ class SlenderBodySolver:
                     f"operators must be (S_h, B) of shapes (N, N) = ({n}, {n}) "
                     f"and (N, n_s) = ({n}, {n_s}), got {shapes}")
         self.S_h, self.B = operators
-        self._lu_S = None
-        self._cond_S = None
-        self._W = None
+        self._lu_S = self._cond_S = self._W = None
         self._dtn_matrix = self._lu_dtn = self._cond_dtn = None
 
     @property
     def lu_S(self):
-        """The factor of S_h: a ShiftedCholesky (which also gives W), or the
-        LU of S_h when M is not positive definite."""
+        """The factor of S_h: a ShiftedCholesky, or the LU of S_h when M is
+        not positive definite."""
         if self._lu_S is None:
             g = self.grid
-            chol = _shifted_cholesky(self.S_h, g.flat_jacobian(), g.n_theta,
-                                     self.B)
-            if chol is None:
-                self._lu_S = _lu(self.S_h)
-            else:
-                self._lu_S, self._W = chol
+            self._lu_S = (_shifted_cholesky(self.S_h, g.flat_jacobian(),
+                                            g.n_theta) or _lu(self.S_h))
         return self._lu_S
 
     @property
@@ -291,8 +299,8 @@ class SlenderBodySolver:
     def _densities(self):
         """W = S_h^-1 B, N x n_s, once S_h passes the guard."""
         self.cond_S  # the guard: a SolveError beyond COND_LIMIT
-        if self._W is None:  # the LU route (the Cholesky one sets it)
-            self._W = lu_solve(self.lu_S, self.B)
+        if self._W is None:
+            self._W = self.lu_S.solve(self.B)
         return self._W
 
     @property
@@ -305,12 +313,7 @@ class SlenderBodySolver:
 
     def _s_data(self, x):
         """x as a finite (n_s,) float array, else a ValueError."""
-        x = np.asarray(x, float)
-        if x.shape != (self.grid.n_s,):
-            raise ValueError(f"data shape {x.shape} != (n_s,) = ({self.grid.n_s},)")
-        if not np.isfinite(x).all():
-            raise ValueError("data holds non-finite values (NaN or inf)")
-        return x
+        return _finite(x, "data", {"(n_s,)": (self.grid.n_s,)})
 
     def dtn(self, v):
         """v(s) -> (w, f): w = W v solves S w = (1/2 I - D) E v; f = Q w."""
@@ -332,7 +335,7 @@ class SlenderBodySolver:
         if self._lu_dtn is None:  # LU of Lambda, guarded by COND_LIMIT
             self._lu_dtn, self._cond_dtn = _factor(self.dtn_matrix,
                                                    "DtN matrix of the NtD solve")
-        v = lu_solve(self._lu_dtn, ff)
+        v = self._lu_dtn.solve(ff)
         w = W @ v
         res1 = float(np.max(np.abs(self.S_h @ w - self.B @ v)))
         q = theta_integral(self.grid, w, self.grid.jacobian)
@@ -409,21 +412,19 @@ def _offsurface_eval(grid, points, density, kind):
     return np.sum(ker * dens * jw, axis=1)
 
 
-def _distance_to_centerline(grid, points):
-    pts = np.atleast_2d(np.asarray(points, float))
-    d = pts[:, None, :] - grid.X[None, :, :]
-    return np.min(np.linalg.norm(d, axis=2), axis=1)
-
-
 def solve_exterior_dirichlet(grid, v_surface, eval_points, backend="direct"):
     """Exterior Dirichlet solve via (1/2 I + D') phi = v; evaluate off-surface.
 
-    eval_points must be strictly exterior with distance to the centerline
-    greater than 2 eps + eps (surface clearance > 2 eps) for quadrature
-    accuracy; closer points are an error.
+    eval_points (m x 3) must be strictly exterior with distance to the
+    centerline greater than 2 eps + eps (surface clearance > 2 eps) for
+    quadrature accuracy; closer points are an error.  Both arrays are
+    checked (finite, shapes) before D' is assembled.
     """
-    pts = np.atleast_2d(np.asarray(eval_points, float))
-    dist = _distance_to_centerline(grid, pts)
+    pts = np.atleast_2d(eval_points)
+    pts = _finite(pts, "eval_points", {"(m, 3)": (len(pts), 3)})
+    v = _finite(v_surface, "v_surface", {
+        "(n_s, n_theta)": (grid.n_s, grid.n_theta), "(N,)": (grid.n_nodes,)})
+    dist = np.min(np.linalg.norm(pts[:, None, :] - grid.X, axis=2), axis=1)
     if np.any(dist <= grid.epsilon):
         raise SolveError("evaluation point not strictly exterior")
     if np.any(dist < 3.0 * grid.epsilon):  # clearance to the surface > 2 eps
@@ -431,7 +432,7 @@ def solve_exterior_dirichlet(grid, v_surface, eval_points, backend="direct"):
     a = assemble_Dprime(grid, backend)
     a.flat[::grid.n_nodes + 1] += 0.5  # 1/2 I + D', in place
     lu, cond = _factor(a, "second-kind system (1/2 I + D')")
-    phi = lu_solve(lu, np.asarray(v_surface, float).reshape(-1))
+    phi = lu.solve(v.reshape(-1))
     u = _offsurface_eval(grid, pts, phi, "Dprime")
     return u, {"cond_Dprime": cond,
                "phi": phi.reshape(grid.n_s, grid.n_theta)}
@@ -453,13 +454,12 @@ def point_charge_data(grid, charges):
     """
     P = grid.flat_positions()
     NRM = grid.flat_normals()
-    v = np.zeros(grid.n_nodes)
+    v = exact_point_charge_potential(grid, P, charges)
     w = np.zeros(grid.n_nodes)
     for q, s_c in charges:
         y = grid.spec.centerline.position(np.array([s_c]))[0]
         d = P - y[None, :]
         r = np.linalg.norm(d, axis=1)
-        v += q / (FOURPI * r)
         # w = -du/dn, n outward from the tube; grad G = -(x-y)/(4 pi r^3)
         w += q * np.einsum("ij,ij->i", d, NRM) / (FOURPI * r ** 3)
     shape = (grid.n_s, grid.n_theta)
@@ -495,13 +495,9 @@ def check_ladder(n_s_list, n_theta):
 
 def greens_ladder(spec, charges, n_s_list, n_theta, backend="direct"):
     """Residual across an n_s ladder plus the least-squares convergence order."""
-    from .grid import make_grid
     check_ladder(n_s_list, n_theta)
-    resids = []
-    for n_s in n_s_list:
-        g = make_grid(spec, n_s, n_theta)
-        r, _ = greens_identity_residual(g, charges, backend)
-        resids.append(r)
+    resids = [greens_identity_residual(make_grid(spec, n_s, n_theta), charges,
+                                       backend)[0] for n_s in n_s_list]
     hs = np.log(1.0 / np.asarray(n_s_list, float))
     order = float(np.polyfit(hs, np.log(resids), 1)[0])
     return resids, order

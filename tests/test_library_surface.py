@@ -16,8 +16,8 @@ and only the solver's results are GridFunctions.
 
 Dense factorizations live in solver: only solver imports from
 scipy.linalg or names a LAPACK routine it looks up (get_lapack_funcs,
-potrf, potrs, trtrs), and only _lu, which hands LAPACK a Fortran-order
-copy, calls lu_factor.
+potrf, potrs, trtrs), only _lu, which hands LAPACK a Fortran-order copy,
+calls lu_factor, and only LU.solve calls lu_solve.
 
 The slender-body solves never hold D_h: no src/ module reads a .D_h, and a
 solver that has run a DtN and an NtD map holds two N x N arrays, S_h and
@@ -148,7 +148,7 @@ def _scipy_linalg_imports(tree):
 
 
 def test_dense_systems_are_factored_only_through_solver_lu():
-    importers, callers, lapack = [], set(), []
+    importers, callers, lapack, solves, in_lu = [], set(), [], [], []
     for path in sorted((ROOT / "src" / "slenderlap").glob("*.py")):
         tree = ast.parse(path.read_text())
         if path.name != "solver.py":
@@ -159,9 +159,16 @@ def test_dense_systems_are_factored_only_through_solver_lu():
                                      "trtrs"})]
         callers |= {(path.name, func) for func, called, _ in _calls(tree)
                     if called == "lu_factor"}
+        # every call of lu_solve, and those inside a class LU
+        solves += [(path.name, func) for func, called, _ in _calls(tree)
+                   if called == "lu_solve"]
+        in_lu += [(path.name, func) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "LU"
+                  for func, called, _ in _calls(cls) if called == "lu_solve"]
     assert not importers, f"scipy.linalg imported outside solver: {importers}"
     assert not lapack, f"LAPACK routines named outside solver: {lapack}"
     assert callers == {("solver.py", "_lu")}, callers
+    assert solves == in_lu == [("solver.py", "solve")], (solves, in_lu)
 
 
 def test_solves_hold_no_dense_double_layer(circle_grid_small):

@@ -281,6 +281,35 @@ def test_exterior_point_too_close(circle_grid):
         sv.solve_exterior_dirichlet(circle_grid, ones, close[None, :])
 
 
+def _bad_exterior_input(grid):
+    v, pts = np.ones((grid.n_s, grid.n_theta)), exterior_points(grid.spec)
+    nan_pts, nan_v = pts.copy(), v.copy()
+    nan_pts[2, 1] = nan_v[5, 3] = np.nan
+    return {"nan point": (v, nan_pts, "eval_points holds non-finite"),
+            "2-D points": (v, pts[:, :2], r"eval_points shape \(8, 2\) != "
+                                          r"\(m, 3\) = \(8, 3\)"),
+            "v of length n_s": (np.ones(grid.n_s), pts,
+                                r"v_surface shape \(64,\) != "),
+            "v of length N + 1": (np.ones(grid.n_nodes + 1), pts,
+                                  r"v_surface shape \(513,\) != \(n_s, "
+                                  r"n_theta\) = \(64, 8\) or \(N,\) = "
+                                  r"\(512,\)"),
+            "nan in v": (nan_v, pts, "v_surface holds non-finite")}
+
+
+@pytest.mark.parametrize("case", ["nan point", "2-D points", "v of length n_s",
+                                  "v of length N + 1", "nan in v"])
+def test_exterior_refuses_bad_input_before_assembly(case, circle_grid_small,
+                                                    monkeypatch):
+    """A NaN point passes both clearance checks (its distance is NaN), and
+    a v of the wrong length used to fail only in lu_solve, after the N x N
+    assembly and LU: both arrays are checked before D' is assembled."""
+    v, pts, message = _bad_exterior_input(circle_grid_small)[case]
+    monkeypatch.setattr(sv, "assemble_Dprime", None)
+    with pytest.raises(ValueError, match=message):
+        sv.solve_exterior_dirichlet(circle_grid_small, v, pts, "split")
+
+
 def test_solvability_and_conditioning(circle_solver):
     assert np.isfinite(circle_solver.cond_S)
     assert circle_solver.cond_S < 1e10
@@ -499,20 +528,21 @@ def test_split_pair_takes_one_pair_sweep(backend, circle_grid_small,
 def _gecon_cond(mat):
     """1/rcond of LAPACK gecon on _lu(mat): the oracle of _cond_estimate."""
     gecon = get_lapack_funcs("gecon", (mat,))
-    rcond, _ = gecon(sv._lu(mat)[0], np.linalg.norm(mat, 1), norm="1")
+    rcond, _ = gecon(sv._lu(mat).lu, np.linalg.norm(mat, 1), norm="1")
     return 1.0 / rcond
 
 
 def test_cond_estimate_one_norm_is_exact_and_small(circle_solver):
     """On an LU of S_h and on its first-kind factor, the estimate agrees with
-    gecon's on _lu(S_h), with ||S_h||_1 exact to roundoff, and on an
-    existing factor it allocates far less than one N x N array."""
+    gecon's on _lu(S_h), with ||S_h||_1 of either factor exact to roundoff,
+    and it allocates far less than one N x N array."""
     mat = circle_solver.S_h
     ref = _gecon_cond(mat)
     factors = {"lu": sv._lu(mat), "cholesky": circle_solver.lu_S}
     assert circle_solver.first_kind_factor == "cholesky"
     norm = np.linalg.norm(mat, 1)
-    assert abs(factors["cholesky"].anorm / norm - 1.0) <= 1e-14
+    for name, factor in factors.items():
+        assert abs(factor.anorm / norm - 1.0) <= 1e-14, name
     n = mat.shape[0]
     for name, factor in factors.items():
         assert abs(sv._cond_estimate(mat, factor) / ref - 1.0) <= 1e-10, name
@@ -540,7 +570,7 @@ def test_lu_is_lu_factor_bit_for_bit(perturbed_grid_small):
     mats["seeded"] = np.random.default_rng(19).standard_normal((1000, 1000))
     for name, mat in mats.items():
         before = mat.copy()
-        lu, piv = sv._lu(mat)
+        lu, piv, _ = sv._lu(mat)
         ref_lu, ref_piv = lu_factor(mat)
         assert np.array_equal(lu, ref_lu), name
         assert np.array_equal(piv, ref_piv), name
@@ -550,8 +580,8 @@ def test_lu_is_lu_factor_bit_for_bit(perturbed_grid_small):
 def test_every_factorization_hands_lapack_its_own_fortran_copy(
         perturbed_grid_small, monkeypatch):
     """lu_S hands dpotrf the Fortran view M.T of its own M to overwrite, and
-    _factor and _cond_estimate factor through _lu: lu_factor sees an
-    F-contiguous float64 array it may overwrite.  So f2py copies nothing."""
+    _factor factors through _lu: lu_factor sees an F-contiguous float64
+    array it may overwrite.  So f2py copies nothing."""
     seen, potrf_args = [], []
 
     def spy(a, **kwargs):
@@ -583,7 +613,7 @@ def test_every_factorization_hands_lapack_its_own_fortran_copy(
     assert kwargs["overwrite_a"] and factor.m.ctypes.data == a.ctypes.data
     assert seen == []
     sv._factor(solver.dtn_matrix, "DtN matrix")
-    sv._cond_estimate(solver.S_h)
+    sv._factor(solver.S_h, "first-kind system")
     assert seen == [(True, np.float64, {"overwrite_a": True})] * 2
 
 
@@ -608,11 +638,12 @@ def _first_kind_grid(preset, eps, n_s, n_theta):
 
 def _lu_route(solver, v, f):
     """W, Lambda, dtn(v).f, ntd(f).v and the two first-kind residuals by
-    _lu and lu_solve alone: the solver's route before the Cholesky one."""
+    lu_factor and lu_solve alone: the solver's route before the Cholesky
+    one."""
     g = solver.grid
-    w = lu_solve(sv._lu(solver.S_h), solver.B)
+    w = lu_solve(lu_factor(solver.S_h), solver.B)
     lam = theta_integral(g, w, g.jacobian)
-    v_f = lu_solve(sv._lu(lam), f)
+    v_f = lu_solve(lu_factor(lam), f)
     resid = [float(np.max(np.abs(solver.S_h @ (w @ x) - solver.B @ x)))
              for x in (v, v_f)]
     return w, lam, theta_integral(g, w @ v, g.jacobian), v_f, resid
@@ -687,7 +718,7 @@ def test_indefinite_shift_falls_back_to_the_lu(preset, eps, backend,
         tracemalloc.stop()
     assert infos == [31 if preset == "circle" else 2]
     assert solver.first_kind_factor == "lu"
-    assert isinstance(solver.lu_S, tuple) and len(solver.lu_S) == 2
+    assert isinstance(solver.lu_S, sv.LU)
     for name, a, b in zip(("W", "Lambda", "dtn f", "ntd v", "residuals"),
                           got, _lu_route(solver, v, f)):
         assert np.array_equal(a, b), name
@@ -748,3 +779,37 @@ def test_dtn_matrix_is_positive_and_nearly_symmetric(backend):
             assert max(coarse, fine) <= 1e-13
         else:
             assert fine < coarse, (preset, coarse, fine)
+
+
+# exact invariances of the map: reversal and translation of the curve --------
+
+def _dtn_matrix_of(preset, backend, transform):
+    """Lambda at 64x8, eps 1/64, on the preset's curve with its (cos, sin)
+    Fourier coefficients mapped by transform."""
+    cos_c, sin_c = transform(*geo.curve_from_config({"preset": preset}))
+    cl = geo.build_centerline({"cos": cos_c, "sin": sin_c})
+    spec = geo.SurfaceSpec(centerline=cl, frame=geo.build_frame(cl, 128),
+                           epsilon=1.0 / 64.0)
+    return sv.SlenderBodySolver(make_grid(spec, 64, 8), backend).dtn_matrix
+
+
+def _translated(cos_c, sin_c):
+    """The curve moved by (0.3, -0.2, 0.7): the j = 0 cosine row is its mean."""
+    return cos_c + np.eye(len(cos_c), 1) * [0.3, -0.2, 0.7], sin_c
+
+
+@pytest.mark.parametrize("backend", ["direct", "split"])
+@pytest.mark.parametrize("preset", ["perturbed_circle", "trefoil"])
+def test_dtn_matrix_is_invariant_under_reversal_and_translation(preset,
+                                                                backend):
+    """X(t) -> X(-t) (sine rows negated) runs s backwards, so Lambda_rev[j, k]
+    = Lambda[-j, -k]; a translation by (0.3, -0.2, 0.7) leaves Lambda as it
+    is.  The trefoil's frame twists (k3 ~ 2.2).  Both hold to 1e-12 of
+    max|Lambda| (4.4e-16 to 1.7e-14 measured)."""
+    lam = _dtn_matrix_of(preset, backend, lambda c, s: (c, s))
+    rev = _dtn_matrix_of(preset, backend, lambda c, s: (c, -s))
+    moved = _dtn_matrix_of(preset, backend, _translated)
+    minus = -np.arange(lam.shape[0]) % lam.shape[0]
+    scale = np.max(np.abs(lam))
+    assert np.max(np.abs(rev - lam[np.ix_(minus, minus)])) <= 1e-12 * scale
+    assert np.max(np.abs(moved - lam)) <= 1e-12 * scale
