@@ -1,10 +1,12 @@
 """Command-line entry point for every verification harness.
 
 Subcommands: check-bessel, symbols, geometry, check-geometry, greens-check,
-dtn, ntd, exterior, decompose, scaling.  Exit codes: 0 success/PASS, 2
-verification FAIL (inequality or slope breach), 1 usage or config error.
-CSV output uses a header row, '.' decimals, 17 significant digits; JSON
-summaries go to files and, with --json, to stdout.
+dtn, ntd, exterior, decompose, scaling: each a thin layer over the library,
+called through module attributes (dtn/ntd data get solver._finite's check).
+Exit codes: 0 success/PASS, 2 verification FAIL (inequality or slope
+breach), 1 usage or config error.  CSV output uses a header row, '.'
+decimals, 17 significant digits; JSON summaries go to files and, with
+--json, to stdout.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from .geometry import FRAME_SAMPLES
+from . import analysis, geometry, grid, kernels, solver, specfun, spectral
 
 
 def _fmt(x):
@@ -71,9 +74,8 @@ def _curve_config(args):
     return {"preset": args.curve}
 
 
-def _build_spec(args, n_frame=FRAME_SAMPLES):
-    from .geometry import surface_specs
-    return surface_specs(_curve_config(args), [args.epsilon], n_frame)[0]
+def _build_spec(args, n_frame=geometry.FRAME_SAMPLES):
+    return geometry.surface_specs(_curve_config(args), [args.epsilon], n_frame)[0]
 
 
 def _dry_run(plan):
@@ -81,19 +83,11 @@ def _dry_run(plan):
     return 0
 
 
-# N x N arrays held at once and what they are (measured in tests/test_cli.py):
-# S_h and its factor in a solve (D_h enters as the N x n_s B), D' and its LU
-# in the exterior solve
-SOLVE_DENSE = (2, "S_h and its factor")
-EXTERIOR_DENSE = (2, "D' and its LU")
-
-
-def _dry_run_report(args, n_s, n_theta, n_systems=1, dense=None):
+def _dry_run_report(n_s, n_theta, n_systems=1, dense=None):
     """Print the run's size on its n_s x n_theta grid, which must be valid;
     dense is (count, what) of the N x N arrays it holds at once, None when
     matrix-free."""
-    from .grid import check_grid_sizes
-    check_grid_sizes(n_s, n_theta)
+    grid.check_grid_sizes(n_s, n_theta)
     n = n_s * n_theta
     if dense:
         count, held = dense
@@ -101,9 +95,8 @@ def _dry_run_report(args, n_s, n_theta, n_systems=1, dense=None):
         size = (f"{count} dense N x N arrays at once ({held}), "
                 f"~{count * gb:.2f} GB (~{gb:.2f} GB per dense operator)")
     else:
-        from .kernels import default_chunk_rows, sweep_cpus
-        rows = default_chunk_rows(n)
-        in_flight = min(sweep_cpus(), -(-n // rows))
+        rows = kernels.default_chunk_rows(n)
+        in_flight = min(kernels.sweep_cpus(), -(-n // rows))
         size = (f"matrix-free, ~{rows * n * 8 / 1e6:.2f} MB per row-chunk "
                 f"field ({rows} x {n} pairs, {in_flight} chunk(s) in flight)")
     return _dry_run(f"grid {n_s} x {n_theta} ({n} nodes), {size}, "
@@ -113,15 +106,12 @@ def _dry_run_report(args, n_s, n_theta, n_systems=1, dense=None):
 # subcommand implementations -------------------------------------------------
 
 def cmd_check_bessel(args):
-    import scipy
-    from . import specfun as sf
     if args.dry_run:
         return _dry_run(f"Bessel invariant suite, symbol bound checks at eps "
                         f"{args.epsilon:g}")
-    rep = sf.check_suite()
-    from .spectral import finite_diff_symbol_bounds
+    rep = specfun.check_suite()
     for name in ("m_S_inv", "m_eps_inv", "m_eps"):
-        rep[f"bounds_{name}"] = finite_diff_symbol_bounds(name, args.epsilon)
+        rep[f"bounds_{name}"] = spectral.finite_diff_symbol_bounds(name, args.epsilon)
     ok = bool(rep["wronskian_sup"] <= 1e-12 and rep["recurrence_sup"] <= 1e-10)
     print(f"max Wronskian deviation: {rep['wronskian_sup']:.3e} "
           f"(limit 1e-12): {'PASS' if ok else 'FAIL'}")
@@ -133,7 +123,6 @@ def cmd_check_bessel(args):
 
 
 def cmd_symbols(args):
-    from .spectral import _symbol_row
     if args.kmax < 0 or args.lmax < 0:
         raise ValueError(f"--kmax and --lmax must be >= 0, got {args.kmax} "
                          f"and {args.lmax}")
@@ -144,7 +133,8 @@ def cmd_symbols(args):
     rows = []
     for k in range(0, args.kmax + 1):
         # one row of l = 0..lmax per symbol; m_S(0, 0) is NaN (undefined)
-        cols = [_symbol_row(name, args.epsilon, k, args.lmax) for name in names]
+        cols = [spectral._symbol_row(name, args.epsilon, k, args.lmax)
+                for name in names]
         rows += [(k, ell, *(float(c[ell]) for c in cols))
                  for ell in range(0, args.lmax + 1)]
     _write_csv(args.out, ("k", "l") + names, rows)
@@ -153,11 +143,10 @@ def cmd_symbols(args):
 
 
 def cmd_geometry(args):
-    from . import geometry as geo
     spec = _build_spec(args, n_frame=args.ns)
     if args.dry_run:
         return _dry_run(f"geometry report from a {args.ns}-sample frame")
-    rep = geo.geometry_report(spec)
+    rep = geometry.geometry_report(spec)
     _emit_json(args, rep)
     if not args.json:
         for k, v in rep.items():
@@ -166,16 +155,13 @@ def cmd_geometry(args):
 
 
 def cmd_check_geometry(args):
-    from .grid import make_grid
-    from .kernels import check_geometric_inequalities, oddness_residual
     spec = _build_spec(args)
     if args.dry_run:
-        return _dry_run_report(args, args.ns, args.ntheta)
-    grid = make_grid(spec, args.ns, args.ntheta)
-    rep = check_geometric_inequalities(grid)
-    rep["oddness_n1_m0"] = oddness_residual(grid, 1, 0)
-    rep["oddness_n0_m1"] = oddness_residual(grid, 0, 1)
-    rep["oddness_n2_m1"] = oddness_residual(grid, 2, 1)
+        return _dry_run_report(args.ns, args.ntheta)
+    g = grid.make_grid(spec, args.ns, args.ntheta)
+    rep = kernels.check_geometric_inequalities(g)
+    for n, m in ((1, 0), (0, 1), (2, 1)):
+        rep[f"oddness_n{n}_m{m}"] = kernels.oddness_residual(g, n, m)
     for k, v in rep.items():
         print(f"{k}: {v}")
     _emit_json(args, rep)
@@ -183,17 +169,15 @@ def cmd_check_geometry(args):
 
 
 def cmd_greens_check(args):
-    from . import solver as sv
     ladder = [int(x) for x in args.ladder.split(",")]
     spec = _build_spec(args)
     if args.dry_run:
-        sv.check_ladder(ladder, args.ntheta)
-        return _dry_run_report(args, max(ladder), args.ntheta, len(ladder))
-    out = {}
-    ok = True
+        solver.check_ladder(ladder, args.ntheta)
+        return _dry_run_report(max(ladder), args.ntheta, len(ladder))
+    out, ok = {}, True
     for backend in ("direct", "split"):
-        resids, order = sv.greens_ladder(spec, [(1.0, 0.0)], ladder,
-                                         args.ntheta, backend)
+        resids, order = solver.greens_ladder(spec, [(1.0, 0.0)], ladder,
+                                             args.ntheta, backend)
         out[backend] = {"residuals": resids, "order": order}
         ok = ok and order >= 1.0
         print(f"{backend}: residuals " +
@@ -211,61 +195,40 @@ def _parse_data_spec(text, n_s):
         return np.cos(2 * np.pi * int(text[4:]) * s)
     if text.startswith("sin:"):
         return np.sin(2 * np.pi * int(text[4:]) * s)
-    vals = np.asarray(json.loads(text), float)
-    if vals.size != n_s:
-        raise ValueError(f"nodal data length {vals.size} != n_s {n_s}")
-    if not np.isfinite(vals).all():
-        raise ValueError("data holds non-finite values (NaN or inf)")
-    return vals
+    return solver._finite(json.loads(text), "data", {"(n_s,)": (n_s,)})
 
 
-def _solve_common(args, direction):
-    from .grid import make_grid
-    from .solver import SlenderBodySolver
+def cmd_solve(args):
+    """dtn or ntd (args.command) on args.data, checked before the sweep."""
     spec = _build_spec(args)
     if args.dry_run:
-        return _dry_run_report(args, args.ns, args.ntheta, dense=SOLVE_DENSE)
-    data = _parse_data_spec(args.dirichlet if direction == "dtn"
-                            else args.neumann, args.ns)  # before the sweep
-    grid = make_grid(spec, args.ns, args.ntheta)
-    solver = SlenderBodySolver(grid, "split")
-    res = solver.dtn(data) if direction == "dtn" else solver.ntd(data)
-    primary, label = ((res.f.values, "f") if direction == "dtn"
-                      else (res.v.values, "v"))
-    rows = [(float(s), float(val))
-            for s, val in zip(grid.s_nodes, primary)]
-    out_csv = args.out or f"{direction}_result.csv"
-    _write_csv(out_csv, ("s", label), rows)
-    summary = {"residuals": res.residuals, "conditioning": res.conditioning,
-               "first_kind_factor": solver.first_kind_factor,
-               "csv": str(out_csv)}
+        return _dry_run_report(args.ns, args.ntheta, dense=solver.SOLVE_DENSE)
+    data = _parse_data_spec(args.data, args.ns)  # before the sweep
+    g = grid.make_grid(spec, args.ns, args.ntheta)
+    sol = solver.SlenderBodySolver(g, "split")
+    res = sol.dtn(data) if args.command == "dtn" else sol.ntd(data)
+    label = "f" if args.command == "dtn" else "v"
+    out_csv = args.out or f"{args.command}_result.csv"
+    _write_csv(out_csv, ("s", label), [
+        (float(s), float(x)) for s, x in zip(g.s_nodes, getattr(res, label).values)])
     print(f"wrote {out_csv}; cond(S) ~ {res.conditioning['cond_S']:.3e}")
-    _emit_json(args, summary)
+    _emit_json(args, {"residuals": res.residuals, "conditioning": res.conditioning,
+                      "first_kind_factor": sol.first_kind_factor,
+                      "csv": str(out_csv)})
     return 0
 
 
-def cmd_dtn(args):
-    return _solve_common(args, "dtn")
-
-
-def cmd_ntd(args):
-    return _solve_common(args, "ntd")
-
-
 def cmd_exterior(args):
-    from .grid import make_grid
-    from . import solver as sv
     spec = _build_spec(args)
     if args.dry_run:
-        return _dry_run_report(args, args.ns, args.ntheta, dense=EXTERIOR_DENSE)
-    grid = make_grid(spec, args.ns, args.ntheta)
+        return _dry_run_report(args.ns, args.ntheta, dense=solver.EXTERIOR_DENSE)
+    g = grid.make_grid(spec, args.ns, args.ntheta)
     charges = [(1.0, 0.0)]
-    v_exact, w_exact = sv.point_charge_data(grid, charges)
+    v_exact, w_exact = solver.point_charge_data(g, charges)
     pts = _exterior_points(spec, count=8)
-    u_ref = sv.exact_point_charge_potential(grid, pts, charges)
-    u_dp, info = sv.solve_exterior_dirichlet(grid, v_exact, pts,
-                                             backend="split")
-    u_gr = sv.green_representation_eval(grid, pts, v_exact, w_exact)
+    u_ref = solver.exact_point_charge_potential(g, pts, charges)
+    u_dp, info = solver.solve_exterior_dirichlet(g, v_exact, pts, "split")
+    u_gr = solver.green_representation_eval(g, pts, v_exact, w_exact)
     err_dp = float(np.max(np.abs(u_dp - u_ref)))
     err_gr = float(np.max(np.abs(u_gr - u_ref)))
     gap = float(np.max(np.abs(u_dp - u_gr)))
@@ -278,29 +241,36 @@ def cmd_exterior(args):
 
 
 def _exterior_points(spec, count=8, seed=3):
-    rng = np.random.default_rng(seed)
+    """A point 5-8 eps from X(i/count) in its normal plane, for each i < count,
+    drawn again while it is within 4 eps of the centerline (N_FINE samples):
+    the solver refuses points within 3 eps of its nodes."""
+    rng, cl = np.random.default_rng(seed), spec.centerline
+    curve = cl.position(np.arange(cl.N_FINE) / cl.N_FINE)
     pts = []
     for i in range(count):
-        s0 = i / count
-        x0 = spec.centerline.position(np.array([s0]))[0]
-        _, e_n1, e_n2, _, _ = spec.frame_at(np.array([s0]))
-        ang = 2 * np.pi * rng.random()
-        dist = spec.epsilon * (5.0 + 3.0 * rng.random())
-        pts.append(x0 + dist * (np.cos(ang) * e_n1[0] + np.sin(ang) * e_n2[0]))
+        s0 = np.array([i / count])
+        x0, (_, e_n1, e_n2, _, _) = cl.position(s0)[0], spec.frame_at(s0)
+        for _ in range(100):  # draws, before the curve is deemed too tight
+            ang = 2 * np.pi * rng.random()
+            dist = spec.epsilon * (5.0 + 3.0 * rng.random())
+            p = x0 + dist * (np.cos(ang) * e_n1[0] + np.sin(ang) * e_n2[0])
+            if np.min(np.linalg.norm(curve - p, axis=1)) >= 4.0 * spec.epsilon:
+                break
+        else:
+            raise ValueError(f"no point 4 eps clear of the curve near s = {s0[0]:g}")
+        pts.append(p)
     return np.array(pts)
 
 
 def cmd_decompose(args):
-    from .analysis import decompose_dtn
-    from .grid import make_grid
     if not 0.0 < args.alpha <= 1.0:
         raise ValueError(f"--alpha must lie in (0, 1], got {args.alpha}")
     spec = _build_spec(args)
     if args.dry_run:
-        return _dry_run_report(args, args.ns, args.ntheta, dense=SOLVE_DENSE)
-    grid = make_grid(spec, args.ns, args.ntheta)
-    v = np.cos(2 * np.pi * grid.s_nodes)
-    rep = decompose_dtn(grid, v, alpha=args.alpha)
+        return _dry_run_report(args.ns, args.ntheta, dense=solver.SOLVE_DENSE)
+    g = grid.make_grid(spec, args.ns, args.ntheta)
+    rep = analysis.decompose_dtn(g, np.cos(2 * np.pi * g.s_nodes),
+                                 alpha=args.alpha)
     ok = rep["relative_mismatch"] <= 1e-5
     print(f"term-sum vs direct mismatch: {rep['relative_mismatch']:.3e} "
           f"({'PASS' if ok else 'FAIL'})")
@@ -313,17 +283,16 @@ def cmd_decompose(args):
 
 
 def cmd_scaling(args):
-    from .analysis import make_study, run_scaling_study
-    from .geometry import surface_specs
     eps = _parse_eps_list(args.eps) if args.eps else None
-    study = make_study(args.study, epsilons=eps,
-                       curve_config=_curve_config(args) if args.curve else None)
+    study = analysis.make_study(
+        args.study, epsilons=eps,
+        curve_config=_curve_config(args) if args.curve else None)
     if args.dry_run:
-        surface_specs(study.curve_config, study.epsilons)
+        geometry.surface_specs(study.curve_config, study.epsilons)
         ns = max(study.grid_ns(e) for e in study.epsilons)
-        return _dry_run_report(args, ns, study.n_theta, len(study.epsilons),
-                               dense=SOLVE_DENSE if study.solves else None)
-    rep = run_scaling_study(study)
+        return _dry_run_report(ns, study.n_theta, len(study.epsilons),
+                               dense=solver.SOLVE_DENSE if study.solves else None)
+    rep = analysis.run_scaling_study(study)
     outdir = Path(args.out or ".")
     _write_csv(outdir / f"{args.study}.csv", ("epsilon", "value", "norm"),
                [(float(e), float(v), study.study_id)
@@ -375,12 +344,12 @@ def build_parser():
     p = command("greens-check", cmd_greens_check, "Green identity ladder")
     p.add_argument("--ladder", default="64,128,256")
     p.add_argument("--ntheta", type=int, default=16)
-    p = command("dtn", cmd_dtn, "Dirichlet -> total Neumann solve", grid=True)
-    p.add_argument("--dirichlet", default="cos:1",
+    p = command("dtn", cmd_solve, "Dirichlet -> total Neumann solve", grid=True)
+    p.add_argument("--dirichlet", dest="data", metavar="DIRICHLET", default="cos:1",
                    help='"cos:k", "sin:k", or a JSON array of nodal values')
     p.add_argument("--out", default=None)
-    p = command("ntd", cmd_ntd, "total Neumann -> Dirichlet solve", grid=True)
-    p.add_argument("--neumann", default="cos:1")
+    p = command("ntd", cmd_solve, "total Neumann -> Dirichlet solve", grid=True)
+    p.add_argument("--neumann", dest="data", metavar="NEUMANN", default="cos:1")
     p.add_argument("--out", default=None)
     command("exterior", cmd_exterior, "exterior Dirichlet cross-validation",
             grid=True)
@@ -397,9 +366,8 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

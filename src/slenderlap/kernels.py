@@ -32,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .grid import SurfaceGrid, offset_templates
-from .spectral import offset_windows
+from .spectral import circulant_rows, offset_windows
 
 FOURPI = 4.0 * math.pi
 
@@ -136,16 +136,9 @@ class PairGeometry:
 
     def gather(self, name, lo, hi, out):
         """Offset template `name` at the pairs of rows [lo, hi), into out."""
-        g = self.grid
         if name not in self._tables:
             self._tables[name] = offset_windows(self._templates[name])
-        table = self._tables[name]
-        n_t = g.n_theta
-        for i_s in range(lo // n_t, (hi - 1) // n_t + 1):  # by s-row blocks
-            r0, r1 = max(lo, i_s * n_t), min(hi, (i_s + 1) * n_t)
-            out[r0 - lo:r1 - lo] = table[r0 - i_s * n_t:r1 - i_s * n_t,
-                                         (g.n_s - i_s) * n_t]
-        return out
+        return circulant_rows(self._tables[name], lo, hi, out)
 
     def fields(self, lo, hi, need=("absR",), scratch=None):
         """Compute the requested pair fields for target rows [lo, hi).

@@ -40,10 +40,11 @@ carries no 1/4pi: the source weight does.  PairGeometry.fields drops the
 self-pair, and nothing else does.  assemble_pair, apply_pair, apply_pairs
 and the dense oracles take a chunk's kernel rows from _pair_sweep and only
 write them into a matrix, sum them (D_h into B = (1/2 I - D_h) E,
-assemble_first_kind) or multiply them by densities.  Every pair sweep
-runs through PairGeometry.sweep: row chunks on every CPU of the affinity
-mask, each row computed whole by one thread, so no output depends on the
-thread count.
+assemble_first_kind, whose S_h is assemble_S) or multiply them by densities.
+Every pair sweep runs through PairGeometry.sweep: row chunks on every CPU of
+the affinity mask, each row computed whole by one thread, so no output
+depends on the thread count.  D' - D_h depends on the source only through
+s, so centerline_kernel builds it with no pair sweep.
 
 The remainder pieces of the curved-minus-straight operators are pair
 kernels with plain eps weight, matching the operator identity R_S = S - Sbar
@@ -73,7 +74,7 @@ import math
 import numpy as np
 from scipy.special import k0, k1
 
-from .kernels import FOURPI, PairGeometry, offset_fields
+from .kernels import FOURPI, PairGeometry, default_chunk_rows, offset_fields
 from .specfun import EULER_GAMMA
 from .spectral import (FourierSymbol, apply_symbol, s_modes,
                        symbol_dense_matrix, symbol_template)
@@ -265,22 +266,31 @@ def dense_RD_kernel(grid, which):
     return _dense_from_pairs(grid, f"RD{which}")
 
 
+def centerline_kernel(grid, points):
+    """1/|x_i - X(s_a)| (no 1/4pi), m x n_s, for m points and the n_s
+    centerline nodes, one coordinate at a time: the kernel of D' - D."""
+    r2 = 0.0
+    for p, x in zip(np.asarray(points, float).T, grid.X.T):
+        d = p[:, None] - x
+        r2 += np.square(d, out=d)
+    return 1.0 / np.sqrt(r2)
+
+
+def _add_centerline_correction(grid, d):
+    """d += 1/|x - X(s')| (no 1/4pi) times J w (full trapezoid) in place:
+    centerline_kernel's N x n_s table over the source thetas, by row chunks."""
+    corr = centerline_kernel(grid, grid.flat_positions())
+    jw, rows = grid.jacobian * grid.node_weight, default_chunk_rows(grid.n_nodes)
+    d3 = d.reshape(corr.shape + (grid.n_theta,))
+    for lo in range(0, grid.n_nodes, rows):
+        d3[lo:lo + rows] += corr[lo:lo + rows, :, None] * jw
+    return d
+
+
 def dense_centerline_correction(grid):
-    """Kernel 1/|x - X(s')| (no 1/4pi) times J, full trapezoid, no puncture."""
+    """The correction of D' alone (_add_centerline_correction on zeros)."""
     _check_dense_cap(grid)
-    p_t, x_t = grid.flat_positions().T, np.repeat(grid.X, grid.n_theta, 0).T
-    jw = grid.flat_jacobian() * grid.node_weight
-    out = np.empty((grid.n_nodes, grid.n_nodes))
-
-    def rows(lo, hi, _):
-        r2 = 0.0
-        for p, x in zip(p_t, x_t):  # one coordinate at a time
-            d = p[lo:hi, None] - x
-            r2 += np.square(d, out=d)
-        np.multiply(1.0 / np.sqrt(r2), jw, out=out[lo:hi])
-
-    PairGeometry(grid).sweep((), rows)
-    return out
+    return _add_centerline_correction(grid, np.zeros((grid.n_nodes,) * 2))
 
 
 # singular corrections of the direct backend ---------------------------------
@@ -464,8 +474,8 @@ def apply_pair(grid, backend, phi, psi):
 
 # assemble_S and assemble_D: perfbench/tracer.py wraps them
 def assemble_S(grid, backend="direct"):
-    """Single layer S[phi] = int G phi dS: S_h of assemble_pair."""
-    return assemble_pair(grid, backend)[0]
+    """Single layer S[phi] = int G phi dS: S_h of assemble_first_kind."""
+    return assemble_first_kind(grid, backend)[0]
 
 
 def assemble_D(grid, backend="direct"):
@@ -480,8 +490,7 @@ def assemble_Dprime(grid, backend="direct"):
     and removes the constant null space of 1/2 I + D.
     """
     d = _assemble(grid, backend, single=False)[1]  # K_D alone, no S_h
-    d += dense_centerline_correction(grid)
-    return d
+    return _add_centerline_correction(grid, d)
 
 
 def theta_integral(grid, x, weight):

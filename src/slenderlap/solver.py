@@ -59,12 +59,15 @@ from scipy.linalg.blas import dgemm
 from .grid import SurfaceGrid, check_grid_sizes, make_grid
 from .kernels import FOURPI
 from .operators import (_check_dense_cap, apply_pair, assemble_Dprime,
-                        assemble_first_kind, theta_integral)
+                        assemble_first_kind, centerline_kernel, theta_integral)
 # not called here: perfbench/tracer.py wraps them where solver binds them
 from .operators import assemble_D, assemble_S  # noqa: F401
 from .spectral import FourierSymbol, GridFunction, apply_symbol
 
 COND_LIMIT = 1e12
+# N x N arrays held at once by a slender-body and an exterior solve (dry runs)
+SOLVE_DENSE = (2, "S_h and its factor")
+EXTERIOR_DENSE = (2, "D' and its LU")
 # the Neumann-series NtD stops once an increment is below NEUMANN_TOL times
 # max(1, |v|) and fails once one grows; NEUMANN_MAX_ITER only bounds the run
 # time (it takes a ratio-0.986 series from an increment of 1 to NEUMANN_TOL)
@@ -404,9 +407,8 @@ def _offsurface_eval(grid, points, density, kind):
         ker = 1.0 / (FOURPI * r)
     elif kind in ("D", "Dprime"):
         ker = np.einsum("mij,ij->mi", d, grid.flat_normals()) / (FOURPI * r ** 3)
-        if kind == "Dprime":
-            xc = np.repeat(grid.X, grid.n_theta, axis=0)
-            ker += 1.0 / np.linalg.norm(pts[:, None, :] - xc, axis=2)
+        if kind == "Dprime":  # the correction, repeated over theta
+            ker += np.repeat(centerline_kernel(grid, pts), grid.n_theta, axis=1)
     else:
         raise ValueError(kind)
     return np.sum(ker * dens * jw, axis=1)

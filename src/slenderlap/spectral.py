@@ -18,6 +18,8 @@ Symbols on the straight periodic cylinder of radius eps (w = 2 pi eps |k|):
 
 All kernels are even in both offsets, so every symbol is real and even and
 acts diagonally on complex exponentials; real input gives real output.
+Block circulants of offset templates are read from offset_windows' table by
+circulant_rows alone: a row chunk (PairGeometry.gather) or the whole matrix.
 
 Each formula lives in _symbol_row (one |k|, all l <= lmax); FourierSymbol
 builds its tables from one row per |k| and memoises them, so every module
@@ -191,20 +193,22 @@ def offset_windows(t):
         stack.reshape(n_t, -1), n_s * n_t, axis=1)
 
 
-def circulant_from_template(t, lo=0, hi=None):
-    """Rows [lo, hi) of the dense matrix of a discrete convolution.
+def circulant_rows(windows, lo, hi, out):
+    """Rows [lo, hi) of the circulant whose offset_windows table is windows,
+    into out, one s-row block at a time (any lo, hi)."""
+    n_t, n = windows.shape[0], windows.shape[2]
+    for i_s in range(lo // n_t, (hi - 1) // n_t + 1):
+        r0, r1 = max(lo, i_s * n_t), min(hi, (i_s + 1) * n_t)
+        out[r0 - lo:r1 - lo] = windows[r0 - i_s * n_t:r1 - i_s * n_t,
+                                       n - i_s * n_t]
+    return out
 
-    The template is as in offset_windows.  lo and hi default to all rows and
-    must hold whole s-rows (multiples of n_theta), so a row chunk is built
-    without the full matrix.
-    """
-    n_s = t.shape[0]
-    n_t = 1 if t.ndim == 1 else t.shape[1]
-    hi = n_s * n_t if hi is None else hi
-    if lo % n_t or hi % n_t:
-        raise ValueError("row range must hold whole s-rows")
-    i_s, i_t = np.divmod(np.arange(lo, hi), n_t)
-    return offset_windows(t)[i_t, (n_s - i_s) * n_t]
+
+def circulant_from_template(t):
+    """Dense matrix of a discrete convolution, t as in offset_windows."""
+    windows = offset_windows(t)
+    n = windows.shape[2]
+    return circulant_rows(windows, 0, n, np.empty((n, n), windows.dtype))
 
 
 def symbol_template(table):

@@ -370,6 +370,8 @@ def test_eps_whose_cutoff_overflows_is_a_usage_error(eps, capsys):
 @pytest.mark.parametrize("cmd, flag", [("dtn", "--dirichlet"),
                                        ("ntd", "--neumann")])
 def test_bad_data_fails_before_assembly(cmd, flag, monkeypatch, capsys):
+    """A NaN, or 64 values in an 8 x 8 array at n_s = 64, is refused by the
+    solver's own check before the pair sweep."""
     from slenderlap import operators, solver
 
     def no_sweep(*args, **kwargs):
@@ -377,9 +379,36 @@ def test_bad_data_fails_before_assembly(cmd, flag, monkeypatch, capsys):
 
     for owner in (operators, solver):  # solver binds its own name
         monkeypatch.setattr(owner, "assemble_first_kind", no_sweep)
-    assert main([cmd, "--ns", "64", "--ntheta", "8", flag, _NAN_64]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: data holds non-finite values (NaN or inf)\n"
+    for data, text in ((_NAN_64, "data holds non-finite values (NaN or inf)"),
+                       (json.dumps([[0.5] * 8] * 8),
+                        "data shape (8, 8) != (n_s,) = (64,)")):
+        assert main([cmd, "--ns", "64", "--ntheta", "8", flag, data]) == 1
+        assert capsys.readouterr().err == f"error: {text}\n"
+
+
+def test_exterior_points_clear_the_whole_curve(capsys):
+    """Each point is 5-8 eps from X(i/8) in its normal plane and, drawn again
+    if need be, 4 eps from the whole centerline, so the solver's 3 eps rule
+    admits it.  On the circle at eps 1/32 and the trefoil (twisted frame,
+    k3 ~ 2.2) at 1/64 a first draw came within 2.42 and 0.87 eps of the
+    centerline's nodes elsewhere.  At eps 1/64 the circle and the perturbed
+    circle keep their first draws (test_solver's exterior_points)."""
+    from test_solver import exterior_points
+    from slenderlap import cli, geometry
+    for curve, eps in (("circle", 1 / 32), ("trefoil", 1 / 64)):
+        assert main(["exterior", "--curve", curve, "--epsilon", str(eps),
+                     "--ns", "128", "--ntheta", "16"]) == 0
+        assert capsys.readouterr().out.endswith(": PASS\n")
+        spec = geometry.surface_specs({"preset": curve}, [eps])[0]
+        cl = spec.centerline
+        samples = cl.position(np.arange(cl.N_FINE) / cl.N_FINE)
+        pts = cli._exterior_points(spec)
+        assert pts.shape == (8, 3)
+        dist = np.linalg.norm(pts[:, None] - samples, axis=2).min(axis=1)
+        assert np.all(dist >= 4.0 * eps), curve
+    for curve in ("circle", "perturbed_circle"):
+        spec = geometry.surface_specs({"preset": curve}, [1 / 64])[0]
+        assert np.array_equal(cli._exterior_points(spec), exterior_points(spec))
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Layer-operator assembly: backends, jump relation, remainders, symmetry."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,19 @@ def test_double_layer_alone_is_the_pair_D(backend, grid_name, request):
     assert np.array_equal(op.assemble_D(grid, backend), d_h)
     assert np.array_equal(op.assemble_Dprime(grid, backend),
                           d_h + op.dense_centerline_correction(grid))
+
+
+def test_single_layer_alone_holds_one_dense_matrix(circle_grid):
+    """assemble_S is assemble_first_kind's S_h and builds no N x N D_h: its
+    tracemalloc peak is S_h plus the sweep's scratch and B (1.33 N x N
+    arrays measured at 128x16; 2.27 when it took S_h of assemble_pair)."""
+    tracemalloc.start()
+    try:
+        op.assemble_S(circle_grid, "split")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * circle_grid.n_nodes ** 2 * 8
 
 
 def test_theta_integral_and_extensions(circle_grid_small, rng):

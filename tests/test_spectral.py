@@ -259,15 +259,14 @@ def test_circulant_rows_match_index_gather(shape, rng):
     idt = (np.arange(n_t)[:, None] - np.arange(n_t)[None, :]) % n_t
     ref = t2[ids[:, None, :, None], idt[None, :, None, :]].reshape(
         n_s * n_t, n_s * n_t)
-    assert np.array_equal(sp.circulant_from_template(t), ref)
-    for lo in range(0, n_s * n_t, n_t):
-        for hi in range(lo + n_t, n_s * n_t + 1, n_t):
-            rows = sp.circulant_from_template(t, lo, hi)
-            assert np.array_equal(rows, ref[lo:hi])
-            rows[0, 0] = 0.0  # a fresh array, not a view of the template
-    if n_t > 1:
-        with pytest.raises(ValueError):
-            sp.circulant_from_template(t, 1, n_t)
+    full = sp.circulant_from_template(t)  # a fresh array, not a view of t
+    assert np.array_equal(full, ref) and not np.shares_memory(full, t)
+    windows, n = sp.offset_windows(t), n_s * n_t
+    for lo in range(n):  # every row range, whole s-rows or not
+        for hi in range(lo + 1, n + 1):
+            out = np.full((hi - lo, n), np.nan)
+            assert sp.circulant_rows(windows, lo, hi, out) is out
+            assert np.array_equal(out, ref[lo:hi]), (lo, hi)
 
 
 def test_finite_diff_symbol_bounds():
