@@ -14,7 +14,8 @@ where w solves the surface system S_h w = (1/2 I - D_h) E v of either
 backend (split by default).  The remainders are what the straight symbols
 leave of the solved operators, R_S = S_h - m_S and R_D = D_h - m_D with m_S
 and m_D applied by FFT (D_h E v is v/2 - B v, B = (1/2 I - D_h) E the
-solver's), and S[mean_s w] is S_h applied to the s-mean of w.
+solver's), and S[mean_s w] is S_h applied to the s-mean of w.  S_h is
+applied by solver.apply_S, from the array its factor shares.
 The terms above then rearrange exactly the matrices of the solve, so the two
 routes to f(s) agree to factorization roundoff.  Sbar^{-1} is applied after
 removing the k = 0 mode; the zero-mode budget is carried exactly by the last
@@ -72,7 +73,7 @@ def decompose_dtn(grid, v, alpha=0.25, solver=None):
     tab_s, tab_d = (FourierSymbol(name, grid.epsilon).table(*w.shape)
                     for name in ("m_S", "m_D"))
     ev = np.repeat(vv, grid.n_theta)
-    s_mat, d_ev = solver.S_h, 0.5 * ev - solver.B @ vv  # d_ev = D_h E v
+    d_ev = 0.5 * ev - solver.B @ vv  # D_h E v
     w_p0 = w - w.mean(axis=0)
     w_mean = np.tile(w.mean(axis=0), grid.n_s)
 
@@ -80,8 +81,8 @@ def decompose_dtn(grid, v, alpha=0.25, solver=None):
     term_rd = -s_inv_theta_int(
         grid, d_ev - apply_symbol(tab_d, ev.reshape(w.shape)).ravel())
     term_rs = -s_inv_theta_int(
-        grid, s_mat @ w_p0.ravel() - apply_symbol(tab_s, w_p0).ravel())
-    term_mean = -s_inv_theta_int(grid, s_mat @ w_mean)
+        grid, solver.apply_S(w_p0.ravel()) - apply_symbol(tab_s, w_p0).ravel())
+    term_mean = -s_inv_theta_int(grid, solver.apply_S(w_mean))
     term_flux = float(np.mean(theta_integral(grid, w, grid.epsilon)))
     term_curv = theta_integral(grid, w, -(grid.epsilon ** 2) * grid.khat)
 

@@ -86,7 +86,8 @@ def _dry_run(plan):
 def _dry_run_report(n_s, n_theta, n_systems=1, dense=None):
     """Print the run's size on its n_s x n_theta grid, which must be valid;
     dense is (count, what) of the N x N arrays it holds at once, None when
-    matrix-free."""
+    matrix-free.  For a slender-body solve it also names what the LU
+    fallback of its first-kind factor holds."""
     grid.check_grid_sizes(n_s, n_theta)
     n = n_s * n_theta
     if dense:
@@ -94,6 +95,10 @@ def _dry_run_report(n_s, n_theta, n_systems=1, dense=None):
         gb = n * n * 8 / 1e9
         size = (f"{count} dense N x N arrays at once ({held}), "
                 f"~{count * gb:.2f} GB (~{gb:.2f} GB per dense operator)")
+        if dense == solver.SOLVE_DENSE:
+            count, held = solver.SOLVE_DENSE_LU
+            size += (f"; {count} ({held}), ~{count * gb:.2f} GB, if S_h "
+                     f"falls back to an LU")
     else:
         rows = kernels.default_chunk_rows(n)
         in_flight = min(kernels.sweep_cpus(), -(-n // rows))

@@ -15,15 +15,18 @@ Lambda = Q W:
     NtD (f given):  Lambda v = f (LU of Lambda),  w = W v
 
 S_h and B of either backend come from one pair sweep that stores no D_h
-(operators.assemble_first_kind): a solve holds two N x N arrays, S_h and its
-factor.  The Green's identity harness applies S_h and D_h matrix-free in one
-sweep (operators.apply_pair), past DENSE_NODE_CAP.
+(operators.assemble_first_kind), and lu_S factors S_h in the array that
+holds it: a solve holds one N x N array.  Its untouched triangle keeps S_h
+for apply_S, which the residuals and the decomposition use.  The Green's
+identity harness applies S_h and D_h matrix-free in one sweep
+(operators.apply_pair), past DENSE_NODE_CAP.
 Each solve reports its residuals against S_h.  Every dense factor (a
-ShiftedCholesky of S_h, or an LU of S_h, Lambda or 1/2 I + D') has
-solve(x, trans) for vectors and N x k blocks, and anorm = ||mat||_1: so W,
-every solve and the condition estimate anorm ||mat^-1||_1 (LAPACK's dlacn2,
-driven by factor.solve) take one route each.  The estimates of S_h and of
-Lambda are reported and hard-fail beyond COND_LIMIT, never silently ignored.
+ShiftedCholesky of S_h, or an LU of sym(A) diag(J), Lambda or 1/2 I + D')
+has solve(x, trans) for vectors and N x k blocks, and anorm = ||mat||_1:
+so W, every solve and the condition estimate anorm ||mat^-1||_1 (LAPACK's
+dlacn2, driven by factor.solve) take one route each.  The estimates of S_h
+and of Lambda are reported and hard-fail beyond COND_LIMIT, never silently
+ignored.
 
 The first-kind factor.  A = S_h diag(1/J) is symmetric to roundoff (4.5e-16
 relative on split, 9e-17 on direct), because S_h is a symmetric kernel
@@ -33,14 +36,20 @@ theta-node, constant in s.  On the perturbed circle at 128x16, eps 1/64,
 all 9 negative eigenvalues of A are those of the 16 x 16 block U^T A U to 3
 digits.  So a shift of rank n_theta, M = A + sigma U U^T with sigma =
 ||A||_1, makes M positive definite, and dpotrf factors it in place; A^-1
-follows by Woodbury with an n_theta x n_theta capacitance matrix.  Where
-dpotrf still finds a non-positive minor (under-resolved grids, such as
-eps 1/16 on the circle or direct at eps 1/256), S_h is factored by _lu like
-every other dense system.
+follows by Woodbury with an n_theta x n_theta capacitance matrix.  dpotrf
+reads and writes one triangle of the array (LAPACK Users' Guide, 3rd ed.,
+section 5.1), so the other keeps A, and S_h x = A (J x) is one dsymv.
+Where dpotrf still finds a non-positive minor (under-resolved grids, such
+as eps 1/16 on the circle or direct at eps 1/256), sym(A) diag(J), S_h to
+roundoff, is rebuilt from that triangle into a Fortran-order buffer for
+dgetrf, as _lu builds one for every other dense system: a second N x N
+array.
 
-At 256x16 (perturbed circle, split, 2 vCPUs, medians of 5) the solve layer
-takes: assembly 0.27 s; M, dpotrf and mu 0.62 s, estimate 0.11 s, W 0.17 s:
-0.90 s in all, against 1.19 s for _lu, its W and gecon.
+At 256x16 (perturbed circle, split, 2 vCPUs, medians of 5 in one process,
+over 5 processes) the solve layer takes: assembly 0.27 s; lu_S 0.36-0.47 s
+(the 64-row pass 0.04-0.05 s, the shift 0.02 s, dpotrf 0.31-0.34 s), the
+estimate 0.05-0.07 s and W 0.11-0.15 s.  The LU route took 1.19 s for _lu,
+its W and gecon.
 
 The exterior Dirichlet problem is solved through the modified double layer:
 (1/2 I + D'_h) phi = v, then u(y) = D'[phi](y) off the surface.
@@ -54,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, dsymv
 
 from .grid import SurfaceGrid, check_grid_sizes, make_grid
 from .kernels import FOURPI
@@ -65,17 +74,20 @@ from .operators import assemble_D, assemble_S  # noqa: F401
 from .spectral import FourierSymbol, GridFunction, apply_symbol
 
 COND_LIMIT = 1e12
-# N x N arrays held at once by a slender-body and an exterior solve (dry runs)
-SOLVE_DENSE = (2, "S_h and its factor")
+# N x N arrays held at once by a slender-body solve, by one whose S_h falls
+# back to an LU, and by an exterior solve (dry runs)
+SOLVE_DENSE = (1, "S_h, factored in place")
+SOLVE_DENSE_LU = (2, "S_h and the LU of sym(A) diag(J)")
 EXTERIOR_DENSE = (2, "D' and its LU")
 # the Neumann-series NtD stops once an increment is below NEUMANN_TOL times
 # max(1, |v|) and fails once one grows; NEUMANN_MAX_ITER only bounds the run
 # time (it takes a ratio-0.986 series from an increment of 1 to NEUMANN_TOL)
 NEUMANN_MAX_ITER = 2000
 NEUMANN_TOL = 1e-12
-# rows per slab of the copy each factor makes of its matrix (_lu's Fortran
-# order, or M), which also sums |mat| for anorm; at N = 4,096 (medians of
-# 5) copies of 16 rows take 0.12 s, of 64 0.08-0.11 s, of 128 0.18-0.24 s
+# rows per slab of the pass each factor makes over its matrix (_lu's
+# Fortran-order copy, or S_h scaled into A in place), which also sums |mat|
+# for anorm; at N = 4,096 (medians of 5) copies of 16 rows take 0.12 s, of
+# 64 0.08-0.11 s, of 128 0.18-0.24 s
 LU_COPY_ROWS = 64
 
 
@@ -153,7 +165,7 @@ class ShiftedCholesky(NamedTuple):
     vectors and blocks) and anorm = ||S_h||_1, all a caller of a factor uses.
     """
 
-    m: np.ndarray      # upper factor, the Fortran-order view M.T
+    m: np.ndarray      # Fortran view of S_h's array: factor above, A below
     jac: np.ndarray    # J, flat
     mu: np.ndarray
     cap: np.ndarray
@@ -176,37 +188,66 @@ class ShiftedCholesky(NamedTuple):
 
 
 def _shifted_cholesky(s_h, jac, n_theta):
-    """ShiftedCholesky of s_h, or None when dpotrf finds M not positive
-    definite; M then goes as the function returns.
+    """(ShiftedCholesky of s_h, or None when dpotrf finds M not positive
+    definite; the diagonal of A), made in s_h's own array.
 
-    M is built LU_COPY_ROWS rows at a time into one new C-order N x N
-    array, whose Fortran view M.T dpotrf overwrites; no copy is made.
-    sigma = ||A||_1, from the same pass as ||S_h||_1, moves the s-mean
-    eigenvalues of A well above 0.  mu comes from one dpotrs on U.
+    One pass LU_COPY_ROWS rows at a time sums |S_h| by columns, for
+    ||S_h||_1 and sigma = ||A||_1, which moves the s-mean eigenvalues of A
+    well above 0, and scales s_h into A.  The shift goes on the lower
+    triangle and diagonal only: they are the upper triangle of the Fortran
+    view s_h.T, which dpotrf reads and overwrites with the factor.  So the
+    strict upper triangle of s_h keeps A, whose diagonal is returned.  mu
+    comes from one dpotrs on U.
     """
     n = s_h.shape[0]
     n_s = n // n_theta
     inv_j = 1.0 / jac
-    m = np.empty(s_h.shape)
+    scratch = np.empty((min(n, LU_COPY_ROWS), n))
     col = np.zeros(n)
     for i in range(0, n, LU_COPY_ROWS):
-        rows = m[i:i + LU_COPY_ROWS]
-        col += np.abs(s_h[i:i + LU_COPY_ROWS], out=rows).sum(axis=0)
-        np.multiply(s_h[i:i + LU_COPY_ROWS], inv_j, out=rows)
+        rows = s_h[i:i + LU_COPY_ROWS]
+        col += np.abs(rows, out=scratch[:len(rows)]).sum(axis=0)
+        rows *= inv_j
     if not np.isfinite(col).all():
         raise ValueError("array must not contain infs or NaNs")
+    a_diag = s_h.diagonal().copy()
     sigma = float((col * inv_j).max())
-    m4 = m.reshape(n_s, n_theta, n_s, n_theta)
+    m4 = s_h.reshape(n_s, n_theta, n_s, n_theta)
+    lower = np.tril_indices(n_s)
     for t in range(n_theta):  # + sigma U U^T: sigma/n_s on equal theta
-        m4[:, t, :, t] += sigma / n_s
-    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (m,))
-    c, info = potrf(m.T, lower=False, clean=False, overwrite_a=True)
+        m4[:, t, :, t][lower] += sigma / n_s
+    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (s_h,))
+    c, info = potrf(s_h.T, lower=False, clean=False, overwrite_a=True)
     if info:
-        return None
+        return None, a_diag
     u = np.tile(np.eye(n_theta) / math.sqrt(n_s), (n_s, 1))
     mu, _ = potrs(c, u, lower=False, overwrite_b=True)
     cap = np.eye(n_theta) / sigma - _s_sum(mu, n_theta)
-    return ShiftedCholesky(c, jac, mu, cap, float(col.max()))
+    return ShiftedCholesky(c, jac, mu, cap, float(col.max())), a_diag
+
+
+def _sym_lu(a, a_diag, jac):
+    """LU of sym(A) diag(J), S_h to roundoff, where A's strict upper
+    triangle is a's, as _shifted_cholesky leaves it, and its diagonal is
+    a_diag.  Columns lo:hi of the Fortran-order buffer that dgetrf
+    overwrites are rows lo:hi of sym(A) times J[lo:hi], C-contiguous: they
+    are written there LU_COPY_ROWS at a time straight from a's triangle,
+    and summed in scratch for the 1-norm."""
+    n = len(a)
+    buf = np.empty((n, n), order="F")
+    scratch = np.empty((min(n, LU_COPY_ROWS), n))
+    col = np.empty(n)
+    for lo in range(0, n, LU_COPY_ROWS):
+        hi = min(lo + LU_COPY_ROWS, n)
+        rows = buf[:, lo:hi].T
+        rows[:, :lo] = a[:lo, lo:hi].T
+        rows[:, hi:] = a[lo:hi, hi:]
+        block = np.triu(a[lo:hi, lo:hi], 1)
+        rows[:, lo:hi] = block + block.T
+        rows[:, lo:hi].flat[::hi - lo + 1] = a_diag[lo:hi]
+        rows *= jac[lo:hi, None]
+        col[lo:hi] = np.abs(rows, out=scratch[:hi - lo]).sum(axis=1)
+    return LU(*lu_factor(buf, overwrite_a=True), float(col.max()))
 
 
 def _inverse_one_norm(solve, n):
@@ -252,9 +293,12 @@ def _factor(mat, system, factor=None):
 
 
 class SlenderBodySolver:
-    """Caches S_h, B = (1/2 I - D_h) E, lu_S and the discrete DtN matrix for
-    one grid; operators, when given, is an (S_h, B) pair (N x N, N x n_s)
-    used as is, and backend is then only a label.
+    """Caches B = (1/2 I - D_h) E, lu_S and the discrete DtN matrix for one
+    grid.  lu_S factors S_h in the array that holds it, and apply_S applies
+    S_h from what the factor leaves of it.  operators, when given, is an
+    (S_h, B) pair (N x N, N x n_s) that the solver takes over, and backend
+    is then only a label: like LAPACK's overwrite_a, S_h is overwritten in
+    place, so it must be a writeable C-contiguous float64 array.
     """
 
     def __init__(self, grid: SurfaceGrid, backend="direct", operators=None):
@@ -270,19 +314,43 @@ class SlenderBodySolver:
                 raise ValueError(
                     f"operators must be (S_h, B) of shapes (N, N) = ({n}, {n}) "
                     f"and (N, n_s) = ({n}, {n_s}), got {shapes}")
-        self.S_h, self.B = operators
+            s_h = operators[0]
+            if not (isinstance(s_h, np.ndarray) and s_h.dtype == np.float64
+                    and s_h.flags.c_contiguous and s_h.flags.writeable):
+                raise ValueError("operators' S_h must be a writeable "
+                                 "C-contiguous float64 array: the solver "
+                                 "factors it in place")
+        # S_h until lu_S factors it in place; then A's strict upper triangle
+        # (A = S_h diag(1/J)) and the factor, and _a_diag A's diagonal
+        self._s_h, self.B = operators
+        self._a_diag = None
         self._lu_S = self._cond_S = self._W = None
         self._dtn_matrix = self._lu_dtn = self._cond_dtn = None
 
     @property
     def lu_S(self):
-        """The factor of S_h: a ShiftedCholesky, or the LU of S_h when M is
-        not positive definite."""
+        """The factor of S_h, in S_h's array: a ShiftedCholesky, or, when M
+        is not positive definite, the LU of sym(A) diag(J) in a second."""
         if self._lu_S is None:
-            g = self.grid
-            self._lu_S = (_shifted_cholesky(self.S_h, g.flat_jacobian(),
-                                            g.n_theta) or _lu(self.S_h))
+            s_h, jac = self._s_h, self.grid.flat_jacobian()
+            factor, self._a_diag = _shifted_cholesky(s_h, jac,
+                                                     self.grid.n_theta)
+            self._lu_S = factor or _sym_lu(s_h, self._a_diag, jac)
         return self._lu_S
+
+    def apply_S(self, x):
+        """S_h x = A (J x), x an N-vector, by dsymv on the triangle of A
+        that lu_S leaves: A's diagonal is swapped in for the call and the
+        factor's back after it.  2 ms at N = 4,096, where dgemv on the
+        whole S_h took 8-9 ms."""
+        self.lu_S  # A's triangle exists once S_h is factored
+        a = self._s_h
+        diag = a.diagonal().copy()
+        np.fill_diagonal(a, self._a_diag)
+        try:
+            return dsymv(1.0, a.T, self.grid.flat_jacobian() * x, lower=1)
+        finally:
+            np.fill_diagonal(a, diag)
 
     @property
     def first_kind_factor(self):
@@ -295,8 +363,8 @@ class SlenderBodySolver:
         if self._cond_S is None:
             g = self.grid
             self._cond_S = _factor(
-                self.S_h, f"first-kind system (n_s={g.n_s}, n_theta={g.n_theta}, "
-                f"eps={g.epsilon})", self.lu_S)[1]
+                self._s_h, f"first-kind system (n_s={g.n_s}, "
+                f"n_theta={g.n_theta}, eps={g.epsilon})", self.lu_S)[1]
         return self._cond_S
 
     def _densities(self):
@@ -323,7 +391,7 @@ class SlenderBodySolver:
         vv = self._s_data(v)
         w = self._densities() @ vv
         f = theta_integral(self.grid, w, self.grid.jacobian)
-        resid = float(np.max(np.abs(self.S_h @ w - self.B @ vv)))
+        resid = float(np.max(np.abs(self.apply_S(w) - self.B @ vv)))
         shape = (self.grid.n_s, self.grid.n_theta)
         return SlenderSolveResult(
             v=GridFunction(vv), w=GridFunction(w.reshape(shape)),
@@ -340,7 +408,7 @@ class SlenderBodySolver:
                                                    "DtN matrix of the NtD solve")
         v = self._lu_dtn.solve(ff)
         w = W @ v
-        res1 = float(np.max(np.abs(self.S_h @ w - self.B @ v)))
+        res1 = float(np.max(np.abs(self.apply_S(w) - self.B @ v)))
         q = theta_integral(self.grid, w, self.grid.jacobian)
         res2 = float(np.max(np.abs(q - ff)))
         shape = (self.grid.n_s, self.grid.n_theta)

@@ -213,6 +213,20 @@ def test_solve_dry_run_states_the_dense_peak(cmd, tmp_path, capsys,
     assert count <= peak / one < count + 0.5, peak / one
 
 
+@pytest.mark.parametrize("argv", [["dtn"], ["ntd"], ["decompose"],
+                                  ["scaling", "--study", "Rd-eps-group"]])
+def test_solve_dry_run_names_the_lu_fallback(argv, capsys):
+    """A slender-body solve holds S_h alone, factored in place, unless its
+    first-kind factor falls back to an LU, which holds a second array."""
+    from slenderlap import solver
+    assert main(argv + ["--dry-run"]) == 0
+    out = capsys.readouterr().out
+    assert solver.SOLVE_DENSE == (1, "S_h, factored in place")
+    assert "1 dense N x N arrays at once (S_h, factored in place)" in out
+    count, held = solver.SOLVE_DENSE_LU
+    assert f"; {count} ({held}), " in out and "falls back to an LU" in out
+
+
 def test_greens_check_dry_run_is_matrix_free(capsys):
     assert main(["greens-check", "--ladder", "256,512,1024", "--dry-run"]) == 0
     out = capsys.readouterr().out

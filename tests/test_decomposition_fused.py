@@ -81,6 +81,8 @@ def test_decomposition_identity(grid_name, request):
 
 
 def test_mean_in_s_term_matches_dense_route(perturbed_grid_small):
+    """The term against S_h @ w_mean, S_h assembled again: the solver's is
+    factored in place."""
     grid = perturbed_grid_small
     solver = an.SlenderBodySolver(grid, "split")
     # data with an s-mean, so that the routed density has one too
@@ -89,7 +91,8 @@ def test_mean_in_s_term_matches_dense_route(perturbed_grid_small):
     rep = an.decompose_dtn(grid, v, solver=solver)
     w = solver.dtn(v).w
     w_mean_surface = np.tile(w.values.mean(axis=0), (grid.n_s, 1))
-    dense = solver.S_h @ w_mean_surface.reshape(-1)
+    s_h = op.assemble_first_kind(grid, "split")[0]
+    dense = s_h @ w_mean_surface.reshape(-1)
     integ = op.theta_integral(grid, dense, grid.epsilon)
     ref = -apply_symbol(FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s),
                         integ)

@@ -16,12 +16,14 @@ and only the solver's results are GridFunctions.
 
 Dense factorizations live in solver: only solver imports from
 scipy.linalg or names a LAPACK routine it looks up (get_lapack_funcs,
-potrf, potrs, trtrs), only _lu, which hands LAPACK a Fortran-order copy,
-calls lu_factor, and only LU.solve calls lu_solve.
+potrf, potrs, trtrs) or the dsymv that applies S_h from its factored
+array, only _lu and _sym_lu, which hand LAPACK a Fortran-order buffer,
+call lu_factor, and only LU.solve calls lu_solve.
 
-The slender-body solves never hold D_h: no src/ module reads a .D_h, and a
-solver that has run a DtN and an NtD map holds two N x N arrays, S_h and
-its factor.
+The slender-body solves never hold D_h, and S_h only in the array its
+factor overwrites: no src/ module reads a .D_h or a .S_h, and a solver
+that has run a DtN and an NtD map holds one N x N buffer, which its
+factor shares, or two when S_h falls back to an LU.
 """
 
 import ast
@@ -156,7 +158,7 @@ def test_dense_systems_are_factored_only_through_solver_lu():
                           for line in _scipy_linalg_imports(tree)]
             lapack += [f"{path.name}:{name}" for name in sorted(
                 set(_names(tree)) & {"get_lapack_funcs", "potrf", "potrs",
-                                     "trtrs"})]
+                                     "trtrs", "dsymv"})]
         callers |= {(path.name, func) for func, called, _ in _calls(tree)
                     if called == "lu_factor"}
         # every call of lu_solve, and those inside a class LU
@@ -167,23 +169,43 @@ def test_dense_systems_are_factored_only_through_solver_lu():
                   for func, called, _ in _calls(cls) if called == "lu_solve"]
     assert not importers, f"scipy.linalg imported outside solver: {importers}"
     assert not lapack, f"LAPACK routines named outside solver: {lapack}"
-    assert callers == {("solver.py", "_lu")}, callers
+    assert callers == {("solver.py", "_lu"), ("solver.py", "_sym_lu")}, \
+        callers
     assert solves == in_lu == [("solver.py", "solve")], (solves, in_lu)
 
 
-def test_solves_hold_no_dense_double_layer(circle_grid_small):
+def _dense_buffers(solver):
+    """The distinct memory buffers of the N x N arrays a solver holds."""
+    n = solver.grid.n_nodes
+    held = [a for x in vars(solver).values()
+            for a in (x if isinstance(x, tuple) else (x,))
+            if isinstance(a, np.ndarray) and a.shape == (n, n)]
+    buffers = []
+    for a in held:
+        if not any(np.shares_memory(a, b) for b in buffers):
+            buffers.append(a)
+    return buffers
+
+
+def test_solves_hold_no_dense_double_layer(circle_cl, circle_frame):
+    """One N x N buffer, the factor's, and two on the LU fallback (at eps
+    1/16 the circle's shifted A is indefinite)."""
+    from slenderlap.geometry import SurfaceSpec
+    from slenderlap.grid import make_grid
     from slenderlap.solver import SlenderBodySolver
     readers = [f"{path.name}:{node.lineno}"
                for path in sorted((ROOT / "src" / "slenderlap").glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, ast.Attribute) and node.attr == "D_h"]
-    assert not readers, f".D_h read in src/: {readers}"
-    g = circle_grid_small
-    solver = SlenderBodySolver(g, "split")
-    solver.ntd(solver.dtn(np.cos(2 * np.pi * g.s_nodes)).f)
-    assert not hasattr(solver, "D_h")
-    held = [a for x in vars(solver).values()
-            for a in (x if isinstance(x, tuple) else (x,))
-            if isinstance(a, np.ndarray) and a.shape == (g.n_nodes,) * 2]
-    assert len(held) == 2, [a.shape for a in held]  # S_h and its factor
-    assert solver.B.shape == (g.n_nodes, g.n_s)
+               if isinstance(node, ast.Attribute)
+               and node.attr in ("D_h", "S_h")]
+    assert not readers, f".D_h or .S_h read in src/: {readers}"
+    for eps, factor, count in ((1.0 / 64.0, "cholesky", 1),
+                               (1.0 / 16.0, "lu", 2)):
+        g = make_grid(SurfaceSpec(centerline=circle_cl, frame=circle_frame,
+                                  epsilon=eps), 64, 8)
+        solver = SlenderBodySolver(g, "split")
+        solver.ntd(solver.dtn(np.cos(2 * np.pi * g.s_nodes)).f)
+        assert not hasattr(solver, "D_h") and not hasattr(solver, "S_h")
+        assert solver.first_kind_factor == factor
+        assert len(_dense_buffers(solver)) == count, factor
+        assert solver.B.shape == (g.n_nodes, g.n_s)

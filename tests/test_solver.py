@@ -1,12 +1,14 @@
 """DtN/NtD solves, Green's identity, exterior Dirichlet cross-checks."""
 
 
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg.blas import dsymv
 
 from slenderlap import analysis as an
 from slenderlap import geometry as geo
@@ -531,11 +533,13 @@ def _gecon_cond(mat):
     return 1.0 / rcond
 
 
-def test_cond_estimate_one_norm_is_exact_and_small(circle_solver):
+def test_cond_estimate_one_norm_is_exact_and_small(circle_solver,
+                                                   circle_grid):
     """On an LU of S_h and on its first-kind factor, the estimate agrees with
     gecon's on _lu(S_h), with ||S_h||_1 of either factor exact to roundoff,
-    and it allocates far less than one N x N array."""
-    mat = circle_solver.S_h
+    and it allocates far less than one N x N array.  S_h is assembled again:
+    the solver's is factored in place."""
+    mat = op.assemble_first_kind(circle_grid, "split")[0]
     ref = _gecon_cond(mat)
     factors = {"lu": sv._lu(mat), "cholesky": circle_solver.lu_S}
     assert circle_solver.first_kind_factor == "cholesky"
@@ -563,7 +567,8 @@ def test_lu_is_lu_factor_bit_for_bit(perturbed_grid_small):
     solver = _fresh_solver(grid)
     dprime = op.assemble_Dprime(grid, "split")
     dprime.flat[::grid.n_nodes + 1] += 0.5
-    mats = {"S_h": solver.S_h, "Lambda": solver.dtn_matrix, "Dprime": dprime}
+    mats = {"S_h": op.assemble_first_kind(grid, "split")[0],
+            "Lambda": solver.dtn_matrix, "Dprime": dprime}
     # 1000 rows are not a whole number of LU_COPY_ROWS slabs
     assert 1000 % sv.LU_COPY_ROWS
     mats["seeded"] = np.random.default_rng(19).standard_normal((1000, 1000))
@@ -578,9 +583,10 @@ def test_lu_is_lu_factor_bit_for_bit(perturbed_grid_small):
 
 def test_every_factorization_hands_lapack_its_own_fortran_copy(
         perturbed_grid_small, monkeypatch):
-    """lu_S hands dpotrf the Fortran view M.T of its own M to overwrite, and
-    _factor factors through _lu: lu_factor sees an F-contiguous float64
-    array it may overwrite.  So f2py copies nothing."""
+    """lu_S hands dpotrf the Fortran view of the C-order array S_h was
+    assembled into to overwrite, and _factor factors through _lu:
+    lu_factor sees an F-contiguous float64 array it may overwrite.  So
+    f2py copies nothing."""
     seen, potrf_args = [], []
 
     def spy(a, **kwargs):
@@ -612,16 +618,16 @@ def test_every_factorization_hands_lapack_its_own_fortran_copy(
     assert kwargs["overwrite_a"] and factor.m.ctypes.data == a.ctypes.data
     assert seen == []
     sv._factor(solver.dtn_matrix, "DtN matrix")
-    sv._factor(solver.S_h, "first-kind system")
+    sv._factor(op.assemble_first_kind(perturbed_grid_small, "split")[0],
+               "first-kind system")
     assert seen == [(True, np.float64, {"overwrite_a": True})] * 2
 
 
 def test_lu_S_refuses_a_non_finite_first_kind_matrix(perturbed_grid_small):
-    solver = _fresh_solver(perturbed_grid_small)
-    s_h = solver.S_h.copy()
+    s_h, b = op.assemble_first_kind(perturbed_grid_small, "split")
     s_h[5, 7] = np.nan
     bad = sv.SlenderBodySolver(perturbed_grid_small, "split",
-                               operators=(s_h, solver.B))
+                               operators=(s_h, b))
     with pytest.raises(ValueError, match="infs or NaNs"):
         bad.lu_S
 
@@ -635,15 +641,15 @@ def _first_kind_grid(preset, eps, n_s, n_theta):
     return make_grid(spec, n_s, n_theta)
 
 
-def _lu_route(solver, v, f):
+def _lu_route(solver, mat, v, f, apply_s):
     """W, Lambda, dtn(v).f, ntd(f).v and the two first-kind residuals by
-    lu_factor and lu_solve alone: the solver's route before the Cholesky
-    one."""
+    lu_factor and lu_solve of mat alone, the residuals applying S_h by
+    apply_s: the solver's route before the Cholesky one."""
     g = solver.grid
-    w = lu_solve(lu_factor(solver.S_h), solver.B)
+    w = lu_solve(lu_factor(mat), solver.B)
     lam = theta_integral(g, w, g.jacobian)
     v_f = lu_solve(lu_factor(lam), f)
-    resid = [float(np.max(np.abs(solver.S_h @ (w @ x) - solver.B @ x)))
+    resid = [float(np.max(np.abs(apply_s(w @ x) - solver.B @ x)))
              for x in (v, v_f)]
     return w, lam, theta_integral(g, w @ v, g.jacobian), v_f, resid
 
@@ -666,20 +672,22 @@ def test_cholesky_route_matches_the_lu_route(preset, backend, n_s, n_theta):
     """At eps 1/64 the shifted A factors by dpotrf: W, Lambda, dtn().f and
     ntd().v within 1e-12 of the LU route, the first-kind residual at most
     twice its, and cond_S within 1e-10 of gecon's.  perturbed_circle-split
-    at 128x16 is the Neumann-series bench's geometry (rhs-128)."""
-    solver = sv.SlenderBodySolver(
-        _first_kind_grid(preset, 1.0 / 64.0, n_s, n_theta), backend)
+    at 128x16 is the Neumann-series bench's geometry (rhs-128).  The
+    solver factors a copy of the assembled S_h in place; S_h is the
+    oracle."""
+    grid = _first_kind_grid(preset, 1.0 / 64.0, n_s, n_theta)
+    s_h, b = op.assemble_first_kind(grid, backend)
+    solver = sv.SlenderBodySolver(grid, backend, operators=(s_h.copy(), b))
     assert solver.first_kind_factor == "cholesky"
     got, v, f = _solver_route(solver)
-    ref = _lu_route(solver, v, f)
-    for name, a, b in zip(("W", "Lambda", "dtn f", "ntd v"), got, ref):
-        assert _rel(a, b) <= 1e-12, name
+    ref = _lu_route(solver, s_h, v, f, s_h.dot)
+    for name, x, y in zip(("W", "Lambda", "dtn f", "ntd v"), got, ref):
+        assert _rel(x, y) <= 1e-12, name
     # the residual of the whole solve S_h W = B: the per-call residuals
     # first_kind_inf are 1-4 ulps of B v on both routes, too few to compare
-    r_chol, r_lu = (np.max(np.abs(solver.S_h @ w - solver.B))
-                    for w in (got[0], ref[0]))
+    r_chol, r_lu = (np.max(np.abs(s_h @ w - b)) for w in (got[0], ref[0]))
     assert r_chol <= 2.0 * r_lu, (r_chol, r_lu)
-    assert abs(solver.cond_S / _gecon_cond(solver.S_h) - 1.0) <= 1e-10
+    assert abs(solver.cond_S / _gecon_cond(s_h) - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("preset,eps,backend",
@@ -688,8 +696,11 @@ def test_cholesky_route_matches_the_lu_route(preset, backend, n_s, n_theta):
 def test_indefinite_shift_falls_back_to_the_lu(preset, eps, backend,
                                                monkeypatch):
     """dpotrf stops at minor 31 (circle, eps 1/16, split) or 2 (perturbed
-    circle, eps 1/256, direct): the solver then factors S_h by _lu, gives
-    the LU route's outputs bit for bit, and holds S_h and its LU."""
+    circle, eps 1/256, direct): the solver then factors sym(A) diag(J),
+    rebuilt from the triangle of A = S_h diag(1/J) that dpotrf left, by
+    _lu.  Its outputs are the LU route's on that matrix bit for bit, the
+    residuals applying it by dsymv as apply_S does, and it holds two N x N
+    arrays, S_h's and the LU's."""
     grid = _first_kind_grid(preset, eps, 64, 8)
     lapack = sv.get_lapack_funcs
     infos = []
@@ -718,10 +729,15 @@ def test_indefinite_shift_falls_back_to_the_lu(preset, eps, backend,
     assert infos == [31 if preset == "circle" else 2]
     assert solver.first_kind_factor == "lu"
     assert isinstance(solver.lu_S, sv.LU)
-    for name, a, b in zip(("W", "Lambda", "dtn f", "ntd v", "residuals"),
-                          got, _lu_route(solver, v, f)):
-        assert np.array_equal(a, b), name
-    dense, _ = sv.SOLVE_DENSE
+    jac = grid.flat_jacobian()
+    a = op.assemble_first_kind(grid, backend)[0] * (1.0 / jac)  # A
+    sym = (np.triu(a) + np.triu(a, 1).T) * jac
+    ref = _lu_route(solver, sym, v, f,
+                    lambda x: dsymv(1.0, a.T, jac * x, lower=1))
+    for name, x, y in zip(("W", "Lambda", "dtn f", "ntd v", "residuals"),
+                          got, ref):
+        assert np.array_equal(x, y), name
+    dense, _ = sv.SOLVE_DENSE_LU
     assert dense <= peak / (grid.n_nodes ** 2 * 8) < dense + 0.5
 
 
@@ -745,6 +761,49 @@ def test_operators_must_fit_the_grid(perturbed_grid_small, circle_grid,
     pair = (np.broadcast_to(0.0, (n, n)), np.broadcast_to(0.0, (n, big.n_s)))
     with pytest.raises(op.AssemblyError, match="capped at 4096 nodes"):
         sv.SlenderBodySolver(big, "split", operators=pair)
+
+
+def _read_only(s_h):
+    s_h.flags.writeable = False
+    return s_h
+
+
+REFUSED_S_H = {"read-only": _read_only, "Fortran order": np.asfortranarray,
+               "float32": lambda s_h: s_h.astype(np.float32)}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_S_H))
+def test_operators_are_taken_over(case, perturbed_grid_small):
+    """The solver factors the S_h it is given in place, as LAPACK's
+    overwrite_a: afterwards the array is the factor's.  One it could only
+    copy or fail on inside LAPACK is refused by a one-line ValueError."""
+    grid = perturbed_grid_small
+    s_h, b = op.assemble_first_kind(grid, "split")
+    with pytest.raises(ValueError, match="writeable C-contiguous float64") \
+            as err:
+        sv.SlenderBodySolver(grid, "split",
+                             operators=(REFUSED_S_H[case](s_h.copy()), b))
+    assert "\n" not in str(err.value), case
+    solver = sv.SlenderBodySolver(grid, "split", operators=(s_h, b))
+    solver.dtn(np.cos(2 * np.pi * grid.s_nodes))
+    assert solver.first_kind_factor == "cholesky"
+    assert np.shares_memory(s_h, solver.lu_S.m)
+
+
+@pytest.mark.parametrize("eps,factor", [(1.0 / 64.0, "cholesky"),
+                                        (1.0 / 16.0, "lu")])
+def test_apply_S_is_S_h_from_the_factored_array(eps, factor, rng):
+    """apply_S reads S_h = A diag(J) from the triangle of A that the factor
+    leaves, on either route, to 1e-14 of max|S_h x| (at most 8e-16
+    measured), and leaves the array as it found it."""
+    grid = _first_kind_grid("circle", eps, 64, 8)
+    s_h, b = op.assemble_first_kind(grid, "split")
+    solver = sv.SlenderBodySolver(grid, "split", operators=(s_h.copy(), b))
+    assert solver.first_kind_factor == factor
+    held = solver._s_h.copy()
+    for x in (rng.standard_normal(grid.n_nodes), np.ones(grid.n_nodes)):
+        assert _rel(solver.apply_S(x), s_h @ x) <= 1e-14
+        assert np.array_equal(solver._s_h, held)
 
 
 # structure of the discrete DtN matrix on any curve ---------------------------
@@ -782,14 +841,7 @@ def test_dtn_matrix_is_positive_and_nearly_symmetric(backend):
 
 # exact invariances of the map: reversal and translation of the curve --------
 
-def _dtn_matrix_of(preset, backend, transform):
-    """Lambda at 64x8, eps 1/64, on the preset's curve with its (cos, sin)
-    Fourier coefficients mapped by transform."""
-    cos_c, sin_c = transform(*geo.curve_from_config({"preset": preset}))
-    cl = geo.build_centerline({"cos": cos_c, "sin": sin_c})
-    spec = geo.SurfaceSpec(centerline=cl, frame=geo.build_frame(cl, 128),
-                           epsilon=1.0 / 64.0)
-    return sv.SlenderBodySolver(make_grid(spec, 64, 8), backend).dtn_matrix
+IDENTITY, REVERSED = (lambda c, s: (c, s)), (lambda c, s: (c, -s))
 
 
 def _translated(cos_c, sin_c):
@@ -797,18 +849,61 @@ def _translated(cos_c, sin_c):
     return cos_c + np.eye(len(cos_c), 1) * [0.3, -0.2, 0.7], sin_c
 
 
-@pytest.mark.parametrize("backend", ["direct", "split"])
-@pytest.mark.parametrize("preset", ["perturbed_circle", "trefoil"])
+@functools.lru_cache(maxsize=None)
+def _solver_of(preset, backend, transform):
+    """A solver at 64x8, eps 1/64, on the preset's curve with its (cos, sin)
+    Fourier coefficients mapped by transform; shared by the invariance
+    tests."""
+    cos_c, sin_c = transform(*geo.curve_from_config({"preset": preset}))
+    cl = geo.build_centerline({"cos": cos_c, "sin": sin_c})
+    spec = geo.SurfaceSpec(centerline=cl, frame=geo.build_frame(cl, 128),
+                           epsilon=1.0 / 64.0)
+    return sv.SlenderBodySolver(make_grid(spec, 64, 8), backend)
+
+
+INVARIANCE_CASES = pytest.mark.parametrize(
+    "preset,backend", [(p, b) for p in ("perturbed_circle", "trefoil")
+                       for b in ("direct", "split")])
+
+
+@INVARIANCE_CASES
 def test_dtn_matrix_is_invariant_under_reversal_and_translation(preset,
                                                                 backend):
     """X(t) -> X(-t) (sine rows negated) runs s backwards, so Lambda_rev[j, k]
     = Lambda[-j, -k]; a translation by (0.3, -0.2, 0.7) leaves Lambda as it
     is.  The trefoil's frame twists (k3 ~ 2.2).  Both hold to 1e-12 of
     max|Lambda| (4.4e-16 to 1.7e-14 measured)."""
-    lam = _dtn_matrix_of(preset, backend, lambda c, s: (c, s))
-    rev = _dtn_matrix_of(preset, backend, lambda c, s: (c, -s))
-    moved = _dtn_matrix_of(preset, backend, _translated)
+    lam, rev, moved = (_solver_of(preset, backend, t).dtn_matrix
+                       for t in (IDENTITY, REVERSED, _translated))
     minus = -np.arange(lam.shape[0]) % lam.shape[0]
     scale = np.max(np.abs(lam))
     assert np.max(np.abs(rev - lam[np.ix_(minus, minus)])) <= 1e-12 * scale
     assert np.max(np.abs(moved - lam)) <= 1e-12 * scale
+
+
+@INVARIANCE_CASES
+def test_decomposition_is_invariant_under_reversal_and_translation(preset,
+                                                                   backend):
+    """Each of the six decompose_dtn terms, whose remainders apply S_h by
+    apply_S, runs backwards with the curve and its data (term_rev[j] =
+    term[-j] for v_rev[j] = v[-j]) and stays put under the translation, to
+    1e-12 of the larger of the term's own max and max|f|.  Measured: at
+    most 7.3e-13 of its own max, and 1.3e-14 of max|f|, bar the double-layer
+    remainder on the perturbed circle; that term is 1e-3 of f, a difference
+    of O(1) products, and moves 1.1e-11 to 3.4e-11 of its own max."""
+    sol = _solver_of(preset, backend, IDENTITY)
+    s = sol.grid.s_nodes
+    v = 1.0 + np.cos(2 * np.pi * s) + 0.3 * np.sin(6 * np.pi * s)
+    minus = -np.arange(len(s)) % len(s)
+    rep, rev, moved = (
+        an.decompose_dtn(x.grid, data, solver=x)
+        for x, data in ((sol, v), (_solver_of(preset, backend, REVERSED),
+                                   v[minus]),
+                        (_solver_of(preset, backend, _translated), v)))
+    rev, moved = rev["terms"], moved["terms"]
+    assert len(rep["terms"]) == 6
+    f_max = np.max(np.abs(rep["f_direct"]))
+    for name, term in rep["terms"].items():
+        scale = max(np.max(np.abs(term)), f_max)
+        assert np.max(np.abs(rev[name] - term[minus])) <= 1e-12 * scale, name
+        assert np.max(np.abs(moved[name] - term)) <= 1e-12 * scale, name
