@@ -83,8 +83,8 @@ from .spectral import circulant_from_template as _circulant_from_template
 TAIL_IMAGES = 20
 # dense matrices capped at DENSE_NODE_CAP^2 entries; a slender-body solve
 # holds one of them (S_h, factored in place; two on its LU fallback), an
-# exterior solve two (D' and its LU), and both have to fit in a small-memory
-# environment.
+# exterior solve one (1/2 I + D', factored in place), and both have to fit
+# in a small-memory environment.
 # Matrix-free applies (apply_pairs, apply_pair) are not capped.
 DENSE_NODE_CAP = 4096
 # lattice-sum terms in K_nu(x) are dropped once x exceeds this (K_nu < 1e-18)
@@ -280,12 +280,14 @@ def centerline_kernel(grid, points):
 
 def _add_centerline_correction(grid, d):
     """d += 1/|x - X(s')| (no 1/4pi) times J w (full trapezoid) in place:
-    centerline_kernel's N x n_s table over the source thetas, by row chunks."""
-    corr = centerline_kernel(grid, grid.flat_positions())
-    jw, rows = grid.jacobian * grid.node_weight, default_chunk_rows(grid.n_nodes)
-    d3 = d.reshape(corr.shape + (grid.n_theta,))
+    centerline_kernel's rows over the source thetas, one row chunk at a
+    time (no N x n_s table)."""
+    pts, jw = grid.flat_positions(), grid.jacobian * grid.node_weight
+    rows = default_chunk_rows(grid.n_nodes)
+    d3 = d.reshape(grid.n_nodes, grid.n_s, grid.n_theta)
     for lo in range(0, grid.n_nodes, rows):
-        d3[lo:lo + rows] += corr[lo:lo + rows, :, None] * jw
+        corr = centerline_kernel(grid, pts[lo:lo + rows])
+        d3[lo:lo + rows] += corr[:, :, None] * jw
     return d
 
 

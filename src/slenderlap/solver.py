@@ -22,6 +22,7 @@ identity harness applies S_h and D_h matrix-free in one sweep
 (operators.apply_pair), past DENSE_NODE_CAP.
 Each solve reports its residuals against S_h.  Every dense factor (a
 ShiftedCholesky of S_h, or an LU of sym(A) diag(J), Lambda or 1/2 I + D')
+is made in the C-order array of its matrix through its Fortran view, and
 has solve(x, trans) for vectors and N x k blocks, and anorm = ||mat||_1:
 so W, every solve and the condition estimate anorm ||mat^-1||_1 (LAPACK's
 dlacn2, driven by factor.solve) take one route each.  The estimates of S_h
@@ -41,15 +42,14 @@ reads and writes one triangle of the array (LAPACK Users' Guide, 3rd ed.,
 section 5.1), so the other keeps A, and S_h x = A (J x) is one dsymv.
 Where dpotrf still finds a non-positive minor (under-resolved grids, such
 as eps 1/16 on the circle or direct at eps 1/256), sym(A) diag(J), S_h to
-roundoff, is rebuilt from that triangle into a Fortran-order buffer for
-dgetrf, as _lu builds one for every other dense system: a second N x N
-array.
+roundoff, is rebuilt from that triangle into a second N x N array, which
+_lu factors in place, as it does Lambda's copy and 1/2 I + D'.
 
 At 256x16 (perturbed circle, split, 2 vCPUs, medians of 5 in one process,
 over 5 processes) the solve layer takes: assembly 0.27 s; lu_S 0.36-0.47 s
 (the 64-row pass 0.04-0.05 s, the shift 0.02 s, dpotrf 0.31-0.34 s), the
-estimate 0.05-0.07 s and W 0.11-0.15 s.  The LU route took 1.19 s for _lu,
-its W and gecon.
+estimate 0.05-0.07 s and W 0.11-0.15 s.  On the LU fallback (2 processes)
+_sym_lu takes 0.60-0.71 s, its W 0.11-0.13 s and the estimate 0.09 s.
 
 The exterior Dirichlet problem is solved through the modified double layer:
 (1/2 I + D'_h) phi = v, then u(y) = D'[phi](y) off the surface.
@@ -78,16 +78,15 @@ COND_LIMIT = 1e12
 # back to an LU, and by an exterior solve (dry runs)
 SOLVE_DENSE = (1, "S_h, factored in place")
 SOLVE_DENSE_LU = (2, "S_h and the LU of sym(A) diag(J)")
-EXTERIOR_DENSE = (2, "D' and its LU")
+EXTERIOR_DENSE = (1, "1/2 I + D', factored in place")
 # the Neumann-series NtD stops once an increment is below NEUMANN_TOL times
 # max(1, |v|) and fails once one grows; NEUMANN_MAX_ITER only bounds the run
 # time (it takes a ratio-0.986 series from an increment of 1 to NEUMANN_TOL)
 NEUMANN_MAX_ITER = 2000
 NEUMANN_TOL = 1e-12
-# rows per slab of the pass each factor makes over its matrix (_lu's
-# Fortran-order copy, or S_h scaled into A in place), which also sums |mat|
-# for anorm; at N = 4,096 (medians of 5) copies of 16 rows take 0.12 s, of
-# 64 0.08-0.11 s, of 128 0.18-0.24 s
+# rows per slab of _abs_col_sums, each factor's one pass over its matrix,
+# which copies nothing; at N = 4,096 (medians of 5) slabs of 16 rows take
+# 0.026 s, of 64 or 128 0.023 s (0.033, 0.039 s scaling S_h into A)
 LU_COPY_ROWS = 64
 
 
@@ -120,29 +119,40 @@ class SlenderSolveResult:
 
 
 class LU(NamedTuple):
-    """lu_factor's (lu, piv) of a matrix, and anorm = its 1-norm."""
+    """lu_factor's (lu, piv) of mat^T, and anorm = ||mat||_1."""
 
     lu: np.ndarray
     piv: np.ndarray
     anorm: float
 
     def solve(self, x, trans=0):
-        """mat^-1 x (trans 0) or mat^-T x (trans 1), x a vector or block."""
-        return lu_solve((self.lu, self.piv), x, trans=trans)
+        """mat^-1 x (trans 0) or mat^-T x (trans 1), x a vector or block:
+        lu is mat^T's LU, so lu_solve takes the other trans."""
+        return lu_solve((self.lu, self.piv), x, trans=1 - trans)
 
 
-def _lu(mat):
-    """LU of mat, lu_factor(mat) bit for bit, from a Fortran-order copy made
-    LU_COPY_ROWS rows at a time (each slab holds |mat| first, for ||mat||_1)
-    for dgetrf to overwrite; f2py copies by a strided transpose, 0.38 s at
-    N = 4,096."""
-    a = np.empty(mat.shape, order="F")
-    col = np.zeros(mat.shape[1])
-    for i in range(0, mat.shape[0], LU_COPY_ROWS):
+def _abs_col_sums(a, scale=None):
+    """Column sums of |a|, LU_COPY_ROWS rows at a time, each slab then
+    scaled in place by scale (one factor per column) when it is given; a
+    ValueError if a holds a NaN or an inf."""
+    scratch = np.empty((min(len(a), LU_COPY_ROWS), a.shape[1]))
+    col = np.zeros(a.shape[1])
+    for i in range(0, len(a), LU_COPY_ROWS):
         rows = a[i:i + LU_COPY_ROWS]
-        col += np.abs(mat[i:i + LU_COPY_ROWS], out=rows).sum(axis=0)
-        rows[...] = mat[i:i + LU_COPY_ROWS]
-    return LU(*lu_factor(a, overwrite_a=True), float(col.max()))
+        col += np.abs(rows, out=scratch[:len(rows)]).sum(axis=0)
+        if scale is not None:
+            rows *= scale
+    if not np.isfinite(col).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return col
+
+
+def _lu(a):
+    """LU of the C-order array a, made in a's own array: dgetrf overwrites
+    its Fortran view a.T with lu_factor(a.T), the LU of a^T, and
+    LU.solve solves with a by the other trans."""
+    anorm = float(_abs_col_sums(a).max())
+    return LU(*lu_factor(a.T, overwrite_a=True, check_finite=False), anorm)
 
 
 def _s_sum(x, n_theta):
@@ -191,25 +201,17 @@ def _shifted_cholesky(s_h, jac, n_theta):
     """(ShiftedCholesky of s_h, or None when dpotrf finds M not positive
     definite; the diagonal of A), made in s_h's own array.
 
-    One pass LU_COPY_ROWS rows at a time sums |S_h| by columns, for
-    ||S_h||_1 and sigma = ||A||_1, which moves the s-mean eigenvalues of A
-    well above 0, and scales s_h into A.  The shift goes on the lower
+    _abs_col_sums sums |S_h| by columns, for ||S_h||_1 and sigma =
+    ||A||_1, which moves the s-mean eigenvalues of A well above 0, and
+    scales s_h into A in the same pass.  The shift goes on the lower
     triangle and diagonal only: they are the upper triangle of the Fortran
     view s_h.T, which dpotrf reads and overwrites with the factor.  So the
     strict upper triangle of s_h keeps A, whose diagonal is returned.  mu
     comes from one dpotrs on U.
     """
-    n = s_h.shape[0]
-    n_s = n // n_theta
+    n_s = len(s_h) // n_theta
     inv_j = 1.0 / jac
-    scratch = np.empty((min(n, LU_COPY_ROWS), n))
-    col = np.zeros(n)
-    for i in range(0, n, LU_COPY_ROWS):
-        rows = s_h[i:i + LU_COPY_ROWS]
-        col += np.abs(rows, out=scratch[:len(rows)]).sum(axis=0)
-        rows *= inv_j
-    if not np.isfinite(col).all():
-        raise ValueError("array must not contain infs or NaNs")
+    col = _abs_col_sums(s_h, inv_j)
     a_diag = s_h.diagonal().copy()
     sigma = float((col * inv_j).max())
     m4 = s_h.reshape(n_s, n_theta, n_s, n_theta)
@@ -229,25 +231,20 @@ def _shifted_cholesky(s_h, jac, n_theta):
 def _sym_lu(a, a_diag, jac):
     """LU of sym(A) diag(J), S_h to roundoff, where A's strict upper
     triangle is a's, as _shifted_cholesky leaves it, and its diagonal is
-    a_diag.  Columns lo:hi of the Fortran-order buffer that dgetrf
-    overwrites are rows lo:hi of sym(A) times J[lo:hi], C-contiguous: they
-    are written there LU_COPY_ROWS at a time straight from a's triangle,
-    and summed in scratch for the 1-norm."""
+    a_diag: its rows are written into a C-order buffer LU_COPY_ROWS at a
+    time straight from a's triangle, and _lu factors the buffer."""
     n = len(a)
-    buf = np.empty((n, n), order="F")
-    scratch = np.empty((min(n, LU_COPY_ROWS), n))
-    col = np.empty(n)
+    buf = np.empty((n, n))
     for lo in range(0, n, LU_COPY_ROWS):
         hi = min(lo + LU_COPY_ROWS, n)
-        rows = buf[:, lo:hi].T
+        rows = buf[lo:hi]
         rows[:, :lo] = a[:lo, lo:hi].T
         rows[:, hi:] = a[lo:hi, hi:]
         block = np.triu(a[lo:hi, lo:hi], 1)
         rows[:, lo:hi] = block + block.T
         rows[:, lo:hi].flat[::hi - lo + 1] = a_diag[lo:hi]
-        rows *= jac[lo:hi, None]
-        col[lo:hi] = np.abs(rows, out=scratch[:hi - lo]).sum(axis=1)
-    return LU(*lu_factor(buf, overwrite_a=True), float(col.max()))
+        rows *= jac
+    return _lu(buf)
 
 
 def _inverse_one_norm(solve, n):
@@ -283,8 +280,8 @@ def _cond_estimate(mat, factor):
 
 
 def _factor(mat, system, factor=None):
-    """(factor, cond estimate) of mat, an LU unless factor is given, or a
-    SolveError naming system when the estimate passes COND_LIMIT."""
+    """(factor, cond estimate) of mat, its LU in place unless factor is
+    given, or a SolveError naming system when it passes COND_LIMIT."""
     factor = _lu(mat) if factor is None else factor
     cond = _cond_estimate(mat, factor)
     if cond > COND_LIMIT:
@@ -403,8 +400,8 @@ class SlenderBodySolver:
         """f(s) -> (w, v): solve (Q W) v = f, then w = W v."""
         ff = self._s_data(f)
         W = self._densities()
-        if self._lu_dtn is None:  # LU of Lambda, guarded by COND_LIMIT
-            self._lu_dtn, self._cond_dtn = _factor(self.dtn_matrix,
+        if self._lu_dtn is None:  # LU of a copy (Lambda is kept), guarded
+            self._lu_dtn, self._cond_dtn = _factor(self.dtn_matrix.copy(),
                                                    "DtN matrix of the NtD solve")
         v = self._lu_dtn.solve(ff)
         w = W @ v
@@ -500,7 +497,7 @@ def solve_exterior_dirichlet(grid, v_surface, eval_points, backend="direct"):
     if np.any(dist < 3.0 * grid.epsilon):  # clearance to the surface > 2 eps
         raise SolveError("evaluation point closer than 2 eps to the surface")
     a = assemble_Dprime(grid, backend)
-    a.flat[::grid.n_nodes + 1] += 0.5  # 1/2 I + D', in place
+    a.flat[::grid.n_nodes + 1] += 0.5  # 1/2 I + D', factored in place
     lu, cond = _factor(a, "second-kind system (1/2 I + D')")
     phi = lu.solve(v.reshape(-1))
     u = _offsurface_eval(grid, pts, phi, "Dprime")

@@ -17,8 +17,10 @@ and only the solver's results are GridFunctions.
 Dense factorizations live in solver: only solver imports from
 scipy.linalg or names a LAPACK routine it looks up (get_lapack_funcs,
 potrf, potrs, trtrs) or the dsymv that applies S_h from its factored
-array, only _lu and _sym_lu, which hand LAPACK a Fortran-order buffer,
-call lu_factor, and only LU.solve calls lu_solve.
+array, only _lu calls lu_factor, and only LU.solve calls lu_solve.  Every
+factor is made in the C-order array that holds its matrix, through its
+Fortran view, so src/ allocates no Fortran-order array: no asfortranarray
+and no order="F" but in a reshape (a view).
 
 The slender-body solves never hold D_h, and S_h only in the array its
 factor overwrites: no src/ module reads a .D_h or a .S_h, and a solver
@@ -149,10 +151,23 @@ def _scipy_linalg_imports(tree):
                 yield node.lineno
 
 
+def _fortran_allocations(tree):
+    """Line numbers of asfortranarray calls and of order="F" in any call but
+    a reshape."""
+    for _, called, call in _calls(tree):
+        if called == "asfortranarray" or called != "reshape" and any(
+                kw.arg == "order" and isinstance(kw.value, ast.Constant)
+                and kw.value.value == "F" for kw in call.keywords):
+            yield call.lineno
+
+
 def test_dense_systems_are_factored_only_through_solver_lu():
     importers, callers, lapack, solves, in_lu = [], set(), [], [], []
+    fortran = []
     for path in sorted((ROOT / "src" / "slenderlap").glob("*.py")):
         tree = ast.parse(path.read_text())
+        fortran += [f"{path.name}:{line}"
+                    for line in _fortran_allocations(tree)]
         if path.name != "solver.py":
             importers += [f"{path.name}:{line}"
                           for line in _scipy_linalg_imports(tree)]
@@ -169,8 +184,8 @@ def test_dense_systems_are_factored_only_through_solver_lu():
                   for func, called, _ in _calls(cls) if called == "lu_solve"]
     assert not importers, f"scipy.linalg imported outside solver: {importers}"
     assert not lapack, f"LAPACK routines named outside solver: {lapack}"
-    assert callers == {("solver.py", "_lu"), ("solver.py", "_sym_lu")}, \
-        callers
+    assert callers == {("solver.py", "_lu")}, callers
+    assert not fortran, f"Fortran-order arrays allocated in src/: {fortran}"
     assert solves == in_lu == [("solver.py", "solve")], (solves, in_lu)
 
 

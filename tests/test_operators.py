@@ -78,15 +78,6 @@ def test_backend_agreement_improves(circle_cl, circle_frame):
     assert rels[1] < rels[0]
 
 
-def test_weighted_symmetry(circle_grid_small):
-    g = circle_grid_small
-    w = g.flat_jacobian() * g.node_weight
-    for be, tol in (("direct", 1e-14), ("split", 5e-3)):
-        mat = op.assemble_S(g, be) * w[:, None]
-        asym = np.max(np.abs(mat - mat.T)) / np.max(np.abs(mat))
-        assert asym < tol, be
-
-
 def test_straight_symbol_recovery(circle_spec64):
     """Punctured trapezoid of the straight kernel (with images) reproduces
     m_S(k, l) within 1e-4 once both directions are resolved proportionally

@@ -219,9 +219,10 @@ def test_exterior_manufactured(circle_grid):
     assert np.isfinite(info["cond_Dprime"])
 
 
-def test_exterior_solve_holds_two_dense_matrices(circle_grid):
-    # D' takes its correction in row chunks and 1/2 I in place, so the solve
-    # holds D' and its LU (2.13 N x N arrays measured at 128x16)
+def test_exterior_solve_holds_one_dense_matrix(circle_grid):
+    # D' takes its correction in row chunks, and 1/2 I + D' is factored in
+    # the same array, so the solve holds one N x N array (1.22 measured at
+    # 128x16)
     v, _ = sv.point_charge_data(circle_grid, [(1.0, 0.0)])
     pts = exterior_points(circle_grid.spec)
     tracemalloc.start()
@@ -230,7 +231,7 @@ def test_exterior_solve_holds_two_dense_matrices(circle_grid):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * circle_grid.n_nodes ** 2 * 8
+    assert peak <= 1.35 * circle_grid.n_nodes ** 2 * 8
 
 
 def test_exterior_manufactured_improves(circle_cl, circle_frame):
@@ -527,21 +528,22 @@ def test_split_pair_takes_one_pair_sweep(backend, circle_grid_small,
 
 
 def _gecon_cond(mat):
-    """1/rcond of LAPACK gecon on _lu(mat): the oracle of _cond_estimate."""
+    """1/rcond of LAPACK gecon on lu_factor(mat): the oracle of
+    _cond_estimate."""
     gecon = get_lapack_funcs("gecon", (mat,))
-    rcond, _ = gecon(sv._lu(mat).lu, np.linalg.norm(mat, 1), norm="1")
+    rcond, _ = gecon(lu_factor(mat)[0], np.linalg.norm(mat, 1), norm="1")
     return 1.0 / rcond
 
 
 def test_cond_estimate_one_norm_is_exact_and_small(circle_solver,
                                                    circle_grid):
     """On an LU of S_h and on its first-kind factor, the estimate agrees with
-    gecon's on _lu(S_h), with ||S_h||_1 of either factor exact to roundoff,
-    and it allocates far less than one N x N array.  S_h is assembled again:
-    the solver's is factored in place."""
+    gecon's on lu_factor(S_h), with ||S_h||_1 of either factor exact to
+    roundoff, and it allocates far less than one N x N array.  S_h is
+    assembled again, and _lu factors a copy: both factor in place."""
     mat = op.assemble_first_kind(circle_grid, "split")[0]
     ref = _gecon_cond(mat)
-    factors = {"lu": sv._lu(mat), "cholesky": circle_solver.lu_S}
+    factors = {"lu": sv._lu(mat.copy()), "cholesky": circle_solver.lu_S}
     assert circle_solver.first_kind_factor == "cholesky"
     norm = np.linalg.norm(mat, 1)
     for name, factor in factors.items():
@@ -558,40 +560,57 @@ def test_cond_estimate_one_norm_is_exact_and_small(circle_solver,
         assert peak < n * n * 8 / 8, (name, peak)
 
 
-# the factorization: a Fortran-order copy, the LU of lu_factor bit for bit ----
+# the factorization: in the array that holds the matrix, through its Fortran
+# view ----------------------------------------------------------------------
 
 def test_lu_is_lu_factor_bit_for_bit(perturbed_grid_small):
-    """The three systems the solver factors (split S_h, Lambda, 1/2 I + D')
-    and a seeded matrix."""
+    """_lu(a) is lu_factor(a.T), the LU of a^T, bit for bit, made in a's
+    own memory, on the three systems the solver factors (split S_h, Lambda,
+    1/2 I + D') and a seeded matrix; its solve is a's."""
     grid = perturbed_grid_small
     solver = _fresh_solver(grid)
     dprime = op.assemble_Dprime(grid, "split")
     dprime.flat[::grid.n_nodes + 1] += 0.5
     mats = {"S_h": op.assemble_first_kind(grid, "split")[0],
-            "Lambda": solver.dtn_matrix, "Dprime": dprime}
+            "Lambda": solver.dtn_matrix.copy(), "Dprime": dprime}
     # 1000 rows are not a whole number of LU_COPY_ROWS slabs
     assert 1000 % sv.LU_COPY_ROWS
     mats["seeded"] = np.random.default_rng(19).standard_normal((1000, 1000))
     for name, mat in mats.items():
+        ref_lu, ref_piv = lu_factor(mat.T)
         before = mat.copy()
-        lu, piv, _ = sv._lu(mat)
-        ref_lu, ref_piv = lu_factor(mat)
-        assert np.array_equal(lu, ref_lu), name
-        assert np.array_equal(piv, ref_piv), name
-        assert np.array_equal(mat, before), name  # the input is not overwritten
+        factor = sv._lu(mat)
+        assert np.array_equal(factor.lu, ref_lu), name
+        assert np.array_equal(factor.piv, ref_piv), name
+        assert np.shares_memory(factor.lu, mat), name
+        assert abs(factor.anorm / np.linalg.norm(before, 1) - 1.0) <= 1e-14
+        x = np.linspace(-1.0, 1.0, len(mat))
+        for trans, m in ((0, before), (1, before.T)):
+            assert _rel(m @ factor.solve(x, trans), x) <= 1e-10, (name, trans)
 
 
-def test_every_factorization_hands_lapack_its_own_fortran_copy(
+def test_lu_refuses_a_non_finite_matrix():
+    """The finiteness check lu_factor made is _lu's slab pass's now: the
+    same one-line message."""
+    mat = np.eye(70)
+    mat[66, 3] = np.nan
+    with pytest.raises(ValueError) as err:
+        sv._lu(mat)
+    assert str(err.value) == "array must not contain infs or NaNs"
+
+
+def test_every_factorization_overwrites_the_fortran_view_of_its_array(
         perturbed_grid_small, monkeypatch):
-    """lu_S hands dpotrf the Fortran view of the C-order array S_h was
-    assembled into to overwrite, and _factor factors through _lu:
-    lu_factor sees an F-contiguous float64 array it may overwrite.  So
-    f2py copies nothing."""
+    """Every lu_factor or dpotrf call is handed the F-contiguous view of a
+    C-order float64 array to overwrite, so f2py copies nothing: S_h's own
+    array (dpotrf), the copy of Lambda that ntd factors, 1/2 I + D' of the
+    exterior solve, and the buffer of the LU fallback (circle, eps 1/16)."""
     seen, potrf_args = [], []
 
     def spy(a, **kwargs):
-        seen.append((a.flags.f_contiguous, a.dtype, kwargs))
-        return lu_factor(a, **kwargs)
+        out = lu_factor(a, **kwargs)
+        seen.append((a, kwargs, out[0]))
+        return out
 
     lapack = sv.get_lapack_funcs
 
@@ -606,21 +625,41 @@ def test_every_factorization_hands_lapack_its_own_fortran_copy(
 
         return potrf, funcs[1]
 
+    def fortran_view_overwritten(a, kwargs, n):
+        return (a.flags.f_contiguous and a.dtype == np.float64
+                and a.base is not None and a.base.shape == (n, n)
+                and a.base.flags.c_contiguous and kwargs["overwrite_a"])
+
     monkeypatch.setattr(sv, "lu_factor", spy)
     monkeypatch.setattr(sv, "get_lapack_funcs", lapack_spy)
-    solver = _fresh_solver(perturbed_grid_small)
+    grid = perturbed_grid_small
+    solver = _fresh_solver(grid)
     factor = solver.lu_S
     [(a, kwargs)] = potrf_args
-    n = perturbed_grid_small.n_nodes
-    assert a.flags.f_contiguous and a.dtype == np.float64
-    assert a.base is not None and a.base.shape == (n, n) \
-        and a.base.flags.c_contiguous and np.shares_memory(a, factor.m)
-    assert kwargs["overwrite_a"] and factor.m.ctypes.data == a.ctypes.data
+    assert fortran_view_overwritten(a, kwargs, grid.n_nodes)
+    assert factor.m.ctypes.data == a.ctypes.data
     assert seen == []
-    sv._factor(solver.dtn_matrix, "DtN matrix")
-    sv._factor(op.assemble_first_kind(perturbed_grid_small, "split")[0],
-               "first-kind system")
-    assert seen == [(True, np.float64, {"overwrite_a": True})] * 2
+    solver.ntd(np.cos(2 * np.pi * grid.s_nodes))
+    sv.solve_exterior_dirichlet(grid, np.ones(grid.n_nodes),
+                                exterior_points(grid.spec), backend="split")
+    fallback = sv.SlenderBodySolver(_first_kind_grid("circle", 1.0 / 16.0,
+                                                     64, 8), "split")
+    assert fallback.first_kind_factor == "lu"
+    sizes = [grid.n_s, grid.n_nodes, fallback.grid.n_nodes]
+    assert len(seen) == len(sizes)
+    for (a, kwargs, lu), n in zip(seen, sizes):
+        assert fortran_view_overwritten(a, kwargs, n), n
+        assert np.shares_memory(lu, a) and kwargs["check_finite"] is False, n
+    assert not np.shares_memory(seen[0][0], solver.dtn_matrix)
+    assert np.shares_memory(seen[2][2], fallback.lu_S.lu)
+
+
+def test_ntd_keeps_the_dtn_matrix(perturbed_grid_small):
+    """ntd factors a copy of Lambda: dtn_matrix is the same after it."""
+    solver = _fresh_solver(perturbed_grid_small)
+    before = solver.dtn_matrix.copy()
+    solver.ntd(np.cos(2 * np.pi * perturbed_grid_small.s_nodes))
+    assert np.array_equal(solver.dtn_matrix, before)
 
 
 def test_lu_S_refuses_a_non_finite_first_kind_matrix(perturbed_grid_small):
@@ -641,14 +680,20 @@ def _first_kind_grid(preset, eps, n_s, n_theta):
     return make_grid(spec, n_s, n_theta)
 
 
+def _lu_solve(mat, b):
+    """mat^-1 b as _lu and LU.solve make it: lu_factor(mat.T), the LU of
+    mat^T, solved with trans 1."""
+    return lu_solve(lu_factor(mat.T), b, trans=1)
+
+
 def _lu_route(solver, mat, v, f, apply_s):
     """W, Lambda, dtn(v).f, ntd(f).v and the two first-kind residuals by
-    lu_factor and lu_solve of mat alone, the residuals applying S_h by
-    apply_s: the solver's route before the Cholesky one."""
+    lu_factor and lu_solve of mat alone (_lu_solve), the residuals applying
+    S_h by apply_s: the solver's route before the Cholesky one."""
     g = solver.grid
-    w = lu_solve(lu_factor(mat), solver.B)
+    w = _lu_solve(mat, solver.B)
     lam = theta_integral(g, w, g.jacobian)
-    v_f = lu_solve(lu_factor(lam), f)
+    v_f = _lu_solve(lam, f)
     resid = [float(np.max(np.abs(apply_s(w @ x) - solver.B @ x)))
              for x in (v, v_f)]
     return w, lam, theta_integral(g, w @ v, g.jacobian), v_f, resid
@@ -698,7 +743,8 @@ def test_indefinite_shift_falls_back_to_the_lu(preset, eps, backend,
     """dpotrf stops at minor 31 (circle, eps 1/16, split) or 2 (perturbed
     circle, eps 1/256, direct): the solver then factors sym(A) diag(J),
     rebuilt from the triangle of A = S_h diag(1/J) that dpotrf left, by
-    _lu.  Its outputs are the LU route's on that matrix bit for bit, the
+    _lu.  Its outputs are the LU route's on that matrix bit for bit
+    (lu_factor of its transpose, solved with trans 1, as _lu does), the
     residuals applying it by dsymv as apply_S does, and it holds two N x N
     arrays, S_h's and the LU's."""
     grid = _first_kind_grid(preset, eps, 64, 8)
