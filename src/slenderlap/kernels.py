@@ -66,17 +66,38 @@ def _aligned_empty(shape):
 
 # vectorized pair sweeps ------------------------------------------------------
 
+def lower_strips(n_nodes):
+    """Row strips [lo, hi) of a lower pair sweep: r = hi - lo is the largest
+    multiple of 4 (at least 4) with r (lo + r) <= 2^16, so a strip against
+    its sources [0, hi) is about one chunk of pairs.  The rule is fixed, not
+    CHUNK_PAIRS, so the strips, and the order in which a sweep adds up
+    their mirrored sums, depend on n_nodes alone."""
+    lo = 0
+    while lo < n_nodes:
+        r = (math.isqrt(lo * lo + 4 * (1 << 16)) - lo) // 2
+        hi = min(lo + 4 * max(1, r // 4), n_nodes)
+        yield lo, hi
+        lo = hi
+
+
 class PairGeometry:
-    """Row-chunked pairwise geometry over all (target, source) node pairs.
+    """Row-chunked pairwise geometry over (target, source) node pairs.
 
     Chunks iterate over flattened target indices, chunk_rows at a time
     (default_chunk_rows by default), and sweep runs them on every CPU; every
     field of a chunk is an array of shape (chunk, N) against all N sources.
+    With lower, the chunks are lower_strips instead, and each strip's fields
+    are against its sources [0, hi) alone: every pair (i, a) with a <= i lies
+    in exactly one strip, the one holding row i.  That serves kernels
+    symmetric in the pair, from the positions alone; offset templates and
+    R_t have no such strip form.
     """
 
-    def __init__(self, grid: SurfaceGrid, chunk_rows=None, templates=None):
+    def __init__(self, grid: SurfaceGrid, chunk_rows=None, templates=None,
+                 lower=False):
         self.grid = grid
         self.chunk_rows = chunk_rows or default_chunk_rows(grid.n_nodes)
+        self.lower = lower
         g = grid
         self.P, self.NRM = g.flat_positions(), g.flat_normals()
         self.KH = g.khat.reshape(-1)
@@ -92,28 +113,51 @@ class PairGeometry:
 
     def chunks(self):
         n = self.grid.n_nodes
+        if self.lower:
+            yield from lower_strips(n)
+            return
         for lo in range(0, n, self.chunk_rows):
             yield lo, min(lo + self.chunk_rows, n)
 
-    def sweep(self, need, body):
-        """body(lo, hi, fields(lo, hi, need, scratch)) per row chunk, in order.
+    def n_sources(self, hi):
+        """Sources of the chunk ending at row hi: [0, hi) if lower, or all."""
+        return hi if self.lower else self.grid.n_nodes
+
+    def sweep(self, need, body, fold=None):
+        """body(lo, hi, fields(lo, hi, need, scratch)) per chunk, and fold of
+        each of its results in chunk order.
 
         The caller and sweep_cpus() - 1 pool threads take the chunks in turn,
-        each with its own scratch of (chunk_rows, N) buffers, carved on first
-        use from one block that the caller allocates per sweep, so no chunk
-        allocates a field (and glibc keeps the block's pages for the next
-        sweep).  A chunk's fields are views into its taker's scratch that
-        body may overwrite.  body writes only rows [lo, hi).  A failed chunk
-        stops the sweep, and its exception is raised here.
+        each with its own scratch of flat buffers of the largest chunk's
+        pairs, carved on first use from one block that the caller allocates
+        per sweep, so no chunk allocates a field (and glibc keeps the block's
+        pages for the next sweep).  A chunk's fields are views into its
+        taker's scratch that body may overwrite.  body writes only rows
+        [lo, hi); fold(result), which may write any, runs under the sweep's
+        lock as soon as every earlier chunk's result has been folded, so what
+        it adds up does not depend on which thread ran which chunk; without
+        fold, sweep returns the results in chunk order.  A failed chunk stops
+        the sweep, and its exception is raised here.
         """
         todo, lock, failed = enumerate(self.chunks()), threading.Lock(), []
+        results, pending, n_folded = [], {}, 0
+        fold = fold or results.append
         n_pool = sweep_cpus() - 1
-        # fields writes each name in need and at most d, t and absR besides
-        block = _aligned_empty((n_pool + 1, len(need) + 3, self.chunk_rows,
-                                self.grid.n_nodes))
+        # fields writes each name in need and at most three buffers besides;
+        # slots of whole 64-byte lines
+        pairs = max((hi - lo) * self.n_sources(hi) for lo, hi in self.chunks())
+        block = _aligned_empty((n_pool + 1, len(need) + 3, -(-pairs // 8) * 8))
         mine, *theirs = (defaultdict(iter(part).__next__) for part in block)
+
+        def finish(i, result):  # under the lock
+            nonlocal n_folded
+            pending[i] = result
+            while n_folded in pending:
+                fold(pending.pop(n_folded))
+                n_folded += 1
+
         _, (lo, hi) = next(todo)  # fills the lazy tables before any thread
-        out = {0: body(lo, hi, self.fields(lo, hi, need, mine))}
+        finish(0, body(lo, hi, self.fields(lo, hi, need, mine)))
 
         def take():
             with lock:
@@ -122,7 +166,9 @@ class PairGeometry:
         def work(buffers):
             for i, (lo, hi) in iter(take, None):
                 try:
-                    out[i] = body(lo, hi, self.fields(lo, hi, need, buffers))
+                    result = body(lo, hi, self.fields(lo, hi, need, buffers))
+                    with lock:
+                        finish(i, result)
                 except BaseException:
                     failed.append(i)  # the others take no more chunks
                     raise
@@ -132,7 +178,7 @@ class PairGeometry:
             work(mine)
         for f in futures:
             f.result()
-        return [out[i] for i in range(len(out))]
+        return results
 
     def gather(self, name, lo, hi, out):
         """Offset template `name` at the pairs of rows [lo, hi), into out."""
@@ -147,16 +193,18 @@ class PairGeometry:
         gathered.  "diag": the target's column.  "absR": |R|; "Rn": R . n_src
         (with |R|); "absRt": |R_t|; "absReven": |R_even|.  "invR" and "invRt"
         are 1/|R| and 1/|R_t| in their place, 0 at the self-pair like
-        "invRbar": the one place a pair sweep drops it.  Only the requested
-        fields are built, and |R|, R . n_src and |R_t| go component by
-        component, with no (chunk, N, 3) temporary, into scratch (see sweep)
-        or, without it, into new arrays.
+        "invRbar": the one place a pair sweep drops it.  "Rinv3" (with invR)
+        is the three components of R/|R|^3, so 0 there too.  Only the
+        requested fields are built, and |R|, R . n_src and |R_t| go component
+        by component, with no (chunk, N, 3) temporary, into scratch (see
+        sweep) or, without it, into new arrays.
         """
         g, rows, names = self.grid, hi - lo, set(need)
+        cols = self.n_sources(hi)
 
         def buf(name):
-            return (np.empty((rows, g.n_nodes)) if scratch is None
-                    else scratch[name][:rows])
+            return (np.empty((rows, cols)) if scratch is None
+                    else scratch[name][:rows * cols].reshape(rows, cols))
 
         out = {}
 
@@ -173,24 +221,32 @@ class PairGeometry:
             if name in self._templates:
                 out[name] = self.gather(name, lo, hi, buf(name))
         if "diag" in names:
-            out["diag"] = np.zeros((rows, g.n_nodes), dtype=bool)
+            out["diag"] = np.zeros((rows, cols), dtype=bool)
             out["diag"][np.arange(rows), np.arange(lo, hi)] = True
-        if {"absR", "Rn", "invR"} & names:
-            name = "invR" if "invR" in names else "absR"
-            d, r2 = buf("d"), buf(name)
-            t, rn = (buf("t"), buf("Rn")) if "Rn" in names else (None, None)
-            for k, (p, nrm) in enumerate(zip(self._pt, self._nt)):
-                np.subtract(p[lo:hi, None], p, out=d)
+        if {"absR", "Rn", "invR", "Rinv3"} & names:
+            name = "invR" if {"invR", "Rinv3"} & names else "absR"
+            keep = "Rinv3" in names  # R's components stay for R/|R|^3
+            r2, rn = buf(name), buf("Rn") if "Rn" in names else None
+            t = buf("t") if keep or rn is not None else None
+            comps = ([buf(f"R{k}") for k in range(3)] if keep
+                     else [buf("d")] * 3)
+            # sums start at their first term: 0.0 + it, up to -0.0
+            for k, (p, nrm, d) in enumerate(zip(self._pt, self._nt, comps)):
+                np.subtract(p[lo:hi, None], p[:cols], out=d)
                 if rn is not None:
                     prod = np.multiply(d, nrm, out=t if k else rn)
-                sq = np.square(d, out=d if k else r2)
-                if k:  # sums start at their first term: 0.0 + it, up to -0.0
-                    r2 += sq
-                    if rn is not None:
+                    if k:
                         rn += prod
+                sq = np.square(d, out=r2 if k == 0 else t if keep else d)
+                if k:
+                    r2 += sq
             distance(name, r2)
             if rn is not None:
                 out["Rn"] = rn
+            if keep:
+                inv = out["invR"]
+                inv3 = np.multiply(np.multiply(inv, inv, out=t), inv, out=t)
+                out["Rinv3"] = [np.multiply(d, inv3, out=d) for d in comps]
         if {"absRt", "invRt"} & names:
             # R_t = (s-hat e_t(s) + eps e_r(s, theta)) - eps n_src
             shat = self._templates["shat"][(self.i_s[lo:hi, None]

@@ -37,13 +37,17 @@ assemble_pair fills in one pair sweep.  They differ only in what is added:
 Every pair kernel is written once, in _pair_kernel's table, from the inverse
 distances 1/|R|, 1/|R_t|, 1/|R-bar|, R . n_src and straight templates, and
 carries no 1/4pi: the source weight does.  PairGeometry.fields drops the
-self-pair, and nothing else does.  assemble_pair, apply_pair, apply_pairs
-and the dense oracles take a chunk's kernel rows from _pair_sweep and only
-write them into a matrix, sum them (D_h into B = (1/2 I - D_h) E,
-assemble_first_kind, whose S_h is assemble_S) or multiply them by densities.
-Every pair sweep runs through PairGeometry.sweep: row chunks on every CPU of
-the affinity mask, each row computed whole by one thread, so no output
-depends on the thread count.  D' - D_h depends on the source only through
+self-pair, and nothing else does.  assemble_pair, apply_pairs and the dense
+oracles take a chunk's kernel rows from _pair_sweep and only write them into
+a matrix, sum them (D_h into B = (1/2 I - D_h) E, assemble_first_kind, whose
+S_h is assemble_S) or multiply them by densities.  apply_pair alone takes a
+lower sweep (kernels.lower_strips), which evaluates each unordered pair once
+and applies G and K_D both ways from 1/|R| and R/|R|^3: the non-symmetric
+kernels (R_t takes the target's e_t) and the dense assemblies keep the full
+rows.  Every pair sweep runs through PairGeometry.sweep: row chunks or
+strips on every CPU of the affinity mask, each computed whole by one thread,
+and a lower sweep's mirrored sums added in strip order, so no output depends
+on the thread count.  D' - D_h depends on the source only through
 s, so centerline_kernel builds it with no pair sweep.
 
 The remainder pieces of the curved-minus-straight operators are pair
@@ -449,22 +453,40 @@ def assemble_first_kind(grid, backend="direct"):
 def apply_pair(grid, backend, phi, psi):
     """(S_h phi, D_h psi) of either backend: assemble_pair's matrix-free twin.
 
-    One pair sweep, the source weight folded into both (n_s, n_theta)
-    densities, does two matrix-vector products per row chunk and stores no
-    N x N array, so it is not capped.
+    One lower pair sweep (PairGeometry's lower_strips) evaluates each
+    unordered pair once and stores no N x N array, so it is not capped.
+    G = 1/|R| is symmetric, and K_D(a, i) = -sum_k R_k(i, a) n_k(i)/|R|^3
+    takes the same R_k/|R|^3 as K_D(i, a) = sum_k R_k(i, a) n_k(a)/|R|^3.
+    So each strip's 1/|R| and R_k/|R|^3 go against phi and n_k psi, the
+    source weight folded into both, forward for its rows [lo, hi) over the
+    sources [0, hi) and transposed for the targets [0, lo) from the sources
+    [lo, hi); the sweep adds those mirrored sums in strip order.
     """
     if backend not in ("direct", "split"):
         raise ValueError(f"unknown backend '{backend}'")
     phi, psi = np.asarray(phi, float), np.asarray(psi, float)
     w_src = grid.jacobian * (grid.node_weight / FOURPI)
-    phi_w, psi_w = (phi * w_src).reshape(-1), (psi * w_src).reshape(-1)
+    phi_w = (phi * w_src).reshape(-1)
+    n_psi = grid.flat_normals().T * (psi * w_src).reshape(-1)  # (3, N): n psi
     s_out, d_out = np.empty_like(w_src), np.empty_like(w_src)
+    s_flat, d_flat = s_out.reshape(-1), d_out.reshape(-1)
 
-    def rows(lo, hi, k):
-        np.matmul(k["G"], phi_w, out=s_out.reshape(-1)[lo:hi])
-        np.matmul(k["KD"], psi_w, out=d_out.reshape(-1)[lo:hi])
+    def strip(lo, hi, f):
+        g, q = f["invR"], f["Rinv3"]
+        np.matmul(g, phi_w[:hi], out=s_flat[lo:hi])
+        d = np.matmul(q[0], n_psi[0, :hi], out=d_flat[lo:hi])
+        mirror_d = n_psi[0, lo:hi] @ q[0][:, :lo]
+        for k in (1, 2):
+            d += q[k] @ n_psi[k, :hi]
+            mirror_d += n_psi[k, lo:hi] @ q[k][:, :lo]
+        return lo, phi_w[lo:hi] @ g[:, :lo], mirror_d
 
-    _pair_sweep(grid, ("G", "KD"), rows)
+    def fold(mirrored):
+        lo, mirror_s, mirror_d = mirrored
+        s_flat[:lo] += mirror_s
+        d_flat[:lo] -= mirror_d
+
+    PairGeometry(grid, lower=True).sweep(("invR", "Rinv3"), strip, fold)
     if backend == "split":
         t_s, t_d = _split_templates(grid)
         s_out += apply_symbol(np.fft.fftn(t_s), phi * grid.jacobian / grid.epsilon)

@@ -65,7 +65,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 from scipy.linalg.blas import dgemm, dsymv
 
-from .grid import SurfaceGrid, check_grid_sizes, make_grid
+from . import grid as grid_mod
+from .grid import SurfaceGrid, check_grid_sizes
 from .kernels import FOURPI
 from .operators import (_check_dense_cap, apply_pair, assemble_Dprime,
                         assemble_first_kind, centerline_kernel, theta_integral)
@@ -272,10 +273,11 @@ def _inverse_one_norm(solve, n):
     return max(est, 2.0 * np.abs(solve(alt, 0)).sum() / (3 * n))
 
 
-def _cond_estimate(mat, factor):
-    """1-norm condition estimate ||mat||_1 ||mat^-1||_1 from factor, an LU
-    or a ShiftedCholesky of mat; math.inf when it is not finite."""
-    cond = float(factor.anorm * _inverse_one_norm(factor.solve, mat.shape[0]))
+def _cond_estimate(factor, n):
+    """1-norm condition estimate ||X||_1 ||X^-1||_1 of the n x n matrix X
+    that factor, an LU or a ShiftedCholesky, factors; math.inf when it is
+    not finite."""
+    cond = float(factor.anorm * _inverse_one_norm(factor.solve, n))
     return cond if math.isfinite(cond) else math.inf
 
 
@@ -283,7 +285,7 @@ def _factor(mat, system, factor=None):
     """(factor, cond estimate) of mat, its LU in place unless factor is
     given, or a SolveError naming system when it passes COND_LIMIT."""
     factor = _lu(mat) if factor is None else factor
-    cond = _cond_estimate(mat, factor)
+    cond = _cond_estimate(factor, len(mat))
     if cond > COND_LIMIT:
         raise SolveError(f"{system} too ill-conditioned: cond ~ {cond:.3e}")
     return factor, cond
@@ -563,8 +565,9 @@ def check_ladder(n_s_list, n_theta):
 def greens_ladder(spec, charges, n_s_list, n_theta, backend="direct"):
     """Residual across an n_s ladder plus the least-squares convergence order."""
     check_ladder(n_s_list, n_theta)
-    resids = [greens_identity_residual(make_grid(spec, n_s, n_theta), charges,
-                                       backend)[0] for n_s in n_s_list]
+    # make_grid through its module, where perfbench/tracer.py wraps it
+    resids = [greens_identity_residual(grid_mod.make_grid(spec, n, n_theta),
+                                       charges, backend)[0] for n in n_s_list]
     hs = np.log(1.0 / np.asarray(n_s_list, float))
     order = float(np.polyfit(hs, np.log(resids), 1)[0])
     return resids, order

@@ -125,6 +125,114 @@ def test_pair_apply_allocates_only_its_scratch(monkeypatch):
     assert peak <= block + table + small
 
 
+def _recorded_strips(grid, monkeypatch):
+    """(lo, hi, shape of the invR field) of each fields call of one
+    apply_pair, in chunk order."""
+    seen, fields = {}, kn.PairGeometry.fields
+
+    def recording(self, lo, hi, need=("absR",), scratch=None):
+        out = fields(self, lo, hi, need, scratch)
+        seen[lo] = (lo, hi, out["invR"].shape)
+        return out
+
+    monkeypatch.setattr(kn.PairGeometry, "fields", recording)
+    phi = _densities(grid)
+    op.apply_pair(grid, "split", phi, phi)
+    monkeypatch.setattr(kn.PairGeometry, "fields", fields)
+    return [seen[lo] for lo in sorted(seen)]
+
+
+def test_strips_cover_each_unordered_pair_once(perturbed_grid, monkeypatch):
+    """apply_pair's strips take rows [lo, hi) against sources [0, hi): each
+    pair (i, a) with a <= i, the self-pair included, lies in exactly one
+    strip; only the strips' own square blocks hold pairs with a > i."""
+    grid = perturbed_grid
+    n = grid.n_nodes
+    monkeypatch.setattr(kn, "sweep_cpus", lambda: 2)
+    strips = _recorded_strips(grid, monkeypatch)
+    assert len(strips) > 4
+    hits = np.zeros((n, n), np.int8)
+    for lo, hi, shape in strips:
+        assert shape == (hi - lo, hi)
+        hits[lo:hi, :hi] += 1
+    lower = np.tril(np.ones((n, n), bool))
+    assert np.all(hits[lower] == 1)
+    square = np.zeros((n, n), bool)
+    for lo, hi, _ in strips:
+        square[lo:hi, lo:hi] = True
+    assert np.array_equal(hits[~lower] == 1, square[~lower])
+    assert [(lo, hi) for lo, hi, _ in strips] == list(kn.lower_strips(n))
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096, 16384, 20000])
+def test_strip_rule(n):
+    """Strips of 4 r rows, r (lo + r) <= 2^16 with r the largest such (or
+    4, where even 4 rows pass 2^16), ending at n."""
+    strips = list(kn.lower_strips(n))
+    assert strips[0][0] == 0 and strips[-1][1] == n
+    for (lo, hi), (nxt, _) in zip(strips, strips[1:]):
+        r = hi - lo
+        assert nxt == hi and r % 4 == 0
+        assert r == 4 or r * (lo + r) <= 1 << 16 < (r + 4) * (lo + r + 4)
+
+
+def test_strip_bounds_follow_the_node_count_alone(perturbed_grid,
+                                                  monkeypatch):
+    """Neither the CPU count nor CHUNK_PAIRS moves a strip, so the order in
+    which apply_pair adds the mirrored sums is fixed too."""
+    grid = perturbed_grid
+    monkeypatch.setattr(kn, "sweep_cpus", lambda: 1)
+    want = _recorded_strips(grid, monkeypatch)
+    for cpus in (2, 3):
+        monkeypatch.setattr(kn, "sweep_cpus", lambda: cpus)
+        assert _recorded_strips(grid, monkeypatch) == want
+    for chunk_pairs in (1 << 12, 1 << 18):
+        monkeypatch.setattr(kn, "CHUNK_PAIRS", chunk_pairs)
+        assert _recorded_strips(grid, monkeypatch) == want
+
+
+@pytest.mark.parametrize("backend", ["direct", "split"])
+def test_apply_pair_allocates_only_its_scratch(backend, monkeypatch):
+    """The tracemalloc peak of a 128x16 apply_pair is its scratch block, made
+    once per sweep (two participants, 2 + 3 slots each of the largest
+    strip's pairs, all used: 1/|R|, three components of R/|R|^3 and 1/|R|^3),
+    plus O(N) arrays: the mirrored sums and the backend's corrections.  One
+    more strip buffer per participant would break the bound."""
+    import tracemalloc
+
+    from slenderlap import geometry, grid as gr
+    cl = geometry.build_centerline({"preset": "circle"})
+    spec = geometry.SurfaceSpec(centerline=cl, frame=geometry.build_frame(cl, 128),
+                                epsilon=1.0 / 64.0)
+    grid = gr.make_grid(spec, 128, 16)
+    phi = _densities(grid)
+    monkeypatch.setattr(kn, "sweep_cpus", lambda: 2)
+    op.apply_pair(grid, backend, phi, phi)  # symbol tables and imports first
+    blocks, used = {}, set()
+    fields = kn.PairGeometry.fields
+
+    def recording(self, lo, hi, need=("absR",), scratch=None):
+        out = fields(self, lo, hi, need, scratch)
+        blocks.update({id(b.base): b.base.nbytes for b in scratch.values()})
+        used.update(id(b) for b in scratch.values())
+        return out
+
+    monkeypatch.setattr(kn.PairGeometry, "fields", recording)
+    tracemalloc.start()
+    try:
+        op.apply_pair(grid, backend, phi, phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pairs = max((hi - lo) * hi for lo, hi in kn.lower_strips(grid.n_nodes))
+    assert pairs == 1 << 16
+    assert len(blocks) == 1 and len(used) == 2 * 5
+    block = blocks.popitem()[1]
+    assert block == 2 * 5 * pairs * 8 + 64
+    small = 1 << 20  # O(N) arrays and numpy's iterator buffers, 0.7 MB
+    assert peak <= block + small
+
+
 def test_one_cpu_starts_no_thread(perturbed_grid_small, monkeypatch):
     monkeypatch.setattr(kn, "sweep_cpus", lambda: 1)
     seen = set()
