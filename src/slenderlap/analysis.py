@@ -109,7 +109,6 @@ def decompose_dtn(grid, v, alpha=0.25, solver=None):
         "terms": {k: t[0] for k, t in terms.items()},
         "alpha": alpha,
         "conditioning": res.conditioning,
-        "first_kind_factor": solver.first_kind_factor,
     }
 
 

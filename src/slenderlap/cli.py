@@ -84,10 +84,9 @@ def _dry_run(plan):
 
 
 def _dry_run_report(n_s, n_theta, n_systems=1, dense=None):
-    """Print the run's size on its n_s x n_theta grid, which must be valid;
-    dense is (count, what) of the N x N arrays it holds at once, None when
-    matrix-free.  For a slender-body solve it also names what the LU
-    fallback of its first-kind factor holds."""
+    """Print the run's size on its n_s x n_theta grid, which must be valid:
+    dense is (count, what) of the N x N arrays it holds at once, or None for
+    the largest chunk of either pair sweep (full rows or lower strips)."""
     grid.check_grid_sizes(n_s, n_theta)
     n = n_s * n_theta
     if dense:
@@ -95,15 +94,12 @@ def _dry_run_report(n_s, n_theta, n_systems=1, dense=None):
         gb = n * n * 8 / 1e9
         size = (f"{count} dense N x N arrays at once ({held}), "
                 f"~{count * gb:.2f} GB (~{gb:.2f} GB per dense operator)")
-        if dense == solver.SOLVE_DENSE:
-            count, held = solver.SOLVE_DENSE_LU
-            size += (f"; {count} ({held}), ~{count * gb:.2f} GB, if S_h "
-                     f"falls back to an LU")
     else:
-        rows = kernels.default_chunk_rows(n)
-        in_flight = min(kernels.sweep_cpus(), -(-n // rows))
-        size = (f"matrix-free, ~{rows * n * 8 / 1e6:.2f} MB per row-chunk "
-                f"field ({rows} x {n} pairs, {in_flight} chunk(s) in flight)")
+        pairs = max(min(kernels.default_chunk_rows(n), n) * n,
+                    *((hi - lo) * hi for lo, hi in kernels.lower_strips(n)))
+        size = (f"matrix-free, chunks of at most {pairs} pairs "
+                f"(~{pairs * 8 / 1e6:.2f} MB per field, held by each of "
+                f"{kernels.sweep_cpus()} sweep participant(s))")
     return _dry_run(f"grid {n_s} x {n_theta} ({n} nodes), {size}, "
                     f"{n_systems} system(s)")
 
@@ -188,7 +184,7 @@ def cmd_greens_check(args):
         print(f"{backend}: residuals " +
               " ".join(_fmt(r) for r in resids) + f"  order {order:.3f}")
     out["rungs"] = [{"n_s": n_s, "n_nodes": n_s * args.ntheta,
-                     "aspect": args.ntheta / (2.0 * math.pi * args.epsilon * n_s)}
+                     "aspect": grid.aspect_ratio(n_s, args.ntheta, args.epsilon)}
                     for n_s in ladder]
     _emit_json(args, {"pass": ok, **out})
     return 0 if ok else 2
@@ -210,15 +206,13 @@ def cmd_solve(args):
         return _dry_run_report(args.ns, args.ntheta, dense=solver.SOLVE_DENSE)
     data = _parse_data_spec(args.data, args.ns)  # before the sweep
     g = grid.make_grid(spec, args.ns, args.ntheta)
-    sol = solver.SlenderBodySolver(g, "split")
-    res = sol.dtn(data) if args.command == "dtn" else sol.ntd(data)
+    res = getattr(solver.SlenderBodySolver(g, "split"), args.command)(data)
     label = "f" if args.command == "dtn" else "v"
     out_csv = args.out or f"{args.command}_result.csv"
     _write_csv(out_csv, ("s", label), [
         (float(s), float(x)) for s, x in zip(g.s_nodes, getattr(res, label).values)])
     print(f"wrote {out_csv}; cond(S) ~ {res.conditioning['cond_S']:.3e}")
     _emit_json(args, {"residuals": res.residuals, "conditioning": res.conditioning,
-                      "first_kind_factor": sol.first_kind_factor,
                       "csv": str(out_csv)})
     return 0
 
@@ -282,8 +276,7 @@ def cmd_decompose(args):
     for name, norm in rep["term_norms"].items():
         print(f"  {name}: C^(0,{args.alpha}) size {_fmt(norm)}")
     _emit_json(args, {"pass": ok, "relative_mismatch": rep["relative_mismatch"],
-                      "term_norms": rep["term_norms"],
-                      "first_kind_factor": rep["first_kind_factor"]})
+                      "term_norms": rep["term_norms"]})
     return 0 if ok else 2
 
 

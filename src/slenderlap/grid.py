@@ -44,6 +44,11 @@ def check_grid_sizes(n_s, n_theta):
             raise ValueError(f"grid sizes must be powers of two (>= {lo})")
 
 
+def aspect_ratio(n_s, n_theta, epsilon):
+    """h_s/(eps h_theta): a grid cell's length along the tube over its width."""
+    return n_theta / (2.0 * math.pi * epsilon * n_s)
+
+
 def offset_templates(n_s, n_theta):
     """(s-hat, theta-hat) periodic offsets indexed by node-index difference."""
     ds = periodic_rep_s(np.arange(n_s) / n_s)

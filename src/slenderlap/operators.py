@@ -86,9 +86,9 @@ from .spectral import circulant_from_template as _circulant_from_template
 
 TAIL_IMAGES = 20
 # dense matrices capped at DENSE_NODE_CAP^2 entries; a slender-body solve
-# holds one of them (S_h, factored in place; two on its LU fallback), an
-# exterior solve one (1/2 I + D', factored in place), and both have to fit
-# in a small-memory environment.
+# holds one of them (S_h, factored in place), an exterior solve one
+# (1/2 I + D', factored in place), and both have to fit in a small-memory
+# environment.
 # Matrix-free applies (apply_pairs, apply_pair) are not capped.
 DENSE_NODE_CAP = 4096
 # lattice-sum terms in K_nu(x) are dropped once x exceeds this (K_nu < 1e-18)

@@ -20,14 +20,13 @@ holds it: a solve holds one N x N array.  Its untouched triangle keeps S_h
 for apply_S, which the residuals and the decomposition use.  The Green's
 identity harness applies S_h and D_h matrix-free in one sweep
 (operators.apply_pair), past DENSE_NODE_CAP.
-Each solve reports its residuals against S_h.  Every dense factor (a
-ShiftedCholesky of S_h, or an LU of sym(A) diag(J), Lambda or 1/2 I + D')
-is made in the C-order array of its matrix through its Fortran view, and
-has solve(x, trans) for vectors and N x k blocks, and anorm = ||mat||_1:
-so W, every solve and the condition estimate anorm ||mat^-1||_1 (LAPACK's
-dlacn2, driven by factor.solve) take one route each.  The estimates of S_h
-and of Lambda are reported and hard-fail beyond COND_LIMIT, never silently
-ignored.
+Each solve reports its residuals against S_h.  Every dense factor (the
+ShiftedCholesky of S_h, or an LU of Lambda or 1/2 I + D') is made in the
+C-order array of its matrix through its Fortran view, and has solve(x,
+trans) for vectors and N x k blocks, and anorm = ||mat||_1: so W, every
+solve and the condition estimate anorm ||mat^-1||_1 (LAPACK's dlacn2,
+driven by factor.solve) take one route each.  The estimates of S_h and of
+Lambda are reported and hard-fail beyond COND_LIMIT, never silently ignored.
 
 The first-kind factor.  A = S_h diag(1/J) is symmetric to roundoff (4.5e-16
 relative on split, 9e-17 on direct), because S_h is a symmetric kernel
@@ -40,16 +39,14 @@ digits.  So a shift of rank n_theta, M = A + sigma U U^T with sigma =
 follows by Woodbury with an n_theta x n_theta capacitance matrix.  dpotrf
 reads and writes one triangle of the array (LAPACK Users' Guide, 3rd ed.,
 section 5.1), so the other keeps A, and S_h x = A (J x) is one dsymv.
-Where dpotrf still finds a non-positive minor (under-resolved grids, such
-as eps 1/16 on the circle or direct at eps 1/256), sym(A) diag(J), S_h to
-roundoff, is rebuilt from that triangle into a second N x N array, which
-_lu factors in place, as it does Lambda's copy and 1/2 I + D'.
+Where dpotrf still finds a non-positive minor, the grid does not resolve
+the tube (the circle at 64x8, eps 1/16, or direct at eps 1/256), and lu_S
+raises a SolveError naming the grid, h_s/(eps h_theta) and eps kappa_*.
 
 At 256x16 (perturbed circle, split, 2 vCPUs, medians of 5 in one process,
 over 5 processes) the solve layer takes: assembly 0.27 s; lu_S 0.36-0.47 s
 (the 64-row pass 0.04-0.05 s, the shift 0.02 s, dpotrf 0.31-0.34 s), the
-estimate 0.05-0.07 s and W 0.11-0.15 s.  On the LU fallback (2 processes)
-_sym_lu takes 0.60-0.71 s, its W 0.11-0.13 s and the estimate 0.09 s.
+estimate 0.05-0.07 s and W 0.11-0.15 s.
 
 The exterior Dirichlet problem is solved through the modified double layer:
 (1/2 I + D'_h) phi = v, then u(y) = D'[phi](y) off the surface.
@@ -75,10 +72,8 @@ from .operators import assemble_D, assemble_S  # noqa: F401
 from .spectral import FourierSymbol, GridFunction, apply_symbol
 
 COND_LIMIT = 1e12
-# N x N arrays held at once by a slender-body solve, by one whose S_h falls
-# back to an LU, and by an exterior solve (dry runs)
+# N x N arrays held at once by a slender-body and an exterior solve (dry runs)
 SOLVE_DENSE = (1, "S_h, factored in place")
-SOLVE_DENSE_LU = (2, "S_h and the LU of sym(A) diag(J)")
 EXTERIOR_DENSE = (1, "1/2 I + D', factored in place")
 # the Neumann-series NtD stops once an increment is below NEUMANN_TOL times
 # max(1, |v|) and fails once one grows; NEUMANN_MAX_ITER only bounds the run
@@ -229,25 +224,6 @@ def _shifted_cholesky(s_h, jac, n_theta):
     return ShiftedCholesky(c, jac, mu, cap, float(col.max())), a_diag
 
 
-def _sym_lu(a, a_diag, jac):
-    """LU of sym(A) diag(J), S_h to roundoff, where A's strict upper
-    triangle is a's, as _shifted_cholesky leaves it, and its diagonal is
-    a_diag: its rows are written into a C-order buffer LU_COPY_ROWS at a
-    time straight from a's triangle, and _lu factors the buffer."""
-    n = len(a)
-    buf = np.empty((n, n))
-    for lo in range(0, n, LU_COPY_ROWS):
-        hi = min(lo + LU_COPY_ROWS, n)
-        rows = buf[lo:hi]
-        rows[:, :lo] = a[:lo, lo:hi].T
-        rows[:, hi:] = a[lo:hi, hi:]
-        block = np.triu(a[lo:hi, lo:hi], 1)
-        rows[:, lo:hi] = block + block.T
-        rows[:, lo:hi].flat[::hi - lo + 1] = a_diag[lo:hi]
-        rows *= jac
-    return _lu(buf)
-
-
 def _inverse_one_norm(solve, n):
     """Estimate of ||X^-1||_1 from solve(x, trans) = X^-1 x (trans 0) or
     X^-T x (trans 1): LAPACK dlacn2 (Higham, ACM TOMS 14, 1988), the
@@ -328,13 +304,20 @@ class SlenderBodySolver:
 
     @property
     def lu_S(self):
-        """The factor of S_h, in S_h's array: a ShiftedCholesky, or, when M
-        is not positive definite, the LU of sym(A) diag(J) in a second."""
+        """The ShiftedCholesky of S_h in S_h's array; a SolveError, now and
+        on every later call, once dpotrf finds M not positive definite."""
         if self._lu_S is None:
-            s_h, jac = self._s_h, self.grid.flat_jacobian()
-            factor, self._a_diag = _shifted_cholesky(s_h, jac,
-                                                     self.grid.n_theta)
-            self._lu_S = factor or _sym_lu(s_h, self._a_diag, jac)
+            g = self.grid
+            factor, self._a_diag = _shifted_cholesky(
+                self._s_h, g.flat_jacobian(), g.n_theta)
+            aspect = grid_mod.aspect_ratio(g.n_s, g.n_theta, g.epsilon)
+            self._lu_S = factor or SolveError(
+                f"first-kind system indefinite on the {g.n_s} x {g.n_theta} "
+                f"grid (h_s/(eps h_theta) = {aspect:.2f}, eps kappa_* = "
+                f"{g.epsilon * g.spec.frame.kappa_star:.3f}): use a finer "
+                f"grid or a smaller eps")
+        if isinstance(self._lu_S, SolveError):
+            raise self._lu_S.with_traceback(None)
         return self._lu_S
 
     def apply_S(self, x):
@@ -350,11 +333,6 @@ class SlenderBodySolver:
             return dsymv(1.0, a.T, self.grid.flat_jacobian() * x, lower=1)
         finally:
             np.fill_diagonal(a, diag)
-
-    @property
-    def first_kind_factor(self):
-        """"cholesky" or "lu": how lu_S factors S_h."""
-        return "cholesky" if isinstance(self.lu_S, ShiftedCholesky) else "lu"
 
     @property
     def cond_S(self):

@@ -118,20 +118,35 @@ def test_ntd_json_reports_cond_dtn(tmp_path, capsys):
     assert all(1.0 <= c < 1e12 for c in cond.values())
 
 
-@pytest.mark.parametrize("cmd,extra,eps,factor", [
-    ("dtn", ["--dirichlet", "cos:1"], "0.015625", "cholesky"),
-    ("ntd", ["--neumann", "cos:1"], "0.015625", "cholesky"),
-    ("decompose", [], "0.015625", "cholesky"),
-    ("dtn", ["--dirichlet", "cos:1"], "0.0625", "lu"),
+@pytest.mark.parametrize("cmd,extra,keys", [
+    ("dtn", ["--dirichlet", "cos:1"], {"residuals", "conditioning", "csv"}),
+    ("ntd", ["--neumann", "cos:1"], {"residuals", "conditioning", "csv"}),
+    ("decompose", [], {"pass", "relative_mismatch", "term_norms"}),
 ])
-def test_json_reports_the_first_kind_factor(cmd, extra, eps, factor, tmp_path,
-                                            capsys, monkeypatch):
-    """A top-level key; at eps 1/16 the circle's shifted A is indefinite."""
+def test_json_reports_its_keys(cmd, extra, keys, tmp_path, capsys,
+                               monkeypatch):
+    """The top-level keys of a solve's JSON, at eps 1/64 on the circle."""
     monkeypatch.chdir(tmp_path)
-    assert main([cmd, "--curve", "circle", "--epsilon", eps, "--ns", "64",
-                 "--ntheta", "8", "--json"] + extra) == 0
+    assert main([cmd, "--curve", "circle", "--epsilon", "0.015625", "--ns",
+                 "64", "--ntheta", "8", "--json"] + extra) == 0
     out = capsys.readouterr().out
-    assert json.loads(out[out.index("{"):])["first_kind_factor"] == factor
+    assert set(json.loads(out[out.index("{"):])) == keys
+
+
+def test_indefinite_first_kind_system_is_a_one_line_error(tmp_path, capsys,
+                                                          monkeypatch):
+    """At eps 1/16 the circle's shifted A is indefinite on 64x8: exit 1 with
+    the solver's one-line refusal, and no CSV."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["dtn", "--curve", "circle", "--epsilon", "0.0625", "--ns",
+                 "64", "--ntheta", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: first-kind system indefinite on the 64 x 8 grid "
+        "(h_s/(eps h_theta) = 0.32, eps kappa_* = 0.393): use a finer grid "
+        "or a smaller eps\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_scaling_study(tmp_path, capsys):
@@ -215,16 +230,14 @@ def test_solve_dry_run_states_the_dense_peak(cmd, tmp_path, capsys,
 
 @pytest.mark.parametrize("argv", [["dtn"], ["ntd"], ["decompose"],
                                   ["scaling", "--study", "Rd-eps-group"]])
-def test_solve_dry_run_names_the_lu_fallback(argv, capsys):
-    """A slender-body solve holds S_h alone, factored in place, unless its
-    first-kind factor falls back to an LU, which holds a second array."""
+def test_solve_dry_run_names_the_factored_array(argv, capsys):
+    """A slender-body solve holds S_h alone, factored in place."""
     from slenderlap import solver
     assert main(argv + ["--dry-run"]) == 0
     out = capsys.readouterr().out
     assert solver.SOLVE_DENSE == (1, "S_h, factored in place")
-    assert "1 dense N x N arrays at once (S_h, factored in place)" in out
-    count, held = solver.SOLVE_DENSE_LU
-    assert f"; {count} ({held}), " in out and "falls back to an LU" in out
+    assert "1 dense N x N arrays at once (S_h, factored in place), " in out
+    assert "LU" not in out
 
 
 def test_greens_check_dry_run_is_matrix_free(capsys):
@@ -430,14 +443,18 @@ def test_exterior_points_clear_the_whole_curve(capsys):
     ["greens-check", "--ladder", "256,512,1024"]])
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_dry_run_states_the_sweep_chunks(argv, cpus, capsys, monkeypatch):
-    """The chunk the sweep really uses, and how many are in flight at once."""
+    """The largest chunk of either pair sweep, full rows or lower strips,
+    whatever the run sweeps, and how many participants hold its fields."""
     from slenderlap import kernels
     monkeypatch.setattr(kernels, "sweep_cpus", lambda: cpus)
     assert main(argv + ["--dry-run"]) == 0
     out = capsys.readouterr().out
-    # each chunk in flight holds about 2^16 pairs, in whole fours of rows
+    # at 16384 nodes each sweep's largest chunk is 2^16 pairs: 4 full rows,
+    # or a lower strip (the first is 256 x 256, the last 4 x 16384)
     assert kernels.CHUNK_PAIRS == 1 << 16
-    rows = kernels.default_chunk_rows(16384)
-    assert rows % 4 == 0 and rows == max(4, kernels.CHUNK_PAIRS // 16384)
-    assert (f"~{rows * 16384 * 8 / 1e6:.2f} MB per row-chunk field "
-            f"({rows} x 16384 pairs, {cpus} chunk(s) in flight)") in out
+    assert kernels.default_chunk_rows(16384) * 16384 == 1 << 16
+    strips = list(kernels.lower_strips(16384))
+    assert strips[0] == (0, 256) and strips[-1] == (16380, 16384)
+    assert max((hi - lo) * hi for lo, hi in strips) == 1 << 16
+    assert (f"matrix-free, chunks of at most 65536 pairs (~0.52 MB per "
+            f"field, held by each of {cpus} sweep participant(s))") in out

@@ -25,7 +25,7 @@ and no order="F" but in a reshape (a view).
 The slender-body solves never hold D_h, and S_h only in the array its
 factor overwrites: no src/ module reads a .D_h or a .S_h, and a solver
 that has run a DtN and an NtD map holds one N x N buffer, which its
-factor shares, or two when S_h falls back to an LU.
+factor shares.
 """
 
 import ast
@@ -203,8 +203,7 @@ def _dense_buffers(solver):
 
 
 def test_solves_hold_no_dense_double_layer(circle_cl, circle_frame):
-    """One N x N buffer, the factor's, and two on the LU fallback (at eps
-    1/16 the circle's shifted A is indefinite)."""
+    """One N x N buffer, the factor's."""
     from slenderlap.geometry import SurfaceSpec
     from slenderlap.grid import make_grid
     from slenderlap.solver import SlenderBodySolver
@@ -214,13 +213,10 @@ def test_solves_hold_no_dense_double_layer(circle_cl, circle_frame):
                if isinstance(node, ast.Attribute)
                and node.attr in ("D_h", "S_h")]
     assert not readers, f".D_h or .S_h read in src/: {readers}"
-    for eps, factor, count in ((1.0 / 64.0, "cholesky", 1),
-                               (1.0 / 16.0, "lu", 2)):
-        g = make_grid(SurfaceSpec(centerline=circle_cl, frame=circle_frame,
-                                  epsilon=eps), 64, 8)
-        solver = SlenderBodySolver(g, "split")
-        solver.ntd(solver.dtn(np.cos(2 * np.pi * g.s_nodes)).f)
-        assert not hasattr(solver, "D_h") and not hasattr(solver, "S_h")
-        assert solver.first_kind_factor == factor
-        assert len(_dense_buffers(solver)) == count, factor
-        assert solver.B.shape == (g.n_nodes, g.n_s)
+    g = make_grid(SurfaceSpec(centerline=circle_cl, frame=circle_frame,
+                              epsilon=1.0 / 64.0), 64, 8)
+    solver = SlenderBodySolver(g, "split")
+    solver.ntd(solver.dtn(np.cos(2 * np.pi * g.s_nodes)).f)
+    assert not hasattr(solver, "D_h") and not hasattr(solver, "S_h")
+    assert len(_dense_buffers(solver)) == 1
+    assert solver.B.shape == (g.n_nodes, g.n_s)

@@ -8,12 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
-from scipy.linalg.blas import dsymv
 
 from slenderlap import analysis as an
 from slenderlap import geometry as geo
 from slenderlap import grid as gr
-from slenderlap import kernels
 from slenderlap import operators as op
 from slenderlap import solver as sv
 from slenderlap import spectral
@@ -575,7 +573,6 @@ def test_cond_estimate_one_norm_is_exact_and_small(circle_solver,
     mat = op.assemble_first_kind(circle_grid, "split")[0]
     ref = _gecon_cond(mat)
     factors = {"lu": sv._lu(mat.copy()), "cholesky": circle_solver.lu_S}
-    assert circle_solver.first_kind_factor == "cholesky"
     norm = np.linalg.norm(mat, 1)
     for name, factor in factors.items():
         assert abs(factor.anorm / norm - 1.0) <= 1e-14, name
@@ -634,8 +631,8 @@ def test_every_factorization_overwrites_the_fortran_view_of_its_array(
         perturbed_grid_small, monkeypatch):
     """Every lu_factor or dpotrf call is handed the F-contiguous view of a
     C-order float64 array to overwrite, so f2py copies nothing: S_h's own
-    array (dpotrf), the copy of Lambda that ntd factors, 1/2 I + D' of the
-    exterior solve, and the buffer of the LU fallback (circle, eps 1/16)."""
+    array (dpotrf), the copy of Lambda that ntd factors and 1/2 I + D' of
+    the exterior solve."""
     seen, potrf_args = [], []
 
     def spy(a, **kwargs):
@@ -673,16 +670,12 @@ def test_every_factorization_overwrites_the_fortran_view_of_its_array(
     solver.ntd(np.cos(2 * np.pi * grid.s_nodes))
     sv.solve_exterior_dirichlet(grid, np.ones(grid.n_nodes),
                                 exterior_points(grid.spec), backend="split")
-    fallback = sv.SlenderBodySolver(_first_kind_grid("circle", 1.0 / 16.0,
-                                                     64, 8), "split")
-    assert fallback.first_kind_factor == "lu"
-    sizes = [grid.n_s, grid.n_nodes, fallback.grid.n_nodes]
+    sizes = [grid.n_s, grid.n_nodes]
     assert len(seen) == len(sizes)
     for (a, kwargs, lu), n in zip(seen, sizes):
         assert fortran_view_overwritten(a, kwargs, n), n
         assert np.shares_memory(lu, a) and kwargs["check_finite"] is False, n
     assert not np.shares_memory(seen[0][0], solver.dtn_matrix)
-    assert np.shares_memory(seen[2][2], fallback.lu_S.lu)
 
 
 def test_ntd_keeps_the_dtn_matrix(perturbed_grid_small):
@@ -702,7 +695,7 @@ def test_lu_S_refuses_a_non_finite_first_kind_matrix(perturbed_grid_small):
         bad.lu_S
 
 
-# the first-kind factor: Cholesky after the s-mean shift, LU as fallback ----
+# the first-kind factor: Cholesky after the s-mean shift, or a refusal ------
 
 def _first_kind_grid(preset, eps, n_s, n_theta):
     cl = geo.build_centerline({"preset": preset})
@@ -717,15 +710,15 @@ def _lu_solve(mat, b):
     return lu_solve(lu_factor(mat.T), b, trans=1)
 
 
-def _lu_route(solver, mat, v, f, apply_s):
+def _lu_route(solver, mat, v, f):
     """W, Lambda, dtn(v).f, ntd(f).v and the two first-kind residuals by
-    lu_factor and lu_solve of mat alone (_lu_solve), the residuals applying
-    S_h by apply_s: the solver's route before the Cholesky one."""
+    lu_factor and lu_solve of mat alone (_lu_solve): the solver's route
+    before the Cholesky one."""
     g = solver.grid
     w = _lu_solve(mat, solver.B)
     lam = theta_integral(g, w, g.jacobian)
     v_f = _lu_solve(lam, f)
-    resid = [float(np.max(np.abs(apply_s(w @ x) - solver.B @ x)))
+    resid = [float(np.max(np.abs(mat @ (w @ x) - solver.B @ x)))
              for x in (v, v_f)]
     return w, lam, theta_integral(g, w @ v, g.jacobian), v_f, resid
 
@@ -754,9 +747,9 @@ def test_cholesky_route_matches_the_lu_route(preset, backend, n_s, n_theta):
     grid = _first_kind_grid(preset, 1.0 / 64.0, n_s, n_theta)
     s_h, b = op.assemble_first_kind(grid, backend)
     solver = sv.SlenderBodySolver(grid, backend, operators=(s_h.copy(), b))
-    assert solver.first_kind_factor == "cholesky"
+    assert isinstance(solver.lu_S, sv.ShiftedCholesky)
     got, v, f = _solver_route(solver)
-    ref = _lu_route(solver, s_h, v, f, s_h.dot)
+    ref = _lu_route(solver, s_h, v, f)
     for name, x, y in zip(("W", "Lambda", "dtn f", "ntd v"), got, ref):
         assert _rel(x, y) <= 1e-12, name
     # the residual of the whole solve S_h W = B: the per-call residuals
@@ -766,18 +759,20 @@ def test_cholesky_route_matches_the_lu_route(preset, backend, n_s, n_theta):
     assert abs(solver.cond_S / _gecon_cond(s_h) - 1.0) <= 1e-10
 
 
+# h_s/(eps h_theta) and eps kappa_* of each refused 64x8 grid
+REFUSED_GRIDS = {"circle": ("0.32", "0.393"),
+                 "perturbed_circle": ("5.09", "0.043")}
+
+
 @pytest.mark.parametrize("preset,eps,backend",
                          [("circle", 1.0 / 16.0, "split"),
                           ("perturbed_circle", 1.0 / 256.0, "direct")])
-def test_indefinite_shift_falls_back_to_the_lu(preset, eps, backend,
-                                               monkeypatch):
+def test_indefinite_shift_is_refused(preset, eps, backend, monkeypatch):
     """dpotrf stops at minor 31 (circle, eps 1/16, split) or 2 (perturbed
-    circle, eps 1/256, direct): the solver then factors sym(A) diag(J),
-    rebuilt from the triangle of A = S_h diag(1/J) that dpotrf left, by
-    _lu.  Its outputs are the LU route's on that matrix bit for bit
-    (lu_factor of its transpose, solved with trans 1, as _lu does), the
-    residuals applying it by dsymv as apply_S does, and it holds two N x N
-    arrays, S_h's and the LU's."""
+    circle, eps 1/256, direct): the grid does not resolve the tube, and
+    every solve raises one line naming the grid, h_s/(eps h_theta) and
+    eps kappa_*.  dpotrf has overwritten S_h's array by then, so it runs
+    once: a later dtn, ntd, cond_S or apply_S raises the same error."""
     grid = _first_kind_grid(preset, eps, 64, 8)
     lapack = sv.get_lapack_funcs
     infos = []
@@ -795,27 +790,19 @@ def test_indefinite_shift_falls_back_to_the_lu(preset, eps, backend,
         return potrf, funcs[1]
 
     monkeypatch.setattr(sv, "get_lapack_funcs", lapack_spy)
-    monkeypatch.setattr(kernels, "CHUNK_PAIRS", 1 << 11)  # as the CLI test
-    tracemalloc.start()
-    try:
-        solver = sv.SlenderBodySolver(grid, backend)
-        got, v, f = _solver_route(solver)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    solver = sv.SlenderBodySolver(grid, backend)
+    data = np.cos(2 * np.pi * grid.s_nodes)
+    aspect, eps_kappa = REFUSED_GRIDS[preset]
+    refusal = (f"first-kind system indefinite on the 64 x 8 grid "
+               f"(h_s/(eps h_theta) = {aspect}, eps kappa_* = {eps_kappa}): "
+               f"use a finer grid or a smaller eps")
+    for call in (lambda: solver.dtn(data), lambda: solver.ntd(data),
+                 lambda: solver.cond_S,
+                 lambda: solver.apply_S(np.ones(grid.n_nodes))):
+        with pytest.raises(sv.SolveError) as err:
+            call()
+        assert str(err.value) == refusal and "\n" not in str(err.value)
     assert infos == [31 if preset == "circle" else 2]
-    assert solver.first_kind_factor == "lu"
-    assert isinstance(solver.lu_S, sv.LU)
-    jac = grid.flat_jacobian()
-    a = op.assemble_first_kind(grid, backend)[0] * (1.0 / jac)  # A
-    sym = (np.triu(a) + np.triu(a, 1).T) * jac
-    ref = _lu_route(solver, sym, v, f,
-                    lambda x: dsymv(1.0, a.T, jac * x, lower=1))
-    for name, x, y in zip(("W", "Lambda", "dtn f", "ntd v", "residuals"),
-                          got, ref):
-        assert np.array_equal(x, y), name
-    dense, _ = sv.SOLVE_DENSE_LU
-    assert dense <= peak / (grid.n_nodes ** 2 * 8) < dense + 0.5
 
 
 def test_operators_must_fit_the_grid(perturbed_grid_small, circle_grid,
@@ -863,20 +850,17 @@ def test_operators_are_taken_over(case, perturbed_grid_small):
     assert "\n" not in str(err.value), case
     solver = sv.SlenderBodySolver(grid, "split", operators=(s_h, b))
     solver.dtn(np.cos(2 * np.pi * grid.s_nodes))
-    assert solver.first_kind_factor == "cholesky"
     assert np.shares_memory(s_h, solver.lu_S.m)
 
 
-@pytest.mark.parametrize("eps,factor", [(1.0 / 64.0, "cholesky"),
-                                        (1.0 / 16.0, "lu")])
-def test_apply_S_is_S_h_from_the_factored_array(eps, factor, rng):
+def test_apply_S_is_S_h_from_the_factored_array(rng):
     """apply_S reads S_h = A diag(J) from the triangle of A that the factor
-    leaves, on either route, to 1e-14 of max|S_h x| (at most 8e-16
-    measured), and leaves the array as it found it."""
-    grid = _first_kind_grid("circle", eps, 64, 8)
+    leaves, to 1e-14 of max|S_h x| (at most 8e-16 measured), and leaves the
+    array as it found it."""
+    grid = _first_kind_grid("circle", 1.0 / 64.0, 64, 8)
     s_h, b = op.assemble_first_kind(grid, "split")
     solver = sv.SlenderBodySolver(grid, "split", operators=(s_h.copy(), b))
-    assert solver.first_kind_factor == factor
+    assert isinstance(solver.lu_S, sv.ShiftedCholesky)
     held = solver._s_h.copy()
     for x in (rng.standard_normal(grid.n_nodes), np.ones(grid.n_nodes)):
         assert _rel(solver.apply_S(x), s_h @ x) <= 1e-14
