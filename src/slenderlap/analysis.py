@@ -48,7 +48,8 @@ N_THETA = 16
 
 
 def decomposition_operators(grid):
-    """(S_h, B) of the split backend, from one pair sweep."""
+    """assemble_first_kind's (A, B, |A| column sums) of the split backend,
+    from one pair sweep: what SlenderBodySolver(operators=) takes."""
     return assemble_first_kind(grid, "split")
 
 

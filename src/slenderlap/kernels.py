@@ -48,6 +48,9 @@ def sweep_cpus():
 # at 128x16 took 85-94 ms with 2^15-pair chunks, 66-68 ms with 2^16 and 62-73
 # with 2^17; a 2^16-pair chunk's four buffers (2 MB) fit one core's L2.
 CHUNK_PAIRS = 1 << 16
+# pairs of a lower strip against its sources (lower_strips): a constant, not
+# CHUNK_PAIRS, so the strips follow the node count alone
+STRIP_PAIRS = 1 << 16
 
 
 def default_chunk_rows(n_nodes):
@@ -68,13 +71,13 @@ def _aligned_empty(shape):
 
 def lower_strips(n_nodes):
     """Row strips [lo, hi) of a lower pair sweep: r = hi - lo is the largest
-    multiple of 4 (at least 4) with r (lo + r) <= 2^16, so a strip against
-    its sources [0, hi) is about one chunk of pairs.  The rule is fixed, not
-    CHUNK_PAIRS, so the strips, and the order in which a sweep adds up
-    their mirrored sums, depend on n_nodes alone."""
+    multiple of 4 (at least 4) with r (lo + r) <= STRIP_PAIRS, so a strip
+    against its sources [0, hi) is about one chunk of pairs.  The rule is
+    fixed, not CHUNK_PAIRS, so the strips, and the order in which a sweep
+    adds up their mirrored sums, depend on n_nodes alone."""
     lo = 0
     while lo < n_nodes:
-        r = (math.isqrt(lo * lo + 4 * (1 << 16)) - lo) // 2
+        r = (math.isqrt(lo * lo + 4 * STRIP_PAIRS) - lo) // 2
         hi = min(lo + 4 * max(1, r // 4), n_nodes)
         yield lo, hi
         lo = hi
@@ -89,8 +92,9 @@ class PairGeometry:
     With lower, the chunks are lower_strips instead, and each strip's fields
     are against its sources [0, hi) alone: every pair (i, a) with a <= i lies
     in exactly one strip, the one holding row i.  That serves kernels
-    symmetric in the pair, from the positions alone; offset templates and
-    R_t have no such strip form.
+    symmetric in the pair, and the offset templates, which are even: a
+    strip gathers them over [0, hi) too.  R_t, which takes the target's
+    e_t, has no strip form.
     """
 
     def __init__(self, grid: SurfaceGrid, chunk_rows=None, templates=None,
@@ -132,12 +136,14 @@ class PairGeometry:
         pairs, carved on first use from one block that the caller allocates
         per sweep, so no chunk allocates a field (and glibc keeps the block's
         pages for the next sweep).  A chunk's fields are views into its
-        taker's scratch that body may overwrite.  body writes only rows
-        [lo, hi); fold(result), which may write any, runs under the sweep's
-        lock as soon as every earlier chunk's result has been folded, so what
-        it adds up does not depend on which thread ran which chunk; without
-        fold, sweep returns the results in chunk order.  A failed chunk stops
-        the sweep, and its exception is raised here.
+        taker's scratch that body may overwrite.  body writes only what
+        belongs to its own pairs (rows [lo, hi), or their mirror images
+        [0, lo) x [lo, hi) in a lower sweep); fold(result), which may add
+        to any, runs under the sweep's lock as soon as every earlier chunk's
+        result has been folded, so what it adds up does not depend on which
+        thread ran which chunk; without fold, sweep returns the results in
+        chunk order.  A failed chunk stops the sweep, and its exception is
+        raised here.
         """
         todo, lock, failed = enumerate(self.chunks()), threading.Lock(), []
         results, pending, n_folded = [], {}, 0
@@ -193,11 +199,11 @@ class PairGeometry:
         gathered.  "diag": the target's column.  "absR": |R|; "Rn": R . n_src
         (with |R|); "absRt": |R_t|; "absReven": |R_even|.  "invR" and "invRt"
         are 1/|R| and 1/|R_t| in their place, 0 at the self-pair like
-        "invRbar": the one place a pair sweep drops it.  "Rinv3" (with invR)
-        is the three components of R/|R|^3, so 0 there too.  Only the
-        requested fields are built, and |R|, R . n_src and |R_t| go component
-        by component, with no (chunk, N, 3) temporary, into scratch (see
-        sweep) or, without it, into new arrays.
+        "invRbar": the one place a pair sweep drops it.  "Rinv3" (with invR
+        and invR3 = 1/|R|^3) is the three components of R/|R|^3, so 0 there
+        too.  Only the requested fields are built, and |R|, R . n_src and
+        |R_t| go component by component, with no (chunk, N, 3) temporary,
+        into scratch (see sweep) or, without it, into new arrays.
         """
         g, rows, names = self.grid, hi - lo, set(need)
         cols = self.n_sources(hi)
@@ -247,6 +253,7 @@ class PairGeometry:
                 inv = out["invR"]
                 inv3 = np.multiply(np.multiply(inv, inv, out=t), inv, out=t)
                 out["Rinv3"] = [np.multiply(d, inv3, out=d) for d in comps]
+                out["invR3"] = inv3
         if {"absRt", "invRt"} & names:
             # R_t = (s-hat e_t(s) + eps e_r(s, theta)) - eps n_src
             shat = self._templates["shat"][(self.i_s[lo:hi, None]

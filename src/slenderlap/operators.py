@@ -37,18 +37,20 @@ assemble_pair fills in one pair sweep.  They differ only in what is added:
 Every pair kernel is written once, in _pair_kernel's table, from the inverse
 distances 1/|R|, 1/|R_t|, 1/|R-bar|, R . n_src and straight templates, and
 carries no 1/4pi: the source weight does.  PairGeometry.fields drops the
-self-pair, and nothing else does.  assemble_pair, apply_pairs and the dense
-oracles take a chunk's kernel rows from _pair_sweep and only write them into
-a matrix, sum them (D_h into B = (1/2 I - D_h) E, assemble_first_kind, whose
-S_h is assemble_S) or multiply them by densities.  apply_pair alone takes a
-lower sweep (kernels.lower_strips), which evaluates each unordered pair once
-and applies G and K_D both ways from 1/|R| and R/|R|^3: the non-symmetric
-kernels (R_t takes the target's e_t) and the dense assemblies keep the full
-rows.  Every pair sweep runs through PairGeometry.sweep: row chunks or
-strips on every CPU of the affinity mask, each computed whole by one thread,
-and a lower sweep's mirrored sums added in strip order, so no output depends
-on the thread count.  D' - D_h depends on the source only through
-s, so centerline_kernel builds it with no pair sweep.
+self-pair, and nothing else does.  apply_pairs and the dense oracles take a
+chunk's full kernel rows from _pair_sweep and only write them into a matrix
+or multiply them by densities: the non-symmetric kernels (R_t takes the
+target's e_t) need the full rows.  The dense assemblies (_assemble) and
+apply_pair take a lower sweep (kernels.lower_strips), which evaluates each
+unordered pair once and gives G and K_D both ways from 1/|R| and R/|R|^3:
+assemble_first_kind keeps A = S_h diag(1/J), which is symmetric, the theta-
+block sums B = (1/2 I - D_h) E of D_h and the column sums of |A|;
+assemble_pair, assemble_S, assemble_D and assemble_Dprime write S_h and D_h
+out.  Every pair sweep runs through PairGeometry.sweep: row chunks or strips
+on every CPU of the affinity mask, each computed whole by one thread, and a
+lower sweep's mirrored sums added in strip order, so no output depends on
+the thread count.  D' - D_h depends on the source only through s, so
+centerline_kernel builds it with no pair sweep.
 
 The remainder pieces of the curved-minus-straight operators are pair
 kernels with plain eps weight, matching the operator identity R_S = S - Sbar
@@ -159,27 +161,12 @@ def _pair_kernel(grid, name):
                       if "KDbar" in need else {})
 
 
-def _pair_sweep(grid, names, body, templates=None):
-    """body(lo, hi, k) per row chunk, k[name] the chunk's rows of each kernel.
-
-    One pass over the pair fields evaluates the named kernels in order; each
-    works in place on its fields, so no kernel may write a field that a
-    later one reads (("G", "KD") shares invR, which only KD reads).  The
-    templates given are gathered into k too.
-    """
-    kernels = {name: _pair_kernel(grid, name) for name in names}
-    templates = dict(templates or {})
-    for _, _, kernel_templates in kernels.values():
-        templates.update(kernel_templates)
-    need = dict.fromkeys([f for _, fs, _ in kernels.values() for f in fs]
-                         + list(templates))
-
-    def rows(lo, hi, k):
-        for name, (fn, _, _) in kernels.items():
-            k[name] = fn(k)
-        body(lo, hi, k)
-
-    PairGeometry(grid, templates=templates).sweep(tuple(need), rows)
+def _pair_sweep(grid, name, body):
+    """body(lo, hi, rows) per row chunk, rows the chunk's full rows of the
+    named pair kernel, made in place on its fields."""
+    fn, need, templates = _pair_kernel(grid, name)
+    PairGeometry(grid, templates=templates).sweep(
+        need, lambda lo, hi, f: body(lo, hi, fn(f)))
 
 
 def apply_pairs(grid, name, x):
@@ -192,8 +179,8 @@ def apply_pairs(grid, name, x):
     x = np.asarray(x, float)
     xw = x.reshape(grid.n_nodes, -1) * _eps_weight(grid)
     out = np.empty_like(xw)
-    _pair_sweep(grid, (name,),
-                lambda lo, hi, k: np.matmul(k[name], xw, out=out[lo:hi]))
+    _pair_sweep(grid, name,
+                lambda lo, hi, rows: np.matmul(rows, xw, out=out[lo:hi]))
     return out.reshape(x.shape)
 
 
@@ -205,8 +192,8 @@ def _dense_from_pairs(grid, name, weight="eps"):
     out = np.empty((grid.n_nodes,) * 2)
     weight = grid.jacobian if weight == "jacobian" else grid.epsilon
     w_src = np.reshape(weight, -1) * (grid.node_weight / FOURPI)
-    _pair_sweep(grid, (name,),
-                lambda lo, hi, k: np.multiply(k[name], w_src, out=out[lo:hi]))
+    _pair_sweep(grid, name,
+                lambda lo, hi, rows: np.multiply(rows, w_src, out=out[lo:hi]))
     return out
 
 
@@ -382,7 +369,12 @@ def _local_weights(grid):
 # assembled operators ---------------------------------------------------------
 
 def _split_templates(grid):
-    """The C_S (P0 applied) and C_D offset templates."""
+    """The C_S (P0 applied) and C_D offset templates, each averaged with its
+    reflection: even to the last bit, as they are in exact arithmetic, so
+    a lower strip's gathered block serves both directions."""
+    flip = np.ix_(-np.arange(grid.n_s) % grid.n_s,
+                  -np.arange(grid.n_theta) % grid.n_theta)
+
     def template(name, kind):
         tab = FourierSymbol(name, grid.epsilon).table(grid.n_s, grid.n_theta)
         return symbol_template(tab) - (straight_template(grid, kind, central=True)
@@ -390,62 +382,126 @@ def _split_templates(grid):
 
     t_s = template("m_S", "S")
     t_s -= t_s.mean(axis=0)  # P0 on the S template
-    return t_s, template("m_D", "D")
+    return tuple(0.5 * (t + t[flip]) for t in (t_s, template("m_D", "D")))
 
 
 def _assemble(grid, backend, single=True, first_kind=False):
-    """(S_h, D_h) from one pair sweep; S_h is None without single, and with
-    first_kind B = (1/2 I - D_h) E, N x n_s, takes D_h's place.  Each row
-    chunk's G and K_D rows times the source weight J w/4pi get the backend's
-    terms (module docstring): split's C_S P0 diag(J/eps) and C_D diag(J/eps),
-    direct's D ring on the row's own theta-block (its S diagonal goes on
-    after the sweep).  With first_kind the D rows stay in sweep scratch and
-    only their theta-block sums are stored."""
+    """(A, D_h, |A| column sums) from one lower pair sweep; A = S_h diag(1/J)
+    and its sums are None without single, and with first_kind B = (1/2 I -
+    D_h) E, N x n_s, takes D_h's place.
+
+    Each strip's 1/|R| times w/4pi, plus split's gathered C_S P0 / eps, is
+    A's rows [lo, hi) over the sources [0, hi), written forward and
+    transposed into [0, lo) x [lo, hi).  1/|R| and the split templates are
+    even to the last bit, so A is exactly symmetric, and the |A| sums of
+    the strip's rows and of its mirror's columns are A's column sums.  Its
+    R_k/|R|^3 give D_h both ways (apply_pair), source weight J w/4pi, plus
+    split's C_D J/eps from the same gathered block.  With first_kind only
+    their theta-block sums are kept, the mirrored ones by GEMMs against the
+    block indicator; mirrored sums are added in strip order, like
+    apply_pair's.  Direct's S diagonal (over J) and D ring go on after the
+    sweep.
+    """
     if backend not in ("direct", "split"):
         raise ValueError(f"unknown backend '{backend}'")
     _check_dense_cap(grid)
     n, n_s, n_t = grid.n_nodes, grid.n_s, grid.n_theta
-    w_src = grid.flat_jacobian() * (grid.node_weight / FOURPI)
+    w = grid.node_weight / FOURPI
+    jac = grid.flat_jacobian()
+    nw = grid.flat_normals().T * (jac * w)  # (3, N): n_k J w/4pi at a source
     split = backend == "split"
-    if split:  # rows of C_S and C_D are gathered
+    if split:  # strips of C_S and C_D are gathered
         t_s, t_d = _split_templates(grid)
-        templates = {"C_S": t_s, "C_D": t_d} if single else {"C_D": t_d}
-        col = grid.flat_jacobian() / grid.epsilon
+        templates = ({"C_S": t_s / grid.epsilon, "C_D": t_d} if single
+                     else {"C_D": t_d})
+        col = jac / grid.epsilon
     else:
         templates, (s_diag, ring) = {}, _local_weights(grid)
-    s_mat = np.empty((n, n)) if single else None
-    d_out = np.empty((n, n_s) if first_kind else (n, n))
+    a = np.empty((n, n)) if single else None
+    a_sums = np.empty(n) if single else None
+    d_out = np.zeros((n, n_s)) if first_kind else np.empty((n, n))
+    ones = np.ones(n_t)
 
-    def rows(lo, hi, k):  # in place on the kernel rows, no (chunk, N) temporary
+    def strip(lo, hi, f):  # in place on the strip's fields
+        q, a_mirror = f["Rinv3"], None
         if single:
-            g_j = np.multiply(k["G"], w_src, out=s_mat[lo:hi])
+            rows = np.multiply(f["invR"], w, out=a[lo:hi, :hi])
             if split:
-                g_j += np.multiply(k["C_S"], col, out=k["C_S"])
-        k_j = np.multiply(k["KD"], w_src,
-                          out=k["KD"] if first_kind else d_out[lo:hi])
-        own = np.arange(hi - lo), np.arange(lo, hi) // n_t  # own theta-block
-        blocks = k_j.reshape(hi - lo, n_s, n_t)
-        if split:
-            k_j += np.multiply(k["C_D"], col, out=k["C_D"])
-        else:
-            blocks[own] += ring.reshape(n, n_t)[lo:hi]
+                rows += f["C_S"]
+            a[:lo, lo:hi] = rows[:, :lo].T
+            mag = np.abs(rows, out=f["invR"])
+            mag.sum(axis=1, out=a_sums[lo:hi])
+            a_mirror = mag[:, :lo].sum(axis=0)
+        # D_h[:lo, lo:hi]: -sum_k R_k/|R|^3 n_k J w/4pi (+ C_D J/eps) of the
+        # targets [lo, hi), or with first_kind its theta-block sums by GEMMs
         if first_kind:
-            d_out[lo:hi] = -blocks.sum(axis=2)
-            d_out[lo:hi][own] += 0.5
+            blocks = np.arange(lo, hi) // n_t
+            e = blocks[:, None] == np.arange(blocks[0], blocks[-1] + 1)
+            mirror = -sum(q[k][:, :lo].T @ (nw[k, lo:hi, None] * e)
+                          for k in range(3))
+            if split:
+                mirror += f["C_D"][:, :lo].T @ (col[lo:hi, None] * e)
+        else:
+            mirror, tmp = f["invR3"][:, :lo], f["invR"][:, :lo]
+            np.multiply(q[0][:, :lo], -nw[0, lo:hi, None], out=mirror)
+            for k in (1, 2):
+                mirror -= np.multiply(q[k][:, :lo], nw[k, lo:hi, None],
+                                      out=tmp)
+            if split:
+                mirror += np.multiply(f["C_D"][:, :lo], col[lo:hi, None],
+                                      out=tmp)
+            d_out[:lo, lo:hi] = mirror.T
+        # D_h's rows [lo, hi) over [0, hi), in place on R_0/|R|^3
+        d = np.multiply(q[0], nw[0, :hi],
+                        out=q[0] if first_kind else d_out[lo:hi, :hi])
+        for k in (1, 2):
+            d += np.multiply(q[k], nw[k, :hi], out=q[k])
+        if split:
+            d += np.multiply(f["C_D"], col[:hi], out=f["C_D"])
+        if not first_kind:
+            return lo, a_mirror, None
+        # their theta-block sums: whole blocks, then the part of one
+        whole = hi // n_t
+        np.negative(d[:, :whole * n_t].reshape(hi - lo, whole, n_t) @ ones,
+                    out=d_out[lo:hi, :whole])
+        if whole * n_t < hi:
+            d_out[lo:hi, whole] = -d[:, whole * n_t:].sum(axis=1)
+        return lo, a_mirror, mirror
 
-    _pair_sweep(grid, ("G", "KD") if single else ("KD",), rows, templates)
-    if single and not split:
-        s_mat[np.arange(n), np.arange(n)] += s_diag
-    return s_mat, d_out
+    def fold(mirrored):
+        lo, a_mirror, b_mirror = mirrored
+        if single:
+            a_sums[:lo] += a_mirror
+        if first_kind:
+            d_out[:lo, lo // n_t:lo // n_t + b_mirror.shape[1]] -= b_mirror
+
+    PairGeometry(grid, templates=templates, lower=True).sweep(
+        ("invR", "Rinv3", *templates), strip, fold)
+    own = np.arange(n), np.arange(n) // n_t  # each row's own theta-block
+    if not split:
+        if single:
+            a_diag = s_diag / jac
+            a.flat[::n + 1] += a_diag
+            a_sums += np.abs(a_diag)
+        if first_kind:
+            d_out[own] -= ring.reshape(n, n_t).sum(axis=1)
+        else:
+            d_out.reshape(n, n_s, n_t)[own] += ring.reshape(n, n_t)
+    if first_kind:
+        d_out[own] += 0.5
+    return a, d_out, a_sums
 
 
 def assemble_pair(grid, backend="direct"):
     """(S_h, D_h) of either backend, from one pair sweep."""
-    return _assemble(grid, backend)
+    a, d_h, _ = _assemble(grid, backend)
+    a *= grid.flat_jacobian()
+    return a, d_h
 
 
 def assemble_first_kind(grid, backend="direct"):
-    """(S_h, B) of the solves, B = (1/2 I - D_h) E the N x n_s theta-block
+    """(A, B, |A| column sums) of the solves, from one pair sweep: A = S_h
+    diag(1/J), symmetric, and B = (1/2 I - D_h) E the N x n_s theta-block
     sums of D_h, which is never stored: their data are theta-independent."""
     return _assemble(grid, backend, first_kind=True)
 
@@ -453,14 +509,16 @@ def assemble_first_kind(grid, backend="direct"):
 def apply_pair(grid, backend, phi, psi):
     """(S_h phi, D_h psi) of either backend: assemble_pair's matrix-free twin.
 
-    One lower pair sweep (PairGeometry's lower_strips) evaluates each
-    unordered pair once and stores no N x N array, so it is not capped.
-    G = 1/|R| is symmetric, and K_D(a, i) = -sum_k R_k(i, a) n_k(i)/|R|^3
-    takes the same R_k/|R|^3 as K_D(i, a) = sum_k R_k(i, a) n_k(a)/|R|^3.
-    So each strip's 1/|R| and R_k/|R|^3 go against phi and n_k psi, the
-    source weight folded into both, forward for its rows [lo, hi) over the
-    sources [0, hi) and transposed for the targets [0, lo) from the sources
-    [lo, hi); the sweep adds those mirrored sums in strip order.
+    The same lower pair sweep as the dense assemblies (PairGeometry's
+    lower_strips) evaluates each unordered pair once and stores no N x N
+    array, so it is not capped.  G = 1/|R| is symmetric, and K_D(a, i) =
+    -sum_k R_k(i, a) n_k(i)/|R|^3 takes the same R_k/|R|^3 as K_D(i, a) =
+    sum_k R_k(i, a) n_k(a)/|R|^3.  So each strip's 1/|R| and R_k/|R|^3 go
+    against phi and n_k psi, the source weight folded into both, forward
+    for its rows [lo, hi) over the sources [0, hi) and transposed for the
+    targets [0, lo) from the sources [lo, hi); the sweep adds those
+    mirrored sums in strip order.  The split corrections go on by FFT, so
+    no template is gathered.
     """
     if backend not in ("direct", "split"):
         raise ValueError(f"unknown backend '{backend}'")
@@ -500,8 +558,11 @@ def apply_pair(grid, backend, phi, psi):
 
 # assemble_S and assemble_D: perfbench/tracer.py wraps them
 def assemble_S(grid, backend="direct"):
-    """Single layer S[phi] = int G phi dS: S_h of assemble_first_kind."""
-    return assemble_first_kind(grid, backend)[0]
+    """Single layer S[phi] = int G phi dS: S_h = A diag(J) of
+    assemble_first_kind."""
+    a = assemble_first_kind(grid, backend)[0]
+    a *= grid.flat_jacobian()
+    return a
 
 
 def assemble_D(grid, backend="direct"):

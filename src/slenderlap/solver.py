@@ -14,12 +14,12 @@ Lambda = Q W:
     DtN (v given):  w = W v,  f = Q w
     NtD (f given):  Lambda v = f (LU of Lambda),  w = W v
 
-S_h and B of either backend come from one pair sweep that stores no D_h
-(operators.assemble_first_kind), and lu_S factors S_h in the array that
-holds it: a solve holds one N x N array.  Its untouched triangle keeps S_h
-for apply_S, which the residuals and the decomposition use.  The Green's
-identity harness applies S_h and D_h matrix-free in one sweep
-(operators.apply_pair), past DENSE_NODE_CAP.
+A = S_h diag(1/J), B and the column sums of |A| of either backend come
+from one lower pair sweep that stores no D_h (operators.assemble_first_kind),
+and lu_S factors S_h in A's array: a solve holds one N x N array.  Its
+untouched triangle keeps A for apply_S, which the residuals and the
+decomposition use.  The Green's identity harness applies S_h and D_h
+matrix-free in one sweep (operators.apply_pair), past DENSE_NODE_CAP.
 Each solve reports its residuals against S_h.  Every dense factor (the
 ShiftedCholesky of S_h, or an LU of Lambda or 1/2 I + D') is made in the
 C-order array of its matrix through its Fortran view, and has solve(x,
@@ -28,25 +28,26 @@ solve and the condition estimate anorm ||mat^-1||_1 (LAPACK's dlacn2,
 driven by factor.solve) take one route each.  The estimates of S_h and of
 Lambda are reported and hard-fail beyond COND_LIMIT, never silently ignored.
 
-The first-kind factor.  A = S_h diag(1/J) is symmetric to roundoff (4.5e-16
-relative on split, 9e-17 on direct), because S_h is a symmetric kernel
-matrix times the source Jacobian.  On split grids A is indefinite, but its
-negative eigenvalues lie in the space U of s-means: one direction per
-theta-node, constant in s.  On the perturbed circle at 128x16, eps 1/64,
-all 9 negative eigenvalues of A are those of the 16 x 16 block U^T A U to 3
-digits.  So a shift of rank n_theta, M = A + sigma U U^T with sigma =
-||A||_1, makes M positive definite, and dpotrf factors it in place; A^-1
-follows by Woodbury with an n_theta x n_theta capacitance matrix.  dpotrf
-reads and writes one triangle of the array (LAPACK Users' Guide, 3rd ed.,
-section 5.1), so the other keeps A, and S_h x = A (J x) is one dsymv.
+The first-kind factor.  A = S_h diag(1/J) is symmetric, because S_h is a
+symmetric kernel matrix times the source Jacobian, and exactly so: the
+sweep writes each entry once and mirrors it.  On split grids A is
+indefinite, but its negative eigenvalues lie in the space U of s-means:
+one direction per theta-node, constant in s.  On the perturbed circle at
+128x16, eps 1/64, all 9 negative eigenvalues of A are those of the 16 x 16
+block U^T A U to 3 digits.  So a shift of rank n_theta, M = A + sigma U U^T
+with sigma = ||A||_1, makes M positive definite, and dpotrf factors it in
+place; A^-1 follows by Woodbury with an n_theta x n_theta capacitance
+matrix.  dpotrf reads and writes one triangle of the array (LAPACK Users'
+Guide, 3rd ed., section 5.1), so the other keeps A, and S_h x = A (J x) is
+one dsymv.
 Where dpotrf still finds a non-positive minor, the grid does not resolve
 the tube (the circle at 64x8, eps 1/16, or direct at eps 1/256), and lu_S
 raises a SolveError naming the grid, h_s/(eps h_theta) and eps kappa_*.
 
 At 256x16 (perturbed circle, split, 2 vCPUs, medians of 5 in one process,
-over 5 processes) the solve layer takes: assembly 0.27 s; lu_S 0.36-0.47 s
-(the 64-row pass 0.04-0.05 s, the shift 0.02 s, dpotrf 0.31-0.34 s), the
-estimate 0.05-0.07 s and W 0.11-0.15 s.
+over 5 processes) the solve layer takes: assembly 0.18-0.19 s; lu_S
+0.26-0.29 s (the shift 0.006 s, dpotrf 0.24-0.26 s), the estimate
+0.03-0.04 s and W 0.09-0.10 s.
 
 The exterior Dirichlet problem is solved through the modified double layer:
 (1/2 I + D'_h) phi = v, then u(y) = D'[phi](y) off the surface.
@@ -80,9 +81,9 @@ EXTERIOR_DENSE = (1, "1/2 I + D', factored in place")
 # time (it takes a ratio-0.986 series from an increment of 1 to NEUMANN_TOL)
 NEUMANN_MAX_ITER = 2000
 NEUMANN_TOL = 1e-12
-# rows per slab of _abs_col_sums, each factor's one pass over its matrix,
-# which copies nothing; at N = 4,096 (medians of 5) slabs of 16 rows take
-# 0.026 s, of 64 or 128 0.023 s (0.033, 0.039 s scaling S_h into A)
+# rows per slab of _abs_col_sums, an LU's one pass over its matrix, which
+# copies nothing; at N = 4,096 (medians of 5) slabs of 16 rows take 0.026 s,
+# of 64 or 128 0.023 s
 LU_COPY_ROWS = 64
 
 
@@ -127,17 +128,14 @@ class LU(NamedTuple):
         return lu_solve((self.lu, self.piv), x, trans=1 - trans)
 
 
-def _abs_col_sums(a, scale=None):
-    """Column sums of |a|, LU_COPY_ROWS rows at a time, each slab then
-    scaled in place by scale (one factor per column) when it is given; a
-    ValueError if a holds a NaN or an inf."""
+def _abs_col_sums(a):
+    """Column sums of |a|, LU_COPY_ROWS rows at a time; a ValueError if a
+    holds a NaN or an inf."""
     scratch = np.empty((min(len(a), LU_COPY_ROWS), a.shape[1]))
     col = np.zeros(a.shape[1])
     for i in range(0, len(a), LU_COPY_ROWS):
         rows = a[i:i + LU_COPY_ROWS]
         col += np.abs(rows, out=scratch[:len(rows)]).sum(axis=0)
-        if scale is not None:
-            rows *= scale
     if not np.isfinite(col).all():
         raise ValueError("array must not contain infs or NaNs")
     return col
@@ -171,7 +169,7 @@ class ShiftedCholesky(NamedTuple):
     vectors and blocks) and anorm = ||S_h||_1, all a caller of a factor uses.
     """
 
-    m: np.ndarray      # Fortran view of S_h's array: factor above, A below
+    m: np.ndarray      # Fortran view of A's array: factor above, A below
     jac: np.ndarray    # J, flat
     mu: np.ndarray
     cap: np.ndarray
@@ -193,35 +191,39 @@ class ShiftedCholesky(NamedTuple):
         return y.reshape(x.shape)
 
 
-def _shifted_cholesky(s_h, jac, n_theta):
-    """(ShiftedCholesky of s_h, or None when dpotrf finds M not positive
-    definite; the diagonal of A), made in s_h's own array.
+def _shifted_cholesky(a, col, jac, n_theta):
+    """(ShiftedCholesky of S_h = A diag(J), or None when dpotrf finds M not
+    positive definite; the diagonal of A), made in A's own array.
 
-    _abs_col_sums sums |S_h| by columns, for ||S_h||_1 and sigma =
-    ||A||_1, which moves the s-mean eigenvalues of A well above 0, and
-    scales s_h into A in the same pass.  The shift goes on the lower
-    triangle and diagonal only: they are the upper triangle of the Fortran
-    view s_h.T, which dpotrf reads and overwrites with the factor.  So the
-    strict upper triangle of s_h keeps A, whose diagonal is returned.  mu
+    col holds the column sums of |A| (assemble_first_kind's), a
+    ValueError if one is not finite: sigma = ||A||_1, which moves the
+    s-mean eigenvalues of A well above 0, and ||S_h||_1 = max_j J_j col_j,
+    so no pass over A is made.  The shift goes on the lower triangle and
+    diagonal only, one s-row of theta-blocks at a time through a strided
+    view of their diagonals: they are the upper triangle of the Fortran
+    view a.T, which dpotrf reads and overwrites with the factor.  So the
+    strict upper triangle of a keeps A, whose diagonal is returned.  mu
     comes from one dpotrs on U.
     """
-    n_s = len(s_h) // n_theta
-    inv_j = 1.0 / jac
-    col = _abs_col_sums(s_h, inv_j)
-    a_diag = s_h.diagonal().copy()
-    sigma = float((col * inv_j).max())
-    m4 = s_h.reshape(n_s, n_theta, n_s, n_theta)
-    lower = np.tril_indices(n_s)
-    for t in range(n_theta):  # + sigma U U^T: sigma/n_s on equal theta
-        m4[:, t, :, t][lower] += sigma / n_s
-    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (s_h,))
-    c, info = potrf(s_h.T, lower=False, clean=False, overwrite_a=True)
+    if not np.isfinite(col).all():
+        raise ValueError("array must not contain infs or NaNs")
+    n_s, sigma = len(a) // n_theta, float(col.max())
+    a_diag = a.diagonal().copy()
+    # v[i, j, t] = a[i n_theta + t, j n_theta + t]: U U^T's entries
+    row, col_step = a.strides
+    v = np.lib.stride_tricks.as_strided(
+        a, (n_s, n_s, n_theta),
+        (n_theta * row, n_theta * col_step, row + col_step))
+    for i in range(n_s):  # + sigma U U^T: sigma/n_s on equal theta
+        v[i, :i + 1] += sigma / n_s
+    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (a,))
+    c, info = potrf(a.T, lower=False, clean=False, overwrite_a=True)
     if info:
         return None, a_diag
     u = np.tile(np.eye(n_theta) / math.sqrt(n_s), (n_s, 1))
     mu, _ = potrs(c, u, lower=False, overwrite_b=True)
     cap = np.eye(n_theta) / sigma - _s_sum(mu, n_theta)
-    return ShiftedCholesky(c, jac, mu, cap, float(col.max())), a_diag
+    return ShiftedCholesky(c, jac, mu, cap, float((jac * col).max())), a_diag
 
 
 def _inverse_one_norm(solve, n):
@@ -269,10 +271,11 @@ def _factor(mat, system, factor=None):
 
 class SlenderBodySolver:
     """Caches B = (1/2 I - D_h) E, lu_S and the discrete DtN matrix for one
-    grid.  lu_S factors S_h in the array that holds it, and apply_S applies
-    S_h from what the factor leaves of it.  operators, when given, is an
-    (S_h, B) pair (N x N, N x n_s) that the solver takes over, and backend
-    is then only a label: like LAPACK's overwrite_a, S_h is overwritten in
+    grid.  lu_S factors S_h = A diag(J) in the array that holds A, and
+    apply_S applies S_h from what the factor leaves of it.  operators, when
+    given, is what assemble_first_kind returns, (A, B, |A| column sums) of
+    shapes (N, N), (N, n_s) and (N,), and the solver takes it over; backend
+    is then only a label.  Like LAPACK's overwrite_a, A is overwritten in
     place, so it must be a writeable C-contiguous float64 array.
     """
 
@@ -285,31 +288,32 @@ class SlenderBodySolver:
             _check_dense_cap(grid)
             n, n_s = grid.n_nodes, grid.n_s
             shapes = tuple(np.shape(x) for x in operators)
-            if shapes != ((n, n), (n, n_s)):
+            if shapes != ((n, n), (n, n_s), (n,)):
                 raise ValueError(
-                    f"operators must be (S_h, B) of shapes (N, N) = ({n}, {n}) "
-                    f"and (N, n_s) = ({n}, {n_s}), got {shapes}")
-            s_h = operators[0]
-            if not (isinstance(s_h, np.ndarray) and s_h.dtype == np.float64
-                    and s_h.flags.c_contiguous and s_h.flags.writeable):
-                raise ValueError("operators' S_h must be a writeable "
+                    f"operators must be (A, B, |A| column sums) of shapes "
+                    f"(N, N) = ({n}, {n}), (N, n_s) = ({n}, {n_s}) and "
+                    f"(N,) = ({n},), got {shapes}")
+            a = operators[0]
+            if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+                    and a.flags.c_contiguous and a.flags.writeable):
+                raise ValueError("operators' A must be a writeable "
                                  "C-contiguous float64 array: the solver "
                                  "factors it in place")
-        # S_h until lu_S factors it in place; then A's strict upper triangle
-        # (A = S_h diag(1/J)) and the factor, and _a_diag A's diagonal
-        self._s_h, self.B = operators
+        # A until lu_S factors it in place; then A's strict upper triangle
+        # and the factor, and _a_diag A's diagonal
+        self._a, self.B, self._a_sums = operators
         self._a_diag = None
         self._lu_S = self._cond_S = self._W = None
         self._dtn_matrix = self._lu_dtn = self._cond_dtn = None
 
     @property
     def lu_S(self):
-        """The ShiftedCholesky of S_h in S_h's array; a SolveError, now and
+        """The ShiftedCholesky of S_h in A's array; a SolveError, now and
         on every later call, once dpotrf finds M not positive definite."""
         if self._lu_S is None:
             g = self.grid
             factor, self._a_diag = _shifted_cholesky(
-                self._s_h, g.flat_jacobian(), g.n_theta)
+                self._a, self._a_sums, g.flat_jacobian(), g.n_theta)
             aspect = grid_mod.aspect_ratio(g.n_s, g.n_theta, g.epsilon)
             self._lu_S = factor or SolveError(
                 f"first-kind system indefinite on the {g.n_s} x {g.n_theta} "
@@ -326,7 +330,7 @@ class SlenderBodySolver:
         factor's back after it.  2 ms at N = 4,096, where dgemv on the
         whole S_h took 8-9 ms."""
         self.lu_S  # A's triangle exists once S_h is factored
-        a = self._s_h
+        a = self._a
         diag = a.diagonal().copy()
         np.fill_diagonal(a, self._a_diag)
         try:
@@ -340,7 +344,7 @@ class SlenderBodySolver:
         if self._cond_S is None:
             g = self.grid
             self._cond_S = _factor(
-                self._s_h, f"first-kind system (n_s={g.n_s}, "
+                self._a, f"first-kind system (n_s={g.n_s}, "
                 f"n_theta={g.n_theta}, eps={g.epsilon})", self.lu_S)[1]
         return self._cond_S
 

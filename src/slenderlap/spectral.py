@@ -19,7 +19,8 @@ Symbols on the straight periodic cylinder of radius eps (w = 2 pi eps |k|):
 All kernels are even in both offsets, so every symbol is real and even and
 acts diagonally on complex exponentials; real input gives real output.
 Block circulants of offset templates are read from offset_windows' table by
-circulant_rows alone: a row chunk (PairGeometry.gather) or the whole matrix.
+circulant_rows alone: a row chunk or lower strip (PairGeometry.gather) or
+the whole matrix.
 
 Each formula lives in _symbol_row (one |k|, all l <= lmax); FourierSymbol
 builds its tables from one row per |k| and memoises them, so every module
@@ -195,12 +196,13 @@ def offset_windows(t):
 
 def circulant_rows(windows, lo, hi, out):
     """Rows [lo, hi) of the circulant whose offset_windows table is windows,
+    over its first out.shape[1] columns (all, or a lower strip's [0, hi)),
     into out, one s-row block at a time (any lo, hi)."""
-    n_t, n = windows.shape[0], windows.shape[2]
+    n_t, n, cols = windows.shape[0], windows.shape[2], out.shape[1]
     for i_s in range(lo // n_t, (hi - 1) // n_t + 1):
         r0, r1 = max(lo, i_s * n_t), min(hi, (i_s + 1) * n_t)
         out[r0 - lo:r1 - lo] = windows[r0 - i_s * n_t:r1 - i_s * n_t,
-                                       n - i_s * n_t]
+                                       n - i_s * n_t, :cols]
     return out
 
 

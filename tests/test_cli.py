@@ -213,10 +213,12 @@ def test_solve_dry_run_states_the_dense_peak(cmd, tmp_path, capsys,
            f"operator)" in out
     # at 64x8 two fixed costs outweigh one N x N array, so take them out:
     # the curve's 512 x 512 chord matrix (the spec is built beforehand) and
-    # the sweep's scratch (chunks of 4 x 512 pairs)
+    # the sweeps' scratch (row chunks of 4 x 512 pairs, lower strips of at
+    # most 2^11 pairs)
     spec = cli._build_spec(cli.build_parser().parse_args(argv))
     monkeypatch.setattr(cli, "_build_spec", lambda args: spec)
     monkeypatch.setattr(kernels, "CHUNK_PAIRS", 1 << 11)
+    monkeypatch.setattr(kernels, "STRIP_PAIRS", 1 << 11)
     monkeypatch.chdir(tmp_path)
     tracemalloc.start()
     try:

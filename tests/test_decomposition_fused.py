@@ -42,17 +42,20 @@ def _piecewise(grid):
 def test_fused_matches_piecewise(grid_name, request):
     grid = request.getfixturevalue(grid_name)
     fused = dict(zip("SD", op.assemble_pair(grid, "split")))
-    pair = an.decomposition_operators(grid)
+    a, b, col = an.decomposition_operators(grid)
     for name, ref in _piecewise(grid).items():
         rel = np.max(np.abs(fused[name] - ref)) / np.max(np.abs(ref))
         assert rel <= 1e-13, (name, rel)
-    # the decomposition's pair is (S_h, B), B = (1/2 I - D_h) E of the same D_h
+    # the decomposition's operators are (A, B, |A| column sums): A = S_h
+    # diag(1/J) of the same sweep, B = (1/2 I - D_h) E of the same D_h
     e = np.kron(np.eye(grid.n_s), np.ones((grid.n_theta, 1)))
     b_ref = 0.5 * e - fused["D"] @ e
-    assert pair[0].shape == (grid.n_nodes, grid.n_nodes)
-    assert np.array_equal(pair[0], fused["S"])
-    assert pair[1].shape == (grid.n_nodes, grid.n_s)
-    assert np.max(np.abs(pair[1] - b_ref)) <= 1e-14 * np.max(np.abs(b_ref))
+    assert a.shape == (grid.n_nodes, grid.n_nodes)
+    assert np.array_equal(a * grid.flat_jacobian(), fused["S"])
+    assert b.shape == (grid.n_nodes, grid.n_s)
+    assert np.max(np.abs(b - b_ref)) <= 1e-14 * np.max(np.abs(b_ref))
+    assert col.shape == (grid.n_nodes,)
+    assert np.max(np.abs(col - np.abs(a).sum(axis=0))) <= 1e-14 * np.max(col)
 
 
 @pytest.mark.parametrize("grid_name", ["perturbed_grid_small", "trefoil_grid"])
@@ -91,7 +94,7 @@ def test_mean_in_s_term_matches_dense_route(perturbed_grid_small):
     rep = an.decompose_dtn(grid, v, solver=solver)
     w = solver.dtn(v).w
     w_mean_surface = np.tile(w.values.mean(axis=0), (grid.n_s, 1))
-    s_h = op.assemble_first_kind(grid, "split")[0]
+    s_h = op.assemble_S(grid, "split")
     dense = s_h @ w_mean_surface.reshape(-1)
     integ = op.theta_integral(grid, dense, grid.epsilon)
     ref = -apply_symbol(FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s),

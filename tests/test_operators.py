@@ -253,31 +253,36 @@ FIRST_KIND_GRIDS = ["circle_grid_small", "perturbed_grid_small", "trefoil_grid",
 @pytest.mark.parametrize("grid_name", FIRST_KIND_GRIDS)
 @pytest.mark.parametrize("backend", ["direct", "split"])
 def test_first_kind_B_is_the_reduced_dense_D(backend, grid_name, request):
-    """assemble_first_kind's (S_h, B) is assemble_pair's S_h and
-    (1/2 I - D_h) E, each theta-block of D_h's columns summed, bit for bit."""
+    """assemble_first_kind's (A, B, |A| column sums): A times J is
+    assemble_pair's S_h bit for bit (the same sweep), B is (1/2 I - D_h) E,
+    each theta-block of D_h's columns summed, to 1e-15 of max|B| (its
+    mirrored block sums add up in strip order), and the sums are those of
+    |A| to 1e-14."""
     grid = request.getfixturevalue(grid_name)
     n_s, n_t = grid.n_s, grid.n_theta
     s_h, d_h = op.assemble_pair(grid, backend)
     b_ref = -d_h.reshape(-1, n_s, n_t).sum(axis=2)
     diag = np.arange(n_s)
     b_ref.reshape(n_s, n_t, n_s)[diag, :, diag] += 0.5
-    s_got, b_got = op.assemble_first_kind(grid, backend)
+    a_got, b_got, col = op.assemble_first_kind(grid, backend)
     assert b_got.shape == (grid.n_nodes, n_s)
-    assert np.array_equal(s_got, s_h)
-    assert np.array_equal(b_got, b_ref)
+    assert np.array_equal(a_got * grid.flat_jacobian(), s_h)
+    assert np.max(np.abs(b_got - b_ref)) <= 1e-15 * np.max(np.abs(b_ref))
+    assert np.max(np.abs(col - np.abs(a_got).sum(axis=0))) \
+        <= 1e-14 * np.max(col)
 
 
 @pytest.mark.parametrize("grid_name", FIRST_KIND_GRIDS)
 @pytest.mark.parametrize("backend", ["direct", "split"])
 def test_first_kind_matrix_is_symmetric_after_the_jacobian(backend, grid_name,
                                                            request):
-    """A = S_h diag(1/J) is symmetric to roundoff: S_h is a symmetric kernel
-    matrix times the source Jacobian.  The solver reads S_h back from one
-    triangle of A once it has factored S_h in place (4.5e-16 relative
-    measured on split, 9e-17 on direct)."""
+    """A = S_h diag(1/J) is exactly symmetric: each lower strip's entries
+    are written once and mirrored, and split's templates are even to the
+    last bit.  The solver reads S_h back from one triangle of A once it has
+    factored it in place."""
     grid = request.getfixturevalue(grid_name)
-    a = op.assemble_first_kind(grid, backend)[0] / grid.flat_jacobian()
-    assert np.max(np.abs(a - a.T)) <= 1e-14 * np.max(np.abs(a))
+    a = op.assemble_first_kind(grid, backend)[0]
+    assert np.array_equal(a, a.T)
 
 
 @pytest.mark.parametrize("grid_name", ["perturbed_grid_small", "trefoil_grid"])
@@ -292,9 +297,11 @@ def test_double_layer_alone_is_the_pair_D(backend, grid_name, request):
 
 
 def test_single_layer_alone_holds_one_dense_matrix(circle_grid):
-    """assemble_S is assemble_first_kind's S_h and builds no N x N D_h: its
-    tracemalloc peak is S_h plus the sweep's scratch and B (1.33 N x N
-    arrays measured at 128x16; 2.27 when it took S_h of assemble_pair)."""
+    """assemble_S is assemble_first_kind's A times J, in A's array, and
+    builds no N x N D_h: its tracemalloc peak is S_h plus the sweep's
+    scratch and B (1.33 N x N arrays measured at 128x16, on the full rows
+    and on the lower strips alike; 2.27 when it took S_h of
+    assemble_pair)."""
     tracemalloc.start()
     try:
         op.assemble_S(circle_grid, "split")

@@ -570,7 +570,7 @@ def test_cond_estimate_one_norm_is_exact_and_small(circle_solver,
     gecon's on lu_factor(S_h), with ||S_h||_1 of either factor exact to
     roundoff, and it allocates far less than one N x N array.  S_h is
     assembled again, and _lu factors a copy: both factor in place."""
-    mat = op.assemble_first_kind(circle_grid, "split")[0]
+    mat = op.assemble_S(circle_grid, "split")
     ref = _gecon_cond(mat)
     factors = {"lu": sv._lu(mat.copy()), "cholesky": circle_solver.lu_S}
     norm = np.linalg.norm(mat, 1)
@@ -599,7 +599,7 @@ def test_lu_is_lu_factor_bit_for_bit(perturbed_grid_small):
     solver = _fresh_solver(grid)
     dprime = op.assemble_Dprime(grid, "split")
     dprime.flat[::grid.n_nodes + 1] += 0.5
-    mats = {"S_h": op.assemble_first_kind(grid, "split")[0],
+    mats = {"S_h": op.assemble_S(grid, "split"),
             "Lambda": solver.dtn_matrix.copy(), "Dprime": dprime}
     # 1000 rows are not a whole number of LU_COPY_ROWS slabs
     assert 1000 % sv.LU_COPY_ROWS
@@ -686,11 +686,15 @@ def test_ntd_keeps_the_dtn_matrix(perturbed_grid_small):
     assert np.array_equal(solver.dtn_matrix, before)
 
 
-def test_lu_S_refuses_a_non_finite_first_kind_matrix(perturbed_grid_small):
-    s_h, b = op.assemble_first_kind(perturbed_grid_small, "split")
-    s_h[5, 7] = np.nan
+def test_lu_S_refuses_a_non_finite_first_kind_matrix(perturbed_grid_small,
+                                                     monkeypatch):
+    """A NaN in A shows in its |A| column sums, as an assembly that made it
+    returns them, and lu_S refuses those before dpotrf runs."""
+    a, b, _ = op.assemble_first_kind(perturbed_grid_small, "split")
+    a[5, 7] = a[7, 5] = np.nan
     bad = sv.SlenderBodySolver(perturbed_grid_small, "split",
-                               operators=(s_h, b))
+                               operators=(a, b, np.abs(a).sum(axis=0)))
+    monkeypatch.setattr(sv, "get_lapack_funcs", None)
     with pytest.raises(ValueError, match="infs or NaNs"):
         bad.lu_S
 
@@ -742,11 +746,12 @@ def test_cholesky_route_matches_the_lu_route(preset, backend, n_s, n_theta):
     ntd().v within 1e-12 of the LU route, the first-kind residual at most
     twice its, and cond_S within 1e-10 of gecon's.  perturbed_circle-split
     at 128x16 is the Neumann-series bench's geometry (rhs-128).  The
-    solver factors a copy of the assembled S_h in place; S_h is the
-    oracle."""
+    solver factors the assembled A in place; S_h = A diag(J), taken
+    before, is the oracle."""
     grid = _first_kind_grid(preset, 1.0 / 64.0, n_s, n_theta)
-    s_h, b = op.assemble_first_kind(grid, backend)
-    solver = sv.SlenderBodySolver(grid, backend, operators=(s_h.copy(), b))
+    a, b, col = op.assemble_first_kind(grid, backend)
+    s_h = a * grid.flat_jacobian()
+    solver = sv.SlenderBodySolver(grid, backend, operators=(a, b, col))
     assert isinstance(solver.lu_S, sv.ShiftedCholesky)
     got, v, f = _solver_route(solver)
     ref = _lu_route(solver, s_h, v, f)
@@ -807,50 +812,55 @@ def test_indefinite_shift_is_refused(preset, eps, backend, monkeypatch):
 
 def test_operators_must_fit_the_grid(perturbed_grid_small, circle_grid,
                                      circle_spec64, monkeypatch):
-    """An (S_h, B) pair of another grid, or on a grid past DENSE_NODE_CAP,
-    is refused before any factorization."""
+    """Operators (A, B, |A| column sums) of another grid, of the wrong
+    shapes, or the (A, B) pair of the old contract, or any on a grid past
+    DENSE_NODE_CAP, are refused before any factorization."""
     monkeypatch.setattr(sv, "_lu", None)
     monkeypatch.setattr(sv, "_shifted_cholesky", None)
-    s_h, b = op.assemble_first_kind(perturbed_grid_small, "split")
-    for grid, pair in ((circle_grid, (s_h, b)),
-                       (perturbed_grid_small, (s_h, b.T)),
-                       (perturbed_grid_small, (s_h[:, :-1], b))):
+    a, b, col = op.assemble_first_kind(perturbed_grid_small, "split")
+    for grid, ops in ((circle_grid, (a, b, col)),
+                      (perturbed_grid_small, (a, b.T, col)),
+                      (perturbed_grid_small, (a[:, :-1], b, col)),
+                      (perturbed_grid_small, (a, b, col[:-1])),
+                      (perturbed_grid_small, (a, b))):
         n, n_s = grid.n_nodes, grid.n_s
-        with pytest.raises(ValueError, match=rf"\(N, N\) = \({n}, {n}\) and "
-                                             rf"\(N, n_s\) = \({n}, {n_s}\)"):
-            sv.SlenderBodySolver(grid, "split", operators=pair)
+        with pytest.raises(ValueError, match=rf"\(N, N\) = \({n}, {n}\), "
+                                             rf"\(N, n_s\) = \({n}, {n_s}\) "
+                                             rf"and \(N,\) = \({n},\)"):
+            sv.SlenderBodySolver(grid, "split", operators=ops)
     big = make_grid(circle_spec64, 512, 16)
     n = big.n_nodes
     assert n > op.DENSE_NODE_CAP
-    pair = (np.broadcast_to(0.0, (n, n)), np.broadcast_to(0.0, (n, big.n_s)))
+    ops = (np.broadcast_to(0.0, (n, n)), np.broadcast_to(0.0, (n, big.n_s)),
+           np.broadcast_to(0.0, n))
     with pytest.raises(op.AssemblyError, match="capped at 4096 nodes"):
-        sv.SlenderBodySolver(big, "split", operators=pair)
+        sv.SlenderBodySolver(big, "split", operators=ops)
 
 
-def _read_only(s_h):
-    s_h.flags.writeable = False
-    return s_h
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
-REFUSED_S_H = {"read-only": _read_only, "Fortran order": np.asfortranarray,
-               "float32": lambda s_h: s_h.astype(np.float32)}
+REFUSED_A = {"read-only": _read_only, "Fortran order": np.asfortranarray,
+             "float32": lambda a: a.astype(np.float32)}
 
 
-@pytest.mark.parametrize("case", sorted(REFUSED_S_H))
+@pytest.mark.parametrize("case", sorted(REFUSED_A))
 def test_operators_are_taken_over(case, perturbed_grid_small):
-    """The solver factors the S_h it is given in place, as LAPACK's
+    """The solver factors the A it is given in place, as LAPACK's
     overwrite_a: afterwards the array is the factor's.  One it could only
     copy or fail on inside LAPACK is refused by a one-line ValueError."""
     grid = perturbed_grid_small
-    s_h, b = op.assemble_first_kind(grid, "split")
+    a, b, col = op.assemble_first_kind(grid, "split")
     with pytest.raises(ValueError, match="writeable C-contiguous float64") \
             as err:
         sv.SlenderBodySolver(grid, "split",
-                             operators=(REFUSED_S_H[case](s_h.copy()), b))
+                             operators=(REFUSED_A[case](a.copy()), b, col))
     assert "\n" not in str(err.value), case
-    solver = sv.SlenderBodySolver(grid, "split", operators=(s_h, b))
+    solver = sv.SlenderBodySolver(grid, "split", operators=(a, b, col))
     solver.dtn(np.cos(2 * np.pi * grid.s_nodes))
-    assert np.shares_memory(s_h, solver.lu_S.m)
+    assert np.shares_memory(a, solver.lu_S.m)
 
 
 def test_apply_S_is_S_h_from_the_factored_array(rng):
@@ -858,13 +868,14 @@ def test_apply_S_is_S_h_from_the_factored_array(rng):
     leaves, to 1e-14 of max|S_h x| (at most 8e-16 measured), and leaves the
     array as it found it."""
     grid = _first_kind_grid("circle", 1.0 / 64.0, 64, 8)
-    s_h, b = op.assemble_first_kind(grid, "split")
-    solver = sv.SlenderBodySolver(grid, "split", operators=(s_h.copy(), b))
+    a, b, col = op.assemble_first_kind(grid, "split")
+    s_h = a * grid.flat_jacobian()
+    solver = sv.SlenderBodySolver(grid, "split", operators=(a, b, col))
     assert isinstance(solver.lu_S, sv.ShiftedCholesky)
-    held = solver._s_h.copy()
+    held = solver._a.copy()
     for x in (rng.standard_normal(grid.n_nodes), np.ones(grid.n_nodes)):
         assert _rel(solver.apply_S(x), s_h @ x) <= 1e-14
-        assert np.array_equal(solver._s_h, held)
+        assert np.array_equal(solver._a, held)
 
 
 # structure of the discrete DtN matrix on any curve ---------------------------

@@ -262,11 +262,12 @@ def test_circulant_rows_match_index_gather(shape, rng):
     full = sp.circulant_from_template(t)  # a fresh array, not a view of t
     assert np.array_equal(full, ref) and not np.shares_memory(full, t)
     windows, n = sp.offset_windows(t), n_s * n_t
-    for lo in range(n):  # every row range, whole s-rows or not
-        for hi in range(lo + 1, n + 1):
-            out = np.full((hi - lo, n), np.nan)
-            assert sp.circulant_rows(windows, lo, hi, out) is out
-            assert np.array_equal(out, ref[lo:hi]), (lo, hi)
+    for lo in range(n):  # every row range, whole s-rows or not, over all
+        for hi in range(lo + 1, n + 1):  # columns or a lower strip's [0, hi)
+            for cols in (n, hi):
+                out = np.full((hi - lo, cols), np.nan)
+                assert sp.circulant_rows(windows, lo, hi, out) is out
+                assert np.array_equal(out, ref[lo:hi, :cols]), (lo, hi)
 
 
 def test_finite_diff_symbol_bounds():

@@ -32,7 +32,8 @@ def _outputs(grid):
     for backend in ("direct", "split"):
         s_h, d_h = op.assemble_pair(grid, backend)
         out[f"S_{backend}"], out[f"D_{backend}"] = s_h, d_h
-        out[f"B_{backend}"] = op.assemble_first_kind(grid, backend)[1]
+        (out[f"A_{backend}"], out[f"B_{backend}"],
+         out[f"A_sums_{backend}"]) = op.assemble_first_kind(grid, backend)
         out[f"apply_{backend}"] = np.stack(op.apply_pair(grid, backend, phi,
                                                          psi))
     for k in (1, 2):
