@@ -118,7 +118,9 @@ def holder_seminorm(f, alpha, epsilon):
     the smaller d^alpha of the two.  Offsets go a batch at a time by the
     bound min(osc, |o_s| M_s + |o_t| M_t)(1 + 1e-12)/d^alpha on their ratio
     (M: largest neighbour difference, o the short way round), largest first,
-    until it cannot beat the best ratio so far.
+    until it cannot beat the best ratio so far.  A batch reads its shifted
+    copies f(x - o) as strided windows of one (2 n_s, 2 n_theta) tiling of
+    the data, indexed by the batch's offsets, and builds no index array.
     """
     vals = np.asarray(f, float)
     vals = vals.reshape(vals.shape[0], -1)
@@ -139,6 +141,10 @@ def holder_seminorm(f, alpha, epsilon):
     bound = np.minimum(osc, path[offs]) * (1.0 + 1e-12) / scale[offs]
     order = np.argsort(-bound, kind="stable")
     offs, bound, scale = offs[order], bound[order], scale[offs[order]]
+    # f(x - o) is the window of the doubled data that starts at (-o) mod n
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.tile(vals, (2, 2)), (n_s, n_t))
+    start_s, start_t = np.divmod(neg[offs], n_t)
     # about 2^16 pairs (512 KB temporaries) per gather, as in the pair sweep:
     # 2 MB ones can go back to the OS and fault in again on every batch
     batch = max(1, (1 << 16) // v.size)
@@ -146,10 +152,8 @@ def holder_seminorm(f, alpha, epsilon):
     for lo in range(0, offs.size, batch):
         if bound[lo] <= best:
             break
-        o_s, o_t = np.divmod(offs[lo:lo + batch], n_t)
-        src = (((i_s - o_s[:, None]) % n_s)[:, :, None] * n_t
-               + ((i_t - o_t[:, None]) % n_t)[:, None, :])
-        dv = np.max(np.abs(v - v[src.reshape(src.shape[0], -1)]), axis=1)
+        shifted = windows[start_s[lo:lo + batch], start_t[lo:lo + batch]]
+        dv = np.max(np.abs(v - shifted.reshape(shifted.shape[0], -1)), axis=1)
         best = max(best, float(np.max(dv / scale[lo:lo + batch])))
     return best
 

@@ -37,12 +37,14 @@ assemble_pair fills in one pair sweep.  They differ only in what is added:
 Every pair kernel is written once, in _pair_kernel's table, from the inverse
 distances 1/|R|, 1/|R_t|, 1/|R-bar|, R . n_src and straight templates, and
 carries no 1/4pi: the source weight does.  PairGeometry.fields drops the
-self-pair, and nothing else does.  apply_pairs and the dense oracles take a
-chunk's full kernel rows from _pair_sweep and only write them into a matrix
-or multiply them by densities: the non-symmetric kernels (R_t takes the
-target's e_t) need the full rows.  The dense assemblies (_assemble) and
-apply_pair take a lower sweep (kernels.lower_strips), which evaluates each
-unordered pair once and gives G and K_D both ways from 1/|R| and R/|R|^3:
+self-pair, and nothing else does.  The dense oracles take a chunk's full
+kernel rows from _pair_sweep and only write them into a matrix, and
+apply_pairs multiplies them by densities where a kernel needs full rows:
+R_t takes the target's e_t, and a curved-minus-straight difference is
+subtracted pair by pair.  The dense assemblies (_assemble), apply_pair and
+apply_pairs' G and R_S3 (G on the source factor -eps khat) take a lower
+sweep (kernels.lower_strips), which evaluates each unordered pair once and
+gives G and K_D both ways from 1/|R| and R/|R|^3:
 assemble_first_kind keeps A = S_h diag(1/J), which is symmetric, the theta-
 block sums B = (1/2 I - D_h) E of D_h and the column sums of |A|;
 assemble_pair, assemble_S, assemble_D and assemble_Dprime write S_h and D_h
@@ -66,7 +68,8 @@ piece by piece:
 
 so that S = Sbar + sum R_Sj on zero-s-mean densities and D = Dbar + sum R_Dj.
 The scaling studies apply them matrix-free with apply_pairs, one evaluation
-per pair for one or more densities, bound by memory per chunk and not by
+per pair (per unordered pair for G and R_S3) for one or more densities,
+bound by memory per chunk and not by
 DENSE_NODE_CAP; only the dense operators, which the solves need, are capped.
 dense_RS_kernel, dense_RD_kernel and dense_tail build the same pieces one
 dense matrix each, and dense_single_layer_direct and dense_double_layer_direct
@@ -122,9 +125,8 @@ def _pair_kernel(grid, name):
     gathered) to the kernel's rows, in place on them.  Built from the
     punctured invR, invRt and invRbar, every kernel is 0 at the self-pair.
     "G" is 1/|R| and "KD" is R . n_src/|R|^3; "RS1".."RS3", "RD1" and "RD2"
-    are the remainder pieces of the module docstring without 1/4pi and eps;
-    "RS2+RS3" is two of them in one kernel, and "RD" is K_D J/eps - K_D-bar
-    - tail = 4pi (R_D0 + R_D1 + R_D2)/eps.
+    are the remainder pieces of the module docstring without 1/4pi and eps,
+    and "RD" is K_D J/eps - K_D-bar - tail = 4pi (R_D0 + R_D1 + R_D2)/eps.
     """
     eps_kh = grid.epsilon * grid.khat.reshape(-1)  # R_S3's and R_D2's factor
     j_eps = grid.flat_jacobian() / grid.epsilon    # RD's source factor
@@ -143,10 +145,6 @@ def _pair_kernel(grid, name):
         "RS2": (lambda f: sub(f["invRt"], f["invRbar"], out=f["invRt"]),
                 ("invRt", "invRbar")),
         "RS3": (lambda f: mul(f["invR"], -eps_kh, out=f["invR"]), ("invR",)),
-        "RS2+RS3": (lambda f: sub(sub(f["invRt"], f["invRbar"], out=f["invRt"]),
-                                  mul(f["invR"], eps_kh, out=f["invR"]),
-                                  out=f["invRt"]),
-                    ("invR", "invRt", "invRbar")),
         "RD1": (lambda f: sub(kd(f), f["KDbar"], out=f["Rn"]),
                 ("Rn", "invR", "KDbar")),
         "RD2": (lambda f: mul(kd(f), -eps_kh, out=f["Rn"]), ("Rn", "invR")),
@@ -169,18 +167,65 @@ def _pair_sweep(grid, name, body):
         need, lambda lo, hi, f: body(lo, hi, fn(f)))
 
 
+def _density(grid, x, name, columns=False):
+    """x as a float array of shape (n_s, n_theta), or with columns also
+    (n_s, n_theta, k), else a ValueError naming the expected shape."""
+    x = np.asarray(x, float)
+    if x.shape[:2] != (grid.n_s, grid.n_theta) or x.ndim > 2 + columns:
+        want = f"(n_s, n_theta) = {(grid.n_s, grid.n_theta)}"
+        raise ValueError(f"{name} shape {x.shape} != {want}"
+                         + (" or (n_s, n_theta, k)" if columns else ""))
+    return x
+
+
+def _lower_single_layer(grid, xw):
+    """sum_a xw[a]/|R_ia| over the sources a != i, on the lower strips: each
+    strip's 1/|R| goes forward against xw[:hi] for its rows [lo, hi) and
+    transposed against xw[lo:hi] for the targets [0, lo), mirrored sums
+    added in strip order (apply_pair's G)."""
+    out = np.empty_like(xw)
+
+    def strip(lo, hi, f):
+        g = f["invR"]
+        np.matmul(g, xw[:hi], out=out[lo:hi])
+        return lo, g[:, :lo].T @ xw[lo:hi]
+
+    def fold(mirrored):
+        lo, mirror = mirrored
+        out[:lo] += mirror
+
+    PairGeometry(grid, lower=True).sweep(("invR",), strip, fold)
+    return out
+
+
 def apply_pairs(grid, name, x):
     """sum_a ker[i, a] (eps w/4pi) x[a] of a pair kernel, matrix-free.
 
     x holds one density, (n_s, n_theta), or k of them, (n_s, n_theta, k),
     and w is the node weight.  The kernel is evaluated once per pair for all
     k columns, and no N x N array is stored, so DENSE_NODE_CAP does not bind.
+    G = 1/|R| is symmetric in the pair and R_S3 is G on the source factor
+    -eps khat, so "G", "RS3" and the R_S3 of "RS2+RS3" take the lower
+    strips (_lower_single_layer), with 1/|R| once per unordered pair.  The
+    rest take _pair_sweep's full rows: R_t takes the target's e_t, and a
+    curved-minus-straight difference (RS1, RS2, RD1, RD) is subtracted
+    pair by pair: R_S2 with 1/|R-bar| applied apart by FFT was 1.3e-13
+    off, relative, on the circle at 128x16 and eps 1/128.
     """
-    x = np.asarray(x, float)
+    x = _density(grid, x, "x", columns=True)
     xw = x.reshape(grid.n_nodes, -1) * _eps_weight(grid)
-    out = np.empty_like(xw)
-    _pair_sweep(grid, name,
-                lambda lo, hi, rows: np.matmul(rows, xw, out=out[lo:hi]))
+    # what is left for full rows once the kernel's G part took the strips
+    rest = {"G": None, "RS3": None, "RS2+RS3": "RS2"}
+    out = None
+    if name in rest:
+        eps_kh = grid.epsilon * grid.khat.reshape(-1, 1)
+        out = _lower_single_layer(grid, xw if name == "G" else -eps_kh * xw)
+        name = rest[name]
+    if name is not None:
+        rows_out = np.empty_like(xw)
+        _pair_sweep(grid, name, lambda lo, hi, rows: np.matmul(
+            rows, xw, out=rows_out[lo:hi]))
+        out = rows_out if out is None else np.add(rows_out, out, out=rows_out)
     return out.reshape(x.shape)
 
 
@@ -522,7 +567,7 @@ def apply_pair(grid, backend, phi, psi):
     """
     if backend not in ("direct", "split"):
         raise ValueError(f"unknown backend '{backend}'")
-    phi, psi = np.asarray(phi, float), np.asarray(psi, float)
+    phi, psi = _density(grid, phi, "phi"), _density(grid, psi, "psi")
     w_src = grid.jacobian * (grid.node_weight / FOURPI)
     phi_w = (phi * w_src).reshape(-1)
     n_psi = grid.flat_normals().T * (psi * w_src).reshape(-1)  # (3, N): n psi

@@ -322,7 +322,7 @@ def test_pair_kernels_match_scalar_oracles(grid_name, request):
         assert np.all(np.diag(mat) == 0.0), name
 
 
-KERNEL_NAMES = ("G", "KD", "RS1", "RS2", "RS3", "RS2+RS3", "RD1", "RD2", "RD")
+KERNEL_NAMES = ("G", "KD", "RS1", "RS2", "RS3", "RD1", "RD2", "RD")
 
 
 @pytest.mark.parametrize("grid_name", ["perturbed_grid_small", "trefoil_grid"])

@@ -15,12 +15,14 @@ import pytest
 
 from slenderlap import analysis as an
 from slenderlap import geometry as geo
+from slenderlap import kernels as kn
 from slenderlap import operators as op
 from slenderlap import solver as sv
 from slenderlap.grid import make_grid
 
 GRIDS = ["perturbed_grid_small", "trefoil_grid"]
 ORACLES = {
+    "G": lambda g: op.dense_single_layer_direct(g, weight="eps"),
     "RS1": lambda g: op.dense_RS_kernel(g, 1),
     "RS2": lambda g: op.dense_RS_kernel(g, 2),
     "RS3": lambda g: op.dense_RS_kernel(g, 3),
@@ -38,10 +40,7 @@ def _rel(a, ref):
     return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("grid_name", GRIDS)
-@pytest.mark.parametrize("name", sorted(ORACLES))
-def test_apply_matches_dense_oracle(name, grid_name, request):
-    grid = request.getfixturevalue(grid_name)
+def _check_apply(name, grid):
     phi = _density(grid)
     want = (ORACLES[name](grid) @ phi.reshape(-1)).reshape(phi.shape)
     got = op.apply_pairs(grid, name, phi)
@@ -49,10 +48,7 @@ def test_apply_matches_dense_oracle(name, grid_name, request):
     assert _rel(got, want) <= 1e-13, (name, _rel(got, want))
 
 
-@pytest.mark.parametrize("grid_name", GRIDS)
-def test_two_column_single_layer_apply(grid_name, request):
-    """G at weight eps and R_S3 (G on -eps khat phi) in one sweep."""
-    grid = request.getfixturevalue(grid_name)
+def _check_two_columns(grid):
     phi = _density(grid)
     cols = np.stack([phi, -grid.epsilon * grid.khat * phi], axis=-1)
     got = op.apply_pairs(grid, "G", cols)
@@ -61,6 +57,48 @@ def test_two_column_single_layer_apply(grid_name, request):
                              op.dense_RS_kernel(grid, 3))):
         want = (mat @ phi.reshape(-1)).reshape(phi.shape)
         assert _rel(got[..., k], want) <= 1e-13, (k, _rel(got[..., k], want))
+
+
+@pytest.mark.parametrize("grid_name", GRIDS)
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_apply_matches_dense_oracle(name, grid_name, request):
+    _check_apply(name, request.getfixturevalue(grid_name))
+
+
+@pytest.mark.parametrize("grid_name", GRIDS)
+def test_two_column_single_layer_apply(grid_name, request):
+    """G at weight eps and R_S3 (G on -eps khat phi) in one sweep."""
+    _check_two_columns(request.getfixturevalue(grid_name))
+
+
+@pytest.mark.parametrize("grid_name", GRIDS)
+def test_lower_strip_applies_on_many_strips(grid_name, request, monkeypatch):
+    """G, RS3 and RS2+RS3 take the lower strips, which are three at the
+    fixture grids; with 2^10 pairs a strip there are 107, so the mirrored
+    sums of many strips are folded, and the oracles still hold."""
+    grid = request.getfixturevalue(grid_name)
+    monkeypatch.setattr(kn, "STRIP_PAIRS", 1 << 10)
+    assert len(list(kn.lower_strips(grid.n_nodes))) > 16
+    for name in ("G", "RS3", "RS2+RS3"):
+        _check_apply(name, grid)
+    _check_two_columns(grid)
+
+
+def test_density_shapes_are_checked(perturbed_grid_small):
+    """A density that is not (n_s, n_theta) (nor (n_s, n_theta, k) for
+    apply_pairs) is refused by name, not reshaped: the transposed
+    (n_theta, n_s) one too."""
+    grid = perturbed_grid_small
+    phi = _density(grid)
+    for bad in (phi.T, phi.reshape(-1), phi[:-1], phi[..., None, None]):
+        with pytest.raises(ValueError, match=r"x shape .* \(n_s, n_theta\)"):
+            op.apply_pairs(grid, "RS1", bad)
+        with pytest.raises(ValueError, match=r"phi shape .* \(n_s, n_theta\)"):
+            op.apply_pair(grid, "split", bad, phi)
+        with pytest.raises(ValueError, match=r"psi shape .* \(n_s, n_theta\)"):
+            op.apply_pair(grid, "direct", phi, bad)
+    with pytest.raises(ValueError, match="phi shape"):
+        op.apply_pair(grid, "split", phi[..., None], phi)
 
 
 def test_unknown_pair_kernel(perturbed_grid_small):

@@ -921,6 +921,14 @@ def _translated(cos_c, sin_c):
     return cos_c + np.eye(len(cos_c), 1) * [0.3, -0.2, 0.7], sin_c
 
 
+def _half_node_later(cos_c, sin_c):
+    """The curve run from half an s-node later, X(t + 1/128): half a node of
+    _solver_of's 64 s-nodes."""
+    j = 2.0 * np.pi * np.arange(len(cos_c))[:, None] / 128.0
+    return (cos_c * np.cos(j) + sin_c * np.sin(j),
+            sin_c * np.cos(j) - cos_c * np.sin(j))
+
+
 @functools.lru_cache(maxsize=None)
 def _solver_of(preset, backend, transform):
     """A solver at 64x8, eps 1/64, on the preset's curve with its (cos, sin)
@@ -951,6 +959,17 @@ def test_dtn_matrix_is_invariant_under_reversal_and_translation(preset,
     scale = np.max(np.abs(lam))
     assert np.max(np.abs(rev - lam[np.ix_(minus, minus)])) <= 1e-12 * scale
     assert np.max(np.abs(moved - lam)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("backend", ["direct", "split"])
+def test_dtn_matrix_of_the_circle_is_invariant_under_a_half_node_shift(
+        backend):
+    """On the circle, starting s half a node later turns every surface node
+    about the axis by the same angle, so Lambda does not change, to 1e-12
+    of max|Lambda|."""
+    lam, shifted = (_solver_of("circle", backend, t).dtn_matrix
+                    for t in (IDENTITY, _half_node_later))
+    assert np.max(np.abs(shifted - lam)) <= 1e-12 * np.max(np.abs(lam))
 
 
 @INVARIANCE_CASES

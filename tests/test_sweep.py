@@ -37,7 +37,7 @@ def _outputs(grid):
         out[f"apply_{backend}"] = np.stack(op.apply_pair(grid, backend, phi,
                                                          psi))
     for k in (1, 2):
-        for name in ("RS1", "RD", "G"):
+        for name in ("RS1", "RD", "G", "RS2+RS3"):
             out[f"{name}_{k}"] = op.apply_pairs(grid, name, _densities(grid, k))
     rep = kn.check_geometric_inequalities(grid)
     out["geometry"] = np.array([np.nan if v is None else float(v)
@@ -86,9 +86,12 @@ def test_stale_scratch_changes_no_bit(perturbed_grid_small, monkeypatch):
 
 
 def test_pair_apply_allocates_only_its_scratch(monkeypatch):
-    """The tracemalloc peak of a 128x16 RS2+RS3 apply is its scratch block,
-    made once per sweep, plus the offset-window table and small arrays: one
-    more (chunk, N) array per participant would break the bound."""
+    """A 128x16 RS2+RS3 apply is two sweeps, one after the other: R_S3 as G
+    on the lower strips, then R_S2 on full rows.  Each one's tracemalloc
+    peak is its own scratch block, made once per sweep, plus (for R_S2) the
+    offset-window table of |R-bar| and small arrays, and the blocks are
+    never held at once: one more (chunk, N) array per participant in
+    either sweep would break its bound."""
     import tracemalloc
 
     from slenderlap import analysis, geometry, grid as gr
@@ -99,31 +102,82 @@ def test_pair_apply_allocates_only_its_scratch(monkeypatch):
     phi = analysis._bandlimited_density(grid)
     monkeypatch.setattr(kn, "sweep_cpus", lambda: 2)
     op.apply_pairs(grid, "RS2+RS3", phi)  # symbol tables and imports first
-    blocks, used = {}, set()
-    fields = kn.PairGeometry.fields
+    blocks, used, peaks = {}, {}, []
+    fields, sweep = kn.PairGeometry.fields, kn.PairGeometry.sweep
 
     def recording(self, lo, hi, need=("absR",), scratch=None):
         out = fields(self, lo, hi, need, scratch)
-        blocks.update({id(b.base): b.base.nbytes for b in scratch.values()})
-        used.update(id(b) for b in scratch.values())
+        blocks.setdefault(self.lower, {}).update(
+            {id(b.base): b.base.nbytes for b in scratch.values()})
+        used.setdefault(self.lower, set()).update(
+            id(b) for b in scratch.values())
+        return out
+
+    def measured(self, need, body, fold=None):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = sweep(self, need, body, fold)
+        held, peak = tracemalloc.get_traced_memory()
+        peaks.append((self.lower, peak - start, held - start))
         return out
 
     monkeypatch.setattr(kn.PairGeometry, "fields", recording)
+    monkeypatch.setattr(kn.PairGeometry, "sweep", measured)
     tracemalloc.start()
     try:
         op.apply_pairs(grid, "RS2+RS3", phi)
-        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    rows = kn.default_chunk_rows(grid.n_nodes)
-    chunk_bytes = rows * grid.n_nodes * 8
-    # one block: two participants, 3 + 3 slots each, 4 of them used
-    assert len(blocks) == 1 and len(used) == 2 * 4
-    block = blocks.popitem()[1]
-    assert block == 2 * 6 * chunk_bytes + 64
+    assert [lower for lower, _, _ in peaks] == [True, False]
+    assert all(len(blocks[lower]) == 1 for lower in (True, False))
+    strip = max((hi - lo) * hi for lo, hi in kn.lower_strips(grid.n_nodes))
+    chunk = kn.default_chunk_rows(grid.n_nodes) * grid.n_nodes
+    # lower: two participants, 1 + 3 slots each, 2 used (1/|R| and R's
+    # components in turn); full: 2 + 3 slots each, 3 used (1/|R_t|, its
+    # components, and the gathered 1/|R-bar|)
+    sizes = {True: (4, 2, strip), False: (5, 3, chunk)}
     table = grid.n_theta * 2 * grid.n_nodes * 8  # offset_windows of |R-bar|
-    small = 1 << 20  # O(N) arrays and numpy's iterator buffers, 0.7 MB
-    assert peak <= block + table + small
+    small = 1 << 20  # O(N) arrays and numpy's iterator buffers
+    for lower, peak, held in peaks:
+        assert held <= small, (lower, held)  # the block goes with its sweep
+        slots, n_used, pairs = sizes[lower]
+        block = blocks[lower].popitem()[1]
+        assert block == 2 * slots * pairs * 8 + 64
+        assert len(used[lower]) == 2 * n_used
+        assert peak <= block + (0 if lower else table) + small, (lower, peak)
+
+
+def test_symmetric_kernels_take_invR_on_the_lower_strips(perturbed_grid,
+                                                         monkeypatch):
+    """1/|R| is built only by lower-strip fields calls for the symmetric
+    kernels and parts: G (also mean_in_s_split's), RS3, and RS2+RS3, whose
+    full-row sweep builds only 1/|R_t| and 1/|R-bar|.  RS1, whose
+    1/|R| - 1/|R_t| is subtracted pair by pair, keeps it on full rows.
+    Each sweep covers the N rows once."""
+    grid = perturbed_grid
+    n = grid.n_nodes
+    calls, fields = [], kn.PairGeometry.fields
+
+    def counted(self, lo, hi, need=("absR",), scratch=None):
+        calls.append((self.lower, hi - lo, tuple(need)))
+        return fields(self, lo, hi, need, scratch)
+
+    monkeypatch.setattr(kn.PairGeometry, "fields", counted)
+    want = {"G": {True: ("invR",)}, "RS3": {True: ("invR",)},
+            "RS2+RS3": {True: ("invR",), False: ("invRt", "invRbar")},
+            "RS1": {False: ("invR", "invRt")}}
+    for name, sweeps in want.items():
+        calls.clear()
+        op.apply_pairs(grid, name, _densities(grid, 2))
+        for lower, need in sweeps.items():
+            assert {c[2] for c in calls if c[0] == lower} == {need}, name
+            assert sum(c[1] for c in calls if c[0] == lower) == n, name
+        assert {c[0] for c in calls} == set(sweeps), name
+    calls.clear()
+    op.mean_in_s_split(grid, 1.0 + np.cos(grid.theta_nodes))
+    assert calls and all(lower and need == ("invR",)
+                         for lower, _, need in calls)
+    assert sum(rows for _, rows, _ in calls) == n
 
 
 def _recorded_strips(grid, monkeypatch):
