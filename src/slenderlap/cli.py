@@ -95,7 +95,7 @@ def _dry_run_report(n_s, n_theta, n_systems=1, dense=None):
         size = (f"{count} dense N x N arrays at once ({held}), "
                 f"~{count * gb:.2f} GB (~{gb:.2f} GB per dense operator)")
     else:
-        pairs = max(min(kernels.default_chunk_rows(n), n) * n,
+        pairs = max(min(kernels.rows_per_chunk(n), n) * n,
                     *((hi - lo) * hi for lo, hi in kernels.lower_strips(n)))
         size = (f"matrix-free, chunks of at most {pairs} pairs "
                 f"(~{pairs * 8 / 1e6:.2f} MB per field, held by each of "
@@ -241,10 +241,9 @@ def cmd_exterior(args):
 
 def _exterior_points(spec, count=8, seed=3):
     """A point 5-8 eps from X(i/count) in its normal plane, for each i < count,
-    drawn again while it is within 4 eps of the centerline (N_FINE samples):
-    the solver refuses points within 3 eps of its nodes."""
+    drawn again while it is within 4 eps of the centerline (by the solver's
+    Centerline.distance_bound): the solver refuses points within 3 eps."""
     rng, cl = np.random.default_rng(seed), spec.centerline
-    curve = cl.position(np.arange(cl.N_FINE) / cl.N_FINE)
     pts = []
     for i in range(count):
         s0 = np.array([i / count])
@@ -253,7 +252,7 @@ def _exterior_points(spec, count=8, seed=3):
             ang = 2 * np.pi * rng.random()
             dist = spec.epsilon * (5.0 + 3.0 * rng.random())
             p = x0 + dist * (np.cos(ang) * e_n1[0] + np.sin(ang) * e_n2[0])
-            if np.min(np.linalg.norm(curve - p, axis=1)) >= 4.0 * spec.epsilon:
+            if cl.distance_bound(p)[0] >= 4.0 * spec.epsilon:
                 break
         else:
             raise ValueError(f"no point 4 eps clear of the curve near s = {s0[0]:g}")

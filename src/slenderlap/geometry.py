@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -63,13 +64,15 @@ def curve_from_config(config):
             sin_c = [[0.0, 0.0, 0.0], [0.0, r, 0.0]]
         elif name == "perturbed_circle":
             amp = float(params.get("amplitude", 0.05))
-            mode = int(params.get("mode", 2))
+            mode = float(params.get("mode", 2))
+            if not (mode.is_integer() and mode >= 1):
+                raise GeometryError(f"mode must be an integer >= 1, got {mode:g}")
             cos_c = [[0.0, 0.0, 0.0], [r, 0.0, 0.0]]
             sin_c = [[0.0, 0.0, 0.0], [0.0, r, 0.0]]
             while len(cos_c) <= mode:
                 cos_c.append([0.0, 0.0, 0.0])
                 sin_c.append([0.0, 0.0, 0.0])
-            cos_c[mode][2] = amp
+            cos_c[int(mode)][2] = amp
         elif name == "trefoil":  # twisted frame: kappa3 ~ 2.2, kappa_* ~ 22.4
             cos_c = [[0, 0, 0], [0, 1, 0], [0, -2, 0], [0, 0, 0]]
             sin_c = [[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 0, -1]]
@@ -129,6 +132,9 @@ class Centerline:
         self.sin_coeffs = np.asarray(sin_coeffs, float)
         if self.cos_coeffs.ndim != 2 or self.cos_coeffs.shape[1] != 3:
             raise GeometryError("coefficients must be lists of 3-vectors")
+        if not (np.all(np.isfinite(self.cos_coeffs))
+                and np.all(np.isfinite(self.sin_coeffs))):
+            raise GeometryError("curve coefficients must be finite")
         amp = np.abs(self.cos_coeffs[1:]).sum() + np.abs(self.sin_coeffs[1:]).sum()
         if amp == 0.0:
             raise GeometryError("degenerate curve: all oscillatory coefficients vanish")
@@ -179,6 +185,16 @@ class Centerline:
 
     def tangent(self, s):
         return self._tangent_at_t(self.t_of_s(s))
+
+    @cached_property
+    def _fine_positions(self):
+        return self.position(np.arange(self.N_FINE) / self.N_FINE)
+
+    def distance_bound(self, points):
+        """Each point's distance to the nearest of N_FINE equispaced samples
+        less their half-spacing: a lower bound on its distance to the curve."""
+        d = np.atleast_2d(points)[:, None] - self._fine_positions
+        return np.linalg.norm(d, axis=2).min(axis=1) - 0.5 / self.N_FINE
 
     def _tangent_at_t(self, t):
         d = self._raw_deriv(t)

@@ -53,7 +53,7 @@ CHUNK_PAIRS = 1 << 16
 STRIP_PAIRS = 1 << 16
 
 
-def default_chunk_rows(n_nodes):
+def rows_per_chunk(n_nodes):
     """Rows per pair-sweep chunk: about CHUNK_PAIRS pairs, a multiple of 4
     (OpenBLAS's GEMV takes rows in fours, so any such chunking rounds alike)."""
     return 4 * max(1, CHUNK_PAIRS // (4 * n_nodes))
@@ -86,9 +86,9 @@ def lower_strips(n_nodes):
 class PairGeometry:
     """Row-chunked pairwise geometry over (target, source) node pairs.
 
-    Chunks iterate over flattened target indices, chunk_rows at a time
-    (default_chunk_rows by default), and sweep runs them on every CPU; every
-    field of a chunk is an array of shape (chunk, N) against all N sources.
+    Chunks iterate over flattened target indices, rows_per_chunk at a time,
+    and sweep runs them on every CPU; every field of a chunk is an array of
+    shape (chunk, N) against all N sources.
     With lower, the chunks are lower_strips instead, and each strip's fields
     are against its sources [0, hi) alone: every pair (i, a) with a <= i lies
     in exactly one strip, the one holding row i.  That serves kernels
@@ -97,21 +97,18 @@ class PairGeometry:
     e_t, has no strip form.
     """
 
-    def __init__(self, grid: SurfaceGrid, chunk_rows=None, templates=None,
-                 lower=False):
+    def __init__(self, grid: SurfaceGrid, templates=None, lower=False):
         self.grid = grid
-        self.chunk_rows = chunk_rows or default_chunk_rows(grid.n_nodes)
         self.lower = lower
         g = grid
         self.P, self.NRM = g.flat_positions(), g.flat_normals()
         self.KH = g.khat.reshape(-1)
         self.i_s = np.arange(g.n_nodes) // g.n_theta
         self.eps = g.epsilon
-        # positions and normals one component per row, and eps n_src as
+        # positions one component per row, and eps n_src as
         # (3, n_s, n_theta) for R_t
         self._pt = np.ascontiguousarray(self.P.T)
-        self._nt = np.ascontiguousarray(self.NRM.T)
-        self._eps_n = (self.eps * self._nt).reshape(3, g.n_s, g.n_theta)
+        self._eps_n = (self.eps * self.NRM.T).reshape(3, g.n_s, g.n_theta)
         self._templates = {**offset_fields(g), **(templates or {})}
         self._tables = {}
 
@@ -120,8 +117,9 @@ class PairGeometry:
         if self.lower:
             yield from lower_strips(n)
             return
-        for lo in range(0, n, self.chunk_rows):
-            yield lo, min(lo + self.chunk_rows, n)
+        rows = rows_per_chunk(n)
+        for lo in range(0, n, rows):
+            yield lo, min(lo + rows, n)
 
     def n_sources(self, hi):
         """Sources of the chunk ending at row hi: [0, hi) if lower, or all."""
@@ -196,17 +194,22 @@ class PairGeometry:
         """Compute the requested pair fields for target rows [lo, hi).
 
         The offset_fields and the templates given at construction are
-        gathered.  "diag": the target's column.  "absR": |R|; "Rn": R . n_src
-        (with |R|); "absRt": |R_t|; "absReven": |R_even|.  "invR" and "invRt"
-        are 1/|R| and 1/|R_t| in their place, 0 at the self-pair like
-        "invRbar": the one place a pair sweep drops it.  "Rinv3" (with invR
-        and invR3 = 1/|R|^3) is the three components of R/|R|^3, so 0 there
-        too.  Only the requested fields are built, and |R|, R . n_src and
-        |R_t| go component by component, with no (chunk, N, 3) temporary,
-        into scratch (see sweep) or, without it, into new arrays.
+        gathered.  "diag": the target's column.  "absR": |R|; "absReven":
+        |R_even|.  "invR" and "invRt" are 1/|R| and 1/|R_t|, 0 at the
+        self-pair like "invRbar": the one place a pair sweep drops it.
+        "Rinv3" (with invR and invR3 = 1/|R|^3) is the three components of
+        R/|R|^3, so 0 there too: K_D is their sum against n_src.  Only the
+        requested fields are built, and |R| and |R_t| go component by
+        component, with no (chunk, N, 3) temporary, into scratch (see sweep)
+        or, without it, into new arrays.  A name it does not build is a
+        ValueError.
         """
         g, rows, names = self.grid, hi - lo, set(need)
         cols = self.n_sources(hi)
+        unknown = names - self._templates.keys() - {
+            "diag", "absR", "invR", "Rinv3", "invRt", "absReven"}
+        if unknown:
+            raise ValueError(f"unknown pair fields {sorted(unknown)}")
 
         def buf(name):
             return (np.empty((rows, cols)) if scratch is None
@@ -229,39 +232,31 @@ class PairGeometry:
         if "diag" in names:
             out["diag"] = np.zeros((rows, cols), dtype=bool)
             out["diag"][np.arange(rows), np.arange(lo, hi)] = True
-        if {"absR", "Rn", "invR", "Rinv3"} & names:
+        if {"absR", "invR", "Rinv3"} & names:
             name = "invR" if {"invR", "Rinv3"} & names else "absR"
             keep = "Rinv3" in names  # R's components stay for R/|R|^3
-            r2, rn = buf(name), buf("Rn") if "Rn" in names else None
-            t = buf("t") if keep or rn is not None else None
+            r2, t = buf(name), buf("t") if keep else None
             comps = ([buf(f"R{k}") for k in range(3)] if keep
                      else [buf("d")] * 3)
             # sums start at their first term: 0.0 + it, up to -0.0
-            for k, (p, nrm, d) in enumerate(zip(self._pt, self._nt, comps)):
+            for k, (p, d) in enumerate(zip(self._pt, comps)):
                 np.subtract(p[lo:hi, None], p[:cols], out=d)
-                if rn is not None:
-                    prod = np.multiply(d, nrm, out=t if k else rn)
-                    if k:
-                        rn += prod
                 sq = np.square(d, out=r2 if k == 0 else t if keep else d)
                 if k:
                     r2 += sq
             distance(name, r2)
-            if rn is not None:
-                out["Rn"] = rn
             if keep:
                 inv = out["invR"]
                 inv3 = np.multiply(np.multiply(inv, inv, out=t), inv, out=t)
                 out["Rinv3"] = [np.multiply(d, inv3, out=d) for d in comps]
                 out["invR3"] = inv3
-        if {"absRt", "invRt"} & names:
+        if "invRt" in names:
             # R_t = (s-hat e_t(s) + eps e_r(s, theta)) - eps n_src
             shat = self._templates["shat"][(self.i_s[lo:hi, None]
                                             - np.arange(g.n_s)) % g.n_s, 0]
             e_t = g.e_t[self.i_s[lo:hi]]
-            name = "invRt" if "invRt" in names else "absRt"
             rt2, c = (buf(k).reshape(rows, g.n_s, g.n_theta)
-                      for k in (name, "d"))
+                      for k in ("invRt", "d"))
             for k in range(3):
                 near = (shat * e_t[:, k, None]
                         + self.eps * self.NRM[lo:hi, k, None])
@@ -269,7 +264,7 @@ class PairGeometry:
                 sq = np.square(c, out=c if k else rt2)
                 if k:
                     rt2 += sq
-            distance(name, rt2)
+            distance("invRt", rt2)
         if "absReven" in names:
             shat, that, absrbar = (self.gather(k, lo, hi, buf(k))
                                    for k in ("shat", "that", "absRbar"))

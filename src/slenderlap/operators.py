@@ -3,7 +3,7 @@ r"""Discrete layer operators on the tube surface.
 Every assembled operator is a plain N x N array on flattened (n_s, n_theta)
 samples, row-major.  Both backends start from the same curved blocks,
 G_J and K_J: the punctured trapezoids of the curved G and K_D times J, which
-assemble_pair fills in one pair sweep.  They differ only in what is added:
+one lower pair sweep fills (_assemble).  They differ only in what is added:
 
   direct:  local weights at each target that restore the dropped singular
            self-contribution, making a locally corrected trapezoid rule
@@ -35,20 +35,22 @@ assemble_pair fills in one pair sweep.  They differ only in what is added:
            + G P_mean psi: the s-mean goes through the curved kernel alone.
 
 Every pair kernel is written once, in _pair_kernel's table, from the inverse
-distances 1/|R|, 1/|R_t|, 1/|R-bar|, R . n_src and straight templates, and
-carries no 1/4pi: the source weight does.  PairGeometry.fields drops the
-self-pair, and nothing else does.  The dense oracles take a chunk's full
-kernel rows from _pair_sweep and only write them into a matrix, and
-apply_pairs multiplies them by densities where a kernel needs full rows:
-R_t takes the target's e_t, and a curved-minus-straight difference is
-subtracted pair by pair.  The dense assemblies (_assemble), apply_pair and
-apply_pairs' G and R_S3 (G on the source factor -eps khat) take a lower
-sweep (kernels.lower_strips), which evaluates each unordered pair once and
-gives G and K_D both ways from 1/|R| and R/|R|^3:
-assemble_first_kind keeps A = S_h diag(1/J), which is symmetric, the theta-
-block sums B = (1/2 I - D_h) E of D_h and the column sums of |A|;
-assemble_pair, assemble_S, assemble_D and assemble_Dprime write S_h and D_h
-out.  Every pair sweep runs through PairGeometry.sweep: row chunks or strips
+distances 1/|R|, 1/|R_t|, 1/|R-bar|, the components of R/|R|^3 and straight
+templates, and carries no 1/4pi: the source weight does.  K_D is
+sum_k (R_k/|R|^3) n_k(source), on full rows and lower strips alike.
+PairGeometry.fields drops the self-pair, and nothing else does.  The dense
+oracles take a chunk's full kernel rows from _pair_sweep and only write them
+into a matrix, and apply_pairs multiplies them by densities where a kernel
+needs full rows: R_t takes the target's e_t, and a curved-minus-straight
+difference is subtracted pair by pair.  The rest take a lower sweep
+(kernels.lower_strips), which evaluates each unordered pair once and gives
+G and K_D both ways from 1/|R| and R/|R|^3: the dense assemblies in
+_assemble, where assemble_first_kind keeps A = S_h diag(1/J), which is
+symmetric, the theta-block sums B = (1/2 I - D_h) E of D_h and the column
+sums of |A|, and assemble_D writes D_h out; and the matrix-free applies in
+_lower_apply, apply_pair's S_h and D_h and apply_pairs' G and R_S3 (G on
+the source factor -eps khat).  Every pair sweep runs through
+PairGeometry.sweep: row chunks or strips
 on every CPU of the affinity mask, each computed whole by one thread, and a
 lower sweep's mirrored sums added in strip order, so no output depends on
 the thread count.  D' - D_h depends on the source only through s, so
@@ -83,7 +85,7 @@ import math
 import numpy as np
 from scipy.special import k0, k1
 
-from .kernels import FOURPI, PairGeometry, default_chunk_rows, offset_fields
+from .kernels import FOURPI, PairGeometry, offset_fields, rows_per_chunk
 from .specfun import EULER_GAMMA
 from .spectral import (FourierSymbol, apply_symbol, s_modes,
                        symbol_dense_matrix, symbol_template)
@@ -123,33 +125,38 @@ def _pair_kernel(grid, name):
 
     fn maps one row chunk's pair fields (the names in need, templates
     gathered) to the kernel's rows, in place on them.  Built from the
-    punctured invR, invRt and invRbar, every kernel is 0 at the self-pair.
-    "G" is 1/|R| and "KD" is R . n_src/|R|^3; "RS1".."RS3", "RD1" and "RD2"
-    are the remainder pieces of the module docstring without 1/4pi and eps,
-    and "RD" is K_D J/eps - K_D-bar - tail = 4pi (R_D0 + R_D1 + R_D2)/eps.
+    punctured invR, invRt, invRbar and Rinv3, every kernel is 0 at the
+    self-pair.  "G" is 1/|R| and "KD" is sum_k (R_k/|R|^3) n_k(src), as on
+    the lower strips; "RS1".."RS3", "RD1" and "RD2" are the remainder
+    pieces of the module docstring without 1/4pi and eps, and "RD" is
+    K_D J/eps - K_D-bar - tail = 4pi (R_D0 + R_D1 + R_D2)/eps.
     """
     eps_kh = grid.epsilon * grid.khat.reshape(-1)  # R_S3's and R_D2's factor
     j_eps = grid.flat_jacobian() / grid.epsilon    # RD's source factor
+    nrm = grid.flat_normals().T                    # (3, N): n_src for K_D
     sub, mul = np.subtract, np.multiply
 
-    def kd(f):  # R . n_src/|R|^3, by multiplication, in place on Rn
-        for _ in range(3):
-            f["Rn"] *= f["invR"]
-        return f["Rn"]
+    def kd(f):  # sum_k R_k/|R|^3 n_k(src), in place on R_0/|R|^3
+        q = f["Rinv3"]
+        d = mul(q[0], nrm[0], out=q[0])
+        for k in (1, 2):
+            d += mul(q[k], nrm[k], out=q[k])
+        return d
 
+    kd_need = ("invR", "Rinv3")
     kernels = {
         "G": (lambda f: f["invR"], ("invR",)),
-        "KD": (kd, ("Rn", "invR")),
+        "KD": (kd, kd_need),
         "RS1": (lambda f: sub(f["invR"], f["invRt"], out=f["invRt"]),
                 ("invR", "invRt")),
         "RS2": (lambda f: sub(f["invRt"], f["invRbar"], out=f["invRt"]),
                 ("invRt", "invRbar")),
         "RS3": (lambda f: mul(f["invR"], -eps_kh, out=f["invR"]), ("invR",)),
-        "RD1": (lambda f: sub(kd(f), f["KDbar"], out=f["Rn"]),
-                ("Rn", "invR", "KDbar")),
-        "RD2": (lambda f: mul(kd(f), -eps_kh, out=f["Rn"]), ("Rn", "invR")),
-        "RD": (lambda f: sub(mul(kd(f), j_eps, out=f["Rn"]), f["KDbar"],
-                             out=f["Rn"]), ("Rn", "invR", "KDbar")),
+        "RD1": (lambda f: sub(kd(f), f["KDbar"], out=f["Rinv3"][0]),
+                (*kd_need, "KDbar")),
+        "RD2": (lambda f: mul(kd(f), -eps_kh, out=f["Rinv3"][0]), kd_need),
+        "RD": (lambda f: sub(mul(kd(f), j_eps, out=f["Rinv3"][0]), f["KDbar"],
+                             out=f["Rinv3"][0]), (*kd_need, "KDbar")),
     }
     if name not in kernels:
         raise ValueError(f"unknown pair kernel '{name}'")
@@ -178,24 +185,42 @@ def _density(grid, x, name, columns=False):
     return x
 
 
-def _lower_single_layer(grid, xw):
-    """sum_a xw[a]/|R_ia| over the sources a != i, on the lower strips: each
-    strip's 1/|R| goes forward against xw[:hi] for its rows [lo, hi) and
-    transposed against xw[lo:hi] for the targets [0, lo), mirrored sums
-    added in strip order (apply_pair's G)."""
-    out = np.empty_like(xw)
+def _lower_apply(grid, x, n_psi=None):
+    """(sum_a x[a]/|R_ia|, sum_a sum_k R_k(i, a) n_psi[k, a]/|R_ia|^3) over
+    the sources a != i, from one sweep of the lower strips; x is (N,) or
+    (N, k), n_psi (3, N) or None, which leaves the second out (None).
+
+    G = 1/|R| is symmetric, and K_D(a, i) = -sum_k R_k(i, a) n_k(i)/|R|^3
+    takes the same R_k/|R|^3 as K_D(i, a) = sum_k R_k(i, a) n_k(a)/|R|^3.
+    So each strip's 1/|R| and R_k/|R|^3 go against x and n_psi forward for
+    its rows [lo, hi) over the sources [0, hi), and transposed for the
+    targets [0, lo) from the sources [lo, hi); the sweep adds those
+    mirrored sums in strip order.
+    """
+    g_out = np.empty_like(x)
+    d_out = None if n_psi is None else np.empty(grid.n_nodes)
 
     def strip(lo, hi, f):
-        g = f["invR"]
-        np.matmul(g, xw[:hi], out=out[lo:hi])
-        return lo, g[:, :lo].T @ xw[lo:hi]
+        g, mirror_d = f["invR"], None
+        np.matmul(g, x[:hi], out=g_out[lo:hi])
+        if n_psi is not None:
+            q = f["Rinv3"]
+            d = np.matmul(q[0], n_psi[0, :hi], out=d_out[lo:hi])
+            mirror_d = n_psi[0, lo:hi] @ q[0][:, :lo]
+            for k in (1, 2):
+                d += q[k] @ n_psi[k, :hi]
+                mirror_d += n_psi[k, lo:hi] @ q[k][:, :lo]
+        return lo, g[:, :lo].T @ x[lo:hi], mirror_d
 
     def fold(mirrored):
-        lo, mirror = mirrored
-        out[:lo] += mirror
+        lo, mirror_g, mirror_d = mirrored
+        g_out[:lo] += mirror_g
+        if mirror_d is not None:
+            d_out[:lo] -= mirror_d
 
-    PairGeometry(grid, lower=True).sweep(("invR",), strip, fold)
-    return out
+    need = ("invR",) if n_psi is None else ("invR", "Rinv3")
+    PairGeometry(grid, lower=True).sweep(need, strip, fold)
+    return g_out, d_out
 
 
 def apply_pairs(grid, name, x):
@@ -206,7 +231,7 @@ def apply_pairs(grid, name, x):
     k columns, and no N x N array is stored, so DENSE_NODE_CAP does not bind.
     G = 1/|R| is symmetric in the pair and R_S3 is G on the source factor
     -eps khat, so "G", "RS3" and the R_S3 of "RS2+RS3" take the lower
-    strips (_lower_single_layer), with 1/|R| once per unordered pair.  The
+    strips (_lower_apply), with 1/|R| once per unordered pair.  The
     rest take _pair_sweep's full rows: R_t takes the target's e_t, and a
     curved-minus-straight difference (RS1, RS2, RD1, RD) is subtracted
     pair by pair: R_S2 with 1/|R-bar| applied apart by FFT was 1.3e-13
@@ -219,7 +244,7 @@ def apply_pairs(grid, name, x):
     out = None
     if name in rest:
         eps_kh = grid.epsilon * grid.khat.reshape(-1, 1)
-        out = _lower_single_layer(grid, xw if name == "G" else -eps_kh * xw)
+        out = _lower_apply(grid, xw if name == "G" else -eps_kh * xw)[0]
         name = rest[name]
     if name is not None:
         rows_out = np.empty_like(xw)
@@ -243,7 +268,7 @@ def _dense_from_pairs(grid, name, weight="eps"):
 
 
 # the one-matrix punctured trapezoids and remainder pieces: oracles of
-# assemble_pair and apply_pairs in tests/; perfbench/tracer.py wraps them
+# the assemblies and apply_pairs in tests/; perfbench/tracer.py wraps them
 def dense_single_layer_direct(grid, weight="jacobian"):
     """Punctured trapezoid of G times J (or times eps for weight='eps')."""
     return _dense_from_pairs(grid, "G", weight)
@@ -319,7 +344,7 @@ def _add_centerline_correction(grid, d):
     centerline_kernel's rows over the source thetas, one row chunk at a
     time (no N x n_s table)."""
     pts, jw = grid.flat_positions(), grid.jacobian * grid.node_weight
-    rows = default_chunk_rows(grid.n_nodes)
+    rows = rows_per_chunk(grid.n_nodes)
     d3 = d.reshape(grid.n_nodes, grid.n_s, grid.n_theta)
     for lo in range(0, grid.n_nodes, rows):
         corr = centerline_kernel(grid, pts[lo:lo + rows])
@@ -430,22 +455,20 @@ def _split_templates(grid):
     return tuple(0.5 * (t + t[flip]) for t in (t_s, template("m_D", "D")))
 
 
-def _assemble(grid, backend, single=True, first_kind=False):
-    """(A, D_h, |A| column sums) from one lower pair sweep; A = S_h diag(1/J)
-    and its sums are None without single, and with first_kind B = (1/2 I -
-    D_h) E, N x n_s, takes D_h's place.
+def _assemble(grid, backend, first_kind):
+    """With first_kind (A, B, |A| column sums), A = S_h diag(1/J) and B =
+    (1/2 I - D_h) E, N x n_s, else D_h alone, from one lower pair sweep.
 
     Each strip's 1/|R| times w/4pi, plus split's gathered C_S P0 / eps, is
     A's rows [lo, hi) over the sources [0, hi), written forward and
     transposed into [0, lo) x [lo, hi).  1/|R| and the split templates are
     even to the last bit, so A is exactly symmetric, and the |A| sums of
     the strip's rows and of its mirror's columns are A's column sums.  Its
-    R_k/|R|^3 give D_h both ways (apply_pair), source weight J w/4pi, plus
-    split's C_D J/eps from the same gathered block.  With first_kind only
-    their theta-block sums are kept, the mirrored ones by GEMMs against the
-    block indicator; mirrored sums are added in strip order, like
-    apply_pair's.  Direct's S diagonal (over J) and D ring go on after the
-    sweep.
+    R_k/|R|^3 give D_h both ways (_lower_apply), source weight J w/4pi,
+    plus split's C_D J/eps from the same gathered block.  B keeps only
+    their theta-block sums, the mirrored ones by GEMMs against the block
+    indicator, added in strip order like _lower_apply's.  Direct's S
+    diagonal (over J) and D ring go on after the sweep.
     """
     if backend not in ("direct", "split"):
         raise ValueError(f"unknown backend '{backend}'")
@@ -457,19 +480,20 @@ def _assemble(grid, backend, single=True, first_kind=False):
     split = backend == "split"
     if split:  # strips of C_S and C_D are gathered
         t_s, t_d = _split_templates(grid)
-        templates = ({"C_S": t_s / grid.epsilon, "C_D": t_d} if single
+        templates = ({"C_S": t_s / grid.epsilon, "C_D": t_d} if first_kind
                      else {"C_D": t_d})
         col = jac / grid.epsilon
     else:
         templates, (s_diag, ring) = {}, _local_weights(grid)
-    a = np.empty((n, n)) if single else None
-    a_sums = np.empty(n) if single else None
-    d_out = np.zeros((n, n_s)) if first_kind else np.empty((n, n))
+    if first_kind:
+        a, a_sums, d_out = np.empty((n, n)), np.empty(n), np.zeros((n, n_s))
+    else:
+        d_out = np.empty((n, n))
     ones = np.ones(n_t)
 
     def strip(lo, hi, f):  # in place on the strip's fields
-        q, a_mirror = f["Rinv3"], None
-        if single:
+        q = f["Rinv3"]
+        if first_kind:
             rows = np.multiply(f["invR"], w, out=a[lo:hi, :hi])
             if split:
                 rows += f["C_S"]
@@ -477,16 +501,14 @@ def _assemble(grid, backend, single=True, first_kind=False):
             mag = np.abs(rows, out=f["invR"])
             mag.sum(axis=1, out=a_sums[lo:hi])
             a_mirror = mag[:, :lo].sum(axis=0)
-        # D_h[:lo, lo:hi]: -sum_k R_k/|R|^3 n_k J w/4pi (+ C_D J/eps) of the
-        # targets [lo, hi), or with first_kind its theta-block sums by GEMMs
-        if first_kind:
+            # the theta-block sums of D_h[:lo, lo:hi], by GEMMs
             blocks = np.arange(lo, hi) // n_t
             e = blocks[:, None] == np.arange(blocks[0], blocks[-1] + 1)
             mirror = -sum(q[k][:, :lo].T @ (nw[k, lo:hi, None] * e)
                           for k in range(3))
             if split:
                 mirror += f["C_D"][:, :lo].T @ (col[lo:hi, None] * e)
-        else:
+        else:  # D_h[:lo, lo:hi]: -sum_k R_k/|R|^3 n_k J w/4pi (+ C_D J/eps)
             mirror, tmp = f["invR3"][:, :lo], f["invR"][:, :lo]
             np.multiply(q[0][:, :lo], -nw[0, lo:hi, None], out=mirror)
             for k in (1, 2):
@@ -504,7 +526,7 @@ def _assemble(grid, backend, single=True, first_kind=False):
         if split:
             d += np.multiply(f["C_D"], col[:hi], out=f["C_D"])
         if not first_kind:
-            return lo, a_mirror, None
+            return None
         # their theta-block sums: whole blocks, then the part of one
         whole = hi // n_t
         np.negative(d[:, :whole * n_t].reshape(hi - lo, whole, n_t) @ ones,
@@ -515,33 +537,23 @@ def _assemble(grid, backend, single=True, first_kind=False):
 
     def fold(mirrored):
         lo, a_mirror, b_mirror = mirrored
-        if single:
-            a_sums[:lo] += a_mirror
-        if first_kind:
-            d_out[:lo, lo // n_t:lo // n_t + b_mirror.shape[1]] -= b_mirror
+        a_sums[:lo] += a_mirror
+        d_out[:lo, lo // n_t:lo // n_t + b_mirror.shape[1]] -= b_mirror
 
     PairGeometry(grid, templates=templates, lower=True).sweep(
-        ("invR", "Rinv3", *templates), strip, fold)
+        ("invR", "Rinv3", *templates), strip, fold if first_kind else None)
     own = np.arange(n), np.arange(n) // n_t  # each row's own theta-block
-    if not split:
-        if single:
-            a_diag = s_diag / jac
-            a.flat[::n + 1] += a_diag
-            a_sums += np.abs(a_diag)
-        if first_kind:
-            d_out[own] -= ring.reshape(n, n_t).sum(axis=1)
-        else:
+    if not first_kind:
+        if not split:
             d_out.reshape(n, n_s, n_t)[own] += ring.reshape(n, n_t)
-    if first_kind:
-        d_out[own] += 0.5
+        return d_out
+    if not split:
+        a_diag = s_diag / jac
+        a.flat[::n + 1] += a_diag
+        a_sums += np.abs(a_diag)
+        d_out[own] -= ring.reshape(n, n_t).sum(axis=1)
+    d_out[own] += 0.5
     return a, d_out, a_sums
-
-
-def assemble_pair(grid, backend="direct"):
-    """(S_h, D_h) of either backend, from one pair sweep."""
-    a, d_h, _ = _assemble(grid, backend)
-    a *= grid.flat_jacobian()
-    return a, d_h
 
 
 def assemble_first_kind(grid, backend="direct"):
@@ -552,44 +564,21 @@ def assemble_first_kind(grid, backend="direct"):
 
 
 def apply_pair(grid, backend, phi, psi):
-    """(S_h phi, D_h psi) of either backend: assemble_pair's matrix-free twin.
+    """(S_h phi, D_h psi) of either backend: the dense assemblies' matrix-free
+    twin.
 
-    The same lower pair sweep as the dense assemblies (PairGeometry's
-    lower_strips) evaluates each unordered pair once and stores no N x N
-    array, so it is not capped.  G = 1/|R| is symmetric, and K_D(a, i) =
-    -sum_k R_k(i, a) n_k(i)/|R|^3 takes the same R_k/|R|^3 as K_D(i, a) =
-    sum_k R_k(i, a) n_k(a)/|R|^3.  So each strip's 1/|R| and R_k/|R|^3 go
-    against phi and n_k psi, the source weight folded into both, forward
-    for its rows [lo, hi) over the sources [0, hi) and transposed for the
-    targets [0, lo) from the sources [lo, hi); the sweep adds those
-    mirrored sums in strip order.  The split corrections go on by FFT, so
-    no template is gathered.
+    The same lower pair sweep (_lower_apply) evaluates each unordered pair
+    once, against phi and n psi with the source weight J w/4pi folded into
+    both, and stores no N x N array, so it is not capped.  The split
+    corrections go on by FFT, so no template is gathered.
     """
     if backend not in ("direct", "split"):
         raise ValueError(f"unknown backend '{backend}'")
     phi, psi = _density(grid, phi, "phi"), _density(grid, psi, "psi")
     w_src = grid.jacobian * (grid.node_weight / FOURPI)
-    phi_w = (phi * w_src).reshape(-1)
     n_psi = grid.flat_normals().T * (psi * w_src).reshape(-1)  # (3, N): n psi
-    s_out, d_out = np.empty_like(w_src), np.empty_like(w_src)
-    s_flat, d_flat = s_out.reshape(-1), d_out.reshape(-1)
-
-    def strip(lo, hi, f):
-        g, q = f["invR"], f["Rinv3"]
-        np.matmul(g, phi_w[:hi], out=s_flat[lo:hi])
-        d = np.matmul(q[0], n_psi[0, :hi], out=d_flat[lo:hi])
-        mirror_d = n_psi[0, lo:hi] @ q[0][:, :lo]
-        for k in (1, 2):
-            d += q[k] @ n_psi[k, :hi]
-            mirror_d += n_psi[k, lo:hi] @ q[k][:, :lo]
-        return lo, phi_w[lo:hi] @ g[:, :lo], mirror_d
-
-    def fold(mirrored):
-        lo, mirror_s, mirror_d = mirrored
-        s_flat[:lo] += mirror_s
-        d_flat[:lo] -= mirror_d
-
-    PairGeometry(grid, lower=True).sweep(("invR", "Rinv3"), strip, fold)
+    s_out, d_out = (y.reshape(phi.shape) for y in _lower_apply(
+        grid, (phi * w_src).reshape(-1), n_psi))
     if backend == "split":
         t_s, t_d = _split_templates(grid)
         s_out += apply_symbol(np.fft.fftn(t_s), phi * grid.jacobian / grid.epsilon)
@@ -611,8 +600,9 @@ def assemble_S(grid, backend="direct"):
 
 
 def assemble_D(grid, backend="direct"):
-    """Double layer D[psi] = int K_D psi dS: D_h of assemble_pair."""
-    return _assemble(grid, backend, single=False)[1]
+    """Double layer D[psi] = int K_D psi dS: D_h of either backend, from one
+    pair sweep of K_D alone."""
+    return _assemble(grid, backend, first_kind=False)
 
 
 def assemble_Dprime(grid, backend="direct"):
@@ -621,8 +611,7 @@ def assemble_Dprime(grid, backend="direct"):
     The correction kernel 1/|x - X(s')| is bounded by 1/eps on the surface
     and removes the constant null space of 1/2 I + D.
     """
-    d = _assemble(grid, backend, single=False)[1]  # K_D alone, no S_h
-    return _add_centerline_correction(grid, d)
+    return _add_centerline_correction(grid, assemble_D(grid, backend))
 
 
 def theta_integral(grid, x, weight):

@@ -466,16 +466,16 @@ def _offsurface_eval(grid, points, density, kind):
 def solve_exterior_dirichlet(grid, v_surface, eval_points, backend="direct"):
     """Exterior Dirichlet solve via (1/2 I + D') phi = v; evaluate off-surface.
 
-    eval_points (m x 3) must be strictly exterior with distance to the
-    centerline greater than 2 eps + eps (surface clearance > 2 eps) for
-    quadrature accuracy; closer points are an error.  Both arrays are
-    checked (finite, shapes) before D' is assembled.
+    eval_points (m x 3) must be strictly exterior, at least 2 eps + eps from
+    the whole centerline (Centerline.distance_bound) for quadrature
+    accuracy; closer points are an error.  Both arrays are checked (finite,
+    shapes) before D' is assembled.
     """
     pts = np.atleast_2d(eval_points)
     pts = _finite(pts, "eval_points", {"(m, 3)": (len(pts), 3)})
     v = _finite(v_surface, "v_surface", {
         "(n_s, n_theta)": (grid.n_s, grid.n_theta), "(N,)": (grid.n_nodes,)})
-    dist = np.min(np.linalg.norm(pts[:, None, :] - grid.X, axis=2), axis=1)
+    dist = grid.spec.centerline.distance_bound(pts)
     if np.any(dist <= grid.epsilon):
         raise SolveError("evaluation point not strictly exterior")
     if np.any(dist < 3.0 * grid.epsilon):  # clearance to the surface > 2 eps

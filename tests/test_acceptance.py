@@ -128,7 +128,7 @@ def test_criterion_4_greens_ladder():
         ops = {}
         for be in ("direct", "split"):
             # the dense route: (1/2 I - D_h) v - S_h w from the assembled pair
-            ops[be] = s_h, d_h = op.assemble_pair(grid, be)
+            ops[be] = s_h, d_h = op.assemble_S(grid, be), op.assemble_D(grid, be)
             resids.setdefault(be, []).append(
                 float(np.max(np.abs(0.5 * v - d_h @ v - s_h @ w))))
         phi = _band_limited(grid).values.reshape(-1)

@@ -70,6 +70,19 @@ def test_check_geometry(capsys):
     assert "flat2cyl1_violations: 0" in capsys.readouterr().out
 
 
+def test_non_finite_curve_file_is_refused(tmp_path, capsys):
+    """json.load reads NaN: geometry printed c_gamma: NaN and exited 0, and
+    check-geometry swept NaN positions and exited 2."""
+    path = tmp_path / "nan_curve.json"
+    path.write_text('{"cos": [[0, 0, 0], [0.16, 0, NaN]], '
+                    '"sin": [[0, 0, 0], [0, 0.16, 0]]}')
+    for argv in (["geometry"], ["check-geometry", "--ntheta", "8"]):
+        assert main([*argv, "--curve", str(path), "--ns", "64"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: curve coefficients must be finite\n"
+        assert captured.out == ""
+
+
 def test_check_geometry_on_the_trefoil_preset(capsys):
     assert main(["check-geometry", "--curve", "trefoil"]) == 0
     assert "flat2cyl1_violations: 0" in capsys.readouterr().out
@@ -454,7 +467,7 @@ def test_dry_run_states_the_sweep_chunks(argv, cpus, capsys, monkeypatch):
     # at 16384 nodes each sweep's largest chunk is 2^16 pairs: 4 full rows,
     # or a lower strip (the first is 256 x 256, the last 4 x 16384)
     assert kernels.CHUNK_PAIRS == 1 << 16
-    assert kernels.default_chunk_rows(16384) * 16384 == 1 << 16
+    assert kernels.rows_per_chunk(16384) * 16384 == 1 << 16
     strips = list(kernels.lower_strips(16384))
     assert strips[0] == (0, 256) and strips[-1] == (16380, 16384)
     assert max((hi - lo) * hi for lo, hi in strips) == 1 << 16

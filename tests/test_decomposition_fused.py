@@ -41,7 +41,8 @@ def _piecewise(grid):
 @pytest.mark.parametrize("grid_name", ["perturbed_grid_small", "trefoil_grid"])
 def test_fused_matches_piecewise(grid_name, request):
     grid = request.getfixturevalue(grid_name)
-    fused = dict(zip("SD", op.assemble_pair(grid, "split")))
+    fused = {"S": op.assemble_S(grid, "split"),
+             "D": op.assemble_D(grid, "split")}
     a, b, col = an.decomposition_operators(grid)
     for name, ref in _piecewise(grid).items():
         rel = np.max(np.abs(fused[name] - ref)) / np.max(np.abs(ref))
@@ -68,7 +69,8 @@ def test_direct_pair_matches_one_matrix_sweeps(grid_name, request):
     n_s, n_t = grid.n_s, grid.n_theta
     for i in range(n_s):  # ring[i] is the (n_t, n_t) diagonal block at s_i
         d_ref[i * n_t:(i + 1) * n_t, i * n_t:(i + 1) * n_t] += ring[i]
-    for name, got, ref in zip("SD", op.assemble_pair(grid, "direct"),
+    for name, got, ref in zip("SD", (op.assemble_S(grid, "direct"),
+                                     op.assemble_D(grid, "direct")),
                               (s_ref, d_ref)):
         rel = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
         assert rel <= 1e-13, (name, rel)

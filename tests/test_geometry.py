@@ -289,6 +289,35 @@ def test_epsilon_must_be_positive_and_finite(eps):
         geo.SurfaceSpec(centerline=cl, frame=fr, epsilon=eps)
 
 
+_UNIT = 1.0 / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"cos": [[0, 0, 0], [_UNIT, 0, math.nan]], "sin": [[0, 0, 0], [0, _UNIT, 0]]},
+     "coefficients must be finite"),
+    ({"cos": [[0, 0, 0], [_UNIT, 0, 0]], "sin": [[0, 0, 0], [0, math.inf, 0]]},
+     "coefficients must be finite"),
+    ({"preset": "perturbed_circle", "params": {"amplitude": math.nan}},
+     "coefficients must be finite"),
+    ({"preset": "perturbed_circle", "params": {"amplitude": -math.inf}},
+     "coefficients must be finite"),
+    ({"preset": "perturbed_circle", "params": {"mode": -1}},
+     "mode must be an integer >= 1, got -1"),
+    ({"preset": "perturbed_circle", "params": {"mode": 0}},
+     "mode must be an integer >= 1, got 0"),
+    ({"preset": "perturbed_circle", "params": {"mode": 2.7}},
+     "mode must be an integer >= 1, got 2.7"),
+    ({"preset": "perturbed_circle", "params": {"mode": math.nan}},
+     "mode must be an integer >= 1, got nan"),
+])
+def test_non_finite_or_out_of_range_curve_is_refused(config, message):
+    """NaN fails every comparison, so it used to pass every check: a NaN
+    coefficient gave c_gamma = kappa_* = NaN, and mode -1, 0 and 2.7 gave
+    another curve than the one asked for."""
+    with pytest.raises(geo.GeometryError, match=message):
+        geo.build_centerline(config)
+
+
 def test_geometry_report_keys():
     spec = make_spec(CIRCLE)
     rep = geo.geometry_report(spec)

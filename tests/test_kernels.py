@@ -124,15 +124,17 @@ def test_straight_KD_identity(circle_spec64):
 def test_KD_minus_straight_bounded(circle_grid):
     """|K_D - K_D-bar| <= C / |R| with finite empirical C on the grid."""
     pg = kn.PairGeometry(circle_grid)
+    nrm = pg.NRM.T
     worst = 0.0
     for lo, hi in pg.chunks():
-        f = pg.fields(lo, hi, need=("Rn", "absRbar", "that", "diag"))
+        f = pg.fields(lo, hi, need=("invR", "Rinv3", "absRbar", "that",
+                                    "diag"))
         mask = ~f["diag"]
+        kd = sum(q * n for q, n in zip(f["Rinv3"], nrm)) / kn.FOURPI
         with np.errstate(divide="ignore", invalid="ignore"):
-            kd = f["Rn"] / (kn.FOURPI * f["absR"] ** 3)
             kd_bar = (-2.0 * circle_grid.epsilon * np.sin(0.5 * f["that"]) ** 2
                       / (kn.FOURPI * f["absRbar"] ** 3))
-            ratio = np.abs(kd - kd_bar) * f["absR"]
+            ratio = np.abs(kd - kd_bar) / f["invR"]
         worst = max(worst, float(np.max(ratio[mask])))
     assert np.isfinite(worst)
     assert worst < 10.0
@@ -241,20 +243,35 @@ def test_geometric_inequalities_circle_eps128(circle_cl, circle_frame):
 
 
 def test_pair_fields_build_only_what_is_asked(trefoil_grid):
+    """fields builds the names asked for (and what Rinv3 is made with), and
+    a name it does not build, such as the dropped "Rn" and "absRt", is a
+    ValueError naming it, not an empty field set."""
     pg = kn.PairGeometry(trefoil_grid)
-    assert set(pg.fields(0, 8, need=("Rn",))) == {"Rn", "absR"}
-    assert set(pg.fields(0, 8, need=("absRt",))) == {"absRt"}
+    assert set(pg.fields(0, 8, need=("absR",))) == {"absR"}
+    assert set(pg.fields(0, 8, need=("invRt",))) == {"invRt"}
+    assert set(pg.fields(0, 8, need=("Rinv3",))) == {"Rinv3", "invR", "invR3"}
+    for name in ("Rn", "absRt"):
+        with pytest.raises(ValueError, match=f"unknown pair fields.*'{name}'"):
+            pg.fields(0, 8, need=("invR", name))
+
+
+def _inverse(r):
+    """1/r, 0 where r is 0 (the self-pair)."""
+    return np.divide(1.0, r, out=np.zeros_like(r), where=r > 0.0)
 
 
 def test_pair_fields_gather_offsets(trefoil_grid):
     """Gathered offsets equal the periodic node differences, and the
-    componentwise |R|, R . n_src and |R_t| equal their vector forms."""
+    componentwise 1/|R|, R/|R|^3 and 1/|R_t| equal their vector forms, 0 at
+    the self-pair."""
     g = trefoil_grid
-    pg = kn.PairGeometry(g, chunk_rows=37)  # chunks that split s-rows
+    pg = kn.PairGeometry(g)
     s = np.repeat(g.s_nodes, g.n_theta)
     th = np.tile(g.theta_nodes, g.n_s)
-    for lo, hi in pg.chunks():
-        f = pg.fields(lo, hi, need=("shat", "that", "absRbar", "Rn", "absRt"))
+    for lo in range(0, g.n_nodes, 37):  # chunks that split s-rows
+        hi = min(lo + 37, g.n_nodes)
+        f = pg.fields(lo, hi, need=("shat", "that", "absRbar", "invR",
+                                    "Rinv3", "invRt"))
         shat = periodic_rep_s(s[lo:hi, None] - s[None, :])
         that = periodic_rep_theta(th[lo:hi, None] - th[None, :])
         assert np.array_equal(f["shat"], shat)
@@ -262,14 +279,15 @@ def test_pair_fields_gather_offsets(trefoil_grid):
         rbar = np.sqrt(shat ** 2 + (2 * g.epsilon * np.sin(0.5 * that)) ** 2)
         assert np.allclose(f["absRbar"], rbar, rtol=1e-14, atol=0)
         diff = pg.P[lo:hi, None, :] - pg.P[None, :, :]
-        assert np.allclose(f["absR"], np.linalg.norm(diff, axis=2),
-                           rtol=1e-14, atol=0)
-        assert np.allclose(f["Rn"], np.einsum("ijk,jk->ij", diff, pg.NRM),
-                           rtol=0, atol=1e-16)
+        inv_r = _inverse(np.linalg.norm(diff, axis=2))
+        assert np.allclose(f["invR"], inv_r, rtol=1e-14, atol=0)
+        for k in range(3):
+            assert np.allclose(f["Rinv3"][k], diff[:, :, k] * inv_r ** 3,
+                               rtol=1e-14, atol=0)
         e_t = g.e_t[np.arange(lo, hi) // g.n_theta]
         rt = (shat[:, :, None] * e_t[:, None, :] + g.epsilon
               * (pg.NRM[lo:hi, None, :] - pg.NRM[None, :, :]))
-        assert np.allclose(f["absRt"], np.linalg.norm(rt, axis=2),
+        assert np.allclose(f["invRt"], _inverse(np.linalg.norm(rt, axis=2)),
                            rtol=1e-14, atol=0)
 
 
@@ -332,7 +350,7 @@ def test_pair_kernel_rows_are_punctured(name, grid_name, request):
     at the self-pair: the fields they are built from drop it."""
     g = request.getfixturevalue(grid_name)
     fn, need, templates = op._pair_kernel(g, name)
-    pg = kn.PairGeometry(g, chunk_rows=37, templates=templates)
+    pg = kn.PairGeometry(g, templates=templates)
     lo, hi = 37, 74  # a chunk that splits s-rows
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -254,13 +254,13 @@ FIRST_KIND_GRIDS = ["circle_grid_small", "perturbed_grid_small", "trefoil_grid",
 @pytest.mark.parametrize("backend", ["direct", "split"])
 def test_first_kind_B_is_the_reduced_dense_D(backend, grid_name, request):
     """assemble_first_kind's (A, B, |A| column sums): A times J is
-    assemble_pair's S_h bit for bit (the same sweep), B is (1/2 I - D_h) E,
-    each theta-block of D_h's columns summed, to 1e-15 of max|B| (its
-    mirrored block sums add up in strip order), and the sums are those of
-    |A| to 1e-14."""
+    assemble_S's S_h bit for bit (the same sweep), B is (1/2 I - D_h) E,
+    each theta-block of assemble_D's columns summed, to 1e-15 of max|B|
+    (its mirrored block sums add up in strip order), and the sums are those
+    of |A| to 1e-14."""
     grid = request.getfixturevalue(grid_name)
     n_s, n_t = grid.n_s, grid.n_theta
-    s_h, d_h = op.assemble_pair(grid, backend)
+    s_h, d_h = op.assemble_S(grid, backend), op.assemble_D(grid, backend)
     b_ref = -d_h.reshape(-1, n_s, n_t).sum(axis=2)
     diag = np.arange(n_s)
     b_ref.reshape(n_s, n_t, n_s)[diag, :, diag] += 0.5
@@ -288,10 +288,22 @@ def test_first_kind_matrix_is_symmetric_after_the_jacobian(backend, grid_name,
 @pytest.mark.parametrize("grid_name", ["perturbed_grid_small", "trefoil_grid"])
 @pytest.mark.parametrize("backend", ["direct", "split"])
 def test_double_layer_alone_is_the_pair_D(backend, grid_name, request):
-    """assemble_D and D' sweep K_D alone, with the same bits as the pair's D_h."""
+    """assemble_D's lower strips give the full rows' K_J (the one-matrix
+    dense_double_layer_direct) plus the backend's correction, to 1e-14 of
+    max|D_h|, and D' is D_h plus the centerline correction bit for bit."""
     grid = request.getfixturevalue(grid_name)
-    d_h = op.assemble_pair(grid, backend)[1]
-    assert np.array_equal(op.assemble_D(grid, backend), d_h)
+    d_h = op.assemble_D(grid, backend)
+    ref = op.dense_double_layer_direct(grid)
+    if backend == "split":
+        t_d = op._split_templates(grid)[1]
+        ref += (op._circulant_from_template(t_d)
+                * (grid.flat_jacobian() / grid.epsilon))
+    else:
+        ring = op._local_weights(grid)[1]
+        n_t = grid.n_theta
+        for i, block in enumerate(ring):  # the (n_t, n_t) block at s_i
+            ref[i * n_t:(i + 1) * n_t, i * n_t:(i + 1) * n_t] += block
+    assert np.max(np.abs(d_h - ref)) <= 1e-14 * np.max(np.abs(d_h))
     assert np.array_equal(op.assemble_Dprime(grid, backend),
                           d_h + op.dense_centerline_correction(grid))
 
@@ -300,8 +312,8 @@ def test_single_layer_alone_holds_one_dense_matrix(circle_grid):
     """assemble_S is assemble_first_kind's A times J, in A's array, and
     builds no N x N D_h: its tracemalloc peak is S_h plus the sweep's
     scratch and B (1.33 N x N arrays measured at 128x16, on the full rows
-    and on the lower strips alike; 2.27 when it took S_h of
-    assemble_pair)."""
+    and on the lower strips alike; 2.27 when it took S_h from a sweep that
+    wrote D_h out too)."""
     tracemalloc.start()
     try:
         op.assemble_S(circle_grid, "split")

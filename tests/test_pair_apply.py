@@ -5,7 +5,7 @@ a time; the dense remainder matrices (one pair sweep each) stay as its
 oracle.  Every fused apply the scaling studies use must reproduce them to
 roundoff, on the perturbed circle and on the twisted-frame trefoil.
 operators.apply_pair applies S_h and D_h of either backend the same way,
-with assemble_pair's matrices as its oracle.
+with assemble_S's and assemble_D's matrices as its oracle.
 """
 
 import tracemalloc
@@ -136,7 +136,8 @@ def test_pair_apply_matches_assembled_pair(backend, grid_name, density,
         phi = _band_limited(grid)
         psi = np.roll(phi, 3, axis=0) * (1.0 + grid.khat)
     got = op.apply_pair(grid, backend, phi, psi)
-    for name, op_h, x, y in zip("SD", op.assemble_pair(grid, backend),
+    for name, op_h, x, y in zip("SD", (op.assemble_S(grid, backend),
+                                       op.assemble_D(grid, backend)),
                                 (phi, psi), got):
         want = (op_h @ x.reshape(-1)).reshape(x.shape)
         assert y.shape == x.shape
@@ -150,8 +151,8 @@ def test_greens_residual_matrix_free_matches_assembled(backend, grid_name,
     grid = request.getfixturevalue(grid_name)
     charges = [(1.0, 0.0), (-0.5, 0.3)]
     got, scale = sv.greens_identity_residual(grid, charges, backend)
-    # the dense route: the same residual from the assembled pair
-    s_h, d_h = op.assemble_pair(grid, backend)
+    # the dense route: the same residual from the assembled S_h and D_h
+    s_h, d_h = op.assemble_S(grid, backend), op.assemble_D(grid, backend)
     v, w = (x.reshape(-1) for x in sv.point_charge_data(grid, charges))
     lhs = 0.5 * v - d_h @ v
     want = float(np.max(np.abs(lhs - s_h @ w)))

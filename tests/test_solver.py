@@ -312,6 +312,40 @@ def test_exterior_point_too_close(circle_grid):
         sv.solve_exterior_dirichlet(circle_grid, ones, close[None, :])
 
 
+@pytest.mark.parametrize("clearance, message", [
+    (0.5, "not strictly exterior"), (2.5, "closer than 2 eps")])
+def test_exterior_clearance_is_to_the_whole_centerline(clearance, message,
+                                                      monkeypatch):
+    """At eps 1/256 on a 32x4 grid the centerline nodes lie 1/32 = 8 eps
+    apart, so a point 0.5 eps from X(1/64), inside the tube, is 4.03 eps
+    from its nearest node.  The clearance is taken to the whole curve, and
+    both points are refused before D' is assembled."""
+    spec = geo.surface_specs({"preset": "circle"}, [1.0 / 256.0])[0]
+    grid = make_grid(spec, 32, 4)
+    s0 = np.array([1.0 / 64.0])
+    _, e_n1, _, _, _ = spec.frame_at(s0)
+    p = spec.centerline.position(s0) + clearance * spec.epsilon * e_n1
+    assert np.min(np.linalg.norm(p - grid.X, axis=1)) > 4.0 * spec.epsilon
+    monkeypatch.setattr(sv, "assemble_Dprime", None)
+    with pytest.raises(sv.SolveError, match=message):
+        sv.solve_exterior_dirichlet(grid, np.ones(grid.n_nodes), p)
+
+
+def test_centerline_distance_bound(circle_cl):
+    """Below the true distance to the circle, by at most the samples'
+    half-spacing and their chord sag."""
+    r = 1.0 / (2.0 * math.pi)
+    ang = np.linspace(0.0, 2.0 * math.pi, 13)
+    rad = np.array([0.0, 0.3 * r, 0.9 * r, 1.1 * r, 3.0 * r])
+    pts = np.array([[q * math.cos(a), q * math.sin(a), z]
+                    for q in rad for a in ang for z in (0.0, 0.01)])
+    exact = np.hypot(np.hypot(pts[:, 0], pts[:, 1]) - r, pts[:, 2])
+    bound = circle_cl.distance_bound(pts)
+    half = 0.5 / circle_cl.N_FINE
+    assert np.all(bound <= exact)
+    assert np.all(bound >= exact - half - 1e-12)
+
+
 def _bad_exterior_input(grid):
     v, pts = np.ones((grid.n_s, grid.n_theta)), exterior_points(grid.spec)
     nan_pts, nan_v = pts.copy(), v.copy()
@@ -359,9 +393,10 @@ def oracle_grids(perturbed_grid_small, trefoil_grid):
 
 def _augmented_solve(solver, f):
     """(w, v) from [[S, -(1/2 E - D E)], [Q, 0]] (w, v) = (0, f), built whole
-    from assemble_pair's S_h and D_h, not from the solver's B."""
+    from assemble_S's S_h and assemble_D's D_h, not from the solver's B."""
     grid = solver.grid
-    s_h, d_h = op.assemble_pair(grid, solver.backend)
+    s_h, d_h = (op.assemble_S(grid, solver.backend),
+                op.assemble_D(grid, solver.backend))
     n, n_s, n_t = grid.n_nodes, grid.n_s, grid.n_theta
     e = np.kron(np.eye(n_s), np.ones((n_t, 1)))
     q = (np.kron(np.eye(n_s), np.ones((1, n_t)))

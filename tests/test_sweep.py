@@ -30,8 +30,8 @@ def _outputs(grid):
     phi, psi = _densities(grid), np.roll(_densities(grid), 1, axis=0)
     out = {}
     for backend in ("direct", "split"):
-        s_h, d_h = op.assemble_pair(grid, backend)
-        out[f"S_{backend}"], out[f"D_{backend}"] = s_h, d_h
+        out[f"S_{backend}"] = op.assemble_S(grid, backend)
+        out[f"D_{backend}"] = op.assemble_D(grid, backend)
         (out[f"A_{backend}"], out[f"B_{backend}"],
          out[f"A_sums_{backend}"]) = op.assemble_first_kind(grid, backend)
         out[f"apply_{backend}"] = np.stack(op.apply_pair(grid, backend, phi,
@@ -55,7 +55,7 @@ def _assert_same(got, want):
 def test_threaded_sweep_is_bit_identical_to_one_participant(grid_name, request,
                                                             monkeypatch):
     grid = request.getfixturevalue(grid_name)
-    assert grid.n_nodes // kn.default_chunk_rows(grid.n_nodes) >= 4
+    assert grid.n_nodes // kn.rows_per_chunk(grid.n_nodes) >= 4
     monkeypatch.setattr(kn, "sweep_cpus", lambda: 1)
     alone = _outputs(grid)
     monkeypatch.setattr(kn, "sweep_cpus", lambda: 3)
@@ -131,7 +131,7 @@ def test_pair_apply_allocates_only_its_scratch(monkeypatch):
     assert [lower for lower, _, _ in peaks] == [True, False]
     assert all(len(blocks[lower]) == 1 for lower in (True, False))
     strip = max((hi - lo) * hi for lo, hi in kn.lower_strips(grid.n_nodes))
-    chunk = kn.default_chunk_rows(grid.n_nodes) * grid.n_nodes
+    chunk = kn.rows_per_chunk(grid.n_nodes) * grid.n_nodes
     # lower: two participants, 1 + 3 slots each, 2 used (1/|R| and R's
     # components in turn); full: 2 + 3 slots each, 3 used (1/|R_t|, its
     # components, and the gathered 1/|R-bar|)
@@ -151,7 +151,8 @@ def test_symmetric_kernels_take_invR_on_the_lower_strips(perturbed_grid,
                                                          monkeypatch):
     """1/|R| is built only by lower-strip fields calls for the symmetric
     kernels and parts: G (also mean_in_s_split's), RS3, and RS2+RS3, whose
-    full-row sweep builds only 1/|R_t| and 1/|R-bar|.  RS1, whose
+    full-row sweep builds only 1/|R_t| and 1/|R-bar|, and apply_pair's S_h
+    and D_h, which share one lower sweep of 1/|R| and R/|R|^3.  RS1, whose
     1/|R| - 1/|R_t| is subtracted pair by pair, keeps it on full rows.
     Each sweep covers the N rows once."""
     grid = perturbed_grid
@@ -165,10 +166,15 @@ def test_symmetric_kernels_take_invR_on_the_lower_strips(perturbed_grid,
     monkeypatch.setattr(kn.PairGeometry, "fields", counted)
     want = {"G": {True: ("invR",)}, "RS3": {True: ("invR",)},
             "RS2+RS3": {True: ("invR",), False: ("invRt", "invRbar")},
-            "RS1": {False: ("invR", "invRt")}}
+            "RS1": {False: ("invR", "invRt")},
+            "apply_pair": {True: ("invR", "Rinv3")}}
+    phi = _densities(grid)
     for name, sweeps in want.items():
         calls.clear()
-        op.apply_pairs(grid, name, _densities(grid, 2))
+        if name == "apply_pair":
+            op.apply_pair(grid, "split", phi, phi)
+        else:
+            op.apply_pairs(grid, name, _densities(grid, 2))
         for lower, need in sweeps.items():
             assert {c[2] for c in calls if c[0] == lower} == {need}, name
             assert sum(c[1] for c in calls if c[0] == lower) == n, name
@@ -290,8 +296,9 @@ def test_apply_pair_allocates_only_its_scratch(backend, monkeypatch):
 
 def test_one_cpu_starts_no_thread(perturbed_grid_small, monkeypatch):
     monkeypatch.setattr(kn, "sweep_cpus", lambda: 1)
+    monkeypatch.setattr(kn, "CHUNK_PAIRS", 8 * perturbed_grid_small.n_nodes)
     seen = set()
-    kn.PairGeometry(perturbed_grid_small, chunk_rows=7).sweep(
+    kn.PairGeometry(perturbed_grid_small).sweep(
         ("absR",), lambda lo, hi, f: seen.add(threading.current_thread()))
     assert seen == {threading.main_thread()}
 
@@ -315,9 +322,12 @@ def test_stress_every_row_once(perturbed_grid_small, monkeypatch):
             hits[lo:hi] += 1
             return lo, hi
 
-        pg = kn.PairGeometry(grid, chunk_rows=3)
-        spans = pg.sweep(("absR", "shat"), body)
-        assert spans == list(pg.chunks())
+        with monkeypatch.context() as m:  # chunks of 4 rows
+            m.setattr(kn, "CHUNK_PAIRS", 4 * grid.n_nodes)
+            pg = kn.PairGeometry(grid)
+            spans = pg.sweep(("absR", "shat"), body)
+            assert spans == list(pg.chunks())
+            assert all(hi - lo == 4 for lo, hi in spans)
         threaded = _outputs(grid)
     finally:
         sys.setswitchinterval(old)
@@ -349,9 +359,9 @@ def test_error_in_a_pool_thread_reaches_the_caller(perturbed_grid_small,
         pool_started.set()
         raise ZeroDivisionError(f"chunk {lo}:{hi}")
 
+    monkeypatch.setattr(kn, "CHUNK_PAIRS", 4 * perturbed_grid_small.n_nodes)
     with pytest.raises(ZeroDivisionError, match="chunk"):
-        kn.PairGeometry(perturbed_grid_small, chunk_rows=4).sweep(("absR",),
-                                                                  body)
+        kn.PairGeometry(perturbed_grid_small).sweep(("absR",), body)
     assert len(threads) == 2
     assert _joined(threads)
 
@@ -367,7 +377,8 @@ def test_error_in_any_chunk_stops_the_sweep(perturbed_grid_small, monkeypatch):
         time.sleep(0.05)
         done.append(lo)
 
-    pg = kn.PairGeometry(perturbed_grid_small, chunk_rows=4)
+    monkeypatch.setattr(kn, "CHUNK_PAIRS", 4 * perturbed_grid_small.n_nodes)
+    pg = kn.PairGeometry(perturbed_grid_small)
     with pytest.raises(ValueError, match="bad chunk"):
         pg.sweep(("absR",), body)
     assert _joined(threads)
@@ -383,7 +394,8 @@ def test_no_runtime_warning_from_any_thread(perturbed_grid_small,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for backend in ("direct", "split"):
-            op.assemble_pair(perturbed_grid_small, backend)
+            op.assemble_first_kind(perturbed_grid_small, backend)
+            op.assemble_D(perturbed_grid_small, backend)
             op.apply_pair(perturbed_grid_small, backend, phi, phi)
         op.apply_pairs(perturbed_grid_small, "RS1", phi)
         op.apply_pairs(perturbed_grid_small, "RD", phi)
