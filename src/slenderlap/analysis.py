@@ -39,7 +39,8 @@ from . import geometry as geo
 from .grid import holder_norm, make_grid, spectral_s_derivative
 from .kernels import basic_integral
 from .operators import (DENSE_NODE_CAP, AssemblyError, apply_pairs,
-                        assemble_first_kind, mean_in_s_split, theta_integral)
+                        assemble_first_kind, mean_in_s_columns,
+                        mean_in_s_split, theta_integral)
 from .solver import SlenderBodySolver
 from .spectral import FourierSymbol, apply_symbol
 
@@ -195,8 +196,13 @@ def _rd_eps_group(grid):
     """C^{0,alpha} size of the eps-tagged DtN remainder group for cos(2 pi s)."""
     v = np.cos(2 * np.pi * grid.s_nodes)
     w = SlenderBodySolver(grid, "split").dtn(v).w.values
-    out23 = apply_pairs(grid, "RS2+RS3", w - w.mean(axis=0))
-    h_eps, _ = mean_in_s_split(grid, w.mean(axis=0))
+    w0, w_mean = w - w.mean(axis=0), w.mean(axis=0)
+    # one G sweep: R_S3 on w0 (G on -eps khat w0) and mean_in_s_split's two
+    g = apply_pairs(grid, "G", np.concatenate(
+        [(-grid.epsilon * grid.khat * w0)[..., None],
+         mean_in_s_columns(grid, w_mean)], axis=-1))
+    out23 = apply_pairs(grid, "RS2", w0) + g[..., 0]
+    h_eps, _ = mean_in_s_split(grid, w_mean, g[..., 1:])
     total = (-s_inv_theta_int(grid, out23) - h_eps
              + theta_integral(grid, w, -(grid.epsilon ** 2) * grid.khat))
     return holder_norm(total, ALPHA, grid.epsilon)

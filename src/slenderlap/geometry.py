@@ -211,13 +211,22 @@ class Centerline:
         return (d2 * (tp ** 2)[:, None] + d1 * tpp[:, None]) / L
 
     def _estimate_c_gamma(self, n=512):
-        o = np.arange(n)
-        chord = 0.0  # |X(s_i + o/n) - X(s_i)|^2 by offset o, a coordinate at a time
-        for c in self.position(o / n).T:
-            d = sliding_window_view(np.concatenate([c, c]), n)[:n] - c[:, None]
-            chord += np.square(d, out=d)
-        # s_i = i/n is exact, so the periodic |s_i - s_j| is min(o, n - o)/n
-        return float(np.min(np.sqrt(chord[:, 1:]) / (np.minimum(o, n - o)[1:] / n)))
+        o, rows = np.arange(n), 64
+        pos = self.position(o / n).T
+        wins = [sliding_window_view(np.concatenate([c, c]), n) for c in pos]
+        # |X(s_i + o/n) - X(s_i)|^2 by offset o, a coordinate at a time, and
+        # its least over i, rows i at a time: whole, the n x n temporaries
+        # peaked at 8.6 MB
+        least = np.full(n, np.inf)
+        for lo in range(0, n, rows):
+            chord = 0.0
+            for c, w in zip(pos, wins):
+                d = w[lo:lo + rows] - c[lo:lo + rows, None]
+                chord += np.square(d, out=d)
+            np.minimum(least, chord.min(axis=0), out=least)
+        # s_i = i/n is exact, so the periodic |s_i - s_j| is min(o, n - o)/n;
+        # sqrt(x)/d grows with x, so the least chord gives the least ratio
+        return float(np.min(np.sqrt(least[1:]) / (np.minimum(o, n - o)[1:] / n)))
 
 
 @dataclass

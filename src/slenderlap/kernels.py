@@ -46,7 +46,7 @@ def sweep_cpus():
 # per CPU, each in its taker's scratch (PairGeometry.sweep).  Numpy releases
 # the GIL once per call, so calls must be long: on 2 CPUs the RS2+RS3 apply
 # at 128x16 took 85-94 ms with 2^15-pair chunks, 66-68 ms with 2^16 and 62-73
-# with 2^17; a 2^16-pair chunk's four buffers (2 MB) fit one core's L2.
+# with 2^17; a 2^16-pair chunk's two buffers of R_S2 (1 MB) fit one core's L2.
 CHUNK_PAIRS = 1 << 16
 # pairs of a lower strip against its sources (lower_strips): a constant, not
 # CHUNK_PAIRS, so the strips follow the node count alone
@@ -105,12 +105,12 @@ class PairGeometry:
         self.KH = g.khat.reshape(-1)
         self.i_s = np.arange(g.n_nodes) // g.n_theta
         self.eps = g.epsilon
-        # positions one component per row, and eps n_src as
-        # (3, n_s, n_theta) for R_t
+        # positions and normals one component per row
         self._pt = np.ascontiguousarray(self.P.T)
-        self._eps_n = (self.eps * self.NRM.T).reshape(3, g.n_s, g.n_theta)
+        self._pt_n = np.ascontiguousarray(self.NRM.T)
         self._templates = {**offset_fields(g), **(templates or {})}
         self._tables = {}
+        self._rt_factors = None  # R_t's GEMM factors, built on first use
 
     def chunks(self):
         n = self.grid.n_nodes
@@ -147,10 +147,10 @@ class PairGeometry:
         results, pending, n_folded = [], {}, 0
         fold = fold or results.append
         n_pool = sweep_cpus() - 1
-        # fields writes each name in need and at most three buffers besides;
-        # slots of whole 64-byte lines
+        # slots of whole 64-byte lines, as many as fields writes
         pairs = max((hi - lo) * self.n_sources(hi) for lo, hi in self.chunks())
-        block = _aligned_empty((n_pool + 1, len(need) + 3, -(-pairs // 8) * 8))
+        block = _aligned_empty((n_pool + 1, self.slots(need),
+                                -(-pairs // 8) * 8))
         mine, *theirs = (defaultdict(iter(part).__next__) for part in block)
 
         def finish(i, result):  # under the lock
@@ -184,11 +184,77 @@ class PairGeometry:
             f.result()
         return results
 
+    def slots(self, need):
+        """Scratch buffers fields(need) writes: one per gathered template and
+        for 1/|R_t|; |R| or 1/|R| (and 1/|R|^3) take two, and five with the
+        components of R/|R|^3."""
+        names = set(need)
+        if "absReven" in names:
+            names |= {"shat", "that", "absRbar"}
+        n = len(names & self._templates.keys()) + ("invRt" in names)
+        if "Rinv3" in names:
+            return n + 5
+        return n + 2 * bool(names & {"absR", "invR", "invR3"})
+
     def gather(self, name, lo, hi, out):
         """Offset template `name` at the pairs of rows [lo, hi), into out."""
         if name not in self._tables:
             self._tables[name] = offset_windows(self._templates[name])
         return circulant_rows(self._tables[name], lo, hi, out)
+
+    def _rt_squared(self, lo, hi, out):
+        """|R_t|^2 at rows [lo, hi) into out, one GEMM per target ring.
+
+        With s = s-hat, n_i and n_a the target's and the source's e_r,
+        |R_t|^2 = |s e_t + eps n_i - eps n_a|^2 is s^2 |e_t|^2
+        + 2 eps s (e_t . n_i) + eps^2 |n_i|^2 - 2 eps s (e_t . n_a)
+        - 2 eps^2 (n_i . n_a) + eps^2 |n_a|^2: per-row factors against the
+        per-source rows (n_a, |n_a|^2, 1, s n_a, s, s^2), of which the first
+        five do not depend on the ring and are built once.  Where |s| <= eps
+        the terms cancel (same-theta pairs on nearby rings), so the GEMM
+        lost about 3x the accuracy of the component form; those rings take
+        the components s e_t + eps (n_i - n_a) instead, which also gives
+        exactly 0 at the self-pair.
+        """
+        g, eps, n_t = self.grid, self.eps, self.grid.n_theta
+        if self._rt_factors is None:
+            nrm, e_t = self.NRM, g.e_t[self.i_s]
+            nn = np.einsum("ik,ik->i", nrm, nrm)
+            left = np.column_stack([
+                -2.0 * eps * eps * nrm, np.full(g.n_nodes, eps * eps),
+                eps * eps * nn, -2.0 * eps * e_t,
+                2.0 * eps * np.einsum("ik,ik->i", e_t, nrm),
+                np.einsum("ik,ik->i", e_t, e_t)])
+            fixed = np.vstack([nrm.T, nn, np.ones(g.n_nodes)])
+            # s-hat of the pair (ring, a) is shat[ring_a - ring] of this
+            # doubled table: ring's row of sources is one window of it
+            shat = np.repeat(np.tile(
+                self._templates["shat"][-np.arange(g.n_s) % g.n_s, 0], 2), n_t)
+            d = math.floor(eps * g.n_s)  # ring offsets with |s-hat| <= eps
+            self._rt_factors = left, fixed, shat, np.arange(-d, d + 1)
+        left, fixed, shat, near = self._rt_factors
+        s_near = shat[near % g.n_s * n_t]
+        n_by_ring = self._pt_n.reshape(3, g.n_s, n_t)
+        right = np.empty((10, g.n_nodes))
+        right[:5] = fixed
+        a = lo
+        while a < hi:
+            ring = self.i_s[a]
+            b = min((ring + 1) * n_t, hi)
+            s = shat[-ring % g.n_s * n_t:][:g.n_nodes]
+            np.multiply(fixed[:3], s, out=right[5:8])
+            right[8] = s
+            np.square(s, out=right[9])
+            np.matmul(left[a:b], right, out=out[a - lo:b - lo])
+            rings = (ring + near) % g.n_s
+            c = self._pt_n[:, a:b, None, None] - n_by_ring[:, None, rings]
+            c *= eps
+            c += (g.e_t[ring][:, None] * s_near)[:, None, :, None]
+            np.square(c, out=c)
+            out[a - lo:b - lo].reshape(b - a, g.n_s, n_t)[:, rings] = (
+                c[0] + c[1] + c[2])
+            a = b
+        return out
 
     def fields(self, lo, hi, need=("absR",), scratch=None):
         """Compute the requested pair fields for target rows [lo, hi).
@@ -197,17 +263,19 @@ class PairGeometry:
         gathered.  "diag": the target's column.  "absR": |R|; "absReven":
         |R_even|.  "invR" and "invRt" are 1/|R| and 1/|R_t|, 0 at the
         self-pair like "invRbar": the one place a pair sweep drops it.
-        "Rinv3" (with invR and invR3 = 1/|R|^3) is the three components of
-        R/|R|^3, so 0 there too: K_D is their sum against n_src.  Only the
-        requested fields are built, and |R| and |R_t| go component by
-        component, with no (chunk, N, 3) temporary, into scratch (see sweep)
-        or, without it, into new arrays.  A name it does not build is a
-        ValueError.
+        "invR3" (with invR) is 1/|R|^3, so 0 there too, and "Rinv3" (with
+        invR and invR3) is the three components of R/|R|^3: K_D is their
+        sum against n_src.  Only the requested fields are built, into
+        scratch (see sweep and slots) or, without it, into new arrays.  |R|
+        goes component by component, with no (chunk, N, 3) temporary, and
+        1/|R|^3 alone takes the buffer of the components.  |R_t|^2 is one
+        GEMM of K = 10 per target ring (_rt_squared).  A name it does not
+        build is a ValueError.
         """
         g, rows, names = self.grid, hi - lo, set(need)
         cols = self.n_sources(hi)
         unknown = names - self._templates.keys() - {
-            "diag", "absR", "invR", "Rinv3", "invRt", "absReven"}
+            "diag", "absR", "invR", "invR3", "Rinv3", "invRt", "absReven"}
         if unknown:
             raise ValueError(f"unknown pair fields {sorted(unknown)}")
 
@@ -232,39 +300,26 @@ class PairGeometry:
         if "diag" in names:
             out["diag"] = np.zeros((rows, cols), dtype=bool)
             out["diag"][np.arange(rows), np.arange(lo, hi)] = True
-        if {"absR", "invR", "Rinv3"} & names:
-            name = "invR" if {"invR", "Rinv3"} & names else "absR"
+        if {"absR", "invR", "invR3", "Rinv3"} & names:
+            name = "invR" if {"invR", "invR3", "Rinv3"} & names else "absR"
             keep = "Rinv3" in names  # R's components stay for R/|R|^3
-            r2, t = buf(name), buf("t") if keep else None
-            comps = ([buf(f"R{k}") for k in range(3)] if keep
-                     else [buf("d")] * 3)
+            r2, t = buf(name), buf("t" if keep else "d")
+            comps = [buf(f"R{k}") for k in range(3)] if keep else [t] * 3
             # sums start at their first term: 0.0 + it, up to -0.0
             for k, (p, d) in enumerate(zip(self._pt, comps)):
                 np.subtract(p[lo:hi, None], p[:cols], out=d)
-                sq = np.square(d, out=r2 if k == 0 else t if keep else d)
+                sq = np.square(d, out=r2 if k == 0 else t)
                 if k:
                     r2 += sq
             distance(name, r2)
-            if keep:
+            if {"invR3", "Rinv3"} & names:
                 inv = out["invR"]
                 inv3 = np.multiply(np.multiply(inv, inv, out=t), inv, out=t)
-                out["Rinv3"] = [np.multiply(d, inv3, out=d) for d in comps]
                 out["invR3"] = inv3
+                if keep:
+                    out["Rinv3"] = [np.multiply(d, inv3, out=d) for d in comps]
         if "invRt" in names:
-            # R_t = (s-hat e_t(s) + eps e_r(s, theta)) - eps n_src
-            shat = self._templates["shat"][(self.i_s[lo:hi, None]
-                                            - np.arange(g.n_s)) % g.n_s, 0]
-            e_t = g.e_t[self.i_s[lo:hi]]
-            rt2, c = (buf(k).reshape(rows, g.n_s, g.n_theta)
-                      for k in ("invRt", "d"))
-            for k in range(3):
-                near = (shat * e_t[:, k, None]
-                        + self.eps * self.NRM[lo:hi, k, None])
-                np.subtract(near[:, :, None], self._eps_n[k], out=c)
-                sq = np.square(c, out=c if k else rt2)
-                if k:
-                    rt2 += sq
-            distance("invRt", rt2)
+            distance("invRt", self._rt_squared(lo, hi, buf("invRt")))
         if "absReven" in names:
             shat, that, absrbar = (self.gather(k, lo, hi, buf(k))
                                    for k in ("shat", "that", "absRbar"))

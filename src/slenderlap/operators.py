@@ -37,23 +37,25 @@ one lower pair sweep fills (_assemble).  They differ only in what is added:
 Every pair kernel is written once, in _pair_kernel's table, from the inverse
 distances 1/|R|, 1/|R_t|, 1/|R-bar|, the components of R/|R|^3 and straight
 templates, and carries no 1/4pi: the source weight does.  K_D is
-sum_k (R_k/|R|^3) n_k(source), on full rows and lower strips alike.
-PairGeometry.fields drops the self-pair, and nothing else does.  The dense
-oracles take a chunk's full kernel rows from _pair_sweep and only write them
-into a matrix, and apply_pairs multiplies them by densities where a kernel
-needs full rows: R_t takes the target's e_t, and a curved-minus-straight
-difference is subtracted pair by pair.  The rest take a lower sweep
+sum_k (R_k/|R|^3) n_k(source) on full rows and in the dense assemblies;
+the matrix-free lower apply takes it from 1/|R|^3 alone, with the
+numerator R . n from two GEMMs (_lower_apply).  PairGeometry.fields drops
+the self-pair, and nothing else does.  The dense oracles take a chunk's
+full kernel rows from _pair_sweep and only write them into a matrix, and
+apply_pairs multiplies them by densities where a kernel needs full rows:
+R_t takes the target's e_t, and a curved-minus-straight difference is
+subtracted pair by pair.  The rest take a lower sweep
 (kernels.lower_strips), which evaluates each unordered pair once and gives
-G and K_D both ways from 1/|R| and R/|R|^3: the dense assemblies in
-_assemble, where assemble_first_kind keeps A = S_h diag(1/J), which is
+G and K_D both ways: the dense assemblies in _assemble, from 1/|R| and
+R/|R|^3, where assemble_first_kind keeps A = S_h diag(1/J), which is
 symmetric, the theta-block sums B = (1/2 I - D_h) E of D_h and the column
 sums of |A|, and assemble_D writes D_h out; and the matrix-free applies in
-_lower_apply, apply_pair's S_h and D_h and apply_pairs' G and R_S3 (G on
-the source factor -eps khat).  Every pair sweep runs through
-PairGeometry.sweep: row chunks or strips
-on every CPU of the affinity mask, each computed whole by one thread, and a
-lower sweep's mirrored sums added in strip order, so no output depends on
-the thread count.  D' - D_h depends on the source only through s, so
+_lower_apply, from 1/|R| and 1/|R|^3, apply_pair's S_h and D_h and
+apply_pairs' G and R_S3 (G on the source factor -eps khat).  Every pair
+sweep runs through PairGeometry.sweep: row chunks or strips on every CPU
+of the affinity mask, each computed whole by one thread, and a lower
+sweep's mirrored sums added in strip order, so no output depends on the
+thread count.  D' - D_h depends on the source only through s, so
 centerline_kernel builds it with no pair sweep.
 
 The remainder pieces of the curved-minus-straight operators are pair
@@ -185,40 +187,77 @@ def _density(grid, x, name, columns=False):
     return x
 
 
-def _lower_apply(grid, x, n_psi=None):
-    """(sum_a x[a]/|R_ia|, sum_a sum_k R_k(i, a) n_psi[k, a]/|R_ia|^3) over
-    the sources a != i, from one sweep of the lower strips; x is (N,) or
-    (N, k), n_psi (3, N) or None, which leaves the second out (None).
+def _lower_apply(grid, x, m=None):
+    """(sum_a x[a]/|R_ia|, sum_a sum_k R_k(i, a) m[k, a]/|R_ia|^3) over the
+    sources a != i, from one sweep of the lower strips; x is (N,) or (N, k),
+    m (3, N) or None, which leaves the second out (None).
 
-    G = 1/|R| is symmetric, and K_D(a, i) = -sum_k R_k(i, a) n_k(i)/|R|^3
-    takes the same R_k/|R|^3 as K_D(i, a) = sum_k R_k(i, a) n_k(a)/|R|^3.
-    So each strip's 1/|R| and R_k/|R|^3 go against x and n_psi forward for
+    G = 1/|R| is symmetric, so each strip's 1/|R| goes against x forward for
     its rows [lo, hi) over the sources [0, hi), and transposed for the
-    targets [0, lo) from the sources [lo, hi); the sweep adds those
-    mirrored sums in strip order.
+    targets [0, lo) from the sources [lo, hi).  K_D takes 1/|R|^3 alone:
+    with q = p - c, c the strip's mean position, R(i, a) . m_a = q_i . m_a
+    - q_a . m_a, so the forward sums are q_i . (1/|R|^3 @ m)_i - (1/|R|^3
+    @ q.m)_i, one GEMM against the hi x 4 [m, q.m], and the mirrored ones
+    come from [m, q.m]^T @ 1/|R|^3 with q_a likewise.  A pair loses about
+    |q|/|R| of the accuracy of R's components: centred, |q| is the tube
+    radius eps or the strip's extent (uncentred, the sums lost about 10x
+    more).  The theta-neighbours' |q|/|R| ~ 1/h_theta is the baseline, so
+    the ring offsets 0 < |j| with j h_s < eps h_theta (none at aspect >= 1)
+    leave the GEMMs and add R . m exactly: at aspect 0.32 on the circle D
+    was 1.2e-13 off assemble_D without them, 3e-15 with them.  The sweep
+    adds the mirrored sums in strip order.
     """
     g_out = np.empty_like(x)
-    d_out = None if n_psi is None else np.empty(grid.n_nodes)
+    d_out = None if m is None else np.empty(grid.n_nodes)
+    if m is not None:
+        p, m_t = grid.flat_positions(), np.ascontiguousarray(m.T)
+        n_s, n_t = grid.n_s, grid.n_theta
+        d = math.floor(2.0 * math.pi * grid.epsilon * n_s / n_t)
+        offsets = np.concatenate([np.arange(-d, 0), np.arange(1, d + 1)])
+
+    def near_pairs(lo, hi, inv3):
+        """The strip's pairs at those ring offsets, with a < hi: their
+        exact forward sums and mirrored sums, and 0 in inv3 for them."""
+        rings = (np.arange(lo, hi) // n_t)[:, None] + offsets
+        cols = ((rings % n_s)[:, :, None] * n_t + np.arange(n_t)).reshape(
+            hi - lo, -1)
+        rows = np.broadcast_to(np.arange(hi - lo)[:, None], cols.shape)
+        keep = cols < hi
+        rows, cols = rows[keep], cols[keep]
+        w = inv3[rows, cols]
+        inv3[rows, cols] = 0.0
+        r = p[lo + rows] - p[cols]
+        fwd = np.bincount(rows, w * np.einsum("pk,pk->p", r, m_t[cols]),
+                          minlength=hi - lo)
+        back = cols < lo
+        mirror = np.bincount(cols[back], -w[back] * np.einsum(
+            "pk,pk->p", r[back], m_t[lo + rows[back]]), minlength=lo)
+        return fwd, mirror
 
     def strip(lo, hi, f):
         g, mirror_d = f["invR"], None
         np.matmul(g, x[:hi], out=g_out[lo:hi])
-        if n_psi is not None:
-            q = f["Rinv3"]
-            d = np.matmul(q[0], n_psi[0, :hi], out=d_out[lo:hi])
-            mirror_d = n_psi[0, lo:hi] @ q[0][:, :lo]
-            for k in (1, 2):
-                d += q[k] @ n_psi[k, :hi]
-                mirror_d += n_psi[k, lo:hi] @ q[k][:, :lo]
+        if m is not None:
+            inv3, q = f["invR3"], p[:hi] - p[lo:hi].mean(axis=0)
+            near = near_pairs(lo, hi, inv3) if d else (0.0, 0.0)
+            mq = np.empty((hi, 4))  # [m, q.m]
+            mq[:, :3] = m_t[:hi]
+            np.einsum("ik,ik->i", q, m_t[:hi], out=mq[:, 3])
+            fwd = inv3 @ mq
+            np.einsum("ik,ik->i", q[lo:], fwd[:, :3], out=d_out[lo:hi])
+            d_out[lo:hi] -= fwd[:, 3] - near[0]
+            back = mq[lo:].T @ inv3[:, :lo]
+            mirror_d = (np.einsum("ik,ki->i", q[:lo], back[:3]) - back[3]
+                        + near[1])
         return lo, g[:, :lo].T @ x[lo:hi], mirror_d
 
     def fold(mirrored):
         lo, mirror_g, mirror_d = mirrored
         g_out[:lo] += mirror_g
         if mirror_d is not None:
-            d_out[:lo] -= mirror_d
+            d_out[:lo] += mirror_d
 
-    need = ("invR",) if n_psi is None else ("invR", "Rinv3")
+    need = ("invR",) if m is None else ("invR", "invR3")
     PairGeometry(grid, lower=True).sweep(need, strip, fold)
     return g_out, d_out
 
@@ -469,6 +508,11 @@ def _assemble(grid, backend, first_kind):
     their theta-block sums, the mirrored ones by GEMMs against the block
     indicator, added in strip order like _lower_apply's.  Direct's S
     diagonal (over J) and D ring go on after the sweep.
+
+    K_D stays on R's components here, not on _lower_apply's 1/|R|^3 and
+    GEMMs: with the same K = 4 numerator, assemble_first_kind at 256x16
+    went 197 -> 248 ms with 2 BLAS threads (each GEMM in a sweep thread
+    starts its own), though 184 -> 177 ms with 1.
     """
     if backend not in ("direct", "split"):
         raise ValueError(f"unknown backend '{backend}'")
@@ -627,7 +671,14 @@ def theta_integral(grid, x, weight):
     return (q * (2.0 * math.pi / grid.n_theta)).reshape((grid.n_s,) + cols)
 
 
-def mean_in_s_split(grid, h_profile):
+def mean_in_s_columns(grid, h_profile):
+    """The two densities of mean_in_s_split's G apply, (n_s, n_theta, 2):
+    h(theta) constant in s, and -eps khat h, on which G is R_S3."""
+    ext = np.tile(np.asarray(h_profile, float), (grid.n_s, 1))
+    return np.stack([ext, -grid.epsilon * grid.khat * ext], axis=-1)
+
+
+def mean_in_s_split(grid, h_profile, g=None):
     """Split Sbar^{-1} int_0^{2pi} S[h(theta)] eps dtheta at |k| = 1/(2 pi eps).
 
     Returns (H_eps, H_plus) as (n_s,) arrays (arrays out, as everywhere
@@ -635,13 +686,13 @@ def mean_in_s_split(grid, h_profile):
     and the low-pass part.  The sharp Fourier cutoff at 1/(2 pi eps) stands
     in for the dyadic projection at the same frequency.  The k = 0 mode
     carries no information here (Sbar^{-1} is undefined there) and is
-    projected out.
+    projected out.  g is apply_pairs(grid, "G", mean_in_s_columns(grid,
+    h_profile)), G at weight eps and R_S3 on h in one sweep; a caller with
+    more G to apply passes it from a sweep they share.
     """
-    ext = np.tile(np.asarray(h_profile, float), (grid.n_s, 1))  # constant in s
-    # G at weight eps on ext, and R_S3 on ext as G on -eps khat ext: one sweep
-    a = apply_pairs(grid, "G", np.stack([ext, -grid.epsilon * grid.khat * ext],
-                                        axis=-1))
-    h1, h2 = theta_integral(grid, a, grid.epsilon).T
+    if g is None:
+        g = apply_pairs(grid, "G", mean_in_s_columns(grid, h_profile))
+    h1, h2 = theta_integral(grid, g, grid.epsilon).T
 
     high = np.abs(s_modes(grid.n_s)) >= 1.0 / (2.0 * math.pi * grid.epsilon)
     tab = FourierSymbol("m_S_inv", grid.epsilon).table(grid.n_s)  # 0 at k = 0

@@ -73,6 +73,21 @@ def test_rotation_equivariance(circle_solver, circle_grid):
     assert np.max(np.abs(v_rot - np.roll(v, shift))) < 1e-9
 
 
+@pytest.mark.parametrize("backend", ["direct", "split"])
+def test_perturbed_circle_map_commutes_with_its_half_turn(backend,
+                                                          perturbed_spec64):
+    """The mode-2 perturbed circle is unchanged by s -> s + 1/2, so its
+    discrete map commutes with the roll by n_s/2 in both indices (5.2e-15
+    of max|Lambda| measured at 64x16, eps 1/64).  A roll by n_s/8 is no
+    symmetry of the curve, and it moves the map by 8e-4 or more."""
+    lam = sv.SlenderBodySolver(make_grid(perturbed_spec64, 64, 16),
+                               backend).dtn_matrix
+    scale = np.max(np.abs(lam))
+    for shift, same in ((lam.shape[0] // 2, True), (lam.shape[0] // 8, False)):
+        moved = np.max(np.abs(np.roll(lam, (shift, shift), axis=(0, 1)) - lam))
+        assert (moved <= 1e-12 * scale) == same, (shift, moved / scale)
+
+
 def test_constraint_consistency(circle_solver, circle_grid):
     # int w J dtheta = f at every s-node, to solver tolerance
     f = GridFunction(np.cos(2 * np.pi * circle_grid.s_nodes))

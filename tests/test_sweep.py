@@ -132,10 +132,10 @@ def test_pair_apply_allocates_only_its_scratch(monkeypatch):
     assert all(len(blocks[lower]) == 1 for lower in (True, False))
     strip = max((hi - lo) * hi for lo, hi in kn.lower_strips(grid.n_nodes))
     chunk = kn.rows_per_chunk(grid.n_nodes) * grid.n_nodes
-    # lower: two participants, 1 + 3 slots each, 2 used (1/|R| and R's
-    # components in turn); full: 2 + 3 slots each, 3 used (1/|R_t|, its
-    # components, and the gathered 1/|R-bar|)
-    sizes = {True: (4, 2, strip), False: (5, 3, chunk)}
+    # two participants with 2 slots each, both used: lower, 1/|R| and R's
+    # components in turn; full, 1/|R_t| (one GEMM per ring) and the
+    # gathered 1/|R-bar|
+    sizes = {True: (2, 2, strip), False: (2, 2, chunk)}
     table = grid.n_theta * 2 * grid.n_nodes * 8  # offset_windows of |R-bar|
     small = 1 << 20  # O(N) arrays and numpy's iterator buffers
     for lower, peak, held in peaks:
@@ -152,7 +152,7 @@ def test_symmetric_kernels_take_invR_on_the_lower_strips(perturbed_grid,
     """1/|R| is built only by lower-strip fields calls for the symmetric
     kernels and parts: G (also mean_in_s_split's), RS3, and RS2+RS3, whose
     full-row sweep builds only 1/|R_t| and 1/|R-bar|, and apply_pair's S_h
-    and D_h, which share one lower sweep of 1/|R| and R/|R|^3.  RS1, whose
+    and D_h, which share one lower sweep of 1/|R| and 1/|R|^3.  RS1, whose
     1/|R| - 1/|R_t| is subtracted pair by pair, keeps it on full rows.
     Each sweep covers the N rows once."""
     grid = perturbed_grid
@@ -167,7 +167,7 @@ def test_symmetric_kernels_take_invR_on_the_lower_strips(perturbed_grid,
     want = {"G": {True: ("invR",)}, "RS3": {True: ("invR",)},
             "RS2+RS3": {True: ("invR",), False: ("invRt", "invRbar")},
             "RS1": {False: ("invR", "invRt")},
-            "apply_pair": {True: ("invR", "Rinv3")}}
+            "apply_pair": {True: ("invR", "invR3")}}
     phi = _densities(grid)
     for name, sweeps in want.items():
         calls.clear()
@@ -184,6 +184,24 @@ def test_symmetric_kernels_take_invR_on_the_lower_strips(perturbed_grid,
     assert calls and all(lower and need == ("invR",)
                          for lower, _, need in calls)
     assert sum(rows for _, rows, _ in calls) == n
+
+
+def test_rd_eps_group_sweeps_1_over_R_twice_per_rung(perturbed_grid_small,
+                                                     monkeypatch):
+    """A rung of Rd-eps-group makes three pair sweeps: the first-kind
+    assembly of its solve, one G sweep that serves both the R_S3 of
+    R_S2 + R_S3 and mean_in_s_split's two columns, and R_S2's full rows."""
+    from slenderlap import analysis
+    calls, sweep = [], kn.PairGeometry.sweep
+
+    def recorded(self, need, body, fold=None):
+        calls.append((self.lower, tuple(need)))
+        return sweep(self, need, body, fold)
+
+    monkeypatch.setattr(kn.PairGeometry, "sweep", recorded)
+    analysis._rd_eps_group(perturbed_grid_small)
+    assert calls == [(True, ("invR", "Rinv3", "C_S", "C_D")),
+                     (True, ("invR",)), (False, ("invRt", "invRbar"))]
 
 
 def _recorded_strips(grid, monkeypatch):
@@ -255,10 +273,11 @@ def test_strip_bounds_follow_the_node_count_alone(perturbed_grid,
 @pytest.mark.parametrize("backend", ["direct", "split"])
 def test_apply_pair_allocates_only_its_scratch(backend, monkeypatch):
     """The tracemalloc peak of a 128x16 apply_pair is its scratch block, made
-    once per sweep (two participants, 2 + 3 slots each of the largest
-    strip's pairs, all used: 1/|R|, three components of R/|R|^3 and 1/|R|^3),
-    plus O(N) arrays: the mirrored sums and the backend's corrections.  One
-    more strip buffer per participant would break the bound."""
+    once per sweep (two participants, 2 slots each of the largest strip's
+    pairs, both used: 1/|R|, and 1/|R|^3 in the buffer of R's components),
+    plus O(N) arrays: [m, q.m], the mirrored sums and the backend's
+    corrections.  One more strip buffer per participant would break the
+    bound."""
     import tracemalloc
 
     from slenderlap import geometry, grid as gr
@@ -287,9 +306,9 @@ def test_apply_pair_allocates_only_its_scratch(backend, monkeypatch):
         tracemalloc.stop()
     pairs = max((hi - lo) * hi for lo, hi in kn.lower_strips(grid.n_nodes))
     assert pairs == 1 << 16
-    assert len(blocks) == 1 and len(used) == 2 * 5
+    assert len(blocks) == 1 and len(used) == 2 * 2
     block = blocks.popitem()[1]
-    assert block == 2 * 5 * pairs * 8 + 64
+    assert block == 2 * 2 * pairs * 8 + 64
     small = 1 << 20  # O(N) arrays and numpy's iterator buffers, 0.7 MB
     assert peak <= block + small
 
