@@ -86,7 +86,8 @@ def _dry_run(plan):
 def _dry_run_report(n_s, n_theta, n_systems=1, dense=None):
     """Print the run's size on its n_s x n_theta grid, which must be valid:
     dense is (count, what) of the N x N arrays it holds at once, or None for
-    the largest chunk of either pair sweep (full rows or lower strips)."""
+    the largest chunk of either pair sweep (full rows or lower strips, both
+    whole theta-rings, so at least n_theta x N pairs)."""
     grid.check_grid_sizes(n_s, n_theta)
     n = n_s * n_theta
     if dense:
@@ -95,8 +96,8 @@ def _dry_run_report(n_s, n_theta, n_systems=1, dense=None):
         size = (f"{count} dense N x N arrays at once ({held}), "
                 f"~{count * gb:.2f} GB (~{gb:.2f} GB per dense operator)")
     else:
-        pairs = max(min(kernels.rows_per_chunk(n), n) * n,
-                    *((hi - lo) * hi for lo, hi in kernels.lower_strips(n)))
+        pairs = max(min(kernels.rows_per_chunk(n, n_theta), n) * n, *(
+            (hi - lo) * hi for lo, hi in kernels.lower_strips(n, n_theta)))
         size = (f"matrix-free, chunks of at most {pairs} pairs "
                 f"(~{pairs * 8 / 1e6:.2f} MB per field, held by each of "
                 f"{kernels.sweep_cpus()} sweep participant(s))")

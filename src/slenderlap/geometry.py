@@ -80,14 +80,15 @@ def curve_from_config(config):
             raise GeometryError(f"unknown curve preset '{name}'")
         return np.asarray(cos_c, float), np.asarray(sin_c, float)
     if "cos" in config or "sin" in config:
-        cos_c = np.atleast_2d(np.asarray(config.get("cos", [[0.0, 0.0, 0.0]]), float))
-        sin_c = np.atleast_2d(np.asarray(config.get("sin", [[0.0, 0.0, 0.0]]), float))
-        n = max(cos_c.shape[0], sin_c.shape[0])
-        cos_full = np.zeros((n, 3))
-        sin_full = np.zeros((n, 3))
-        cos_full[: cos_c.shape[0]] = cos_c
-        sin_full[: sin_c.shape[0]] = sin_c
-        return cos_full, sin_full
+        try:  # ragged rows are numpy's ValueError
+            cos_c, sin_c = (np.atleast_2d(np.asarray(config.get(key, [[0.0] * 3]),
+                                                     float)) for key in ("cos", "sin"))
+        except ValueError:
+            cos_c = sin_c = np.empty(0)
+        if cos_c.shape[1:] != (3,) or sin_c.shape[1:] != (3,):
+            raise GeometryError("coefficients must be lists of 3-vectors")
+        n = max(len(cos_c), len(sin_c))  # zero rows pad the shorter list
+        return tuple(np.pad(c, ((0, n - len(c)), (0, 0))) for c in (cos_c, sin_c))
     raise GeometryError("curve config needs 'preset' or 'cos'/'sin' coefficients")
 
 

@@ -42,21 +42,22 @@ def sweep_cpus():
     return len(os.sched_getaffinity(0))
 
 
-# pair sweeps go in row chunks of about this many pairs, one chunk in flight
-# per CPU, each in its taker's scratch (PairGeometry.sweep).  Numpy releases
-# the GIL once per call, so calls must be long: on 2 CPUs the RS2+RS3 apply
-# at 128x16 took 85-94 ms with 2^15-pair chunks, 66-68 ms with 2^16 and 62-73
-# with 2^17; a 2^16-pair chunk's two buffers of R_S2 (1 MB) fit one core's L2.
+# pair sweeps go in chunks of whole theta-rings, about this many pairs, one
+# in flight per CPU, each in its taker's scratch (PairGeometry.sweep).  Numpy
+# releases the GIL once per call, so calls must be long: on 2 CPUs the RS2+RS3
+# apply at 128x16 took 85-94 ms with 2^15-pair chunks, 66-68 ms with 2^16 and
+# 62-73 with 2^17; a 2^16-pair chunk's two R_S2 buffers (1 MB) fit one L2.
 CHUNK_PAIRS = 1 << 16
 # pairs of a lower strip against its sources (lower_strips): a constant, not
-# CHUNK_PAIRS, so the strips follow the node count alone
+# CHUNK_PAIRS, so the strips follow the grid alone
 STRIP_PAIRS = 1 << 16
 
 
-def rows_per_chunk(n_nodes):
-    """Rows per pair-sweep chunk: about CHUNK_PAIRS pairs, a multiple of 4
-    (OpenBLAS's GEMV takes rows in fours, so any such chunking rounds alike)."""
-    return 4 * max(1, CHUNK_PAIRS // (4 * n_nodes))
+def rows_per_chunk(n_nodes, n_theta):
+    """Rows per pair-sweep chunk: the whole rings of about CHUNK_PAIRS pairs,
+    at least one; a multiple of 4 as n_theta is (OpenBLAS's GEMV takes rows
+    in fours, so any such chunking rounds alike)."""
+    return n_theta * max(1, CHUNK_PAIRS // (n_theta * n_nodes))
 
 
 def _aligned_empty(shape):
@@ -69,16 +70,17 @@ def _aligned_empty(shape):
 
 # vectorized pair sweeps ------------------------------------------------------
 
-def lower_strips(n_nodes):
-    """Row strips [lo, hi) of a lower pair sweep: r = hi - lo is the largest
-    multiple of 4 (at least 4) with r (lo + r) <= STRIP_PAIRS, so a strip
-    against its sources [0, hi) is about one chunk of pairs.  The rule is
-    fixed, not CHUNK_PAIRS, so the strips, and the order in which a sweep
-    adds up their mirrored sums, depend on n_nodes alone."""
+def lower_strips(n_nodes, n_theta):
+    """Row strips [lo, hi) of a lower pair sweep, whole theta-rings: r = hi
+    - lo is the root of r (lo + r) = STRIP_PAIRS rounded to the nearest ring
+    (at least one), so a strip against its sources [0, hi) is about one
+    chunk of pairs (141 strips of at most 87,040 at 256x16; rounding down
+    made 167).  The rule is fixed, not CHUNK_PAIRS, so the strips, and the
+    order in which a sweep adds up their mirrored sums, follow the grid."""
     lo = 0
     while lo < n_nodes:
         r = (math.isqrt(lo * lo + 4 * STRIP_PAIRS) - lo) // 2
-        hi = min(lo + 4 * max(1, r // 4), n_nodes)
+        hi = min(lo + n_theta * max(1, (r + n_theta // 2) // n_theta), n_nodes)
         yield lo, hi
         lo = hi
 
@@ -88,7 +90,9 @@ class PairGeometry:
 
     Chunks iterate over flattened target indices, rows_per_chunk at a time,
     and sweep runs them on every CPU; every field of a chunk is an array of
-    shape (chunk, N) against all N sources.
+    shape (chunk, N) against all N sources.  A chunk is whole theta-rings:
+    fields refuses rows that split one, so what works ring by ring (the
+    gathered circulants, R_t, B's theta-block sums) sees no part of one.
     With lower, the chunks are lower_strips instead, and each strip's fields
     are against its sources [0, hi) alone: every pair (i, a) with a <= i lies
     in exactly one strip, the one holding row i.  That serves kernels
@@ -113,11 +117,11 @@ class PairGeometry:
         self._rt_factors = None  # R_t's GEMM factors, built on first use
 
     def chunks(self):
-        n = self.grid.n_nodes
+        n, n_t = self.grid.n_nodes, self.grid.n_theta
         if self.lower:
-            yield from lower_strips(n)
+            yield from lower_strips(n, n_t)
             return
-        rows = rows_per_chunk(n)
+        rows = rows_per_chunk(n, n_t)
         for lo in range(0, n, rows):
             yield lo, min(lo + rows, n)
 
@@ -203,7 +207,7 @@ class PairGeometry:
         return circulant_rows(self._tables[name], lo, hi, out)
 
     def _rt_squared(self, lo, hi, out):
-        """|R_t|^2 at rows [lo, hi) into out, one GEMM per target ring.
+        """|R_t|^2 at the whole rings [lo, hi) into out, one GEMM per ring.
 
         With s = s-hat, n_i and n_a the target's and the source's e_r,
         |R_t|^2 = |s e_t + eps n_i - eps n_a|^2 is s^2 |e_t|^2
@@ -237,27 +241,23 @@ class PairGeometry:
         n_by_ring = self._pt_n.reshape(3, g.n_s, n_t)
         right = np.empty((10, g.n_nodes))
         right[:5] = fixed
-        a = lo
-        while a < hi:
-            ring = self.i_s[a]
-            b = min((ring + 1) * n_t, hi)
+        for ring in range(lo // n_t, hi // n_t):
+            a, b = ring * n_t - lo, (ring + 1) * n_t - lo
             s = shat[-ring % g.n_s * n_t:][:g.n_nodes]
             np.multiply(fixed[:3], s, out=right[5:8])
             right[8] = s
             np.square(s, out=right[9])
-            np.matmul(left[a:b], right, out=out[a - lo:b - lo])
+            np.matmul(left[lo + a:lo + b], right, out=out[a:b])
             rings = (ring + near) % g.n_s
-            c = self._pt_n[:, a:b, None, None] - n_by_ring[:, None, rings]
+            c = n_by_ring[:, ring, :, None, None] - n_by_ring[:, None, rings]
             c *= eps
             c += (g.e_t[ring][:, None] * s_near)[:, None, :, None]
             np.square(c, out=c)
-            out[a - lo:b - lo].reshape(b - a, g.n_s, n_t)[:, rings] = (
-                c[0] + c[1] + c[2])
-            a = b
+            out[a:b].reshape(n_t, g.n_s, n_t)[:, rings] = c[0] + c[1] + c[2]
         return out
 
     def fields(self, lo, hi, need=("absR",), scratch=None):
-        """Compute the requested pair fields for target rows [lo, hi).
+        """Compute the requested pair fields for the target rings [lo, hi).
 
         The offset_fields and the templates given at construction are
         gathered.  "diag": the target's column.  "absR": |R|; "absReven":
@@ -270,10 +270,13 @@ class PairGeometry:
         goes component by component, with no (chunk, N, 3) temporary, and
         1/|R|^3 alone takes the buffer of the components.  |R_t|^2 is one
         GEMM of K = 10 per target ring (_rt_squared).  A name it does not
-        build is a ValueError.
+        build, or rows that split a ring, is a ValueError.
         """
         g, rows, names = self.grid, hi - lo, set(need)
         cols = self.n_sources(hi)
+        if lo % g.n_theta or hi % g.n_theta:
+            raise ValueError(f"rows [{lo}, {hi}) split theta-ring "
+                             f"{(lo if lo % g.n_theta else hi) // g.n_theta}")
         unknown = names - self._templates.keys() - {
             "diag", "absR", "invR", "invR3", "Rinv3", "invRt", "absReven"}
         if unknown:
@@ -392,11 +395,11 @@ def check_geometric_inequalities(grid: SurfaceGrid):
 
 
 def _punctured_row_sum(grid, target, need, fn):
-    """eps w sum over sources a != target of fn(pair fields of the target row)."""
-    lo = target[0] * grid.n_theta + target[1]
-    f = PairGeometry(grid).fields(lo, lo + 1, (*need, "diag"))
-    off = ~f.pop("diag")[0]
-    vals = fn({k: v[0, off] for k, v in f.items()})  # the sources a != target
+    """eps w sum over sources a != target of fn(pair fields of its ring's row)."""
+    lo = target[0] * grid.n_theta
+    f = PairGeometry(grid).fields(lo, lo + grid.n_theta, (*need, "diag"))
+    off = ~f.pop("diag")[target[1]]
+    vals = fn({k: v[target[1], off] for k, v in f.items()})  # sources a != target
     return float(np.sum(vals) * grid.node_weight * grid.epsilon)
 
 

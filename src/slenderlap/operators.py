@@ -52,10 +52,10 @@ symmetric, the theta-block sums B = (1/2 I - D_h) E of D_h and the column
 sums of |A|, and assemble_D writes D_h out; and the matrix-free applies in
 _lower_apply, from 1/|R| and 1/|R|^3, apply_pair's S_h and D_h and
 apply_pairs' G and R_S3 (G on the source factor -eps khat).  Every pair
-sweep runs through PairGeometry.sweep: row chunks or strips on every CPU
-of the affinity mask, each computed whole by one thread, and a lower
-sweep's mirrored sums added in strip order, so no output depends on the
-thread count.  D' - D_h depends on the source only through s, so
+sweep runs through PairGeometry.sweep: chunks or strips of whole theta-rings
+on every CPU of the affinity mask, each computed whole by one thread, and a
+lower sweep's mirrored sums added in strip order, so no output depends on
+the thread count.  D' - D_h depends on the source only through s, so
 centerline_kernel builds it with no pair sweep.
 
 The remainder pieces of the curved-minus-straight operators are pair
@@ -383,7 +383,7 @@ def _add_centerline_correction(grid, d):
     centerline_kernel's rows over the source thetas, one row chunk at a
     time (no N x n_s table)."""
     pts, jw = grid.flat_positions(), grid.jacobian * grid.node_weight
-    rows = rows_per_chunk(grid.n_nodes)
+    rows = rows_per_chunk(grid.n_nodes, grid.n_theta)
     d3 = d.reshape(grid.n_nodes, grid.n_s, grid.n_theta)
     for lo in range(0, grid.n_nodes, rows):
         corr = centerline_kernel(grid, pts[lo:lo + rows])
@@ -505,9 +505,10 @@ def _assemble(grid, backend, first_kind):
     the strip's rows and of its mirror's columns are A's column sums.  Its
     R_k/|R|^3 give D_h both ways (_lower_apply), source weight J w/4pi,
     plus split's C_D J/eps from the same gathered block.  B keeps only
-    their theta-block sums, the mirrored ones by GEMMs against the block
-    indicator, added in strip order like _lower_apply's.  Direct's S
-    diagonal (over J) and D ring go on after the sweep.
+    their theta-block sums: a strip is whole rings, so the forward ones are
+    one reshape, and the mirrored ones GEMMs against the ring indicator,
+    added in strip order like _lower_apply's.  Direct's S diagonal (over J)
+    and D ring go on after the sweep.
 
     K_D stays on R's components here, not on _lower_apply's 1/|R|^3 and
     GEMMs: with the same K = 4 numerator, assemble_first_kind at 256x16
@@ -546,8 +547,7 @@ def _assemble(grid, backend, first_kind):
             mag.sum(axis=1, out=a_sums[lo:hi])
             a_mirror = mag[:, :lo].sum(axis=0)
             # the theta-block sums of D_h[:lo, lo:hi], by GEMMs
-            blocks = np.arange(lo, hi) // n_t
-            e = blocks[:, None] == np.arange(blocks[0], blocks[-1] + 1)
+            e = np.repeat(np.eye((hi - lo) // n_t, dtype=bool), n_t, axis=0)
             mirror = -sum(q[k][:, :lo].T @ (nw[k, lo:hi, None] * e)
                           for k in range(3))
             if split:
@@ -571,18 +571,14 @@ def _assemble(grid, backend, first_kind):
             d += np.multiply(f["C_D"], col[:hi], out=f["C_D"])
         if not first_kind:
             return None
-        # their theta-block sums: whole blocks, then the part of one
-        whole = hi // n_t
-        np.negative(d[:, :whole * n_t].reshape(hi - lo, whole, n_t) @ ones,
-                    out=d_out[lo:hi, :whole])
-        if whole * n_t < hi:
-            d_out[lo:hi, whole] = -d[:, whole * n_t:].sum(axis=1)
-        return lo, a_mirror, mirror
+        np.negative(d.reshape(hi - lo, hi // n_t, n_t) @ ones,  # B's block sums
+                    out=d_out[lo:hi, :hi // n_t])
+        return lo, hi, a_mirror, mirror
 
     def fold(mirrored):
-        lo, a_mirror, b_mirror = mirrored
+        lo, hi, a_mirror, b_mirror = mirrored
         a_sums[:lo] += a_mirror
-        d_out[:lo, lo // n_t:lo // n_t + b_mirror.shape[1]] -= b_mirror
+        d_out[:lo, lo // n_t:hi // n_t] -= b_mirror
 
     PairGeometry(grid, templates=templates, lower=True).sweep(
         ("invR", "Rinv3", *templates), strip, fold if first_kind else None)

@@ -19,8 +19,8 @@ Symbols on the straight periodic cylinder of radius eps (w = 2 pi eps |k|):
 All kernels are even in both offsets, so every symbol is real and even and
 acts diagonally on complex exponentials; real input gives real output.
 Block circulants of offset templates are read from offset_windows' table by
-circulant_rows alone: a row chunk or lower strip (PairGeometry.gather) or
-the whole matrix.
+circulant_rows alone, one theta-ring at a time: a row chunk or lower strip
+of whole rings (PairGeometry.gather) or the whole matrix.
 
 Each formula lives in _symbol_row (one |k|, all l <= lmax); FourierSymbol
 builds its tables from one row per |k| and memoises them, so every module
@@ -177,40 +177,36 @@ def apply_symbol(table, values):
 
 
 def offset_windows(t):
-    """Window table of an offset template: one row of its circulant per window.
+    """(n_t, 2N) table of an offset template: a ring's circulant rows are a
+    window of it.
 
     The template t(ds) or t(ds, dt) is indexed by the periodic node-index
     offset between target and source, on row-major flattened samples.  The
     table holds t((-q) mod n_s, (i_t - j_t) mod n_t) at [i_t, q n_t + j_t],
-    q < 2 n_s, so the circulant row of target (i_s, i_t) is the contiguous
-    window [i_t, (n_s - i_s) n_t]: a row is a copy, not an index gather.
+    q < 2 n_s, so ring i_s's rows are its columns from (n_s - i_s) n_t on.
     """
     t2 = t[:, None] if t.ndim == 1 else t
     n_s, n_t = t2.shape
     q = (-np.arange(2 * n_s)) % n_s
     j = np.arange(n_t)
-    stack = t2[q[None, :, None], (j[:, None, None] - j) % n_t]
-    return np.lib.stride_tricks.sliding_window_view(
-        stack.reshape(n_t, -1), n_s * n_t, axis=1)
+    return t2[q[None, :, None], (j[:, None, None] - j) % n_t].reshape(n_t, -1)
 
 
-def circulant_rows(windows, lo, hi, out):
-    """Rows [lo, hi) of the circulant whose offset_windows table is windows,
-    over its first out.shape[1] columns (all, or a lower strip's [0, hi)),
-    into out, one s-row block at a time (any lo, hi)."""
-    n_t, n, cols = windows.shape[0], windows.shape[2], out.shape[1]
-    for i_s in range(lo // n_t, (hi - 1) // n_t + 1):
-        r0, r1 = max(lo, i_s * n_t), min(hi, (i_s + 1) * n_t)
-        out[r0 - lo:r1 - lo] = windows[r0 - i_s * n_t:r1 - i_s * n_t,
-                                       n - i_s * n_t, :cols]
+def circulant_rows(table, lo, hi, out):
+    """Rows [lo, hi), whole rings, of the circulant whose offset_windows
+    table is table, over its first out.shape[1] columns (all, or a lower
+    strip's [0, hi)), into out, one ring at a time."""
+    n_t, n = table.shape[0], table.shape[1] // 2
+    for i_s in range(lo // n_t, hi // n_t):
+        c = n - i_s * n_t
+        out[i_s * n_t - lo:(i_s + 1) * n_t - lo] = table[:, c:c + out.shape[1]]
     return out
 
 
 def circulant_from_template(t):
     """Dense matrix of a discrete convolution, t as in offset_windows."""
-    windows = offset_windows(t)
-    n = windows.shape[2]
-    return circulant_rows(windows, 0, n, np.empty((n, n), windows.dtype))
+    n = t.size
+    return circulant_rows(offset_windows(t), 0, n, np.empty((n, n), t.dtype))
 
 
 def symbol_template(table):

@@ -226,12 +226,13 @@ def test_solve_dry_run_states_the_dense_peak(cmd, tmp_path, capsys,
            f"operator)" in out
     # at 64x8 two fixed costs outweigh one N x N array, so take them out:
     # the curve's 512 x 512 chord matrix (the spec is built beforehand) and
-    # the sweeps' scratch (row chunks of 4 x 512 pairs, lower strips of at
-    # most 2^11 pairs)
+    # the sweeps' scratch: chunks and strips of about 2^11 pairs, so at most
+    # one ring of 8 x 512 pairs, held by one participant
     spec = cli._build_spec(cli.build_parser().parse_args(argv))
     monkeypatch.setattr(cli, "_build_spec", lambda args: spec)
     monkeypatch.setattr(kernels, "CHUNK_PAIRS", 1 << 11)
     monkeypatch.setattr(kernels, "STRIP_PAIRS", 1 << 11)
+    monkeypatch.setattr(kernels, "sweep_cpus", lambda: 1)
     monkeypatch.chdir(tmp_path)
     tracemalloc.start()
     try:
@@ -464,12 +465,13 @@ def test_dry_run_states_the_sweep_chunks(argv, cpus, capsys, monkeypatch):
     monkeypatch.setattr(kernels, "sweep_cpus", lambda: cpus)
     assert main(argv + ["--dry-run"]) == 0
     out = capsys.readouterr().out
-    # at 16384 nodes each sweep's largest chunk is 2^16 pairs: 4 full rows,
-    # or a lower strip (the first is 256 x 256, the last 4 x 16384)
+    # at 16384 nodes (1024 x 16) each sweep's largest chunk is one ring,
+    # 2^18 pairs: 16 full rows, or the last lower strip (the first is
+    # 256 x 256, the last 16 x 16384)
     assert kernels.CHUNK_PAIRS == 1 << 16
-    assert kernels.rows_per_chunk(16384) * 16384 == 1 << 16
-    strips = list(kernels.lower_strips(16384))
-    assert strips[0] == (0, 256) and strips[-1] == (16380, 16384)
-    assert max((hi - lo) * hi for lo, hi in strips) == 1 << 16
-    assert (f"matrix-free, chunks of at most 65536 pairs (~0.52 MB per "
+    assert kernels.rows_per_chunk(16384, 16) * 16384 == 1 << 18
+    strips = list(kernels.lower_strips(16384, 16))
+    assert strips[0] == (0, 256) and strips[-1] == (16368, 16384)
+    assert max((hi - lo) * hi for lo, hi in strips) == 1 << 18
+    assert (f"matrix-free, chunks of at most 262144 pairs (~2.10 MB per "
             f"field, held by each of {cpus} sweep participant(s))") in out

@@ -395,3 +395,15 @@ def test_reversed_curve_has_the_reflected_frame(preset):
     assert rev.kappa_star == pytest.approx(fr.kappa_star, abs=1e-12)
     if preset == "trefoil":
         assert fr.kappa3 > 2.0
+
+
+@pytest.mark.parametrize("config", [
+    {"cos": [[0, 0, 0], [0.2, 0]]}, {"sin": [[0, 0], [0, 1]]},
+    {"cos": [[0, 0, 0], [0.2, 0, 0, 0]]}, {"sin": [0.0, 0.2, 0.0, 0.1]},
+    {"cos": [[[0.2, 0, 0]]]}])
+def test_coefficient_rows_must_be_3_vectors(config):
+    """A cos or sin row that is not a 3-vector (short, long, ragged, or a
+    deeper nesting) is a GeometryError, not numpy's broadcasting error."""
+    with pytest.raises(geo.GeometryError,
+                       match="coefficients must be lists of 3-vectors"):
+        geo.curve_from_config(config)

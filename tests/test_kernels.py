@@ -255,6 +255,19 @@ def test_pair_fields_build_only_what_is_asked(trefoil_grid):
             pg.fields(0, 8, need=("invR", name))
 
 
+@pytest.mark.parametrize("lower", [False, True])
+def test_pair_fields_refuse_rows_that_split_a_ring(trefoil_grid, lower):
+    """Every chunk is whole theta-rings: fields, the one place that checks,
+    names the ring a row range splits at either end."""
+    n_t = trefoil_grid.n_theta
+    pg = kn.PairGeometry(trefoil_grid, lower=lower)
+    for lo, hi, ring in ((37, 74, 4), (2 * n_t, 5 * n_t + 1, 5),
+                         (0, 1, 0)):
+        with pytest.raises(ValueError, match=f"split theta-ring {ring}$"):
+            pg.fields(lo, hi, need=("invR", "shat"))
+    assert pg.fields(n_t, 3 * n_t, need=("invR",))["invR"].shape[0] == 2 * n_t
+
+
 def _inverse(r):
     """1/r, 0 where r is 0 (the self-pair)."""
     return np.divide(1.0, r, out=np.zeros_like(r), where=r > 0.0)
@@ -268,8 +281,9 @@ def test_pair_fields_gather_offsets(trefoil_grid):
     pg = kn.PairGeometry(g)
     s = np.repeat(g.s_nodes, g.n_theta)
     th = np.tile(g.theta_nodes, g.n_s)
-    for lo in range(0, g.n_nodes, 37):  # chunks that split s-rows
-        hi = min(lo + 37, g.n_nodes)
+    step = 3 * g.n_theta  # chunks of three rings, the last of one
+    for lo in range(0, g.n_nodes, step):
+        hi = min(lo + step, g.n_nodes)
         f = pg.fields(lo, hi, need=("shat", "that", "absRbar", "invR",
                                     "Rinv3", "invRt"))
         shat = periodic_rep_s(s[lo:hi, None] - s[None, :])
@@ -320,15 +334,15 @@ def test_rt_from_its_gemm_matches_the_component_form(grid_name, request):
     """1/|R_t|, built by one GEMM per target ring and by components where
     |s-hat| <= eps, is the component form's to 2e-15 relative off the
     self-pair (measured 6.7e-16; the GEMM alone read up to 8.1e-15 on the
-    circle), in chunks that split rings; the self-pair reads 0, and no
+    circle), in chunks of three rings; the self-pair reads 0, and no
     RuntimeWarning is raised on the way."""
     g = request.getfixturevalue(grid_name)
     pg = kn.PairGeometry(g)
-    worst = 0.0
+    worst, step = 0.0, 3 * g.n_theta
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for lo in range(0, g.n_nodes, 37):
-            hi = min(lo + 37, g.n_nodes)
+        for lo in range(0, g.n_nodes, step):
+            hi = min(lo + step, g.n_nodes)
             got = pg.fields(lo, hi, need=("invRt",))["invRt"]
             self_pair = np.arange(hi - lo), np.arange(lo, hi)
             assert np.all(got[self_pair] == 0.0)
@@ -398,7 +412,7 @@ def test_pair_kernel_rows_are_punctured(name, grid_name, request):
     g = request.getfixturevalue(grid_name)
     fn, need, templates = op._pair_kernel(g, name)
     pg = kn.PairGeometry(g, templates=templates)
-    lo, hi = 37, 74  # a chunk that splits s-rows
+    lo, hi = 4 * g.n_theta, 9 * g.n_theta  # a chunk of five rings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = fn(pg.fields(lo, hi, need))

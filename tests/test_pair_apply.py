@@ -75,11 +75,11 @@ def test_two_column_single_layer_apply(grid_name, request):
 @pytest.mark.parametrize("grid_name", GRIDS)
 def test_lower_strip_applies_on_many_strips(grid_name, request, monkeypatch):
     """G, RS3 and RS2+RS3 take the lower strips, which are three at the
-    fixture grids; with 2^10 pairs a strip there are 107, so the mirrored
+    fixture grids; with 2^10 pairs a strip there are 58, so the mirrored
     sums of many strips are folded, and the oracles still hold."""
     grid = request.getfixturevalue(grid_name)
     monkeypatch.setattr(kn, "STRIP_PAIRS", 1 << 10)
-    assert len(list(kn.lower_strips(grid.n_nodes))) > 16
+    assert len(list(kn.lower_strips(grid.n_nodes, grid.n_theta))) > 16
     for name in ("G", "RS3", "RS2+RS3"):
         _check_apply(name, grid)
     _check_two_columns(grid)
@@ -162,7 +162,7 @@ def test_pair_apply_double_layer_on_many_strips(backend, preset, eps, n_s,
                            epsilon=eps)
     grid = make_grid(spec, n_s, 16)
     assert math.floor(2 * math.pi * eps * n_s / 16) == near_rings
-    strips = list(kn.lower_strips(grid.n_nodes))
+    strips = list(kn.lower_strips(grid.n_nodes, grid.n_theta))
     assert strips[0] == (0, 16 * grid.n_theta)
     assert preset != "trefoil" or len(strips) == 141
     phi = _density(grid)

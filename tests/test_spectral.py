@@ -261,12 +261,13 @@ def test_circulant_rows_match_index_gather(shape, rng):
         n_s * n_t, n_s * n_t)
     full = sp.circulant_from_template(t)  # a fresh array, not a view of t
     assert np.array_equal(full, ref) and not np.shares_memory(full, t)
-    windows, n = sp.offset_windows(t), n_s * n_t
-    for lo in range(n):  # every row range, whole s-rows or not, over all
-        for hi in range(lo + 1, n + 1):  # columns or a lower strip's [0, hi)
+    table, n = sp.offset_windows(t), n_s * n_t
+    assert table.shape == (n_t, 2 * n)
+    for lo in range(0, n, n_t):  # every range of whole rings, over all
+        for hi in range(lo + n_t, n + 1, n_t):  # columns or [0, hi)
             for cols in (n, hi):
                 out = np.full((hi - lo, cols), np.nan)
-                assert sp.circulant_rows(windows, lo, hi, out) is out
+                assert sp.circulant_rows(table, lo, hi, out) is out
                 assert np.array_equal(out, ref[lo:hi, :cols]), (lo, hi)
 
 

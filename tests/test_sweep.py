@@ -55,7 +55,7 @@ def _assert_same(got, want):
 def test_threaded_sweep_is_bit_identical_to_one_participant(grid_name, request,
                                                             monkeypatch):
     grid = request.getfixturevalue(grid_name)
-    assert grid.n_nodes // kn.rows_per_chunk(grid.n_nodes) >= 4
+    assert grid.n_nodes // kn.rows_per_chunk(grid.n_nodes, grid.n_theta) >= 4
     monkeypatch.setattr(kn, "sweep_cpus", lambda: 1)
     alone = _outputs(grid)
     monkeypatch.setattr(kn, "sweep_cpus", lambda: 3)
@@ -130,8 +130,9 @@ def test_pair_apply_allocates_only_its_scratch(monkeypatch):
         tracemalloc.stop()
     assert [lower for lower, _, _ in peaks] == [True, False]
     assert all(len(blocks[lower]) == 1 for lower in (True, False))
-    strip = max((hi - lo) * hi for lo, hi in kn.lower_strips(grid.n_nodes))
-    chunk = kn.rows_per_chunk(grid.n_nodes) * grid.n_nodes
+    strip = max((hi - lo) * hi
+                for lo, hi in kn.lower_strips(grid.n_nodes, grid.n_theta))
+    chunk = kn.rows_per_chunk(grid.n_nodes, grid.n_theta) * grid.n_nodes
     # two participants with 2 slots each, both used: lower, 1/|R| and R's
     # components in turn; full, 1/|R_t| (one GEMM per ring) and the
     # gathered 1/|R-bar|
@@ -240,19 +241,27 @@ def test_strips_cover_each_unordered_pair_once(perturbed_grid, monkeypatch):
     for lo, hi, _ in strips:
         square[lo:hi, lo:hi] = True
     assert np.array_equal(hits[~lower] == 1, square[~lower])
-    assert [(lo, hi) for lo, hi, _ in strips] == list(kn.lower_strips(n))
+    assert [(lo, hi) for lo, hi, _ in strips] == list(
+        kn.lower_strips(n, grid.n_theta))
 
 
 @pytest.mark.parametrize("n", [256, 1024, 4096, 16384, 20000])
 def test_strip_rule(n):
-    """Strips of 4 r rows, r (lo + r) <= 2^16 with r the largest such (or
-    4, where even 4 rows pass 2^16), ending at n."""
-    strips = list(kn.lower_strips(n))
+    """Strips of whole theta-rings ending at n: r rows, the multiple of
+    n_theta nearest the largest x with x (lo + x) <= 2^16, or one ring
+    where x is under half of one.  At 256x16 that is as many strips as a
+    step of 4 rows made, 141, of at most 87,040 pairs."""
+    n_theta = {256: 4, 1024: 8, 20000: 32}.get(n, 16)  # 20000 = 625 rings
+    strips = list(kn.lower_strips(n, n_theta))
     assert strips[0][0] == 0 and strips[-1][1] == n
     for (lo, hi), (nxt, _) in zip(strips, strips[1:]):
         r = hi - lo
-        assert nxt == hi and r % 4 == 0
-        assert r == 4 or r * (lo + r) <= 1 << 16 < (r + 4) * (lo + r + 4)
+        x = max(k for k in range(257) if k * (lo + k) <= 1 << 16)
+        assert nxt == hi and r % n_theta == 0
+        assert abs(r - x) <= n_theta / 2 or r == n_theta > 2 * x, (lo, r, x)
+    if (n, n_theta) == (4096, 16):
+        assert len(strips) == 141
+        assert max((hi - lo) * hi for lo, hi in strips) == 87040
 
 
 def test_strip_bounds_follow_the_node_count_alone(perturbed_grid,
@@ -304,8 +313,9 @@ def test_apply_pair_allocates_only_its_scratch(backend, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    pairs = max((hi - lo) * hi for lo, hi in kn.lower_strips(grid.n_nodes))
-    assert pairs == 1 << 16
+    pairs = max((hi - lo) * hi
+                for lo, hi in kn.lower_strips(grid.n_nodes, grid.n_theta))
+    assert pairs == 48 * 1632  # the strip [1584, 1632), three rings
     assert len(blocks) == 1 and len(used) == 2 * 2
     block = blocks.popitem()[1]
     assert block == 2 * 2 * pairs * 8 + 64
@@ -341,12 +351,12 @@ def test_stress_every_row_once(perturbed_grid_small, monkeypatch):
             hits[lo:hi] += 1
             return lo, hi
 
-        with monkeypatch.context() as m:  # chunks of 4 rows
+        with monkeypatch.context() as m:  # chunks of one ring
             m.setattr(kn, "CHUNK_PAIRS", 4 * grid.n_nodes)
             pg = kn.PairGeometry(grid)
             spans = pg.sweep(("absR", "shat"), body)
             assert spans == list(pg.chunks())
-            assert all(hi - lo == 4 for lo, hi in spans)
+            assert all(hi - lo == grid.n_theta for lo, hi in spans)
         threaded = _outputs(grid)
     finally:
         sys.setswitchinterval(old)
@@ -391,7 +401,7 @@ def test_error_in_any_chunk_stops_the_sweep(perturbed_grid_small, monkeypatch):
 
     def body(lo, hi, f):
         threads.add(threading.current_thread())
-        if lo == 4:
+        if lo == perturbed_grid_small.n_theta:  # the second ring
             raise ValueError("bad chunk")
         time.sleep(0.05)
         done.append(lo)
