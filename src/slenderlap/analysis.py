@@ -36,7 +36,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import geometry as geo
-from .grid import holder_norm, make_grid, spectral_s_derivative
+from .grid import (check_grid_sizes, holder_norm, make_grid,
+                   spectral_s_derivative)
 from .kernels import basic_integral
 from .operators import (DENSE_NODE_CAP, AssemblyError, apply_pairs,
                         assemble_first_kind, mean_in_s_columns,
@@ -253,6 +254,8 @@ def make_study(study_id, curve_config=None, epsilons=None, n_theta=N_THETA):
     if len(set(st.epsilons)) < 2:
         raise ValueError(f"a slope needs at least 2 distinct eps, got "
                          f"{st.epsilons}")
+    for e in st.epsilons:
+        check_grid_sizes(st.grid_ns(e), st.n_theta)
     if st.solves:
         n_nodes = max(st.grid_ns(e) for e in st.epsilons) * st.n_theta
         if n_nodes > DENSE_NODE_CAP:

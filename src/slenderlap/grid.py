@@ -159,7 +159,10 @@ def holder_seminorm(f, alpha, epsilon):
 
 
 def holder_norm(f, alpha, epsilon):
+    """sup |f| plus holder_seminorm; a ValueError if f holds a NaN or inf."""
     vals = np.asarray(f, float)
+    if not np.isfinite(vals).all():
+        raise ValueError("f holds non-finite values (NaN or inf)")
     return float(np.max(np.abs(vals))) + holder_seminorm(vals, alpha, epsilon)
 
 

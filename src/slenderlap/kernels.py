@@ -106,7 +106,6 @@ class PairGeometry:
         self.lower = lower
         g = grid
         self.P, self.NRM = g.flat_positions(), g.flat_normals()
-        self.KH = g.khat.reshape(-1)
         self.i_s = np.arange(g.n_nodes) // g.n_theta
         self.eps = g.epsilon
         # positions and normals one component per row
@@ -193,8 +192,6 @@ class PairGeometry:
         for 1/|R_t|; |R| or 1/|R| (and 1/|R|^3) take two, and five with the
         components of R/|R|^3."""
         names = set(need)
-        if "absReven" in names:
-            names |= {"shat", "that", "absRbar"}
         n = len(names & self._templates.keys()) + ("invRt" in names)
         if "Rinv3" in names:
             return n + 5
@@ -260,17 +257,18 @@ class PairGeometry:
         """Compute the requested pair fields for the target rings [lo, hi).
 
         The offset_fields and the templates given at construction are
-        gathered.  "diag": the target's column.  "absR": |R|; "absReven":
-        |R_even|.  "invR" and "invRt" are 1/|R| and 1/|R_t|, 0 at the
-        self-pair like "invRbar": the one place a pair sweep drops it.
-        "invR3" (with invR) is 1/|R|^3, so 0 there too, and "Rinv3" (with
-        invR and invR3) is the three components of R/|R|^3: K_D is their
-        sum against n_src.  Only the requested fields are built, into
-        scratch (see sweep and slots) or, without it, into new arrays.  |R|
-        goes component by component, with no (chunk, N, 3) temporary, and
-        1/|R|^3 alone takes the buffer of the components.  |R_t|^2 is one
-        GEMM of K = 10 per target ring (_rt_squared).  A name it does not
-        build, or rows that split a ring, is a ValueError.
+        gathered.  "absR" is |R|, 0 at the self-pair; "invR" and "invRt"
+        are 1/|R| and 1/|R_t|, 0 there like "invRbar": the one place a pair
+        sweep drops it.  "invR3" (with invR) is 1/|R|^3, so 0 there too,
+        and "Rinv3" (with invR and invR3) is the three components of
+        R/|R|^3: K_D is their sum against n_src.  The diagnostics below
+        mask the self-pair and form |R_even| themselves.  Only the
+        requested fields are built, into scratch (see sweep and slots) or,
+        without it, into new arrays.  |R| goes component by component, with
+        no (chunk, N, 3) temporary, and 1/|R|^3 alone takes the buffer of
+        the components.  |R_t|^2 is one GEMM of K = 10 per target ring
+        (_rt_squared).  A name it does not build, or rows that split a
+        ring, is a ValueError.
         """
         g, rows, names = self.grid, hi - lo, set(need)
         cols = self.n_sources(hi)
@@ -278,7 +276,7 @@ class PairGeometry:
             raise ValueError(f"rows [{lo}, {hi}) split theta-ring "
                              f"{(lo if lo % g.n_theta else hi) // g.n_theta}")
         unknown = names - self._templates.keys() - {
-            "diag", "absR", "invR", "invR3", "Rinv3", "invRt", "absReven"}
+            "absR", "invR", "invR3", "Rinv3", "invRt"}
         if unknown:
             raise ValueError(f"unknown pair fields {sorted(unknown)}")
 
@@ -300,9 +298,6 @@ class PairGeometry:
         for name in need:
             if name in self._templates:
                 out[name] = self.gather(name, lo, hi, buf(name))
-        if "diag" in names:
-            out["diag"] = np.zeros((rows, cols), dtype=bool)
-            out["diag"][np.arange(rows), np.arange(lo, hi)] = True
         if {"absR", "invR", "invR3", "Rinv3"} & names:
             name = "invR" if {"invR", "invR3", "Rinv3"} & names else "absR"
             keep = "Rinv3" in names  # R's components stay for R/|R|^3
@@ -323,14 +318,6 @@ class PairGeometry:
                     out["Rinv3"] = [np.multiply(d, inv3, out=d) for d in comps]
         if "invRt" in names:
             distance("invRt", self._rt_squared(lo, hi, buf("invRt")))
-        if "absReven" in names:
-            shat, that, absrbar = (self.gather(k, lo, hi, buf(k))
-                                   for k in ("shat", "that", "absRbar"))
-            q0 = (-2.0 * self.KH[lo:hi] + self.eps * self.KH[lo:hi] ** 2
-                  + self.eps * g.kappa3 ** 2)
-            r2 = (absrbar ** 2 + self.eps * shat ** 2 * q0[:, None]
-                  + g.kappa3 * self.eps ** 2 * shat * np.sin(that))
-            out["absReven"] = np.sqrt(np.maximum(r2, 0.0))
         return out
 
 
@@ -361,9 +348,9 @@ def check_geometric_inequalities(grid: SurfaceGrid):
     sinh_const = math.sinh(math.pi) - math.pi
 
     def chunk(lo, hi, f):
-        mask = ~f["diag"]
         absR, absRbar = f["absR"], f["absRbar"]
         shat, that = f["shat"], f["that"]
+        mask = absR != 0.0  # all pairs but the self-pair
         # (i) empirical c in the eps |s-hat| slack
         gap = np.abs(absR - absRbar) - 0.5 * kappa_star * shat ** 2
         smask = mask & (np.abs(shat) > 0)
@@ -382,7 +369,7 @@ def check_geometric_inequalities(grid: SurfaceGrid):
         return c1, c2, np.count_nonzero(bad), worst, c4
 
     c1, c2, viol, worst, c4 = zip(*PairGeometry(grid).sweep(
-        ("absR", "absRbar", "shat", "that", "diag"), chunk))
+        ("absR", "absRbar", "shat", "that"), chunk))
     viol, c2_min, c4_min = int(sum(viol)), float(min(c2)), float(min(c4))
     return {
         "xest1_c_sup": float(max(c1)),
@@ -397,9 +384,9 @@ def check_geometric_inequalities(grid: SurfaceGrid):
 def _punctured_row_sum(grid, target, need, fn):
     """eps w sum over sources a != target of fn(pair fields of its ring's row)."""
     lo = target[0] * grid.n_theta
-    f = PairGeometry(grid).fields(lo, lo + grid.n_theta, (*need, "diag"))
-    off = ~f.pop("diag")[target[1]]
-    vals = fn({k: v[target[1], off] for k, v in f.items()})  # sources a != target
+    f = PairGeometry(grid).fields(lo, lo + grid.n_theta, need)
+    off = np.arange(grid.n_nodes) != lo + target[1]  # sources a != target
+    vals = fn({k: v[target[1], off] for k, v in f.items()})
     return float(np.sum(vals) * grid.node_weight * grid.epsilon)
 
 
@@ -408,12 +395,20 @@ def oddness_residual(grid: SurfaceGrid, n_pow, m_pow, target=(0, 0)):
 
     Exactly zero in the principal-value sense for odd n+m; the discrete sum
     picks up O(h) boundary asymmetry from the unpaired s-hat = 1/2 and
-    theta-hat = pi rows.
+    theta-hat = pi rows.  |R_even| (module docstring) takes the target's
+    khat in Q_0.
     """
-    return _punctured_row_sum(
-        grid, target, ("absReven", "shat", "that"),
-        lambda f: (f["shat"] ** n_pow * (grid.epsilon * np.sin(0.5 * f["that"]))
-                   ** m_pow / f["absReven"] ** (n_pow + m_pow + 2)))
+    eps, k3, kh = grid.epsilon, grid.kappa3, grid.khat[target]
+    q0 = -2.0 * kh + eps * (kh * kh) + eps * k3 ** 2
+
+    def term(f):
+        shat, that = f["shat"], f["that"]
+        r2 = (f["absRbar"] ** 2 + eps * shat ** 2 * q0
+              + k3 * eps ** 2 * shat * np.sin(that))
+        return (shat ** n_pow * (eps * np.sin(0.5 * that)) ** m_pow
+                / np.sqrt(np.maximum(r2, 0.0)) ** (n_pow + m_pow + 2))
+
+    return _punctured_row_sum(grid, target, ("shat", "that", "absRbar"), term)
 
 
 def basic_integral(grid: SurfaceGrid, k_pow, alpha, target=(0, 0), use_straight=False):

@@ -3,7 +3,8 @@ r"""Discrete layer operators on the tube surface.
 Every assembled operator is a plain N x N array on flattened (n_s, n_theta)
 samples, row-major.  Both backends start from the same curved blocks,
 G_J and K_J: the punctured trapezoids of the curved G and K_D times J, which
-one lower pair sweep fills (_assemble).  They differ only in what is added:
+one lower pair sweep fills (assemble_first_kind).  They differ only in what
+is added:
 
   direct:  local weights at each target that restore the dropped singular
            self-contribution, making a locally corrected trapezoid rule
@@ -40,23 +41,24 @@ templates, and carries no 1/4pi: the source weight does.  K_D is
 sum_k (R_k/|R|^3) n_k(source) on full rows and in the dense assemblies;
 the matrix-free lower apply takes it from 1/|R|^3 alone, with the
 numerator R . n from two GEMMs (_lower_apply).  PairGeometry.fields drops
-the self-pair, and nothing else does.  The dense oracles take a chunk's
-full kernel rows from _pair_sweep and only write them into a matrix, and
-apply_pairs multiplies them by densities where a kernel needs full rows:
-R_t takes the target's e_t, and a curved-minus-straight difference is
-subtracted pair by pair.  The rest take a lower sweep
-(kernels.lower_strips), which evaluates each unordered pair once and gives
-G and K_D both ways: the dense assemblies in _assemble, from 1/|R| and
-R/|R|^3, where assemble_first_kind keeps A = S_h diag(1/J), which is
+the self-pair, and nothing else does.  The dense oracles and assemble_D,
+which writes D_h out for the exterior solve, take a chunk's full kernel
+rows from _pair_sweep and only write them into a matrix (assemble_D adds
+split's C_D from the same chunk), and apply_pairs multiplies them by
+densities where a kernel needs full rows: R_t takes the target's e_t, and
+a curved-minus-straight difference is subtracted pair by pair.  The rest
+take a lower sweep (kernels.lower_strips), which evaluates each unordered
+pair once and gives G and K_D both ways: the dense assemble_first_kind,
+from 1/|R| and R/|R|^3, which keeps A = S_h diag(1/J), which is
 symmetric, the theta-block sums B = (1/2 I - D_h) E of D_h and the column
-sums of |A|, and assemble_D writes D_h out; and the matrix-free applies in
-_lower_apply, from 1/|R| and 1/|R|^3, apply_pair's S_h and D_h and
-apply_pairs' G and R_S3 (G on the source factor -eps khat).  Every pair
-sweep runs through PairGeometry.sweep: chunks or strips of whole theta-rings
-on every CPU of the affinity mask, each computed whole by one thread, and a
-lower sweep's mirrored sums added in strip order, so no output depends on
-the thread count.  D' - D_h depends on the source only through s, so
-centerline_kernel builds it with no pair sweep.
+sums of |A|; and the matrix-free applies in _lower_apply, from 1/|R| and
+1/|R|^3, apply_pair's S_h and D_h and apply_pairs' G and R_S3 (G on the
+source factor -eps khat).  Every pair sweep runs through
+PairGeometry.sweep: chunks or strips of whole theta-rings on every CPU of
+the affinity mask, each computed whole by one thread, and a lower sweep's
+mirrored sums added in strip order, so no output depends on the thread
+count.  D' - D_h depends on the source only through s, so centerline_kernel
+builds it with no pair sweep.
 
 The remainder pieces of the curved-minus-straight operators are pair
 kernels with plain eps weight, matching the operator identity R_S = S - Sbar
@@ -168,22 +170,27 @@ def _pair_kernel(grid, name):
                       if "KDbar" in need else {})
 
 
-def _pair_sweep(grid, name, body):
-    """body(lo, hi, rows) per row chunk, rows the chunk's full rows of the
-    named pair kernel, made in place on its fields."""
+def _pair_sweep(grid, name, body, extra=None):
+    """body(lo, hi, rows, f) per row chunk: rows the chunk's full rows of the
+    named pair kernel, made in place on its fields f, which also hold the
+    chunk's gathers of the extra offset templates (name -> template)."""
     fn, need, templates = _pair_kernel(grid, name)
-    PairGeometry(grid, templates=templates).sweep(
-        need, lambda lo, hi, f: body(lo, hi, fn(f)))
+    extra = extra or {}
+    PairGeometry(grid, templates={**templates, **extra}).sweep(
+        (*need, *extra), lambda lo, hi, f: body(lo, hi, fn(f), f))
 
 
 def _density(grid, x, name, columns=False):
-    """x as a float array of shape (n_s, n_theta), or with columns also
-    (n_s, n_theta, k), else a ValueError naming the expected shape."""
+    """x as a finite float array of shape (n_s, n_theta), or with columns
+    also (n_s, n_theta, k), else a ValueError naming the expected shape or
+    the non-finite values: a NaN in one density spreads to every output."""
     x = np.asarray(x, float)
     if x.shape[:2] != (grid.n_s, grid.n_theta) or x.ndim > 2 + columns:
         want = f"(n_s, n_theta) = {(grid.n_s, grid.n_theta)}"
         raise ValueError(f"{name} shape {x.shape} != {want}"
                          + (" or (n_s, n_theta, k)" if columns else ""))
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} holds non-finite values (NaN or inf)")
     return x
 
 
@@ -287,7 +294,7 @@ def apply_pairs(grid, name, x):
         name = rest[name]
     if name is not None:
         rows_out = np.empty_like(xw)
-        _pair_sweep(grid, name, lambda lo, hi, rows: np.matmul(
+        _pair_sweep(grid, name, lambda lo, hi, rows, _: np.matmul(
             rows, xw, out=rows_out[lo:hi]))
         out = rows_out if out is None else np.add(rows_out, out, out=rows_out)
     return out.reshape(x.shape)
@@ -301,8 +308,8 @@ def _dense_from_pairs(grid, name, weight="eps"):
     out = np.empty((grid.n_nodes,) * 2)
     weight = grid.jacobian if weight == "jacobian" else grid.epsilon
     w_src = np.reshape(weight, -1) * (grid.node_weight / FOURPI)
-    _pair_sweep(grid, name,
-                lambda lo, hi, rows: np.multiply(rows, w_src, out=out[lo:hi]))
+    _pair_sweep(grid, name, lambda lo, hi, rows, _: np.multiply(
+        rows, w_src, out=out[lo:hi]))
     return out
 
 
@@ -494,9 +501,18 @@ def _split_templates(grid):
     return tuple(0.5 * (t + t[flip]) for t in (t_s, template("m_D", "D")))
 
 
-def _assemble(grid, backend, first_kind):
-    """With first_kind (A, B, |A| column sums), A = S_h diag(1/J) and B =
-    (1/2 I - D_h) E, N x n_s, else D_h alone, from one lower pair sweep.
+def _is_split(backend):
+    """backend == "split", or a ValueError unless backend is "direct"."""
+    if backend not in ("direct", "split"):
+        raise ValueError(f"unknown backend '{backend}'")
+    return backend == "split"
+
+
+def assemble_first_kind(grid, backend="direct"):
+    """(A, B, |A| column sums) of the solves, from one lower pair sweep:
+    A = S_h diag(1/J), symmetric, and B = (1/2 I - D_h) E the N x n_s
+    theta-block sums of D_h, which is never stored: their data are
+    theta-independent.
 
     Each strip's 1/|R| times w/4pi, plus split's gathered C_S P0 / eps, is
     A's rows [lo, hi) over the sources [0, hi), written forward and
@@ -511,96 +527,64 @@ def _assemble(grid, backend, first_kind):
     and D ring go on after the sweep.
 
     K_D stays on R's components here, not on _lower_apply's 1/|R|^3 and
-    GEMMs: with the same K = 4 numerator, assemble_first_kind at 256x16
-    went 197 -> 248 ms with 2 BLAS threads (each GEMM in a sweep thread
-    starts its own), though 184 -> 177 ms with 1.
+    GEMMs: with the same K = 4 numerator, this assembly at 256x16 went
+    197 -> 248 ms with 2 BLAS threads (each GEMM in a sweep thread starts
+    its own), though 184 -> 177 ms with 1.
     """
-    if backend not in ("direct", "split"):
-        raise ValueError(f"unknown backend '{backend}'")
+    split = _is_split(backend)
     _check_dense_cap(grid)
     n, n_s, n_t = grid.n_nodes, grid.n_s, grid.n_theta
     w = grid.node_weight / FOURPI
     jac = grid.flat_jacobian()
     nw = grid.flat_normals().T * (jac * w)  # (3, N): n_k J w/4pi at a source
-    split = backend == "split"
     if split:  # strips of C_S and C_D are gathered
         t_s, t_d = _split_templates(grid)
-        templates = ({"C_S": t_s / grid.epsilon, "C_D": t_d} if first_kind
-                     else {"C_D": t_d})
+        templates = {"C_S": t_s / grid.epsilon, "C_D": t_d}
         col = jac / grid.epsilon
     else:
         templates, (s_diag, ring) = {}, _local_weights(grid)
-    if first_kind:
-        a, a_sums, d_out = np.empty((n, n)), np.empty(n), np.zeros((n, n_s))
-    else:
-        d_out = np.empty((n, n))
+    a, a_sums, b = np.empty((n, n)), np.empty(n), np.zeros((n, n_s))
     ones = np.ones(n_t)
 
     def strip(lo, hi, f):  # in place on the strip's fields
         q = f["Rinv3"]
-        if first_kind:
-            rows = np.multiply(f["invR"], w, out=a[lo:hi, :hi])
-            if split:
-                rows += f["C_S"]
-            a[:lo, lo:hi] = rows[:, :lo].T
-            mag = np.abs(rows, out=f["invR"])
-            mag.sum(axis=1, out=a_sums[lo:hi])
-            a_mirror = mag[:, :lo].sum(axis=0)
-            # the theta-block sums of D_h[:lo, lo:hi], by GEMMs
-            e = np.repeat(np.eye((hi - lo) // n_t, dtype=bool), n_t, axis=0)
-            mirror = -sum(q[k][:, :lo].T @ (nw[k, lo:hi, None] * e)
-                          for k in range(3))
-            if split:
-                mirror += f["C_D"][:, :lo].T @ (col[lo:hi, None] * e)
-        else:  # D_h[:lo, lo:hi]: -sum_k R_k/|R|^3 n_k J w/4pi (+ C_D J/eps)
-            mirror, tmp = f["invR3"][:, :lo], f["invR"][:, :lo]
-            np.multiply(q[0][:, :lo], -nw[0, lo:hi, None], out=mirror)
-            for k in (1, 2):
-                mirror -= np.multiply(q[k][:, :lo], nw[k, lo:hi, None],
-                                      out=tmp)
-            if split:
-                mirror += np.multiply(f["C_D"][:, :lo], col[lo:hi, None],
-                                      out=tmp)
-            d_out[:lo, lo:hi] = mirror.T
+        rows = np.multiply(f["invR"], w, out=a[lo:hi, :hi])
+        if split:
+            rows += f["C_S"]
+        a[:lo, lo:hi] = rows[:, :lo].T
+        mag = np.abs(rows, out=f["invR"])
+        mag.sum(axis=1, out=a_sums[lo:hi])
+        a_mirror = mag[:, :lo].sum(axis=0)
+        # the theta-block sums of D_h[:lo, lo:hi], by GEMMs
+        e = np.repeat(np.eye((hi - lo) // n_t, dtype=bool), n_t, axis=0)
+        mirror = -sum(q[k][:, :lo].T @ (nw[k, lo:hi, None] * e)
+                      for k in range(3))
         # D_h's rows [lo, hi) over [0, hi), in place on R_0/|R|^3
-        d = np.multiply(q[0], nw[0, :hi],
-                        out=q[0] if first_kind else d_out[lo:hi, :hi])
+        d = np.multiply(q[0], nw[0, :hi], out=q[0])
         for k in (1, 2):
             d += np.multiply(q[k], nw[k, :hi], out=q[k])
         if split:
+            mirror += f["C_D"][:, :lo].T @ (col[lo:hi, None] * e)
             d += np.multiply(f["C_D"], col[:hi], out=f["C_D"])
-        if not first_kind:
-            return None
         np.negative(d.reshape(hi - lo, hi // n_t, n_t) @ ones,  # B's block sums
-                    out=d_out[lo:hi, :hi // n_t])
+                    out=b[lo:hi, :hi // n_t])
         return lo, hi, a_mirror, mirror
 
     def fold(mirrored):
         lo, hi, a_mirror, b_mirror = mirrored
         a_sums[:lo] += a_mirror
-        d_out[:lo, lo // n_t:hi // n_t] -= b_mirror
+        b[:lo, lo // n_t:hi // n_t] -= b_mirror
 
     PairGeometry(grid, templates=templates, lower=True).sweep(
-        ("invR", "Rinv3", *templates), strip, fold if first_kind else None)
+        ("invR", "Rinv3", *templates), strip, fold)
     own = np.arange(n), np.arange(n) // n_t  # each row's own theta-block
-    if not first_kind:
-        if not split:
-            d_out.reshape(n, n_s, n_t)[own] += ring.reshape(n, n_t)
-        return d_out
     if not split:
         a_diag = s_diag / jac
         a.flat[::n + 1] += a_diag
         a_sums += np.abs(a_diag)
-        d_out[own] -= ring.reshape(n, n_t).sum(axis=1)
-    d_out[own] += 0.5
-    return a, d_out, a_sums
-
-
-def assemble_first_kind(grid, backend="direct"):
-    """(A, B, |A| column sums) of the solves, from one pair sweep: A = S_h
-    diag(1/J), symmetric, and B = (1/2 I - D_h) E the N x n_s theta-block
-    sums of D_h, which is never stored: their data are theta-independent."""
-    return _assemble(grid, backend, first_kind=True)
+        b[own] -= ring.reshape(n, n_t).sum(axis=1)
+    b[own] += 0.5
+    return a, b, a_sums
 
 
 def apply_pair(grid, backend, phi, psi):
@@ -612,14 +596,13 @@ def apply_pair(grid, backend, phi, psi):
     both, and stores no N x N array, so it is not capped.  The split
     corrections go on by FFT, so no template is gathered.
     """
-    if backend not in ("direct", "split"):
-        raise ValueError(f"unknown backend '{backend}'")
+    split = _is_split(backend)
     phi, psi = _density(grid, phi, "phi"), _density(grid, psi, "psi")
     w_src = grid.jacobian * (grid.node_weight / FOURPI)
     n_psi = grid.flat_normals().T * (psi * w_src).reshape(-1)  # (3, N): n psi
     s_out, d_out = (y.reshape(phi.shape) for y in _lower_apply(
         grid, (phi * w_src).reshape(-1), n_psi))
-    if backend == "split":
+    if split:
         t_s, t_d = _split_templates(grid)
         s_out += apply_symbol(np.fft.fftn(t_s), phi * grid.jacobian / grid.epsilon)
         d_out += apply_symbol(np.fft.fftn(t_d), psi * grid.jacobian / grid.epsilon)
@@ -640,9 +623,32 @@ def assemble_S(grid, backend="direct"):
 
 
 def assemble_D(grid, backend="direct"):
-    """Double layer D[psi] = int K_D psi dS: D_h of either backend, from one
-    pair sweep of K_D alone."""
-    return _assemble(grid, backend, first_kind=False)
+    """Double layer D[psi] = int K_D psi dS: D_h of either backend.
+
+    K_J is one full-row sweep of the "KD" pair kernel times J w/4pi, the
+    route of dense_double_layer_direct; split adds C_D diag(J/eps) from its
+    template, gathered in the same chunk, and direct its local ring after
+    the sweep.
+    """
+    split = _is_split(backend)
+    _check_dense_cap(grid)
+    n, n_t = grid.n_nodes, grid.n_theta
+    jac = grid.flat_jacobian()
+    w_src, col = jac * (grid.node_weight / FOURPI), jac / grid.epsilon
+    d_h = np.empty((n, n))
+
+    def chunk(lo, hi, rows, f):
+        rows = np.multiply(rows, w_src, out=d_h[lo:hi])
+        if split:
+            rows += np.multiply(f["C_D"], col, out=f["C_D"])
+
+    _pair_sweep(grid, "KD", chunk,
+                {"C_D": _split_templates(grid)[1]} if split else None)
+    if not split:
+        own = np.arange(n), np.arange(n) // n_t  # each row's own theta-block
+        d_h.reshape(n, grid.n_s, n_t)[own] += _local_weights(grid)[1].reshape(
+            n, n_t)
+    return d_h
 
 
 def assemble_Dprime(grid, backend="direct"):

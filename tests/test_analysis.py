@@ -55,6 +55,16 @@ def test_make_study_validation():
     assert max(st2.epsilons) <= 2.0 ** -5
 
 
+def test_make_study_checks_every_rung_grid():
+    """A study whose rungs cannot be gridded is refused when it is made,
+    before run_scaling_study builds a curve and frame."""
+    with pytest.raises(ValueError, match=r"powers of two \(>= 4\)$"):
+        an.make_study("RS1-sup", n_theta=6)
+    with pytest.raises(ValueError, match=r"powers of two \(>= 4\)$"):
+        an.make_study("RS2-sup", epsilons=[2.0 ** -4, 2.0 ** -6], n_theta=2)
+    assert an.make_study("RS1-sup", n_theta=8).n_theta == 8
+
+
 def test_grid_policy():
     st = an.make_study("RS1-sup")
     assert st.grid_ns(1.0 / 16) == 128

@@ -235,3 +235,15 @@ def test_grid_invariants(circle_grid):
     tot = np.sum(g.jacobian, axis=1) * dtheta
     assert np.max(np.abs(tot - 2 * math.pi * g.epsilon)) < 1e-14
 
+
+def test_holder_norm_refuses_non_finite_data(circle_grid_small):
+    """A NaN would make the norm NaN, silently: it is a ValueError."""
+    g = circle_grid_small
+    f = np.cos(2.0 * np.pi * g.s_nodes)[:, None] + np.sin(g.theta_nodes)
+    assert math.isfinite(gr.holder_norm(f, 0.25, g.epsilon))
+    for value in (np.nan, np.inf, -np.inf):
+        for bad in (f.copy(), f[:, 0].copy()):
+            bad.flat[3] = value
+            with pytest.raises(ValueError,
+                               match="^f holds non-finite values"):
+                gr.holder_norm(bad, 0.25, g.epsilon)

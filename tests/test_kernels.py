@@ -127,9 +127,8 @@ def test_KD_minus_straight_bounded(circle_grid):
     nrm = pg.NRM.T
     worst = 0.0
     for lo, hi in pg.chunks():
-        f = pg.fields(lo, hi, need=("invR", "Rinv3", "absRbar", "that",
-                                    "diag"))
-        mask = ~f["diag"]
+        f = pg.fields(lo, hi, need=("invR", "Rinv3", "absRbar", "that"))
+        mask = f["invR"] > 0.0  # all pairs but the self-pair
         kd = sum(q * n for q, n in zip(f["Rinv3"], nrm)) / kn.FOURPI
         with np.errstate(divide="ignore", invalid="ignore"):
             kd_bar = (-2.0 * circle_grid.epsilon * np.sin(0.5 * f["that"]) ** 2
@@ -244,13 +243,14 @@ def test_geometric_inequalities_circle_eps128(circle_cl, circle_frame):
 
 def test_pair_fields_build_only_what_is_asked(trefoil_grid):
     """fields builds the names asked for (and what Rinv3 is made with), and
-    a name it does not build, such as the dropped "Rn" and "absRt", is a
-    ValueError naming it, not an empty field set."""
+    a name it does not build, such as the dropped "Rn", "absRt", "diag"
+    and "absReven" (the diagnostics mask the self-pair and form |R_even|
+    themselves), is a ValueError naming it, not an empty field set."""
     pg = kn.PairGeometry(trefoil_grid)
     assert set(pg.fields(0, 8, need=("absR",))) == {"absR"}
     assert set(pg.fields(0, 8, need=("invRt",))) == {"invRt"}
     assert set(pg.fields(0, 8, need=("Rinv3",))) == {"Rinv3", "invR", "invR3"}
-    for name in ("Rn", "absRt"):
+    for name in ("Rn", "absRt", "diag", "absReven"):
         with pytest.raises(ValueError, match=f"unknown pair fields.*'{name}'"):
             pg.fields(0, 8, need=("invR", name))
 

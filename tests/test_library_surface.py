@@ -16,7 +16,7 @@ and only the solver's results are GridFunctions.
 
 Dense factorizations live in solver: only solver imports from
 scipy.linalg or names a LAPACK routine it looks up (get_lapack_funcs,
-potrf, potrs, trtrs) or the dsymv that applies S_h from its factored
+potrf, potrs, trtrs, lange) or the dsymv that applies S_h from its factored
 array, only _lu calls lu_factor, and only LU.solve calls lu_solve.  Every
 factor is made in the C-order array that holds its matrix, through its
 Fortran view, so src/ allocates no Fortran-order array: no asfortranarray
@@ -173,7 +173,7 @@ def test_dense_systems_are_factored_only_through_solver_lu():
                           for line in _scipy_linalg_imports(tree)]
             lapack += [f"{path.name}:{name}" for name in sorted(
                 set(_names(tree)) & {"get_lapack_funcs", "potrf", "potrs",
-                                     "trtrs", "dsymv"})]
+                                     "trtrs", "dsymv", "lange"})]
         callers |= {(path.name, func) for func, called, _ in _calls(tree)
                     if called == "lu_factor"}
         # every call of lu_solve, and those inside a class LU

@@ -288,9 +288,9 @@ def test_first_kind_matrix_is_symmetric_after_the_jacobian(backend, grid_name,
 @pytest.mark.parametrize("grid_name", ["perturbed_grid_small", "trefoil_grid"])
 @pytest.mark.parametrize("backend", ["direct", "split"])
 def test_double_layer_alone_is_the_pair_D(backend, grid_name, request):
-    """assemble_D's lower strips give the full rows' K_J (the one-matrix
-    dense_double_layer_direct) plus the backend's correction, to 1e-14 of
-    max|D_h|, and D' is D_h plus the centerline correction bit for bit."""
+    """assemble_D is the full rows' K_J (the one-matrix
+    dense_double_layer_direct) plus the backend's correction, and D' is D_h
+    plus the centerline correction, both bit for bit."""
     grid = request.getfixturevalue(grid_name)
     d_h = op.assemble_D(grid, backend)
     ref = op.dense_double_layer_direct(grid)
@@ -303,7 +303,7 @@ def test_double_layer_alone_is_the_pair_D(backend, grid_name, request):
         n_t = grid.n_theta
         for i, block in enumerate(ring):  # the (n_t, n_t) block at s_i
             ref[i * n_t:(i + 1) * n_t, i * n_t:(i + 1) * n_t] += block
-    assert np.max(np.abs(d_h - ref)) <= 1e-14 * np.max(np.abs(d_h))
+    assert np.array_equal(d_h, ref)
     assert np.array_equal(op.assemble_Dprime(grid, backend),
                           d_h + op.dense_centerline_correction(grid))
 

@@ -102,6 +102,29 @@ def test_density_shapes_are_checked(perturbed_grid_small):
         op.apply_pair(grid, "split", phi[..., None], phi)
 
 
+def test_non_finite_densities_are_refused(perturbed_grid_small, monkeypatch):
+    """One NaN or inf in a density would make every output of its sweep
+    NaN: apply_pairs and apply_pair refuse it by name, before any sweep."""
+    grid = perturbed_grid_small
+    phi = _density(grid)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(kn.PairGeometry, "sweep", no_sweep)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = phi.copy()
+        bad[5, 3] = value
+        msg = r"holds non-finite values \(NaN or inf\)$"
+        for x in (bad, np.stack([phi, bad], axis=-1)):
+            with pytest.raises(ValueError, match="^x " + msg):
+                op.apply_pairs(grid, "G", x)
+        with pytest.raises(ValueError, match="^phi " + msg):
+            op.apply_pair(grid, "split", bad, phi)
+        with pytest.raises(ValueError, match="^psi " + msg):
+            op.apply_pair(grid, "direct", phi, bad)
+
+
 def test_unknown_pair_kernel(perturbed_grid_small):
     with pytest.raises(ValueError):
         op.apply_pairs(perturbed_grid_small, "RS4", _density(perturbed_grid_small))

@@ -651,8 +651,6 @@ def test_lu_is_lu_factor_bit_for_bit(perturbed_grid_small):
     dprime.flat[::grid.n_nodes + 1] += 0.5
     mats = {"S_h": op.assemble_S(grid, "split"),
             "Lambda": solver.dtn_matrix.copy(), "Dprime": dprime}
-    # 1000 rows are not a whole number of LU_COPY_ROWS slabs
-    assert 1000 % sv.LU_COPY_ROWS
     mats["seeded"] = np.random.default_rng(19).standard_normal((1000, 1000))
     for name, mat in mats.items():
         ref_lu, ref_piv = lu_factor(mat.T)
@@ -668,13 +666,14 @@ def test_lu_is_lu_factor_bit_for_bit(perturbed_grid_small):
 
 
 def test_lu_refuses_a_non_finite_matrix():
-    """The finiteness check lu_factor made is _lu's slab pass's now: the
-    same one-line message."""
-    mat = np.eye(70)
-    mat[66, 3] = np.nan
-    with pytest.raises(ValueError) as err:
-        sv._lu(mat)
-    assert str(err.value) == "array must not contain infs or NaNs"
+    """The finiteness check lu_factor made is _lu's dlange norm's now (NaN
+    for a NaN, inf for an inf): the same one-line message."""
+    for bad in (np.nan, np.inf, -np.inf):
+        mat = np.eye(70)
+        mat[66, 3] = bad
+        with pytest.raises(ValueError) as err:
+            sv._lu(mat)
+        assert str(err.value) == "array must not contain infs or NaNs", bad
 
 
 def test_every_factorization_overwrites_the_fortran_view_of_its_array(

@@ -187,6 +187,31 @@ def test_symmetric_kernels_take_invR_on_the_lower_strips(perturbed_grid,
     assert sum(rows for _, rows, _ in calls) == n
 
 
+@pytest.mark.parametrize("backend", ["direct", "split"])
+def test_dense_assemblies_take_one_sweep_each(perturbed_grid_small, backend,
+                                              monkeypatch):
+    """assemble_first_kind is one lower sweep of 1/|R| and R/|R|^3 (and
+    split's C_S and C_D); assemble_D is one full-row sweep of the "KD"
+    kernel's fields (and split's C_D), the route of
+    dense_double_layer_direct.  Each covers the N rows once."""
+    grid = perturbed_grid_small
+    calls, fields = [], kn.PairGeometry.fields
+
+    def counted(self, lo, hi, need=("absR",), scratch=None):
+        calls.append((self.lower, hi - lo, tuple(need)))
+        return fields(self, lo, hi, need, scratch)
+
+    monkeypatch.setattr(kn.PairGeometry, "fields", counted)
+    split = ("C_S", "C_D") if backend == "split" else ()
+    want = {op.assemble_first_kind: (True, ("invR", "Rinv3", *split)),
+            op.assemble_D: (False, ("invR", "Rinv3", *split[1:]))}
+    for assemble, sweep in want.items():
+        calls.clear()
+        assemble(grid, backend)
+        assert {(lower, need) for lower, _, need in calls} == {sweep}
+        assert sum(rows for _, rows, _ in calls) == grid.n_nodes
+
+
 def test_rd_eps_group_sweeps_1_over_R_twice_per_rung(perturbed_grid_small,
                                                      monkeypatch):
     """A rung of Rd-eps-group makes three pair sweeps: the first-kind
